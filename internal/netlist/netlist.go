@@ -117,27 +117,23 @@ func (n *Netlist) NetLoad(netID int) float64 {
 // current placement. Nets with fewer than two endpoints have length 0.
 func (n *Netlist) HPWL(netID int) float64 {
 	net := &n.Nets[netID]
-	first := true
-	var minX, maxX, minY, maxY float64
-	add := func(x, y float64) {
-		if first {
-			minX, maxX, minY, maxY = x, x, y, y
-			first = false
-			return
-		}
-		minX = math.Min(minX, x)
-		maxX = math.Max(maxX, x)
-		minY = math.Min(minY, y)
-		maxY = math.Max(maxY, y)
-	}
-	if net.Driver >= 0 {
-		add(n.Insts[net.Driver].X, n.Insts[net.Driver].Y)
-	}
-	for _, s := range net.Sinks {
-		add(n.Insts[s.Inst].X, n.Insts[s.Inst].Y)
-	}
-	if first {
+	sinks := net.Sinks
+	var first *Instance
+	switch {
+	case net.Driver >= 0:
+		first = &n.Insts[net.Driver]
+	case len(sinks) > 0:
+		first, sinks = &n.Insts[sinks[0].Inst], sinks[1:]
+	default:
 		return 0
+	}
+	// Builtin min/max on float64 have math.Min/Max's NaN and ±0
+	// semantics but compile inline and branch-free.
+	minX, maxX, minY, maxY := first.X, first.X, first.Y, first.Y
+	for _, s := range sinks {
+		in := &n.Insts[s.Inst]
+		minX, maxX = min(minX, in.X), max(maxX, in.X)
+		minY, maxY = min(minY, in.Y), max(maxY, in.Y)
 	}
 	return (maxX - minX) + (maxY - minY)
 }

@@ -23,10 +23,12 @@ func benchmarkPlace(b *testing.B, workers int) {
 	n := benchNetlist()
 	opts := Options{Seed: 7, Moves: 30 * n.NumCells(), Workers: workers, Batch: 4096}
 	var res Result
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res = Place(n, opts)
 	}
+	b.ReportMetric(float64(res.MovesTried)*float64(b.N)/b.Elapsed().Seconds(), "moves/s")
 	// QoR metrics for the check.sh gate: the speculative engine is
 	// worker-invariant, so serial (Workers=1) and parallel must report
 	// byte-identical values here.
@@ -43,8 +45,14 @@ func benchmarkPlace(b *testing.B, workers int) {
 	b.ReportMetric(float64(res.BatchFinal), "batch_final")
 }
 
-// BenchmarkPlaceSerial is the reference: the speculative engine with a
-// crew of one — the identical batch/commit protocol, zero concurrency.
+// BenchmarkPlaceAnneal is the serial baseline: the commit-every-move
+// annealer (Workers == 0) that flows run by default.
+func BenchmarkPlaceAnneal(b *testing.B) { benchmarkPlace(b, 0) }
+
+// BenchmarkPlaceSerial is the protocol overhead at one worker: the
+// speculative engine with a crew of one — the identical batch/commit
+// protocol as BenchmarkPlaceParallel, zero concurrency. (The name stays:
+// the check.sh bench gate matches on it.)
 func BenchmarkPlaceSerial(b *testing.B) { benchmarkPlace(b, 1) }
 
 // BenchmarkPlaceParallel runs the same protocol on a 20-worker gang.

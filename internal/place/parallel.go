@@ -66,7 +66,7 @@ func (p *placer) annealSpeculative(rng *rand.Rand) {
 	gang := sched.NewGang(p.opts.Workers)
 	defer gang.Close()
 	pool := sync.Pool{New: func() any {
-		sc := newEvalScratch(numNets)
+		sc := newMoveScratch(numNets)
 		return &sc
 	}}
 
@@ -127,7 +127,7 @@ func (p *placer) annealSpeculative(rng *rand.Rand) {
 		// Evaluate: concurrent, pure, against the frozen epoch state.
 		sp := trace.Begin("place.move")
 		gang.Round(b, func(lo, hi int) {
-			sc := pool.Get().(*evalScratch)
+			sc := pool.Get().(*moveScratch)
 			for k := lo; k < hi; k++ {
 				if kinds[k] != kindEval {
 					continue

@@ -16,10 +16,14 @@
 //     proposal order with conflict detection, producing results that
 //     depend only on Seed/Moves/Batch — never on Workers or scheduling.
 //
-// The evaluator itself is built on flat structure-of-arrays state:
-// per-net bounding boxes cached and maintained incrementally, CSR
-// incidence (netlist.Incidence / netlist.NetPins) instead of nested
-// slices, and stamp arrays instead of per-move map allocation.
+// The evaluator itself is built on flat state that lives on the slot
+// lattice: a {col,row} record per instance, one 16-byte integer bounding
+// box per net maintained incrementally, and per-column / per-row
+// coordinate tables that turn a box into micrometres only when its span
+// is summed. CSR incidence (netlist.Incidence / netlist.NetPins) replaces
+// nested slices and stamp arrays replace per-move map allocation. See
+// DESIGN.md "Move evaluator" for why this is bit-identical to min/max
+// over float coordinates.
 package place
 
 import (
@@ -103,35 +107,62 @@ type Result struct {
 	ParallelRuntimeProxy int
 }
 
+// lattice is a slot's column and row.
+type lattice struct{ c, r int32 }
+
+// netBox is a net's bounding box on the lattice. The zero box is the
+// box of a pinless net (span 0).
+type netBox struct{ minC, maxC, minR, maxR int32 }
+
 // grid is the slot structure used during annealing.
 type grid struct {
-	cols, rows int
-	cellW      float64
-	rowH       float64
-	slotOf     []int // inst -> slot
-	instAt     []int // slot -> inst or -1
+	cols   int
+	slotOf []int     // inst -> slot
+	instAt []int     // slot -> inst or -1
+	pos    []lattice // inst -> slotOf[inst] decomposed
+	// colX[c], rowY[r] are the slot-centre coordinates. Both are monotone
+	// in their index, so the float min/max over a net's pins is the table
+	// entry of the integer min/max.
+	colX, rowY []float64
+}
+
+func (g *grid) latticeOf(slot int) lattice {
+	return lattice{c: int32(slot % g.cols), r: int32(slot / g.cols)}
 }
 
 func (g *grid) coords(slot int) (x, y float64) {
-	r, c := slot/g.cols, slot%g.cols
-	return (float64(c) + 0.5) * g.cellW, (float64(r) + 0.5) * g.rowH
+	return g.colX[slot%g.cols], g.rowY[slot/g.cols]
 }
 
-// evalScratch is the per-evaluator scratch state: a stamp array dedupes
-// the affected-net list without allocating. Each concurrent evaluator
-// owns its own scratch; the shared placer state is read-only during
-// evaluation.
-type evalScratch struct {
-	stamp    []int32
+// span is the half-perimeter of a lattice box in um.
+func (g *grid) span(b netBox) float64 {
+	return (g.colX[b.maxC] - g.colX[b.minC]) + (g.rowY[b.maxR] - g.rowY[b.minR])
+}
+
+// moveScratch collects the nets a swap touches — a stamp array dedupes
+// them without allocating — and classifies each: bit 1 = the moving
+// instance pins it, bit 2 = the displaced occupant pins it. Each
+// concurrent evaluator owns its own scratch; the shared placer state is
+// read-only during evaluation.
+type moveScratch struct {
+	stamp    []int32 // net -> gen of the last swap whose moving instance pins it
 	gen      int32
 	affected []int32
+	flags    []uint8
 }
 
-func newEvalScratch(numNets int) evalScratch {
-	return evalScratch{stamp: make([]int32, numNets), affected: make([]int32, 0, 16)}
+func newMoveScratch(numNets int) moveScratch {
+	return moveScratch{
+		stamp:    make([]int32, numNets),
+		affected: make([]int32, 0, 16),
+		flags:    make([]uint8, 0, 16),
+	}
 }
 
-func (sc *evalScratch) next() {
+// collect lists the nets of inst, then those of other (-1 or inst: none)
+// not already listed, with their flags. Incidence lists are deduplicated,
+// so only other's nets need the stamp test.
+func (sc *moveScratch) collect(inc netlist.Incidence, inst, other int) ([]int32, []uint8) {
 	sc.gen++
 	if sc.gen == math.MaxInt32 {
 		for i := range sc.stamp {
@@ -139,26 +170,29 @@ func (sc *evalScratch) next() {
 		}
 		sc.gen = 1
 	}
-}
-
-// commitScratch extends the stamp pattern with per-net move flags so a
-// committed swap can classify each affected net: bit 1 = the moving
-// instance pins it, bit 2 = the displaced occupant pins it.
-type commitScratch struct {
-	stamp    []int32
-	pos      []int32 // net -> index into affected (valid when stamped)
-	gen      int32
-	affected []int32
-	flags    []uint8
-}
-
-func newCommitScratch(numNets int) commitScratch {
-	return commitScratch{
-		stamp:    make([]int32, numNets),
-		pos:      make([]int32, numNets),
-		affected: make([]int32, 0, 16),
-		flags:    make([]uint8, 0, 16),
+	aff, flags := sc.affected[:0], sc.flags[:0]
+	for _, nid := range inc.Of(inst) {
+		sc.stamp[nid] = sc.gen
+		aff = append(aff, nid)
+		flags = append(flags, 1)
 	}
+	if other >= 0 && other != inst {
+		for _, nid := range inc.Of(other) {
+			if sc.stamp[nid] == sc.gen { // shared nets are rare: find it
+				for k := range aff {
+					if aff[k] == nid {
+						flags[k] |= 2
+						break
+					}
+				}
+				continue
+			}
+			aff = append(aff, nid)
+			flags = append(flags, 2)
+		}
+	}
+	sc.affected, sc.flags = aff, flags
+	return aff, flags
 }
 
 // placer is the shared annealing state. The serial and speculative
@@ -173,17 +207,17 @@ type placer struct {
 	inc  netlist.Incidence
 	pins netlist.NetPins
 
-	// Cached per-net bounding boxes (SoA): the "before" cost of a move
-	// is four array reads instead of a rescan of every pin.
-	minX, maxX, minY, maxY []float64
+	// Cached per-net lattice boxes: the "before" cost of a move is one
+	// record read instead of a rescan of every pin.
+	box []netBox
 
-	part        []int
+	part        []int // inst -> region, set by assignPartitions
 	partitioned bool
 	regionSlots [][]int
 	coarseProxy int
 
-	eval   evalScratch
-	commit commitScratch
+	eval   moveScratch
+	commit moveScratch
 
 	ctx     context.Context
 	aborted bool
@@ -209,6 +243,22 @@ const abortCheckMoves = 4096
 // an uncancelled run never aborts, so committed placements keep their
 // bit-exact determinism and worker invariance.
 func PlaceCtx(ctx context.Context, n *netlist.Netlist, opts Options) (Result, bool) {
+	p, rng := newPlacer(ctx, n, opts)
+	p.anneal(rng)
+
+	applyCoords(n, p.g)
+	p.res.HPWLUm = n.TotalHPWL()
+	p.res.ParallelRuntimeProxy = p.res.RuntimeProxy
+	if p.opts.Partitions > 1 {
+		regions := p.opts.Partitions * p.opts.Partitions
+		p.res.ParallelRuntimeProxy = p.coarseProxy + (p.res.RuntimeProxy-p.coarseProxy)/regions
+	}
+	return p.res, !p.aborted
+}
+
+// newPlacer scatters the instances over a fresh grid (the first draws of
+// the returned stream) and builds the evaluator state for that placement.
+func newPlacer(ctx context.Context, n *netlist.Netlist, opts Options) (*placer, *rand.Rand) {
 	opts = opts.withDefaults(n.NumCells())
 	rng := rand.New(rand.NewSource(opts.Seed))
 
@@ -220,34 +270,25 @@ func PlaceCtx(ctx context.Context, n *netlist.Netlist, opts Options) (Result, bo
 	p.inc = n.BuildIncidence()
 	p.pins = n.BuildNetPins()
 	numNets := len(n.Nets)
-	p.minX = make([]float64, numNets)
-	p.maxX = make([]float64, numNets)
-	p.minY = make([]float64, numNets)
-	p.maxY = make([]float64, numNets)
-	p.eval = newEvalScratch(numNets)
-	p.commit = newCommitScratch(numNets)
-	p.part = make([]int, n.NumCells())
+	p.box = make([]netBox, numNets)
+	p.eval = newMoveScratch(numNets)
+	p.commit = newMoveScratch(numNets)
 
 	applyCoords(n, p.g)
 	p.res.InitialHPWLUm = n.TotalHPWL()
-	for nid := 0; nid < numNets; nid++ {
-		p.rescanBox(nid)
+	for nid := range p.box {
+		p.box[nid] = p.scanBox(nid, -1, lattice{})
 	}
+	return p, rng
+}
 
-	if opts.Workers > 0 {
+// anneal runs the engine Options.Workers selects.
+func (p *placer) anneal(rng *rand.Rand) {
+	if p.opts.Workers > 0 {
 		p.annealSpeculative(rng)
 	} else {
 		p.annealSerial(rng)
 	}
-
-	applyCoords(n, p.g)
-	p.res.HPWLUm = n.TotalHPWL()
-	p.res.ParallelRuntimeProxy = p.res.RuntimeProxy
-	if opts.Partitions > 1 {
-		regions := opts.Partitions * opts.Partitions
-		p.res.ParallelRuntimeProxy = p.coarseProxy + (p.res.RuntimeProxy-p.coarseProxy)/regions
-	}
-	return p.res, !p.aborted
 }
 
 // annealSerial is the historical commit-every-move engine. Its random
@@ -326,6 +367,7 @@ func (p *placer) schedule(rng *rand.Rand) (temp, cool float64) {
 // "RTL partition and floorplan co-optimization" shape of Fig. 4(b),
 // where the small subproblems can be solved in parallel.
 func (p *placer) assignPartitions() {
+	p.part = make([]int, p.n.NumCells())
 	for inst := range p.part {
 		p.part[inst] = p.regionOfSlot(p.g.slotOf[inst])
 	}
@@ -351,176 +393,87 @@ func (p *placer) regionOfSlot(slot int) int {
 }
 
 // evalDelta computes the HPWL change of swapping inst into slot (with
-// whatever occupies it) without mutating any shared state: the "before"
-// cost reads the cached boxes, the "after" cost rescans the affected
-// nets substituting the swapped positions. Safe to call concurrently
-// with distinct scratches. The second result is the historical
-// runtime-proxy cost of the evaluation (2 passes over affected nets).
-func (p *placer) evalDelta(inst, slot int, sc *evalScratch) (delta float64, cost int) {
+// whatever occupies it) without mutating any shared state. Per affected
+// net, in collect order: "before" is the span of the cached box, "after"
+// the span of the box with the one endpoint that pins the net virtually
+// moved; a net pinned by both endpoints keeps its position set, hence its
+// box. Safe to call concurrently with distinct scratches. The second
+// result is the historical runtime-proxy cost of the evaluation (2 passes
+// over affected nets).
+func (p *placer) evalDelta(inst, slot int, sc *moveScratch) (delta float64, cost int) {
 	g := p.g
 	other := g.instAt[slot]
-	sc.next()
-	aff := sc.affected[:0]
-	for _, nid := range p.inc.Of(inst) {
-		if sc.stamp[nid] != sc.gen {
-			sc.stamp[nid] = sc.gen
-			aff = append(aff, nid)
+	from, to := g.pos[inst], g.latticeOf(slot)
+	aff, flags := sc.collect(p.inc, inst, other)
+	var before, after float64
+	for k, nid := range aff {
+		b := p.box[nid]
+		before += g.span(b)
+		switch flags[k] {
+		case 1:
+			b = p.movedBox(int(nid), int32(inst), from, to)
+		case 2:
+			b = p.movedBox(int(nid), int32(other), to, from)
 		}
-	}
-	if other >= 0 && other != inst {
-		for _, nid := range p.inc.Of(other) {
-			if sc.stamp[nid] != sc.gen {
-				sc.stamp[nid] = sc.gen
-				aff = append(aff, nid)
-			}
-		}
-	}
-	sc.affected = aff
-
-	var before float64
-	for _, nid := range aff {
-		before += (p.maxX[nid] - p.minX[nid]) + (p.maxY[nid] - p.minY[nid])
-	}
-	instX, instY := g.coords(slot)
-	otherX, otherY := g.coords(g.slotOf[inst])
-	o32 := int32(-1)
-	if other >= 0 && other != inst {
-		o32 = int32(other)
-	}
-	var after float64
-	for _, nid := range aff {
-		after += p.hpwlMoved(int(nid), int32(inst), instX, instY, o32, otherX, otherY)
+		after += g.span(b)
 	}
 	return after - before, 2 * len(aff)
 }
 
-// hpwlMoved computes one net's HPWL with inst and other virtually moved
-// to the given coordinates — the same pin visit order and math.Min/Max
-// sequence as Netlist.HPWL, so the result is bit-identical to a rescan
-// after a real swap.
-func (p *placer) hpwlMoved(nid int, inst int32, instX, instY float64, other int32, otherX, otherY float64) float64 {
-	pins := p.pins.Of(nid)
-	if len(pins) == 0 {
-		return 0
-	}
-	first := true
-	var minX, maxX, minY, maxY float64
-	for _, pin := range pins {
-		var x, y float64
-		switch pin {
-		case inst:
-			x, y = instX, instY
-		case other:
-			x, y = otherX, otherY
-		default:
-			x, y = p.g.coords(p.g.slotOf[pin])
-		}
-		if first {
-			minX, maxX, minY, maxY = x, x, y, y
-			first = false
-			continue
-		}
-		minX = math.Min(minX, x)
-		maxX = math.Max(maxX, x)
-		minY = math.Min(minY, y)
-		maxY = math.Max(maxY, y)
-	}
-	return (maxX - minX) + (maxY - minY)
-}
-
-// commitSwap performs the swap and maintains the cached boxes exactly.
-// Nets pinned by both swap endpoints keep an unchanged position set, so
-// their boxes are untouched; nets pinned by one endpoint get an exact
-// incremental update when the vacated point was strictly interior, and
-// a full rescan otherwise. The affected-net list remains available in
-// p.commit.affected for the caller (the speculative engine stamps it).
+// commitSwap performs the swap and maintains the cached boxes exactly,
+// with the same per-net case split as evalDelta. The affected-net list
+// remains available in p.commit.affected for the caller (the speculative
+// engine stamps it).
 func (p *placer) commitSwap(inst, slot int) {
 	g := p.g
 	other := g.instAt[slot]
-	oldSlot := g.slotOf[inst]
-
-	sc := &p.commit
-	sc.gen++
-	if sc.gen == math.MaxInt32 {
-		for i := range sc.stamp {
-			sc.stamp[i] = 0
-		}
-		sc.gen = 1
-	}
-	aff := sc.affected[:0]
-	flags := sc.flags[:0]
-	for _, nid := range p.inc.Of(inst) {
-		sc.stamp[nid] = sc.gen
-		sc.pos[nid] = int32(len(aff))
-		aff = append(aff, nid)
-		flags = append(flags, 1)
-	}
-	if other >= 0 && other != inst {
-		for _, nid := range p.inc.Of(other) {
-			if sc.stamp[nid] == sc.gen {
-				flags[sc.pos[nid]] |= 2
-				continue
-			}
-			sc.stamp[nid] = sc.gen
-			sc.pos[nid] = int32(len(aff))
-			aff = append(aff, nid)
-			flags = append(flags, 2)
-		}
-	}
-	sc.affected, sc.flags = aff, flags
-
-	swap(g, inst, slot)
-
-	newX, newY := g.coords(slot)
-	oldX, oldY := g.coords(oldSlot)
+	from, to := g.pos[inst], g.latticeOf(slot)
+	aff, flags := p.commit.collect(p.inc, inst, other)
 	for k, nid := range aff {
 		switch flags[k] {
-		case 1: // inst moved oldSlot -> slot
-			p.updateBox(int(nid), oldX, oldY, newX, newY)
-		case 2: // other moved slot -> oldSlot
-			p.updateBox(int(nid), newX, newY, oldX, oldY)
-			// case 3: both endpoints pin this net; the position set is
-			// unchanged by the swap, so the box is too.
+		case 1:
+			p.box[nid] = p.movedBox(int(nid), int32(inst), from, to)
+		case 2:
+			p.box[nid] = p.movedBox(int(nid), int32(other), to, from)
 		}
 	}
+	swap(g, inst, slot)
 }
 
-// updateBox maintains a net's cached box across one pin moving from
-// (remX,remY) to (addX,addY). If the removed point touches the box
-// boundary the box may shrink and a rescan is needed; otherwise the box
-// over the remaining points is unchanged and merging the added point is
-// exact.
-func (p *placer) updateBox(nid int, remX, remY, addX, addY float64) {
-	if remX <= p.minX[nid] || remX >= p.maxX[nid] ||
-		remY <= p.minY[nid] || remY >= p.maxY[nid] {
-		p.rescanBox(nid)
-		return
+// movedBox returns net nid's box once its pin instance who has moved
+// from -> to, reading only the cached box and current positions. If the
+// vacated point is strictly interior, the box over the remaining pins is
+// the cached one and merging the new point is exact; otherwise the box
+// may shrink and the pins are rescanned.
+func (p *placer) movedBox(nid int, who int32, from, to lattice) netBox {
+	b := p.box[nid]
+	if from.c > b.minC && from.c < b.maxC && from.r > b.minR && from.r < b.maxR {
+		return netBox{min(b.minC, to.c), max(b.maxC, to.c), min(b.minR, to.r), max(b.maxR, to.r)}
 	}
-	p.minX[nid] = math.Min(p.minX[nid], addX)
-	p.maxX[nid] = math.Max(p.maxX[nid], addX)
-	p.minY[nid] = math.Min(p.minY[nid], addY)
-	p.maxY[nid] = math.Max(p.maxY[nid], addY)
+	return p.scanBox(nid, who, to)
 }
 
-// rescanBox recomputes a net's cached box from the current grid, with
-// the same pin order and comparison sequence as Netlist.HPWL.
-func (p *placer) rescanBox(nid int) {
+// scanBox computes net nid's box from the current positions, with the
+// pins of instance who (-1: none) taken to be at `at`. The loop body
+// compiles to loads, compares and conditional moves, no data-dependent
+// branch; DESIGN.md "Move evaluator" lists the shapes that did worse.
+func (p *placer) scanBox(nid int, who int32, at lattice) netBox {
 	pins := p.pins.Of(nid)
 	if len(pins) == 0 {
-		p.minX[nid], p.maxX[nid], p.minY[nid], p.maxY[nid] = 0, 0, 0, 0
-		return
+		return netBox{}
 	}
-	x, y := p.g.coords(p.g.slotOf[pins[0]])
-	minX, maxX, minY, maxY := x, x, y, y
-	for _, pin := range pins[1:] {
-		x, y := p.g.coords(p.g.slotOf[pin])
-		minX = math.Min(minX, x)
-		maxX = math.Max(maxX, x)
-		minY = math.Min(minY, y)
-		maxY = math.Max(maxY, y)
+	pos := p.g.pos
+	minC, minR := int32(math.MaxInt32), int32(math.MaxInt32)
+	var maxC, maxR int32
+	for _, pin := range pins {
+		q := pos[pin]
+		if pin == who {
+			q = at
+		}
+		minC, maxC = min(minC, q.c), max(maxC, q.c)
+		minR, maxR = min(minR, q.r), max(maxR, q.r)
 	}
-	p.minX[nid], p.maxX[nid] = minX, maxX
-	p.minY[nid], p.maxY[nid] = minY, maxY
+	return netBox{minC, maxC, minR, maxR}
 }
 
 // buildGrid creates the slot grid sized for the die and scatters the
@@ -528,11 +481,11 @@ func (p *placer) rescanBox(nid int) {
 // different basins).
 func buildGrid(n *netlist.Netlist, w, h float64, rng *rand.Rand) *grid {
 	numCells := n.NumCells()
-	rowH := n.Lib.RowPitch
-	if rowH <= 0 {
-		rowH = 1
+	pitch := n.Lib.RowPitch
+	if pitch <= 0 {
+		pitch = 1
 	}
-	rows := int(h/rowH) + 1
+	rows := int(h/pitch) + 1
 	// Enough columns for all cells plus ~30% whitespace.
 	cols := int(math.Ceil(float64(numCells) * 1.3 / float64(rows)))
 	if cols < 1 {
@@ -540,11 +493,18 @@ func buildGrid(n *netlist.Netlist, w, h float64, rng *rand.Rand) *grid {
 	}
 	g := &grid{
 		cols:   cols,
-		rows:   rows,
-		cellW:  w / float64(cols),
-		rowH:   h / float64(rows),
 		slotOf: make([]int, numCells),
 		instAt: make([]int, cols*rows),
+		pos:    make([]lattice, numCells),
+		colX:   make([]float64, cols),
+		rowY:   make([]float64, rows),
+	}
+	cellW, rowH := w/float64(cols), h/float64(rows)
+	for c := range g.colX {
+		g.colX[c] = (float64(c) + 0.5) * cellW
+	}
+	for r := range g.rowY {
+		g.rowY[r] = (float64(r) + 0.5) * rowH
 	}
 	for i := range g.instAt {
 		g.instAt[i] = -1
@@ -554,6 +514,7 @@ func buildGrid(n *netlist.Netlist, w, h float64, rng *rand.Rand) *grid {
 		slot := perm[inst]
 		g.slotOf[inst] = slot
 		g.instAt[slot] = inst
+		g.pos[inst] = g.latticeOf(slot)
 	}
 	return g
 }
@@ -565,9 +526,11 @@ func swap(g *grid, inst, slot int) {
 	g.instAt[old] = other
 	if other >= 0 {
 		g.slotOf[other] = old
+		g.pos[other] = g.pos[inst]
 	}
 	g.instAt[slot] = inst
 	g.slotOf[inst] = slot
+	g.pos[inst] = g.latticeOf(slot)
 }
 
 // applyCoords writes grid slot coordinates back to the netlist.

@@ -158,11 +158,11 @@ func upsizePass(n *netlist.Netlist, rep *sta.Report, opts Options, rng *rand.Ran
 		inst  int
 		score float64
 	}
-	seen := make(map[int]bool)
+	seen := make([]bool, len(n.Insts))
+	walk := coneWalker{visited: make([]int32, len(n.Insts))}
 	var cands []cand
 	for _, ep := range viol {
-		cone := faninCone(n, ep.Net, 6)
-		for _, id := range cone {
+		for _, id := range walk.faninCone(n, ep.Net, 6) {
 			if seen[id] {
 				continue
 			}
@@ -204,19 +204,27 @@ func upsizePass(n *netlist.Netlist, rep *sta.Report, opts Options, rng *rand.Ran
 	return changed
 }
 
-// faninCone returns up to `depth` levels of drivers behind a net.
-func faninCone(n *netlist.Netlist, netID, depth int) []int {
-	var cone []int
-	frontier := []int{netID}
-	visited := make(map[int]bool)
+// coneWalker holds faninCone's state across the endpoints of one pass:
+// a generation-stamped visited array instead of a map per cone, and the
+// cone and frontier buffers.
+type coneWalker struct {
+	visited              []int32 // inst -> gen of the last cone that reached it
+	gen                  int32
+	cone, frontier, next []int
+}
+
+// faninCone returns up to `depth` levels of drivers behind a net, in
+// breadth-first discovery order. The slice is valid until the next call.
+func (w *coneWalker) faninCone(n *netlist.Netlist, netID, depth int) []int {
+	w.gen++
+	cone, frontier, next := w.cone[:0], append(w.frontier[:0], netID), w.next[:0]
 	for d := 0; d < depth && len(frontier) > 0; d++ {
-		var next []int
 		for _, nid := range frontier {
 			drv := n.Nets[nid].Driver
-			if drv < 0 || visited[drv] {
+			if drv < 0 || w.visited[drv] == w.gen {
 				continue
 			}
-			visited[drv] = true
+			w.visited[drv] = w.gen
 			cone = append(cone, drv)
 			if n.Insts[drv].Cell.Class.Sequential() {
 				continue
@@ -227,8 +235,9 @@ func faninCone(n *netlist.Netlist, netID, depth int) []int {
 				}
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier[:0]
 	}
+	w.cone, w.frontier, w.next = cone, frontier, next
 	return cone
 }
 

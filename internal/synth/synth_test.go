@@ -2,6 +2,8 @@ package synth
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cellib"
@@ -176,4 +178,98 @@ func TestDefaults(t *testing.T) {
 	if o.Effort != 2 || o.MaxFanout != 8 || o.UpsizeFrac != 0.35 || o.TargetFreqGHz != 0.5 {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
+}
+
+// faninConeRef is the map-based walk faninCone replaced, kept as the
+// reference the stamped version is compared against.
+func faninConeRef(n *netlist.Netlist, netID, depth int) []int {
+	var cone []int
+	frontier := []int{netID}
+	visited := make(map[int]bool)
+	for d := 0; d < depth && len(frontier) > 0; d++ {
+		var next []int
+		for _, nid := range frontier {
+			drv := n.Nets[nid].Driver
+			if drv < 0 || visited[drv] {
+				continue
+			}
+			visited[drv] = true
+			cone = append(cone, drv)
+			if n.Insts[drv].Cell.Class.Sequential() {
+				continue
+			}
+			for _, fn := range n.FaninNet[drv] {
+				if fn >= 0 && !n.Nets[fn].IsClock {
+					next = append(next, fn)
+				}
+			}
+		}
+		frontier = next
+	}
+	return cone
+}
+
+// TestFaninConeMatchesReference reuses one walker across random nets
+// and depths: same instances, same order, no state leaking between
+// calls.
+func TestFaninConeMatchesReference(t *testing.T) {
+	n := netlist.Generate(cellib.Default14nm(), netlist.PulpinoProxy(2))
+	rng := rand.New(rand.NewSource(5))
+	walk := coneWalker{visited: make([]int32, len(n.Insts))}
+	for i := 0; i < 2000; i++ {
+		netID, depth := rng.Intn(len(n.Nets)), 1+rng.Intn(8)
+		got, want := walk.faninCone(n, netID, depth), faninConeRef(n, netID, depth)
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("net %d depth %d: cone %v, reference %v", netID, depth, got, want)
+		}
+	}
+}
+
+// TestUpsizePassAllocsIndependentOfEndpoints guards the pass against a
+// return of per-endpoint allocation: hundreds of violating endpoints,
+// a few dozen objects (52 when written; the map-based walk made thousands).
+func TestUpsizePassAllocsIndependentOfEndpoints(t *testing.T) {
+	opts := Options{TargetFreqGHz: 1.2, Seed: 1}.withDefaults()
+	design := netlist.Generate(cellib.Default14nm(), netlist.PulpinoProxy(1))
+	design.ClockPeriodPs = 1000 / opts.TargetFreqGHz
+	rep := sta.Analyze(design, sta.Config{Engine: sta.Fast})
+	violating := 0
+	for _, ep := range rep.Endpoints {
+		if ep.SlackPs < 0 {
+			violating++
+		}
+	}
+	if violating < 100 {
+		t.Fatalf("only %d violating endpoints; the guard needs a few hundred", violating)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var res Result
+	allocs := testing.AllocsPerRun(5, func() {
+		n := design.Clone()
+		if upsizePass(n, rep, opts, rng, &res) == 0 {
+			t.Fatal("pass changed nothing")
+		}
+	})
+	cloneAllocs := testing.AllocsPerRun(5, func() { design.Clone() })
+	if got := allocs - cloneAllocs; got > 100 {
+		t.Fatalf("upsizePass made %.0f allocations for %d violating endpoints; want O(1)", got, violating)
+	}
+}
+
+// BenchmarkSynthRun times one synthesis of a ten-times-pulpino design —
+// the soc-proxy of the repo benchmark — at the flow's default effort.
+func BenchmarkSynthRun(b *testing.B) {
+	spec := netlist.PulpinoProxy(1)
+	spec.NumComb *= 10
+	spec.NumFFs *= 10
+	spec.NumPIs *= 2
+	design := netlist.Generate(cellib.Default14nm(), spec)
+	var res Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res = Run(design, Options{TargetFreqGHz: 0.5, Effort: 2, Seed: 1})
+	}
+	b.ReportMetric(float64(res.Passes), "passes")
+	b.ReportMetric(float64(res.Upsized), "upsized")
 }

@@ -5,7 +5,8 @@
 #                             doubled concurrency tier on the scheduler,
 #                             campaign engine, the parallel place &
 #                             route kernels, and the speculative flow
-#                             path)
+#                             path), then vet + tests of the nested
+#                             benchmark module
 #   scripts/check.sh bench    also run the benchmark pairs and write the
 #                             speedups to BENCH_campaign.json /
 #                             BENCH_sta.json / BENCH_place.json /
@@ -119,6 +120,9 @@ go test -race -count=2 ./internal/sched/... ./internal/campaign/... \
     ./internal/place/... ./internal/route/... \
     ./internal/flow/... ./internal/spec/... ./internal/dist/...
 go test -race ./...
+# The repo benchmark is a nested module (benchmark/go.mod), which the
+# ./... patterns above cannot see.
+(cd benchmark && go vet ./... && go test ./...)
 
 if [ "${1:-}" = "bench" ]; then
     out=$(go test -run=NONE -bench='BenchmarkCampaign(Serial|Parallel)$' -benchtime=3x .)
