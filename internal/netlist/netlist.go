@@ -154,24 +154,24 @@ func (n *Netlist) TotalHPWL() float64 {
 // a valid topological order of the combinational graph (level-0 holds
 // registers and level assignment follows fanin levels).
 func (n *Netlist) TopoOrder() []int {
-	order := make([]int, len(n.Insts))
-	for i := range order {
-		order[i] = i
-	}
-	// Counting sort by level keeps this O(V).
+	// Counting sort by level: O(V), two allocations, and instances of one
+	// level stay in index order.
 	maxLevel := 0
 	for i := range n.Insts {
-		if n.Insts[i].Level > maxLevel {
-			maxLevel = n.Insts[i].Level
-		}
+		maxLevel = max(maxLevel, n.Insts[i].Level)
 	}
-	buckets := make([][]int, maxLevel+1)
+	start := make([]int, maxLevel+2) // start[l+1] counts level l, then prefix-summed
 	for i := range n.Insts {
-		buckets[n.Insts[i].Level] = append(buckets[n.Insts[i].Level], i)
+		start[n.Insts[i].Level+1]++
 	}
-	order = order[:0]
-	for _, b := range buckets {
-		order = append(order, b...)
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
+	}
+	order := make([]int, len(n.Insts))
+	for i := range n.Insts {
+		l := n.Insts[i].Level
+		order[start[l]] = i
+		start[l]++
 	}
 	return order
 }
@@ -336,20 +336,44 @@ func (n *Netlist) Clone() *Netlist {
 		Name:          n.Name,
 		Lib:           n.Lib,
 		Insts:         append([]Instance(nil), n.Insts...),
-		Nets:          make([]Net, len(n.Nets)),
+		Nets:          append([]Net(nil), n.Nets...),
 		FaninNet:      make([][]int, len(n.FaninNet)),
 		FanoutNet:     append([]int(nil), n.FanoutNet...),
 		ClockNet:      n.ClockNet,
 		ClockPeriodPs: n.ClockPeriodPs,
 	}
+	// The per-net and per-instance lists are carved out of one slab each,
+	// not allocated one by one. Every piece is capacity-clipped, so a later
+	// append (Connect, InsertBuffer) reallocates that list instead of
+	// running into its neighbour; an empty list stays nil.
+	var numSinks, numFanins int
 	for i := range n.Nets {
-		c.Nets[i] = n.Nets[i]
-		c.Nets[i].Sinks = append([]PinRef(nil), n.Nets[i].Sinks...)
+		numSinks += len(n.Nets[i].Sinks)
 	}
 	for i := range n.FaninNet {
-		c.FaninNet[i] = append([]int(nil), n.FaninNet[i]...)
+		numFanins += len(n.FaninNet[i])
+	}
+	sinks := make([]PinRef, 0, numSinks)
+	for i := range c.Nets {
+		c.Nets[i].Sinks = carve(&sinks, n.Nets[i].Sinks)
+	}
+	fanins := make([]int, 0, numFanins)
+	for i := range n.FaninNet {
+		c.FaninNet[i] = carve(&fanins, n.FaninNet[i])
 	}
 	return c
+}
+
+// carve appends src to the slab (which must have room: it never grows)
+// and returns the copy with its capacity clipped to its length, or nil
+// for an empty src.
+func carve[T any](slab *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	a := len(*slab)
+	*slab = append(*slab, src...)
+	return (*slab)[a:len(*slab):len(*slab)]
 }
 
 // Spec parameterizes the synthetic design generator.
@@ -569,4 +593,3 @@ func DieSize(n *Netlist, utilization float64) (w, h float64) {
 	}
 	return side, side
 }
-

@@ -2,6 +2,8 @@ package netlist
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -131,6 +133,87 @@ func TestHPWLSingletonZero(t *testing.T) {
 	n.Nets = []Net{{ID: 0, Driver: 0}}
 	if h := n.HPWL(0); h != 0 {
 		t.Errorf("singleton net HPWL = %v, want 0", h)
+	}
+}
+
+// topoOrderBuckets is TopoOrder as it was before the counting sort: one
+// appended bucket per level, concatenated.
+func topoOrderBuckets(n *Netlist) []int {
+	maxLevel := 0
+	for i := range n.Insts {
+		if n.Insts[i].Level > maxLevel {
+			maxLevel = n.Insts[i].Level
+		}
+	}
+	buckets := make([][]int, maxLevel+1)
+	for i := range n.Insts {
+		buckets[n.Insts[i].Level] = append(buckets[n.Insts[i].Level], i)
+	}
+	order := make([]int, 0, len(n.Insts))
+	for _, b := range buckets {
+		order = append(order, b...)
+	}
+	return order
+}
+
+// socScale is the pulpino proxy with ten times the cells (the repo
+// benchmark's soc-proxy).
+func socScale(seed int64) Spec {
+	s := PulpinoProxy(seed)
+	s.NumComb *= 10
+	s.NumFFs *= 10
+	s.NumPIs *= 2
+	return s
+}
+
+func TestTopoOrderMatchesBucketSort(t *testing.T) {
+	lib := cellib.Default14nm()
+	for name, n := range map[string]*Netlist{
+		"pulpino":   Generate(lib, PulpinoProxy(2)),
+		"soc-scale": Generate(lib, socScale(1)),
+		"empty":     {Lib: lib, ClockNet: -1},
+	} {
+		if got, want := n.TopoOrder(), topoOrderBuckets(n); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: TopoOrder differs from the bucket sort (%d vs %d entries)", name, len(got), len(want))
+		}
+		if allocs := testing.AllocsPerRun(10, func() { n.TopoOrder() }); allocs > 2 {
+			t.Errorf("%s: TopoOrder allocates %v times, want <= 2", name, allocs)
+		}
+	}
+}
+
+// TestCloneSlabs: Clone packs all sink and fan-in lists into two slabs.
+// The clone must still equal the original, and growing any one list must
+// touch neither its slab neighbours nor the original.
+func TestCloneSlabs(t *testing.T) {
+	lib := cellib.Default14nm()
+	n, pristine := Generate(lib, PulpinoProxy(2)), Generate(lib, PulpinoProxy(2))
+	c := n.Clone()
+	if !reflect.DeepEqual(c, n) {
+		t.Fatal("clone differs from the original")
+	}
+	extra := PinRef{Inst: -7, Pin: -7}
+	for i := range c.Nets {
+		c.Nets[i].Sinks = append(c.Nets[i].Sinks, extra)
+	}
+	for i := range c.FaninNet {
+		c.FaninNet[i] = append(c.FaninNet[i], -7)
+	}
+	if !reflect.DeepEqual(n, pristine) {
+		t.Fatal("appending to the clone's lists changed the original")
+	}
+	for i := range c.Nets {
+		if want := append(slices.Clone(pristine.Nets[i].Sinks), extra); !reflect.DeepEqual(c.Nets[i].Sinks, want) {
+			t.Fatalf("net %d: sinks %v after appending to every list, want %v", i, c.Nets[i].Sinks, want)
+		}
+	}
+	for i := range c.FaninNet {
+		if want := append(slices.Clone(pristine.FaninNet[i]), -7); !reflect.DeepEqual(c.FaninNet[i], want) {
+			t.Fatalf("inst %d: fan-in nets %v after appending to every list, want %v", i, c.FaninNet[i], want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { n.Clone() }); allocs > 8 {
+		t.Errorf("Clone allocates %v times, want <= 8", allocs)
 	}
 }
 

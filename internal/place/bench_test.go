@@ -23,12 +23,15 @@ func benchmarkPlace(b *testing.B, workers int) {
 	n := benchNetlist()
 	opts := Options{Seed: 7, Moves: 30 * n.NumCells(), Workers: workers, Batch: 4096}
 	var res Result
+	var boundDecided int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = Place(n, opts)
+		res, boundDecided = placeTally(n, opts)
 	}
 	b.ReportMetric(float64(res.MovesTried)*float64(b.N)/b.Elapsed().Seconds(), "moves/s")
+	// Share of tried proposals the lower bound rejected without a pin scan.
+	b.ReportMetric(float64(boundDecided)/float64(res.MovesTried), "bound_decided/move")
 	// QoR metrics for the check.sh gate: the speculative engine is
 	// worker-invariant, so serial (Workers=1) and parallel must report
 	// byte-identical values here.

@@ -1,7 +1,6 @@
 package place
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 
@@ -38,12 +37,15 @@ const (
 //
 // Each epoch draws a batch of proposals sequentially from the master
 // random stream, evaluates their deltas concurrently against the frozen
-// epoch state (evalDelta is pure; every worker owns its scratch), then
+// epoch state (quickDelta is pure; every worker owns its scratch), then
 // commits in proposal order. A proposal whose instances, slots or nets
 // overlap an earlier commit of the same epoch has a stale delta and is
 // discarded as a conflict — it burns its cooling step but consumes no
 // acceptance coin, so the outcome is a pure function of Seed, Moves and
-// Batch, bit-identical at every Workers >= 1 and GOMAXPROCS.
+// Batch, bit-identical at every Workers >= 1 and GOMAXPROCS. A proposal
+// evaluated only to its lower bound is settled by accepts exactly like
+// one of the serial engine, the few undecided coins costing an evalDelta
+// in the commit loop.
 //
 // The batch size itself adapts between epochs: hot early annealing
 // commits almost everything, so large batches mostly discard stale
@@ -73,7 +75,8 @@ func (p *placer) annealSpeculative(rng *rand.Rand) {
 	insts := make([]int32, batch)
 	slots := make([]int32, batch)
 	kinds := make([]uint8, batch)
-	deltas := make([]float64, batch)
+	deltas := make([]float64, batch) // quickDelta's answer per proposal
+	bounded := make([]bool, batch)
 	costs := make([]int32, batch)
 
 	// Epoch-stamped conflict sets: anything a committed swap touched.
@@ -132,8 +135,8 @@ func (p *placer) annealSpeculative(rng *rand.Rand) {
 				if kinds[k] != kindEval {
 					continue
 				}
-				d, c := p.evalDelta(int(insts[k]), int(slots[k]), sc)
-				deltas[k], costs[k] = d, int32(c)
+				d, c, bnd := p.quickDelta(int(insts[k]), int(slots[k]), sc)
+				deltas[k], costs[k], bounded[k] = d, int32(c), bnd
 			}
 			pool.Put(sc)
 		})
@@ -157,7 +160,7 @@ func (p *placer) annealSpeculative(rng *rand.Rand) {
 			}
 			p.res.MovesTried++
 			p.res.RuntimeProxy += int(costs[k])
-			if delta := deltas[k]; delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
+			if p.accepts(rng, inst, slot, deltas[k], bounded[k], temp) {
 				other := p.g.instAt[slot]
 				oldSlot := p.g.slotOf[inst]
 				p.commitSwap(inst, slot)

@@ -50,13 +50,16 @@ func TestParallelPlaceWorkerInvariant(t *testing.T) {
 			opts := tc.opts
 			opts.Moves = 40 * base.NumCells()
 			opts.Workers = 1
-			ref := Place(base, opts)
+			ref, refTally := placeTally(base, opts)
 			refCoords := coords(base)
 			for _, w := range []int{2, 4, 8} {
 				n := netlist.Generate(lib(), tc.spec)
 				o := opts
 				o.Workers = w
-				got := Place(n, o)
+				got, tally := placeTally(n, o)
+				if tally != refTally {
+					t.Fatalf("workers=%d: %d proposals decided by the bound, reference %d", w, tally, refTally)
+				}
 				if got.HPWLUm != ref.HPWLUm {
 					t.Fatalf("workers=%d: HPWL %v != reference %v", w, got.HPWLUm, ref.HPWLUm)
 				}
@@ -117,15 +120,15 @@ func TestParallelPlaceRandomizedDifferential(t *testing.T) {
 			opts.ResampleCrossRegion = true
 		}
 		base := netlist.Generate(lib(), spec)
-		ref := Place(base, opts)
+		ref, refTally := placeTally(base, opts)
 		refCoords := coords(base)
 
 		w := 2 + rng.Intn(7)
 		n := netlist.Generate(lib(), spec)
 		o := opts
 		o.Workers = w
-		got := Place(n, o)
-		if got.HPWLUm != ref.HPWLUm || got.MovesTried != ref.MovesTried ||
+		got, tally := placeTally(n, o)
+		if tally != refTally || got.HPWLUm != ref.HPWLUm || got.MovesTried != ref.MovesTried ||
 			got.MovesConflicted != ref.MovesConflicted || got.RuntimeProxy != ref.RuntimeProxy ||
 			got.BatchFinal != ref.BatchFinal || !sameCoords(refCoords, coords(n)) {
 			t.Fatalf("trial %d (spec seed %d, opts %+v, workers %d): parallel result diverged from workers=1",

@@ -24,6 +24,14 @@
 // nested slices and stamp arrays replace per-move map allocation. See
 // DESIGN.md "Move evaluator" for why this is bit-identical to min/max
 // over float coordinates.
+//
+// In front of the exact evaluator sits a certified lower bound on a
+// move's delta, computed from the cached boxes alone (boundDelta). Most
+// proposals are uphill rejections, and for about three in four the bound
+// and the acceptance coin already prove the rejection: no pin is visited
+// and no exponential taken. Everything else falls through to the exact
+// evaluator with the coin already drawn, so the random stream, every
+// decision and every Result field are those of the exact test alone.
 package place
 
 import (
@@ -219,6 +227,10 @@ type placer struct {
 	eval   moveScratch
 	commit moveScratch
 
+	// boundDecided counts the tried proposals rejected on the bound alone.
+	// Kept out of Result, which is journaled and golden-pinned.
+	boundDecided int
+
 	ctx     context.Context
 	aborted bool
 }
@@ -245,15 +257,20 @@ const abortCheckMoves = 4096
 func PlaceCtx(ctx context.Context, n *netlist.Netlist, opts Options) (Result, bool) {
 	p, rng := newPlacer(ctx, n, opts)
 	p.anneal(rng)
+	return p.finish(), !p.aborted
+}
 
-	applyCoords(n, p.g)
-	p.res.HPWLUm = n.TotalHPWL()
+// finish writes the annealed coordinates back to the netlist and
+// completes the Result.
+func (p *placer) finish() Result {
+	applyCoords(p.n, p.g)
+	p.res.HPWLUm = p.n.TotalHPWL()
 	p.res.ParallelRuntimeProxy = p.res.RuntimeProxy
 	if p.opts.Partitions > 1 {
 		regions := p.opts.Partitions * p.opts.Partitions
 		p.res.ParallelRuntimeProxy = p.coarseProxy + (p.res.RuntimeProxy-p.coarseProxy)/regions
 	}
-	return p.res, !p.aborted
+	return p.res
 }
 
 // newPlacer scatters the instances over a fresh grid (the first draws of
@@ -282,8 +299,12 @@ func newPlacer(ctx context.Context, n *netlist.Netlist, opts Options) (*placer, 
 	return p, rng
 }
 
-// anneal runs the engine Options.Workers selects.
+// anneal runs the engine Options.Workers selects. A netlist without
+// cells has no proposal to draw (rng.Intn(0) panics): zero moves.
 func (p *placer) anneal(rng *rand.Rand) {
+	if p.n.NumCells() == 0 {
+		return
+	}
 	if p.opts.Workers > 0 {
 		p.annealSpeculative(rng)
 	} else {
@@ -330,9 +351,9 @@ func (p *placer) annealSerial(rng *rand.Rand) {
 			}
 		}
 		p.res.MovesTried++
-		delta, cost := p.evalDelta(inst, slot, &p.eval)
+		d, cost, bounded := p.quickDelta(inst, slot, &p.eval)
 		p.res.RuntimeProxy += cost
-		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
+		if p.accepts(rng, inst, slot, d, bounded, temp) {
 			p.commitSwap(inst, slot)
 			p.res.MovesAccepted++
 		}
@@ -390,6 +411,119 @@ func (p *placer) regionOfSlot(slot int) int {
 	px := num.Clamp(int(x/p.w*float64(p.opts.Partitions)), 0, p.opts.Partitions-1)
 	py := num.Clamp(int(y/p.h*float64(p.opts.Partitions)), 0, p.opts.Partitions-1)
 	return py*p.opts.Partitions + px
+}
+
+// quickDelta is what both engines know about a proposal before its
+// acceptance coin is drawn: the certified lower bound of boundDelta when
+// that is positive (bounded = true; the exact delta is then positive too),
+// the exact evalDelta otherwise. cost is the runtime-proxy cost either way.
+func (p *placer) quickDelta(inst, slot int, sc *moveScratch) (d float64, cost int, bounded bool) {
+	if lb, cost, ok := p.boundDelta(inst, slot); ok && lb > 0 {
+		return lb, cost, true
+	}
+	d, cost = p.evalDelta(inst, slot, sc)
+	return d, cost, false
+}
+
+// accepts is the Metropolis test of both engines on quickDelta's answer,
+// with the draws and the outcome of
+//
+//	delta <= 0 || rng.Float64() < math.Exp(-delta/temp)
+//
+// on the exact delta. A bounded proposal has delta >= d > 0, so the coin u
+// is drawn either way; with x = d/temp, 1 + x + x²/2 + x³/6 < e^x <=
+// e^(delta/temp), so u times that polynomial above 1 (plus a margin far
+// wider than math.Exp's rounding) proves u > exp(-delta/temp): rejected
+// without evaluating delta or exp. u == 0 makes the product 0 or NaN and
+// x = +Inf makes it +Inf, both on the right side. A coin the bound cannot
+// decide is compared against the exact delta, evaluated here with p.eval
+// — in the speculative engine the proposal has passed conflicts, so the
+// current state is the state its bound was taken on.
+func (p *placer) accepts(rng *rand.Rand, inst, slot int, d float64, bounded bool, temp float64) bool {
+	if !bounded {
+		return d <= 0 || rng.Float64() < math.Exp(-d/temp)
+	}
+	u := rng.Float64()
+	x := d / temp
+	if u*(1+x*(1+x*(0.5+x*(1.0/6)))) > 1+1e-6 {
+		p.boundDecided++
+		return false
+	}
+	delta, _ := p.evalDelta(inst, slot, &p.eval)
+	return u < math.Exp(-delta/temp)
+}
+
+// boundDelta returns a certified lower bound lb <= evalDelta(inst, slot)
+// and evalDelta's cost, reading only the incidence lists, the cached
+// boxes and the two endpoint positions — no pin is visited. ok is false
+// when the displaced occupant shares a net with inst (that net keeps its
+// position multiset, which the per-net bound cannot see; rare, and the
+// exact evaluator handles it). slot must not be inst's own.
+//
+// The float sums of the bound and of evalDelta run over different terms,
+// so lb is pushed down by a relative and an absolute margin orders of
+// magnitude above any rounding of a sum of a few dozen spans.
+func (p *placer) boundDelta(inst, slot int) (lb float64, cost int, ok bool) {
+	g := p.g
+	other := g.instAt[slot]
+	from, to := g.pos[inst], g.latticeOf(slot)
+	mine := p.inc.Of(inst)
+	var before, after float64
+	for _, nid := range mine {
+		b := p.box[nid]
+		before += g.span(b)
+		after += g.lbSpan(b, from, to)
+	}
+	nets := len(mine)
+	if other >= 0 {
+		theirs := p.inc.Of(other)
+		for _, nid := range theirs {
+			for _, m := range mine {
+				if m == nid {
+					return 0, 0, false
+				}
+			}
+			b := p.box[nid]
+			before += g.span(b)
+			after += g.lbSpan(b, to, from)
+		}
+		nets += len(theirs)
+	}
+	return (after - before) - 1e-9*(after+before) - 1e-9, 2 * nets, true
+}
+
+// lbSpan is a lower bound, in um, on the span of a net with cached box b
+// once the one instance pinning it at f has moved to t — exact when the
+// net has two pins. Per axis, with cached extent [lo,hi] and f inside it:
+//
+//   - lo < f < hi: the other pins still span [lo,hi]; the new extent is
+//     exactly [min(lo,t), max(hi,t)].
+//   - f == lo < hi: another instance pins hi (one instance per slot), so
+//     the low edge retreats to hi at most: at least [min(hi,t), max(hi,t)].
+//     Symmetrically for f == hi.
+//   - lo == hi on both axes: a single lattice point holds one instance,
+//     so every pin of the net moves with it and the span stays 0. The
+//     indices are masked to 0 rather than branched around.
+//
+// Written as sign-mask arithmetic on purpose: there is no loop here and
+// four live values per axis, and the if/min/max spelling compiles to a
+// dozen data-dependent jumps per net that cost the whole gain. See
+// DESIGN.md "Bound-first accept test".
+func (g *grid) lbSpan(b netBox, f, t lattice) float64 {
+	dc, dr := b.maxC-b.minC, b.maxR-b.minR
+	some := -(dc | dr) >> 31 // 0 for a single-point box, else all ones
+	pc, qc := lbExtent(b.minC, dc, f.c, t.c)
+	pr, qr := lbExtent(b.minR, dr, f.r, t.r)
+	return (g.colX[qc&some] - g.colX[pc&some]) + (g.rowY[qr&some] - g.rowY[pr&some])
+}
+
+// lbExtent is lbSpan on one axis: the extent [lo, lo+d] with the pin at
+// f moved to t, as lattice indices p <= q.
+func lbExtent(lo, d, f, t int32) (p, q int32) {
+	p = lo + d&^((lo-f)>>31)  // f > lo ? lo : hi
+	q = lo + d&((f-lo-d)>>31) // f < hi ? hi : lo
+	x, y := p-t, q-t
+	return t + x&(x>>31), q - y&(y>>31) // min(p,t), max(q,t)
 }
 
 // evalDelta computes the HPWL change of swapping inst into slot (with

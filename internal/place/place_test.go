@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -144,5 +145,34 @@ func BenchmarkPlaceTiny(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Place(n, Options{Seed: int64(i)})
+	}
+}
+
+// TestPlaceZeroCells: a netlist without instances used to panic in
+// schedule (rng.Intn(0)); both engines must return a zero-move result
+// with the die set.
+func TestPlaceZeroCells(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"serial", Options{Seed: 1}},
+		{"speculative", Options{Seed: 1, Workers: 2}},
+		{"serial/partitioned", Options{Seed: 1, Partitions: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := &netlist.Netlist{Lib: cellib.Default14nm(), ClockNet: -1}
+			res, ok := PlaceCtx(context.Background(), n, tc.opts)
+			if !ok {
+				t.Fatal("zero-cell placement reported as aborted")
+			}
+			if res.Width <= 0 || res.Height <= 0 {
+				t.Fatalf("die not set: %vx%v", res.Width, res.Height)
+			}
+			res.Width, res.Height = 0, 0
+			if res != (Result{}) {
+				t.Fatalf("zero-cell placement did work: %+v", res)
+			}
+		})
 	}
 }

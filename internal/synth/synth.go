@@ -12,7 +12,7 @@ package synth
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/cellib"
 	"repro/internal/netlist"
@@ -154,10 +154,6 @@ func upsizePass(n *netlist.Netlist, rep *sta.Report, opts Options, rng *rand.Ran
 
 	// Collect candidate instances: drivers along each violating
 	// endpoint's fan-in cone, weighted toward high-load drivers.
-	type cand struct {
-		inst  int
-		score float64
-	}
 	seen := make([]bool, len(n.Insts))
 	walk := coneWalker{visited: make([]int32, len(n.Insts))}
 	var cands []cand
@@ -186,7 +182,7 @@ func upsizePass(n *netlist.Netlist, rep *sta.Report, opts Options, rng *rand.Ran
 			cands = append(cands, cand{inst: id, score: gain / dArea * (0.8 + 0.4*rng.Float64())})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
+	sortCands(cands)
 	changed := 0
 	budget := len(cands)/3 + 1
 	for _, c := range cands {
@@ -202,6 +198,30 @@ func upsizePass(n *netlist.Netlist, rep *sta.Report, opts Options, rng *rand.Ran
 		res.Upsized++
 	}
 	return changed
+}
+
+// cand is an upsizing candidate of one pass.
+type cand struct {
+	inst  int
+	score float64
+}
+
+// sortCands orders candidates by descending score. The sort is unstable
+// and ties do occur, so the permutation is part of the QoR contract: it
+// is the one sort.Slice with less = "score greater" produced, because
+// slices.SortFunc runs the same pdqsort and only asks whether cmp < 0 —
+// minus the reflection-based swapper. A test pins the two against each
+// other so a toolchain that lets them drift fails loudly.
+func sortCands(cands []cand) {
+	slices.SortFunc(cands, func(a, b cand) int {
+		switch {
+		case a.score > b.score:
+			return -1
+		case b.score > a.score:
+			return 1
+		}
+		return 0
+	})
 }
 
 // coneWalker holds faninCone's state across the endpoints of one pass:

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/cellib"
@@ -221,6 +223,31 @@ func TestFaninConeMatchesReference(t *testing.T) {
 		got, want := walk.faninCone(n, netID, depth), faninConeRef(n, netID, depth)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("net %d depth %d: cone %v, reference %v", netID, depth, got, want)
+		}
+	}
+}
+
+// TestSortCandsMatchesSortSlice pins sortCands to the permutation of the
+// sort.Slice call it replaced, on slices full of tied scores (where an
+// unstable sort is free to differ) of every length class pdqsort treats
+// differently.
+func TestSortCandsMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 1000; trial++ {
+		n := rng.Intn(400)
+		if trial%10 == 0 {
+			n = 400 + rng.Intn(4000)
+		}
+		distinct := 1 + rng.Intn(n/3+1)
+		a := make([]cand, n)
+		for i := range a {
+			a[i] = cand{inst: i, score: float64(rng.Intn(distinct)) / 7}
+		}
+		b := slices.Clone(a)
+		sort.Slice(a, func(i, j int) bool { return a[i].score > a[j].score })
+		sortCands(b)
+		if !slices.Equal(a, b) {
+			t.Fatalf("trial %d (%d candidates, %d distinct scores): slices.SortFunc and sort.Slice permute differently", trial, n, distinct)
 		}
 	}
 }
