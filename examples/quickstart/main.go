@@ -23,7 +23,7 @@ func main() {
 	})
 
 	fmt.Printf("\nflow result at %.2f GHz target:\n", result.Options.TargetFreqGHz)
-	fmt.Printf("  area:       %.1f um^2 (%d cells after synthesis)\n", result.AreaUm2, result.Netlist.NumCells())
+	fmt.Printf("  area:       %.1f um^2 (%d cells after synthesis)\n", result.AreaUm2, result.Cells)
 	fmt.Printf("  wirelength: %.1f um placed, %.1f um routed\n", result.Place.HPWLUm, result.Global.WirelengthUm)
 	fmt.Printf("  routing:    %d -> %d DRVs in %d iterations (clean=%t)\n",
 		result.Route.DRVs[0], result.Route.Final, result.Route.IterationsRun, result.RouteOK)

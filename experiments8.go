@@ -103,6 +103,11 @@ func DistSweep(cfg DistSweepConfig) (SweepResult, error) {
 	// on ("w0".."wN", "coord"; the store is a target, never a source).
 	var eng *chaos.Engine
 	var health dist.HealthConfig
+	if cfg.ChaosProfile == "kill" && nodes == 1 {
+		// "kill" cuts w0 for good and the coordinator waits for a dead
+		// node to rejoin: alone, this would never return.
+		return out, fmt.Errorf("repro: DistSweep: chaos profile %q needs at least 2 nodes", cfg.ChaosProfile)
+	}
 	if cfg.ChaosProfile != "" {
 		ccfg, err := chaos.Profile(cfg.ChaosProfile, cfg.ChaosSeed)
 		if err != nil {

@@ -193,6 +193,13 @@ func (c *Cache) Do(key string, compute func() *flow.Result) *flow.Result {
 // waiter, and nothing is cached — a failed or aborted run must never be
 // served as a memoized result.
 func (c *Cache) DoRecorded(key string, compute func() (*flow.Result, []flow.StepRecord, error)) (res *flow.Result, steps []flow.StepRecord, hit bool, err error) {
+	return c.do(key, true, compute)
+}
+
+// do is DoRecorded; loadTier false skips the tier read after an L1 miss,
+// for a caller that already knows the tier has no entry (the write
+// through after the compute still happens).
+func (c *Cache) do(key string, loadTier bool, compute func() (*flow.Result, []flow.StepRecord, error)) (res *flow.Result, steps []flow.StepRecord, hit bool, err error) {
 	s := c.shard(key)
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
@@ -216,7 +223,7 @@ func (c *Cache) DoRecorded(key string, compute func() (*flow.Result, []flow.Step
 	s.inflight[key] = call
 	s.mu.Unlock()
 
-	if c.tier != nil {
+	if c.tier != nil && loadTier {
 		if e, ok := c.tier.Load(key); ok {
 			// Served by the shared tier: fill L1 and resolve the waiters.
 			// This is a hit for this caller too — nothing was computed, so

@@ -228,11 +228,23 @@ type pointOutcome struct {
 // per Config.Retry; a point that fails permanently stays nil and Run
 // returns a *RunError listing it.
 func (e *Engine) Run(ctx context.Context, pts []Point) ([]*flow.Result, error) {
+	return e.run(ctx, pts, true)
+}
+
+// RunClaimed is Run for points whose absence from the cache's shared
+// tier the caller has just established (a dist worker holding the
+// store's freshly granted compute claim): an in-process miss goes
+// straight to the compute instead of asking the tier first.
+func (e *Engine) RunClaimed(ctx context.Context, pts []Point) ([]*flow.Result, error) {
+	return e.run(ctx, pts, false)
+}
+
+func (e *Engine) run(ctx context.Context, pts []Point, loadTier bool) ([]*flow.Result, error) {
 	ctx, runSpan := trace.Start(ctx, "campaign.run")
 	runSpan.SetInt("points", int64(len(pts)))
 	runSpan.SetInt("workers", int64(e.pool.Licenses()))
 	outs, ran, err := sched.MapCtx(ctx, e.pool, len(pts), func(i int) pointOutcome {
-		return e.runPoint(ctx, pts[i], i)
+		return e.runPoint(ctx, pts[i], i, loadTier)
 	})
 	results := make([]*flow.Result, len(pts))
 	var failed []PointError
@@ -283,7 +295,7 @@ func (e *Engine) mirrorPoolStats() {
 // point (campaign.point) carries the point's index, seed and final
 // outcome; each re-run gets a campaign.attempt child, so retry storms
 // are visible as repeated attempt spans under one point.
-func (e *Engine) runPoint(ctx context.Context, p Point, index int) pointOutcome {
+func (e *Engine) runPoint(ctx context.Context, p Point, index int, loadTier bool) pointOutcome {
 	ctx, psp := trace.Start(ctx, "campaign.point")
 	psp.SetInt("index", int64(index))
 	psp.SetInt("seed", p.Options.Seed)
@@ -302,7 +314,7 @@ func (e *Engine) runPoint(ctx context.Context, p Point, index int) pointOutcome 
 		}
 		actx, asp := trace.Start(ctx, "campaign.attempt")
 		asp.SetInt("attempt", int64(attempt))
-		res, hit, err := e.runOnce(actx, p, attempt)
+		res, hit, err := e.runOnce(actx, p, attempt, loadTier)
 		if err == nil {
 			if hit {
 				asp.EndWith(trace.CacheHit)
@@ -335,7 +347,7 @@ func (e *Engine) runPoint(ctx context.Context, p Point, index int) pointOutcome 
 // journal-aware. The returned hit flag reports whether the result was
 // served from the memo cache (including coalesced waits on an in-flight
 // compute) rather than computed by this attempt.
-func (e *Engine) runOnce(ctx context.Context, p Point, attempt int) (*flow.Result, bool, error) {
+func (e *Engine) runOnce(ctx context.Context, p Point, attempt int, loadTier bool) (*flow.Result, bool, error) {
 	if e.cache == nil || p.DesignKey == "" {
 		// Uncached points are also unjournaled: without a design key
 		// there is no identity to resume them under.
@@ -353,7 +365,7 @@ func (e *Engine) runOnce(ctx context.Context, p Point, attempt int) (*flow.Resul
 		return res, false, nil
 	}
 	key := p.cacheKey()
-	res, steps, hit, err := e.cache.DoRecorded(key, func() (*flow.Result, []flow.StepRecord, error) {
+	res, steps, hit, err := e.cache.do(key, loadTier, func() (*flow.Result, []flow.StepRecord, error) {
 		rec := &recordingObserver{next: e.obs}
 		var spec *flow.SpecStats
 		rcfg := flow.RunConfig{

@@ -24,6 +24,8 @@ import (
 // everything a resumed campaign needs to serve the point from cache —
 // the flow result and the step records its compute emitted (so the
 // Observer replay of a resumed point matches a memoized one exactly).
+// The encoded form carries Res.Summary(), never the netlist and the
+// other per-instance artifacts, so a decoded Res has Netlist == nil.
 type Entry struct {
 	Key   string
 	Res   *flow.Result
@@ -40,6 +42,9 @@ type Entry struct {
 // result store — the one wire format a journaled point has, so a store
 // node and a local journal can exchange records byte-for-byte.
 func EncodeEntry(e Entry) ([]byte, error) {
+	if e.Res != nil {
+		e.Res = e.Res.Summary()
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
 		return nil, fmt.Errorf("campaign: encode entry: %w", err)

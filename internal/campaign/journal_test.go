@@ -111,7 +111,9 @@ func assertSameResults(t *testing.T, name string, got, want []*flow.Result) {
 		if got[i] == nil {
 			t.Fatalf("%s: point %d missing", name, i)
 		}
-		if !reflect.DeepEqual(got[i], want[i]) {
+		// A replayed point is its journaled summary, a recomputed one the
+		// full result: compare what both carry.
+		if !reflect.DeepEqual(got[i].Summary(), want[i].Summary()) {
 			t.Fatalf("%s: point %d diverged from uninterrupted reference", name, i)
 		}
 	}

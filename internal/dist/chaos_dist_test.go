@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/flow"
 	"repro/internal/journal"
+	"repro/internal/metrics"
 )
 
 // fastHealth is the probe cadence the chaos tests run at: quick enough
@@ -408,5 +410,85 @@ func TestNoGoroutineLeaks(t *testing.T) {
 				base, n, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestAllNodesDeadThenHealCompletes is the chaos-soak flake made
+// deterministic. The soak's "no live node to run point N" was reassign
+// declaring the campaign fatal the instant every node was Dead, although
+// Dead ends at a node's next good probe: under the flaky schedule all
+// three nodes can fail ProbeFails probes in a row at once, the more
+// easily the slower a loaded host answers. Here both nodes are cut until
+// dead, so every point is orphaned with no node alive; healing one link
+// must bring the campaign home, on parked points, not on luck.
+func TestAllNodesDeadThenHealCompletes(t *testing.T) {
+	design := tinyDesign(1)
+	pts := sweepPoints(design, 2, 3)
+	ref := singleNodeReference(t, pts)
+
+	cl := startCluster(t, pts, 2, nil)
+	g := newGate()
+	g.set("w0", true)
+	g.set("w1", true)
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Points: pts, Nodes: cl.nodes, Store: cl.client,
+		RPC:    RPCConfig{Transport: g},
+		Health: fastHealth,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := metrics.Get("dist.coord.parked")
+	done := make(chan error, 1)
+	var got []*flow.Result
+	go func() {
+		res, err := coord.Run(context.Background())
+		got = res
+		done <- err
+	}()
+	waitFor(t, 5*time.Second, func() bool {
+		return coord.Stats().Deaths >= 2 && metrics.Get("dist.coord.parked")-parked >= int64(len(pts))
+	})
+	select {
+	case err := <-done:
+		t.Fatalf("campaign ended with every node dead: %v", err)
+	default:
+	}
+	g.set("w1", false)
+	if err := <-done; err != nil {
+		t.Fatalf("campaign failed after the heal: %v (stats %+v)", err, coord.Stats())
+	}
+	for i := range ref {
+		if !reflect.DeepEqual(got[i], ref[i].Summary()) {
+			t.Fatalf("point %d diverged after all-dead + heal", i)
+		}
+	}
+}
+
+// TestAllNodesDeadEndsWithContext: parked points wait for a rejoin, and
+// the campaign's own context is what ends the wait.
+func TestAllNodesDeadEndsWithContext(t *testing.T) {
+	pts := sweepPoints(tinyDesign(1), 1, 2)
+	cl := startCluster(t, pts, 1, nil)
+	g := newGate()
+	g.set("w0", true)
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Points: pts, Nodes: cl.nodes, Store: cl.client,
+		RPC:    RPCConfig{Transport: g},
+		Health: fastHealth,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.Run(ctx)
+		done <- err
+	}()
+	waitFor(t, 5*time.Second, func() bool { return coord.Stats().Deaths >= 1 })
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
 	}
 }

@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"sort"
 	"strings"
@@ -61,9 +63,11 @@ const dispatchCap = 3
 // Coordinator shards a campaign across worker nodes by consistent
 // hashing over each point's content key, dispatches over HTTP with
 // per-node slot accounting, lets idle nodes steal queued points when
-// the hash split is uneven, and assembles the final result list by
-// fetching every point's entry from the store — which is what makes the
-// output byte-identical to a single-node run at any node count.
+// the hash split is uneven, and assembles the final result list from
+// each point's store entry — the copy a worker's 200 carried, or a fetch
+// from the store for a point that completed without one — which is what
+// makes the output byte-identical to a single-node run at any node
+// count.
 //
 // Failure handling is the suspect -> dead -> rejoin machine in
 // membership.go: a failed RPC suspends a node instead of burying it, a
@@ -83,7 +87,9 @@ type Coordinator struct {
 	state      map[string]NodeState
 	urls       map[string]string
 	queues     map[string][]int
-	attempts   map[int]int // failed dispatch rounds per point index
+	attempts   map[int]int    // failed dispatch rounds per point index
+	results    []*flow.Result // by point index: decoded from a worker's 200
+	parked     []int          // points orphaned while every node was Dead
 	nodeCtx    map[string]context.Context
 	nodeCancel map[string]context.CancelFunc
 	probePoke  map[string]chan struct{}
@@ -227,6 +233,7 @@ func (c *Coordinator) Run(ctx context.Context) ([]*flow.Result, error) {
 		c.nodeCancel[id] = cancel
 	}
 	c.remaining = len(c.cfg.Points)
+	c.results = make([]*flow.Result, len(c.cfg.Points))
 	for i := range c.cfg.Points {
 		owner, ok := c.ring.Owner(c.keys[i], nil)
 		if !ok {
@@ -316,17 +323,17 @@ func (c *Coordinator) runner(ctx context.Context, id string) {
 		c.ledger.Release(id)
 		switch {
 		case err == nil && status == http.StatusOK:
-			c.finish(idx)
+			c.finish(idx, body)
 		case err == nil && status == http.StatusUnprocessableEntity:
 			// The point failed permanently on a healthy node — record
 			// it, don't punish the node.
-			c.fail(idx, fmt.Errorf("dist: point %d failed on %s: %s", idx, id, strings.TrimSpace(body)))
+			c.fail(idx, fmt.Errorf("dist: point %d failed on %s: %s", idx, id, bytes.TrimSpace(body)))
 		default:
 			// Transport error (retry budget exhausted) or a node-level
 			// 5xx: suspect the node and requeue — the prober decides
 			// whether this is a blip or a death.
 			if err == nil {
-				err = fmt.Errorf("dist: node %s returned %d: %s", id, status, strings.TrimSpace(body))
+				err = fmt.Errorf("dist: node %s returned %d: %s", id, status, bytes.TrimSpace(body))
 			}
 			c.redispatch(id, idx, err)
 		}
@@ -435,10 +442,18 @@ func (c *Coordinator) stealLocked(id string) (int, bool) {
 	return idx, true
 }
 
-// finish marks one point complete.
-func (c *Coordinator) finish(idx int) {
+// finish marks one point complete. body is the worker's 200: the entry
+// it guarantees the store now holds. Kept when it decodes to this
+// point's entry, so assemble need not fetch it again; anything else (an
+// empty or torn body) just leaves the point to that fetch.
+func (c *Coordinator) finish(idx int, body []byte) {
+	var res *flow.Result
+	if e, err := campaign.DecodeEntry(body); err == nil && e.Key == c.keys[idx] {
+		res = e.Res
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.results[idx] = res
 	c.remaining--
 	metrics.Add("dist.coord.completed", 1)
 	if c.remaining == 0 {
@@ -461,21 +476,35 @@ func (c *Coordinator) fail(idx int, err error) {
 }
 
 // reassign hands a point to the key's owner among the non-dead nodes.
+// With every node Dead the point is parked, not failed: Dead is a state
+// a node leaves at its next good probe (rejoinNode drains the parked
+// points onto the first node back), runners are parked in next() for
+// exactly that, and a campaign whose nodes never return ends with its
+// context. Only a coordinator that will not probe dead nodes
+// (DisableRejoin) has nothing to wait for.
 func (c *Coordinator) reassign(idx int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	owner, ok := c.ring.Owner(c.keys[idx], c.aliveLocked())
-	if !ok {
+	switch {
+	case ok:
+		c.queues[owner] = append(c.queues[owner], idx)
+		c.reassigned.Add(1)
+		metrics.Add("dist.coord.reassigned", 1)
+	case c.cfg.Health.DisableRejoin:
 		if c.fatal == nil {
 			c.fatal = fmt.Errorf("dist: no live node to run point %d", idx)
 		}
 		c.done = true
-		c.cond.Broadcast()
-		return
+	default:
+		if len(c.parked) == 0 {
+			// Once per outage: nothing else tells an operator why a
+			// campaign without a deadline has stopped moving.
+			log.Printf("dist: every node is dead; points wait for one to rejoin or for the campaign context to end (point %d parked)", idx)
+		}
+		c.parked = append(c.parked, idx)
+		metrics.Add("dist.coord.parked", 1)
 	}
-	c.queues[owner] = append(c.queues[owner], idx)
-	c.reassigned.Add(1)
-	metrics.Add("dist.coord.reassigned", 1)
 	c.cond.Broadcast()
 }
 
@@ -484,7 +513,7 @@ func (c *Coordinator) reassign(idx int) {
 // per-attempt RPC timeout is off and cancellation comes from either the
 // campaign context or the node's own context, which declareDead cancels
 // so a dispatch wedged on a dead node unblocks immediately.
-func (c *Coordinator) dispatch(ctx context.Context, id string, idx int) (status int, body string, err error) {
+func (c *Coordinator) dispatch(ctx context.Context, id string, idx int) (status int, body []byte, err error) {
 	c.mu.Lock()
 	nctx := c.nodeCtx[id]
 	r := c.rpcs[id]
@@ -503,35 +532,36 @@ func (c *Coordinator) dispatch(ctx context.Context, id string, idx int) (status 
 	dsp.Set("node", id)
 	dsp.SetInt("index", int64(idx))
 	payload, _ := json.Marshal(runRequest{Index: idx})
-	res, err := r.do(dctx, "run", http.MethodPost, c.urls[id]+"/v1/run", payload, 1<<16, true)
+	res, err := r.do(dctx, "run", http.MethodPost, c.urls[id]+"/v1/run", payload, maxEntryBytes, true)
 	if err != nil {
 		dsp.EndErr(err)
-		return 0, "", err
+		return 0, nil, err
 	}
 	dsp.SetInt("status", int64(res.status))
 	dsp.End()
-	return res.status, string(res.body), nil
+	return res.status, res.body, nil
 }
 
-// assemble fetches every completed point's entry from the store, in
-// point order — the single source of truth that makes sharded output
-// byte-identical to the single-node reference.
+// assemble returns every completed point's store entry, in point order
+// — the single source of truth that makes sharded output byte-identical
+// to the single-node reference. Most points arrive with the copy of
+// that entry their worker's 200 carried; the rest (an answer without a
+// readable body) are fetched from the store here.
 func (c *Coordinator) assemble(ctx context.Context, failed []campaign.PointError) ([]*flow.Result, error) {
 	failedAt := make(map[int]bool, len(failed))
 	for _, f := range failed {
 		failedAt[f.Index] = true
 	}
-	results := make([]*flow.Result, len(c.cfg.Points))
+	results := c.results // every runner has returned
 	// Fetches fan out (each one is an independent HTTP get plus a gob
-	// decode of a full result, the dominant fixed cost of a large
-	// campaign when done serially); every result lands in its own index
-	// and the lowest missing index is reported, so concurrency cannot
-	// change the output or the error.
+	// decode); every result lands in its own index and the lowest missing
+	// index is reported, so concurrency cannot change the output or the
+	// error.
 	missing := make([]bool, len(c.cfg.Points))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, 8)
 	for i := range c.cfg.Points {
-		if failedAt[i] {
+		if failedAt[i] || results[i] != nil {
 			continue
 		}
 		wg.Add(1)

@@ -2,7 +2,10 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +15,7 @@ import (
 	"repro/internal/cellib"
 	"repro/internal/flow"
 	"repro/internal/journal"
+	"repro/internal/metrics"
 	"repro/internal/netlist"
 )
 
@@ -391,14 +395,17 @@ func TestWorkerKillMidPointReassigns(t *testing.T) {
 	}
 }
 
-// TestAllNodesDeadFails: when every node dies the campaign reports the
-// failure instead of hanging.
+// TestAllNodesDeadFails: when every node dies and the coordinator does
+// not watch for rejoins, the campaign reports the failure instead of
+// hanging. (With rejoin probing on, orphaned points wait for a node to
+// come back — TestAllNodesDeadThenHealCompletes.)
 func TestAllNodesDeadFails(t *testing.T) {
 	design := tinyDesign(1)
 	pts := sweepPoints(design, 1, 2)
 	cl := startCluster(t, pts, 1, map[int]int{0: 1})
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Points: pts, Nodes: cl.nodes, Store: cl.client,
+		Health: HealthConfig{DisableRejoin: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -456,5 +463,85 @@ func TestTierServesAcrossNodes(t *testing.T) {
 	}
 	if tierHits != int64(len(pts)) {
 		t.Fatalf("tier hits = %d, want %d (every point served from store)", tierHits, len(pts))
+	}
+}
+
+// TestRunAnswerCarriesEntry pins the two RPC folds on a healthy 2-node
+// campaign: results equal the Summary() of the live run's, and the store
+// serves no read at all — a granted claim skips the tier read, and every
+// point is assembled from the entry its worker's 200 carried.
+func TestRunAnswerCarriesEntry(t *testing.T) {
+	pts := sweepPoints(tinyDesign(3), 2, 3)
+	ref := singleNodeReference(t, pts)
+	cl := startCluster(t, pts, 2, nil)
+	coord, err := NewCoordinator(CoordinatorConfig{Points: pts, Nodes: cl.nodes, Store: cl.client})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := func() int64 { return metrics.Get("dist.store.hit") + metrics.Get("dist.store.miss") }
+	before := reads()
+	got, err := coord.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref {
+		if !reflect.DeepEqual(got[i], ref[i].Summary()) {
+			t.Fatalf("point %d is not the live result's summary", i)
+		}
+	}
+	if n := reads() - before; n != 0 {
+		t.Fatalf("store served %d entry reads, want 0", n)
+	}
+	if cl.store.Len() != len(pts) {
+		t.Fatalf("store holds %d entries for %d points", cl.store.Len(), len(pts))
+	}
+}
+
+// TestAssembleFetchesUnreadableAnswers: a 200 guarantees the entry is in
+// the store, not that the answer's body is usable — a node answering
+// with an empty or torn body costs one store fetch per point, nothing
+// else.
+func TestAssembleFetchesUnreadableAnswers(t *testing.T) {
+	pts := sweepPoints(tinyDesign(4), 1, 3)
+	ref := singleNodeReference(t, pts)
+	cl := startCluster(t, pts, 0, nil)
+	bodies := [][]byte{nil, []byte("not an entry"), nil}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", handleHealthz)
+	mux.HandleFunc("/v1/run", func(rw http.ResponseWriter, r *http.Request) {
+		var req runRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+			return
+		}
+		e := campaign.Entry{Key: pts[req.Index].CacheKey(), Res: ref[req.Index]}
+		cl.client.StoreCtx(r.Context(), e)
+		if req.Index == 2 {
+			// Another point's entry: readable, but not this point's.
+			e = campaign.Entry{Key: pts[0].CacheKey(), Res: ref[0]}
+			bodies[2], _ = campaign.EncodeEntry(e)
+		}
+		rw.Write(bodies[req.Index]) //nolint:errcheck
+	})
+	node := httptest.NewServer(mux)
+	defer node.Close()
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Points: pts, Nodes: []Node{{ID: "fake", URL: node.URL}}, Store: cl.client,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := metrics.Get("dist.store.hit")
+	got, err := coord.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref {
+		if !reflect.DeepEqual(got[i], ref[i].Summary()) {
+			t.Fatalf("point %d diverged", i)
+		}
+	}
+	if n := metrics.Get("dist.store.hit") - hits; n != int64(len(pts)) {
+		t.Fatalf("assembly fetched %d entries, want %d", n, len(pts))
 	}
 }

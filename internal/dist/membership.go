@@ -194,7 +194,9 @@ func (c *Coordinator) declareDead(id string, cause error) {
 // rejoinNode brings a healed Dead node back: it becomes Live with a
 // fresh dispatch context, the ring's minimal-movement property makes
 // its old keys route back to it for anything still queued elsewhere to
-// be stolen, and its parked runners wake to pull work.
+// be stolen, it takes over the points orphaned while no node was alive
+// (later rejoiners steal their share), and its parked runners wake to
+// pull work.
 func (c *Coordinator) rejoinNode(id string) {
 	c.mu.Lock()
 	if c.state[id] != NodeDead || c.done {
@@ -206,6 +208,12 @@ func (c *Coordinator) rejoinNode(id string) {
 		nctx, cancel := context.WithCancel(c.runCtx)
 		c.nodeCtx[id] = nctx
 		c.nodeCancel[id] = cancel
+	}
+	if n := len(c.parked); n > 0 {
+		c.queues[id] = append(c.queues[id], c.parked...)
+		c.parked = nil
+		c.reassigned.Add(int64(n))
+		metrics.Add("dist.coord.reassigned", int64(n))
 	}
 	c.mu.Unlock()
 	c.rejoined.Add(1)

@@ -24,9 +24,11 @@ type StoreServer struct {
 	node  httpNode
 }
 
-// maxEntryBytes bounds one uploaded entry (matches the WAL's own record
-// bound so an accepted put can always be journaled).
-const maxEntryBytes = 1 << 28
+// maxEntryBytes bounds one encoded entry on the wire — a put body, a
+// get or run answer. An entry is a point's summary, ~4 KB whatever the
+// design's size; 1 MiB is slack, not a budget, and far inside the WAL's
+// own record bound, so an accepted put can always be journaled.
+const maxEntryBytes = 1 << 20
 
 // NewStoreServer wraps a store.
 func NewStoreServer(store *Store) *StoreServer {

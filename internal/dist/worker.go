@@ -19,7 +19,8 @@ import (
 // points through an unchanged campaign.Engine whose cache is tiered onto
 // the shared result store, and answers the coordinator's run requests.
 //
-//	POST /v1/run   {"index":i} -> {"key":K} | 422 point failed
+//	POST /v1/run   {"index":i} -> the point's encoded key and result
+//	               (as the store now holds them) | 422 point failed
 //	               | 503 node-transient (store unreachable, draining)
 //	GET  /v1/stats worker + cache counters
 //	GET  /healthz  "ok"
@@ -153,6 +154,9 @@ type runRequest struct {
 	Index int `json:"index"`
 }
 
+// maxRunRequestBytes bounds a /v1/run body (a one-field JSON object).
+const maxRunRequestBytes = 1 << 10
+
 func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(rw, "POST required", http.StatusMethodNotAllowed)
@@ -170,7 +174,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 
 	n := w.runs.Add(1)
 	var req runRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRunRequestBytes)).Decode(&req); err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -184,14 +188,19 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "point has no design key (uncacheable points cannot be distributed)", http.StatusBadRequest)
 		return
 	}
-	if w.cfg.KillOnRun > 0 && n == int64(w.cfg.KillOnRun) {
-		// Simulated mid-point kill: take the compute claim, then die
-		// without computing or releasing — the ghost-claim state the
-		// coordinator must revoke before reassigning, or the point's
-		// next owner waits on a dead holder forever.
-		w.cfg.Store.Claim(r.Context(), key, w.cfg.ID) //nolint:errcheck
-		w.Close()                                     //nolint:errcheck
-		return
+	if k := int64(w.cfg.KillOnRun); k > 0 && n >= k {
+		// Simulated mid-point kill: request k takes the compute claim,
+		// then the node dies without computing or releasing — the
+		// ghost-claim state the coordinator must revoke before
+		// reassigning, or the point's next owner waits on a dead holder
+		// forever. A kill takes the whole process, so a request that
+		// arrives beside or after the fatal one finds its connection
+		// reset too, however the two would have raced.
+		if n == k {
+			w.cfg.Store.Claim(r.Context(), key, w.cfg.ID) //nolint:errcheck
+			w.Close()                                     //nolint:errcheck
+		}
+		panic(http.ErrAbortHandler)
 	}
 	// Adopt the coordinator's trace context from the RPC headers: this
 	// span (and every campaign/flow span under it) parents under the
@@ -200,7 +209,8 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	ctx, sp := trace.Start(trace.AdoptHTTP(r.Context(), r.Header), "dist.worker.run")
 	sp.SetInt("index", int64(req.Index))
 	sp.Set("node", w.cfg.ID)
-	if err := w.runPoint(ctx, p, key); err != nil {
+	body, err := w.runPoint(ctx, p, key)
+	if err != nil {
 		sp.EndErr(err)
 		if err == errUnavailable || ctx.Err() != nil {
 			// Node-transient, not a point failure: the result exists (or
@@ -217,28 +227,38 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	w.completed.Add(1)
 	metrics.Add("dist.worker.completed", 1)
 	sp.End()
-	writeJSON(rw, map[string]string{"key": key})
+	rw.Header().Set("Content-Type", "application/octet-stream")
+	rw.Write(body) //nolint:errcheck // a lost answer is the coordinator's retry
 }
 
 // runPoint enforces the exactly-once compute contract, then runs the
 // point through the engine: a "done" or tier-hit point is served without
 // computing, a granted claim computes and write-through publishes, and
 // a held claim waits for the holder (whose completion or revocation
-// resolves the wait, with ClaimWait as the backstop). A 200 answer
-// guarantees the result is in the store — the coordinator assembles
-// from there, so an entry parked in the backlog reports 503 instead.
-func (w *Worker) runPoint(ctx context.Context, p campaign.Point, key string) error {
-	claimed, err := w.acquireClaim(ctx, key)
+// resolves the wait, with ClaimWait as the backstop). A nil error
+// guarantees the result is in the store, so an entry parked in the
+// backlog reports errUnavailable instead. The returned bytes are that
+// entry's key and result, encoded: the coordinator keeps them and skips
+// its assembly fetch.
+func (w *Worker) runPoint(ctx context.Context, p campaign.Point, key string) ([]byte, error) {
+	claim, err := w.acquireClaim(ctx, key)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := w.engine.Run(ctx, []campaign.Point{p}); err != nil {
-		if claimed {
+	run := w.engine.Run
+	if claim == claimGranted {
+		// The store granted the claim because it holds no entry: the
+		// tier read behind an in-process miss would be a certain 404.
+		run = w.engine.RunClaimed
+	}
+	res, err := run(ctx, []campaign.Point{p})
+	if err != nil {
+		if claim != claimNone {
 			// Give the claim back so a retry (here or elsewhere) is
 			// granted instead of waiting on us.
 			w.cfg.Store.ReleaseClaim(ctx, key, w.cfg.ID)
 		}
-		return err
+		return nil, err
 	}
 	if w.cfg.Store.Parked(key) {
 		// Computed, but the write-through could not reach the store.
@@ -247,18 +267,32 @@ func (w *Worker) runPoint(ctx context.Context, p campaign.Point, key string) err
 		w.cfg.Store.Backfill(ctx)
 		if w.cfg.Store.Parked(key) {
 			metrics.Add("dist.worker.publish_blocked", 1)
-			return errUnavailable
+			return nil, errUnavailable
 		}
 	}
-	return nil
+	// The coordinator assembles results, so the answer leaves the step
+	// records out; an unusable body costs it one fetch.
+	body, _ := campaign.EncodeEntry(campaign.Entry{Key: key, Res: res[0]})
+	return body, nil
 }
 
-// acquireClaim polls the store for the compute claim on key. claimed is
-// false when the worker should compute without one: the store is
-// unreachable (degraded mode — duplicates are harmless by determinism)
-// or a held claim outlived ClaimWait. The only error is the caller's
-// own cancellation.
-func (w *Worker) acquireClaim(ctx context.Context, key string) (claimed bool, err error) {
+// claimResult is how acquireClaim ended.
+type claimResult int
+
+const (
+	// claimNone: compute without a claim — the store is unreachable
+	// (degraded mode; duplicates are harmless by determinism) or a held
+	// claim outlived ClaimWait.
+	claimNone claimResult = iota
+	// claimDone: the store already holds the entry.
+	claimDone
+	// claimGranted: ours to compute, and the store holds no entry.
+	claimGranted
+)
+
+// acquireClaim polls the store for the compute claim on key. The only
+// error is the caller's own cancellation.
+func (w *Worker) acquireClaim(ctx context.Context, key string) (claimResult, error) {
 	poll := w.cfg.ClaimPoll
 	if poll <= 0 {
 		poll = 5 * time.Millisecond
@@ -272,26 +306,29 @@ func (w *Worker) acquireClaim(ctx context.Context, key string) (claimed bool, er
 		st, err := w.cfg.Store.Claim(ctx, key, w.cfg.ID)
 		if err != nil {
 			if ctx.Err() != nil {
-				return false, ctx.Err()
+				return claimNone, ctx.Err()
 			}
 			// Retries exhausted: the store is unreachable from here.
 			// Degrade to local compute; the backlog publishes later.
 			metrics.Add("dist.worker.store_degraded", 1)
-			return false, nil
+			return claimNone, nil
 		}
-		if st.State != "held" {
-			return true, nil
+		switch st.State {
+		case "granted":
+			return claimGranted, nil
+		case "done":
+			return claimDone, nil
 		}
 		if waited >= cap {
 			metrics.Add("dist.worker.claim_wait_capped", 1)
-			return false, nil
+			return claimNone, nil
 		}
 		// Another live node is computing this key; waiting is cheaper
 		// than a duplicate run, and a dead holder's claim is revoked by
 		// the coordinator, which unblocks the next poll.
 		metrics.Add("dist.worker.claim_wait", 1)
 		if err := sleepCtx(ctx, poll); err != nil {
-			return false, err
+			return claimNone, err
 		}
 		waited += poll
 	}

@@ -156,7 +156,15 @@ type Result struct {
 	// RuntimeProxy is the simulated TAT of the whole run.
 	RuntimeProxy float64
 
-	// Netlist is the implemented design (sized, placed).
+	// Cells is the implemented design's instance count (Netlist.NumCells
+	// as of synthesis): the one netlist scalar readers of a recorded
+	// result want.
+	Cells int
+
+	// Netlist is the implemented design (sized, placed). It is an
+	// artifact: set on a result a flow run just returned (and on the
+	// campaign's in-process cache hits of one), nil on a result replayed
+	// from a journal or fetched from a remote store — see Summary.
 	Netlist *netlist.Netlist
 
 	// Stopped is set when a live doomed-run supervisor STOPped the run
@@ -171,6 +179,26 @@ type Result struct {
 	// FailedStage names the stage a fault or cancellation hit (empty
 	// for completed and STOPped runs).
 	FailedStage string
+}
+
+// Summary returns the part of the result a campaign record keeps: a
+// shallow copy without the six per-instance artifacts (Netlist,
+// Synth.Netlist — the same netlist — Global.Demand, CTS.SkewPs,
+// Sign.Endpoints, Sign.CriticalPath). Every scalar, the DRV series and
+// CongestionMargin() read the same on it. A flow run is a pure function
+// of (design, options), so whoever needs an artifact reruns the point.
+func (r *Result) Summary() *Result {
+	s := *r
+	s.Netlist, s.Synth.Netlist, s.CTS.SkewPs = nil, nil, nil
+	if r.Global != nil {
+		g := *r.Global
+		g.Demand = nil
+		s.Global = &g
+	}
+	if r.Sign != nil {
+		s.Sign = r.Sign.Summary()
+	}
+	return &s
 }
 
 // StepRecord is the per-step measurement event delivered to observers —
@@ -446,6 +474,7 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 		res.Synth = syn
 		n = syn.Netlist
 		res.Netlist = n
+		res.Cells = n.NumCells()
 		res.RuntimeProxy += float64(syn.Passes) * float64(n.NumCells()) / 1000
 		emit("synth", map[string]float64{
 			"area":    syn.AreaUm2,

@@ -278,23 +278,33 @@ func (l *Log) Stats() RecoveryStats { return l.stats }
 // Dir returns the journal directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Append durably adds one record. On return under SyncAlways the record
-// has been fsynced; under the other policies it is at least buffered in
-// the segment file. A failed write is repaired by truncating back to
-// the previous record boundary, so one bad append never poisons the
-// records around it.
+// Append durably adds one record: AppendBatch of one.
 func (l *Log) Append(payload []byte) error {
+	return l.AppendBatch([][]byte{payload})
+}
+
+// AppendBatch durably adds several records under one sync — group
+// commit. All frames go out in one write into one segment (a batch is
+// never split across a rotation), and under SyncAlways the call returns
+// only after the single fsync that covers them all: an error
+// acknowledges none of the batch, nil acknowledges all of it. A crash
+// mid-batch leaves a torn tail that recovers, frame by frame, to a
+// prefix of whole records; a failed write is repaired by truncating back
+// to the record boundary before the batch, so one bad append never
+// poisons the records around it. Under the other policies the records
+// are at least buffered in the segment file.
+func (l *Log) AppendBatch(payloads [][]byte) error {
 	// Detached span (there is no context under the mutex): append
 	// latency includes any fsync the policy demands, so the
 	// journal.append histogram is the durability cost a campaign point
 	// pays, and journal.sync isolates the fsync inside it.
 	sp := trace.Begin("journal.append")
-	err := l.append(payload)
+	err := l.appendBatch(payloads)
 	sp.EndErr(err)
 	return err
 }
 
-func (l *Log) append(payload []byte) error {
+func (l *Log) appendBatch(payloads [][]byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	switch {
@@ -302,10 +312,16 @@ func (l *Log) append(payload []byte) error {
 		return ErrClosed
 	case l.broken != nil:
 		return l.broken
-	case len(payload) > MaxRecordBytes:
-		return fmt.Errorf("journal: record of %d bytes exceeds max %d", len(payload), MaxRecordBytes)
+	case len(payloads) == 0:
+		return nil
 	}
-	buf := encodeRecord(payload)
+	var buf []byte
+	for _, p := range payloads {
+		if len(p) > MaxRecordBytes {
+			return fmt.Errorf("journal: record of %d bytes exceeds max %d", len(p), MaxRecordBytes)
+		}
+		buf = append(buf, encodeRecord(p)...)
+	}
 	if l.size > int64(segHeaderLen) && l.size+int64(len(buf)) > l.opts.MaxSegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
@@ -328,8 +344,8 @@ func (l *Log) append(payload []byte) error {
 		metrics.Add("journal.append.broken", 1)
 		return l.broken
 	}
-	l.unsynced++
-	metrics.Add("journal.append.ok", 1)
+	l.unsynced += len(payloads)
+	metrics.Add("journal.append.ok", int64(len(payloads)))
 	metrics.Add("journal.append.bytes", int64(len(buf)))
 	if l.opts.Sync == SyncAlways || (l.opts.Sync == SyncInterval && l.unsynced >= l.opts.SyncEvery) {
 		if err := l.syncLocked(); err != nil {

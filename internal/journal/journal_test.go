@@ -338,3 +338,137 @@ func TestOversizeRecordRejected(t *testing.T) {
 		t.Fatalf("log unusable after oversize rejection: %v", err)
 	}
 }
+
+// TestAppendBatchTornTailRecoversWholeFrames: a kill at any byte of a
+// batch's single write leaves a tail that recovers to the records before
+// the batch plus a prefix of the batch's whole frames — never part of a
+// record, never a record after a gap.
+func TestAppendBatchTornTailRecoversWholeFrames(t *testing.T) {
+	srcDir := t.TempDir()
+	recs := payloads(6)
+	l := mustOpen(t, srcDir, Options{Sync: SyncNever})
+	appendAll(t, l, recs[:2])
+	if err := l.AppendBatch(recs[2:]); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	img := segmentImages(t, srcDir)[0]
+	batchStart := segHeaderLen
+	for _, p := range recs[:2] {
+		batchStart += recHeaderLen + len(p)
+	}
+	for cut := batchStart; cut <= len(img); cut++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "seg-00000001.wal"), img[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lr := mustOpen(t, dir, Options{})
+		whole, off := 0, batchStart
+		for _, p := range recs[2:] {
+			if off += recHeaderLen + len(p); off > cut {
+				break
+			}
+			whole++
+		}
+		assertRecords(t, lr.Records(), recs[:2+whole])
+		lr.Close()
+	}
+}
+
+// TestAppendBatchSyncFaultAcknowledgesNone: the one fsync of a batch is
+// its acknowledgement; when it fails the call reports the error for the
+// whole batch, and the log stays usable.
+func TestAppendBatchSyncFaultAcknowledgesNone(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{Sync: SyncAlways})
+	syncs := 0
+	l.injectSync = func() error {
+		syncs++
+		return errors.New("injected sync fault")
+	}
+	if err := l.AppendBatch(payloads(5)); err == nil {
+		t.Fatal("batch with failing fsync must report the error")
+	}
+	if syncs != 1 {
+		t.Fatalf("batch of 5 issued %d fsyncs, want 1", syncs)
+	}
+	l.injectSync = func() error { syncs++; return nil }
+	if err := l.AppendBatch(payloads(5)); err != nil {
+		t.Fatalf("batch after sync recovery: %v", err)
+	}
+	if syncs != 2 {
+		t.Fatalf("second batch of 5 issued %d fsyncs, want 1", syncs-1)
+	}
+	l.Close()
+}
+
+// TestAppendBatchTornWriteRollsBackWholeBatch: a short write mid-batch
+// truncates back to the boundary before the batch, not to a frame
+// inside it — an unacknowledged batch leaves nothing behind in a live
+// process.
+func TestAppendBatchTornWriteRollsBackWholeBatch(t *testing.T) {
+	dir := t.TempDir()
+	recs := payloads(7)
+	l := mustOpen(t, dir, Options{})
+	appendAll(t, l, recs[:2])
+	l.injectWrite = func(f *os.File, b []byte) (int, error) {
+		n, _ := f.Write(b[:len(b)/2]) // past the first frames of the batch
+		return n, errors.New("injected torn write")
+	}
+	if err := l.AppendBatch(recs[2:]); err == nil {
+		t.Fatal("injected write did not surface an error")
+	}
+	l.injectWrite = nil
+	l.Close()
+	l2 := mustOpen(t, dir, Options{})
+	defer l2.Close()
+	assertRecords(t, l2.Records(), recs[:2])
+	if st := l2.Stats(); st.TornTails != 0 {
+		t.Fatalf("rolled-back batch left a torn tail: %+v", st)
+	}
+}
+
+// TestAppendBatchNeverStraddlesRotation: a batch that does not fit the
+// active segment rotates first and lands whole in the next one — even a
+// batch larger than a segment.
+func TestAppendBatchNeverStraddlesRotation(t *testing.T) {
+	dir := t.TempDir()
+	recs := payloads(30)
+	l := mustOpen(t, dir, Options{MaxSegmentBytes: 512, Sync: SyncNever})
+	var batches [][][]byte
+	for at := 0; at < len(recs); {
+		n := 1 + at%7
+		if at+n > len(recs) {
+			n = len(recs) - at
+		}
+		batches = append(batches, recs[at:at+n])
+		if err := l.AppendBatch(recs[at : at+n]); err != nil {
+			t.Fatal(err)
+		}
+		at += n
+	}
+	l.Close()
+	images := segmentImages(t, dir)
+	if len(images) < 3 {
+		t.Fatalf("expected >= 3 segments at 512-byte rotation, got %d", len(images))
+	}
+	// Every segment holds a whole number of batches, in order.
+	b := 0
+	for i, img := range images {
+		got, _, ok := scanImage(img)
+		if !ok {
+			t.Fatalf("segment %d: bad header", i)
+		}
+		for len(got) > 0 {
+			if b == len(batches) || len(got) < len(batches[b]) {
+				t.Fatalf("segment %d ends inside batch %d", i, b)
+			}
+			assertRecords(t, got[:len(batches[b])], batches[b])
+			got = got[len(batches[b]):]
+			b++
+		}
+	}
+	if b != len(batches) {
+		t.Fatalf("recovered %d of %d batches", b, len(batches))
+	}
+}

@@ -160,6 +160,10 @@ type submitRequest struct {
 	Spec   json.RawMessage `json:"spec"`
 }
 
+// maxSubmitBytes bounds a campaign submission: a spec is a sweep
+// description (freqs, seeds, options), kilobytes at most.
+const maxSubmitBytes = 1 << 20
+
 // Submit queues one campaign and returns its ID.
 func (fd *FrontDoor) Submit(tenant string, spec json.RawMessage) (string, error) {
 	if tenant == "" {
@@ -351,7 +355,7 @@ func (fd *FrontDoor) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var req submitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}

@@ -92,6 +92,38 @@ func TestKernelStateAfterAnneal(t *testing.T) {
 	}
 }
 
+// TestSerialCommitKeepsKernelState drives a short serial anneal one
+// proposal at a time — annealSerial's own evaluate / accept / commit
+// steps — and checks the whole cached state after every commit:
+// commitEvaluated stores the boxes evalDelta left in p.eval, so a commit
+// fed by a stale scratch shows up here at the move that made it.
+func TestSerialCommitKeepsKernelState(t *testing.T) {
+	n := netlist.Generate(lib(), netlist.Artificial(9))
+	p, rng := newPlacer(context.Background(), n, Options{Seed: 7, Moves: 6 * n.NumCells()})
+	temp, cool := p.schedule(rng)
+	viaQuick, viaAccepts := 0, 0
+	for m := 0; m < p.opts.Moves; m++ {
+		inst, slot := rng.Intn(n.NumCells()), rng.Intn(len(p.g.instAt))
+		if slot == p.g.slotOf[inst] {
+			continue
+		}
+		d, _, bounded := p.quickDelta(inst, slot, &p.eval)
+		if p.accepts(rng, inst, slot, d, bounded, temp) {
+			p.commitEvaluated(inst, slot)
+			checkKernelState(t, p)
+			if bounded {
+				viaAccepts++
+			} else {
+				viaQuick++
+			}
+		}
+		temp *= cool
+	}
+	if viaQuick == 0 || viaAccepts == 0 {
+		t.Fatalf("commits evaluated by quickDelta: %d, by accepts: %d; want both", viaQuick, viaAccepts)
+	}
+}
+
 // placeTally is Place plus the private tally of bound-decided proposals.
 func placeTally(n *netlist.Netlist, opts Options) (Result, int) {
 	p, rng := newPlacer(context.Background(), n, opts)

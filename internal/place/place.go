@@ -151,12 +151,15 @@ func (g *grid) span(b netBox) float64 {
 // them without allocating — and classifies each: bit 1 = the moving
 // instance pins it, bit 2 = the displaced occupant pins it. Each
 // concurrent evaluator owns its own scratch; the shared placer state is
-// read-only during evaluation.
+// read-only during evaluation. after, kept only by the scratch that has
+// one (the serial engine's p.eval), is evalDelta's by-product: the box of
+// each affected net once the swap is made.
 type moveScratch struct {
 	stamp    []int32 // net -> gen of the last swap whose moving instance pins it
 	gen      int32
 	affected []int32
 	flags    []uint8
+	after    []netBox
 }
 
 func newMoveScratch(numNets int) moveScratch {
@@ -289,6 +292,7 @@ func newPlacer(ctx context.Context, n *netlist.Netlist, opts Options) (*placer, 
 	numNets := len(n.Nets)
 	p.box = make([]netBox, numNets)
 	p.eval = newMoveScratch(numNets)
+	p.eval.after = make([]netBox, 0, 16) // commitEvaluated reads them
 	p.commit = newMoveScratch(numNets)
 
 	applyCoords(n, p.g)
@@ -354,7 +358,7 @@ func (p *placer) annealSerial(rng *rand.Rand) {
 		d, cost, bounded := p.quickDelta(inst, slot, &p.eval)
 		p.res.RuntimeProxy += cost
 		if p.accepts(rng, inst, slot, d, bounded, temp) {
-			p.commitSwap(inst, slot)
+			p.commitEvaluated(inst, slot)
 			p.res.MovesAccepted++
 		}
 		temp *= cool
@@ -533,12 +537,14 @@ func lbExtent(lo, d, f, t int32) (p, q int32) {
 // moved; a net pinned by both endpoints keeps its position set, hence its
 // box. Safe to call concurrently with distinct scratches. The second
 // result is the historical runtime-proxy cost of the evaluation (2 passes
-// over affected nets).
+// over affected nets). A scratch with an after slice keeps the "after"
+// boxes there, parallel to sc.affected, for commitEvaluated.
 func (p *placer) evalDelta(inst, slot int, sc *moveScratch) (delta float64, cost int) {
 	g := p.g
 	other := g.instAt[slot]
 	from, to := g.pos[inst], g.latticeOf(slot)
 	aff, flags := sc.collect(p.inc, inst, other)
+	boxes := sc.after[:0]
 	var before, after float64
 	for k, nid := range aff {
 		b := p.box[nid]
@@ -549,9 +555,26 @@ func (p *placer) evalDelta(inst, slot int, sc *moveScratch) (delta float64, cost
 		case 2:
 			b = p.movedBox(int(nid), int32(other), to, from)
 		}
+		if boxes != nil {
+			boxes = append(boxes, b)
+		}
 		after += g.span(b)
 	}
+	sc.after = boxes
 	return after - before, 2 * len(aff)
+}
+
+// commitEvaluated is commitSwap for a proposal whose evalDelta was the
+// last thing p.eval did, on the state being committed to — every move
+// annealSerial accepts, whether quickDelta or accepts evaluated it: the
+// boxes evalDelta derived are stored, not derived a second time. The
+// speculative engine cannot use it (a gang worker's scratch has moved on
+// by commit time) and keeps commitSwap.
+func (p *placer) commitEvaluated(inst, slot int) {
+	for k, nid := range p.eval.affected {
+		p.box[nid] = p.eval.after[k]
+	}
+	swap(p.g, inst, slot)
 }
 
 // commitSwap performs the swap and maintains the cached boxes exactly,

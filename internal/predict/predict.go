@@ -68,7 +68,7 @@ func StandardRopes() []Rope {
 			Features: func(s Sample) []float64 {
 				return []float64{
 					s.Result.Synth.AreaUm2,
-					float64(s.Result.Netlist.NumCells()),
+					float64(s.Result.Cells),
 					s.Result.Synth.WNSPs,
 					float64(s.Result.Synth.BuffersAdded),
 				}
@@ -82,7 +82,7 @@ func StandardRopes() []Rope {
 				return []float64{
 					s.Result.Place.HPWLUm,
 					s.Result.Place.Width,
-					float64(s.Result.Netlist.NumCells()),
+					float64(s.Result.Cells),
 				}
 			},
 			Target: func(s Sample) float64 { return s.Result.Global.OverflowTotal },
@@ -107,7 +107,7 @@ func StandardRopes() []Rope {
 			Features: func(s Sample) []float64 {
 				return []float64{
 					s.Result.Synth.AreaUm2,
-					float64(s.Result.Netlist.NumCells()),
+					float64(s.Result.Cells),
 					s.Result.Options.TargetFreqGHz,
 					s.Stats.AvgNetSpan,
 				}

@@ -61,9 +61,13 @@ func (o GlobalOptions) withDefaults() GlobalOptions {
 
 // GlobalResult is the congestion picture after global routing.
 type GlobalResult struct {
-	GridDim       int
-	Demand        []float64 // per-edge demand; horizontal then vertical edges
-	Capacity      float64   // per-edge capacity
+	GridDim int
+	// Demand is the per-edge demand map, horizontal then vertical edges:
+	// an artifact, nil in a result's Summary (and so after journal replay
+	// or a remote fetch). Edges is its length and survives.
+	Demand        []float64
+	Edges         int
+	Capacity      float64 // per-edge capacity
 	WirelengthUm  float64
 	OverflowTotal float64 // sum over edges of max(0, demand-capacity)
 	OverflowPeak  float64 // worst single-edge overflow
@@ -74,7 +78,7 @@ type GlobalResult struct {
 // comfortable, <=0 means overflow pressure. It is the mechanistic driver
 // of detailed-routing convergence.
 func (g *GlobalResult) CongestionMargin() float64 {
-	return 1 - (g.OverflowTotal/float64(len(g.Demand)))/g.Capacity - 0.6*g.HotspotFrac
+	return 1 - (g.OverflowTotal/float64(g.Edges))/g.Capacity - 0.6*g.HotspotFrac
 }
 
 // router is the shared global-routing core: grid geometry, the demand
@@ -215,7 +219,7 @@ func (r *router) routeNet(netID int, rng *rand.Rand, wl *float64) {
 // finish computes the overflow statistics from the demand map.
 func (r *router) finish(wl float64) *GlobalResult {
 	res := &GlobalResult{
-		GridDim: r.dim, Demand: r.demand,
+		GridDim: r.dim, Demand: r.demand, Edges: len(r.demand),
 		Capacity: r.opts.TracksPerEdge, WirelengthUm: wl,
 	}
 	hot := 0
@@ -347,7 +351,7 @@ func DetailRouteCtx(ctx context.Context, g *GlobalResult, opts DetailOptions) *D
 	// Initial DRVs: proportional to total routed wire with a strong
 	// overflow multiplier.
 	base := 300 + 40*math.Sqrt(g.WirelengthUm)
-	drv := base * (1 + 2.5*g.OverflowTotal/math.Max(1, float64(len(g.Demand)))) *
+	drv := base * (1 + 2.5*g.OverflowTotal/math.Max(1, float64(g.Edges))) *
 		math.Exp(0.25*rng.NormFloat64())
 
 	// Convergence floor: residual violations that rip-up cannot fix,

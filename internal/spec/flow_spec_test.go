@@ -460,7 +460,9 @@ func TestSpeculativeCampaignResumeReplaysStats(t *testing.T) {
 		t.Fatalf("resumed run failed: %v", err)
 	}
 	for i := range got {
-		if !reflect.DeepEqual(normalized(got[i]), want[i]) {
+		// A replayed point is its journaled summary, a recomputed one the
+		// full result: compare what both are guaranteed to carry.
+		if !reflect.DeepEqual(normalized(got[i]).Summary(), want[i].Summary()) {
 			t.Errorf("resumed point %d differs from the non-speculative reference", i)
 		}
 	}

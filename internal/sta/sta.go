@@ -137,6 +137,15 @@ func (r *Report) WorstEndpoints(k int) []Endpoint {
 	return r.sorted[:k]
 }
 
+// Summary returns a copy of the report without its per-endpoint
+// artifacts (Endpoints, CriticalPath and the sorted view): the scalar
+// part a campaign record keeps.
+func (r *Report) Summary() *Report {
+	s := *r
+	s.Endpoints, s.CriticalPath, s.sorted = nil, nil, nil
+	return &s
+}
+
 // arrivalState tracks per-net timing during propagation.
 type arrivalState struct {
 	arrival float64 // worst arrival at net (driver output + wire), ps

@@ -82,13 +82,11 @@ func handleIngest(w *Warehouse, rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	for _, rec := range recs {
-		if err := w.Append(rec); err != nil {
-			// WAL failure: the node will retry the whole batch; dedupe
-			// makes the partial ingest harmless.
-			http.Error(rw, err.Error(), http.StatusInternalServerError)
-			return
-		}
+	if err := w.AppendBatch(recs); err != nil {
+		// WAL failure: the node will retry the whole batch; dedupe makes
+		// a partly durable one harmless.
+		http.Error(rw, err.Error(), http.StatusInternalServerError)
+		return
 	}
 	fmt.Fprintf(rw, "{\"ingested\":%d}\n", len(recs))
 }

@@ -124,35 +124,51 @@ func (w *Warehouse) insert(rec Record) bool {
 	return true
 }
 
-// Append ingests one record: WAL first (durable before visible), then
-// the in-memory index. Duplicate (campaign, point, stage) records are
-// dropped — determinism makes them identical, so at-least-once delivery
-// from the fleet is safe.
-func (w *Warehouse) Append(rec Record) error {
+// Append ingests one record: AppendBatch of one.
+func (w *Warehouse) Append(rec Record) error { return w.AppendBatch([]Record{rec}) }
+
+// AppendBatch ingests records under one WAL group commit: WAL first
+// (durable before visible — one journal.AppendBatch, so one fsync for
+// the batch), then the in-memory index. Duplicate (campaign, point,
+// stage) records — of a stored record or of an earlier one in the batch
+// — are dropped before the WAL: determinism makes them identical, so
+// at-least-once delivery from the fleet is safe. A WAL error ingests
+// none of the batch.
+func (w *Warehouse) AppendBatch(recs []Record) error {
+	var payloads [][]byte
+	inBatch := make(map[string]bool, len(recs))
 	w.mu.RLock()
-	_, dup := w.index[rec.dedupeKey()]
 	log := w.log
-	w.mu.RUnlock()
-	if dup {
-		w.mu.Lock()
-		w.deduped++
-		w.mu.Unlock()
-		metrics.Add("warehouse.deduped", 1)
-		return nil
-	}
-	if log != nil {
+	for _, rec := range recs {
+		k := rec.dedupeKey()
+		if _, dup := w.index[k]; dup || inBatch[k] || log == nil {
+			continue
+		}
+		inBatch[k] = true
 		payload, err := json.Marshal(rec)
 		if err != nil {
+			w.mu.RUnlock()
 			return fmt.Errorf("warehouse: encode: %w", err)
 		}
-		if err := log.Append(payload); err != nil {
+		payloads = append(payloads, payload)
+	}
+	w.mu.RUnlock()
+	if len(payloads) > 0 {
+		if err := log.AppendBatch(payloads); err != nil {
 			return fmt.Errorf("warehouse: append: %w", err)
 		}
 	}
-	if w.insert(rec) {
-		metrics.Add("warehouse.appended", 1)
-	} else {
-		metrics.Add("warehouse.deduped", 1)
+	appended := 0
+	for _, rec := range recs {
+		if w.insert(rec) { // counts the duplicates it refuses
+			appended++
+		}
+	}
+	if appended > 0 {
+		metrics.Add("warehouse.appended", int64(appended))
+	}
+	if appended < len(recs) {
+		metrics.Add("warehouse.deduped", int64(len(recs)-appended))
 	}
 	return nil
 }

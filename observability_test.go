@@ -8,6 +8,7 @@ package repro
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/journal"
@@ -117,5 +118,15 @@ func TestWarehouseDistByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(sdump.Bytes(), ddump.Bytes()) {
 		t.Fatalf("warehouse dump diverged across node counts:\n--- single\n%s--- dist\n%s", &sdump, &ddump)
+	}
+}
+
+// TestDistSweepRefusesKillOnOneNode: "kill" cuts w0 for good and the
+// coordinator parks points until a node rejoins, so on a single node the
+// sweep could never return — it is refused before anything starts.
+func TestDistSweepRefusesKillOnOneNode(t *testing.T) {
+	_, err := DistSweep(DistSweepConfig{SweepConfig: obsSweepConfig(t), Nodes: 1, ChaosProfile: "kill"})
+	if err == nil || !strings.Contains(err.Error(), "at least 2 nodes") {
+		t.Fatalf("err = %v, want a refusal", err)
 	}
 }

@@ -6,7 +6,9 @@
 #                             campaign engine, the parallel place &
 #                             route kernels, and the speculative flow
 #                             path), then vet + tests of the nested
-#                             benchmark module
+#                             benchmark module, then 10 s of fuzzing per
+#                             byte-facing decoder (campaign entry,
+#                             journal segment)
 #   scripts/check.sh bench    also run the benchmark pairs and write the
 #                             speedups to BENCH_campaign.json /
 #                             BENCH_sta.json / BENCH_place.json /
@@ -123,6 +125,14 @@ go test -race ./...
 # The repo benchmark is a nested module (benchmark/go.mod), which the
 # ./... patterns above cannot see.
 (cd benchmark && go vet ./... && go test ./...)
+# Fuzz tier: every decoder that reads bytes off a disk or a socket gets
+# ten seconds of coverage-guided input per check, on top of its seed
+# corpus (which the suites above already ran as plain tests). go test
+# fuzzes one target of one package per invocation; minimizing each new
+# coverage-raising input is capped, or its 60 s default eats the budget.
+for target in internal/campaign:FuzzDecodeEntry internal/journal:FuzzJournalDecode; do
+    go test -run='^$' -fuzz="^${target#*:}\$" -fuzztime=10s -fuzzminimizetime=100x "./${target%%:*}"
+done
 
 if [ "${1:-}" = "bench" ]; then
     out=$(go test -run=NONE -bench='BenchmarkCampaign(Serial|Parallel)$' -benchtime=3x .)
