@@ -141,17 +141,26 @@ func (c *Cache) countHit(coalesced bool) {
 // in-process tier only; the shared tier is consulted by DoRecorded,
 // where a miss has a compute to coalesce against.
 func (c *Cache) Get(key string) (*flow.Result, bool) {
+	if e, ok := c.lookup(key); ok {
+		return e.res, true
+	}
+	c.count(func(c *Cache) { c.misses++ })
+	metrics.Add("campaign.cache.miss", 1)
+	return nil, false
+}
+
+// lookup is the one L1 probe, shared by Get, do and the engine's revisit
+// pass: the entry under key if L1 holds it, counted as a hit. Absence
+// counts nothing — whether it is a miss is the caller's to find out.
+func (c *Cache) lookup(key string) (*cacheEntry, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
 	e, ok := s.entries[key]
 	s.mu.RUnlock()
 	if ok {
 		c.countHit(false)
-		return e.res, true
 	}
-	c.count(func(c *Cache) { c.misses++ })
-	metrics.Add("campaign.cache.miss", 1)
-	return nil, false
+	return e, ok
 }
 
 // Put seeds the cache with an already-computed result and its step
@@ -200,9 +209,13 @@ func (c *Cache) DoRecorded(key string, compute func() (*flow.Result, []flow.Step
 // for a caller that already knows the tier has no entry (the write
 // through after the compute still happens).
 func (c *Cache) do(key string, loadTier bool, compute func() (*flow.Result, []flow.StepRecord, error)) (res *flow.Result, steps []flow.StepRecord, hit bool, err error) {
+	if e, ok := c.lookup(key); ok {
+		return e.res, e.steps, true, nil
+	}
 	s := c.shard(key)
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
+		// Landed between the probe and the lock.
 		s.mu.Unlock()
 		c.countHit(false)
 		return e.res, e.steps, true, nil

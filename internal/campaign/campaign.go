@@ -99,8 +99,9 @@ type Config struct {
 	// Observer receives step records from every flow run. With more
 	// than one worker, records from different points interleave
 	// (records within one run stay ordered). Memoized points replay the
-	// step records captured when their result was first computed, so
-	// cached campaigns still deliver one record set per point.
+	// step records captured when their result was first computed, so every
+	// point delivers one record set; points already cached when Run is
+	// called replay on Run's goroutine, in point order, before the fan-out.
 	Observer flow.Observer
 	// Retry re-runs points that fail with a tool fault. Failed attempts
 	// are never cached, so a retry always recomputes.
@@ -243,22 +244,24 @@ func (e *Engine) run(ctx context.Context, pts []Point, loadTier bool) ([]*flow.R
 	ctx, runSpan := trace.Start(ctx, "campaign.run")
 	runSpan.SetInt("points", int64(len(pts)))
 	runSpan.SetInt("workers", int64(e.pool.Licenses()))
-	outs, ran, err := sched.MapCtx(ctx, e.pool, len(pts), func(i int) pointOutcome {
-		return e.runPoint(ctx, pts[i], i, loadTier)
-	})
 	results := make([]*flow.Result, len(pts))
+	keys, todo := e.revisit(ctx, pts, results)
+	outs, ran, err := sched.MapCtx(ctx, e.pool, len(todo), func(j int) pointOutcome {
+		i := todo[j]
+		return e.runPoint(ctx, pts[i], keys[i], i, loadTier)
+	})
 	var failed []PointError
 	abandoned := 0
-	for i := range outs {
+	for j, i := range todo {
 		switch {
-		case !ran[i]:
+		case !ran[j]:
 			abandoned++
-		case outs[i].err != nil:
+		case outs[j].err != nil:
 			if ctx.Err() == nil {
-				failed = append(failed, PointError{Index: i, Err: outs[i].err})
+				failed = append(failed, PointError{Index: i, Err: outs[j].err})
 			}
 		default:
-			results[i] = outs[i].res
+			results[i] = outs[j].res
 		}
 	}
 	if abandoned > 0 {
@@ -278,6 +281,59 @@ func (e *Engine) run(ctx context.Context, pts []Point, loadTier bool) ([]*flow.R
 	return results, nil
 }
 
+// revisit is run's first pass, on the caller's goroutine and in point
+// order: it builds the memo key of every point the cache covers (keys[i];
+// "" otherwise) and serves what L1 already holds into results. Only the
+// rest — todo — go to the license pool: a revisit is a lookup, not a tool
+// run, so it starts no goroutine, waits for no license and is no sched.*
+// task. A cancelled context serves nothing; the pool abandons every point.
+func (e *Engine) revisit(ctx context.Context, pts []Point, results []*flow.Result) (keys []string, todo []int) {
+	keys = make([]string, len(pts))
+	serve := e.cache != nil && ctx.Err() == nil
+	for i, p := range pts {
+		if serve && p.DesignKey != "" {
+			keys[i] = p.cacheKey()
+			if ent, ok := e.cache.lookup(keys[i]); ok {
+				pctx, psp := pointSpan(ctx, p, i)
+				_, asp := trace.Start(pctx, "campaign.attempt")
+				asp.SetInt("attempt", 0)
+				e.deliverHit(psp, asp, 0, ent.steps)
+				results[i] = ent.res
+				continue
+			}
+		}
+		todo = append(todo, i)
+	}
+	return keys, todo
+}
+
+// deliverHit owns everything a memo hit emits besides its result, found
+// by the revisit pass or by runPoint (a coalesced wait, a tier hit, a key
+// that reached L1 after the pass): the records its compute emitted
+// replayed to the Observer, and the point's two spans ended cache_hit.
+func (e *Engine) deliverHit(psp, asp *trace.Span, attempt int, steps []flow.StepRecord) {
+	if e.obs != nil {
+		for _, rec := range steps {
+			e.obs.OnStep(rec)
+		}
+		if len(steps) > 0 {
+			metrics.Add("campaign.cache.replayed", 1)
+		}
+	}
+	asp.EndWith(trace.CacheHit)
+	psp.SetInt("attempts", int64(attempt+1))
+	psp.EndWith(trace.CacheHit)
+}
+
+// pointSpan opens a point's span (index, seed, final outcome); each run or
+// re-run gets a campaign.attempt child, so a retry storm shows under it.
+func pointSpan(ctx context.Context, p Point, index int) (context.Context, *trace.Span) {
+	ctx, psp := trace.Start(ctx, "campaign.point")
+	psp.SetInt("index", int64(index))
+	psp.SetInt("seed", p.Options.Seed)
+	return ctx, psp
+}
+
 // mirrorPoolStats publishes the license pool's counters into the
 // process-wide registry under sched.* gauge names. The pool itself
 // cannot (metrics depends on flow, flow on sched), so the campaign
@@ -289,16 +345,12 @@ func (e *Engine) mirrorPoolStats() {
 	metrics.Set("sched.queue.depth", int64(maxWait))
 }
 
-// runPoint executes one point with the engine's retry policy. Attempt
-// numbers feed the fault injector, so a retried point draws fresh fault
-// coins while staying deterministic at any worker count. The span per
-// point (campaign.point) carries the point's index, seed and final
-// outcome; each re-run gets a campaign.attempt child, so retry storms
-// are visible as repeated attempt spans under one point.
-func (e *Engine) runPoint(ctx context.Context, p Point, index int, loadTier bool) pointOutcome {
-	ctx, psp := trace.Start(ctx, "campaign.point")
-	psp.SetInt("index", int64(index))
-	psp.SetInt("seed", p.Options.Seed)
+// runPoint executes one point the revisit pass did not serve, with the
+// engine's retry policy. Attempt numbers feed the fault injector, so a
+// retried point draws fresh fault coins while staying deterministic at
+// any worker count.
+func (e *Engine) runPoint(ctx context.Context, p Point, key string, index int, loadTier bool) pointOutcome {
+	ctx, psp := pointSpan(ctx, p, index)
 	var lastErr error
 	for attempt := 0; attempt <= e.retry.Max; attempt++ {
 		if attempt > 0 {
@@ -314,12 +366,10 @@ func (e *Engine) runPoint(ctx context.Context, p Point, index int, loadTier bool
 		}
 		actx, asp := trace.Start(ctx, "campaign.attempt")
 		asp.SetInt("attempt", int64(attempt))
-		res, hit, err := e.runOnce(actx, p, attempt, loadTier)
+		res, steps, hit, err := e.runOnce(actx, p, key, attempt, loadTier)
 		if err == nil {
 			if hit {
-				asp.EndWith(trace.CacheHit)
-				psp.SetInt("attempts", int64(attempt+1))
-				psp.EndWith(trace.CacheHit)
+				e.deliverHit(psp, asp, attempt, steps)
 			} else {
 				asp.End()
 				psp.SetInt("attempts", int64(attempt+1))
@@ -344,11 +394,12 @@ func (e *Engine) runPoint(ctx context.Context, p Point, index int, loadTier bool
 }
 
 // runOnce is a single attempt at a point: cache-aware, observer-aware,
-// journal-aware. The returned hit flag reports whether the result was
-// served from the memo cache (including coalesced waits on an in-flight
-// compute) rather than computed by this attempt.
-func (e *Engine) runOnce(ctx context.Context, p Point, attempt int, loadTier bool) (*flow.Result, bool, error) {
-	if e.cache == nil || p.DesignKey == "" {
+// journal-aware; key is the point's memo key, "" if the cache does not
+// cover it. The bool reports a hit: the result was served from the memo
+// cache (including a coalesced wait on an in-flight compute) rather than
+// computed by this attempt, and the records are deliverHit's to replay.
+func (e *Engine) runOnce(ctx context.Context, p Point, key string, attempt int, loadTier bool) (*flow.Result, []flow.StepRecord, bool, error) {
+	if key == "" {
 		// Uncached points are also unjournaled: without a design key
 		// there is no identity to resume them under.
 		var spec *flow.SpecStats
@@ -358,14 +409,13 @@ func (e *Engine) runOnce(ctx context.Context, p Point, attempt int, loadTier boo
 		e.armSpeculation(&rcfg, &spec)
 		res, err := flow.RunCfg(ctx, p.Design, p.Options, rcfg)
 		if err != nil {
-			return nil, false, err
+			return nil, nil, false, err
 		}
 		e.countStopped(res)
 		countSpec(spec)
-		return res, false, nil
+		return res, nil, false, nil
 	}
-	key := p.cacheKey()
-	res, steps, hit, err := e.cache.do(key, loadTier, func() (*flow.Result, []flow.StepRecord, error) {
+	return e.cache.do(key, loadTier, func() (*flow.Result, []flow.StepRecord, error) {
 		rec := &recordingObserver{next: e.obs}
 		var spec *flow.SpecStats
 		rcfg := flow.RunConfig{
@@ -386,20 +436,6 @@ func (e *Engine) runOnce(ctx context.Context, p Point, attempt int, loadTier boo
 		}
 		return res, rec.steps, nil
 	})
-	if err != nil {
-		return nil, false, err
-	}
-	if hit && e.obs != nil {
-		// Memoized point: replay the records its compute emitted so the
-		// Observer sees one record set per point, cached or not.
-		for _, rec := range steps {
-			e.obs.OnStep(rec)
-		}
-		if len(steps) > 0 {
-			metrics.Add("campaign.cache.replayed", 1)
-		}
-	}
-	return res, hit, nil
 }
 
 // countStopped mirrors live doomed-run stops into the campaign counters

@@ -1,8 +1,8 @@
 package flow
 
 import (
-	"fmt"
 	"hash/fnv"
+	"strconv"
 )
 
 // Key returns the canonical cache key of an option point: two Options
@@ -10,6 +10,11 @@ import (
 // unset fields versus their defaults — map to the same string. It is
 // the Options half of the campaign memo-cache key
 // hash(design, Options) -> *Result.
+//
+// The grammar is frozen: keys address every journal, store WAL and
+// warehouse ever written, so the string stays byte for byte what
+// fmt.Sprintf with %g / %d / %t made of these fields (the oracle in
+// key_golden_test.go).
 func (o Options) Key() string {
 	o = o.withDefaults()
 	// RouteWorkers is deliberately absent: the sharded router's result
@@ -18,12 +23,35 @@ func (o Options) Key() string {
 	// non-speculative reference: the config is an input of the run
 	// (Result.Options records it) and campaigns must not serve a point
 	// configured one way from a cache entry computed the other.
-	return fmt.Sprintf("f=%g seed=%d se=%d mf=%d u=%g pm=%d part=%d tpe=%g re=%d ri=%d dr=%g stop=%d rec=%t rm=%g pw=%d rt=%d spec=%t stol=%g",
-		o.TargetFreqGHz, o.Seed,
-		o.SynthEffort, o.MaxFanout, o.Utilization, o.PlaceMoves,
-		o.Partitions, o.TracksPerEdge, o.RouteEffort, o.RouteIters,
-		o.DeratePct, o.StopRouteAfter, o.RecoverArea, o.RecoverMarginPs,
-		o.PlaceWorkers, o.RouteTiles, o.Speculate.Enabled, o.Speculate.TolerancePct)
+	b := make([]byte, 0, 192)
+	b = keyFloat(b, "f=", o.TargetFreqGHz)
+	b = keyInt(b, " seed=", o.Seed)
+	b = keyInt(b, " se=", int64(o.SynthEffort))
+	b = keyInt(b, " mf=", int64(o.MaxFanout))
+	b = keyFloat(b, " u=", o.Utilization)
+	b = keyInt(b, " pm=", int64(o.PlaceMoves))
+	b = keyInt(b, " part=", int64(o.Partitions))
+	b = keyFloat(b, " tpe=", o.TracksPerEdge)
+	b = keyInt(b, " re=", int64(o.RouteEffort))
+	b = keyInt(b, " ri=", int64(o.RouteIters))
+	b = keyFloat(b, " dr=", o.DeratePct)
+	b = keyInt(b, " stop=", int64(o.StopRouteAfter))
+	b = strconv.AppendBool(append(b, " rec="...), o.RecoverArea)
+	b = keyFloat(b, " rm=", o.RecoverMarginPs)
+	b = keyInt(b, " pw=", int64(o.PlaceWorkers))
+	b = keyInt(b, " rt=", int64(o.RouteTiles))
+	b = strconv.AppendBool(append(b, " spec="...), o.Speculate.Enabled)
+	b = keyFloat(b, " stol=", o.Speculate.TolerancePct)
+	return string(b)
+}
+
+func keyInt(b []byte, name string, v int64) []byte {
+	return strconv.AppendInt(append(b, name...), v, 10)
+}
+
+// keyFloat spells v as %g does (fmt formats through this same call).
+func keyFloat(b []byte, name string, v float64) []byte {
+	return strconv.AppendFloat(append(b, name...), v, 'g', -1, 64)
 }
 
 // Hash returns the FNV-1a hash of Key, for shard selection and compact

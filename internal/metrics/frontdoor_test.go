@@ -233,21 +233,28 @@ func TestFrontDoorAdmissionAndFairShare(t *testing.T) {
 	spec := func(tenant string) json.RawMessage {
 		return json.RawMessage(fmt.Sprintf(`{"tenant":%q}`, tenant))
 	}
-	// Tenant a submits three campaigns, tenant b one. Slots=2: a's
-	// first starts, then fair share must start b's ahead of a's second.
-	if _, err := fd.Submit("a", spec("a")); err != nil {
-		t.Fatal(err)
+	// Tenant a holds both slots. Only then are a's third campaign and
+	// b's first queued — with a slot free, starting a's next at once is
+	// what a work-conserving dispatcher should do, so the fair-share
+	// decision is only a decision with both candidates waiting. One slot
+	// is then handed back (a send releases exactly one campaign, the
+	// close at the end all of them): a holds 1, b holds 0, b must start.
+	for i := 0; i < 2; i++ {
+		if _, err := fd.Submit("a", spec("a")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	waitFor(t, "first campaign running", func() bool { return len(runner.startedTenants()) == 1 })
+	waitFor(t, "both slots held", func() bool { return len(runner.startedTenants()) == 2 })
 	if _, err := fd.Submit("a", spec("a")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fd.Submit("b", spec("b")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "second campaign running", func() bool { return len(runner.startedTenants()) == 2 })
-	if got := runner.startedTenants(); got[1] != "b" {
-		t.Fatalf("fair share violated: started order %v, want b second", got)
+	runner.release <- struct{}{}
+	waitFor(t, "third campaign running", func() bool { return len(runner.startedTenants()) == 3 })
+	if got := runner.startedTenants(); got[2] != "b" {
+		t.Fatalf("fair share violated: started order %v, want b third", got)
 	}
 
 	// One a-campaign still queued; queue cap 2 leaves room for one more.
@@ -267,8 +274,8 @@ func TestFrontDoorAdmissionAndFairShare(t *testing.T) {
 		}
 		return true
 	})
-	if n := len(runner.startedTenants()); n != 4 {
-		t.Fatalf("ran %d campaigns, want 4", n)
+	if n := len(runner.startedTenants()); n != 5 {
+		t.Fatalf("ran %d campaigns, want 5", n)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 )
 
 // Pool limits concurrent task execution to a fixed number of licenses.
+// A task is a tool run: campaign memo hits are lookups and never get here.
 type Pool struct {
 	licenses int
 

@@ -135,6 +135,9 @@ for target in internal/campaign:FuzzDecodeEntry internal/journal:FuzzJournalDeco
 done
 
 if [ "${1:-}" = "bench" ]; then
+    # Every pair writes BENCH_x.json.tmp and renames it once its gate
+    # holds; a failed gate exits before the rename, so sweep up here.
+    trap 'rm -f BENCH_*.json.tmp' EXIT
     out=$(go test -run=NONE -bench='BenchmarkCampaign(Serial|Parallel)$' -benchtime=3x .)
     echo "$out"
     # Tracing overhead: five interleaved A/B invocations, each running
@@ -709,10 +712,13 @@ if [ "${1:-}" = "dist" ]; then
     # 5. Throughput gate: the pulpino-proxy sweep through the full
     #    service at one loopback worker node vs four, min-of-3, at an
     #    identical qor_hash. Four nodes must clear 1.8x.
+    #    The row is written under $work (removed by the trap) and only
+    #    moved into the tree once the gate holds, so a failed gate leaves
+    #    nothing behind to be committed.
     out=$(go test -run=NONE -bench='BenchmarkDistSweep(1|4)$' \
         -benchtime=1x -count=3 .)
     echo "$out"
-    echo "$out" | awk '
+    echo "$out" | awk -v row="$work/BENCH_dist.json" '
         function metric(name,   i) {
             for (i = 1; i <= NF; i++) if ($i == name) return $(i-1)
             return ""
@@ -733,7 +739,7 @@ if [ "${1:-}" = "dist" ]; then
             speedup = n1 / n4
             printf "dist_speedup_x=%.2f\n", speedup
             printf "{\"benchmark\":\"dist\",\"one_node_ns_per_op\":%.0f,\"four_node_ns_per_op\":%.0f,\"speedup_x\":%.2f,\"qor_hash\":%s}\n", \
-                n1, n4, speedup, q4 > "BENCH_dist.json.tmp"
+                n1, n4, speedup, q4 > row
             if (q1 != q4) {
                 printf "check.sh: 1-node/4-node QoR mismatch: qor_hash %s vs %s\n", \
                     q1, q4 > "/dev/stderr"
@@ -744,7 +750,7 @@ if [ "${1:-}" = "dist" ]; then
                 exit 1
             }
         }'
-    mv BENCH_dist.json.tmp BENCH_dist.json
+    mv "$work/BENCH_dist.json" BENCH_dist.json
     echo "dist_gate=ok"
 fi
 
