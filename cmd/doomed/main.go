@@ -54,7 +54,7 @@ func run() int {
 	scale := flag.String("scale", "small", "experiment scale: small or paper")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	parallel := flag.Int("parallel", 0, "concurrent runs (0 = one per CPU); results are identical at any setting")
-	placeWorkers := flag.Int("place-workers", 0, "speculative parallel annealer workers for corpus substrates (0 = serial placer)")
+	placeWorkers := flag.Int("place-workers", 0, "territory-parallel annealer workers for corpus substrates (0 = serial placer)")
 	routeTiles := flag.Int("route-tiles", 0, "region-sharded global router tiles per side for corpus substrates (0/1 = serial router)")
 	journalDir := flag.String("journal", "", "durable corpus journal directory (enables checkpoint/resume)")
 	resume := flag.Bool("resume", false, "resume corpora from an existing -journal")

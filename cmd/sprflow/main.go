@@ -93,9 +93,9 @@ func run() int {
 	chaosSeed := flag.Int64("chaos-seed", 0, "seed for the -chaos-profile coin schedule")
 	speculate := flag.Bool("speculate", false, "overlap downstream flow stages on predicted upstream artifacts during -sweep (committed results identical to a non-speculative sweep)")
 	specTol := flag.Float64("spec-tol", 0, "speculative commit tolerance on predicted stage scalars, percent (0 = default 1)")
-	placeWorkers := flag.Int("place-workers", 0, "speculative parallel annealer workers (0 = serial placer; results identical at any count >= 1)")
+	placeWorkers := flag.Int("place-workers", 0, "territory-parallel annealer workers (0 = serial placer; results identical at any count >= 1)")
 	routeTiles := flag.Int("route-tiles", 0, "region-sharded global router tiles per side (0/1 = serial router)")
-	routeWorkers := flag.Int("route-workers", 0, "concurrent regions for -route-tiles (0 = all; results identical at any setting)")
+	routeWorkers := flag.Int("route-workers", 0, "concurrent regions for -route-tiles (0 = one per region, at most one per CPU; results identical at any setting)")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON file of the run (view in chrome://tracing or Perfetto)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live /metrics and /debug endpoints on this address (e.g. :8080)")
 	spanRetention := flag.Int("span-retention", -1, "cap retained finished spans (0 = default 64k ≈ 8 MB bound, <0 = unbounded; overflow counts as droppedSpans in the trace file)")

@@ -42,17 +42,19 @@ type Options struct {
 	RouteIters    int     // detailed-routing iteration budget (default 20)
 	DeratePct     float64 // signoff guardband
 
-	// PlaceWorkers > 0 selects the speculative parallel annealer for the
-	// placement stage (place.Options.Workers); 0 keeps the historical
-	// serial engine and its bit-exact results. Part of the cache key:
-	// the engines produce different (equally valid) placements.
+	// PlaceWorkers > 0 selects the territory-parallel annealer for the
+	// placement stage, with a crew of that size (place.Options.Workers);
+	// 0 keeps the historical serial engine and its bit-exact results.
+	// Part of the cache key: the engines produce different (equally
+	// valid) placements — though every count >= 1 produces the same one.
 	PlaceWorkers int
 	// RouteTiles > 1 selects the region-sharded parallel global router
 	// (route.GlobalOptions.Tiles); 0/1 keeps the serial net order.
 	RouteTiles int
 	// RouteWorkers caps concurrent region routing when RouteTiles > 1
-	// (default: all regions in flight). Not part of the cache key —
-	// sharded results are identical at every worker count.
+	// (default: one worker per region, at most GOMAXPROCS). Not part of
+	// the cache key — sharded results are identical at every worker
+	// count.
 	RouteWorkers int
 
 	// StopRouteAfter truncates detailed routing (set by doomed-run

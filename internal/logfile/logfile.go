@@ -134,7 +134,7 @@ type CorpusSpec struct {
 	// before any work fans out, so the corpus is bit-identical at any
 	// worker count.
 	Workers int
-	// PlaceWorkers selects the speculative parallel annealer for the
+	// PlaceWorkers selects the territory-parallel annealer for the
 	// substrate placements (place.Options.Workers); RouteTiles selects
 	// the region-sharded global router (route.GlobalOptions.Tiles).
 	// Zero keeps the historical serial kernels — and the historical

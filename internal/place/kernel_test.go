@@ -41,8 +41,29 @@ func checkKernelState(t *testing.T, p *placer) {
 	}
 }
 
+// commitSwap is the reference commit the engines' commitEvaluated is held
+// against: perform the swap and derive every affected net's box again,
+// with the same per-net case split as evalDelta. It borrows p.eval, so a
+// caller that wants evalDelta's lists copies them first.
+func (p *placer) commitSwap(inst, slot int) {
+	g := p.g
+	other := g.instAt[slot]
+	from, to := g.pos[inst], g.latticeOf(slot)
+	aff, flags := p.eval.collect(p.inc, inst, other)
+	for k, nid := range aff {
+		switch flags[k] {
+		case 1:
+			p.box[nid] = p.movedBox(int(nid), int32(inst), from, to)
+		case 2:
+			p.box[nid] = p.movedBox(int(nid), int32(other), to, from)
+		}
+	}
+	swap(g, inst, slot)
+}
+
 // TestKernelStateAfterAnneal runs every engine shape to the end (or to
-// a cancellation) and checks the cached state it leaves behind.
+// a cancellation) and checks the cached state it leaves behind. The case
+// names predate the territory engine: "speculative" is Workers > 0.
 func TestKernelStateAfterAnneal(t *testing.T) {
 	cancelAfter := func(polls int) func() context.Context {
 		return func() context.Context { return &countdownCtx{Context: context.Background(), left: polls} }
@@ -55,11 +76,11 @@ func TestKernelStateAfterAnneal(t *testing.T) {
 		aborted bool
 	}{
 		{"serial", Options{Seed: 1}, background, false},
-		{"speculative", Options{Seed: 2, Workers: 3, Batch: 64}, background, false},
+		{"speculative", Options{Seed: 2, Workers: 3}, background, false},
 		{"serial/partitioned", Options{Seed: 3, Partitions: 2}, background, false},
 		{"speculative/partitioned/resample", Options{Seed: 4, Workers: 2, Partitions: 2, ResampleCrossRegion: true}, background, false},
 		{"serial/aborted", Options{Seed: 5}, cancelAfter(3), true},
-		{"speculative/aborted", Options{Seed: 6, Workers: 2, Batch: 64}, cancelAfter(40), true},
+		{"speculative/aborted", Options{Seed: 6, Workers: 2}, cancelAfter(40), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -412,7 +433,7 @@ func annealSerialRef(p *placer, rng *rand.Rand) {
 				continue
 			}
 			cand := p.regionSlots[p.part[inst]]
-			slot = cand[rng.Intn(len(cand))]
+			slot = int(cand[rng.Intn(len(cand))])
 			p.res.MovesResampled++
 			if slot == p.g.slotOf[inst] {
 				temp *= cool
@@ -461,7 +482,6 @@ func TestSerialAnnealMatchesReference(t *testing.T) {
 		out.Res, out.Slots, out.Next = p.finish(), p.g.slotOf, rng.Int63()
 		return out, p.boundDecided
 	}
-	mid3k := netlist.Spec{Name: "mid3k", Seed: 1, NumComb: 2700, NumFFs: 300, Levels: 14, Locality: 0.7, NumPIs: 40, ClockPeriodPs: 1400}
 	for _, spec := range []netlist.Spec{netlist.PulpinoProxy(1), mid3k} {
 		for _, opts := range []Options{
 			{Seed: 1},

@@ -1,233 +1,223 @@
 package place
 
 import (
+	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
-// Proposal kinds assigned at generation time.
+// The territory engine's schedule. None of it is a knob: the outcome is
+// a function of (Seed, Moves) because these are constants. Each was chosen
+// on the 18 distinct Workers > 0 place rows of testdata/golden_qor.txt,
+// as HPWL relative to the engine this one replaced (scripts/goldenfence).
+//
+// lanes: territories per stripe epoch — two per crew member on a 2-core
+// host, which is what lets the gang steal around a slow lane. 4 lanes:
+// 0.876–1.002x; 8 lanes: 0.877–1.009x, so narrower stripes buy nothing.
+//
+// Epoch length, in moves per cell: lanes read foreign pins frozen at the
+// epoch start, and while the anneal is hot most proposals commit, so a
+// long epoch optimises against stale neighbours. With 2 moves per cell
+// throughout, flat rows were 0.89–0.97x but every partitioned row lost,
+// 1.011–1.079x — their flat coarse phase is the hot quarter and nothing
+// after it can cross a region to repair it. 1/4 move per cell for the
+// first quarter of the schedule and 2 per cell after gave the 0.876–1.002x
+// above at ~84 epochs for a 60-moves-per-cell flow anneal.
 const (
-	kindEval uint8 = iota // evaluate and maybe commit
-	kindSkip              // self-move or discarded region-crossing: burns a cooling step
+	lanes         = 4
+	hotEpochDiv   = 4 // hot epoch = numCells / hotEpochDiv moves
+	coldEpochMult = 2 // cold epoch = coldEpochMult * numCells moves
 )
 
-// Adaptive batch-sizing policy: the live batch shrinks by a quarter
-// when an epoch's conflict fraction (conflicts / evaluated proposals)
-// exceeds adaptShrinkFrac, and grows by a quarter when it falls below
-// adaptGrowFrac, clamped to [floor, Options.Batch]. The floor scales
-// with the configured batch (Batch/4, never below adaptBatchFloor):
-// epochs pay a fixed propose+barrier cost, so letting a large-batch run
-// collapse to a few dozen proposals trades all of its parallel speedup
-// for marginal conflict savings. Both adaptation inputs are
-// worker-invariant (proposals come from the master stream, conflicts
-// from canonical commit order), so the batch trajectory — and therefore
-// the placement — stays bit-identical at every worker count.
-const (
-	adaptBatchFloor = 32
-	adaptFloorDiv   = 4
-	adaptShrinkFrac = 0.15
-	adaptGrowFrac   = 0.05
-)
+// laneEval is one crew member's private evaluator. Its placer shares n,
+// inc, pins and — through its own grid header — slotOf and instAt with
+// the master, and owns pos, box, the scratch and the counters; only the
+// kernel methods (quickDelta, accepts, commitEvaluated) are used on it.
+type laneEval struct {
+	placer
+	insts []int32 // the instances of the territory being annealed
+}
 
-// annealSpeculative is the parallel engine: speculative move evaluation
-// with deterministic commit.
+// annealTerritory is the parallel engine (Workers > 0): every epoch cuts
+// the slot grid into disjoint territories and anneals each as a lane —
+// the serial kernel, bound-first test included, on the lane's own random
+// stream, proposing only the territory's instances into the territory's
+// slots. Lanes share slotOf and instAt, each reading and writing only the
+// entries of its territory, and run on a private copy of pos and box
+// taken at the epoch start: pins of foreign instances are read where the
+// epoch began, which bounds their staleness by one epoch of moves inside
+// one territory. After the barrier every lane has published the
+// positions of its instances and all boxes are rescanned on the crew.
+// No proposal is evaluated twice or discarded and nothing commits
+// serially, so the outcome is a pure function of (Seed, Moves): identical
+// at every Workers >= 1 and GOMAXPROCS.
 //
-// Each epoch draws a batch of proposals sequentially from the master
-// random stream, evaluates their deltas concurrently against the frozen
-// epoch state (quickDelta is pure; every worker owns its scratch), then
-// commits in proposal order. A proposal whose instances, slots or nets
-// overlap an earlier commit of the same epoch has a stale delta and is
-// discarded as a conflict — it burns its cooling step but consumes no
-// acceptance coin, so the outcome is a pure function of Seed, Moves and
-// Batch, bit-identical at every Workers >= 1 and GOMAXPROCS. A proposal
-// evaluated only to its lower bound is settled by accepts exactly like
-// one of the serial engine, the few undecided coins costing an evalDelta
-// in the commit loop.
-//
-// The batch size itself adapts between epochs: hot early annealing
-// commits almost everything, so large batches mostly discard stale
-// deltas; the adaptive policy shrinks the batch while the conflict
-// fraction is high and re-grows it as the anneal freezes and commits
-// thin out. The policy reads only committed epoch state (see the adapt*
-// constants), never timing, preserving worker invariance.
-func (p *placer) annealSpeculative(rng *rand.Rand) {
-	temp, cool := p.schedule(rng)
-	numCells := p.n.NumCells()
-	numSlots := len(p.g.instAt)
-	numNets := len(p.n.Nets)
-	batch := p.opts.Batch
-	cur := batch // live adaptive batch; scratch stays sized for the max
-	floor := max(adaptBatchFloor, batch/adaptFloorDiv)
-	if floor > batch {
-		floor = batch
+// Territories are four stripes, vertical and horizontal by turns and
+// shifted by half a stripe every second epoch, so no cell pair stays
+// separated; once a partitioned run has locked its regions (Moves/4, as
+// in the serial engine) the territories are the k x k regions themselves
+// — Fig. 4(b) executed — and a draw outside the region is skipped or
+// resampled exactly as there. Lane move j of an epoch starting at T runs
+// at T*cool^(L*j), L the lane count, so the L lanes together spend the
+// epoch's cooling steps and the schedule ends where the serial one does.
+func (p *placer) annealTerritory(rng *rand.Rand) {
+	start, cool := p.schedule(rng)
+	numCells, moves := p.n.NumCells(), p.opts.Moves
+	quarter := moves / 4
+
+	streams := make([]*rand.Rand, max(lanes, p.opts.Partitions*p.opts.Partitions))
+	for l := range streams {
+		streams[l] = rand.New(rand.NewSource(rng.Int63()))
 	}
+	stripes := p.stripeTerritories()
 
 	gang := sched.NewGang(p.opts.Workers)
 	defer gang.Close()
-	pool := sync.Pool{New: func() any {
-		sc := newMoveScratch(numNets)
-		return &sc
-	}}
-
-	insts := make([]int32, batch)
-	slots := make([]int32, batch)
-	kinds := make([]uint8, batch)
-	deltas := make([]float64, batch) // quickDelta's answer per proposal
-	bounded := make([]bool, batch)
-	costs := make([]int32, batch)
-
-	// Epoch-stamped conflict sets: anything a committed swap touched.
-	instStamp := make([]int32, numCells)
-	slotStamp := make([]int32, numSlots)
-	netStamp := make([]int32, numNets)
-	var epoch int32
-
-	coarseMoves := 0
-	if p.opts.Partitions > 1 {
-		coarseMoves = p.opts.Moves / 4
+	crew := make([]*laneEval, min(p.opts.Workers, len(streams)))
+	free := make(chan *laneEval, len(crew))
+	for i := range crew {
+		g := *p.g
+		g.pos = make([]lattice, numCells)
+		crew[i] = &laneEval{
+			placer: placer{n: p.n, g: &g, inc: p.inc, pins: p.pins, box: make([]netBox, len(p.box)), eval: newMoveScratch(len(p.box))},
+			insts:  make([]int32, 0, numCells),
+		}
+		free <- crew[i]
 	}
+	next := make([]lattice, numCells) // the positions the lanes publish
 
-	for m := 0; m < p.opts.Moves; {
+	for m, epoch := 0, 0; m < moves; epoch++ {
 		if p.ctx.Err() != nil {
 			p.aborted = true
 			return
 		}
-		if p.opts.Partitions > 1 && !p.partitioned && m >= coarseMoves {
-			p.assignPartitions()
-		}
-		b := min(cur, p.opts.Moves-m)
-		if p.opts.Partitions > 1 && !p.partitioned {
-			// Epochs never straddle the coarse->partitioned switch.
-			b = min(b, coarseMoves-m)
-		}
-
-		// Propose: sequential draws from the master stream, classified
-		// against the epoch-start state.
-		for k := 0; k < b; k++ {
-			inst := rng.Intn(numCells)
-			slot := rng.Intn(numSlots)
-			kind := kindEval
-			if slot == p.g.slotOf[inst] {
-				kind = kindSkip
-			} else if p.partitioned && p.regionOfSlot(slot) != p.part[inst] {
-				if p.opts.ResampleCrossRegion {
-					cand := p.regionSlots[p.part[inst]]
-					slot = cand[rng.Intn(len(cand))]
-					p.res.MovesResampled++
-					if slot == p.g.slotOf[inst] {
-						kind = kindSkip
-					}
-				} else {
-					kind = kindSkip
-				}
+		p.terr = stripes[epoch%len(stripes)]
+		b := coldEpochMult * numCells
+		if m < quarter {
+			// Epochs never straddle the hot->cold (and coarse->partitioned) switch.
+			b = min(max(numCells/hotEpochDiv, 1), quarter-m)
+		} else if p.opts.Partitions > 1 {
+			if !p.partitioned {
+				p.assignPartitions()
 			}
-			insts[k], slots[k], kinds[k] = int32(inst), int32(slot), kind
+			p.terr = p.regionSlots
 		}
+		b = min(b, moves-m)
 
-		// Evaluate: concurrent, pure, against the frozen epoch state.
 		sp := trace.Begin("place.move")
-		gang.Round(b, func(lo, hi int) {
-			sc := pool.Get().(*moveScratch)
-			for k := lo; k < hi; k++ {
-				if kinds[k] != kindEval {
-					continue
+		L := len(p.terr)
+		temp, laneCool := start*math.Pow(cool, float64(m)), math.Pow(cool, float64(L))
+		gang.Round(L, func(lo, hi int) {
+			le := <-free
+			for l := lo; l < hi; l++ {
+				laneMoves := b / L
+				if l < b%L {
+					laneMoves++
 				}
-				d, c, bnd := p.quickDelta(int(insts[k]), int(slots[k]), sc)
-				deltas[k], costs[k], bounded[k] = d, int32(c), bnd
+				p.runLane(le, l, streams[l], laneMoves, temp, laneCool, next)
 			}
-			pool.Put(sc)
+			free <- le
 		})
-
-		// Commit: canonical proposal order, conflicts discarded.
-		epoch++
-		committed := 0
-		evals, confs := 0, 0
-		for k := 0; k < b; k++ {
-			if kinds[k] == kindSkip {
-				temp *= cool
-				continue
+		p.g.pos, next = next, p.g.pos
+		gang.Round(len(p.box), func(lo, hi int) {
+			for nid := lo; nid < hi; nid++ {
+				p.box[nid] = p.scanBox(nid, -1, lattice{})
 			}
-			evals++
-			inst, slot := int(insts[k]), int(slots[k])
-			if p.conflicts(inst, slot, instStamp, slotStamp, netStamp, epoch) {
-				p.res.MovesConflicted++
-				confs++
-				temp *= cool
-				continue
-			}
-			p.res.MovesTried++
-			p.res.RuntimeProxy += int(costs[k])
-			if p.accepts(rng, inst, slot, deltas[k], bounded[k], temp) {
-				other := p.g.instAt[slot]
-				oldSlot := p.g.slotOf[inst]
-				p.commitSwap(inst, slot)
-				p.res.MovesAccepted++
-				committed++
-				instStamp[inst] = epoch
-				if other >= 0 {
-					instStamp[other] = epoch
-				}
-				slotStamp[slot] = epoch
-				slotStamp[oldSlot] = epoch
-				for _, nid := range p.commit.affected {
-					netStamp[nid] = epoch
-				}
-			}
-			temp *= cool
+		})
+		accepted := p.res.MovesAccepted
+		for _, le := range crew {
+			p.res.MovesTried += le.res.MovesTried
+			p.res.MovesAccepted += le.res.MovesAccepted
+			p.res.MovesResampled += le.res.MovesResampled
+			p.res.RuntimeProxy += le.res.RuntimeProxy
+			p.boundDecided += le.boundDecided
+			le.res, le.boundDecided = Result{}, 0
 		}
-		sp.SetInt("batch", int64(b))
-		sp.SetInt("committed", int64(committed))
-		sp.SetInt("conflicts", int64(p.res.MovesConflicted))
+		sp.SetInt("lanes", int64(L))
+		sp.SetInt("moves", int64(b))
+		sp.SetInt("accepted", int64(p.res.MovesAccepted-accepted))
 		sp.End()
 		m += b
-
-		// Adapt the next epoch's batch from this epoch's conflict
-		// fraction — committed state only, so the trajectory is identical
-		// at every worker count.
-		if evals > 0 {
-			switch frac := float64(confs) / float64(evals); {
-			case frac > adaptShrinkFrac:
-				cur -= cur / 4
-				if cur < floor {
-					cur = floor
-				}
-			case frac < adaptGrowFrac:
-				cur += cur/4 + 1
-				if cur > batch {
-					cur = batch
-				}
-			}
-		}
 	}
-	p.res.BatchFinal = cur
 }
 
-// conflicts reports whether an earlier commit of the current epoch
-// touched anything this proposal's delta depends on: either endpoint
-// instance, either slot, or any net incident to the endpoints. If none
-// did, the speculative delta is still exact.
-func (p *placer) conflicts(inst, slot int, instStamp, slotStamp, netStamp []int32, epoch int32) bool {
-	if instStamp[inst] == epoch || slotStamp[slot] == epoch || slotStamp[p.g.slotOf[inst]] == epoch {
-		return true
-	}
-	other := p.g.instAt[slot]
-	if other >= 0 && instStamp[other] == epoch {
-		return true
-	}
-	for _, nid := range p.inc.Of(inst) {
-		if netStamp[nid] == epoch {
-			return true
+// runLane anneals territory p.terr[lane] for the given number of moves on
+// le, from the master's epoch-start pos and box, and publishes where the
+// territory's instances ended up into next. It writes slotOf/instAt
+// entries of its territory only, and next entries of its instances only.
+func (p *placer) runLane(le *laneEval, lane int, rng *rand.Rand, moves int, temp, cool float64, next []lattice) {
+	g, slots := le.g, p.terr[lane]
+	copy(g.pos, p.g.pos)
+	copy(le.box, p.box)
+	insts := le.insts[:0]
+	for _, s := range slots {
+		if inst := g.instAt[s]; inst >= 0 {
+			insts = append(insts, int32(inst))
 		}
 	}
-	if other >= 0 && other != inst {
-		for _, nid := range p.inc.Of(other) {
-			if netStamp[nid] == epoch {
-				return true
+	le.insts = insts
+	if len(insts) == 0 {
+		return // nothing to move: the lane's cooling steps are burned
+	}
+	numSlots := len(g.instAt)
+	for j := 0; j < moves; j, temp = j+1, temp*cool {
+		inst := int(insts[rng.Intn(len(insts))])
+		var slot int
+		if !p.partitioned {
+			slot = int(slots[rng.Intn(len(slots))])
+		} else if slot = rng.Intn(numSlots); p.regionOfSlot(slot) != lane {
+			if !p.opts.ResampleCrossRegion {
+				continue
 			}
+			slot = int(slots[rng.Intn(len(slots))])
+			le.res.MovesResampled++
+		}
+		if slot == g.slotOf[inst] {
+			continue
+		}
+		le.res.MovesTried++
+		d, cost, bounded := le.quickDelta(inst, slot, &le.eval)
+		le.res.RuntimeProxy += cost
+		if le.accepts(rng, inst, slot, d, bounded, temp) {
+			le.commitEvaluated(inst, slot)
+			le.res.MovesAccepted++
 		}
 	}
-	return false
+	for _, inst := range insts {
+		next[inst] = g.pos[inst]
+	}
+}
+
+// stripeTerritories returns the four stripe cuts the epochs cycle
+// through: columns, rows, columns shifted by half a stripe, rows shifted
+// by half a stripe (the shifted cut's first territory wraps around the
+// die edge). Each cut lists every slot once, grouped by territory; a grid
+// with fewer columns or rows than lanes leaves some territories empty.
+func (p *placer) stripeTerritories() [4][][]int32 {
+	cols, numSlots := p.g.cols, len(p.g.instAt)
+	rows := numSlots / cols
+	var cuts [4][][]int32
+	for k := range cuts {
+		n := cols
+		if k&1 == 1 {
+			n = rows
+		}
+		shift := k / 2 * (n / (2 * lanes))
+		cut := make([][]int32, lanes)
+		for t := range cut {
+			cut[t] = make([]int32, 0, (n/lanes+1)*(numSlots/n))
+		}
+		for slot := 0; slot < numSlots; slot++ {
+			i := slot % cols
+			if k&1 == 1 {
+				i = slot / cols
+			}
+			t := (i + shift) % n * lanes / n
+			cut[t] = append(cut[t], int32(slot))
+		}
+		cuts[k] = cut
+	}
+	return cuts
 }

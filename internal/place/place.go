@@ -11,10 +11,10 @@
 //
 //   - the serial engine (Workers == 0) commits after every proposal and
 //     reproduces the historical serial placer bit for bit;
-//   - the speculative parallel engine (Workers > 0, see parallel.go)
-//     evaluates batches of proposals concurrently and commits them in
-//     proposal order with conflict detection, producing results that
-//     depend only on Seed/Moves/Batch — never on Workers or scheduling.
+//   - the territory engine (Workers > 0, see parallel.go) cuts the slot
+//     grid into disjoint territories every epoch and runs the serial
+//     kernel in each of them side by side, producing results that depend
+//     only on Seed/Moves — never on Workers or scheduling.
 //
 // The evaluator itself is built on flat state that lives on the slot
 // lattice: a {col,row} record per instance, one 16-byte integer bounding
@@ -51,19 +51,13 @@ type Options struct {
 	Partitions  int     // 1 = flat; k means k x k independent regions
 	// StartTemp overrides the sampled initial temperature (0 = auto).
 	StartTemp float64
-	// Workers > 0 selects the speculative parallel annealer: proposals
-	// are drawn in batches from the master stream, evaluated concurrently
-	// against the epoch snapshot, and committed in proposal order with
-	// conflict detection. The outcome depends only on Seed, Moves and
-	// Batch — identical at every Workers >= 1 — but differs from the
-	// Workers == 0 serial engine, which commits after every proposal.
+	// Workers > 0 selects the territory-parallel annealer with a crew of
+	// that size: each epoch the slot grid is cut into disjoint territories
+	// that anneal concurrently, each on its own random stream. The outcome
+	// depends only on Seed and Moves — identical at every Workers >= 1 —
+	// but differs from the Workers == 0 serial engine, which draws every
+	// proposal from one stream over the whole die.
 	Workers int
-	// Batch is the maximum speculative proposal batch size (default
-	// 256); only used when Workers > 0. Part of the reproducibility key.
-	// The engine adapts the live batch per epoch between
-	// max(32, Batch/4) and Batch from the previous epoch's conflict
-	// fraction (see the adapt* constants in parallel.go).
-	Batch int
 	// ResampleCrossRegion redirects region-crossing proposals of the
 	// partitioned refinement phase to a random slot inside the
 	// instance's own region instead of silently discarding them (the
@@ -82,9 +76,6 @@ func (o Options) withDefaults(numCells int) Options {
 	if o.Partitions <= 0 {
 		o.Partitions = 1
 	}
-	if o.Batch <= 0 {
-		o.Batch = 256
-	}
 	return o
 }
 
@@ -95,16 +86,14 @@ type Result struct {
 	Width, Height float64
 	MovesTried    int
 	MovesAccepted int
-	// MovesConflicted counts speculative proposals discarded at commit
-	// time because an earlier proposal in the same batch touched an
-	// overlapping instance, slot or net (parallel engine only).
+	// MovesConflicted counted the proposals a retired engine discarded;
+	// always 0. The field stays because recorded summaries name it.
 	MovesConflicted int
 	// MovesResampled counts region-crossing proposals redirected into
 	// the instance's own region (Options.ResampleCrossRegion).
 	MovesResampled int
-	// BatchFinal is the adaptive speculative batch size at the end of
-	// the anneal (parallel engine only; 0 for the serial engine). A
-	// deterministic function of Seed/Moves/Batch like everything else.
+	// BatchFinal was the retired engine's final batch size; always 0,
+	// kept for the same reason as MovesConflicted.
 	BatchFinal int
 	// RuntimeProxy counts cost-function evaluations, a deterministic
 	// stand-in for wall-clock TAT in the experiments.
@@ -150,10 +139,8 @@ func (g *grid) span(b netBox) float64 {
 // moveScratch collects the nets a swap touches — a stamp array dedupes
 // them without allocating — and classifies each: bit 1 = the moving
 // instance pins it, bit 2 = the displaced occupant pins it. Each
-// concurrent evaluator owns its own scratch; the shared placer state is
-// read-only during evaluation. after, kept only by the scratch that has
-// one (the serial engine's p.eval), is evalDelta's by-product: the box of
-// each affected net once the swap is made.
+// evaluator owns its own scratch. after is evalDelta's by-product: the
+// box of each affected net once the swap is made.
 type moveScratch struct {
 	stamp    []int32 // net -> gen of the last swap whose moving instance pins it
 	gen      int32
@@ -167,6 +154,7 @@ func newMoveScratch(numNets int) moveScratch {
 		stamp:    make([]int32, numNets),
 		affected: make([]int32, 0, 16),
 		flags:    make([]uint8, 0, 16),
+		after:    make([]netBox, 0, 16),
 	}
 }
 
@@ -206,8 +194,9 @@ func (sc *moveScratch) collect(inc netlist.Incidence, inst, other int) ([]int32,
 	return aff, flags
 }
 
-// placer is the shared annealing state. The serial and speculative
-// engines differ only in how they drive propose/evaluate/commit.
+// placer is the annealing state. The serial engine drives one; the
+// territory engine additionally gives each crew member a private one
+// (laneEval) over the same slot maps.
 type placer struct {
 	n    *netlist.Netlist
 	opts Options
@@ -224,11 +213,11 @@ type placer struct {
 
 	part        []int // inst -> region, set by assignPartitions
 	partitioned bool
-	regionSlots [][]int
+	regionSlots [][]int32 // region -> its slots (resampling; territory lanes)
 	coarseProxy int
+	terr        [][]int32 // territory engine: the current epoch's lanes
 
-	eval   moveScratch
-	commit moveScratch
+	eval moveScratch
 
 	// boundDecided counts the tried proposals rejected on the bound alone.
 	// Kept out of Result, which is journaled and golden-pinned.
@@ -246,8 +235,8 @@ func Place(n *netlist.Netlist, opts Options) Result {
 }
 
 // abortCheckMoves is the cancellation poll granularity of the serial
-// annealer (the parallel engine polls once per epoch, which is at most
-// one batch). A power of two so the poll is a mask, not a division.
+// annealer (the territory engine polls once per epoch). A power of two
+// so the poll is a mask, not a division.
 const abortCheckMoves = 4096
 
 // PlaceCtx is Place with cooperative cancellation: the anneal polls ctx
@@ -292,8 +281,6 @@ func newPlacer(ctx context.Context, n *netlist.Netlist, opts Options) (*placer, 
 	numNets := len(n.Nets)
 	p.box = make([]netBox, numNets)
 	p.eval = newMoveScratch(numNets)
-	p.eval.after = make([]netBox, 0, 16) // commitEvaluated reads them
-	p.commit = newMoveScratch(numNets)
 
 	applyCoords(n, p.g)
 	p.res.InitialHPWLUm = n.TotalHPWL()
@@ -310,7 +297,7 @@ func (p *placer) anneal(rng *rand.Rand) {
 		return
 	}
 	if p.opts.Workers > 0 {
-		p.annealSpeculative(rng)
+		p.annealTerritory(rng)
 	} else {
 		p.annealSerial(rng)
 	}
@@ -347,7 +334,7 @@ func (p *placer) annealSerial(rng *rand.Rand) {
 				continue
 			}
 			cand := p.regionSlots[p.part[inst]]
-			slot = cand[rng.Intn(len(cand))]
+			slot = int(cand[rng.Intn(len(cand))])
 			p.res.MovesResampled++
 			if slot == p.g.slotOf[inst] {
 				temp *= cool
@@ -398,11 +385,11 @@ func (p *placer) assignPartitions() {
 	}
 	p.partitioned = true
 	p.coarseProxy = p.res.RuntimeProxy
-	if p.opts.ResampleCrossRegion {
-		p.regionSlots = make([][]int, p.opts.Partitions*p.opts.Partitions)
+	if p.opts.ResampleCrossRegion || p.opts.Workers > 0 {
+		p.regionSlots = make([][]int32, p.opts.Partitions*p.opts.Partitions)
 		for slot := range p.g.instAt {
 			r := p.regionOfSlot(slot)
-			p.regionSlots[r] = append(p.regionSlots[r], slot)
+			p.regionSlots[r] = append(p.regionSlots[r], int32(slot))
 		}
 	}
 }
@@ -417,7 +404,7 @@ func (p *placer) regionOfSlot(slot int) int {
 	return py*p.opts.Partitions + px
 }
 
-// quickDelta is what both engines know about a proposal before its
+// quickDelta is what either engine knows about a proposal before its
 // acceptance coin is drawn: the certified lower bound of boundDelta when
 // that is positive (bounded = true; the exact delta is then positive too),
 // the exact evalDelta otherwise. cost is the runtime-proxy cost either way.
@@ -440,9 +427,7 @@ func (p *placer) quickDelta(inst, slot int, sc *moveScratch) (d float64, cost in
 // wider than math.Exp's rounding) proves u > exp(-delta/temp): rejected
 // without evaluating delta or exp. u == 0 makes the product 0 or NaN and
 // x = +Inf makes it +Inf, both on the right side. A coin the bound cannot
-// decide is compared against the exact delta, evaluated here with p.eval
-// — in the speculative engine the proposal has passed conflicts, so the
-// current state is the state its bound was taken on.
+// decide is compared against the exact delta, evaluated here with p.eval.
 func (p *placer) accepts(rng *rand.Rand, inst, slot int, d float64, bounded bool, temp float64) bool {
 	if !bounded {
 		return d <= 0 || rng.Float64() < math.Exp(-d/temp)
@@ -537,8 +522,8 @@ func lbExtent(lo, d, f, t int32) (p, q int32) {
 // moved; a net pinned by both endpoints keeps its position set, hence its
 // box. Safe to call concurrently with distinct scratches. The second
 // result is the historical runtime-proxy cost of the evaluation (2 passes
-// over affected nets). A scratch with an after slice keeps the "after"
-// boxes there, parallel to sc.affected, for commitEvaluated.
+// over affected nets). The "after" boxes stay in sc.after, parallel to
+// sc.affected, for commitEvaluated.
 func (p *placer) evalDelta(inst, slot int, sc *moveScratch) (delta float64, cost int) {
 	g := p.g
 	other := g.instAt[slot]
@@ -555,46 +540,23 @@ func (p *placer) evalDelta(inst, slot int, sc *moveScratch) (delta float64, cost
 		case 2:
 			b = p.movedBox(int(nid), int32(other), to, from)
 		}
-		if boxes != nil {
-			boxes = append(boxes, b)
-		}
+		boxes = append(boxes, b)
 		after += g.span(b)
 	}
 	sc.after = boxes
 	return after - before, 2 * len(aff)
 }
 
-// commitEvaluated is commitSwap for a proposal whose evalDelta was the
-// last thing p.eval did, on the state being committed to — every move
-// annealSerial accepts, whether quickDelta or accepts evaluated it: the
-// boxes evalDelta derived are stored, not derived a second time. The
-// speculative engine cannot use it (a gang worker's scratch has moved on
-// by commit time) and keeps commitSwap.
+// commitEvaluated commits a proposal whose evalDelta was the last thing
+// p.eval did, on the state being committed to — every move an engine
+// accepts, whether quickDelta or accepts evaluated it: the boxes
+// evalDelta derived are stored, not derived a second time, and the swap
+// is made.
 func (p *placer) commitEvaluated(inst, slot int) {
 	for k, nid := range p.eval.affected {
 		p.box[nid] = p.eval.after[k]
 	}
 	swap(p.g, inst, slot)
-}
-
-// commitSwap performs the swap and maintains the cached boxes exactly,
-// with the same per-net case split as evalDelta. The affected-net list
-// remains available in p.commit.affected for the caller (the speculative
-// engine stamps it).
-func (p *placer) commitSwap(inst, slot int) {
-	g := p.g
-	other := g.instAt[slot]
-	from, to := g.pos[inst], g.latticeOf(slot)
-	aff, flags := p.commit.collect(p.inc, inst, other)
-	for k, nid := range aff {
-		switch flags[k] {
-		case 1:
-			p.box[nid] = p.movedBox(int(nid), int32(inst), from, to)
-		case 2:
-			p.box[nid] = p.movedBox(int(nid), int32(other), to, from)
-		}
-	}
-	swap(g, inst, slot)
 }
 
 // movedBox returns net nid's box once its pin instance who has moved

@@ -50,6 +50,6 @@ func benchmarkRoute(b *testing.B, workers int) {
 // and rng streams, zero concurrency.
 func BenchmarkRouteSerial(b *testing.B) { benchmarkRoute(b, 1) }
 
-// BenchmarkRouteSharded routes every region concurrently (Workers=0 =
-// one goroutine per region).
+// BenchmarkRouteSharded routes regions concurrently (Workers=0 = one
+// crew member per region, at most GOMAXPROCS).
 func BenchmarkRouteSharded(b *testing.B) { benchmarkRoute(b, 0) }

@@ -44,8 +44,8 @@ type GlobalOptions struct {
 	// every Workers setting and GOMAXPROCS — but differ from the
 	// Tiles <= 1 serial net order.
 	Tiles int
-	// Workers caps concurrent region routing (default Tiles*Tiles,
-	// i.e. every region in flight at once).
+	// Workers caps concurrent region routing (default: one per region,
+	// at most GOMAXPROCS).
 	Workers int
 }
 
@@ -92,7 +92,17 @@ type router struct {
 	w, h   float64
 	numH   int
 	demand []float64 // horizontal then vertical edges
+	// cost[k] is congExp at a demand of k tracks. Demand is a unit count
+	// (stampL adds and removes whole tracks), so pricing an edge is a
+	// table read; congCost falls back to the expression past the end.
+	cost []float64
 }
+
+// costTableMax caps the table. No edge can carry more tracks than the
+// design has pin pairs, which sizes it for small designs; the busiest
+// edge of the 12.5 k-cell soc-proxy on the default 24 x 24 grid carries
+// ~390 (a 256-entry table left math.Exp at 45 % of the tiled router).
+const costTableMax = 1024
 
 func newRouter(n *netlist.Netlist, opts GlobalOptions) *router {
 	dim := opts.GridDim
@@ -101,11 +111,20 @@ func newRouter(n *netlist.Netlist, opts GlobalOptions) *router {
 	// edge (x,y)->(x,y+1) at vIdx.
 	numH := (dim - 1) * dim
 	numV := dim * (dim - 1)
-	return &router{
+	r := &router{
 		n: n, opts: opts, dim: dim, w: w, h: h,
 		numH:   numH,
 		demand: make([]float64, numH+numV),
 	}
+	pairs := 0
+	for i := range n.Nets {
+		pairs += len(n.Nets[i].Sinks)
+	}
+	r.cost = make([]float64, min(pairs+1, costTableMax))
+	for k := range r.cost {
+		r.cost[k] = congExp(float64(k), opts.TracksPerEdge)
+	}
+	return r
 }
 
 func (r *router) toGrid(x, y float64) (int, int) {
@@ -117,14 +136,26 @@ func (r *router) toGrid(x, y float64) (int, int) {
 func (r *router) hIdx(x, y int) int { return y*(r.dim-1) + x }
 func (r *router) vIdx(x, y int) int { return r.numH + x*(r.dim-1) + y }
 
-// congCost is the cost of adding one track to an edge carrying demand
-// d: grows steeply near capacity (standard negotiated-congestion style
-// cost).
-func (r *router) congCost(d float64) float64 {
-	return 1 + math.Exp(6*(d/r.opts.TracksPerEdge-1))
+// congExp is the cost of adding one track to an edge of the given
+// capacity carrying demand d: grows steeply near capacity (standard
+// negotiated-congestion style cost).
+func congExp(d, tracks float64) float64 {
+	return 1 + math.Exp(6*(d/tracks-1))
 }
 
-func (r *router) edgeCost(e int) float64 { return r.congCost(r.demand[e]) }
+// congCost is congExp of an integral demand, from the table when it
+// reaches that far. A negative d (never priced: the own track is only
+// subtracted where it was claimed) wraps past the table like a large one.
+func (r *router) congCost(d float64) float64 {
+	if k := uint(int(d)); k < uint(len(r.cost)) {
+		return r.cost[k]
+	}
+	return congExp(d, r.opts.TracksPerEdge)
+}
+
+// pricedHook, when set (tests only), sees every L costL is asked to
+// price, before it is priced.
+var pricedHook func(r *router, x1, y1, x2, y2, subRow, subCol int)
 
 // costL prices the horizontal-first L from (x1,y1) to (x2,y2) against
 // the demand map without claiming it. When the caller has a previous
@@ -133,6 +164,9 @@ func (r *router) edgeCost(e int) float64 { return r.congCost(r.demand[e]) }
 // coincide because the pair's endpoints do); pass -1/-1 to price
 // as-is. The vertical-first L is the same call with endpoints swapped.
 func (r *router) costL(x1, y1, x2, y2, subRow, subCol int) float64 {
+	if pricedHook != nil {
+		pricedHook(r, x1, y1, x2, y2, subRow, subCol)
+	}
 	var cost float64
 	ownRow := y1 == subRow
 	for x := min(x1, x2); x < max(x1, x2); x++ {
@@ -154,9 +188,10 @@ func (r *router) costL(x1, y1, x2, y2, subRow, subCol int) float64 {
 }
 
 // stampL claims one track along the horizontal-first L from (x1,y1) to
-// (x2,y2) without pricing it (routeSeg prices and claims in one walk,
-// which wastes the exp() calls when the cost is already known).
-// delta is +1 to claim, -1 to rip up.
+// (x2,y2) without pricing it. delta is +1 to claim, -1 to rip up. The
+// vertical-first L is the same primitive called with the endpoints
+// reversed: its edge set matches the backward traversal of the
+// horizontal-first route.
 func (r *router) stampL(x1, y1, x2, y2 int, delta float64) {
 	for x := min(x1, x2); x < max(x1, x2); x++ {
 		r.demand[r.hIdx(x, y1)] += delta
@@ -164,29 +199,6 @@ func (r *router) stampL(x1, y1, x2, y2 int, delta float64) {
 	for y := min(y1, y2); y < max(y1, y2); y++ {
 		r.demand[r.vIdx(x2, y)] += delta
 	}
-}
-
-// routeSeg prices (and with commit, claims) the horizontal-first L from
-// (x1,y1) to (x2,y2). The vertical-first L is the same primitive called
-// with the endpoints reversed: its edge set matches the backward
-// traversal of the horizontal-first route.
-func (r *router) routeSeg(x1, y1, x2, y2 int, commit bool) float64 {
-	var cost float64
-	for x := min(x1, x2); x < max(x1, x2); x++ {
-		e := r.hIdx(x, y1)
-		cost += r.edgeCost(e)
-		if commit {
-			r.demand[e]++
-		}
-	}
-	for y := min(y1, y2); y < max(y1, y2); y++ {
-		e := r.vIdx(x2, y)
-		cost += r.edgeCost(e)
-		if commit {
-			r.demand[e]++
-		}
-	}
-	return cost
 }
 
 // routeNet routes every sink of one net, accumulating wirelength into
@@ -205,12 +217,12 @@ func (r *router) routeNet(netID int, rng *rand.Rand, wl *float64) {
 		}
 		// Two L-shapes: horizontal-first vs vertical-first;
 		// take the cheaper, breaking ties randomly.
-		c1 := r.routeSeg(sx, sy, tx, ty, false) // H then V
-		c2 := r.routeSeg(tx, ty, sx, sy, false) // V then H
+		c1 := r.costL(sx, sy, tx, ty, -1, -1) // H then V
+		c2 := r.costL(tx, ty, sx, sy, -1, -1) // V then H
 		if c1 < c2 || (c1 == c2 && rng.Float64() < 0.5) {
-			r.routeSeg(sx, sy, tx, ty, true)
+			r.stampL(sx, sy, tx, ty, +1)
 		} else {
-			r.routeSeg(tx, ty, sx, sy, true)
+			r.stampL(tx, ty, sx, sy, +1)
 		}
 		*wl += (math.Abs(float64(sx-tx)) + math.Abs(float64(sy-ty))) * r.w / float64(r.dim)
 	}

@@ -3,6 +3,7 @@ package route
 import (
 	"math"
 	"math/rand"
+	"runtime"
 
 	"repro/internal/netlist"
 	"repro/internal/num"
@@ -89,12 +90,14 @@ func globalRouteSharded(n *netlist.Netlist, opts GlobalOptions) *GlobalResult {
 
 	workers := opts.Workers
 	if workers <= 0 {
-		workers = numTiles
+		// More crew than processors only adds pollers; results are
+		// worker-invariant, so the clamp changes no output.
+		workers = min(numTiles, runtime.GOMAXPROCS(0))
 	}
 	gang := sched.NewGang(workers)
 	defer gang.Close()
 
-	// Phase 1: every region in flight at once, demand writes disjoint
+	// Phase 1: regions routed concurrently, demand writes disjoint
 	// by construction.
 	partial := make([]float64, numTiles)
 	gang.Round(numTiles, func(lo, hi int) {

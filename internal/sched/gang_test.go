@@ -1,6 +1,10 @@
 package sched
 
 import (
+	"os"
+	"os/exec"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -74,5 +78,36 @@ func TestGangClampsWorkers(t *testing.T) {
 	})
 	if !ran {
 		t.Fatal("single-worker gang should run the whole range inline")
+	}
+}
+
+// TestGangRoundsOnOneProcessor: with a single P, a wait that only spins
+// starves the goroutine it waits for and ends only when the runtime
+// preempts it. The rounds run in a child process with asynchronous
+// preemption switched off, where such a wait never ends; every Gang wait
+// blocks after a bounded spin, so the child finishes.
+func TestGangRoundsOnOneProcessor(t *testing.T) {
+	const noPreempt = "asyncpreemptoff=1"
+	if !strings.Contains(os.Getenv("GODEBUG"), noPreempt) {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestGangRoundsOnOneProcessor$", "-test.timeout=2m")
+		cmd.Env = append(os.Environ(), "GODEBUG="+noPreempt)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("rounds on one processor without preemption: %v\n%s", err, out)
+		}
+		return
+	}
+	runtime.GOMAXPROCS(1)
+	g := NewGang(4)
+	defer g.Close()
+	const rounds = 300
+	var total atomic.Int64
+	for round := 0; round < rounds; round++ {
+		g.Round(64, func(lo, hi int) {
+			total.Add(int64(hi - lo))
+			runtime.Gosched() // hand the P to a worker mid-round
+		})
+	}
+	if got := total.Load(); got != rounds*64 {
+		t.Fatalf("%d rounds of 64 indices covered %d, want %d", rounds, got, rounds*64)
 	}
 }

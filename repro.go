@@ -114,7 +114,7 @@ var (
 
 // SetKernelParallel selects the parallel physical-design kernels for
 // experiment substrate construction: placeWorkers > 0 turns on the
-// speculative parallel annealer, routeTiles > 1 the region-sharded
+// territory-parallel annealer, routeTiles > 1 the region-sharded
 // global router. Zeroes keep the historical serial kernels (and the
 // historical corpus journal keys). Unlike SetWorkers this changes
 // results — the parallel kernels produce different, equally valid
