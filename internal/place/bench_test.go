@@ -24,16 +24,17 @@ func benchmarkPlace(b *testing.B, workers int) {
 	n := benchNetlist()
 	opts := Options{Seed: 7, Moves: 30 * n.NumCells(), Workers: workers}
 	var res Result
-	var boundDecided int
+	var pinsScanned int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, boundDecided = placeTally(n, opts)
+		res, pinsScanned = placeTally(n, opts)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(res.MovesTried)*float64(b.N)/b.Elapsed().Seconds(), "moves/s")
-	// Share of tried proposals the lower bound rejected without a pin scan.
-	b.ReportMetric(float64(boundDecided)/float64(res.MovesTried), "bound_decided/move")
+	// Pin positions read per tried proposal: only commits (and the territory
+	// engine's per-epoch rescan) visit pins, evaluating a move never does.
+	b.ReportMetric(float64(pinsScanned)/float64(res.MovesTried), "pins_scanned/move")
 	// QoR metrics for the check.sh gate.
 	b.ReportMetric(res.HPWLUm, "hpwl")
 	b.ReportMetric(float64(res.MovesAccepted), "accepted")

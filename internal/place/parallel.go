@@ -33,8 +33,8 @@ const (
 
 // laneEval is one crew member's private evaluator. Its placer shares n,
 // inc, pins and — through its own grid header — slotOf and instAt with
-// the master, and owns pos, box, the scratch and the counters; only the
-// kernel methods (quickDelta, accepts, commitEvaluated) are used on it.
+// the master, and owns pos, ext, span and the counters; only the kernel
+// methods (delta, commit) are used on it.
 type laneEval struct {
 	placer
 	insts []int32 // the instances of the territory being annealed
@@ -42,14 +42,14 @@ type laneEval struct {
 
 // annealTerritory is the parallel engine (Workers > 0): every epoch cuts
 // the slot grid into disjoint territories and anneals each as a lane —
-// the serial kernel, bound-first test included, on the lane's own random
-// stream, proposing only the territory's instances into the territory's
-// slots. Lanes share slotOf and instAt, each reading and writing only the
-// entries of its territory, and run on a private copy of pos and box
-// taken at the epoch start: pins of foreign instances are read where the
-// epoch began, which bounds their staleness by one epoch of moves inside
-// one territory. After the barrier every lane has published the
-// positions of its instances and all boxes are rescanned on the crew.
+// the serial kernel on the lane's own random stream, proposing only the
+// territory's instances into the territory's slots. Lanes share slotOf and
+// instAt, each reading and writing only the entries of its territory, and
+// run on a private copy of pos, ext and span taken at the epoch start:
+// pins of foreign instances are read where the epoch began, which bounds
+// their staleness by one epoch of moves inside one territory. After the
+// barrier every lane has published the positions of its instances and all
+// nets are rescanned on the crew.
 // No proposal is evaluated twice or discarded and nothing commits
 // serially, so the outcome is a pure function of (Seed, Moves): identical
 // at every Workers >= 1 and GOMAXPROCS.
@@ -81,7 +81,7 @@ func (p *placer) annealTerritory(rng *rand.Rand) {
 		g := *p.g
 		g.pos = make([]lattice, numCells)
 		crew[i] = &laneEval{
-			placer: placer{n: p.n, g: &g, inc: p.inc, pins: p.pins, box: make([]netBox, len(p.box)), eval: newMoveScratch(len(p.box))},
+			placer: placer{n: p.n, g: &g, inc: p.inc, pins: p.pins, ext: make([]netExt, len(p.ext)), span: make([]float64, len(p.span))},
 			insts:  make([]int32, 0, numCells),
 		}
 		free <- crew[i]
@@ -121,19 +121,20 @@ func (p *placer) annealTerritory(rng *rand.Rand) {
 			free <- le
 		})
 		p.g.pos, next = next, p.g.pos
-		gang.Round(len(p.box), func(lo, hi int) {
+		gang.Round(len(p.ext), func(lo, hi int) {
 			for nid := lo; nid < hi; nid++ {
-				p.box[nid] = p.scanBox(nid, -1, lattice{})
+				p.rescan(int32(nid))
 			}
 		})
+		p.pinsScanned += len(p.pins.Inst)
 		accepted := p.res.MovesAccepted
 		for _, le := range crew {
 			p.res.MovesTried += le.res.MovesTried
 			p.res.MovesAccepted += le.res.MovesAccepted
 			p.res.MovesResampled += le.res.MovesResampled
 			p.res.RuntimeProxy += le.res.RuntimeProxy
-			p.boundDecided += le.boundDecided
-			le.res, le.boundDecided = Result{}, 0
+			p.pinsScanned += le.pinsScanned
+			le.res, le.pinsScanned = Result{}, 0
 		}
 		sp.SetInt("lanes", int64(L))
 		sp.SetInt("moves", int64(b))
@@ -144,13 +145,14 @@ func (p *placer) annealTerritory(rng *rand.Rand) {
 }
 
 // runLane anneals territory p.terr[lane] for the given number of moves on
-// le, from the master's epoch-start pos and box, and publishes where the
-// territory's instances ended up into next. It writes slotOf/instAt
+// le, from the master's epoch-start pos, ext and span, and publishes where
+// the territory's instances ended up into next. It writes slotOf/instAt
 // entries of its territory only, and next entries of its instances only.
 func (p *placer) runLane(le *laneEval, lane int, rng *rand.Rand, moves int, temp, cool float64, next []lattice) {
 	g, slots := le.g, p.terr[lane]
 	copy(g.pos, p.g.pos)
-	copy(le.box, p.box)
+	copy(le.ext, p.ext)
+	copy(le.span, p.span)
 	insts := le.insts[:0]
 	for _, s := range slots {
 		if inst := g.instAt[s]; inst >= 0 {
@@ -178,10 +180,10 @@ func (p *placer) runLane(le *laneEval, lane int, rng *rand.Rand, moves int, temp
 			continue
 		}
 		le.res.MovesTried++
-		d, cost, bounded := le.quickDelta(inst, slot, &le.eval)
+		d, cost := le.delta(inst, slot)
 		le.res.RuntimeProxy += cost
-		if le.accepts(rng, inst, slot, d, bounded, temp) {
-			le.commitEvaluated(inst, slot)
+		if accepts(rng, d, temp) {
+			le.commit(inst, slot)
 			le.res.MovesAccepted++
 		}
 	}

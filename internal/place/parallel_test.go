@@ -31,7 +31,7 @@ func sameCoords(a, b []float64) bool {
 var mid3k = netlist.Spec{Name: "mid3k", Seed: 1, NumComb: 2700, NumFFs: 300, Levels: 14, Locality: 0.7, NumPIs: 40, ClockPeriodPs: 1400}
 
 // placeOutcome is everything an anneal produces: the Result, the private
-// bound tally, the placement and the netlist fingerprint.
+// pin tally, the placement and the netlist fingerprint.
 type placeOutcome struct {
 	res    Result
 	tally  int
@@ -80,7 +80,7 @@ func TestParallelPlaceWorkerInvariant(t *testing.T) {
 			for _, w := range []int{2, 4, 8} {
 				opts.Workers = w
 				if got := placeOutcomeOf(tc.spec, opts); !got.equal(ref) {
-					t.Fatalf("workers=%d diverged from workers=1:\n ref %+v / %d bound-decided\n got %+v / %d",
+					t.Fatalf("workers=%d diverged from workers=1:\n ref %+v / %d pins scanned\n got %+v / %d",
 						w, ref.res, ref.tally, got.res, got.tally)
 				}
 			}

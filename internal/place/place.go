@@ -16,28 +16,24 @@
 //     kernel in each of them side by side, producing results that depend
 //     only on Seed/Moves — never on Workers or scheduling.
 //
-// The evaluator itself is built on flat state that lives on the slot
-// lattice: a {col,row} record per instance, one 16-byte integer bounding
-// box per net maintained incrementally, and per-column / per-row
-// coordinate tables that turn a box into micrometres only when its span
-// is summed. CSR incidence (netlist.Incidence / netlist.NetPins) replaces
-// nested slices and stamp arrays replace per-move map allocation. See
-// DESIGN.md "Move evaluator" for why this is bit-identical to min/max
-// over float coordinates.
-//
-// In front of the exact evaluator sits a certified lower bound on a
-// move's delta, computed from the cached boxes alone (boundDelta). Most
-// proposals are uphill rejections, and for about three in four the bound
-// and the acceptance coin already prove the rejection: no pin is visited
-// and no exponential taken. Everything else falls through to the exact
-// evaluator with the coin already drawn, so the random stream, every
-// decision and every Result field are those of the exact test alone.
+// The evaluator is built on flat state that lives on the slot lattice: a
+// {col,row} record per instance, and per net a 16-byte record of the two
+// smallest and two largest pin coordinates on each axis (netExt) plus its
+// cached span in um. With the second extremes at hand the box of a net
+// after one of its instances moves is known exactly without visiting a
+// pin, so a proposal costs a few loads per affected net whatever the
+// net's size; only a committed move rescans the nets it touched.
+// Per-column / per-row coordinate tables turn a box into micrometres only
+// when its span is summed. See DESIGN.md "Move evaluator" for why this is
+// bit-identical to min/max over float coordinates.
 package place
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/netlist"
 	"repro/internal/num"
@@ -107,9 +103,24 @@ type Result struct {
 // lattice is a slot's column and row.
 type lattice struct{ c, r int32 }
 
-// netBox is a net's bounding box on the lattice. The zero box is the
-// box of a pinless net (span 0).
-type netBox struct{ minC, maxC, minR, maxR int32 }
+// netExt is a net's first and second extremes on each lattice axis, over
+// the positions of its distinct instances taken as a multiset: lo1 <= lo2
+// are the two smallest, hi2 <= hi1 the two largest (two instances in one
+// column give cLo2 == cLo1). Its bounding box is [lo1, hi1]. A net with one
+// instance has no second extreme: lo2 and hi2 hold noLo2 and noHi2, which
+// lose every min and max against a real coordinate. The zero record is
+// that of a pinless net (span 0).
+type netExt struct {
+	cLo1, cLo2, cHi2, cHi1 int16
+	rLo1, rLo2, rHi2, rHi1 int16
+}
+
+const (
+	noLo2 = math.MaxInt16
+	noHi2 = -1
+	// maxLattice is the largest column or row count a netExt can index.
+	maxLattice = math.MaxInt16
+)
 
 // grid is the slot structure used during annealing.
 type grid struct {
@@ -131,67 +142,33 @@ func (g *grid) coords(slot int) (x, y float64) {
 	return g.colX[slot%g.cols], g.rowY[slot/g.cols]
 }
 
-// span is the half-perimeter of a lattice box in um.
-func (g *grid) span(b netBox) float64 {
-	return (g.colX[b.maxC] - g.colX[b.minC]) + (g.rowY[b.maxR] - g.rowY[b.minR])
+// span is the half-perimeter of a net's bounding box in um.
+func (g *grid) span(e netExt) float64 {
+	return (g.colX[e.cHi1] - g.colX[e.cLo1]) + (g.rowY[e.rHi1] - g.rowY[e.rLo1])
 }
 
-// moveScratch collects the nets a swap touches — a stamp array dedupes
-// them without allocating — and classifies each: bit 1 = the moving
-// instance pins it, bit 2 = the displaced occupant pins it. Each
-// evaluator owns its own scratch. after is evalDelta's by-product: the
-// box of each affected net once the swap is made.
-type moveScratch struct {
-	stamp    []int32 // net -> gen of the last swap whose moving instance pins it
-	gen      int32
-	affected []int32
-	flags    []uint8
-	after    []netBox
+// movedSpan is the span in um of a net with record e once the one instance
+// pinning it at f has moved to t — exact, and no pin is visited. Per axis
+// the other instances span [f == lo1 ? lo2 : lo1, f == hi1 ? hi2 : hi1]
+// (the extremes are a multiset, so a second instance on f's coordinate
+// keeps the edge where it is) and t is merged into that; the result is the
+// expression span evaluates on the new box.
+func (g *grid) movedSpan(e netExt, f, t lattice) float64 {
+	pc, qc := movedExtent(int32(e.cLo1), int32(e.cLo2), int32(e.cHi2), int32(e.cHi1), f.c, t.c)
+	pr, qr := movedExtent(int32(e.rLo1), int32(e.rLo2), int32(e.rHi2), int32(e.rHi1), f.r, t.r)
+	return (g.colX[qc] - g.colX[pc]) + (g.rowY[qr] - g.rowY[pr])
 }
 
-func newMoveScratch(numNets int) moveScratch {
-	return moveScratch{
-		stamp:    make([]int32, numNets),
-		affected: make([]int32, 0, 16),
-		flags:    make([]uint8, 0, 16),
-		after:    make([]netBox, 0, 16),
-	}
-}
-
-// collect lists the nets of inst, then those of other (-1 or inst: none)
-// not already listed, with their flags. Incidence lists are deduplicated,
-// so only other's nets need the stamp test.
-func (sc *moveScratch) collect(inc netlist.Incidence, inst, other int) ([]int32, []uint8) {
-	sc.gen++
-	if sc.gen == math.MaxInt32 {
-		for i := range sc.stamp {
-			sc.stamp[i] = 0
-		}
-		sc.gen = 1
-	}
-	aff, flags := sc.affected[:0], sc.flags[:0]
-	for _, nid := range inc.Of(inst) {
-		sc.stamp[nid] = sc.gen
-		aff = append(aff, nid)
-		flags = append(flags, 1)
-	}
-	if other >= 0 && other != inst {
-		for _, nid := range inc.Of(other) {
-			if sc.stamp[nid] == sc.gen { // shared nets are rare: find it
-				for k := range aff {
-					if aff[k] == nid {
-						flags[k] |= 2
-						break
-					}
-				}
-				continue
-			}
-			aff = append(aff, nid)
-			flags = append(flags, 2)
-		}
-	}
-	sc.affected, sc.flags = aff, flags
-	return aff, flags
+// movedExtent is movedSpan on one axis, as lattice indices p <= q. Written
+// as sign-mask arithmetic on purpose: there is no loop here and a handful
+// of live values per axis, and the if/min/max spelling compiles to
+// data-dependent jumps on what is a coin flip for a 2-4-pin net. See
+// DESIGN.md "Move evaluator".
+func movedExtent(lo1, lo2, hi2, hi1, f, t int32) (p, q int32) {
+	p = lo1 + (lo2-lo1)&(((f^lo1)-1)>>31) // f == lo1 ? lo2 : lo1
+	q = hi1 + (hi2-hi1)&(((f^hi1)-1)>>31) // f == hi1 ? hi2 : hi1
+	x, y := p-t, q-t
+	return t + x&(x>>31), q - y&(y>>31) // min(p,t), max(q,t)
 }
 
 // placer is the annealing state. The serial engine drives one; the
@@ -204,12 +181,17 @@ type placer struct {
 	w, h float64
 	res  Result
 
-	inc  netlist.Incidence
+	inc netlist.Incidence
+	// pins lists each net's distinct instances: an instance pinning a net
+	// twice moves both pins at once, so second extremes over pins would
+	// call its own other pin the runner-up. Clock nets, which the cost
+	// ignores, have empty lists.
 	pins netlist.NetPins
 
-	// Cached per-net lattice boxes: the "before" cost of a move is one
-	// record read instead of a rescan of every pin.
-	box []netBox
+	// Cached per net: the extreme record and the span of its box, so the
+	// "before" cost of a move is one load and the "after" cost needs no pin.
+	ext  []netExt
+	span []float64
 
 	part        []int // inst -> region, set by assignPartitions
 	partitioned bool
@@ -217,11 +199,10 @@ type placer struct {
 	coarseProxy int
 	terr        [][]int32 // territory engine: the current epoch's lanes
 
-	eval moveScratch
-
-	// boundDecided counts the tried proposals rejected on the bound alone.
-	// Kept out of Result, which is journaled and golden-pinned.
-	boundDecided int
+	// pinsScanned counts the pin positions read to keep ext current (commits
+	// and the territory engine's per-epoch rescan). Kept out of Result, which
+	// is journaled and golden-pinned.
+	pinsScanned int
 
 	ctx     context.Context
 	aborted bool
@@ -276,18 +257,52 @@ func newPlacer(ctx context.Context, n *netlist.Netlist, opts Options) (*placer, 
 	p.g = buildGrid(n, w, h, rng)
 	p.res = Result{Width: w, Height: h}
 
-	p.inc = n.BuildIncidence()
-	p.pins = n.BuildNetPins()
-	numNets := len(n.Nets)
-	p.box = make([]netBox, numNets)
-	p.eval = newMoveScratch(numNets)
-
 	applyCoords(n, p.g)
 	p.res.InitialHPWLUm = n.TotalHPWL()
-	for nid := range p.box {
-		p.box[nid] = p.scanBox(nid, -1, lattice{})
-	}
+	p.initNets()
 	return p, rng
+}
+
+// initNets builds the per-net evaluator state for the grid's placement.
+func (p *placer) initNets() {
+	numNets := len(p.n.Nets)
+	p.inc = p.n.BuildIncidence()
+	p.pins = netInstances(p.inc, numNets)
+	p.ext = make([]netExt, numNets)
+	p.span = make([]float64, numNets)
+	for nid := range p.ext {
+		p.rescan(int32(nid))
+	}
+}
+
+// checkLattice refuses a grid whose columns or rows a netExt cannot index.
+func checkLattice(cols, rows int) error {
+	if cols > maxLattice || rows > maxLattice {
+		return fmt.Errorf("place: %d x %d slot grid exceeds %d columns or rows", cols, rows, maxLattice)
+	}
+	return nil
+}
+
+// netInstances transposes inc: for each net the distinct instances that
+// pin it, in ascending order.
+func netInstances(inc netlist.Incidence, numNets int) netlist.NetPins {
+	// off[nid+2] counts, then off[nid+1] is net nid's fill cursor, which
+	// ends where net nid+1 starts.
+	off := make([]int32, numNets+2)
+	for _, nid := range inc.Nets {
+		off[nid+2]++
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	insts := make([]int32, len(inc.Nets))
+	for inst := 0; inst+1 < len(inc.Off); inst++ {
+		for _, nid := range inc.Of(inst) {
+			insts[off[nid+1]] = int32(inst)
+			off[nid+1]++
+		}
+	}
+	return netlist.NetPins{Off: off[:numNets+1], Inst: insts}
 }
 
 // anneal runs the engine Options.Workers selects. A netlist without
@@ -342,10 +357,10 @@ func (p *placer) annealSerial(rng *rand.Rand) {
 			}
 		}
 		p.res.MovesTried++
-		d, cost, bounded := p.quickDelta(inst, slot, &p.eval)
+		d, cost := p.delta(inst, slot)
 		p.res.RuntimeProxy += cost
-		if p.accepts(rng, inst, slot, d, bounded, temp) {
-			p.commitEvaluated(inst, slot)
+		if accepts(rng, d, temp) {
+			p.commit(inst, slot)
 			p.res.MovesAccepted++
 		}
 		temp *= cool
@@ -362,7 +377,7 @@ func (p *placer) schedule(rng *rand.Rand) (temp, cool float64) {
 		for i := 0; i < samples; i++ {
 			inst := rng.Intn(p.n.NumCells())
 			slot := rng.Intn(len(p.g.instAt))
-			d, cost := p.evalDelta(inst, slot, &p.eval)
+			d, cost := p.delta(inst, slot)
 			p.res.RuntimeProxy += cost
 			sum += math.Abs(d)
 		}
@@ -404,195 +419,107 @@ func (p *placer) regionOfSlot(slot int) int {
 	return py*p.opts.Partitions + px
 }
 
-// quickDelta is what either engine knows about a proposal before its
-// acceptance coin is drawn: the certified lower bound of boundDelta when
-// that is positive (bounded = true; the exact delta is then positive too),
-// the exact evalDelta otherwise. cost is the runtime-proxy cost either way.
-func (p *placer) quickDelta(inst, slot int, sc *moveScratch) (d float64, cost int, bounded bool) {
-	if lb, cost, ok := p.boundDelta(inst, slot); ok && lb > 0 {
-		return lb, cost, true
-	}
-	d, cost = p.evalDelta(inst, slot, sc)
-	return d, cost, false
-}
-
-// accepts is the Metropolis test of both engines on quickDelta's answer,
-// with the draws and the outcome of
-//
-//	delta <= 0 || rng.Float64() < math.Exp(-delta/temp)
-//
-// on the exact delta. A bounded proposal has delta >= d > 0, so the coin u
-// is drawn either way; with x = d/temp, 1 + x + x²/2 + x³/6 < e^x <=
-// e^(delta/temp), so u times that polynomial above 1 (plus a margin far
-// wider than math.Exp's rounding) proves u > exp(-delta/temp): rejected
-// without evaluating delta or exp. u == 0 makes the product 0 or NaN and
-// x = +Inf makes it +Inf, both on the right side. A coin the bound cannot
-// decide is compared against the exact delta, evaluated here with p.eval.
-func (p *placer) accepts(rng *rand.Rand, inst, slot int, d float64, bounded bool, temp float64) bool {
-	if !bounded {
-		return d <= 0 || rng.Float64() < math.Exp(-d/temp)
-	}
-	u := rng.Float64()
-	x := d / temp
-	if u*(1+x*(1+x*(0.5+x*(1.0/6)))) > 1+1e-6 {
-		p.boundDecided++
-		return false
-	}
-	delta, _ := p.evalDelta(inst, slot, &p.eval)
-	return u < math.Exp(-delta/temp)
-}
-
-// boundDelta returns a certified lower bound lb <= evalDelta(inst, slot)
-// and evalDelta's cost, reading only the incidence lists, the cached
-// boxes and the two endpoint positions — no pin is visited. ok is false
-// when the displaced occupant shares a net with inst (that net keeps its
-// position multiset, which the per-net bound cannot see; rare, and the
-// exact evaluator handles it). slot must not be inst's own.
-//
-// The float sums of the bound and of evalDelta run over different terms,
-// so lb is pushed down by a relative and an absolute margin orders of
-// magnitude above any rounding of a sum of a few dozen spans.
-func (p *placer) boundDelta(inst, slot int) (lb float64, cost int, ok bool) {
+// delta is the HPWL change of swapping inst into slot (with whatever
+// occupies it), exactly, without visiting a pin or mutating anything. Per
+// affected net — inst's, then the occupant's not shared with inst —
+// "before" is the cached span and "after" the movedSpan of the one endpoint
+// that pins it; a net pinned by both endpoints keeps its position multiset,
+// hence its span. The second result is the historical runtime-proxy cost
+// of an evaluation (2 passes over the affected nets).
+func (p *placer) delta(inst, slot int) (d float64, cost int) {
 	g := p.g
 	other := g.instAt[slot]
 	from, to := g.pos[inst], g.latticeOf(slot)
 	mine := p.inc.Of(inst)
+	var theirs []int32
+	if other >= 0 && other != inst {
+		theirs = p.inc.Of(other)
+	}
+	// Incidence lists hold a handful of nets and shared ones are rare:
+	// count them first so the sums below test membership only when needed.
+	shared := 0
+	for _, nid := range theirs {
+		if slices.Contains(mine, nid) {
+			shared++
+		}
+	}
 	var before, after float64
 	for _, nid := range mine {
-		b := p.box[nid]
-		before += g.span(b)
-		after += g.lbSpan(b, from, to)
-	}
-	nets := len(mine)
-	if other >= 0 {
-		theirs := p.inc.Of(other)
-		for _, nid := range theirs {
-			for _, m := range mine {
-				if m == nid {
-					return 0, 0, false
-				}
-			}
-			b := p.box[nid]
-			before += g.span(b)
-			after += g.lbSpan(b, to, from)
+		s := p.span[nid]
+		before += s
+		if shared > 0 && slices.Contains(theirs, nid) {
+			after += s
+		} else {
+			after += g.movedSpan(p.ext[nid], from, to)
 		}
-		nets += len(theirs)
 	}
-	return (after - before) - 1e-9*(after+before) - 1e-9, 2 * nets, true
-}
-
-// lbSpan is a lower bound, in um, on the span of a net with cached box b
-// once the one instance pinning it at f has moved to t — exact when the
-// net has two pins. Per axis, with cached extent [lo,hi] and f inside it:
-//
-//   - lo < f < hi: the other pins still span [lo,hi]; the new extent is
-//     exactly [min(lo,t), max(hi,t)].
-//   - f == lo < hi: another instance pins hi (one instance per slot), so
-//     the low edge retreats to hi at most: at least [min(hi,t), max(hi,t)].
-//     Symmetrically for f == hi.
-//   - lo == hi on both axes: a single lattice point holds one instance,
-//     so every pin of the net moves with it and the span stays 0. The
-//     indices are masked to 0 rather than branched around.
-//
-// Written as sign-mask arithmetic on purpose: there is no loop here and
-// four live values per axis, and the if/min/max spelling compiles to a
-// dozen data-dependent jumps per net that cost the whole gain. See
-// DESIGN.md "Bound-first accept test".
-func (g *grid) lbSpan(b netBox, f, t lattice) float64 {
-	dc, dr := b.maxC-b.minC, b.maxR-b.minR
-	some := -(dc | dr) >> 31 // 0 for a single-point box, else all ones
-	pc, qc := lbExtent(b.minC, dc, f.c, t.c)
-	pr, qr := lbExtent(b.minR, dr, f.r, t.r)
-	return (g.colX[qc&some] - g.colX[pc&some]) + (g.rowY[qr&some] - g.rowY[pr&some])
-}
-
-// lbExtent is lbSpan on one axis: the extent [lo, lo+d] with the pin at
-// f moved to t, as lattice indices p <= q.
-func lbExtent(lo, d, f, t int32) (p, q int32) {
-	p = lo + d&^((lo-f)>>31)  // f > lo ? lo : hi
-	q = lo + d&((f-lo-d)>>31) // f < hi ? hi : lo
-	x, y := p-t, q-t
-	return t + x&(x>>31), q - y&(y>>31) // min(p,t), max(q,t)
-}
-
-// evalDelta computes the HPWL change of swapping inst into slot (with
-// whatever occupies it) without mutating any shared state. Per affected
-// net, in collect order: "before" is the span of the cached box, "after"
-// the span of the box with the one endpoint that pins the net virtually
-// moved; a net pinned by both endpoints keeps its position set, hence its
-// box. Safe to call concurrently with distinct scratches. The second
-// result is the historical runtime-proxy cost of the evaluation (2 passes
-// over affected nets). The "after" boxes stay in sc.after, parallel to
-// sc.affected, for commitEvaluated.
-func (p *placer) evalDelta(inst, slot int, sc *moveScratch) (delta float64, cost int) {
-	g := p.g
-	other := g.instAt[slot]
-	from, to := g.pos[inst], g.latticeOf(slot)
-	aff, flags := sc.collect(p.inc, inst, other)
-	boxes := sc.after[:0]
-	var before, after float64
-	for k, nid := range aff {
-		b := p.box[nid]
-		before += g.span(b)
-		switch flags[k] {
-		case 1:
-			b = p.movedBox(int(nid), int32(inst), from, to)
-		case 2:
-			b = p.movedBox(int(nid), int32(other), to, from)
+	for _, nid := range theirs {
+		if shared > 0 && slices.Contains(mine, nid) {
+			continue
 		}
-		boxes = append(boxes, b)
-		after += g.span(b)
+		before += p.span[nid]
+		after += g.movedSpan(p.ext[nid], to, from)
 	}
-	sc.after = boxes
-	return after - before, 2 * len(aff)
+	return after - before, 2 * (len(mine) + len(theirs) - shared)
 }
 
-// commitEvaluated commits a proposal whose evalDelta was the last thing
-// p.eval did, on the state being committed to — every move an engine
-// accepts, whether quickDelta or accepts evaluated it: the boxes
-// evalDelta derived are stored, not derived a second time, and the swap
-// is made.
-func (p *placer) commitEvaluated(inst, slot int) {
-	for k, nid := range p.eval.affected {
-		p.box[nid] = p.eval.after[k]
+// accepts is the Metropolis test of both engines,
+//
+//	d <= 0 || rng.Float64() < math.Exp(-d/temp)
+//
+// with most uphill coins settled before the exponential: for x = d/temp > 0,
+// 1 + x + x²/2 + x³/6 < e^x, so u times that polynomial above 1 (plus a
+// margin far wider than math.Exp's rounding) proves u > exp(-x). u == 0
+// makes the product 0 or NaN and x = +Inf makes it +Inf, both on the
+// right side.
+func accepts(rng *rand.Rand, d, temp float64) bool {
+	if d <= 0 {
+		return true
 	}
+	u := rng.Float64()
+	x := d / temp
+	if u*(1+x*(1+x*(0.5+x*(1.0/6)))) > 1+1e-6 {
+		return false
+	}
+	return u < math.Exp(-x)
+}
+
+// commit makes the swap and rescans the nets of both endpoints. Only a
+// committed move ever reads pin positions.
+func (p *placer) commit(inst, slot int) {
+	other := p.g.instAt[slot]
 	swap(p.g, inst, slot)
-}
-
-// movedBox returns net nid's box once its pin instance who has moved
-// from -> to, reading only the cached box and current positions. If the
-// vacated point is strictly interior, the box over the remaining pins is
-// the cached one and merging the new point is exact; otherwise the box
-// may shrink and the pins are rescanned.
-func (p *placer) movedBox(nid int, who int32, from, to lattice) netBox {
-	b := p.box[nid]
-	if from.c > b.minC && from.c < b.maxC && from.r > b.minR && from.r < b.maxR {
-		return netBox{min(b.minC, to.c), max(b.maxC, to.c), min(b.minR, to.r), max(b.maxR, to.r)}
+	for _, nid := range p.inc.Of(inst) {
+		p.pinsScanned += p.rescan(nid)
 	}
-	return p.scanBox(nid, who, to)
-}
-
-// scanBox computes net nid's box from the current positions, with the
-// pins of instance who (-1: none) taken to be at `at`. The loop body
-// compiles to loads, compares and conditional moves, no data-dependent
-// branch; DESIGN.md "Move evaluator" lists the shapes that did worse.
-func (p *placer) scanBox(nid int, who int32, at lattice) netBox {
-	pins := p.pins.Of(nid)
-	if len(pins) == 0 {
-		return netBox{}
-	}
-	pos := p.g.pos
-	minC, minR := int32(math.MaxInt32), int32(math.MaxInt32)
-	var maxC, maxR int32
-	for _, pin := range pins {
-		q := pos[pin]
-		if pin == who {
-			q = at
+	if other >= 0 {
+		for _, nid := range p.inc.Of(other) {
+			p.pinsScanned += p.rescan(nid)
 		}
-		minC, maxC = min(minC, q.c), max(maxC, q.c)
-		minR, maxR = min(minR, q.r), max(maxR, q.r)
 	}
-	return netBox{minC, maxC, minR, maxR}
+}
+
+// rescan recomputes net nid's extremes and span from the current positions
+// and returns the number of positions read. The loop body is loads, compares
+// and conditional moves, no data-dependent branch.
+func (p *placer) rescan(nid int32) int {
+	pins := p.pins.Of(int(nid))
+	var e netExt
+	if len(pins) > 0 {
+		pos := p.g.pos
+		cLo1, cLo2, cHi2, cHi1 := int32(noLo2), int32(noLo2), int32(noHi2), int32(noHi2)
+		rLo1, rLo2, rHi2, rHi1 := cLo1, cLo2, cHi2, cHi1
+		for _, pin := range pins {
+			q := pos[pin]
+			cLo2, cLo1 = min(cLo2, max(cLo1, q.c)), min(cLo1, q.c)
+			cHi2, cHi1 = max(cHi2, min(cHi1, q.c)), max(cHi1, q.c)
+			rLo2, rLo1 = min(rLo2, max(rLo1, q.r)), min(rLo1, q.r)
+			rHi2, rHi1 = max(rHi2, min(rHi1, q.r)), max(rHi1, q.r)
+		}
+		e = netExt{int16(cLo1), int16(cLo2), int16(cHi2), int16(cHi1), int16(rLo1), int16(rLo2), int16(rHi2), int16(rHi1)}
+	}
+	p.ext[nid], p.span[nid] = e, p.g.span(e)
+	return len(pins)
 }
 
 // buildGrid creates the slot grid sized for the die and scatters the
@@ -609,6 +536,9 @@ func buildGrid(n *netlist.Netlist, w, h float64, rng *rand.Rand) *grid {
 	cols := int(math.Ceil(float64(numCells) * 1.3 / float64(rows)))
 	if cols < 1 {
 		cols = 1
+	}
+	if err := checkLattice(cols, rows); err != nil {
+		panic(err)
 	}
 	g := &grid{
 		cols:   cols,

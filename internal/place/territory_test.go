@@ -54,14 +54,7 @@ func scheduleEpochs(numCells, moves int) int {
 // and holds every epoch to checkEpoch, flat, partitioned and resampling.
 func TestTerritoryEpochInvariants(t *testing.T) {
 	for _, spec := range []netlist.Spec{netlist.Tiny(2), netlist.Artificial(9), mid3k} {
-		for _, layout := range []struct {
-			name string
-			opts Options
-		}{
-			{"flat", Options{}},
-			{"p2", Options{Partitions: 2}},
-			{"p2r", Options{Partitions: 2, ResampleCrossRegion: true}},
-		} {
+		for _, layout := range layouts {
 			t.Run(spec.Name+"/"+layout.name, func(t *testing.T) {
 				n := netlist.Generate(lib(), spec)
 				opts := layout.opts

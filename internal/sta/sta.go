@@ -296,7 +296,16 @@ func Analyze(n *netlist.Netlist, cfg Config) *Report {
 		}
 	}
 
-	// Endpoints: flip-flop D pins and externally loaded nets.
+	// Endpoints: flip-flop D pins and externally loaded nets. Sized once:
+	// append-growth was most of what an analysis allocated.
+	seq := n.Sequential()
+	numEnds := len(seq)
+	for i := range n.Nets {
+		if n.Nets[i].ExternalCap > 0 && !n.Nets[i].IsClock {
+			numEnds++
+		}
+	}
+	r.Endpoints = make([]Endpoint, 0, numEnds)
 	var worstEnd Endpoint
 	worstEnd.SlackPs = math.Inf(1)
 	addEndpoint := func(ep Endpoint) {
@@ -310,7 +319,7 @@ func Analyze(n *netlist.Netlist, cfg Config) *Report {
 			r.Violations++
 		}
 	}
-	for _, ff := range n.Sequential() {
+	for _, ff := range seq {
 		dNet := n.FaninNet[ff][0]
 		if dNet < 0 {
 			continue
@@ -333,6 +342,7 @@ func Analyze(n *netlist.Netlist, cfg Config) *Report {
 	}
 
 	if len(r.Endpoints) == 0 {
+		r.Endpoints = nil // as an append-grown report without endpoints was
 		r.WNSPs = n.ClockPeriodPs
 	}
 

@@ -83,18 +83,22 @@ func Run(design *netlist.Netlist, opts Options) Result {
 	// Challenge 2).
 	maxPasses := 6 * opts.Effort
 	staCfg := sta.Config{Engine: sta.Fast}
-	var rep *sta.Report
+	var bufs passBuffers
+	var final *sta.Report // the report of n as it stands, nil once resized
 	for pass := 0; pass < maxPasses; pass++ {
-		rep = sta.Analyze(n, staCfg)
+		final = sta.Analyze(n, staCfg)
 		res.Passes++
-		if rep.WNSPs >= 0 {
+		if final.WNSPs >= 0 {
 			break
 		}
-		if upsizePass(n, rep, opts, rng, &res) == 0 {
+		if bufs.upsizePass(n, final, opts, rng, &res) == 0 {
 			break // saturated: every critical cell at max drive
 		}
+		final = nil
 	}
-	final := sta.Analyze(n, staCfg)
+	if final == nil {
+		final = sta.Analyze(n, staCfg)
+	}
 	res.WNSPs = final.WNSPs
 	res.TNSPs = final.TNSPs
 	res.Met = final.WNSPs >= 0
@@ -131,17 +135,27 @@ func bufferHighFanout(n *netlist.Netlist, opts Options, rng *rand.Rand) int {
 	return added
 }
 
+// passBuffers are upsizePass's working arrays, owned by Run so that the
+// passes of one synthesis share them. The zero value is ready to use.
+type passBuffers struct {
+	seen  []bool // inst -> already a candidate in this pass
+	walk  coneWalker
+	viol  []sta.Endpoint
+	cands []cand
+}
+
 // upsizePass strengthens cells on violating paths. Returns the number of
 // cells changed.
-func upsizePass(n *netlist.Netlist, rep *sta.Report, opts Options, rng *rand.Rand, res *Result) int {
+func (b *passBuffers) upsizePass(n *netlist.Netlist, rep *sta.Report, opts Options, rng *rand.Rand, res *Result) int {
 	eps := rep.WorstEndpoints(len(rep.Endpoints))
 	// Keep only violations; attack a random subset each pass.
-	var viol []sta.Endpoint
+	viol := b.viol[:0]
 	for _, ep := range eps {
 		if ep.SlackPs < 0 {
 			viol = append(viol, ep)
 		}
 	}
+	b.viol = viol
 	if len(viol) == 0 {
 		return 0
 	}
@@ -154,11 +168,14 @@ func upsizePass(n *netlist.Netlist, rep *sta.Report, opts Options, rng *rand.Ran
 
 	// Collect candidate instances: drivers along each violating
 	// endpoint's fan-in cone, weighted toward high-load drivers.
-	seen := make([]bool, len(n.Insts))
-	walk := coneWalker{visited: make([]int32, len(n.Insts))}
-	var cands []cand
+	if len(b.seen) != len(n.Insts) {
+		b.seen = make([]bool, len(n.Insts))
+		b.walk = coneWalker{visited: make([]int32, len(n.Insts))}
+	}
+	seen, cands := b.seen, b.cands[:0]
+	clear(seen)
 	for _, ep := range viol {
-		for _, id := range walk.faninCone(n, ep.Net, 6) {
+		for _, id := range b.walk.faninCone(n, ep.Net, 6) {
 			if seen[id] {
 				continue
 			}
@@ -182,6 +199,7 @@ func upsizePass(n *netlist.Netlist, rep *sta.Report, opts Options, rng *rand.Ran
 			cands = append(cands, cand{inst: id, score: gain / dArea * (0.8 + 0.4*rng.Float64())})
 		}
 	}
+	b.cands = cands
 	sortCands(cands)
 	changed := 0
 	budget := len(cands)/3 + 1
@@ -224,7 +242,7 @@ func sortCands(cands []cand) {
 	})
 }
 
-// coneWalker holds faninCone's state across the endpoints of one pass:
+// coneWalker holds faninCone's state across the endpoints of every pass:
 // a generation-stamped visited array instead of a map per cone, and the
 // cone and frontier buffers.
 type coneWalker struct {

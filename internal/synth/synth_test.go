@@ -273,7 +273,7 @@ func TestUpsizePassAllocsIndependentOfEndpoints(t *testing.T) {
 	var res Result
 	allocs := testing.AllocsPerRun(5, func() {
 		n := design.Clone()
-		if upsizePass(n, rep, opts, rng, &res) == 0 {
+		if new(passBuffers).upsizePass(n, rep, opts, rng, &res) == 0 {
 			t.Fatal("pass changed nothing")
 		}
 	})
