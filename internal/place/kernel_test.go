@@ -45,8 +45,17 @@ func freshSpan(g *grid, pins []int) float64 {
 	return (maxX - minX) + (maxY - minY)
 }
 
-// twoExtremes tracks the two smallest and two largest of the values added.
+// twoExtremes tracks the two smallest and two largest of the values added:
+// the scalar specification of one axis of a net record. A missing value is
+// noLo or noHi, which lose every min and max against a coordinate.
 type twoExtremes struct{ lo1, lo2, hi2, hi1 int16 }
+
+const (
+	noLo = math.MaxInt16
+	noHi = -1
+)
+
+var noExtremes = twoExtremes{noLo, noLo, noHi, noHi}
 
 func (e *twoExtremes) add(v int16) {
 	switch {
@@ -63,31 +72,59 @@ func (e *twoExtremes) add(v int16) {
 	}
 }
 
-// freshExt is the reference extreme record and instance count of net nid
-// with the given pins, each instance taken once. stamp has one entry per
-// instance and is shared by the calls of one check.
-func freshExt(g *grid, nid int, pins, stamp []int) (netExt, int) {
-	none := twoExtremes{noLo2, noLo2, noHi2, noHi2}
-	c, r, insts := none, none, 0
+// freshExt is the reference extremes per axis and the instance count of net
+// nid with the given pins, each instance taken once. stamp has one entry
+// per instance and is shared by the calls of one check.
+func freshExt(g *grid, nid int, pins, stamp []int) (c, r twoExtremes, insts int) {
+	c, r = noExtremes, noExtremes
 	for _, inst := range pins {
 		if stamp[inst] == nid+1 {
 			continue
 		}
 		stamp[inst] = nid + 1
 		insts++
-		at := g.latticeOf(g.slotOf[inst])
-		c.add(int16(at.c))
-		r.add(int16(at.r))
+		slot := g.slotOf[inst]
+		c.add(int16(slot % g.cols))
+		r.add(int16(slot / g.cols))
 	}
-	if insts == 0 {
-		return netExt{}, 0
+	return c, r, insts
+}
+
+// word4 assembles a lane word from four lane values.
+func word4(l0, l1, l2, l3 int) uint64 {
+	return uint64(l0) | uint64(l1)<<16 | uint64(l2)<<32 | uint64(l3)<<48
+}
+
+// lanes4 is word4's inverse.
+func lanes4(w uint64) [4]int {
+	return [4]int{int(w & 0xffff), int(w >> 16 & 0xffff), int(w >> 32 & 0xffff), int(w >> 48)}
+}
+
+// posWord is the word of a slot, spelled out.
+func posWord(g *grid, slot int) uint64 {
+	c, r := slot%g.cols, slot/g.cols
+	return word4(c, r, len(g.colX)-1-c, len(g.rowY)-1-r)
+}
+
+// pack builds the record words the scalar extremes stand for: low edges as
+// they are, high edges complemented against the last column and row, a
+// missing value as the 0x7fff sentinel.
+func pack(g *grid, c, r twoExtremes) (a, b uint64) {
+	lo := func(v int16) int { return int(v) } // noLo is the sentinel itself
+	hi := func(last int, v int16) int {
+		if v == noHi {
+			return 0x7fff
+		}
+		return last - int(v)
 	}
-	return netExt{c.lo1, c.lo2, c.hi2, c.hi1, r.lo1, r.lo2, r.hi2, r.hi1}, insts
+	cm, rm := len(g.colX)-1, len(g.rowY)-1
+	return word4(lo(c.lo1), lo(r.lo1), hi(cm, c.hi1), hi(rm, r.hi1)),
+		word4(lo(c.lo2), lo(r.lo2), hi(cm, c.hi2), hi(rm, r.hi2))
 }
 
 // checkKernelState verifies the evaluator's incremental state against a
-// from-scratch rebuild: grid maps are inverse, pos is slotOf decomposed,
-// every cached extreme record equals a fresh scan over the net's distinct
+// from-scratch rebuild: grid maps are inverse, pos is the word of slotOf,
+// every cached record equals the packed fresh scan over the net's distinct
 // instances, and every cached span is bit-equal to the span of that box.
 func checkKernelState(t testing.TB, p *placer) {
 	t.Helper()
@@ -96,8 +133,8 @@ func checkKernelState(t testing.TB, p *placer) {
 		if g.instAt[slot] != inst {
 			t.Fatalf("inst %d: slotOf=%d but instAt[%d]=%d", inst, slot, slot, g.instAt[slot])
 		}
-		if want := g.latticeOf(slot); g.pos[inst] != want {
-			t.Fatalf("inst %d: pos=%v, slot %d decomposes to %v", inst, g.pos[inst], slot, want)
+		if want := posWord(g, slot); g.pos[inst] != want {
+			t.Fatalf("inst %d: pos=%#x, slot %d packs to %#x", inst, g.pos[inst], slot, want)
 		}
 	}
 	occupied := 0
@@ -111,15 +148,21 @@ func checkKernelState(t testing.TB, p *placer) {
 	}
 	stamp := make([]int, len(g.slotOf))
 	var pins []int
-	for nid := range p.ext {
+	for nid, rec := range p.net {
 		pins = appendPins(pins[:0], p.n, nid)
-		want, insts := freshExt(g, nid, pins, stamp)
-		if p.ext[nid] != want || len(p.pins.Of(nid)) != insts {
-			t.Fatalf("net %d: cached extremes %v over %d instances, fresh scan %v over %d", nid, p.ext[nid], len(p.pins.Of(nid)), want, insts)
+		c, r, insts := freshExt(g, nid, pins, stamp)
+		a, b := pack(g, c, r)
+		if rec.a != a || rec.b != b || len(p.pins.Of(nid)) != insts {
+			t.Fatalf("net %d: cached extremes %#x %#x over %d instances, fresh scan %#x %#x (cols %+v rows %+v) over %d",
+				nid, rec.a, rec.b, len(p.pins.Of(nid)), a, b, c, r, insts)
 		}
-		for _, span := range [2]float64{g.span(want), freshSpan(g, pins)} {
-			if math.Float64bits(p.span[nid]) != math.Float64bits(span) {
-				t.Fatalf("net %d: cached span %v, span of its box %v", nid, p.span[nid], span)
+		box := 0.0
+		if insts > 0 {
+			box = (g.colX[c.hi1] - g.colX[c.lo1]) + (g.rowY[r.hi1] - g.rowY[r.lo1])
+		}
+		for _, span := range [2]float64{box, freshSpan(g, pins)} {
+			if math.Float64bits(rec.span) != math.Float64bits(span) {
+				t.Fatalf("net %d: cached span %v, span of its box %v", nid, rec.span, span)
 			}
 		}
 	}
@@ -368,9 +411,16 @@ func (s proposalShapes) note(p *placer, inst, slot int) {
 	met["empty target slot"] = other < 0
 	met["own slot"] = other == inst
 	met["occupant shares a net"] = other >= 0 && other != inst && len(affectedNets(p, inst, other)) < len(p.inc.Of(inst))+len(p.inc.Of(other))
-	at := p.g.pos[inst]
+	at, last := lanes4(p.g.pos[inst]), [2]int{len(p.g.colX) - 1, len(p.g.rowY) - 1}
 	for _, nid := range p.inc.Of(inst) {
-		e, insts := p.ext[nid], len(p.pins.Of(int(nid)))
+		box, insts := lanes4(p.net[nid].a), len(p.pins.Of(int(nid)))
+		// Per axis: the box is one coordinate wide; the mover is on both edges.
+		var flat, both bool
+		for axis := range last {
+			lo, hi := box[axis], last[axis]-box[axis+2]
+			flat = flat || lo == hi
+			both = both || lo == hi && lo == at[axis]
+		}
 		pinsOfInst := 0
 		for _, pin := range appendPins(nil, p.n, int(nid)) {
 			if pin == inst {
@@ -378,12 +428,11 @@ func (s proposalShapes) note(p *placer, inst, slot int) {
 			}
 		}
 		for name, ok := range map[string]bool{
-			"net with one instance":    insts == 1,
-			"net with two instances":   insts == 2,
-			"net in one column or row": insts > 1 && (e.cLo1 == e.cHi1 || e.rLo1 == e.rHi1),
-			"mover on both edges of a net": insts > 1 &&
-				(int32(e.cLo1) == at.c && int32(e.cHi1) == at.c || int32(e.rLo1) == at.r && int32(e.rHi1) == at.r),
-			"mover pins a net twice": pinsOfInst > 1,
+			"net with one instance":        insts == 1,
+			"net with two instances":       insts == 2,
+			"net in one column or row":     insts > 1 && flat,
+			"mover on both edges of a net": insts > 1 && both,
+			"mover pins a net twice":       pinsOfInst > 1,
 		} {
 			met[name] = met[name] || ok
 		}
@@ -586,7 +635,7 @@ func rawPlacer(cols, rows int, slots []int, nets []rawNet) *placer {
 		cols:   cols,
 		slotOf: slices.Clone(slots),
 		instAt: make([]int, cols*rows),
-		pos:    make([]lattice, len(slots)),
+		pos:    make([]uint64, len(slots)),
 		colX:   make([]float64, cols),
 		rowY:   make([]float64, rows),
 	}
@@ -601,7 +650,7 @@ func rawPlacer(cols, rows int, slots []int, nets []rawNet) *placer {
 	}
 	for inst, s := range slots {
 		g.instAt[s] = inst
-		g.pos[inst] = g.latticeOf(s)
+		g.pos[inst] = g.word(s)
 	}
 	p := &placer{n: n, g: g, ctx: context.Background()}
 	p.initNets()
@@ -620,8 +669,9 @@ func TestDoubledBoundaryPin(t *testing.T) {
 	if got := p.pins.Of(0); !slices.Equal(got, []int32{0, 1, 2}) {
 		t.Fatalf("net lists instances %v, want each once", got)
 	}
-	if e := p.ext[0]; e.cLo1 != 0 || e.cLo2 != 3 || e.cHi2 != 3 || e.cHi1 != 5 {
-		t.Fatalf("extremes %+v, want columns 0 3 | 3 5", e)
+	a, b := pack(p.g, twoExtremes{0, 3, 3, 5}, twoExtremes{0, 0, 0, 0})
+	if rec := p.net[0]; rec.a != a || rec.b != b {
+		t.Fatalf("extremes %#x %#x, want columns 0 3 | 3 5 in row 0: %#x %#x", rec.a, rec.b, a, b)
 	}
 	// 0 -> column 4: the box shrinks from [0,5] to [3,5].
 	got, _ := p.delta(0, 4)
@@ -633,8 +683,10 @@ func TestDoubledBoundaryPin(t *testing.T) {
 	checkKernelState(t, p)
 }
 
-// TestLatticeLimit: extreme records are int16, so a grid past 32 767
-// columns or rows is refused before anything is allocated for it.
+// TestLatticeLimit: lanes are 15 bits wide, so a grid past 32 767 columns
+// or rows is refused before anything is allocated for it; on the largest
+// grids it admits, one row and one column, the evaluator still agrees with
+// the reference where lane values reach 0x7ffe.
 func TestLatticeLimit(t *testing.T) {
 	for _, ok := range [][2]int{{1, 1}, {maxLattice, 1}, {1, maxLattice}, {maxLattice, maxLattice}} {
 		if err := checkLattice(ok[0], ok[1]); err != nil {
@@ -644,6 +696,79 @@ func TestLatticeLimit(t *testing.T) {
 	for _, bad := range [][2]int{{maxLattice + 1, 1}, {1, maxLattice + 1}, {1 << 20, 1 << 20}} {
 		if err := checkLattice(bad[0], bad[1]); err == nil || !strings.Contains(err.Error(), "32767") {
 			t.Fatalf("%d x %d: error %v, want a refusal naming the limit", bad[0], bad[1], err)
+		}
+	}
+	const last = maxLattice - 1
+	for _, dim := range [][2]int{{maxLattice, 1}, {1, maxLattice}} {
+		// Instances on both ends, beside them and in the middle; nets over
+		// the ends, over one end and a neighbour, and a one-instance net.
+		p := rawPlacer(dim[0], dim[1], []int{0, last, 1, last - 1, 0x4000}, []rawNet{
+			{pins: []int{0, 1}}, {pins: []int{0, 2, 4}}, {pins: []int{1, 3, 4, 1}}, {pins: []int{4}}, {pins: []int{2, 3}},
+		})
+		checkKernelState(t, p)
+		if a := lanes4(p.net[0].a); max(a[0], a[1]) != 0 || max(a[2], a[3]) != 0 {
+			t.Fatalf("%d x %d: net over both ends has box %v, want every lane 0", dim[0], dim[1], a)
+		}
+		if pos := lanes4(p.g.pos[0]); max(pos[2], pos[3]) != last {
+			t.Fatalf("%d x %d: slot 0 packs to %v, want a lane at %#x", dim[0], dim[1], pos, last)
+		}
+		for _, mv := range [][2]int{{0, last}, {0, 2}, {4, last - 2}, {4, 0}, {1, 0x3fff}, {3, 1}, {2, last}, {0, 0}} {
+			checkDelta(t, p, mv[0], mv[1])
+			p.commit(mv[0], mv[1])
+			checkKernelState(t, p)
+		}
+	}
+}
+
+// laneSpecials are the lane values past the small domain: both sides of
+// bit 14, the largest coordinates, and the sentinel of a missing runner-up.
+var laneSpecials = []int{0x3fff, 0x4000, 0x7ffd, 0x7ffe, 0x7fff}
+
+// TestMovedLanes pins the lane arithmetic to its scalar meaning in every
+// lane: moved is min(f == a ? b : a, t) and merge is (min(a, w), min(b,
+// max(a, w))), over every combination of a small domain and laneSpecials.
+// The four lanes of a case hold four different combinations, so a carry or
+// borrow crossing a lane boundary cannot hide behind equal neighbours.
+func TestMovedLanes(t *testing.T) {
+	vals := append([]int{0, 1, 2, 3, 4, 5}, laneSpecials...)
+	n := len(vals)
+	total := n * n * n * n
+	// combo decodes case i into one lane's (a, b, f, t).
+	combo := func(i int) (a, b, f, t int) {
+		i %= total
+		return vals[i%n], vals[i/n%n], vals[i/n/n%n], vals[i/n/n/n]
+	}
+	// Lane k runs the cases at a stride coprime to total, from its own start.
+	strides, starts := [4]int{1, 7, 29, 101}, [4]int{0, total / 3, total / 2, total - 5}
+	for _, s := range strides {
+		g, r := total, s
+		for r != 0 {
+			g, r = r, g%r
+		}
+		if g != 1 {
+			t.Fatalf("stride %d shares a factor with %d cases: lane misses some", s, total)
+		}
+	}
+	for i := 0; i < total; i++ {
+		var a, b, f, to, w [4]int
+		var wantMoved, wantA, wantB [4]int
+		for k := range a {
+			a[k], b[k], f[k], to[k] = combo(starts[k] + i*strides[k])
+			w[k] = f[k] // merge's third operand
+			first := a[k]
+			if f[k] == a[k] {
+				first = b[k]
+			}
+			wantMoved[k] = min(first, to[k])
+			wantA[k], wantB[k] = min(a[k], w[k]), min(b[k], max(a[k], w[k]))
+		}
+		pk := func(l [4]int) uint64 { return word4(l[0], l[1], l[2], l[3]) }
+		if got := lanes4(moved(pk(a), pk(b), pk(f), pk(to))); got != wantMoved {
+			t.Fatalf("moved(a=%x b=%x f=%x t=%x) = %x, want %x", a, b, f, to, got, wantMoved)
+		}
+		gotA, gotB := merge(pk(a), pk(b), pk(w))
+		if lanes4(gotA) != wantA || lanes4(gotB) != wantB {
+			t.Fatalf("merge(a=%x b=%x w=%x) = %x %x, want %x %x", a, b, w, lanes4(gotA), lanes4(gotB), wantA, wantB)
 		}
 	}
 }

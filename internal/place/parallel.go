@@ -3,6 +3,7 @@ package place
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -33,11 +34,19 @@ const (
 
 // laneEval is one crew member's private evaluator. Its placer shares n,
 // inc, pins and — through its own grid header — slotOf and instAt with
-// the master, and owns pos, ext, span and the counters; only the kernel
-// methods (delta, commit) are used on it.
+// the master, and owns pos, net and the counters; only the kernel methods
+// (delta, commit) are used on it.
 type laneEval struct {
 	placer
-	insts []int32 // the instances of the territory being annealed
+	insts   []int32 // the instances of the territory being annealed
+	touched []bool  // net -> a commit of this epoch moved one of its instances
+}
+
+// touch marks the nets of inst.
+func (le *laneEval) touch(inst int) {
+	for _, nid := range le.inc.Of(inst) {
+		le.touched[nid] = true
+	}
 }
 
 // annealTerritory is the parallel engine (Workers > 0): every epoch cuts
@@ -45,11 +54,12 @@ type laneEval struct {
 // the serial kernel on the lane's own random stream, proposing only the
 // territory's instances into the territory's slots. Lanes share slotOf and
 // instAt, each reading and writing only the entries of its territory, and
-// run on a private copy of pos, ext and span taken at the epoch start:
-// pins of foreign instances are read where the epoch began, which bounds
-// their staleness by one epoch of moves inside one territory. After the
-// barrier every lane has published the positions of its instances and all
-// nets are rescanned on the crew.
+// run on a private copy of pos and net taken at the epoch start: pins of
+// foreign instances are read where the epoch began, which bounds their
+// staleness by one epoch of moves inside one territory. After the barrier
+// every lane has published the positions of its instances and the nets some
+// lane's commit touched are rescanned on the crew; the master's records of
+// the others are still current.
 // No proposal is evaluated twice or discarded and nothing commits
 // serially, so the outcome is a pure function of (Seed, Moves): identical
 // at every Workers >= 1 and GOMAXPROCS.
@@ -79,14 +89,16 @@ func (p *placer) annealTerritory(rng *rand.Rand) {
 	free := make(chan *laneEval, len(crew))
 	for i := range crew {
 		g := *p.g
-		g.pos = make([]lattice, numCells)
+		g.pos = make([]uint64, numCells)
 		crew[i] = &laneEval{
-			placer: placer{n: p.n, g: &g, inc: p.inc, pins: p.pins, ext: make([]netExt, len(p.ext)), span: make([]float64, len(p.span))},
-			insts:  make([]int32, 0, numCells),
+			placer:  placer{n: p.n, g: &g, inc: p.inc, pins: p.pins, net: make([]netRec, len(p.net))},
+			insts:   make([]int32, 0, numCells),
+			touched: make([]bool, len(p.net)),
 		}
 		free <- crew[i]
 	}
-	next := make([]lattice, numCells) // the positions the lanes publish
+	next := make([]uint64, numCells) // the positions the lanes publish
+	var scanned atomic.Int64         // pins read by an epoch's rescan
 
 	for m, epoch := 0, 0; m < moves; epoch++ {
 		if p.ctx.Err() != nil {
@@ -121,12 +133,21 @@ func (p *placer) annealTerritory(rng *rand.Rand) {
 			free <- le
 		})
 		p.g.pos, next = next, p.g.pos
-		gang.Round(len(p.ext), func(lo, hi int) {
+		gang.Round(len(p.net), func(lo, hi int) {
+			pins := 0
 			for nid := lo; nid < hi; nid++ {
-				p.rescan(int32(nid))
+				hit := false
+				for _, le := range crew {
+					hit = hit || le.touched[nid]
+					le.touched[nid] = false
+				}
+				if hit {
+					pins += p.rescan(int32(nid))
+				}
 			}
+			scanned.Add(int64(pins))
 		})
-		p.pinsScanned += len(p.pins.Inst)
+		p.pinsScanned += int(scanned.Swap(0))
 		accepted := p.res.MovesAccepted
 		for _, le := range crew {
 			p.res.MovesTried += le.res.MovesTried
@@ -145,14 +166,13 @@ func (p *placer) annealTerritory(rng *rand.Rand) {
 }
 
 // runLane anneals territory p.terr[lane] for the given number of moves on
-// le, from the master's epoch-start pos, ext and span, and publishes where
-// the territory's instances ended up into next. It writes slotOf/instAt
+// le, from the master's epoch-start pos and net, and publishes where the
+// territory's instances ended up into next. It writes slotOf/instAt
 // entries of its territory only, and next entries of its instances only.
-func (p *placer) runLane(le *laneEval, lane int, rng *rand.Rand, moves int, temp, cool float64, next []lattice) {
+func (p *placer) runLane(le *laneEval, lane int, rng *rand.Rand, moves int, temp, cool float64, next []uint64) {
 	g, slots := le.g, p.terr[lane]
 	copy(g.pos, p.g.pos)
-	copy(le.ext, p.ext)
-	copy(le.span, p.span)
+	copy(le.net, p.net)
 	insts := le.insts[:0]
 	for _, s := range slots {
 		if inst := g.instAt[s]; inst >= 0 {
@@ -183,6 +203,10 @@ func (p *placer) runLane(le *laneEval, lane int, rng *rand.Rand, moves int, temp
 		d, cost := le.delta(inst, slot)
 		le.res.RuntimeProxy += cost
 		if accepts(rng, d, temp) {
+			le.touch(inst)
+			if other := g.instAt[slot]; other >= 0 {
+				le.touch(other)
+			}
 			le.commit(inst, slot)
 			le.res.MovesAccepted++
 		}

@@ -170,10 +170,11 @@ func (b *passBuffers) upsizePass(n *netlist.Netlist, rep *sta.Report, opts Optio
 	// endpoint's fan-in cone, weighted toward high-load drivers.
 	if len(b.seen) != len(n.Insts) {
 		b.seen = make([]bool, len(n.Insts))
-		b.walk = coneWalker{visited: make([]int32, len(n.Insts))}
+		b.walk = coneWalker{reach: make([]int8, len(n.Insts))}
 	}
 	seen, cands := b.seen, b.cands[:0]
 	clear(seen)
+	clear(b.walk.reach)
 	for _, ep := range viol {
 		for _, id := range b.walk.faninCone(n, ep.Net, 6) {
 			if seen[id] {
@@ -242,27 +243,35 @@ func sortCands(cands []cand) {
 	})
 }
 
-// coneWalker holds faninCone's state across the endpoints of every pass:
-// a generation-stamped visited array instead of a map per cone, and the
-// cone and frontier buffers.
+// coneWalker holds faninCone's state across the endpoints of one pass: how
+// far below each instance the pass has already looked, instead of a visited
+// set per cone, and the cone and frontier buffers.
 type coneWalker struct {
-	visited              []int32 // inst -> gen of the last cone that reached it
-	gen                  int32
+	// reach[inst] is 1 + the levels already expanded below inst since it was
+	// last cleared; 0 means not met.
+	reach                []int8
 	cone, frontier, next []int
 }
 
 // faninCone returns up to `depth` levels of drivers behind a net, in
-// breadth-first discovery order. The slice is valid until the next call.
+// breadth-first discovery order, minus what earlier calls since reach was
+// cleared make redundant: a driver met with at least as many levels already
+// expanded below it as this cone has left is neither listed nor expanded.
+// Everything within that depth of it was listed by an earlier cone, so the
+// drivers no cone has listed yet — all a caller that keeps a seen set acts
+// on — come back the same, in the same order, as from an unpruned walk. A
+// driver met twice in one cone is met first where the most levels are left,
+// so the same test makes the second meeting a skip. The slice is valid until
+// the next call.
 func (w *coneWalker) faninCone(n *netlist.Netlist, netID, depth int) []int {
-	w.gen++
 	cone, frontier, next := w.cone[:0], append(w.frontier[:0], netID), w.next[:0]
-	for d := 0; d < depth && len(frontier) > 0; d++ {
+	for left := int8(depth); left > 0 && len(frontier) > 0; left-- {
 		for _, nid := range frontier {
 			drv := n.Nets[nid].Driver
-			if drv < 0 || w.visited[drv] == w.gen {
+			if drv < 0 || w.reach[drv] >= left {
 				continue
 			}
-			w.visited[drv] = w.gen
+			w.reach[drv] = left
 			cone = append(cone, drv)
 			if n.Insts[drv].Cell.Class.Sequential() {
 				continue

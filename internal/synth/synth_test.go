@@ -183,7 +183,7 @@ func TestDefaults(t *testing.T) {
 }
 
 // faninConeRef is the map-based walk faninCone replaced, kept as the
-// reference the stamped version is compared against.
+// reference: one cone, nothing remembered between calls.
 func faninConeRef(n *netlist.Netlist, netID, depth int) []int {
 	var cone []int
 	frontier := []int{netID}
@@ -212,17 +212,110 @@ func faninConeRef(n *netlist.Netlist, netID, depth int) []int {
 }
 
 // TestFaninConeMatchesReference reuses one walker across random nets
-// and depths: same instances, same order, no state leaking between
-// calls.
+// and depths, reach cleared before each as at the start of a pass: same
+// instances, same order, no buffer state leaking between calls.
 func TestFaninConeMatchesReference(t *testing.T) {
 	n := netlist.Generate(cellib.Default14nm(), netlist.PulpinoProxy(2))
 	rng := rand.New(rand.NewSource(5))
-	walk := coneWalker{visited: make([]int32, len(n.Insts))}
+	walk := coneWalker{reach: make([]int8, len(n.Insts))}
 	for i := 0; i < 2000; i++ {
 		netID, depth := rng.Intn(len(n.Nets)), 1+rng.Intn(8)
+		clear(walk.reach)
 		got, want := walk.faninCone(n, netID, depth), faninConeRef(n, netID, depth)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("net %d depth %d: cone %v, reference %v", netID, depth, got, want)
+		}
+	}
+}
+
+// refCandidates is upsizePass's candidate list — the endpoints attacked, the
+// cells scored and the draws made, up to the sort — built from whole cones:
+// every endpoint walks all six levels with faninConeRef.
+func refCandidates(n *netlist.Netlist, rep *sta.Report, opts Options, rng *rand.Rand) []cand {
+	var viol []sta.Endpoint
+	for _, ep := range rep.WorstEndpoints(len(rep.Endpoints)) {
+		if ep.SlackPs < 0 {
+			viol = append(viol, ep)
+		}
+	}
+	if len(viol) == 0 {
+		return nil
+	}
+	k := min(int(float64(len(viol))*opts.UpsizeFrac)+1, len(viol))
+	rng.Shuffle(len(viol), func(i, j int) { viol[i], viol[j] = viol[j], viol[i] })
+	var cands []cand
+	seen := map[int]bool{}
+	for _, ep := range viol[:k] {
+		for _, id := range faninConeRef(n, ep.Net, 6) {
+			out := n.FanoutNet[id]
+			if seen[id] || out < 0 {
+				seen[id] = true
+				continue
+			}
+			seen[id] = true
+			cell, load := n.Insts[id].Cell, n.NetLoad(out)
+			up, ok := n.Lib.Upsize(cell)
+			if !ok {
+				continue
+			}
+			dArea := up.Area - cell.Area
+			if dArea <= 0 {
+				dArea = 1e-9
+			}
+			cands = append(cands, cand{inst: id, score: (cell.Delay(load) - up.Delay(load)) / dArea * (0.8 + 0.4*rng.Float64())})
+		}
+	}
+	return cands
+}
+
+// TestUpsizePassMatchesWholeCones: a pass prunes each endpoint's cone by
+// what earlier endpoints of the pass already covered. Over every pass of a
+// pulpino and a soc-proxy synthesis the candidates it ends up with — cells,
+// scores (each holds a draw, so also the order they were found in) and the
+// sorted order — are those of unpruned cones, and the stream is left where
+// the reference leaves it.
+func TestUpsizePassMatchesWholeCones(t *testing.T) {
+	soc := netlist.PulpinoProxy(1)
+	soc.NumComb *= 10
+	soc.NumFFs *= 10
+	soc.NumPIs *= 2
+	for _, tc := range []struct {
+		spec netlist.Spec
+		ghz  float64 // out of reach, so that no pass is the last for want of violations
+	}{{netlist.PulpinoProxy(1), 1.2}, {soc, 0.5}} {
+		spec, opts := tc.spec, Options{TargetFreqGHz: tc.ghz, Effort: 2, Seed: 1}.withDefaults()
+		n := netlist.Generate(cellib.Default14nm(), spec)
+		n.ClockPeriodPs = 1000 / opts.TargetFreqGHz
+		rng, refRng := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+		bufferHighFanout(n.Clone(), opts, refRng) // the same draws
+		bufferHighFanout(n, opts, rng)
+		if err := n.Relevel(); err != nil {
+			t.Fatal(err)
+		}
+		var bufs passBuffers
+		var res Result
+		passes, pruned := 0, 0
+		for ; passes < 6*opts.Effort; passes++ {
+			rep := sta.Analyze(n, sta.Config{Engine: sta.Fast})
+			want := refCandidates(n, rep, opts, refRng)
+			sortCands(want)
+			if bufs.upsizePass(n, rep, opts, rng, &res) == 0 {
+				break
+			}
+			if !slices.Equal(bufs.cands, want) {
+				t.Fatalf("%s pass %d: %d candidates from pruned cones, %d from whole ones, or scores or order differ", spec.Name, passes, len(bufs.cands), len(want))
+			}
+			if a, b := rng.Int63(), refRng.Int63(); a != b {
+				t.Fatalf("%s pass %d: the pass and the reference drew differently", spec.Name, passes)
+			}
+			// The last endpoint's cone, had it been walked alone.
+			last := bufs.viol[min(int(float64(len(bufs.viol))*opts.UpsizeFrac)+1, len(bufs.viol))-1]
+			if whole := faninConeRef(n, last.Net, 6); len(bufs.walk.cone) < len(whole) {
+				pruned++
+			}
+		}
+		if passes != 6*opts.Effort || pruned == 0 {
+			t.Fatalf("%s: %d passes compared, %d with a pruned last cone; want all %d and some pruning", spec.Name, passes, pruned, 6*opts.Effort)
 		}
 	}
 }
