@@ -78,9 +78,10 @@ func goldenRows() []string {
 				p := SweepPoint{FreqGHz: opts.TargetFreqGHz, Seed: seed, Met: r.Met, WNSPs: r.WNSPs, AreaUm2: r.AreaUm2, PowerNW: r.PowerNW, MaxFreqGHz: r.MaxFreqGHz}
 				h := fnv.New64a()
 				fmt.Fprintf(h, "%g %d %t %g %g %g %g", p.FreqGHz, p.Seed, p.Met, p.WNSPs, p.AreaUm2, p.PowerNW, p.MaxFreqGHz)
-				add("flow/%s/s%d/%s point=%016x place=%016x/%d/%d/%d netlist=%016x",
+				add("flow/%s/s%d/%s point=%016x place=%016x/%d/%d/%d netlist=%016x met=%t wns=%016x area=%016x",
 					spec.Name, seed, eng.name, h.Sum64(), bits(r.Place.HPWLUm),
-					r.Place.MovesAccepted, r.Place.MovesConflicted, r.Place.RuntimeProxy, r.Netlist.Fingerprint())
+					r.Place.MovesAccepted, r.Place.MovesConflicted, r.Place.RuntimeProxy, r.Netlist.Fingerprint(),
+					r.Met, bits(r.WNSPs), bits(r.AreaUm2))
 			}
 		}
 	}

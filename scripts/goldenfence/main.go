@@ -1,14 +1,37 @@
 // Command goldenfence is the fence around a deliberate re-recording of
-// testdata/golden_qor.txt for a change to the Workers > 0 placement
-// engine (ISSUE 18). Given the golden file before and after, it fails
-// unless
+// testdata/golden_qor.txt. It compares the golden file before and after
+// and fails unless the difference is the one the change was allowed to
+// make; what it prints goes into CHANGES.md.
 //
-//   - only rows whose key contains /w1/, /w2/ or /pw2rt4 differ;
-//   - every place/*/w1/* row equals its /w2/ twin in every field;
-//   - every re-recorded place row has HPWL <= 1.01 x the row it replaces
-//     and conf=0 batch=0;
+//	goldenfence -columns before.txt after.txt
 //
-// and prints the before/after HPWL table of the distinct place rows.
+// is for a commit that only adds columns: the same rows, and every field a
+// row had before unchanged.
+//
+//	goldenfence before.txt after.txt
+//
+// is the fence of ISSUE 21, which replaced the die-wide proposal of both
+// annealers with a temperature-sized window, halved the evaluations and
+// deleted Options.ResampleCrossRegion. It fails unless
+//
+//  1. the rows removed are exactly the */p2r rows, none is added, and the
+//     only column removed is resamp=;
+//  2. no synth/* row moved and every init= is unchanged (the scatter still
+//     draws from math/rand: only the anneal moved);
+//  3. every place/*/w0/* row and every flow/*/serial row has HPWL <= 1.000x
+//     the row it replaces;
+//  4. every place/*/w1/* row equals its /w2/ twin in every field, every
+//     engine row (w1, w2, pw2rt4) has HPWL <= 1.10x the new w0 / serial row
+//     beside it, and every pw2rt4 row <= 1.02x the pre-change serial row of
+//     the same design and seed;
+//  5. area= is unchanged on every flow/* row, the mean WNS of the serial
+//     rows is no worse than before, and the mean WNS of the pw2rt4 rows is
+//     no worse than the pre-change serial mean.
+//
+// Printed, not bounded: each p2 row against the p2r row that disappears,
+// each pw2rt4 row against the row it replaces, per-row WNS and met (at equal
+// HPWL a row moves a few hundred ps between two valid placements — the
+// paper's Fig. 3 noise, not a signal).
 //
 //	git show HEAD:testdata/golden_qor.txt > /tmp/before.txt
 //	go test -run TestGoldenQoR -update . && go run ./scripts/goldenfence /tmp/before.txt testdata/golden_qor.txt
@@ -17,26 +40,42 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// rows reads a golden file into key -> fields, keeping file order.
-func rows(path string) (keys []string, val map[string]string) {
+// Rule 4's bounds: the territory engine against the serial engine at the
+// same budget, and the parallel flow against the default flow before the
+// change.
+const (
+	engineVsSerial    = 1.10
+	engineVsOldSerial = 1.02
+)
+
+// table is a golden file: key -> the rest of the row, and the keys in
+// file order.
+type table struct {
+	keys []string
+	row  map[string]string
+}
+
+func readTable(path string) (table, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return table{}, err
 	}
 	defer f.Close()
-	val = map[string]string{}
-	for sc := bufio.NewScanner(f); sc.Scan(); {
+	t := table{row: map[string]string{}}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
 		key, v, _ := strings.Cut(sc.Text(), " ")
-		keys, val[key] = append(keys, key), v
+		t.keys, t.row[key] = append(t.keys, key), v
 	}
-	return keys, val
+	return t, sc.Err()
 }
 
 // field returns the value of name= in a row.
@@ -49,60 +88,228 @@ func field(row, name string) string {
 	return ""
 }
 
-func hpwl(row string) float64 {
-	bits, err := strconv.ParseUint(field(row, "hpwl"), 16, 64)
+// names lists a row's field names in order.
+func names(row string) []string {
+	var out []string
+	for _, f := range strings.Fields(row) {
+		name, _, _ := strings.Cut(f, "=")
+		out = append(out, name)
+	}
+	return out
+}
+
+func float(hex string) float64 {
+	bits, err := strconv.ParseUint(hex, 16, 64)
 	if err != nil {
 		return math.NaN()
 	}
 	return math.Float64frombits(bits)
 }
 
-func main() {
-	if len(os.Args) != 3 {
-		fmt.Fprintln(os.Stderr, "usage: goldenfence before.txt after.txt")
-		os.Exit(2)
+// hpwl is a row's placed wirelength: hpwl= on a place row, the first
+// component of place= on a flow row.
+func hpwl(row string) float64 {
+	if v := field(row, "hpwl"); v != "" {
+		return float(v)
 	}
-	keys, before := rows(os.Args[1])
-	_, after := rows(os.Args[2])
-	bad := 0
-	fail := func(format string, a ...any) {
-		bad++
-		fmt.Printf("FAIL "+format+"\n", a...)
+	v, _, _ := strings.Cut(field(row, "place"), "/")
+	return float(v)
+}
+
+// fence checks one comparison and collects what failed.
+type fence struct {
+	out    io.Writer
+	failed []string
+}
+
+func (f *fence) fail(format string, a ...any) {
+	msg := fmt.Sprintf(format, a...)
+	f.failed = append(f.failed, msg)
+	fmt.Fprintln(f.out, "FAIL "+msg)
+}
+
+// columns is the -columns mode.
+func (f *fence) columns(before, after table) {
+	if !slices.Equal(before.keys, after.keys) {
+		f.fail("the rows differ: %d before, %d after", len(before.keys), len(after.keys))
 	}
-	if len(before) != len(after) {
-		fail("%d rows before, %d after", len(before), len(after))
-	}
-	changed := 0
-	fmt.Println("| row | HPWL before | HPWL after | ratio |")
-	fmt.Println("|---|---|---|---|")
-	for _, key := range keys {
-		was, now := before[key], after[key]
-		engine := strings.Contains(key, "/w1/") || strings.Contains(key, "/w2/") || strings.Contains(key, "/pw2rt4")
-		if was != now {
-			changed++
-			if !engine {
-				fail("%s moved and does not run Workers > 0", key)
+	added, order := map[string]int{}, []string(nil)
+	for _, key := range before.keys {
+		was, now := before.row[key], after.row[key]
+		for _, name := range names(was) {
+			if field(now, name) != field(was, name) {
+				f.fail("%s: %s=%s became %q", key, name, field(was, name), field(now, name))
 			}
 		}
-		if !engine || !strings.HasPrefix(key, "place/") {
+		for _, name := range names(now) {
+			if field(was, name) == "" {
+				if added[name]++; added[name] == 1 {
+					order = append(order, name)
+				}
+			}
+		}
+	}
+	for _, name := range order {
+		fmt.Fprintf(f.out, "column %s= added to %d rows\n", name, added[name])
+	}
+	fmt.Fprintf(f.out, "%d rows, every pre-existing field unchanged: %v\n", len(before.keys), len(f.failed) == 0)
+}
+
+// rerecord is the ISSUE 21 fence.
+func (f *fence) rerecord(before, after table) {
+	// Rule 1: rows and columns.
+	removed := 0
+	for _, key := range before.keys {
+		_, kept := after.row[key]
+		switch gone := strings.HasSuffix(key, "/p2r"); {
+		case gone && kept:
+			f.fail("rule 1: %s is still recorded", key)
+		case !gone && !kept:
+			f.fail("rule 1: %s was removed and is no p2r row", key)
+		case gone:
+			removed++
+		}
+	}
+	var common []string // the rows the other rules compare
+	for _, key := range after.keys {
+		was, ok := before.row[key]
+		if !ok {
+			f.fail("rule 1: %s is new", key)
 			continue
 		}
-		if field(now, "conf") != "0" || field(now, "batch") != "0" {
-			fail("%s: conf=%s batch=%s, want 0 0", key, field(now, "conf"), field(now, "batch"))
-		}
-		ratio := hpwl(now) / hpwl(was)
-		if !(ratio <= 1.01) {
-			fail("%s: HPWL %.0f is %.4fx the row it replaces (%.0f)", key, hpwl(now), ratio, hpwl(was))
-		}
-		if twin := strings.Replace(key, "/w1/", "/w2/", 1); twin != key {
-			if after[twin] != now {
-				fail("%s differs from %s", key, twin)
-			}
-			fmt.Printf("| %s | %.0f | %.0f | %.3f |\n", strings.Replace(key, "/w1/", "/w1,w2/", 1), hpwl(was), hpwl(now), ratio)
+		common = append(common, key)
+		want := slices.DeleteFunc(names(was), func(n string) bool { return n == "resamp" })
+		if got := names(after.row[key]); !slices.Equal(got, want) {
+			f.fail("rule 1: %s has columns %v, want %v", key, got, want)
 		}
 	}
-	fmt.Printf("%d rows changed\n", changed)
-	if bad > 0 {
+	fmt.Fprintf(f.out, "%d rows before, %d after, %d p2r rows removed\n\n", len(before.keys), len(after.keys), removed)
+
+	// Rule 2: synthesis and the scatter did not move.
+	for _, key := range common {
+		was, now := before.row[key], after.row[key]
+		if strings.HasPrefix(key, "synth/") && was != now {
+			f.fail("rule 2: %s moved", key)
+		}
+		if field(was, "init") != field(now, "init") {
+			f.fail("rule 2: %s: init=%s became %s", key, field(was, "init"), field(now, "init"))
+		}
+	}
+
+	// Rules 3 and 4 on the place rows.
+	fmt.Fprintln(f.out, "| place row | HPWL before | HPWL after | ratio | vs new w0 | vs the p2r row removed |")
+	fmt.Fprintln(f.out, "|---|---|---|---|---|---|")
+	for _, key := range common {
+		if !strings.HasPrefix(key, "place/") || strings.Contains(key, "/w2/") {
+			continue // a w2 row is printed with its w1 twin
+		}
+		was, now := hpwl(before.row[key]), hpwl(after.row[key])
+		vsSerial, vsResample := "", ""
+		if strings.Contains(key, "/w0/") {
+			if !(now <= was) {
+				f.fail("rule 3: %s: HPWL %.0f is %.4fx the row it replaces (%.0f)", key, now, now/was, was)
+			}
+		} else {
+			twin := strings.Replace(key, "/w1/", "/w2/", 1)
+			if after.row[twin] != after.row[key] {
+				f.fail("rule 4: %s differs from %s", key, twin)
+			}
+			serial := hpwl(after.row[strings.Replace(key, "/w1/", "/w0/", 1)])
+			if !(now <= engineVsSerial*serial) {
+				f.fail("rule 4: %s: HPWL %.0f is %.4fx the new w0 row (%.0f), bound %.2fx", key, now, now/serial, serial, engineVsSerial)
+			}
+			vsSerial = fmt.Sprintf("%.3f", now/serial)
+		}
+		if r, ok := before.row[key+"r"]; ok {
+			vsResample = fmt.Sprintf("%.3f", now/hpwl(r))
+		}
+		fmt.Fprintf(f.out, "| %s | %.0f | %.0f | %.3f | %s | %s |\n",
+			strings.Replace(key, "/w1/", "/w1,w2/", 1), was, now, now/was, vsSerial, vsResample)
+	}
+
+	// Rules 3, 4 and 5 on the flow rows.
+	fmt.Fprintln(f.out, "\n| flow row | HPWL before | HPWL after | ratio | vs new serial | vs old serial | WNS ps before | after | met before | after |")
+	fmt.Fprintln(f.out, "|---|---|---|---|---|---|---|---|---|---|")
+	wns := map[string]float64{} // "serial before" etc. -> sum
+	rows := map[string]int{}
+	for _, key := range common {
+		if !strings.HasPrefix(key, "flow/") {
+			continue
+		}
+		rowWas, rowNow := before.row[key], after.row[key]
+		if field(rowWas, "area") != field(rowNow, "area") {
+			f.fail("rule 5: %s: area=%s became %s", key, field(rowWas, "area"), field(rowNow, "area"))
+		}
+		engine := key[strings.LastIndex(key, "/")+1:]
+		rows[engine]++
+		wns[engine+" before"] += float(field(rowWas, "wns"))
+		wns[engine+" after"] += float(field(rowNow, "wns"))
+		was, now := hpwl(rowWas), hpwl(rowNow)
+		vsSerial, vsOld := "", ""
+		if engine == "serial" {
+			if !(now <= was) {
+				f.fail("rule 3: %s: HPWL %.0f is %.4fx the row it replaces (%.0f)", key, now, now/was, was)
+			}
+		} else {
+			beside := strings.TrimSuffix(key, engine) + "serial"
+			serial, old := hpwl(after.row[beside]), hpwl(before.row[beside])
+			if !(now <= engineVsSerial*serial) {
+				f.fail("rule 4: %s: HPWL %.0f is %.4fx the new serial row (%.0f), bound %.2fx", key, now, now/serial, serial, engineVsSerial)
+			}
+			if !(now <= engineVsOldSerial*old) {
+				f.fail("rule 4: %s: HPWL %.0f is %.4fx the pre-change serial row (%.0f), bound %.2fx", key, now, now/old, old, engineVsOldSerial)
+			}
+			vsSerial, vsOld = fmt.Sprintf("%.3f", now/serial), fmt.Sprintf("%.3f", now/old)
+		}
+		fmt.Fprintf(f.out, "| %s | %.0f | %.0f | %.3f | %s | %s | %.0f | %.0f | %s | %s |\n", key, was, now, now/was, vsSerial, vsOld,
+			float(field(rowWas, "wns")), float(field(rowNow, "wns")), field(rowWas, "met"), field(rowNow, "met"))
+	}
+	mean := func(name string) float64 { return wns[name] / float64(rows[strings.Fields(name)[0]]) }
+	fmt.Fprintf(f.out, "\nmean WNS ps: serial %.0f -> %.0f, pw2rt4 %.0f -> %.0f\n",
+		mean("serial before"), mean("serial after"), mean("pw2rt4 before"), mean("pw2rt4 after"))
+	if !(mean("serial after") >= mean("serial before")) {
+		f.fail("rule 5: mean WNS of the serial rows fell from %.0f to %.0f ps", mean("serial before"), mean("serial after"))
+	}
+	if !(mean("pw2rt4 after") >= mean("serial before")) {
+		f.fail("rule 5: mean WNS of the pw2rt4 rows, %.0f ps, is below the pre-change serial mean %.0f", mean("pw2rt4 after"), mean("serial before"))
+	}
+}
+
+// run is main without the exit: the lines it prints go to out and the
+// failures come back.
+func run(args []string, out io.Writer) ([]string, error) {
+	columns := len(args) > 0 && args[0] == "-columns"
+	if columns {
+		args = args[1:]
+	}
+	if len(args) != 2 {
+		return nil, fmt.Errorf("usage: goldenfence [-columns] before.txt after.txt")
+	}
+	before, err := readTable(args[0])
+	if err != nil {
+		return nil, err
+	}
+	after, err := readTable(args[1])
+	if err != nil {
+		return nil, err
+	}
+	f := &fence{out: out}
+	if columns {
+		f.columns(before, after)
+	} else {
+		f.rerecord(before, after)
+	}
+	return f.failed, nil
+}
+
+func main() {
+	failed, err := run(os.Args[1:], os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if len(failed) > 0 {
+		fmt.Printf("%d checks failed\n", len(failed))
 		os.Exit(1)
 	}
 }
