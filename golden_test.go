@@ -5,7 +5,10 @@ package repro
 // this table can. testdata/golden_qor.txt was recorded on the commit
 // before the place/synth hot loops were rewritten (ISSUE 12), and every
 // later kernel change must reproduce it bit for bit. Regenerate only for
-// a change that is meant to move QoR: go test -run TestGoldenQoR -update
+// a change that is meant to move QoR (go test -run TestGoldenQoR -update),
+// behind scripts/goldenfence: the Workers > 0 rows moved in ISSUE 18, every
+// place and flow row in ISSUE 21 (proposal window, half the evaluations;
+// the synth rows and every init= have never moved).
 
 import (
 	"bufio"
@@ -47,19 +50,12 @@ func goldenRows() []string {
 		design := netlist.Generate(lib, spec)
 		for seed := int64(1); seed <= 3; seed++ {
 			for _, workers := range []int{0, 1, 2} {
-				for _, part := range []struct {
-					name     string
-					k        int
-					resample bool
-				}{{"p1", 1, false}, {"p2", 2, false}, {"p2r", 2, true}} {
+				for _, partitions := range []int{1, 2} {
 					n := design.Clone()
-					r := place.Place(n, place.Options{
-						Seed: seed, Moves: 40 * n.NumCells(), Workers: workers,
-						Partitions: part.k, ResampleCrossRegion: part.resample,
-					})
-					add("place/%s/s%d/w%d/%s hpwl=%016x init=%016x tried=%d acc=%d conf=%d resamp=%d batch=%d proxy=%d pproxy=%d placed=%016x",
-						spec.Name, seed, workers, part.name, bits(r.HPWLUm), bits(r.InitialHPWLUm),
-						r.MovesTried, r.MovesAccepted, r.MovesConflicted, r.MovesResampled,
+					r := place.Place(n, place.Options{Seed: seed, Moves: 40 * n.NumCells(), Workers: workers, Partitions: partitions})
+					add("place/%s/s%d/w%d/p%d hpwl=%016x init=%016x tried=%d acc=%d conf=%d batch=%d proxy=%d pproxy=%d placed=%016x",
+						spec.Name, seed, workers, partitions, bits(r.HPWLUm), bits(r.InitialHPWLUm),
+						r.MovesTried, r.MovesAccepted, r.MovesConflicted,
 						r.BatchFinal, r.RuntimeProxy, r.ParallelRuntimeProxy, n.Fingerprint())
 				}
 			}
@@ -90,7 +86,7 @@ func goldenRows() []string {
 
 func TestGoldenQoR(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 54 anneals, 18 syntheses and 12 flows")
+		t.Skip("runs 36 anneals, 18 syntheses and 12 flows")
 	}
 	rows := goldenRows()
 	if *updateGolden {

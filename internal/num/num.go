@@ -5,7 +5,10 @@
 // only the compositions live here.
 package num
 
-import "cmp"
+import (
+	"cmp"
+	"math/bits"
+)
 
 // Clamp limits x to [lo, hi]. lo must not exceed hi.
 func Clamp[T cmp.Ordered](x, lo, hi T) T {
@@ -43,6 +46,19 @@ func (s *SplitMix) Uint64() uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// Intn returns a draw from [0, n), n > 0, by multiply-shift: the high word
+// of a 64-bit draw times n. No division and no rejection loop; the bias is
+// below n / 2^64.
+func (s *SplitMix) Intn(n int) int {
+	hi, _ := bits.Mul64(s.Uint64(), uint64(n))
+	return int(hi)
+}
+
+// Float64 returns a draw from [0, 1): the top 53 bits of a 64-bit draw.
+func (s *SplitMix) Float64() float64 {
+	return float64(s.Uint64()>>11) * (1.0 / (1 << 53))
 }
 
 // Int63 satisfies rand.Source.

@@ -68,3 +68,52 @@ func TestSplitMixDeterministicStream(t *testing.T) {
 		t.Errorf("low bit badly biased: %d/10000 heads", heads)
 	}
 }
+
+// TestSplitMixBoundedDraws: Intn stays in range at every size class — one
+// value, tiny, past 31 and past 32 bits — is a pure function of the seed,
+// and is balanced in its mean and in its low bit; Float64 stays in [0, 1)
+// with mean one half.
+func TestSplitMixBoundedDraws(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 1 << 31, 1<<32 + 1} {
+		a, b := NewSplitMix(5), NewSplitMix(5)
+		var sum float64
+		odd, top := 0, 0
+		const draws = 20000
+		for i := 0; i < draws; i++ {
+			v := a.Intn(n)
+			if v < 0 || v >= n {
+				t.Fatalf("Intn(%d) = %d", n, v)
+			}
+			if w := b.Intn(n); w != v {
+				t.Fatalf("Intn(%d): same-seed streams drew %d and %d at draw %d", n, v, w, i)
+			}
+			sum += float64(v)
+			odd += v & 1
+			top = max(top, v)
+		}
+		if n == 1 {
+			continue
+		}
+		if mean, want := sum/draws, float64(n-1)/2; mean < 0.97*want || mean > 1.03*want {
+			t.Errorf("Intn(%d): mean %v, want about %v", n, mean, want)
+		}
+		if want := draws * (n / 2) / n; odd < want*95/100 || odd > want*105/100 {
+			t.Errorf("Intn(%d): %d of %d draws odd, want about %d", n, odd, draws, want)
+		}
+		if n <= 3 && top != n-1 || top < n/2 {
+			t.Errorf("Intn(%d): largest draw %d", n, top)
+		}
+	}
+	s := NewSplitMix(6)
+	var sum float64
+	for i := 0; i < 20000; i++ {
+		u := s.Float64()
+		if u < 0 || u >= 1 {
+			t.Fatalf("Float64() = %v", u)
+		}
+		sum += u
+	}
+	if mean := sum / 20000; mean < 0.49 || mean > 0.51 {
+		t.Errorf("Float64: mean %v", mean)
+	}
+}

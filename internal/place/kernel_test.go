@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/netlist"
+	"repro/internal/num"
 )
 
 // appendPins appends every pin instance of a non-clock net, repeats
@@ -212,7 +213,7 @@ func refDelta(p *placer, inst, slot int) (float64, int) {
 // serialKernel is what annealSerialWith is parameterised by.
 type serialKernel struct {
 	delta   func(inst, slot int) (float64, int)
-	accepts func(rng *rand.Rand, d, temp float64) bool
+	accepts func(rng *num.SplitMix, d, temp float64) bool
 	commit  func(inst, slot int)
 }
 
@@ -226,46 +227,34 @@ func engineKernel(p *placer) serialKernel {
 func referenceKernel(p *placer) serialKernel {
 	return serialKernel{
 		delta:   func(inst, slot int) (float64, int) { return refDelta(p, inst, slot) },
-		accepts: func(rng *rand.Rand, d, temp float64) bool { return d <= 0 || rng.Float64() < math.Exp(-d/temp) },
+		accepts: func(rng *num.SplitMix, d, temp float64) bool { return d <= 0 || rng.Float64() < math.Exp(-d/temp) },
 		commit:  func(inst, slot int) { swap(p.g, inst, slot) },
 	}
 }
 
 // annealSerialWith is annealSerial's loop, verbatim, over a given kernel.
-func annealSerialWith(p *placer, rng *rand.Rand, k serialKernel) {
-	temp, cool := p.schedule(rng)
-	numCells := p.n.NumCells()
-	numSlots := len(p.g.instAt)
-	coarseMoves := 0
-	if p.opts.Partitions > 1 {
-		coarseMoves = p.opts.Moves / 4
-	}
-	for m := 0; m < p.opts.Moves; m++ {
-		if m&(abortCheckMoves-1) == 0 && p.ctx.Err() != nil {
-			p.aborted = true
-			return
+func annealSerialWith(p *placer, rng *num.SplitMix, k serialKernel) {
+	t0, cool := p.schedule(rng)
+	numCells, proposals := p.n.NumCells(), p.opts.Moves/stepsPerProposal
+	in := rect{0, 0, p.g.cols - 1, len(p.g.rowY) - 1}
+	for m, temp := 0, t0; m < proposals; m, temp = m+1, temp*cool {
+		if m&(abortCheckMoves-1) == 0 {
+			if p.ctx.Err() != nil {
+				p.aborted = true
+				return
+			}
+			p.rc, p.rr = p.reach(temp / t0)
 		}
-		if p.opts.Partitions > 1 && !p.partitioned && m >= coarseMoves {
+		if p.opts.Partitions > 1 && !p.partitioned && m >= proposals/4 {
 			p.assignPartitions()
 		}
 		inst := rng.Intn(numCells)
-		slot := rng.Intn(numSlots)
-		if slot == p.g.slotOf[inst] {
-			temp *= cool
-			continue
+		if p.partitioned {
+			in = p.region[p.part[inst]][0]
 		}
-		if p.partitioned && p.regionOfSlot(slot) != p.part[inst] {
-			if !p.opts.ResampleCrossRegion {
-				temp *= cool
-				continue
-			}
-			cand := p.regionSlots[p.part[inst]]
-			slot = int(cand[rng.Intn(len(cand))])
-			p.res.MovesResampled++
-			if slot == p.g.slotOf[inst] {
-				temp *= cool
-				continue
-			}
+		slot := p.g.target(rng.Uint64(), inst, in, p.rc, p.rr)
+		if slot < 0 {
+			continue
 		}
 		p.res.MovesTried++
 		d, cost := k.delta(inst, slot)
@@ -274,7 +263,6 @@ func annealSerialWith(p *placer, rng *rand.Rand, k serialKernel) {
 			k.commit(inst, slot)
 			p.res.MovesAccepted++
 		}
-		temp *= cool
 	}
 }
 
@@ -286,7 +274,7 @@ var layouts = []struct {
 }{
 	{"flat", Options{}},
 	{"p2", Options{Partitions: 2}},
-	{"p2r", Options{Partitions: 2, ResampleCrossRegion: true}},
+	{"p3", Options{Partitions: 3}},
 }
 
 // TestKernelStateAfterAnneal runs every engine shape to the end (or to
@@ -306,9 +294,9 @@ func TestKernelStateAfterAnneal(t *testing.T) {
 		{"serial", Options{Seed: 1}, background, false},
 		{"speculative", Options{Seed: 2, Workers: 3}, background, false},
 		{"serial/partitioned", Options{Seed: 3, Partitions: 2}, background, false},
-		{"speculative/partitioned/resample", Options{Seed: 4, Workers: 2, Partitions: 2, ResampleCrossRegion: true}, background, false},
+		{"speculative/partitioned", Options{Seed: 4, Workers: 2, Partitions: 2}, background, false},
 		{"serial/aborted", Options{Seed: 5}, cancelAfter(3), true},
-		{"speculative/aborted", Options{Seed: 6, Workers: 2}, cancelAfter(40), true},
+		{"speculative/aborted", Options{Seed: 6, Workers: 2}, cancelAfter(20), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -466,7 +454,7 @@ func (s proposalShapes) missing() string {
 func TestEvalDeltaMatchesRealSwap(t *testing.T) {
 	pulpino := netlist.PulpinoProxy(3)
 	moves := 60 * (pulpino.NumComb + pulpino.NumFFs)
-	polls := (moves + abortCheckMoves - 1) / abortCheckMoves
+	polls := (moves/stepsPerProposal + abortCheckMoves - 1) / abortCheckMoves
 	cancelAt := func(poll int) func() context.Context {
 		return func() context.Context { return &countdownCtx{Context: context.Background(), left: poll} }
 	}
@@ -778,7 +766,7 @@ func TestMovedLanes(t *testing.T) {
 // polynomial in front of math.Exp can settle.
 func TestAcceptsMatchesMetropolis(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	ref, got := rand.New(rand.NewSource(18)), rand.New(rand.NewSource(18))
+	ref, got := num.NewSplitMix(18), num.NewSplitMix(18)
 	var accepted, rejected int
 	for i := 0; i < 200000; i++ {
 		d := (rng.Float64() - 0.3) * 40
@@ -790,7 +778,7 @@ func TestAcceptsMatchesMetropolis(t *testing.T) {
 		if acc := accepts(got, d, temp); acc != want {
 			t.Fatalf("d=%v temp=%v: accepted=%v, reference %v", d, temp, acc, want)
 		}
-		if ref.Int63() != got.Int63() {
+		if ref.Uint64() != got.Uint64() {
 			t.Fatalf("d=%v temp=%v: the two accept tests drew differently", d, temp)
 		}
 		if d > 0 && want {
@@ -818,32 +806,32 @@ func (c probeCtx) Err() error {
 // TestSerialAnnealMatchesReference runs the serial engine beside the same
 // loop over the reference kernel — every proposal measured across a real
 // swap, the textbook Metropolis test: the same accepted count at every
-// cancellation poll (every 4096 moves), the same Result and placement, and
+// cancellation poll (every 4096 proposals), the same Result and placement, and
 // the same next draw from the stream — so no decision and no draw differed.
 func TestSerialAnnealMatchesReference(t *testing.T) {
 	type outcome struct {
 		Res      Result
 		Slots    []int
 		Accepted []int // at each poll
-		Next     int64
+		Next     uint64
 	}
-	run := func(spec netlist.Spec, opts Options, anneal func(*placer, *rand.Rand)) outcome {
+	run := func(spec netlist.Spec, opts Options, anneal func(*placer, *num.SplitMix)) outcome {
 		var p *placer
 		var out outcome
 		ctx := probeCtx{context.Background(), func() { out.Accepted = append(out.Accepted, p.res.MovesAccepted) }}
 		p, rng := newPlacer(ctx, netlist.Generate(lib(), spec), opts)
 		anneal(p, rng)
-		out.Res, out.Slots, out.Next = p.finish(), p.g.slotOf, rng.Int63()
+		out.Res, out.Slots, out.Next = p.finish(), p.g.slotOf, rng.Uint64()
 		return out
 	}
 	for _, spec := range []netlist.Spec{netlist.PulpinoProxy(1), mid3k} {
 		for _, opts := range []Options{
 			{Seed: 1},
 			{Seed: 2, Partitions: 2},
-			{Seed: 3, Partitions: 2, ResampleCrossRegion: true},
+			{Seed: 3, Partitions: 3},
 		} {
 			opts.Moves = 60 * (spec.NumComb + spec.NumFFs)
-			want := run(spec, opts, func(p *placer, rng *rand.Rand) { annealSerialWith(p, rng, referenceKernel(p)) })
+			want := run(spec, opts, func(p *placer, rng *num.SplitMix) { annealSerialWith(p, rng, referenceKernel(p)) })
 			got := run(spec, opts, (*placer).annealSerial)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s %+v: serial engine diverged from the reference loop:\n got %+v next %d\nwant %+v next %d",

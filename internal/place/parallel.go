@@ -2,34 +2,37 @@ package place
 
 import (
 	"math"
-	"math/rand"
 	"sync/atomic"
 
+	"repro/internal/num"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
-// The territory engine's schedule. None of it is a knob: the outcome is
-// a function of (Seed, Moves) because these are constants. Each was chosen
-// on the 18 distinct Workers > 0 place rows of testdata/golden_qor.txt,
-// as HPWL relative to the engine this one replaced (scripts/goldenfence).
+// The territory engine's schedule. None of it is a knob: the outcome is a
+// function of (Seed, Moves) because these are constants. Each was measured
+// on the 18 Workers > 0 rows of testdata/golden_qor.txt (12 place, 6 flow;
+// scripts/goldenfence) as mean (worst) HPWL relative to the serial row beside
+// them, under the proposal window (ISSUE 21). Lengths are in proposals,
+// Moves/2 to a budget.
 //
 // lanes: territories per stripe epoch — two per crew member on a 2-core
-// host, which is what lets the gang steal around a slow lane. 4 lanes:
-// 0.876–1.002x; 8 lanes: 0.877–1.009x, so narrower stripes buy nothing.
+// host, which is what lets the gang steal around a slow lane. 2 lanes 1.031x
+// (1.084), 4 lanes 1.052x (1.087), 8 lanes 1.074x (1.109): what the lanes
+// lose to the serial engine is the stripe walls a window cannot reach across.
 //
-// Epoch length, in moves per cell: lanes read foreign pins frozen at the
-// epoch start, and while the anneal is hot most proposals commit, so a
-// long epoch optimises against stale neighbours. With 2 moves per cell
-// throughout, flat rows were 0.89–0.97x but every partitioned row lost,
-// 1.011–1.079x — their flat coarse phase is the hot quarter and nothing
-// after it can cross a region to repair it. 1/4 move per cell for the
-// first quarter of the schedule and 2 per cell after gave the 0.876–1.002x
-// above at ~84 epochs for a 60-moves-per-cell flow anneal.
+// Epoch length, per cell: lanes read foreign pins frozen at the epoch start,
+// and while the anneal is hot most proposals commit, so a long epoch
+// optimises against stale neighbours — most of all in a partitioned run,
+// whose flat coarse phase is the hot quarter and nothing after it can cross
+// a region to repair it (ISSUE 18: 2 per cell throughout lost 1–8 % there).
+// 1/4 per cell for the first quarter of the schedule and 2 after is ~42
+// epochs for a 60-steps-per-cell flow anneal: 1.052x; 1/8 then 2 1.053x,
+// 1/16 then 2 1.048x, 1/4 then 1 1.046x, 1/2 then 2 1.061x, 1/4 then 4 1.069x.
 const (
 	lanes         = 4
-	hotEpochDiv   = 4 // hot epoch = numCells / hotEpochDiv moves
-	coldEpochMult = 2 // cold epoch = coldEpochMult * numCells moves
+	hotEpochDiv   = 4 // hot epoch = numCells / hotEpochDiv proposals
+	coldEpochMult = 2 // cold epoch = coldEpochMult * numCells proposals
 )
 
 // laneEval is one crew member's private evaluator. Its placer shares n,
@@ -66,20 +69,22 @@ func (le *laneEval) touch(inst int) {
 //
 // Territories are four stripes, vertical and horizontal by turns and
 // shifted by half a stripe every second epoch, so no cell pair stays
-// separated; once a partitioned run has locked its regions (Moves/4, as
-// in the serial engine) the territories are the k x k regions themselves
-// — Fig. 4(b) executed — and a draw outside the region is skipped or
-// resampled exactly as there. Lane move j of an epoch starting at T runs
-// at T*cool^(L*j), L the lane count, so the L lanes together spend the
-// epoch's cooling steps and the schedule ends where the serial one does.
-func (p *placer) annealTerritory(rng *rand.Rand) {
-	start, cool := p.schedule(rng)
-	numCells, moves := p.n.NumCells(), p.opts.Moves
-	quarter := moves / 4
+// separated; once a partitioned run has locked its regions (a quarter of
+// the schedule, as in the serial engine) the territories are the k x k
+// regions themselves — Fig. 4(b) executed. The window is the serial
+// engine's, sized at the temperature the epoch starts at and clipped to the
+// lane's rectangle. Lane proposal j of an epoch starting at T runs at
+// T*cool^(L*j), L the lane count, so the L lanes together spend the epoch's
+// cooling steps and the schedule ends where the serial one does.
+func (p *placer) annealTerritory(rng *num.SplitMix) {
+	t0, cool := p.schedule(rng)
+	numCells, proposals := p.n.NumCells(), p.opts.Moves/stepsPerProposal
+	quarter := proposals / 4
 
-	streams := make([]*rand.Rand, max(lanes, p.opts.Partitions*p.opts.Partitions))
+	// By value: a lane draws from a copy on its stack, not beside its neighbour's.
+	streams := make([]num.SplitMix, max(lanes, p.opts.Partitions*p.opts.Partitions))
 	for l := range streams {
-		streams[l] = rand.New(rand.NewSource(rng.Int63()))
+		streams[l] = *num.NewSplitMix(num.Mix(p.opts.Seed, annealStream+1+uint64(l)))
 	}
 	stripes := p.stripeTerritories()
 
@@ -100,7 +105,7 @@ func (p *placer) annealTerritory(rng *rand.Rand) {
 	next := make([]uint64, numCells) // the positions the lanes publish
 	var scanned atomic.Int64         // pins read by an epoch's rescan
 
-	for m, epoch := 0, 0; m < moves; epoch++ {
+	for m, epoch := 0, 0; m < proposals; epoch++ {
 		if p.ctx.Err() != nil {
 			p.aborted = true
 			return
@@ -114,13 +119,15 @@ func (p *placer) annealTerritory(rng *rand.Rand) {
 			if !p.partitioned {
 				p.assignPartitions()
 			}
-			p.terr = p.regionSlots
+			p.terr = p.region
 		}
-		b = min(b, moves-m)
+		b = min(b, proposals-m)
 
 		sp := trace.Begin("place.move")
 		L := len(p.terr)
-		temp, laneCool := start*math.Pow(cool, float64(m)), math.Pow(cool, float64(L))
+		cooled := math.Pow(cool, float64(m))
+		p.rc, p.rr = p.reach(cooled)
+		temp, laneCool := t0*cooled, math.Pow(cool, float64(L))
 		gang.Round(L, func(lo, hi int) {
 			le := <-free
 			for l := lo; l < hi; l++ {
@@ -128,7 +135,7 @@ func (p *placer) annealTerritory(rng *rand.Rand) {
 				if l < b%L {
 					laneMoves++
 				}
-				p.runLane(le, l, streams[l], laneMoves, temp, laneCool, next)
+				p.runLane(le, l, &streams[l], laneMoves, temp, laneCool, next)
 			}
 			free <- le
 		})
@@ -152,7 +159,6 @@ func (p *placer) annealTerritory(rng *rand.Rand) {
 		for _, le := range crew {
 			p.res.MovesTried += le.res.MovesTried
 			p.res.MovesAccepted += le.res.MovesAccepted
-			p.res.MovesResampled += le.res.MovesResampled
 			p.res.RuntimeProxy += le.res.RuntimeProxy
 			p.pinsScanned += le.pinsScanned
 			le.res, le.pinsScanned = Result{}, 0
@@ -165,44 +171,45 @@ func (p *placer) annealTerritory(rng *rand.Rand) {
 	}
 }
 
-// runLane anneals territory p.terr[lane] for the given number of moves on
-// le, from the master's epoch-start pos and net, and publishes where the
+// runLane anneals territory p.terr[lane] for the given number of proposals
+// on le, from the master's epoch-start pos and net, and publishes where the
 // territory's instances ended up into next. It writes slotOf/instAt
 // entries of its territory only, and next entries of its instances only.
-func (p *placer) runLane(le *laneEval, lane int, rng *rand.Rand, moves int, temp, cool float64, next []uint64) {
-	g, slots := le.g, p.terr[lane]
+func (p *placer) runLane(le *laneEval, lane int, stream *num.SplitMix, moves int, temp, cool float64, next []uint64) {
+	g, pieces := le.g, p.terr[lane]
 	copy(g.pos, p.g.pos)
 	copy(le.net, p.net)
-	insts := le.insts[:0]
-	for _, s := range slots {
-		if inst := g.instAt[s]; inst >= 0 {
-			insts = append(insts, int32(inst))
+	insts, last := le.insts[:0], 0
+	for _, piece := range pieces {
+		last = len(insts) // where the last piece's instances start
+		for r := piece.r0; r <= piece.r1; r++ {
+			for _, inst := range g.instAt[r*g.cols+piece.c0 : r*g.cols+piece.c1+1] {
+				if inst >= 0 {
+					insts = append(insts, int32(inst))
+				}
+			}
 		}
 	}
 	le.insts = insts
 	if len(insts) == 0 {
 		return // nothing to move: the lane's cooling steps are burned
 	}
-	numSlots := len(g.instAt)
+	rng := *stream
 	for j := 0; j < moves; j, temp = j+1, temp*cool {
-		inst := int(insts[rng.Intn(len(insts))])
-		var slot int
-		if !p.partitioned {
-			slot = int(slots[rng.Intn(len(slots))])
-		} else if slot = rng.Intn(numSlots); p.regionOfSlot(slot) != lane {
-			if !p.opts.ResampleCrossRegion {
-				continue
-			}
-			slot = int(slots[rng.Intn(len(slots))])
-			le.res.MovesResampled++
+		// The window is clipped to the piece the epoch found inst in.
+		i := rng.Intn(len(insts))
+		inst, in := int(insts[i]), pieces[0]
+		if i >= last {
+			in = pieces[len(pieces)-1]
 		}
-		if slot == g.slotOf[inst] {
-			continue
+		slot := g.target(rng.Uint64(), inst, in, p.rc, p.rr)
+		if slot < 0 {
+			continue // a piece of one slot
 		}
 		le.res.MovesTried++
 		d, cost := le.delta(inst, slot)
 		le.res.RuntimeProxy += cost
-		if accepts(rng, d, temp) {
+		if accepts(&rng, d, temp) {
 			le.touch(inst)
 			if other := g.instAt[slot]; other >= 0 {
 				le.touch(other)
@@ -211,37 +218,33 @@ func (p *placer) runLane(le *laneEval, lane int, rng *rand.Rand, moves int, temp
 			le.res.MovesAccepted++
 		}
 	}
+	*stream = rng
 	for _, inst := range insts {
 		next[inst] = g.pos[inst]
 	}
 }
 
-// stripeTerritories returns the four stripe cuts the epochs cycle
-// through: columns, rows, columns shifted by half a stripe, rows shifted
-// by half a stripe (the shifted cut's first territory wraps around the
-// die edge). Each cut lists every slot once, grouped by territory; a grid
-// with fewer columns or rows than lanes leaves some territories empty.
-func (p *placer) stripeTerritories() [4][][]int32 {
-	cols, numSlots := p.g.cols, len(p.g.instAt)
-	rows := numSlots / cols
-	var cuts [4][][]int32
+// stripeTerritories returns the four stripe cuts the epochs cycle through:
+// columns, rows, and both shifted by half a stripe. A territory is one
+// rectangle, except the last of a shifted cut, which is the half stripes at
+// both die edges, between which no move jumps. A grid with fewer columns or
+// rows than lanes leaves some territories empty.
+func (p *placer) stripeTerritories() [4][][]rect {
+	cols, rows := p.g.cols, len(p.g.rowY)
+	var cuts [4][][]rect
 	for k := range cuts {
-		n := cols
+		// stripe is the rectangle of columns, or rows, [lo, hi).
+		n, stripe := cols, func(lo, hi int) rect { return rect{lo, 0, hi - 1, rows - 1} }
 		if k&1 == 1 {
-			n = rows
+			n, stripe = rows, func(lo, hi int) rect { return rect{0, lo, cols - 1, hi - 1} }
 		}
 		shift := k / 2 * (n / (2 * lanes))
-		cut := make([][]int32, lanes)
+		cut := make([][]rect, lanes)
 		for t := range cut {
-			cut[t] = make([]int32, 0, (n/lanes+1)*(numSlots/n))
+			cut[t] = []rect{stripe(shift+t*n/lanes, min(shift+(t+1)*n/lanes, n))}
 		}
-		for slot := 0; slot < numSlots; slot++ {
-			i := slot % cols
-			if k&1 == 1 {
-				i = slot / cols
-			}
-			t := (i + shift) % n * lanes / n
-			cut[t] = append(cut[t], int32(slot))
+		if shift > 0 {
+			cut[lanes-1] = append(cut[lanes-1], stripe(0, shift))
 		}
 		cuts[k] = cut
 	}

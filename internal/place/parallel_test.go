@@ -51,7 +51,7 @@ func (a placeOutcome) equal(b placeOutcome) bool {
 
 // TestParallelPlaceWorkerInvariant is the acceptance-criteria table
 // test: the territory annealer must be bit-identical at every worker
-// count, across presets, partition counts and the resample flag. The
+// count, across presets and partition counts. The
 // Workers=1 run is the reference — it runs the same lanes on the same
 // streams, one after the other on the caller's goroutine.
 func TestParallelPlaceWorkerInvariant(t *testing.T) {
@@ -62,7 +62,7 @@ func TestParallelPlaceWorkerInvariant(t *testing.T) {
 	}{
 		{"tiny/flat", netlist.Tiny(3), Options{Seed: 11}},
 		{"tiny/partitioned", netlist.Tiny(4), Options{Seed: 12, Partitions: 2}},
-		{"tiny/resample", netlist.Tiny(5), Options{Seed: 13, Partitions: 2, ResampleCrossRegion: true}},
+		{"tiny/partitioned3", netlist.Tiny(5), Options{Seed: 13, Partitions: 3}},
 		{"artificial/flat", netlist.Artificial(6), Options{Seed: 14}},
 		{"artificial/partitioned", netlist.Artificial(7), Options{Seed: 15, Partitions: 3}},
 	}
@@ -90,7 +90,7 @@ func TestParallelPlaceWorkerInvariant(t *testing.T) {
 	// process, so the processor count it sets is the one they all see.
 	t.Run("gomaxprocs1", func(t *testing.T) {
 		spec := netlist.Artificial(8)
-		opts := Options{Seed: 16, Moves: 40 * (spec.NumComb + spec.NumFFs), Partitions: 2, ResampleCrossRegion: true, Workers: 4}
+		opts := Options{Seed: 16, Moves: 40 * (spec.NumComb + spec.NumFFs), Partitions: 2, Workers: 4}
 		ref := placeOutcomeOf(spec, opts)
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		for _, w := range []int{1, 2, 4} {
@@ -102,10 +102,19 @@ func TestParallelPlaceWorkerInvariant(t *testing.T) {
 	})
 }
 
+// engineVsSerial is the one bound on the territory engine's HPWL against the
+// serial engine at the same budget; scripts/goldenfence (rule 4) and
+// check.sh bench's place gate hold the same number. Until the proposal
+// window a stripe was the tree's only range limit and the lanes placed a few
+// percent shorter than the serial engine; now both engines limit the range,
+// the serial one without stale neighbours or stripe walls, and the lanes
+// place 1.00-1.09x longer (DESIGN.md "Parallel place & route kernels").
+const engineVsSerial = 1.10
+
 // TestParallelPlaceQuality: the territory engine explores a different
-// (equally valid) trajectory than the serial engine, but it is held to
-// the serial engine's HPWL: at most 2 % above it, flat, on the smallest
-// design (stripes a handful of columns wide) and on mid3k.
+// (equally valid) trajectory than the serial engine and is held to
+// engineVsSerial times its HPWL, flat, on the smallest design (stripes a
+// handful of columns wide) and on mid3k.
 func TestParallelPlaceQuality(t *testing.T) {
 	for _, spec := range []netlist.Spec{netlist.Tiny(21), mid3k} {
 		n1 := netlist.Generate(lib(), spec)
@@ -116,11 +125,11 @@ func TestParallelPlaceQuality(t *testing.T) {
 		if par.HPWLUm >= par.InitialHPWLUm {
 			t.Fatalf("%s: parallel SA did not improve HPWL: %v -> %v", spec.Name, par.InitialHPWLUm, par.HPWLUm)
 		}
-		if par.HPWLUm > serial.HPWLUm*1.02 {
-			t.Errorf("%s: parallel HPWL %v more than 2%% worse than serial %v", spec.Name, par.HPWLUm, serial.HPWLUm)
+		if par.HPWLUm > serial.HPWLUm*engineVsSerial {
+			t.Errorf("%s: parallel HPWL %v more than %.2fx the serial engine's %v", spec.Name, par.HPWLUm, engineVsSerial, serial.HPWLUm)
 		}
-		if par.MovesTried > 120*n2.NumCells() {
-			t.Errorf("%s: tried %d exceeds the move budget %d", spec.Name, par.MovesTried, 120*n2.NumCells())
+		if budget := 120 * n2.NumCells() / stepsPerProposal; par.MovesTried != budget {
+			t.Errorf("%s: tried %d proposals, the budget holds %d", spec.Name, par.MovesTried, budget)
 		}
 	}
 }
@@ -143,9 +152,6 @@ func TestParallelPlaceRandomizedDifferential(t *testing.T) {
 			Partitions: rng.Intn(4),
 			Workers:    1,
 		}
-		if rng.Intn(2) == 1 {
-			opts.ResampleCrossRegion = true
-		}
 		ref := placeOutcomeOf(spec, opts)
 		w := 2 + rng.Intn(7)
 		opts.Workers = w
@@ -153,26 +159,5 @@ func TestParallelPlaceRandomizedDifferential(t *testing.T) {
 			t.Fatalf("trial %d (spec seed %d, opts %+v): parallel result diverged from workers=1:\n ref %+v\n got %+v",
 				trial, spec.Seed, opts, ref.res, got.res)
 		}
-	}
-}
-
-// TestResampleCountsCrossRegionMoves: with resampling on, the
-// partitioned placer redirects region-crossing proposals instead of
-// discarding them, so resampled moves show up in the counter and the
-// engine still terminates with the exact move budget spent.
-func TestResampleCountsCrossRegionMoves(t *testing.T) {
-	n := tiny(30)
-	res := Place(n, Options{Seed: 8, Partitions: 2, ResampleCrossRegion: true})
-	if res.MovesResampled == 0 {
-		t.Fatal("partitioned placement with resampling never redirected a cross-region proposal")
-	}
-	n2 := tiny(30)
-	off := Place(n2, Options{Seed: 8, Partitions: 2})
-	if off.MovesResampled != 0 {
-		t.Fatalf("resampling off but MovesResampled = %d", off.MovesResampled)
-	}
-	// Resampling converts burned cooling steps into real attempts.
-	if res.MovesTried <= off.MovesTried {
-		t.Errorf("resampling should try more moves: %d vs %d", res.MovesTried, off.MovesTried)
 	}
 }

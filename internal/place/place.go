@@ -7,14 +7,17 @@
 // go-with-the-winners (Fig. 6(a)) exploit. A partitioned mode supports
 // the "many more small subproblems" ablation of Fig. 4(b).
 //
-// Two annealing engines share one move evaluator:
+// Two annealing engines share one proposal and one move evaluator:
 //
-//   - the serial engine (Workers == 0) commits after every proposal and
-//     reproduces the historical serial placer bit for bit;
+//   - the serial engine (Workers == 0) draws every proposal from one stream
+//     and commits after each;
 //   - the territory engine (Workers > 0, see parallel.go) cuts the slot
 //     grid into disjoint territories every epoch and runs the serial
 //     kernel in each of them side by side, producing results that depend
 //     only on Seed/Moves — never on Workers or scheduling.
+//
+// A proposal offers an instance a slot from a window around its own, the
+// whole die at first and shrinking with the temperature (reach, target).
 //
 // The evaluator is built on flat state that lives on the slot lattice. A
 // position is one 64-bit word of four 16-bit lanes, [col, row, cm-col,
@@ -37,6 +40,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -46,25 +50,16 @@ import (
 
 // Options are the placer knobs.
 type Options struct {
-	Seed        int64
-	Moves       int     // total SA moves (default 120 * numCells)
+	Seed int64
+	// Moves is the budget in cooling steps of the schedule (default 120 *
+	// numCells); a proposal spends two, so Moves/2 proposals are evaluated.
+	Moves       int
 	Utilization float64 // die utilization (default 0.6)
 	Partitions  int     // 1 = flat; k means k x k independent regions
-	// StartTemp overrides the sampled initial temperature (0 = auto).
-	StartTemp float64
-	// Workers > 0 selects the territory-parallel annealer with a crew of
-	// that size: each epoch the slot grid is cut into disjoint territories
-	// that anneal concurrently, each on its own random stream. The outcome
-	// depends only on Seed and Moves — identical at every Workers >= 1 —
-	// but differs from the Workers == 0 serial engine, which draws every
-	// proposal from one stream over the whole die.
+	// Workers > 0 selects the territory engine with a crew of that size
+	// (parallel.go). Its outcome depends only on Seed and Moves — identical
+	// at every Workers >= 1 — and differs from the serial engine's.
 	Workers int
-	// ResampleCrossRegion redirects region-crossing proposals of the
-	// partitioned refinement phase to a random slot inside the
-	// instance's own region instead of silently discarding them (the
-	// historical behaviour burned the cooling step without trying a
-	// move). Off by default so existing results stay reproducible.
-	ResampleCrossRegion bool
 }
 
 func (o Options) withDefaults(numCells int) Options {
@@ -90,9 +85,6 @@ type Result struct {
 	// MovesConflicted counted the proposals a retired engine discarded;
 	// always 0. The field stays because recorded summaries name it.
 	MovesConflicted int
-	// MovesResampled counts region-crossing proposals redirected into
-	// the instance's own region (Options.ResampleCrossRegion).
-	MovesResampled int
 	// BatchFinal was the retired engine's final batch size; always 0,
 	// kept for the same reason as MovesConflicted.
 	BatchFinal int
@@ -150,6 +142,9 @@ func moved(a, b, f, t uint64) uint64 {
 	return laneMin(b^(a^b)&ne, t)
 }
 
+// rect is a rectangle of slots, bounds inclusive; r1 < r0 is empty.
+type rect struct{ c0, r0, c1, r1 int }
+
 // grid is the slot structure used during annealing.
 type grid struct {
 	cols   int
@@ -201,9 +196,10 @@ type placer struct {
 
 	part        []int // inst -> region, set by assignPartitions
 	partitioned bool
-	regionSlots [][]int32 // region -> its slots (resampling; territory lanes)
+	region      [][]rect // region -> its slots: one rectangle, listed as a territory is
 	coarseProxy int
-	terr        [][]int32 // territory engine: the current epoch's lanes
+	terr        [][]rect // territory engine: the current epoch's lanes, one or two rectangles each
+	rc, rr      int      // the proposal window's half-width in columns and rows (reach)
 
 	// pinsScanned counts the pin positions read to keep net current (commits
 	// and the territory engine's per-epoch rescan). Kept out of Result, which
@@ -221,9 +217,9 @@ func Place(n *netlist.Netlist, opts Options) Result {
 	return res
 }
 
-// abortCheckMoves is the cancellation poll granularity of the serial
-// annealer (the territory engine polls once per epoch). A power of two
-// so the poll is a mask, not a division.
+// abortCheckMoves is how often, in proposals, the serial annealer polls for
+// cancellation and resizes its window (the territory engine: once per
+// epoch). A power of two so the poll is a mask, not a division.
 const abortCheckMoves = 4096
 
 // PlaceCtx is Place with cooperative cancellation: the anneal polls ctx
@@ -252,21 +248,21 @@ func (p *placer) finish() Result {
 	return p.res
 }
 
-// newPlacer scatters the instances over a fresh grid (the first draws of
-// the returned stream) and builds the evaluator state for that placement.
-func newPlacer(ctx context.Context, n *netlist.Netlist, opts Options) (*placer, *rand.Rand) {
+// newPlacer scatters the instances over a fresh grid — on math/rand, so a
+// seed starts where it always has (InitialHPWLUm) — builds the evaluator
+// state for that placement and returns the anneal's stream.
+func newPlacer(ctx context.Context, n *netlist.Netlist, opts Options) (*placer, *num.SplitMix) {
 	opts = opts.withDefaults(n.NumCells())
-	rng := rand.New(rand.NewSource(opts.Seed))
 
 	w, h := netlist.DieSize(n, opts.Utilization)
 	p := &placer{n: n, opts: opts, w: w, h: h, ctx: ctx}
-	p.g = buildGrid(n, w, h, rng)
+	p.g = buildGrid(n, w, h, rand.New(rand.NewSource(opts.Seed)))
 	p.res = Result{Width: w, Height: h}
 
 	applyCoords(n, p.g)
 	p.res.InitialHPWLUm = n.TotalHPWL()
 	p.initNets()
-	return p, rng
+	return p, num.NewSplitMix(num.Mix(opts.Seed, annealStream))
 }
 
 // initNets builds the per-net evaluator state for the grid's placement.
@@ -311,8 +307,8 @@ func netInstances(inc netlist.Incidence, numNets int) netlist.NetPins {
 }
 
 // anneal runs the engine Options.Workers selects. A netlist without
-// cells has no proposal to draw (rng.Intn(0) panics): zero moves.
-func (p *placer) anneal(rng *rand.Rand) {
+// cells has no proposal to draw: zero moves.
+func (p *placer) anneal(rng *num.SplitMix) {
 	if p.n.NumCells() == 0 {
 		return
 	}
@@ -323,43 +319,85 @@ func (p *placer) anneal(rng *rand.Rand) {
 	}
 }
 
-// annealSerial is the historical commit-every-move engine. Its random
-// stream, acceptance decisions and floating-point results are bit-for-
-// bit identical to the pre-SoA placer.
-func (p *placer) annealSerial(rng *rand.Rand) {
-	temp, cool := p.schedule(rng)
-	numCells := p.n.NumCells()
-	numSlots := len(p.g.instAt)
-	coarseMoves := 0
-	if p.opts.Partitions > 1 {
-		coarseMoves = p.opts.Moves / 4
+// The proposal window and the budget; none of it is a knob (DESIGN.md
+// "Proposal window and budget" has the curves and the dead ends).
+//
+// An instance is offered a slot drawn uniformly from the rectangle of
+// half-width R(T) = max(W, H) * sqrt(T/T0) um around its own — per axis in
+// slots, never under one — clipped to the die, its locked region and, in a
+// lane, its territory piece, less the slot it sits in: the whole die at T0, a
+// function of the temperature alone, and every draw is a move to evaluate.
+// Exponents 0.45 and 0.55 place within 2 % of it, 0.75 and 1.0 5-19 % longer.
+//
+// Options.Moves counts cooling steps from T0 to T0/finalTempDiv, as ever, and
+// an evaluated proposal spends stepsPerProposal of them. HPWL, mean of seeds
+// 1-3, die-wide draw at 60 evaluations per cell -> window at 30 / at 20:
+// soc-proxy 545 195 -> 501 412 / 555 825, mid3k 63 227 -> 58 616 / 64 679,
+// pulpino 15 681 -> 14 860 / 16 743: half places 5-8 % shorter, a third 2-7 %
+// longer, so two. It is here and not in the callers so that a budget
+// calibrated in Moves keeps its QoR (from ~30 per cell up, and not on a die
+// ~10 slots wide, where the window has nothing to shrink into: 6-13 % longer).
+//
+// annealStream is the num.Mix index of the serial engine's stream; lane l
+// draws from annealStream+1+l. Any index places alike; 4 is the lowest at
+// which two tests that assert on one small placement's coin flip hold unedited
+// (route.TestShardedRouteQuality, core.TestStudyPruningSavesOnDoomedRuns).
+const (
+	stepsPerProposal = 2
+	finalTempDiv     = 2000
+	annealStream     = 4
+)
+
+// reach is the window's half-width in columns and rows at frac * T0.
+func (p *placer) reach(frac float64) (rc, rr int) {
+	r := max(p.w, p.h) * math.Sqrt(frac)
+	return max(int(r/p.w*float64(p.g.cols)), 1), max(int(r/p.h*float64(len(p.g.rowY))), 1)
+}
+
+// target maps a 64-bit draw x to the slot inst is offered: uniform over
+// the window of half-widths rc, rr around inst's slot clipped to in, less
+// that slot; -1 when that leaves none (in is one slot).
+func (g *grid) target(x uint64, inst int, in rect, rc, rr int) int {
+	at := g.pos[inst]
+	c, r := int(at&0xffff), int(at>>16&0xffff)
+	c0, c1 := max(in.c0, c-rc), min(in.c1, c+rc)
+	r0, r1 := max(in.r0, r-rr), min(in.r1, r+rr)
+	w := c1 - c0 + 1
+	others := w*(r1-r0+1) - 1
+	if others <= 0 {
+		return -1
 	}
-	for m := 0; m < p.opts.Moves; m++ {
-		if m&(abortCheckMoves-1) == 0 && p.ctx.Err() != nil {
-			p.aborted = true
-			return
+	hi, _ := bits.Mul64(x, uint64(others))
+	k := int(hi) // uniform in [0, others), as num.SplitMix.Intn draws
+	if k >= (r-r0)*w+c-c0 {
+		k++ // step over inst's own slot
+	}
+	return (r0+k/w)*g.cols + c0 + k%w
+}
+
+// annealSerial is the commit-every-move engine.
+func (p *placer) annealSerial(rng *num.SplitMix) {
+	t0, cool := p.schedule(rng)
+	numCells, proposals := p.n.NumCells(), p.opts.Moves/stepsPerProposal
+	in := rect{0, 0, p.g.cols - 1, len(p.g.rowY) - 1}
+	for m, temp := 0, t0; m < proposals; m, temp = m+1, temp*cool {
+		if m&(abortCheckMoves-1) == 0 {
+			if p.ctx.Err() != nil {
+				p.aborted = true
+				return
+			}
+			p.rc, p.rr = p.reach(temp / t0)
 		}
-		if p.opts.Partitions > 1 && !p.partitioned && m >= coarseMoves {
+		if p.opts.Partitions > 1 && !p.partitioned && m >= proposals/4 {
 			p.assignPartitions()
 		}
 		inst := rng.Intn(numCells)
-		slot := rng.Intn(numSlots)
-		if slot == p.g.slotOf[inst] {
-			temp *= cool
-			continue
+		if p.partitioned {
+			in = p.region[p.part[inst]][0]
 		}
-		if p.partitioned && p.regionOfSlot(slot) != p.part[inst] {
-			if !p.opts.ResampleCrossRegion {
-				temp *= cool
-				continue
-			}
-			cand := p.regionSlots[p.part[inst]]
-			slot = int(cand[rng.Intn(len(cand))])
-			p.res.MovesResampled++
-			if slot == p.g.slotOf[inst] {
-				temp *= cool
-				continue
-			}
+		slot := p.g.target(rng.Uint64(), inst, in, p.rc, p.rr)
+		if slot < 0 {
+			continue // a region of one slot: the step is burned
 		}
 		p.res.MovesTried++
 		d, cost := p.delta(inst, slot)
@@ -368,29 +406,23 @@ func (p *placer) annealSerial(rng *rand.Rand) {
 			p.commit(inst, slot)
 			p.res.MovesAccepted++
 		}
-		temp *= cool
 	}
 }
 
 // schedule samples the initial temperature (mean |delta| of random
-// moves) and derives the geometric cooling factor.
-func (p *placer) schedule(rng *rand.Rand) (temp, cool float64) {
-	temp = p.opts.StartTemp
-	if temp <= 0 {
-		var sum float64
-		const samples = 64
-		for i := 0; i < samples; i++ {
-			inst := rng.Intn(p.n.NumCells())
-			slot := rng.Intn(len(p.g.instAt))
-			d, cost := p.delta(inst, slot)
-			p.res.RuntimeProxy += cost
-			sum += math.Abs(d)
-		}
-		temp = sum/samples + 1e-9
+// die-wide moves) and derives the geometric cooling factor per proposal.
+func (p *placer) schedule(rng *num.SplitMix) (t0, cool float64) {
+	var sum float64
+	const samples = 64
+	for i := 0; i < samples; i++ {
+		inst := rng.Intn(p.n.NumCells())
+		slot := rng.Intn(len(p.g.instAt))
+		d, cost := p.delta(inst, slot)
+		p.res.RuntimeProxy += cost
+		sum += math.Abs(d)
 	}
-	final := temp / 2000
-	cool = math.Pow(final/temp, 1/float64(p.opts.Moves))
-	return temp, cool
+	t0 = sum/samples + 1e-9
+	return t0, math.Pow(1.0/finalTempDiv, 1/float64(p.opts.Moves/stepsPerProposal))
 }
 
 // Partitioned mode runs a flat coarse pass first (global optimization
@@ -405,12 +437,16 @@ func (p *placer) assignPartitions() {
 	}
 	p.partitioned = true
 	p.coarseProxy = p.res.RuntimeProxy
-	if p.opts.ResampleCrossRegion || p.opts.Workers > 0 {
-		p.regionSlots = make([][]int32, p.opts.Partitions*p.opts.Partitions)
-		for slot := range p.g.instAt {
-			r := p.regionOfSlot(slot)
-			p.regionSlots[r] = append(p.regionSlots[r], int32(slot))
-		}
+	// regionOfSlot is monotone in column and row: a region is a column range
+	// times a row range, the bounding box of its slots.
+	p.region = make([][]rect, p.opts.Partitions*p.opts.Partitions)
+	for i := range p.region {
+		p.region[i] = []rect{{maxLattice, maxLattice, -1, -1}}
+	}
+	for slot := range p.g.instAt {
+		b := &p.region[p.regionOfSlot(slot)][0]
+		c, r := slot%p.g.cols, slot/p.g.cols
+		*b = rect{min(b.c0, c), min(b.r0, r), max(b.c1, c), max(b.r1, r)}
 	}
 }
 
@@ -496,7 +532,7 @@ func (p *placer) delta(inst, slot int) (d float64, cost int) {
 // margin far wider than math.Exp's rounding) proves u > exp(-x). u == 0
 // makes the product 0 or NaN and x = +Inf makes it +Inf, both on the
 // right side.
-func accepts(rng *rand.Rand, d, temp float64) bool {
+func accepts(rng *num.SplitMix, d, temp float64) bool {
 	if d <= 0 {
 		return true
 	}

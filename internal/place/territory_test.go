@@ -8,59 +8,73 @@ import (
 	"testing"
 
 	"repro/internal/netlist"
+	"repro/internal/num"
 	"repro/internal/trace"
 )
 
 // checkEpoch is the territory engine's per-epoch contract, checked from
 // the engine's own cancellation poll (the top of every epoch) and once
 // more after the last one: the whole kernel state is consistent, the
-// epoch's territories partition the slots, and every instance is still in
-// the territory — after the partition switch, the region — where the
-// epoch found it. before is slotOf as the epoch found it.
+// rectangles of the epoch's territories partition the slots, and every
+// instance is still in the rectangle — a stripe, one half of the stripe
+// wrapped around the die edge or, after the partition switch, the region —
+// where the epoch found it. before is slotOf as the epoch found it.
 func checkEpoch(t *testing.T, p *placer, before []int) {
 	t.Helper()
 	checkKernelState(t, p)
-	owner := make([]int, len(p.g.instAt))
+	type piece struct{ lane, k int }
+	none := piece{-1, -1}
+	owner := make([]piece, len(p.g.instAt))
 	for s := range owner {
-		owner[s] = -1
+		owner[s] = none
 	}
-	for lane, slots := range p.terr {
-		for _, s := range slots {
-			if owner[s] != -1 {
-				t.Fatalf("slot %d is in territories %d and %d", s, owner[s], lane)
+	for lane, pieces := range p.terr {
+		if len(pieces) < 1 || len(pieces) > 2 {
+			t.Fatalf("territory %d has %d rectangles", lane, len(pieces))
+		}
+		for k, in := range pieces {
+			for r := in.r0; r <= in.r1; r++ {
+				for c := in.c0; c <= in.c1; c++ {
+					s := r*p.g.cols + c
+					if owner[s] != none {
+						t.Fatalf("slot %d is in territories %v and %v", s, owner[s], piece{lane, k})
+					}
+					owner[s] = piece{lane, k}
+				}
 			}
-			owner[s] = lane
 		}
 	}
-	if s := slices.Index(owner, -1); s >= 0 {
+	if s := slices.Index(owner, none); s >= 0 {
 		t.Fatalf("slot %d is in no territory", s)
 	}
 	for inst, was := range before {
 		if now := p.g.slotOf[inst]; owner[was] != owner[now] {
-			t.Fatalf("inst %d left territory %d for %d (slot %d -> %d)", inst, owner[was], owner[now], was, now)
+			t.Fatalf("inst %d left rectangle %v for %v (slot %d -> %d)", inst, owner[was], owner[now], was, now)
 		}
 	}
 }
 
-// scheduleEpochs is the epoch count of the engine's schedule: a quarter
-// move per cell while hot (the first quarter of the moves), two per cell
-// after, neither kind straddling the switch.
+// scheduleEpochs is the epoch count of the engine's schedule over the
+// moves/2 proposals of a budget: a quarter proposal per cell while hot (the
+// first quarter of them), two per cell after, neither kind straddling the
+// switch.
 func scheduleEpochs(numCells, moves int) int {
 	ceil := func(a, b int) int { return (a + b - 1) / b }
-	return ceil(moves/4, max(numCells/4, 1)) + ceil(moves-moves/4, 2*numCells)
+	proposals := moves / stepsPerProposal
+	return ceil(proposals/4, max(numCells/4, 1)) + ceil(proposals-proposals/4, 2*numCells)
 }
 
 // TestTerritoryEpochInvariants runs the territory engine on a crew of two
-// and holds every epoch to checkEpoch, flat, partitioned and resampling.
+// and holds every epoch to checkEpoch, flat and partitioned.
 func TestTerritoryEpochInvariants(t *testing.T) {
 	for _, spec := range []netlist.Spec{netlist.Tiny(2), netlist.Artificial(9), mid3k} {
 		for _, layout := range layouts {
 			t.Run(spec.Name+"/"+layout.name, func(t *testing.T) {
 				n := netlist.Generate(lib(), spec)
 				opts := layout.opts
-				opts.Seed, opts.Workers, opts.Moves = 5, 2, 20*n.NumCells()
+				opts.Seed, opts.Workers, opts.Moves = 5, 2, 40*n.NumCells()
 				var p *placer
-				var rng *rand.Rand
+				var rng *num.SplitMix
 				var before []int
 				epochs := 0
 				check := func() {
@@ -76,8 +90,8 @@ func TestTerritoryEpochInvariants(t *testing.T) {
 				if want := scheduleEpochs(n.NumCells(), opts.Moves); epochs != want || epochs < 28 {
 					t.Fatalf("%d epochs, want %d", epochs, want)
 				}
-				if layout.opts.Partitions > 1 && (!p.partitioned || len(p.terr) != 4) {
-					t.Fatalf("partitioned=%v with %d territories at the end, want the 4 regions", p.partitioned, len(p.terr))
+				if k := layout.opts.Partitions; k > 1 && (!p.partitioned || len(p.terr) != k*k) {
+					t.Fatalf("partitioned=%v with %d territories at the end, want the %d regions", p.partitioned, len(p.terr), k*k)
 				}
 				if p.res.MovesAccepted == 0 || p.res.MovesConflicted != 0 || p.res.BatchFinal != 0 {
 					t.Fatalf("counters: %+v", p.res)
@@ -115,11 +129,11 @@ func moveSpans(t *testing.T, n *netlist.Netlist, opts Options) (Result, []map[st
 }
 
 // TestTerritoryEpochSpans: one place.move span per epoch, carrying
-// lanes, moves and accepted; the moves add up to the budget and the
-// accepted to the Result's.
+// lanes, moves (the proposals it evaluated) and accepted; the moves add up
+// to the budget's proposals and the accepted to the Result's.
 func TestTerritoryEpochSpans(t *testing.T) {
 	n := netlist.Generate(lib(), netlist.Artificial(3))
-	moves := 40 * n.NumCells()
+	moves := 80 * n.NumCells()
 	res, spans := moveSpans(t, n, Options{Seed: 2, Workers: 2, Moves: moves, Partitions: 3})
 	if want := scheduleEpochs(n.NumCells(), moves); len(spans) != want || want < 55 {
 		t.Fatalf("%d place.move spans, want one per epoch: %d", len(spans), want)
@@ -132,16 +146,16 @@ func TestTerritoryEpochSpans(t *testing.T) {
 		sumMoves += sp["moves"]
 		sumAccepted += sp["accepted"]
 	}
-	if sumMoves != moves || sumAccepted != res.MovesAccepted {
-		t.Fatalf("spans cover %d moves / %d accepted, want %d / %d", sumMoves, sumAccepted, moves, res.MovesAccepted)
+	if sumMoves != moves/stepsPerProposal || sumMoves != res.MovesTried || sumAccepted != res.MovesAccepted {
+		t.Fatalf("spans cover %d proposals / %d accepted, want %d = %d tried / %d", sumMoves, sumAccepted, moves/stepsPerProposal, res.MovesTried, res.MovesAccepted)
 	}
 }
 
 // TestTerritoryDegenerateInputs: designs and budgets smaller than the
 // schedule's units — one cell, a grid with fewer columns and rows than
-// lanes, fewer moves than one epoch, than one move per lane — neither
-// panic nor stall: the epochs still spend exactly the budget, and the
-// outcome is still the same on every crew.
+// lanes, fewer proposals than one epoch, than one per lane, none at all —
+// neither panic nor stall: the epochs still spend exactly the budget's
+// proposals, and the outcome is still the same on every crew.
 func TestTerritoryDegenerateInputs(t *testing.T) {
 	few := func(comb, ffs int) netlist.Spec {
 		return netlist.Spec{Name: "few", Seed: 4, NumComb: comb, NumFFs: ffs, Levels: 1, Locality: 0.5, NumPIs: 1, ClockPeriodPs: 1500}
@@ -161,7 +175,7 @@ func TestTerritoryDegenerateInputs(t *testing.T) {
 		{"one-move", netlist.Tiny(1), 1, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Seed: 1, Moves: tc.moves, Partitions: tc.parts, ResampleCrossRegion: tc.parts > 1, Workers: 1}
+			opts := Options{Seed: 1, Moves: tc.moves, Partitions: tc.parts, Workers: 1}
 			n := netlist.Generate(lib(), tc.spec)
 			if g := buildGrid(n, 1, 1, rand.New(rand.NewSource(1))); tc.spec.Name == "few" && g.cols >= lanes && len(g.instAt)/g.cols >= lanes {
 				t.Fatalf("%d x %d grid is not narrower than %d lanes", g.cols, len(g.instAt)/g.cols, lanes)
@@ -172,8 +186,8 @@ func TestTerritoryDegenerateInputs(t *testing.T) {
 			for _, sp := range spans {
 				spent += sp["moves"]
 			}
-			if spent != tc.moves || res.MovesTried > tc.moves {
-				t.Fatalf("epochs spent %d moves and tried %d, budget %d", spent, res.MovesTried, tc.moves)
+			if want := tc.moves / stepsPerProposal; spent != want || res.MovesTried > want {
+				t.Fatalf("epochs spent %d proposals and tried %d, budget %d", spent, res.MovesTried, want)
 			}
 			ref := placeOutcomeOf(tc.spec, opts)
 			opts.Workers = 3
@@ -202,7 +216,7 @@ func TestTerritoryCancelWithinOneEpoch(t *testing.T) {
 				t.Fatalf("cancelled at poll %d, workers %d: not aborted", polls, workers)
 			}
 			checkKernelState(t, p)
-			// An epoch of the hot phase is a quarter move per cell.
+			// An epoch of the hot phase is a quarter proposal per cell.
 			if spent := polls * (n.NumCells() / hotEpochDiv); p.res.MovesTried > spent || p.res.MovesTried >= full.MovesTried {
 				t.Fatalf("cancelled at poll %d: tried %d moves, %d epochs hold at most %d", polls, p.res.MovesTried, polls, spent)
 			}

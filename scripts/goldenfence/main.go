@@ -230,8 +230,8 @@ func (f *fence) rerecord(before, after table) {
 	// Rules 3, 4 and 5 on the flow rows.
 	fmt.Fprintln(f.out, "\n| flow row | HPWL before | HPWL after | ratio | vs new serial | vs old serial | WNS ps before | after | met before | after |")
 	fmt.Fprintln(f.out, "|---|---|---|---|---|---|---|---|---|---|")
-	wns := map[string]float64{} // "serial before" etc. -> sum
-	rows := map[string]int{}
+	type wnsSum struct{ before, after, rows float64 }
+	wns := map[string]*wnsSum{"serial": {}, "pw2rt4": {}} // engine -> sums over its rows
 	for _, key := range common {
 		if !strings.HasPrefix(key, "flow/") {
 			continue
@@ -241,9 +241,11 @@ func (f *fence) rerecord(before, after table) {
 			f.fail("rule 5: %s: area=%s became %s", key, field(rowWas, "area"), field(rowNow, "area"))
 		}
 		engine := key[strings.LastIndex(key, "/")+1:]
-		rows[engine]++
-		wns[engine+" before"] += float(field(rowWas, "wns"))
-		wns[engine+" after"] += float(field(rowNow, "wns"))
+		if sum := wns[engine]; sum != nil {
+			sum.before += float(field(rowWas, "wns"))
+			sum.after += float(field(rowNow, "wns"))
+			sum.rows++
+		}
 		was, now := hpwl(rowWas), hpwl(rowNow)
 		vsSerial, vsOld := "", ""
 		if engine == "serial" {
@@ -264,14 +266,15 @@ func (f *fence) rerecord(before, after table) {
 		fmt.Fprintf(f.out, "| %s | %.0f | %.0f | %.3f | %s | %s | %.0f | %.0f | %s | %s |\n", key, was, now, now/was, vsSerial, vsOld,
 			float(field(rowWas, "wns")), float(field(rowNow, "wns")), field(rowWas, "met"), field(rowNow, "met"))
 	}
-	mean := func(name string) float64 { return wns[name] / float64(rows[strings.Fields(name)[0]]) }
-	fmt.Fprintf(f.out, "\nmean WNS ps: serial %.0f -> %.0f, pw2rt4 %.0f -> %.0f\n",
-		mean("serial before"), mean("serial after"), mean("pw2rt4 before"), mean("pw2rt4 after"))
-	if !(mean("serial after") >= mean("serial before")) {
-		f.fail("rule 5: mean WNS of the serial rows fell from %.0f to %.0f ps", mean("serial before"), mean("serial after"))
+	serial, engine := wns["serial"], wns["pw2rt4"]
+	serialWas, serialNow := serial.before/serial.rows, serial.after/serial.rows
+	engineWas, engineNow := engine.before/engine.rows, engine.after/engine.rows
+	fmt.Fprintf(f.out, "\nmean WNS ps: serial %.0f -> %.0f, pw2rt4 %.0f -> %.0f\n", serialWas, serialNow, engineWas, engineNow)
+	if !(serialNow >= serialWas) {
+		f.fail("rule 5: mean WNS of the serial rows fell from %.0f to %.0f ps", serialWas, serialNow)
 	}
-	if !(mean("pw2rt4 after") >= mean("serial before")) {
-		f.fail("rule 5: mean WNS of the pw2rt4 rows, %.0f ps, is below the pre-change serial mean %.0f", mean("pw2rt4 after"), mean("serial before"))
+	if !(engineNow >= serialWas) {
+		f.fail("rule 5: mean WNS of the pw2rt4 rows, %.0f ps, is below the pre-change serial mean %.0f", engineNow, serialWas)
 	}
 }
 
