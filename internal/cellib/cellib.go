@@ -225,18 +225,28 @@ func (l *Library) Largest(c Class) Cell {
 // Upsize returns the next-larger variant of the cell (same VT flavor)
 // and true, or the cell itself and false if it is already the largest.
 func (l *Library) Upsize(c Cell) (Cell, bool) {
+	if up := l.Larger(&c); up != nil {
+		return *up, true
+	}
+	return c, false
+}
+
+// Larger is Upsize without the 96-byte copies: the next-larger variant
+// as a pointer into the library's own table, which the caller must not
+// write through, or nil if the cell is already the largest.
+func (l *Library) Larger(c *Cell) *Cell {
 	idx := l.byClass[c.Class]
 	for pos, j := range idx {
 		if l.cells[j].Drive == c.Drive && l.cells[j].VT == c.VT {
 			for _, k := range idx[pos+1:] {
 				if l.cells[k].VT == c.VT {
-					return l.cells[k], true
+					return &l.cells[k]
 				}
 			}
-			return c, false
+			return nil
 		}
 	}
-	return c, false
+	return nil
 }
 
 // Downsize returns the next-smaller variant of the cell (same VT

@@ -102,15 +102,37 @@ func (n *Netlist) Sequential() []int {
 
 // NetLoad returns the total capacitive load on a net in fF: sink pin caps
 // plus external cap plus wire cap for the current placement (HPWL-based
-// wire length estimate).
+// wire length estimate). It is Electricals' first result.
 func (n *Netlist) NetLoad(netID int) float64 {
-	net := &n.Nets[netID]
-	load := net.ExternalCap
-	for _, s := range net.Sinks {
-		load += n.Insts[s.Inst].Cell.InputCap
-	}
-	load += n.Lib.Wire.CapPerUm * n.HPWL(netID)
+	load, _ := n.Electricals(netID)
 	return load
+}
+
+// Electricals returns a net's NetLoad in fF and its HPWL in um from one
+// walk of its pins: caps summed and box grown in HPWL's order, so the
+// length is HPWL's bit for bit.
+func (n *Netlist) Electricals(netID int) (loadFF, lengthUm float64) {
+	net := &n.Nets[netID]
+	loadFF = net.ExternalCap
+	first := net.Driver
+	if first < 0 && len(net.Sinks) > 0 {
+		// HPWL starts a driverless net's box at its first sink; that
+		// sink's turn in the loop below leaves the box as it is.
+		first = net.Sinks[0].Inst
+	}
+	if first >= 0 {
+		in := &n.Insts[first]
+		minX, maxX, minY, maxY := in.X, in.X, in.Y, in.Y
+		for _, s := range net.Sinks {
+			in := &n.Insts[s.Inst]
+			loadFF += in.Cell.InputCap
+			minX, maxX = min(minX, in.X), max(maxX, in.X)
+			minY, maxY = min(minY, in.Y), max(maxY, in.Y)
+		}
+		lengthUm = (maxX - minX) + (maxY - minY)
+	}
+	loadFF += n.Lib.Wire.CapPerUm * lengthUm
+	return loadFF, lengthUm
 }
 
 // HPWL returns the half-perimeter wirelength of a net in um for the

@@ -20,7 +20,6 @@ package sta
 
 import (
 	"container/heap"
-	"math"
 	"sort"
 
 	"repro/internal/netlist"
@@ -147,7 +146,7 @@ func NewIncremental(n *netlist.Netlist, cfg Config) *Incremental {
 	inc := &Incremental{
 		n:        n,
 		cfg:      cfg,
-		derate:   globalDerate(cfg),
+		derate:   globalDerate(&cfg),
 		setupF:   setupF,
 		buckets:  make([][]int, maxLevel+1),
 		inBucket: make([]bool, len(n.Insts)),
@@ -155,31 +154,18 @@ func NewIncremental(n *netlist.Netlist, cfg Config) *Incremental {
 		epOfInst: make([]int, len(n.Insts)),
 		epOfNet:  make([]int, len(n.Nets)),
 		netStamp: make([]int, len(n.Nets)),
-		unitCost: costUnits(n, cfg),
+		unitCost: costUnits(n, &cfg),
 	}
 	inc.rebuild()
 	return inc
 }
 
-// rebuild runs the full propagation and endpoint construction, exactly
-// mirroring Analyze.
+// rebuild runs Analyze's own full propagation and endpoint construction.
 func (inc *Incremental) rebuild() {
-	n, cfg := inc.n, inc.cfg
-	inc.state = make([]arrivalState, len(n.Nets))
-	for i := range inc.state {
-		inc.state[i].arrival = math.Inf(-1)
-		inc.state[i].from = -1
-	}
-	for i := range n.Nets {
-		if st, ok := sourceState(n, cfg, inc.derate, i); ok {
-			inc.state[i] = st
-		}
-	}
-	for _, id := range n.TopoOrder() {
-		if outNet, st, ok := combState(n, cfg, inc.derate, id, inc.state); ok {
-			inc.state[outNet] = st
-		}
-	}
+	n, cfg := inc.n, &inc.cfg
+	var full Analyzer
+	full.propagate(n, cfg, inc.derate)
+	inc.state = full.state
 
 	inc.endpoints = inc.endpoints[:0]
 	for i := range inc.epOfInst {
@@ -189,7 +175,7 @@ func (inc *Incremental) rebuild() {
 		inc.epOfNet[i] = -1
 	}
 	inc.tns, inc.tnsComp, inc.violations = 0, 0, 0
-	add := func(ep Endpoint) {
+	full.endpoints(n, cfg, func(ep Endpoint) {
 		if ep.Inst >= 0 {
 			inc.epOfInst[ep.Inst] = len(inc.endpoints)
 		} else {
@@ -200,28 +186,7 @@ func (inc *Incremental) rebuild() {
 			inc.tns += ep.SlackPs
 			inc.violations++
 		}
-	}
-	for _, ff := range n.Sequential() {
-		dNet := n.FaninNet[ff][0]
-		if dNet < 0 {
-			continue
-		}
-		st := inc.state[dNet]
-		if math.IsInf(st.arrival, -1) {
-			continue
-		}
-		add(ffEndpoint(n, cfg, inc.setupF, ff, dNet, st))
-	}
-	for i := range n.Nets {
-		if n.Nets[i].ExternalCap <= 0 || n.Nets[i].IsClock {
-			continue
-		}
-		st := inc.state[i]
-		if math.IsInf(st.arrival, -1) {
-			continue
-		}
-		add(netEndpoint(n, cfg, i, st))
-	}
+	})
 
 	inc.version = make([]int, len(inc.endpoints))
 	inc.epStamp = make([]int, len(inc.endpoints))
@@ -339,7 +304,8 @@ func (inc *Incremental) touchNet(f int) {
 // refreshSource recomputes a source net (PI or register Q) and seeds
 // propagation if it changed.
 func (inc *Incremental) refreshSource(netID int) {
-	st, ok := sourceState(inc.n, inc.cfg, inc.derate, netID)
+	load, length := inc.n.Electricals(netID)
+	st, ok := sourceState(inc.n, &inc.cfg, inc.derate, netID, load, length)
 	if !ok {
 		return
 	}
@@ -394,7 +360,9 @@ func (inc *Incremental) flush() {
 			id := bucket[i]
 			inc.inBucket[id] = false
 			inc.propagated++
-			outNet, st, ok := combState(inc.n, inc.cfg, inc.derate, id, inc.state)
+			outNet := inc.n.FanoutNet[id] // markDirty queues no instance without one
+			load, length := inc.n.Electricals(outNet)
+			st, ok := combState(inc.n, &inc.cfg, inc.derate, id, inc.state, load, length)
 			if !ok {
 				continue
 			}
@@ -441,11 +409,12 @@ func (inc *Incremental) writeState(netID int, st arrivalState) {
 // updating TNS/violation aggregates and the slack index.
 func (inc *Incremental) refreshEndpoint(idx int) {
 	old := inc.endpoints[idx]
+	st, load := &inc.state[old.Net], inc.n.NetLoad(old.Net)
 	var ep Endpoint
 	if old.Inst >= 0 {
-		ep = ffEndpoint(inc.n, inc.cfg, inc.setupF, old.Inst, old.Net, inc.state[old.Net])
+		ep = ffEndpoint(inc.n, &inc.cfg, inc.setupF, old.Inst, old.Net, st, load)
 	} else {
-		ep = netEndpoint(inc.n, inc.cfg, old.Net, inc.state[old.Net])
+		ep = netEndpoint(inc.n, &inc.cfg, old.Net, st, load)
 	}
 	if ep == old {
 		return

@@ -11,13 +11,17 @@
 // Two evaluation modes share the same per-net arithmetic: Analyze runs a
 // full-graph propagation and is the oracle; Incremental holds the state
 // of one full analysis and re-propagates only the cone affected by a
-// change notification (see incremental.go).
+// change notification (see incremental.go). An Analyzer is Analyze's
+// workspace, kept by a caller that analyses again and again (synth.Run):
+// it walks each net's pins once per analysis into a load/length table
+// that the stage arithmetic and the caller both read.
 package sta
 
 import (
 	"math"
-	"sort"
+	"slices"
 
+	"repro/internal/cellib"
 	"repro/internal/netlist"
 )
 
@@ -63,7 +67,7 @@ type Config struct {
 }
 
 // instDerate returns the per-instance multiplier (1.0 when unset).
-func (c Config) instDerate(inst int) float64 {
+func (c *Config) instDerate(inst int) float64 {
 	if c.InstDerate == nil || inst >= len(c.InstDerate) || c.InstDerate[inst] <= 0 {
 		return 1
 	}
@@ -71,7 +75,7 @@ func (c Config) instDerate(inst int) float64 {
 }
 
 // skew returns the clock arrival offset of an instance (0 when unset).
-func (c Config) skew(inst int) float64 {
+func (c *Config) skew(inst int) float64 {
 	if c.ClockSkew == nil || inst >= len(c.ClockSkew) {
 		return 0
 	}
@@ -79,7 +83,7 @@ func (c Config) skew(inst int) float64 {
 }
 
 // pbaApplies reports whether path-based recovery is in effect.
-func (c Config) pbaApplies() bool { return c.PathBased && c.Engine == Signoff }
+func (c *Config) pbaApplies() bool { return c.PathBased && c.Engine == Signoff }
 
 // Endpoint is a timing path endpoint (a flip-flop D pin or a net with an
 // external load) with its slack and path features. The feature fields
@@ -126,10 +130,35 @@ type Report struct {
 // WorstEndpoints returns the k endpoints with smallest slack, ascending.
 // The returned slice is a view into a per-report cache shared by all
 // calls; callers must not modify it.
+//
+// The sort is unstable and slacks tie, so the permutation is part of the
+// QoR contract (synth shuffles it): the one sort.Slice on the endpoints
+// with less = "slack smaller" produced. pdqsort's moves follow from the
+// comparison outcomes alone, so sorting (slack, index) keys and gathering
+// gives it without swapping 64-byte structs by reflection; a test pins it.
 func (r *Report) WorstEndpoints(k int) []Endpoint {
-	if r.sorted == nil {
-		r.sorted = append([]Endpoint(nil), r.Endpoints...)
-		sort.Slice(r.sorted, func(i, j int) bool { return r.sorted[i].SlackPs < r.sorted[j].SlackPs })
+	if r.sorted == nil && len(r.Endpoints) > 0 {
+		type key struct {
+			slack float64
+			idx   int
+		}
+		keys := make([]key, len(r.Endpoints))
+		for i := range keys {
+			keys[i] = key{r.Endpoints[i].SlackPs, i}
+		}
+		slices.SortFunc(keys, func(a, b key) int {
+			switch {
+			case a.slack < b.slack:
+				return -1
+			case b.slack < a.slack:
+				return 1
+			}
+			return 0
+		})
+		r.sorted = make([]Endpoint, len(keys))
+		for i, k := range keys {
+			r.sorted[i] = r.Endpoints[k.idx]
+		}
 	}
 	if k > len(r.sorted) {
 		k = len(r.sorted)
@@ -157,15 +186,17 @@ type arrivalState struct {
 
 // globalDerate returns the stage-delay multiplier shared by every
 // instance: the uniform guardband times the corner cell factor.
-func globalDerate(cfg Config) float64 {
+func globalDerate(cfg *Config) float64 {
 	cellF, _, _ := cfg.Corner.factors()
 	return (1 + cfg.DeratePct/100) * cellF
 }
 
 // sourceState computes the timing state of a source net — a primary
 // input or a register Q output. ok is false when the net is neither (a
-// combinationally driven or clock net).
-func sourceState(n *netlist.Netlist, cfg Config, derate float64, netID int) (st arrivalState, ok bool) {
+// combinationally driven or clock net). Like every stage function it is
+// handed the net's netlist.Electricals instead of walking the pins: an
+// Analyzer's table entry, or Incremental's call.
+func sourceState(n *netlist.Netlist, cfg *Config, derate float64, netID int, load, length float64) (st arrivalState, ok bool) {
 	net := &n.Nets[netID]
 	if net.IsClock {
 		return arrivalState{}, false
@@ -173,95 +204,85 @@ func sourceState(n *netlist.Netlist, cfg Config, derate float64, netID int) (st 
 	if net.Driver < 0 {
 		return arrivalState{arrival: cfg.InputDelayPs, slew: 30, from: -1}, true
 	}
-	drv := &n.Insts[net.Driver]
-	if !drv.Cell.Class.Sequential() {
+	drv := &n.Insts[net.Driver].Cell
+	if !drv.Class.Sequential() {
 		return arrivalState{}, false
 	}
-	w := wireDelay(n, netID, drv.Cell.Resist, cfg)
+	w := wireDelay(n.Lib.Wire, cfg, drv.Resist, length)
 	return arrivalState{
-		arrival: cfg.skew(net.Driver) + drv.Cell.ClkToQ*derate*cfg.instDerate(net.Driver) + w,
-		slew:    drv.Cell.Slew(n.NetLoad(netID)),
+		arrival: cfg.skew(net.Driver) + drv.ClkToQ*derate*cfg.instDerate(net.Driver) + w,
+		slew:    drv.Slew(load),
 		wire:    w,
 		from:    -1,
 	}, true
 }
 
-// combState computes the output-net state of a combinational instance
-// from the current states of its fanin nets. ok is false when the
-// instance is skipped by propagation (sequential, level 0, no output
-// net) or no fanin has a finite arrival.
-func combState(n *netlist.Netlist, cfg Config, derate float64, id int, state []arrivalState) (outNet int, st arrivalState, ok bool) {
+// combState computes the state of the output net of a combinational
+// instance — the caller looks it up in FanoutNet, and passes its
+// electricals — from the current states of the fanin nets. ok is false
+// when the instance is skipped by propagation (sequential, level 0) or
+// no fanin has a finite arrival.
+func combState(n *netlist.Netlist, cfg *Config, derate float64, id int, state []arrivalState, load, length float64) (st arrivalState, ok bool) {
 	inst := &n.Insts[id]
 	if inst.Cell.Class.Sequential() || inst.Level == 0 {
-		return -1, arrivalState{}, false
+		return arrivalState{}, false
 	}
-	outNet = n.FanoutNet[id]
-	if outNet < 0 {
-		return -1, arrivalState{}, false
-	}
-	load := n.NetLoad(outNet)
-	var best arrivalState
-	best.arrival = math.Inf(-1)
+	cell := &inst.Cell
+	delay, scale := cell.Delay(load), derate*cfg.instDerate(id) // the same for every fanin
+	var worst *arrivalState
+	arrival, from := math.Inf(-1), -1
 	for _, faninNet := range n.FaninNet[id] {
 		if faninNet < 0 {
 			continue
 		}
-		in := state[faninNet]
+		in := &state[faninNet]
 		if math.IsInf(in.arrival, -1) {
 			continue
 		}
-		d := inst.Cell.Delay(load)
+		d := delay
 		if cfg.Engine == Signoff {
 			// Slew-dependent stage delay: slow input edges
 			// stretch the stage. The fast engine ignores
 			// this, which is one miscorrelation source.
 			d *= 1 + in.slew/(900/derate)
 		}
-		d *= derate * cfg.instDerate(id)
-		a := in.arrival + d
-		if a > best.arrival {
-			best = arrivalState{
-				arrival: a,
-				slew:    inst.Cell.Slew(load),
-				depth:   in.depth + 1,
-				wire:    in.wire,
-				from:    faninNet,
-			}
+		d *= scale
+		if a := in.arrival + d; a > arrival {
+			worst, arrival, from = in, a, faninNet
 		}
 	}
-	if math.IsInf(best.arrival, -1) {
-		return -1, arrivalState{}, false
+	if worst == nil {
+		return arrivalState{}, false
 	}
-	w := wireDelay(n, outNet, inst.Cell.Resist, cfg)
-	best.arrival += w
-	best.wire += w
-	return outNet, best, true
+	w := wireDelay(n.Lib.Wire, cfg, cell.Resist, length)
+	return arrivalState{
+		arrival: arrival + w,
+		slew:    cell.Slew(load),
+		depth:   worst.depth + 1,
+		wire:    worst.wire + w,
+		from:    from,
+	}, true
 }
 
 // ffEndpoint builds the setup endpoint of a flip-flop D pin from the
-// state of the net feeding it, including path-based recovery when the
-// configuration applies it.
-func ffEndpoint(n *netlist.Netlist, cfg Config, setupF float64, ff, dNet int, st arrivalState) Endpoint {
+// state of the net feeding it and that net's load, including path-based
+// recovery when the configuration applies it.
+func ffEndpoint(n *netlist.Netlist, cfg *Config, setupF float64, ff, dNet int, st *arrivalState, load float64) Endpoint {
 	required := n.ClockPeriodPs + cfg.skew(ff) - n.Insts[ff].Cell.SetupTime*(1+cfg.DeratePct/100)*setupF
-	ep := Endpoint{
-		Inst: ff, Net: dNet,
-		SlackPs: required - st.arrival, Arrival: st.arrival,
-		Depth: st.depth, WirePs: st.wire, SlewPs: st.slew,
-		FanoutLd: n.NetLoad(dNet),
-	}
-	if cfg.pbaApplies() {
-		ep.SlackPs += pbaRecovery(&ep)
-	}
-	return ep
+	return endpoint(cfg, ff, dNet, required, st, load)
 }
 
 // netEndpoint builds the endpoint of an externally loaded net.
-func netEndpoint(n *netlist.Netlist, cfg Config, netID int, st arrivalState) Endpoint {
+func netEndpoint(n *netlist.Netlist, cfg *Config, netID int, st *arrivalState, load float64) Endpoint {
+	return endpoint(cfg, -1, netID, n.ClockPeriodPs, st, load)
+}
+
+func endpoint(cfg *Config, inst, netID int, required float64, st *arrivalState, load float64) Endpoint {
 	ep := Endpoint{
-		Inst: -1, Net: netID,
-		SlackPs: n.ClockPeriodPs - st.arrival, Arrival: st.arrival,
+		Inst: inst, Net: netID,
+		SlackPs: required - st.arrival, Arrival: st.arrival,
 		Depth: st.depth, WirePs: st.wire, SlewPs: st.slew,
-		FanoutLd: n.NetLoad(netID),
+		FanoutLd: load,
 	}
 	if cfg.pbaApplies() {
 		ep.SlackPs += pbaRecovery(&ep)
@@ -270,76 +291,138 @@ func netEndpoint(n *netlist.Netlist, cfg Config, netID int, st arrivalState) End
 }
 
 // Analyze runs static timing analysis and returns a report. The netlist's
-// ClockPeriodPs is the setup constraint.
+// ClockPeriodPs is the setup constraint. It is the one-shot call of
+// Analyzer.Analyze.
 func Analyze(n *netlist.Netlist, cfg Config) *Report {
-	r := &Report{Engine: cfg.Engine, PathBased: cfg.PathBased, SI: cfg.SI, WNSPs: math.Inf(1)}
-	_, _, setupF := cfg.Corner.factors()
-	derate := globalDerate(cfg)
+	return new(Analyzer).Analyze(n, cfg)
+}
 
-	state := make([]arrivalState, len(n.Nets))
-	for i := range state {
-		state[i].arrival = math.Inf(-1)
-		state[i].from = -1
+// Analyzer holds what an analysis works in, for a caller that makes many.
+// The zero value is ready. Every Analyze overwrites all of it, sized to
+// that call's netlist — another one, grown, re-levelled, moved — so no
+// result depends on an earlier call. Not safe for concurrent use.
+type Analyzer struct {
+	state []arrivalState
+	elec  []netElec // netlist.Electricals of every net
+	ints  []int     // one slab: the level order, its per-level cursors, seq
+	seq   []int     // registers, ascending
+}
+
+type netElec struct{ load, length float64 }
+
+// Load returns the net's NetLoad as of the last Analyze: stale once a cell
+// on the net is resized or moved.
+func (a *Analyzer) Load(netID int) float64 { return a.elec[netID].load }
+
+// propagate fills the workspace for n: each net's pins are walked once,
+// here, for everything downstream; then one sweep in level order.
+func (a *Analyzer) propagate(n *netlist.Netlist, cfg *Config, derate float64) {
+	if cap(a.state) < len(n.Nets) {
+		a.state, a.elec = make([]arrivalState, len(n.Nets)), make([]netElec, len(n.Nets))
 	}
-
-	// Source arrivals: primary inputs and register Q pins.
+	a.state, a.elec = a.state[:len(n.Nets)], a.elec[:len(n.Nets)]
+	state, elec := a.state, a.elec
 	for i := range n.Nets {
-		if st, ok := sourceState(n, cfg, derate, i); ok {
-			state[i] = st
+		e := &elec[i]
+		e.load, e.length = n.Electricals(i)
+		st, ok := sourceState(n, cfg, derate, i, e.load, e.length)
+		if !ok {
+			st = arrivalState{arrival: math.Inf(-1), from: -1}
 		}
+		state[i] = st
 	}
 
-	// Topological propagation through combinational logic.
-	for _, id := range n.TopoOrder() {
-		if outNet, st, ok := combState(n, cfg, derate, id, state); ok {
-			state[outNet] = st
+	// Level order as netlist.TopoOrder's counting sort gives it, and the
+	// registers as netlist.Sequential lists them, into one reused slab.
+	maxLevel, numSeq := 0, 0
+	for i := range n.Insts {
+		maxLevel = max(maxLevel, n.Insts[i].Level)
+		if n.Insts[i].Cell.Class.Sequential() {
+			numSeq++
 		}
 	}
+	numInsts, numLevels := len(n.Insts), maxLevel+2
+	if need := numInsts + numLevels + numSeq; cap(a.ints) < need {
+		a.ints = make([]int, need)
+	}
+	order, start, seq := a.ints[:numInsts], a.ints[numInsts:numInsts+numLevels], a.ints[numInsts+numLevels:][:0]
+	clear(start) // start[l+1] counts level l, then prefix-summed
+	for i := range n.Insts {
+		start[n.Insts[i].Level+1]++
+	}
+	for l := 1; l < numLevels; l++ {
+		start[l] += start[l-1]
+	}
+	for i := range n.Insts {
+		l := n.Insts[i].Level
+		order[start[l]] = i
+		start[l]++
+		if n.Insts[i].Cell.Class.Sequential() {
+			seq = append(seq, i)
+		}
+	}
+	a.seq = seq
+
+	for _, id := range order {
+		out := n.FanoutNet[id]
+		if out < 0 {
+			continue
+		}
+		if st, ok := combState(n, cfg, derate, id, state, elec[out].load, elec[out].length); ok {
+			state[out] = st
+		}
+	}
+}
+
+// endpoints hands add the endpoints of the propagated state in report
+// order: flip-flop D pins in seq order, then externally loaded nets.
+func (a *Analyzer) endpoints(n *netlist.Netlist, cfg *Config, add func(Endpoint)) {
+	_, _, setupF := cfg.Corner.factors()
+	for _, ff := range a.seq {
+		dNet := n.FaninNet[ff][0]
+		if dNet < 0 {
+			continue
+		}
+		if st := &a.state[dNet]; !math.IsInf(st.arrival, -1) {
+			add(ffEndpoint(n, cfg, setupF, ff, dNet, st, a.elec[dNet].load))
+		}
+	}
+	for i := range n.Nets {
+		if n.Nets[i].ExternalCap <= 0 || n.Nets[i].IsClock {
+			continue
+		}
+		if st := &a.state[i]; !math.IsInf(st.arrival, -1) {
+			add(netEndpoint(n, cfg, i, st, a.elec[i].load))
+		}
+	}
+}
+
+// Analyze is the package function Analyze in this workspace.
+func (a *Analyzer) Analyze(n *netlist.Netlist, cfg Config) *Report {
+	r := &Report{Engine: cfg.Engine, PathBased: cfg.PathBased, SI: cfg.SI, WNSPs: math.Inf(1)}
+	a.propagate(n, &cfg, globalDerate(&cfg))
 
 	// Endpoints: flip-flop D pins and externally loaded nets. Sized once:
 	// append-growth was most of what an analysis allocated.
-	seq := n.Sequential()
-	numEnds := len(seq)
+	numEnds := len(a.seq)
 	for i := range n.Nets {
 		if n.Nets[i].ExternalCap > 0 && !n.Nets[i].IsClock {
 			numEnds++
 		}
 	}
 	r.Endpoints = make([]Endpoint, 0, numEnds)
-	var worstEnd Endpoint
-	worstEnd.SlackPs = math.Inf(1)
-	addEndpoint := func(ep Endpoint) {
+	worstNet := -1 // no endpoint, no critical path
+	a.endpoints(n, &cfg, func(ep Endpoint) {
 		r.Endpoints = append(r.Endpoints, ep)
 		if ep.SlackPs < r.WNSPs {
 			r.WNSPs = ep.SlackPs
-			worstEnd = ep
+			worstNet = ep.Net
 		}
 		if ep.SlackPs < 0 {
 			r.TNSPs += ep.SlackPs
 			r.Violations++
 		}
-	}
-	for _, ff := range seq {
-		dNet := n.FaninNet[ff][0]
-		if dNet < 0 {
-			continue
-		}
-		st := state[dNet]
-		if math.IsInf(st.arrival, -1) {
-			continue
-		}
-		addEndpoint(ffEndpoint(n, cfg, setupF, ff, dNet, st))
-	}
-	for i := range n.Nets {
-		if n.Nets[i].ExternalCap <= 0 || n.Nets[i].IsClock {
-			continue
-		}
-		st := state[i]
-		if math.IsInf(st.arrival, -1) {
-			continue
-		}
-		addEndpoint(netEndpoint(n, cfg, i, st))
-	}
+	})
 
 	if len(r.Endpoints) == 0 {
 		r.Endpoints = nil // as an append-grown report without endpoints was
@@ -347,8 +430,8 @@ func Analyze(n *netlist.Netlist, cfg Config) *Report {
 	}
 
 	// Critical path retrace.
-	if worstEnd.Net >= 0 {
-		r.CriticalPath = retrace(n, worstEnd.Net, state)
+	if worstNet >= 0 {
+		r.CriticalPath = retrace(n, worstNet, a.state)
 	}
 
 	// Max frequency: arrival of the worst endpoint fixes the minimum
@@ -358,7 +441,7 @@ func Analyze(n *netlist.Netlist, cfg Config) *Report {
 		r.MaxFreqGHz = 1000 / worstArrival
 	}
 
-	r.CostUnits = costUnits(n, cfg)
+	r.CostUnits = costUnits(n, &cfg)
 	return r
 }
 
@@ -373,13 +456,11 @@ func pbaRecovery(ep *Endpoint) float64 {
 	return rec
 }
 
-// wireDelay returns the wire delay (ps) of a net for the configured
-// engine. Fast lumps the wire cap at the driver (RC product only);
-// signoff uses Elmore and, with SI on, a coupling push-out proportional
-// to wire cap (long nets suffer more aggressor coupling).
-func wireDelay(n *netlist.Netlist, netID int, driverResist float64, cfg Config) float64 {
-	length := n.HPWL(netID)
-	w := n.Lib.Wire
+// wireDelay returns the wire delay (ps) of a net of the given length for
+// the configured engine. Fast lumps the wire cap at the driver (RC product
+// only); signoff uses Elmore and, with SI on, a coupling push-out
+// proportional to wire cap (long nets suffer more aggressor coupling).
+func wireDelay(w cellib.Wire, cfg *Config, driverResist, length float64) float64 {
 	_, wireF, _ := cfg.Corner.factors()
 	switch cfg.Engine {
 	case Fast:
@@ -419,7 +500,7 @@ func retrace(n *netlist.Netlist, endNet int, state []arrivalState) []int {
 
 // costUnits models analysis runtime: signoff costs ~3x fast, SI ~+4x,
 // path-based ~+6x, matching the qualitative cost ordering of Fig. 8.
-func costUnits(n *netlist.Netlist, cfg Config) float64 {
+func costUnits(n *netlist.Netlist, cfg *Config) float64 {
 	base := float64(len(n.Insts)) / 1000
 	mult := 1.0
 	if cfg.Engine == Signoff {

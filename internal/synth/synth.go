@@ -83,21 +83,22 @@ func Run(design *netlist.Netlist, opts Options) Result {
 	// Challenge 2).
 	maxPasses := 6 * opts.Effort
 	staCfg := sta.Config{Engine: sta.Fast}
+	var timer sta.Analyzer // one workspace for every analysis of this run
 	var bufs passBuffers
 	var final *sta.Report // the report of n as it stands, nil once resized
 	for pass := 0; pass < maxPasses; pass++ {
-		final = sta.Analyze(n, staCfg)
+		final = timer.Analyze(n, staCfg)
 		res.Passes++
 		if final.WNSPs >= 0 {
 			break
 		}
-		if bufs.upsizePass(n, final, opts, rng, &res) == 0 {
+		if bufs.upsizePass(n, &timer, final, opts, rng, &res) == 0 {
 			break // saturated: every critical cell at max drive
 		}
 		final = nil
 	}
 	if final == nil {
-		final = sta.Analyze(n, staCfg)
+		final = timer.Analyze(n, staCfg)
 	}
 	res.WNSPs = final.WNSPs
 	res.TNSPs = final.TNSPs
@@ -110,7 +111,10 @@ func Run(design *netlist.Netlist, opts Options) Result {
 // bufferHighFanout splits nets with excessive fanout behind buffers,
 // choosing the split partition randomly.
 func bufferHighFanout(n *netlist.Netlist, opts Options, rng *rand.Rand) int {
-	buf := n.Lib.Variants(cellib.Buffer)[2] // X4 buffer
+	buf := n.Lib.Smallest(cellib.Buffer)
+	for i := 0; i < 2; i++ { // X4 buffer: two sizes up
+		buf, _ = n.Lib.Upsize(buf)
+	}
 	added := 0
 	numNets := len(n.Nets) // snapshot: don't re-buffer new nets
 	for netID := 0; netID < numNets; netID++ {
@@ -138,15 +142,18 @@ func bufferHighFanout(n *netlist.Netlist, opts Options, rng *rand.Rand) int {
 // passBuffers are upsizePass's working arrays, owned by Run so that the
 // passes of one synthesis share them. The zero value is ready to use.
 type passBuffers struct {
-	seen  []bool // inst -> already a candidate in this pass
-	walk  coneWalker
-	viol  []sta.Endpoint
-	cands []cand
+	seen   []bool // inst -> already a candidate in this pass
+	walk   coneWalker
+	viol   []sta.Endpoint
+	cands  []cand
+	top    []cand    // topThird's pick, when it did not sort
+	scores []float64 // its scratch copy of the scores
 }
 
-// upsizePass strengthens cells on violating paths. Returns the number of
-// cells changed.
-func (b *passBuffers) upsizePass(n *netlist.Netlist, rep *sta.Report, opts Options, rng *rand.Rand, res *Result) int {
+// upsizePass strengthens cells on violating paths. rep is timer's report
+// of n as it stands, so timer.Load is each net's load. Returns the number
+// of cells changed.
+func (b *passBuffers) upsizePass(n *netlist.Netlist, timer *sta.Analyzer, rep *sta.Report, opts Options, rng *rand.Rand, res *Result) int {
 	eps := rep.WorstEndpoints(len(rep.Endpoints))
 	// Keep only violations; attack a random subset each pass.
 	viol := b.viol[:0]
@@ -185,13 +192,13 @@ func (b *passBuffers) upsizePass(n *netlist.Netlist, rep *sta.Report, opts Optio
 			if out < 0 {
 				continue
 			}
-			cell := n.Insts[id].Cell
-			load := n.NetLoad(out)
 			// Sensitivity proxy: delay reduction per area if upsized.
-			up, ok := n.Lib.Upsize(cell)
-			if !ok {
+			cell := &n.Insts[id].Cell
+			up := n.Lib.Larger(cell)
+			if up == nil {
 				continue
 			}
+			load := timer.Load(out) // no cell has been resized since the analysis
 			gain := cell.Delay(load) - up.Delay(load)
 			dArea := up.Area - cell.Area
 			if dArea <= 0 {
@@ -201,28 +208,88 @@ func (b *passBuffers) upsizePass(n *netlist.Netlist, rep *sta.Report, opts Optio
 		}
 	}
 	b.cands = cands
-	sortCands(cands)
-	changed := 0
-	budget := len(cands)/3 + 1
-	for _, c := range cands {
-		if changed >= budget {
-			break
-		}
-		up, ok := n.Lib.Upsize(n.Insts[c.inst].Cell)
-		if !ok {
-			continue
-		}
-		n.Insts[c.inst].Cell = up
-		changed++
-		res.Upsized++
+
+	top := b.topThird(cands)
+	for _, c := range top {
+		cell := &n.Insts[c.inst].Cell
+		*cell = *n.Lib.Larger(cell)
 	}
-	return changed
+	res.Upsized += len(top)
+	return len(top)
 }
 
 // cand is an upsizing candidate of one pass.
 type cand struct {
 	inst  int
 	score float64
+}
+
+// topThird returns the candidates a pass resizes: the first len/3+1 of
+// the descending score order, in no particular order. Every candidate is
+// a distinct cell with a larger size to go to, so all of those change and
+// their order never mattered — they are a set, which a cutoff score picks
+// without sorting. Only when scores tied across the cut leave several
+// such sets does the unstable sort's permutation choose among them, as it
+// always did; that alone reorders cands.
+func (b *passBuffers) topThird(cands []cand) []cand {
+	if len(cands) == 0 {
+		return nil
+	}
+	budget := len(cands)/3 + 1
+	scores := b.scores[:0]
+	for _, c := range cands {
+		scores = append(scores, c.score)
+	}
+	b.scores = scores
+	cut := kthLargest(scores, budget)
+	top, below := b.top[:0], 0
+	for _, c := range cands {
+		if c.score >= cut {
+			top = append(top, c)
+		} else if c.score < cut {
+			below++
+		}
+	}
+	b.top = top
+	// The counts vouch for the set whatever kthLargest returned: they fail
+	// on a tie across the cut and on a NaN score.
+	if len(top) != budget || below != len(cands)-budget {
+		sortCands(cands)
+		return cands[:budget]
+	}
+	return top
+}
+
+// kthLargest returns the k-th largest (k from 1) of s, which it reorders:
+// quickselect, linear on scores that carry a random factor.
+func kthLargest(s []float64, k int) float64 {
+	for lo, hi := 0, len(s)-1; lo < hi; {
+		pivot := s[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] > pivot {
+				i++
+			}
+			for s[j] < pivot {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo..j] >= pivot >= s[i..hi], and j < i.
+		switch {
+		case k-1 <= j:
+			hi = j
+		case k-1 >= i:
+			lo = i
+		default:
+			return s[k-1]
+		}
+	}
+	return s[k-1]
 }
 
 // sortCands orders candidates by descending score. The sort is unstable

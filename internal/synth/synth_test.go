@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -15,6 +16,15 @@ import (
 
 func tiny(seed int64) *netlist.Netlist {
 	return netlist.Generate(cellib.Default14nm(), netlist.Tiny(seed))
+}
+
+// socProxy is the spec of the repo benchmark's soc-proxy: ten pulpinos.
+func socProxy() netlist.Spec {
+	spec := netlist.PulpinoProxy(1)
+	spec.NumComb *= 10
+	spec.NumFFs *= 10
+	spec.NumPIs *= 2
+	return spec
 }
 
 func TestRunProducesValidNetlist(t *testing.T) {
@@ -229,8 +239,9 @@ func TestFaninConeMatchesReference(t *testing.T) {
 }
 
 // refCandidates is upsizePass's candidate list — the endpoints attacked, the
-// cells scored and the draws made, up to the sort — built from whole cones:
-// every endpoint walks all six levels with faninConeRef.
+// cells scored and the draws made, in the order found — built from whole
+// cones, every endpoint walking all six levels with faninConeRef, and from
+// loads walked off the netlist with NetLoad.
 func refCandidates(n *netlist.Netlist, rep *sta.Report, opts Options, rng *rand.Rand) []cand {
 	var viol []sta.Endpoint
 	for _, ep := range rep.WorstEndpoints(len(rep.Endpoints)) {
@@ -269,16 +280,15 @@ func refCandidates(n *netlist.Netlist, rep *sta.Report, opts Options, rng *rand.
 }
 
 // TestUpsizePassMatchesWholeCones: a pass prunes each endpoint's cone by
-// what earlier endpoints of the pass already covered. Over every pass of a
-// pulpino and a soc-proxy synthesis the candidates it ends up with — cells,
-// scores (each holds a draw, so also the order they were found in) and the
-// sorted order — are those of unpruned cones, and the stream is left where
-// the reference leaves it.
+// what earlier endpoints of the pass already covered, scores from the
+// analysis's load table, and picks its top third by a cutoff. Over every
+// pass of a pulpino and a soc-proxy synthesis, on one reused Analyzer, the
+// candidates it ends up with — cells, scores (each holds a draw, so also
+// the order they were found in) — are those of unpruned cones scored with
+// NetLoad, the cells it resizes are the first third of that list sorted,
+// and the stream is left where the reference leaves it.
 func TestUpsizePassMatchesWholeCones(t *testing.T) {
-	soc := netlist.PulpinoProxy(1)
-	soc.NumComb *= 10
-	soc.NumFFs *= 10
-	soc.NumPIs *= 2
+	soc := socProxy()
 	for _, tc := range []struct {
 		spec netlist.Spec
 		ghz  float64 // out of reach, so that no pass is the last for want of violations
@@ -292,21 +302,49 @@ func TestUpsizePassMatchesWholeCones(t *testing.T) {
 		if err := n.Relevel(); err != nil {
 			t.Fatal(err)
 		}
+		var timer sta.Analyzer
 		var bufs passBuffers
 		var res Result
 		passes, pruned := 0, 0
 		for ; passes < 6*opts.Effort; passes++ {
-			rep := sta.Analyze(n, sta.Config{Engine: sta.Fast})
+			rep := timer.Analyze(n, sta.Config{Engine: sta.Fast})
+			if !reflect.DeepEqual(rep, sta.Analyze(n, sta.Config{Engine: sta.Fast})) {
+				t.Fatalf("%s pass %d: the reused Analyzer's report differs from a one-shot Analyze", spec.Name, passes)
+			}
+			for i := range n.Nets {
+				if got, want := timer.Load(i), n.NetLoad(i); got != want {
+					t.Fatalf("%s pass %d: the pass would score net %d at load %v, NetLoad is %v", spec.Name, passes, i, got, want)
+				}
+			}
 			want := refCandidates(n, rep, opts, refRng)
-			sortCands(want)
-			if bufs.upsizePass(n, rep, opts, rng, &res) == 0 {
+			drive := make([]int, len(n.Insts))
+			for i := range n.Insts {
+				drive[i] = n.Insts[i].Cell.Drive
+			}
+			if bufs.upsizePass(n, &timer, rep, opts, rng, &res) == 0 {
 				break
 			}
+			// Discovery order: no pass of these two runs has a tie across
+			// its cut, so none sorts its candidates.
 			if !slices.Equal(bufs.cands, want) {
 				t.Fatalf("%s pass %d: %d candidates from pruned cones, %d from whole ones, or scores or order differ", spec.Name, passes, len(bufs.cands), len(want))
 			}
 			if a, b := rng.Int63(), refRng.Int63(); a != b {
 				t.Fatalf("%s pass %d: the pass and the reference drew differently", spec.Name, passes)
+			}
+			sortCands(want)
+			var resized, wantResized []int
+			for i := range n.Insts {
+				if n.Insts[i].Cell.Drive != drive[i] {
+					resized = append(resized, i)
+				}
+			}
+			for _, c := range want[:len(want)/3+1] {
+				wantResized = append(wantResized, c.inst)
+			}
+			slices.Sort(wantResized)
+			if !slices.Equal(resized, wantResized) {
+				t.Fatalf("%s pass %d: resized %d cells, the sorted reference's top third is %d, or they differ", spec.Name, passes, len(resized), len(wantResized))
 			}
 			// The last endpoint's cone, had it been walked alone.
 			last := bufs.viol[min(int(float64(len(bufs.viol))*opts.UpsizeFrac)+1, len(bufs.viol))-1]
@@ -352,7 +390,8 @@ func TestUpsizePassAllocsIndependentOfEndpoints(t *testing.T) {
 	opts := Options{TargetFreqGHz: 1.2, Seed: 1}.withDefaults()
 	design := netlist.Generate(cellib.Default14nm(), netlist.PulpinoProxy(1))
 	design.ClockPeriodPs = 1000 / opts.TargetFreqGHz
-	rep := sta.Analyze(design, sta.Config{Engine: sta.Fast})
+	var timer sta.Analyzer
+	rep := timer.Analyze(design, sta.Config{Engine: sta.Fast})
 	violating := 0
 	for _, ep := range rep.Endpoints {
 		if ep.SlackPs < 0 {
@@ -366,7 +405,7 @@ func TestUpsizePassAllocsIndependentOfEndpoints(t *testing.T) {
 	var res Result
 	allocs := testing.AllocsPerRun(5, func() {
 		n := design.Clone()
-		if new(passBuffers).upsizePass(n, rep, opts, rng, &res) == 0 {
+		if new(passBuffers).upsizePass(n, &timer, rep, opts, rng, &res) == 0 {
 			t.Fatal("pass changed nothing")
 		}
 	})
@@ -376,14 +415,103 @@ func TestUpsizePassAllocsIndependentOfEndpoints(t *testing.T) {
 	}
 }
 
+// TestTopThirdMatchesSort: the set topThird picks is the first len/3+1 of
+// sortCands' order, on slices full of tied scores and on the smallest
+// ones, and it sorts — the only thing that reorders the candidates —
+// exactly when a tie straddles the cut (or a score is NaN), which the
+// generator makes often.
+func TestTopThirdMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var b passBuffers
+	sorted, unsorted := 0, 0
+	for trial := 0; trial < 1000; trial++ {
+		n := rng.Intn(400)
+		switch {
+		case trial < 40:
+			n = trial / 10 // 0, 1, 2, 3
+		case trial%10 == 0:
+			n = 400 + rng.Intn(4000)
+		}
+		distinct := 1 + rng.Intn(n/3+1) // 1: all scores equal
+		if trial%4 == 1 {
+			distinct = 100 * (n + 1) // ties rare
+		}
+		cands := make([]cand, n)
+		for i := range cands {
+			cands[i] = cand{inst: i, score: float64(rng.Intn(distinct)) / 7}
+		}
+		nan := trial%50 == 7 && n > 0
+		if nan {
+			cands[rng.Intn(n)].score = math.NaN() // no order to cut: the sort decides, as a tie
+		}
+		found, want := slices.Clone(cands), slices.Clone(cands)
+		sortCands(want)
+		budget := min(n/3+1, n)
+		straddles := nan || budget < n && !(want[budget-1].score > want[budget].score)
+
+		var got, wantSet []int
+		for _, c := range b.topThird(cands) {
+			got = append(got, c.inst)
+		}
+		for _, c := range want[:budget] {
+			wantSet = append(wantSet, c.inst)
+		}
+		slices.Sort(got)
+		slices.Sort(wantSet)
+		if !slices.Equal(got, wantSet) {
+			t.Fatalf("trial %d (%d candidates, %d distinct scores, tie across the cut %v): topThird picked %d, the first %d of the sort are another set",
+				trial, n, distinct, straddles, len(got), budget)
+		}
+		same := func(a, b cand) bool { return a.inst == b.inst } // a NaN score is not == itself
+		if straddles {
+			sorted++
+			if !slices.EqualFunc(cands, want, same) {
+				t.Fatalf("trial %d: a tie straddles the cut and topThird did not sort", trial)
+			}
+		} else {
+			unsorted++
+			if !slices.EqualFunc(cands, found, same) {
+				t.Fatalf("trial %d: no tie across the cut and topThird reordered the candidates", trial)
+			}
+		}
+	}
+	if sorted < 100 || unsorted < 100 {
+		t.Fatalf("%d trials sorted, %d did not: the generator should make both common", sorted, unsorted)
+	}
+}
+
+// TestSynthRunAllocs: a soc-proxy synthesis allocates its clone, one
+// analysis workspace and, per analysis, a report with its endpoints and
+// their sorted copy — 9.9 MB when written, of which the clone is 3.8 —
+// and not the 16.8 MB it took when every pass made its own state, level
+// order and register list.
+func TestSynthRunAllocs(t *testing.T) {
+	soc := socProxy()
+	design := netlist.Generate(cellib.Default14nm(), soc)
+	bytesOf := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	clone := bytesOf(func() { design.Clone() })
+	var res Result
+	run := bytesOf(func() { res = Run(design, Options{TargetFreqGHz: 0.5, Effort: 2, Seed: 1}) })
+	if res.Passes != 12 {
+		t.Fatalf("%d passes; the bound is for 12", res.Passes)
+	}
+	const passesBudget = 7 << 20 // 6.1 MB when written
+	if run > clone+passesBudget {
+		t.Fatalf("Run allocated %.1f MB, %.1f of it the clone; want no more than %d MB on top of the clone",
+			float64(run)/(1<<20), float64(clone)/(1<<20), passesBudget>>20)
+	}
+}
+
 // BenchmarkSynthRun times one synthesis of a ten-times-pulpino design —
 // the soc-proxy of the repo benchmark — at the flow's default effort.
 func BenchmarkSynthRun(b *testing.B) {
-	spec := netlist.PulpinoProxy(1)
-	spec.NumComb *= 10
-	spec.NumFFs *= 10
-	spec.NumPIs *= 2
-	design := netlist.Generate(cellib.Default14nm(), spec)
+	design := netlist.Generate(cellib.Default14nm(), socProxy())
 	var res Result
 	b.ReportAllocs()
 	b.ResetTimer()

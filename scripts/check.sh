@@ -8,8 +8,9 @@
 #                             path), then vet + tests of the nested
 #                             benchmark module, then 10 s of fuzzing per
 #                             byte-facing decoder (campaign entry,
-#                             journal segment) and of the placer's net
-#                             extremes (FuzzNetExtremes)
+#                             journal segment), of the placer's net
+#                             extremes (FuzzNetExtremes) and of the one-
+#                             walk net electricals (FuzzElectricals)
 #   scripts/check.sh bench    also run the benchmark pairs and write the
 #                             speedups to BENCH_campaign.json /
 #                             BENCH_sta.json / BENCH_place.json /
@@ -138,14 +139,15 @@ go test -race ./...
 # The repo benchmark is a nested module (benchmark/go.mod), which the
 # ./... patterns above cannot see.
 (cd benchmark && go vet ./... && go test ./...)
-# Fuzz tier: every decoder that reads bytes off a disk or a socket, and
-# the placer's incrementally maintained net extremes, get ten seconds of
+# Fuzz tier: every decoder that reads bytes off a disk or a socket, the
+# placer's incrementally maintained net extremes, and the timers' one
+# walk of a net against NetLoad and HPWL walked apart, get ten seconds of
 # coverage-guided input per check, on top of the seed corpus (which the
 # suites above already ran as plain tests). go test fuzzes one target of
 # one package per invocation; minimizing each new coverage-raising input
 # is capped, or its 60 s default eats the budget.
 for target in internal/campaign:FuzzDecodeEntry internal/journal:FuzzJournalDecode \
-    internal/place:FuzzNetExtremes; do
+    internal/place:FuzzNetExtremes internal/netlist:FuzzElectricals; do
     go test -run='^$' -fuzz="^${target#*:}\$" -fuzztime=10s -fuzzminimizetime=100x "./${target%%:*}"
 done
 
@@ -218,6 +220,14 @@ $(go test -run=NONE -bench='BenchmarkCampaign(Parallel|Traced|Warehoused)$' -ben
         }'
     mv BENCH_campaign.json.tmp BENCH_campaign.json
 
+    # The >= 10x gate below divides a recovery on full re-analysis by one
+    # on the incremental engine. ISSUE 22 moved the numerator more than the
+    # denominator: a full Analyze walks each net's pins once instead of
+    # three to five times (-40 %), while an incremental update, which was
+    # already touching few nets, saves the same walks on those alone
+    # (-22 %) — 524 / 31 ms = 17x became 311 / 24 ms = 13x on the same
+    # host. The ratio fell because the baseline got faster, not because
+    # the engine got slower; the gate stays at 10x.
     out=$(go test -run=NONE -bench='BenchmarkRecover(Full|Incremental)$' -benchtime=1x ./internal/sizing/)
     echo "$out"
     echo "$out" | awk '
