@@ -186,28 +186,22 @@ func Sweep(cfg SweepConfig) (SweepResult, error) {
 	var out SweepResult
 	var jrn *campaign.Journal
 	if cfg.JournalDir != "" {
-		var err error
 		jrn, err = campaign.OpenJournal(cfg.JournalDir, journal.Options{})
 		if err != nil {
 			return out, err
 		}
 		defer jrn.Close()
 		out.Recovery = jrn.Stats()
-		ecfg.Journal = jrn
+		// The journal is the cache's durable tier: a point it holds is a
+		// tier hit, a point it lacks is written through once computed.
+		ecfg.Cache.SetTier(jrn)
 	}
-	eng := campaign.New(ecfg)
-
-	var results []*flow.Result
+	results, err := campaign.New(ecfg).Run(context.Background(), pts)
 	if jrn != nil {
-		results, out.Resume, err = eng.Resume(context.Background(), pts)
-	} else {
-		results, err = eng.Run(context.Background(), pts)
+		out.Resume, out.JournalErr = jrn.ResumeStats(), jrn.Err()
 	}
 	if err != nil {
 		return out, err
-	}
-	if jrn != nil {
-		out.JournalErr = jrn.Err()
 	}
 
 	out.Points = make([]SweepPoint, len(results))

@@ -10,12 +10,13 @@ import (
 // shardCount is a power of two so shard selection is a mask.
 const shardCount = 32
 
-// Tier is a second memo tier behind the in-process cache — typically a
-// network result store shared by every node of a distributed campaign
-// (see internal/dist). DoRecorded consults it after an L1 miss and
-// writes freshly computed entries through to it before publishing them
-// to coalesced waiters, so by the time any caller sees a result the
-// shared tier already holds it.
+// Tier is a second memo tier behind the in-process cache: the network
+// result store shared by every node of a distributed campaign (see
+// internal/dist), or the durable Journal of a local one. DoRecorded
+// consults it after an L1 miss and writes freshly computed entries
+// through to it before publishing them to coalesced waiters, so by the
+// time any caller sees a result the tier already holds it — which is
+// also the whole crash-safety argument of a journaled campaign.
 //
 // Load returns the entry for a key if the tier has it; Store offers a
 // computed entry to the tier (best-effort: the tier may drop it, e.g.
@@ -62,25 +63,17 @@ type Cache struct {
 
 type cacheShard struct {
 	mu       sync.RWMutex
-	entries  map[string]*cacheEntry
-	order    []string // insertion order, for FIFO eviction
+	entries  map[string]*Entry // without their Spec: see do
+	order    []string          // insertion order, for FIFO eviction
 	inflight map[string]*inflightCall
 }
 
-// cacheEntry pairs a memoized result with the step records its compute
-// emitted, so a cache hit can replay the records to the campaign's
-// Observer — a memoized point is then observationally identical to a
-// computed one.
-type cacheEntry struct {
-	res   *flow.Result
-	steps []flow.StepRecord
-}
-
+// inflightCall is a compute the waiters on its key coalesce on; ent is
+// set, as L1 will hold it, before done closes.
 type inflightCall struct {
-	done  chan struct{}
-	res   *flow.Result
-	steps []flow.StepRecord
-	err   error
+	done chan struct{}
+	ent  *Entry
+	err  error
 }
 
 // NewCache creates a memo cache holding up to capacity results
@@ -96,7 +89,7 @@ func NewCache(capacity int) *Cache {
 		}
 	}
 	for i := range c.shards {
-		c.shards[i].entries = map[string]*cacheEntry{}
+		c.shards[i].entries = map[string]*Entry{}
 		c.shards[i].inflight = map[string]*inflightCall{}
 	}
 	return c
@@ -142,7 +135,7 @@ func (c *Cache) countHit(coalesced bool) {
 // where a miss has a compute to coalesce against.
 func (c *Cache) Get(key string) (*flow.Result, bool) {
 	if e, ok := c.lookup(key); ok {
-		return e.res, true
+		return e.Res, true
 	}
 	c.count(func(c *Cache) { c.misses++ })
 	metrics.Add("campaign.cache.miss", 1)
@@ -152,7 +145,7 @@ func (c *Cache) Get(key string) (*flow.Result, bool) {
 // lookup is the one L1 probe, shared by Get, do and the engine's revisit
 // pass: the entry under key if L1 holds it, counted as a hit. Absence
 // counts nothing — whether it is a miss is the caller's to find out.
-func (c *Cache) lookup(key string) (*cacheEntry, bool) {
+func (c *Cache) lookup(key string) (*Entry, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
 	e, ok := s.entries[key]
@@ -161,23 +154,6 @@ func (c *Cache) lookup(key string) (*cacheEntry, bool) {
 		c.countHit(false)
 	}
 	return e, ok
-}
-
-// Put seeds the cache with an already-computed result and its step
-// records — the journal-replay path, where results come off disk rather
-// than out of a flow run. An existing entry wins (the journal can only
-// ever disagree with a live compute by being stale), and the returned
-// bool reports whether the entry was stored.
-func (c *Cache) Put(key string, res *flow.Result, steps []flow.StepRecord) bool {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.entries[key]; exists {
-		return false
-	}
-	c.insert(s, key, &cacheEntry{res: res, steps: steps})
-	metrics.Add("campaign.cache.seeded", 1)
-	return true
 }
 
 // Do returns the cached result for key, computing and storing it on a
@@ -202,15 +178,22 @@ func (c *Cache) Do(key string, compute func() *flow.Result) *flow.Result {
 // waiter, and nothing is cached — a failed or aborted run must never be
 // served as a memoized result.
 func (c *Cache) DoRecorded(key string, compute func() (*flow.Result, []flow.StepRecord, error)) (res *flow.Result, steps []flow.StepRecord, hit bool, err error) {
-	return c.do(key, true, compute)
+	e, hit, err := c.do(key, true, func() (Entry, error) {
+		res, steps, err := compute()
+		return Entry{Res: res, Steps: steps}, err
+	})
+	return e.Res, e.Steps, hit, err
 }
 
-// do is DoRecorded; loadTier false skips the tier read after an L1 miss,
+// do is DoRecorded in the engine's currency, an Entry: what compute
+// returns is written through to the tier whole, Spec included, and a tier
+// hit hands back what the tier held — an L1 or coalesced hit carries Res
+// and Steps only. loadTier false skips the tier read after an L1 miss,
 // for a caller that already knows the tier has no entry (the write
 // through after the compute still happens).
-func (c *Cache) do(key string, loadTier bool, compute func() (*flow.Result, []flow.StepRecord, error)) (res *flow.Result, steps []flow.StepRecord, hit bool, err error) {
+func (c *Cache) do(key string, loadTier bool, compute func() (Entry, error)) (ent Entry, hit bool, err error) {
 	if e, ok := c.lookup(key); ok {
-		return e.res, e.steps, true, nil
+		return *e, true, nil
 	}
 	s := c.shard(key)
 	s.mu.Lock()
@@ -218,7 +201,7 @@ func (c *Cache) do(key string, loadTier bool, compute func() (*flow.Result, []fl
 		// Landed between the probe and the lock.
 		s.mu.Unlock()
 		c.countHit(false)
-		return e.res, e.steps, true, nil
+		return *e, true, nil
 	}
 	if call, ok := s.inflight[key]; ok {
 		s.mu.Unlock()
@@ -227,60 +210,58 @@ func (c *Cache) do(key string, loadTier bool, compute func() (*flow.Result, []fl
 			// The computing caller failed; surface its error so the
 			// waiter's own retry loop can re-attempt (and coalesce
 			// again) rather than treating the point as memoized-failed.
-			return nil, nil, false, call.err
+			return Entry{}, false, call.err
 		}
 		c.countHit(true)
-		return call.res, call.steps, true, nil
+		return *call.ent, true, nil
 	}
 	call := &inflightCall{done: make(chan struct{})}
 	s.inflight[key] = call
 	s.mu.Unlock()
 
 	if c.tier != nil && loadTier {
-		if e, ok := c.tier.Load(key); ok {
-			// Served by the shared tier: fill L1 and resolve the waiters.
-			// This is a hit for this caller too — nothing was computed, so
-			// the engine must not journal or re-count it as fresh work.
-			call.res, call.steps = e.Res, e.Steps
+		if ent, hit = c.tier.Load(key); hit {
+			// Served by the tier: this is a hit for this caller too —
+			// nothing was computed, so nothing is written back.
 			c.count(func(c *Cache) { c.hits++; c.tierHits++ })
 			metrics.Add("campaign.cache.hit", 1)
 			metrics.Add("campaign.cache.tier_hit", 1)
-			s.mu.Lock()
-			delete(s.inflight, key)
-			c.insert(s, key, &cacheEntry{res: call.res, steps: call.steps})
-			s.mu.Unlock()
-			close(call.done)
-			return call.res, call.steps, true, nil
 		}
 	}
-
-	c.count(func(c *Cache) { c.misses++ })
-	metrics.Add("campaign.cache.miss", 1)
-	call.res, call.steps, call.err = compute()
-
-	if call.err == nil && c.tier != nil {
-		// Write through before publishing: when any caller of this key
-		// returns, the shared tier already holds the entry — the contract
-		// a distributed coordinator relies on when it fetches results by
-		// key after a worker acknowledges a point.
-		c.tier.Store(Entry{Key: key, Res: call.res, Steps: call.steps})
-		c.count(func(c *Cache) { c.tierStores++ })
-		metrics.Add("campaign.cache.tier_store", 1)
+	if !hit {
+		c.count(func(c *Cache) { c.misses++ })
+		metrics.Add("campaign.cache.miss", 1)
+		ent, call.err = compute()
+		ent.Key = key
+		if call.err == nil && c.tier != nil {
+			// Write through before publishing: when any caller of this key
+			// returns, the tier already holds the entry — the contract a
+			// distributed coordinator relies on when it fetches results by
+			// key after a worker acknowledges a point, and a journaled
+			// campaign when it is killed the instant a point is visible.
+			c.tier.Store(ent)
+			c.count(func(c *Cache) { c.tierStores++ })
+			metrics.Add("campaign.cache.tier_store", 1)
+		}
 	}
-
+	// Fill L1 and resolve the waiters, with an entry that has no Spec: a
+	// speculation outcome is counted once, by this caller.
+	l1 := ent
+	l1.Spec = nil
+	call.ent = &l1
 	s.mu.Lock()
 	delete(s.inflight, key)
 	if call.err == nil {
-		c.insert(s, key, &cacheEntry{res: call.res, steps: call.steps})
+		c.insert(s, key, call.ent)
 	}
 	s.mu.Unlock()
 	close(call.done)
-	return call.res, call.steps, false, call.err
+	return ent, hit, call.err
 }
 
 // insert stores an entry, evicting the shard's oldest if at capacity.
 // Caller holds s.mu.
-func (c *Cache) insert(s *cacheShard, key string, e *cacheEntry) {
+func (c *Cache) insert(s *cacheShard, key string, e *Entry) {
 	if _, exists := s.entries[key]; !exists {
 		if c.capPerShard > 0 && len(s.order) >= c.capPerShard {
 			oldest := s.order[0]

@@ -159,7 +159,7 @@ func TestCacheStatsCoherentUnderStorm(t *testing.T) {
 				case 0:
 					c.Get(key)
 				case 1:
-					c.Put(key, res, nil)
+					c.Do(key, func() *flow.Result { return res })
 				default:
 					c.DoRecorded(key, func() (*flow.Result, []flow.StepRecord, error) { //nolint:errcheck
 						return res, nil, nil

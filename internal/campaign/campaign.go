@@ -4,7 +4,9 @@
 // license-constrained worker pool, with results that are bit-identical
 // to the serial reference loops regardless of scheduling order, and
 // memoizes flow results so identical points are never recomputed across
-// studies.
+// studies — nor across processes: the memo cache takes a second Tier (a
+// dist store, the durable Journal), and resuming a killed campaign is
+// rerunning it with that tier attached.
 //
 // Determinism is by construction: every point carries its own seed, a
 // flow run is a pure function of (design, Options), and results land in
@@ -94,14 +96,17 @@ type Config struct {
 	Workers int
 	// Pool overrides Workers with an externally shared license pool.
 	Pool *sched.Pool
-	// Cache enables flow-result memoization when non-nil.
+	// Cache enables flow-result memoization when non-nil, and durability
+	// with it: see Journal, which a cache takes as its Tier.
 	Cache *Cache
 	// Observer receives step records from every flow run. With more
 	// than one worker, records from different points interleave
 	// (records within one run stay ordered). Memoized points replay the
 	// step records captured when their result was first computed, so every
-	// point delivers one record set; points already cached when Run is
+	// point delivers one record set; points already in L1 when Run is
 	// called replay on Run's goroutine, in point order, before the fan-out.
+	// A tier hit — a resumed point, a dist worker served by the store —
+	// replays from its worker goroutine, like the compute it stands for.
 	Observer flow.Observer
 	// Retry re-runs points that fail with a tool fault. Failed attempts
 	// are never cached, so a retry always recomputes.
@@ -111,13 +116,6 @@ type Config struct {
 	// enough for every point to eventually succeed, campaign results
 	// are bit-identical to the fault-free run at any worker count.
 	Faults *flow.FaultInjector
-	// Journal, when non-nil, makes the campaign crash-safe: every
-	// successfully computed point is appended to the durable log, and
-	// Engine.Resume replays the log into the cache before dispatch.
-	// Requires the cache (New creates an unbounded one if Cache is nil);
-	// only computed results are journaled — faulted or cancelled
-	// attempts never touch the log.
-	Journal *Journal
 	// StageTimeout arms the per-stage hung-tool watchdog on every flow
 	// run (see flow.RunConfig.StageTimeout). A reaped stage surfaces as
 	// a FaultHang fault and follows the normal retry path.
@@ -142,14 +140,12 @@ type Engine struct {
 	obs          flow.Observer
 	retry        Retry
 	faults       *flow.FaultInjector
-	journal      *Journal
 	stageTimeout time.Duration
 	oracle       flow.SpecOracle
 	specSlots    *sched.Slots
 }
 
-// New creates an engine. A journaled engine needs the memo cache (the
-// journal replays through it), so one is created if the config has none.
+// New creates an engine.
 func New(cfg Config) *Engine {
 	pool := cfg.Pool
 	if pool == nil {
@@ -159,17 +155,13 @@ func New(cfg Config) *Engine {
 		}
 		pool = sched.NewPool(w)
 	}
-	cache := cfg.Cache
-	if cache == nil && cfg.Journal != nil {
-		cache = NewCache(0)
-	}
 	var slots *sched.Slots
 	if cfg.Oracle != nil {
 		slots = sched.NewSlots(Workers(cfg.SpecWorkers))
 	}
 	return &Engine{
-		pool: pool, cache: cache, obs: cfg.Observer, retry: cfg.Retry,
-		faults: cfg.Faults, journal: cfg.Journal, stageTimeout: cfg.StageTimeout,
+		pool: pool, cache: cfg.Cache, obs: cfg.Observer, retry: cfg.Retry,
+		faults: cfg.Faults, stageTimeout: cfg.StageTimeout,
 		oracle: cfg.Oracle, specSlots: slots,
 	}
 }
@@ -297,8 +289,8 @@ func (e *Engine) revisit(ctx context.Context, pts []Point, results []*flow.Resul
 				pctx, psp := pointSpan(ctx, p, i)
 				_, asp := trace.Start(pctx, "campaign.attempt")
 				asp.SetInt("attempt", 0)
-				e.deliverHit(psp, asp, 0, ent.steps)
-				results[i] = ent.res
+				e.deliverHit(psp, asp, 0, ent.Steps)
+				results[i] = ent.Res
 				continue
 			}
 		}
@@ -366,16 +358,19 @@ func (e *Engine) runPoint(ctx context.Context, p Point, key string, index int, l
 		}
 		actx, asp := trace.Start(ctx, "campaign.attempt")
 		asp.SetInt("attempt", int64(attempt))
-		res, steps, hit, err := e.runOnce(actx, p, key, attempt, loadTier)
+		ent, hit, err := e.runOnce(actx, p, key, attempt, loadTier)
 		if err == nil {
 			if hit {
-				e.deliverHit(psp, asp, attempt, steps)
+				// Only a tier hit carries a Spec: the outcome of a run some
+				// earlier process counted, which this one never will.
+				countSpec(ent.Spec)
+				e.deliverHit(psp, asp, attempt, ent.Steps)
 			} else {
 				asp.End()
 				psp.SetInt("attempts", int64(attempt+1))
 				psp.End()
 			}
-			return pointOutcome{res: res}
+			return pointOutcome{res: ent.Res}
 		}
 		if ctx.Err() != nil {
 			// Cancellation is a campaign decision, not a tool fault —
@@ -393,49 +388,47 @@ func (e *Engine) runPoint(ctx context.Context, p Point, key string, index int, l
 	return pointOutcome{err: lastErr}
 }
 
-// runOnce is a single attempt at a point: cache-aware, observer-aware,
-// journal-aware; key is the point's memo key, "" if the cache does not
-// cover it. The bool reports a hit: the result was served from the memo
-// cache (including a coalesced wait on an in-flight compute) rather than
-// computed by this attempt, and the records are deliverHit's to replay.
-func (e *Engine) runOnce(ctx context.Context, p Point, key string, attempt int, loadTier bool) (*flow.Result, []flow.StepRecord, bool, error) {
+// runOnce is a single attempt at a point: cache-aware and observer-aware;
+// key is the point's memo key, "" if the cache does not cover it (such a
+// point has no identity to memoize or resume it under, so nothing records
+// its steps). The bool reports a hit: the entry was served by the memo
+// cache or its tier (including a coalesced wait on an in-flight compute)
+// rather than computed by this attempt, and its records are deliverHit's
+// to replay.
+func (e *Engine) runOnce(ctx context.Context, p Point, key string, attempt int, loadTier bool) (Entry, bool, error) {
 	if key == "" {
-		// Uncached points are also unjournaled: without a design key
-		// there is no identity to resume them under.
-		var spec *flow.SpecStats
-		rcfg := flow.RunConfig{
-			Observer: e.obs, Faults: e.faults, Attempt: attempt, StageTimeout: e.stageTimeout,
-		}
-		e.armSpeculation(&rcfg, &spec)
-		res, err := flow.RunCfg(ctx, p.Design, p.Options, rcfg)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		e.countStopped(res)
-		countSpec(spec)
-		return res, nil, false, nil
+		res, spec, err := e.compute(ctx, p, attempt, e.obs)
+		return Entry{Res: res, Spec: spec}, false, err
 	}
-	return e.cache.do(key, loadTier, func() (*flow.Result, []flow.StepRecord, error) {
+	return e.cache.do(key, loadTier, func() (Entry, error) {
 		rec := &recordingObserver{next: e.obs}
-		var spec *flow.SpecStats
-		rcfg := flow.RunConfig{
-			Observer: rec, Faults: e.faults, Attempt: attempt, StageTimeout: e.stageTimeout,
-		}
-		e.armSpeculation(&rcfg, &spec)
-		res, err := flow.RunCfg(ctx, p.Design, p.Options, rcfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.countStopped(res)
-		countSpec(spec)
-		if e.journal != nil {
-			// Journal inside the compute path: only ever-successful,
-			// never-faulted results reach here, exactly once per key (a
-			// cache hit never recomputes, so it can never re-append).
-			e.journal.record(key, res, rec.steps, spec)
-		}
-		return res, rec.steps, nil
+		res, spec, err := e.compute(ctx, p, attempt, rec)
+		return Entry{Res: res, Steps: rec.steps, Spec: spec}, err
 	})
+}
+
+// compute runs the flow on one point under obs, and counts the run if it
+// succeeded — the only kind a memo tier ever holds, and the only kind
+// that reports a speculation outcome, so counters re-counted at resume
+// match counters counted live.
+func (e *Engine) compute(ctx context.Context, p Point, attempt int, obs flow.Observer) (*flow.Result, *flow.SpecStats, error) {
+	var spec *flow.SpecStats
+	rcfg := flow.RunConfig{
+		Observer: obs, Faults: e.faults, Attempt: attempt, StageTimeout: e.stageTimeout,
+	}
+	if e.oracle != nil {
+		// The campaign's one oracle and its speculative worker slots;
+		// without them the run stays purely sequential.
+		rcfg.Oracle, rcfg.SpecSlots = e.oracle, e.specSlots
+		rcfg.SpecReport = func(st flow.SpecStats) { spec = &st }
+	}
+	res, err := flow.RunCfg(ctx, p.Design, p.Options, rcfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	e.countStopped(res)
+	countSpec(spec)
+	return res, spec, nil
 }
 
 // countStopped mirrors live doomed-run stops into the campaign counters
@@ -448,21 +441,6 @@ func (e *Engine) countStopped(res *flow.Result) {
 	if saved := res.Route.IterationsBudget - res.Route.IterationsRun; saved > 0 {
 		metrics.Add("campaign.doomed.saved_iters", int64(saved))
 	}
-}
-
-// armSpeculation attaches the campaign's shared oracle and speculative
-// worker slots to one flow run and routes its SpecStats report into
-// *out. No-op when the engine has no oracle — the run stays purely
-// sequential. The report only fires for successful runs, which is the
-// same population the journal records, so counters replayed at resume
-// match counters counted live.
-func (e *Engine) armSpeculation(rcfg *flow.RunConfig, out **flow.SpecStats) {
-	if e.oracle == nil {
-		return
-	}
-	rcfg.Oracle = e.oracle
-	rcfg.SpecSlots = e.specSlots
-	rcfg.SpecReport = func(st flow.SpecStats) { *out = &st }
 }
 
 // countSpec mirrors one run's speculation outcome into the process-wide
@@ -523,7 +501,7 @@ type recordingObserver struct {
 	steps []flow.StepRecord
 }
 
-// OnStep implements flow.Observer. flow.RunCtx supervises routing when
+// OnStep implements flow.Observer. flow.RunCfg supervises routing when
 // its observer implements flow.RouteSupervisor; the recorder forwards
 // that too so caching does not disable live doomed-run abort.
 func (r *recordingObserver) OnStep(rec flow.StepRecord) {

@@ -9,10 +9,9 @@ package campaign
 
 import (
 	"bytes"
-	"context"
 	"encoding/gob"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/flow"
 	"repro/internal/journal"
@@ -31,10 +30,11 @@ type Entry struct {
 	Res   *flow.Result
 	Steps []flow.StepRecord
 	// Spec is the run's speculation outcome (nil if it did not
-	// speculate). Replaying it at resume re-counts the same predictor
-	// hit/miss counters the live run counted, so a resumed campaign's
-	// accounting matches an uninterrupted one. Journals written before
-	// speculation existed decode with Spec nil.
+	// speculate). It rides the write-through to the tier, and the first
+	// tier hit on the journaled entry re-counts the predictor hit/miss
+	// counters the live run counted, so a resumed campaign's accounting
+	// matches an uninterrupted one. Journals written before speculation
+	// existed decode with Spec nil.
 	Spec *flow.SpecStats
 }
 
@@ -65,217 +65,129 @@ func DecodeEntry(data []byte) (Entry, error) {
 	return e, nil
 }
 
-// Journal is the campaign-facing wrapper over the durable log: it
-// serializes entries with gob, deduplicates appends by key (a point
-// replayed from the journal is marked seen and never re-appended), and
-// turns append failures into a sticky error surfaced via Err — the
-// campaign itself keeps running, because losing durability must not
-// lose the live computation too.
-//
-// Lifecycle contract: Close waits for any in-flight record to land
-// (both hold the journal mutex), a record after Close is dropped but
-// surfaced via Err — never silently lost — and closing twice is safe
-// and returns the first close's outcome.
+// Journal is the campaign's durable memo tier: a journal.Keyed of gob
+// entries that implements Tier. Attach it with Cache.SetTier and the
+// campaign is crash-safe by the cache's own contract — a computed point
+// is written through (appended and synced) before any caller sees it, and
+// a point the journal holds is an L1 miss that hits the tier instead of
+// computing, exactly as on a dist worker. Only keys the campaign asks for
+// are ever loaded, so entries of another spec sharing the directory stay
+// on disk and out of L1. The rest is journal.Keyed's policy: first entry
+// under a key wins, an append failure (a Store after Close included)
+// never fails the campaign and is surfaced by Err, a record that does not
+// decode costs one recompute.
 type Journal struct {
-	log *journal.Log
+	k      *journal.Keyed[*journaled]
+	served atomic.Int64 // recovered entries handed to the cache
+}
 
-	mu       sync.Mutex
-	seen     map[string]struct{}
-	err      error
-	closed   bool
-	closeErr error
+// journaled is an entry the journal holds; counted says its Spec has been
+// counted by this process — live, if it was stored here, else by the first
+// Load.
+type journaled struct {
+	Entry
+	counted atomic.Bool
 }
 
 // OpenJournal opens (or creates) the campaign journal in dir, recovering
-// any torn tail left by a crash. The journal.Options choose the fsync
-// policy; the zero value is fully durable (fsync every append).
+// any torn tail left by a crash and decoding what survived. The
+// journal.Options choose the fsync policy; the zero value is fully
+// durable (fsync every append).
 func OpenJournal(dir string, opts journal.Options) (*Journal, error) {
-	log, err := journal.Open(dir, opts)
+	sp := trace.Begin("campaign.journal.replay")
+	k, err := journal.OpenKeyed(dir, opts, func(rec []byte) (string, *journaled, error) {
+		e, err := DecodeEntry(rec)
+		return e.Key, &journaled{Entry: e}, err
+	})
+	sp.EndErr(err)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: open journal: %w", err)
 	}
-	return &Journal{log: log, seen: map[string]struct{}{}}, nil
-}
-
-// Entries decodes every recovered record. Records that fail to decode —
-// a journal written by an incompatible build, or garbage that survived
-// the CRC by astronomical luck — are skipped and counted, never fatal:
-// a corrupt entry costs one recompute, not the campaign.
-func (j *Journal) Entries() (entries []Entry, corrupt int) {
-	for _, rec := range j.log.Records() {
-		e, err := DecodeEntry(rec)
-		if err != nil {
-			corrupt++
-			continue
-		}
-		entries = append(entries, e)
-	}
-	if corrupt > 0 {
+	if corrupt := k.Stats().Corrupt; corrupt > 0 {
 		metrics.Add("campaign.journal.corrupt", int64(corrupt))
 	}
-	return entries, corrupt
+	return &Journal{k: k}, nil
 }
 
 // Stats exposes the recovery statistics of the underlying log.
-func (j *Journal) Stats() journal.RecoveryStats { return j.log.Stats() }
+func (j *Journal) Stats() journal.RecoveryStats { return j.k.Stats().Log }
 
-// record journals one completed point. Appends are best-effort and
-// deduplicated: a key already journaled (or replayed at resume) is
-// skipped, and an append failure is remembered in Err but does not fail
-// the campaign.
-func (j *Journal) record(key string, res *flow.Result, steps []flow.StepRecord, spec *flow.SpecStats) {
-	sp := trace.Begin("campaign.journal.append")
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		// The entry is lost to durability (the campaign result itself is
-		// fine); a silent drop here would make Err lie about completeness.
-		j.fail(fmt.Errorf("campaign: journal append after close: %w", journal.ErrClosed))
-		sp.EndWith(trace.Failed)
-		return
+// Load implements Tier. Spec travels with the first Load of a recovered
+// entry only: the engine counts it, and a reload after an L1 eviction
+// must not count it again.
+func (j *Journal) Load(key string) (Entry, bool) {
+	held, ok := j.k.Get(key)
+	if !ok {
+		return Entry{}, false
 	}
-	if _, dup := j.seen[key]; dup {
+	e := held.Entry
+	if held.counted.Swap(true) {
+		e.Spec = nil
+	} else {
+		j.served.Add(1)
+		metrics.Add("campaign.journal.replayed", 1)
+	}
+	return e, true
+}
+
+// Store implements Tier: journal one computed point. The journal keeps
+// the entry's Summary — what a replay of the record would hold — so it
+// never pins a netlist.
+func (j *Journal) Store(e Entry) {
+	sp := trace.Begin("campaign.journal.append")
+	if e.Res != nil {
+		e.Res = e.Res.Summary()
+	}
+	held := &journaled{Entry: e}
+	held.counted.Store(true)
+	buf, err := EncodeEntry(e)
+	stored := false
+	if err == nil {
+		stored, err = j.k.Put(e.Key, held, buf)
+	}
+	switch {
+	case err != nil:
+		// The entry is lost to durability; the campaign result is fine.
+		metrics.Add("campaign.journal.append_err", 1)
+		sp.EndWith(trace.Failed)
+	case !stored:
 		metrics.Add("campaign.journal.duplicate", 1)
 		sp.EndWith(trace.CacheHit)
-		return
+	default:
+		metrics.Add("campaign.journal.appended", 1)
+		sp.SetInt("bytes", int64(len(buf)))
+		sp.End()
 	}
-	buf, err := EncodeEntry(Entry{Key: key, Res: res, Steps: steps, Spec: spec})
-	if err != nil {
-		j.fail(err)
-		sp.EndWith(trace.Failed)
-		return
-	}
-	if err := j.log.Append(buf); err != nil {
-		j.fail(fmt.Errorf("campaign: journal append: %w", err))
-		sp.EndWith(trace.Failed)
-		return
-	}
-	j.seen[key] = struct{}{}
-	metrics.Add("campaign.journal.appended", 1)
-	sp.SetInt("bytes", int64(len(buf)))
-	sp.End()
 }
 
-// markSeen suppresses future appends for a key that is already durable
-// (it was replayed out of the journal at resume).
-func (j *Journal) markSeen(key string) {
-	j.mu.Lock()
-	j.seen[key] = struct{}{}
-	j.mu.Unlock()
-}
+// Err returns the first append failure, if any: the campaign's results
+// are complete in memory but the journal may be missing points.
+func (j *Journal) Err() error { return j.k.Err() }
 
-// fail records the first append-path error. Caller holds j.mu.
-func (j *Journal) fail(err error) {
-	if j.err == nil {
-		j.err = err
-	}
-	metrics.Add("campaign.journal.append_err", 1)
-}
+// Close syncs and closes the underlying log; closing twice is safe.
+func (j *Journal) Close() error { return j.k.Close() }
 
-// Err returns the first append-path error, if any. A non-nil Err means
-// the campaign's results are complete in memory but the journal may be
-// missing points; callers that require durability should surface it.
-func (j *Journal) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// Sync forces the journal to stable storage (meaningful under the
-// SyncInterval/SyncNever policies).
-func (j *Journal) Sync() error { return j.log.Sync() }
-
-// Close syncs and closes the underlying log. It serializes with
-// in-flight record calls (whichever holds the mutex first wins: an
-// append that beat Close is durable, one that lost is dropped and
-// surfaced via Err). Closing an already-closed journal is a no-op that
-// returns the first Close's error.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return j.closeErr
-	}
-	j.closed = true
-	j.closeErr = j.log.Close()
-	return j.closeErr
-}
-
-// ResumeStats reports what a resume replayed out of the journal.
+// ResumeStats reports what a rerun took out of the journal.
 type ResumeStats struct {
-	// Replayed is the number of journal entries whose key matched a
-	// requested point and was seeded into the cache.
+	// Replayed is the number of recovered entries served to the cache:
+	// the points that did not recompute.
 	Replayed int
-	// SkippedUnknown is the number of entries that matched no requested
-	// point — a changed campaign spec; they are preserved on disk but
-	// not served.
+	// SkippedUnknown is the number of recovered entries no point asked
+	// for — a changed campaign spec; they are preserved on disk.
 	SkippedUnknown int
 	// Corrupt is the number of records that failed to decode.
 	Corrupt int
-	// Duplicate is the number of decodable entries whose key had already
-	// been replayed (e.g. the same point journaled by two pre-crash
+	// Duplicate is the number of decodable records whose key had already
+	// replayed (e.g. the same point journaled by two pre-crash
 	// processes); first entry wins.
 	Duplicate int
 }
 
-// Replay seeds the engine's cache with every journaled entry whose key
-// matches one of pts, and marks those keys seen so the resumed campaign
-// never re-appends them. Entries matching no requested point are
-// skipped and counted (a resumed campaign may have a narrower spec than
-// the one that crashed); corrupt records are skipped and counted. The
-// engine must have been built with both Journal and Cache (Config.New
-// auto-creates the cache when a journal is set).
-func (e *Engine) Replay(pts []Point) (ResumeStats, error) {
-	if e.journal == nil {
-		return ResumeStats{}, fmt.Errorf("campaign: Replay: engine has no journal")
+// ResumeStats is the journal's accounting so far; read it after Run.
+func (j *Journal) ResumeStats() ResumeStats {
+	ks, served := j.k.Stats(), int(j.served.Load())
+	return ResumeStats{
+		Replayed: served, SkippedUnknown: ks.Recovered - served,
+		Corrupt: ks.Corrupt, Duplicate: ks.Duplicate,
 	}
-	if e.cache == nil {
-		return ResumeStats{}, fmt.Errorf("campaign: Replay: engine has no cache")
-	}
-	sp := trace.Begin("campaign.journal.replay")
-	defer sp.End()
-	known := make(map[string]struct{}, len(pts))
-	for _, p := range pts {
-		if p.DesignKey != "" {
-			known[p.cacheKey()] = struct{}{}
-		}
-	}
-	entries, corrupt := e.journal.Entries()
-	st := ResumeStats{Corrupt: corrupt}
-	for _, ent := range entries {
-		if _, ok := known[ent.Key]; !ok {
-			st.SkippedUnknown++
-			metrics.Add("campaign.journal.skipped", 1)
-			continue
-		}
-		if !e.cache.Put(ent.Key, ent.Res, ent.Steps) {
-			st.Duplicate++
-			e.journal.markSeen(ent.Key)
-			continue
-		}
-		e.journal.markSeen(ent.Key)
-		st.Replayed++
-		metrics.Add("campaign.journal.replayed", 1)
-		// Re-count the journaled speculation outcome: the resumed
-		// campaign's predictor accounting must match the uninterrupted
-		// run's, and the replayed point will never recompute to count
-		// itself.
-		countSpec(ent.Spec)
-	}
-	return st, nil
-}
-
-// Resume is Run preceded by a journal replay: every point already
-// completed by the interrupted campaign is served from the journal
-// (with its step records replayed to the Observer, like any memoized
-// point), and only the remainder is computed. Because a flow run is a
-// pure function of its point and results land by index, the resumed
-// output is bit-identical to an uninterrupted run at any worker count.
-func (e *Engine) Resume(ctx context.Context, pts []Point) ([]*flow.Result, ResumeStats, error) {
-	st, err := e.Replay(pts)
-	if err != nil {
-		return nil, st, err
-	}
-	res, err := e.Run(ctx, pts)
-	return res, st, err
 }

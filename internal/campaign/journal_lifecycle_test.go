@@ -54,9 +54,10 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalRecordAfterClose: an append that arrives after Close must
-// be dropped safely AND surfaced via Err — a caller that requires
-// durability has to find out the journal is missing points.
+// TestJournalRecordAfterClose: a Store that arrives after Close must
+// not reach the log AND must be surfaced via Err — a caller that requires
+// durability has to find out the journal is missing points — while the
+// entry still serves from memory.
 func TestJournalRecordAfterClose(t *testing.T) {
 	design := tinyDesign(1)
 	pts := sweepPoints(design, KeyFor(design), 1, 1)
@@ -68,9 +69,15 @@ func TestJournalRecordAfterClose(t *testing.T) {
 	if err := jrn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	jrn.record(pts[0].cacheKey(), res[0], nil, nil)
+	jrn.Store(Entry{Key: pts[0].cacheKey(), Res: res[0]})
 	if jerr := jrn.Err(); !errors.Is(jerr, journal.ErrClosed) {
 		t.Fatalf("Err = %v, want wrapped journal.ErrClosed", jerr)
+	}
+	if e, ok := jrn.Load(pts[0].cacheKey()); !ok || e.Res == nil || e.Res.Netlist != nil {
+		t.Fatalf("entry stored after Close not served as its summary: ok=%t", ok)
+	}
+	if st := jrn.ResumeStats(); st != (ResumeStats{}) {
+		t.Fatalf("an entry stored by this process counted as resumed: %+v", st)
 	}
 }
 
@@ -101,12 +108,12 @@ func TestJournalRecordAfterFailStaysSticky(t *testing.T) {
 	if err := jrn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	jrn.record(pts[0].cacheKey(), res[0], nil, nil)
+	jrn.Store(Entry{Key: pts[0].cacheKey(), Res: res[0]})
 	first := jrn.Err()
 	if first == nil {
 		t.Fatal("first failure not surfaced")
 	}
-	jrn.record(pts[1].cacheKey(), res[1], nil, nil)
+	jrn.Store(Entry{Key: pts[1].cacheKey(), Res: res[1]})
 	if jrn.Err() != first {
 		t.Fatalf("later failure replaced the sticky error: %v", jrn.Err())
 	}
@@ -133,7 +140,7 @@ func TestJournalCloseRacesInFlightAppends(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			jrn.record(pts[i].cacheKey(), res[i], nil, nil)
+			jrn.Store(Entry{Key: pts[i].cacheKey(), Res: res[i]})
 		}(i)
 	}
 	wg.Add(1)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,7 +26,7 @@ import (
 func journalCfg(workers int, jrn *Journal) Config {
 	return Config{
 		Workers:      workers,
-		Journal:      jrn,
+		Cache:        journaledCache(jrn),
 		Faults:       &flow.FaultInjector{Seed: 11, CrashRate: 0.06, LicenseDropRate: 0.05, HangRate: 0.05, HangFor: time.Millisecond},
 		Retry:        Retry{Max: 40},
 		StageTimeout: 5 * time.Second,
@@ -56,6 +57,21 @@ func TestWatchdogReapRetryConverges(t *testing.T) {
 	assertSameResults(t, "watchdog-reap", got, want)
 }
 
+// journaledCache is a fresh unbounded cache with jrn as its durable tier
+// — all it takes to make a campaign crash-safe and resumable.
+func journaledCache(jrn *Journal) *Cache {
+	c := NewCache(0)
+	c.SetTier(jrn)
+	return c
+}
+
+// resume runs pts on a fresh engine built from cfg — whose cache carries
+// the journal under test — and reports what the journal served.
+func resume(ctx context.Context, cfg Config, jrn *Journal, pts []Point) ([]*flow.Result, ResumeStats, error) {
+	res, err := New(cfg).Run(ctx, pts)
+	return res, jrn.ResumeStats(), err
+}
+
 func openJournal(t *testing.T, dir string) *Journal {
 	t.Helper()
 	jrn, err := OpenJournal(dir, journal.Options{})
@@ -65,14 +81,22 @@ func openJournal(t *testing.T, dir string) *Journal {
 	return jrn
 }
 
-// journalKeys reopens a journal directory and returns the decoded entry
-// keys plus the corrupt-record count.
+// journalKeys reads a journal directory's raw log and returns the key of
+// every record that decodes — duplicates included — plus the count of
+// those that do not.
 func journalKeys(t *testing.T, dir string) (keys []string, corrupt int) {
 	t.Helper()
-	jrn := openJournal(t, dir)
-	defer jrn.Close()
-	entries, corrupt := jrn.Entries()
-	for _, e := range entries {
+	log, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	for _, rec := range log.Records() {
+		e, err := DecodeEntry(rec)
+		if err != nil {
+			corrupt++
+			continue
+		}
 		keys = append(keys, e.Key)
 	}
 	return keys, corrupt
@@ -139,7 +163,7 @@ func TestKillResumeSoak(t *testing.T) {
 	// truncate. Its own results must already match the reference.
 	base := filepath.Join(t.TempDir(), "journal")
 	jrn := openJournal(t, base)
-	got, st, err := New(journalCfg(4, jrn)).Resume(ctx, pts)
+	got, st, err := resume(ctx, journalCfg(4, jrn), jrn, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +211,7 @@ func TestKillResumeSoak(t *testing.T) {
 				t.Fatal(err)
 			}
 			jrn := openJournal(t, dir)
-			got, st, err := New(journalCfg(workers, jrn)).Resume(ctx, pts)
+			got, st, err := resume(ctx, journalCfg(workers, jrn), jrn, pts)
 			if err != nil {
 				t.Fatalf("kill@%d workers=%d: %v", off, workers, err)
 			}
@@ -252,7 +276,7 @@ func TestCancelledCampaignResumes(t *testing.T) {
 			cancel()
 		}
 	})
-	if _, _, err := New(cfg).Resume(ctx, pts); err == nil {
+	if _, _, err := resume(ctx, cfg, jrn, pts); err == nil {
 		t.Fatal("cancelled campaign reported success")
 	}
 	if err := jrn.Close(); err != nil {
@@ -261,7 +285,7 @@ func TestCancelledCampaignResumes(t *testing.T) {
 
 	jrn2 := openJournal(t, dir)
 	defer jrn2.Close()
-	got, st, err := New(journalCfg(8, jrn2)).Resume(bg, pts)
+	got, st, err := resume(bg, journalCfg(8, jrn2), jrn2, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +305,7 @@ func TestResumeEmptyJournal(t *testing.T) {
 	}
 	jrn := openJournal(t, filepath.Join(t.TempDir(), "journal"))
 	defer jrn.Close()
-	got, st, err := New(journalCfg(2, jrn)).Resume(context.Background(), pts)
+	got, st, err := resume(context.Background(), journalCfg(2, jrn), jrn, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +338,7 @@ func TestResumeTornTailOnlyJournal(t *testing.T) {
 	if jrn.Stats().TornTails != 1 {
 		t.Fatalf("recovery stats %+v, want one torn tail", jrn.Stats())
 	}
-	got, st, err := New(journalCfg(2, jrn)).Resume(context.Background(), pts)
+	got, st, err := resume(context.Background(), journalCfg(2, jrn), jrn, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +358,7 @@ func TestResumeChangedSpecSkipsUnknown(t *testing.T) {
 
 	dir := filepath.Join(t.TempDir(), "journal")
 	jrn := openJournal(t, dir)
-	if _, _, err := New(journalCfg(2, jrn)).Resume(ctx, pts); err != nil {
+	if _, _, err := resume(ctx, journalCfg(2, jrn), jrn, pts); err != nil {
 		t.Fatal(err)
 	}
 	if err := jrn.Close(); err != nil {
@@ -348,7 +372,7 @@ func TestResumeChangedSpecSkipsUnknown(t *testing.T) {
 	}
 	jrn2 := openJournal(t, dir)
 	defer jrn2.Close()
-	got, st, err := New(journalCfg(2, jrn2)).Resume(ctx, narrowed)
+	got, st, err := resume(ctx, journalCfg(2, jrn2), jrn2, narrowed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +402,7 @@ func TestDoubleResumeIdempotent(t *testing.T) {
 
 	dir := filepath.Join(t.TempDir(), "journal")
 	jrn := openJournal(t, dir)
-	if _, _, err := New(journalCfg(2, jrn)).Resume(ctx, pts); err != nil {
+	if _, _, err := resume(ctx, journalCfg(2, jrn), jrn, pts); err != nil {
 		t.Fatal(err)
 	}
 	if err := jrn.Close(); err != nil {
@@ -394,7 +418,7 @@ func TestDoubleResumeIdempotent(t *testing.T) {
 				synthRecords++
 			}
 		})
-		got, st, err := New(cfg).Resume(ctx, pts)
+		got, st, err := resume(ctx, cfg, jrn, pts)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -426,7 +450,7 @@ func TestJournalAppendFailureIsNonFatal(t *testing.T) {
 	if err := jrn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := New(Config{Workers: 2, Journal: jrn}).Run(context.Background(), pts)
+	got, err := New(Config{Workers: 2, Cache: journaledCache(jrn)}).Run(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,5 +461,82 @@ func TestJournalAppendFailureIsNonFatal(t *testing.T) {
 	}
 	if jrn.Err() == nil {
 		t.Fatal("append failure not surfaced via Err")
+	}
+}
+
+// TestResumeParentWrittenJournal: format compatibility is a test, not a
+// promise. testdata/journal_parent is a three-point journal written by
+// the commit before journal.Keyed existed (Engine.Run with
+// Config.Journal: tiny design, DesignKey "fixture-tiny", 0.3 GHz, seeds
+// 0..2); this build must serve all three points from it without running
+// a flow — the design handed to the points is nil, so a recompute would
+// not survive.
+func TestResumeParentWrittenJournal(t *testing.T) {
+	dir := copyJournal(t, filepath.Join("testdata", "journal_parent"))
+	jrn := openJournal(t, dir)
+	defer jrn.Close()
+	pts := Points(nil, "fixture-tiny", flow.Options{TargetFreqGHz: 0.3}, []int64{0, 1, 2})
+	var mu sync.Mutex
+	steps := map[int64]int{}
+	cfg := Config{Workers: 2, Cache: journaledCache(jrn), Observer: flow.ObserverFunc(func(rec flow.StepRecord) {
+		mu.Lock()
+		steps[rec.Options.Seed]++
+		mu.Unlock()
+	})}
+	got, st, err := resume(context.Background(), cfg, jrn, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != (ResumeStats{Replayed: 3}) {
+		t.Fatalf("stats %+v, want exactly 3 replayed", st)
+	}
+	wantWNS := []float64{2950.103248969831, 2950.812253476935, 2944.8731219197352}
+	for i, r := range got {
+		if r == nil || r.Options.Seed != int64(i) || r.AreaUm2 != 37.49500000000001 || r.WNSPs != wantWNS[i] {
+			t.Fatalf("point %d replayed as %+v", i, r)
+		}
+		if steps[int64(i)] != 6 {
+			t.Fatalf("point %d replayed %d step records, want the flow's 6", i, steps[int64(i)])
+		}
+	}
+	if err := jrn.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if keys, corrupt := journalKeys(t, dir); len(keys) != 3 || corrupt != 0 {
+		t.Fatalf("resume rewrote the journal: %d records, %d corrupt", len(keys), corrupt)
+	}
+}
+
+// TestJournalReloadAfterEvictionCountsOnce: behind an L1 too small for
+// the campaign the journal is asked for the same key again and again. A
+// recovered entry is a replay — and its Spec the engine's to count — the
+// first time only, and an entry this process stored never is.
+func TestJournalReloadAfterEvictionCountsOnce(t *testing.T) {
+	design := tinyDesign(1)
+	pts := sweepPoints(design, KeyFor(design), 8, 5) // more points than L1 has shards
+	ctx := context.Background()
+	dir := filepath.Join(t.TempDir(), "journal")
+	for life, wantReplayed := range []int{0, len(pts)} {
+		jrn := openJournal(t, dir)
+		cache := NewCache(1) // one entry per shard: colliding points evict each other
+		cache.SetTier(jrn)
+		eng := New(Config{Workers: 1, Cache: cache})
+		for round := 0; round < 3; round++ {
+			if _, err := eng.Run(ctx, pts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cs := cache.Stats(); cs.Evictions == 0 || cs.TierHits <= int64(wantReplayed) {
+			t.Fatalf("life %d: cache stats %+v: no evicted entry was reloaded", life, cs)
+		}
+		if st := jrn.ResumeStats(); st != (ResumeStats{Replayed: wantReplayed}) {
+			t.Fatalf("life %d: stats %+v, want %d replayed and nothing else", life, st, wantReplayed)
+		}
+		if err := jrn.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if keys, _ := journalKeys(t, dir); len(keys) != len(pts) {
+		t.Fatalf("journal holds %d records for %d points", len(keys), len(pts))
 	}
 }

@@ -9,8 +9,9 @@ import (
 // TestResumeSkipsForeignEntries: a journal holding entries for points
 // outside the resumed spec (a narrowed campaign, or a directory shared
 // with another sweep) must skip them — counted, preserved on disk, and
-// never seeded into the cache where a colliding lookup could serve a
-// stale result.
+// never in L1, where a colliding lookup could serve a stale result. With
+// the journal a tier this is by construction: only a key the campaign
+// asks for is ever loaded.
 func TestResumeSkipsForeignEntries(t *testing.T) {
 	design := tinyDesign(1)
 	key := KeyFor(design)
@@ -19,7 +20,7 @@ func TestResumeSkipsForeignEntries(t *testing.T) {
 	// First campaign journals the wide spec: 2 freqs x 2 seeds.
 	wide := sweepPoints(design, key, 2, 2)
 	jrn := openJournal(t, dir)
-	eng := New(Config{Workers: 2, Journal: jrn})
+	eng := New(Config{Workers: 2, Cache: journaledCache(jrn)})
 	wideRes, err := eng.Run(context.Background(), wide)
 	if err != nil {
 		t.Fatal(err)
@@ -32,9 +33,8 @@ func TestResumeSkipsForeignEntries(t *testing.T) {
 	narrow := wide[:2]
 	jrn2 := openJournal(t, dir)
 	defer jrn2.Close()
-	cache := NewCache(0)
-	eng2 := New(Config{Workers: 2, Journal: jrn2, Cache: cache})
-	res, st, err := eng2.Resume(context.Background(), narrow)
+	cache := journaledCache(jrn2)
+	res, st, err := resume(context.Background(), Config{Workers: 2, Cache: cache}, jrn2, narrow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +76,7 @@ func TestResumeSkipsForeignEntries(t *testing.T) {
 	}
 	jrn3 := openJournal(t, dir)
 	defer jrn3.Close()
-	eng3 := New(Config{Workers: 2, Journal: jrn3})
-	res3, st3, err := eng3.Resume(context.Background(), wide)
+	res3, st3, err := resume(context.Background(), Config{Workers: 2, Cache: journaledCache(jrn3)}, jrn3, wide)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,11 @@
 // workers run points through the unchanged flow/campaign machinery, and
 // every completed result lands in a shared, WAL-backed network result
 // store — the paper's Fig. 11 METRICS architecture (wrappers feeding a
-// central server) applied to the orchestration layer itself.
+// central server) applied to the orchestration layer itself. The store
+// is a journal.Keyed behind HTTP and a worker's cache reaches it as a
+// campaign.Tier, which is also how a local campaign reaches its journal:
+// a rerun over the store's WAL and a resumed local sweep are the same
+// L1-miss-then-tier-hit.
 //
 // The determinism contract survives distribution by construction: a
 // flow run is a pure function of its point, results are addressed by

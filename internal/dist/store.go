@@ -9,11 +9,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// Store is the network tier of the campaign memo cache: an
-// authoritative map of encoded campaign.Entry records keyed by content
-// key, durably backed by the crash-safe WAL (every accepted put is
-// appended before it becomes visible, and Open replays the log so a
-// restarted store serves everything it ever acknowledged).
+// Store is the network tier of the campaign memo cache: a journal.Keyed
+// of encoded campaign.Entry records under their content keys (every
+// accepted put is in the WAL before it is visible, the first put under a
+// key wins, and Open replays the log so a restarted store serves
+// everything it ever acknowledged), plus the claims below.
 //
 // The store also arbitrates the exactly-once compute contract via
 // claims: a worker claims a key before computing it, the claim is
@@ -24,16 +24,10 @@ import (
 // bytes and the first put wins — so claims are purely a work-saving
 // contract, never a correctness one.
 type Store struct {
-	mu      sync.Mutex
-	entries map[string][]byte
-	order   []string // insertion order, for deterministic Keys
-	claims  map[string]string
-	wal     *journal.Log
-	walErr  error // sticky: first WAL append failure (durability degraded)
+	entries *journal.Keyed[[]byte]
 
-	walStats  journal.RecoveryStats
-	recovered int
-	corrupt   int
+	mu     sync.Mutex // guards claims; held across a Put so a claim and its entry agree
+	claims map[string]string
 }
 
 // OpenStore opens the result store, replaying the WAL in dir when dir
@@ -41,42 +35,24 @@ type Store struct {
 // Records that fail to decode are skipped and counted, never fatal —
 // one corrupt entry costs one recompute, not the store.
 func OpenStore(dir string, opts journal.Options) (*Store, error) {
-	s := &Store{entries: map[string][]byte{}, claims: map[string]string{}}
-	if dir == "" {
-		return s, nil
-	}
-	wal, err := journal.Open(dir, opts)
+	entries, err := journal.OpenKeyed(dir, opts, func(rec []byte) (string, []byte, error) {
+		e, err := campaign.DecodeEntry(rec)
+		return e.Key, rec, err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("dist: open store wal: %w", err)
 	}
-	s.wal = wal
-	s.walStats = wal.Stats()
-	for _, rec := range wal.Records() {
-		e, err := campaign.DecodeEntry(rec)
-		if err != nil {
-			s.corrupt++
-			continue
-		}
-		if _, dup := s.entries[e.Key]; dup {
-			continue
-		}
-		data := append([]byte(nil), rec...)
-		s.entries[e.Key] = data
-		s.order = append(s.order, e.Key)
-		s.recovered++
+	st := entries.Stats()
+	if st.Corrupt > 0 {
+		metrics.Add("dist.store.corrupt", int64(st.Corrupt))
 	}
-	if s.corrupt > 0 {
-		metrics.Add("dist.store.corrupt", int64(s.corrupt))
-	}
-	metrics.Add("dist.store.recovered", int64(s.recovered))
-	return s, nil
+	metrics.Add("dist.store.recovered", int64(st.Recovered))
+	return &Store{entries: entries, claims: map[string]string{}}, nil
 }
 
 // Get returns the encoded entry for a key, if the store holds it.
 func (s *Store) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	data, ok := s.entries[key]
-	s.mu.Unlock()
+	data, ok := s.entries.Get(key)
 	if ok {
 		metrics.Add("dist.store.hit", 1)
 	} else {
@@ -91,7 +67,8 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // happens before the entry becomes visible, and any claim on the key is
 // cleared. The payload must decode as a campaign.Entry whose key
 // matches; garbage is rejected so one sick node cannot poison every
-// node's cache.
+// node's cache. A WAL failure is not an error here: the entry still
+// serves from memory, and Err reports the degraded durability.
 func (s *Store) Put(key string, data []byte) (stored bool, err error) {
 	e, err := campaign.DecodeEntry(data)
 	if err != nil {
@@ -105,21 +82,15 @@ func (s *Store) Put(key string, data []byte) (stored bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.claims, key) // the compute completed, whoever held it
-	if _, dup := s.entries[key]; dup {
+	cp := append([]byte(nil), data...)
+	stored, werr := s.entries.Put(key, cp, cp)
+	switch {
+	case werr != nil:
+		metrics.Add("dist.store.wal_err", 1)
+	case !stored:
 		metrics.Add("dist.store.duplicate", 1)
 		return false, nil
 	}
-	if s.wal != nil {
-		if werr := s.wal.Append(data); werr != nil && s.walErr == nil {
-			// Durability degraded, liveness kept: the entry still serves
-			// from memory, the first failure is surfaced via Err.
-			s.walErr = fmt.Errorf("dist: store wal append: %w", werr)
-			metrics.Add("dist.store.wal_err", 1)
-		}
-	}
-	cp := append([]byte(nil), data...)
-	s.entries[key] = cp
-	s.order = append(s.order, key)
 	metrics.Add("dist.store.stored", 1)
 	return true, nil
 }
@@ -138,7 +109,7 @@ type ClaimState struct {
 func (s *Store) Claim(key, node string) ClaimState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
+	if _, ok := s.entries.Get(key); ok {
 		return ClaimState{State: "done"}
 	}
 	if holder, ok := s.claims[key]; ok && holder != node {
@@ -183,26 +154,14 @@ func (s *Store) ReleaseNode(node string) int {
 }
 
 // Len returns the number of stored entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
+func (s *Store) Len() int { return s.entries.Len() }
 
 // WALStats reports what WAL recovery found at open (zero value for a
 // memory-only store).
-func (s *Store) WALStats() journal.RecoveryStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.walStats
-}
+func (s *Store) WALStats() journal.RecoveryStats { return s.entries.Stats().Log }
 
 // Err reports the first WAL append failure (nil = fully durable).
-func (s *Store) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.walErr
-}
+func (s *Store) Err() error { return s.entries.Err() }
 
 // StoreStats is a coherent snapshot of the store.
 type StoreStats struct {
@@ -210,26 +169,19 @@ type StoreStats struct {
 	Claims    int `json:"claims"`
 	Recovered int `json:"recovered"`
 	Corrupt   int `json:"corrupt"`
+	Duplicate int `json:"duplicate"`
 }
 
 // Stats snapshots the store under one lock.
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	st := s.entries.Stats()
 	return StoreStats{
-		Entries: len(s.entries), Claims: len(s.claims),
-		Recovered: s.recovered, Corrupt: s.corrupt,
+		Entries: s.entries.Len(), Claims: len(s.claims),
+		Recovered: st.Recovered, Corrupt: st.Corrupt, Duplicate: st.Duplicate,
 	}
 }
 
 // Close syncs and closes the WAL (memory-only stores close trivially).
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wal == nil {
-		return nil
-	}
-	wal := s.wal
-	s.wal = nil
-	return wal.Close()
-}
+func (s *Store) Close() error { return s.entries.Close() }

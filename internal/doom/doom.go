@@ -24,7 +24,7 @@ import (
 )
 
 // Supervisor applies an mdp.Card between rip-up passes. It implements
-// flow.RouteSupervisor and flow.Observer, so passing one to flow.RunCtx
+// flow.RouteSupervisor and flow.Observer, so passing one to flow.RunCfg
 // both forwards step records (to Next, if set) and supervises routing.
 type Supervisor struct {
 	// Card is the trained GO/STOP strategy card.

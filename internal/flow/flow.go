@@ -251,32 +251,10 @@ func Run(design *netlist.Netlist, opts Options) *Result {
 }
 
 // RunObserved executes the full flow, reporting each step to obs (which
-// may be nil). It cannot be cancelled; use RunCtx for that.
+// may be nil). It cannot be cancelled; use RunCfg for that.
 func RunObserved(design *netlist.Netlist, opts Options, obs Observer) *Result {
-	res, _ := RunCtx(context.Background(), design, opts, obs) //nolint:errcheck // background ctx never cancels
+	res, _ := RunCfg(context.Background(), design, opts, RunConfig{Observer: obs}) //nolint:errcheck // background ctx never cancels
 	return res
-}
-
-// RunCtx executes the full flow under ctx, reporting each step to obs
-// (which may be nil). Cancellation is checked at every stage boundary
-// and between detailed-routing rip-up passes, so a doomed-run STOP or a
-// campaign teardown reclaims the run's license within one iteration
-// instead of after the full run. On cancellation the partial Result has
-// Aborted set and ctx.Err() is returned. If obs implements
-// RouteSupervisor, its verdicts can STOP the run mid-route; a STOPped
-// run returns (res, nil) with res.Stopped set and no signoff fields.
-func RunCtx(ctx context.Context, design *netlist.Netlist, opts Options, obs Observer) (*Result, error) {
-	return RunFault(ctx, design, opts, obs, nil, 0)
-}
-
-// RunFault is RunCtx with deterministic fault injection: inj (which may
-// be nil) is consulted at every stage boundary with the run seed, the
-// stage about to execute and the caller's attempt number; an injected
-// crash or license drop aborts the run with a *FaultError. The campaign
-// engine's retry loop increments attempt so a re-run draws fresh fault
-// coins.
-func RunFault(ctx context.Context, design *netlist.Netlist, opts Options, obs Observer, inj *FaultInjector, attempt int) (*Result, error) {
-	return RunCfg(ctx, design, opts, RunConfig{Observer: obs, Faults: inj, Attempt: attempt})
 }
 
 // RunConfig bundles the run-level machinery around a flow execution:
@@ -339,6 +317,18 @@ func endStageSpan(sp *trace.Span, err error) {
 // the caller's goroutine only after the body is known to have finished,
 // so a reaped stage can never race with the caller: an abandoned body
 // writes only stage-local state that nobody reads.
+//
+// Cancellation is checked at every stage boundary and between
+// detailed-routing rip-up passes, so a doomed-run STOP or a campaign
+// teardown reclaims the run's license within one iteration instead of
+// after the full run: the partial Result has Aborted set and ctx.Err() is
+// returned. rc.Faults (which may be nil) is consulted at the same
+// boundaries with the run seed, the stage about to execute and
+// rc.Attempt; an injected crash or license drop aborts the run with a
+// *FaultError, and the campaign engine's retry loop increments Attempt so
+// a re-run draws fresh fault coins. If rc.Observer implements
+// RouteSupervisor, its verdicts can STOP the run mid-route; a STOPped run
+// returns (res, nil) with res.Stopped set and no signoff fields.
 //
 // When tracing is armed (trace.Enable) the run emits a "flow.run" span
 // with one "flow.<stage>" child per stage, each carrying the stage

@@ -203,7 +203,7 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	d := tiny(10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunCtx(ctx, d, Options{TargetFreqGHz: 0.4, Seed: 1}, nil)
+	res, err := RunCfg(ctx, d, Options{TargetFreqGHz: 0.4, Seed: 1}, RunConfig{})
 	if err != context.Canceled {
 		t.Fatalf("err = %v", err)
 	}
@@ -219,13 +219,13 @@ func TestRunCtxMatchesRun(t *testing.T) {
 	d := tiny(11)
 	opts := Options{TargetFreqGHz: 0.4, Seed: 5}
 	plain := Run(d, opts)
-	ctxRes, err := RunCtx(context.Background(), d, opts, nil)
+	ctxRes, err := RunCfg(context.Background(), d, opts, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.AreaUm2 != ctxRes.AreaUm2 || plain.WNSPs != ctxRes.WNSPs ||
 		plain.Route.Final != ctxRes.Route.Final || plain.RuntimeProxy != ctxRes.RuntimeProxy {
-		t.Fatal("RunCtx diverged from Run on an uncancelled background context")
+		t.Fatal("RunCfg diverged from Run on an uncancelled background context")
 	}
 }
 
@@ -249,7 +249,7 @@ func TestRunCtxLiveStopEndsFlow(t *testing.T) {
 	opts := Options{TargetFreqGHz: 0.4, Seed: 9}
 	full := Run(d, opts)
 	sup := &stopAtSupervisor{at: 4}
-	res, err := RunCtx(context.Background(), d, opts, sup)
+	res, err := RunCfg(context.Background(), d, opts, RunConfig{Observer: sup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestRunFaultAbortsAtStageBoundary(t *testing.T) {
 	d := tiny(13)
 	// CrashRate 1: the very first boundary kills every attempt.
 	inj := &FaultInjector{Seed: 1, CrashRate: 1}
-	res, err := RunFault(context.Background(), d, Options{TargetFreqGHz: 0.4, Seed: 2}, nil, inj, 0)
+	res, err := RunCfg(context.Background(), d, Options{TargetFreqGHz: 0.4, Seed: 2}, RunConfig{Faults: inj})
 	var fe *FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("err = %v, want *FaultError", err)

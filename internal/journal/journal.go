@@ -1,6 +1,11 @@
-// Package journal is the crash-safe write-ahead log under the campaign
-// engine's durable checkpoint/resume: an append-only sequence of
-// length-prefixed, CRC32C-checksummed records in rotated segment files.
+// Package journal is the crash-safe write-ahead log under everything
+// durable in the repository, in two layers. Log is an append-only
+// sequence of length-prefixed, CRC32C-checksummed records in rotated
+// segment files. Keyed (keyed.go) is the first-wins keyed store replayed
+// from a Log, and the only consumer of one: the campaign journal, the
+// dist result store, the METRICS warehouse and the corpus journal are
+// typed views of it, so "first wins", "durable before visible" and "a
+// corrupt record costs one recompute" are written and tested here once.
 //
 // The durability contract is the one a weekend-scale campaign needs
 // (the paper's "launch 1000 runs" orchestration): a process kill, OOM
@@ -57,10 +62,6 @@ const (
 	// SyncAlways fsyncs after every append (the default: a record
 	// returned from Append survives an immediate power cut).
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs every Options.SyncEvery appends; a crash can
-	// lose up to SyncEvery-1 acknowledged records but never corrupts
-	// the ones before them.
-	SyncInterval
 	// SyncNever leaves flushing to the OS; a clean process kill (SIGKILL)
 	// loses nothing, a power cut may lose the OS write-back window.
 	SyncNever
@@ -70,17 +71,12 @@ const (
 type Options struct {
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// SyncEvery is the append interval for SyncInterval (default 16).
-	SyncEvery int
 	// MaxSegmentBytes rotates to a fresh segment once the active one
 	// exceeds this size (default 64 MiB).
 	MaxSegmentBytes int64
 }
 
 func (o Options) withDefaults() Options {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 16
-	}
 	if o.MaxSegmentBytes <= 0 {
 		o.MaxSegmentBytes = 64 << 20
 	}
@@ -100,13 +96,12 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	f        *os.File
-	seq      int
-	size     int64
-	unsynced int
-	closed   bool
-	broken   error // sticky: set when a failed append could not be repaired
+	mu     sync.Mutex
+	f      *os.File
+	seq    int
+	size   int64
+	closed bool
+	broken error // sticky: set when a failed append could not be repaired
 
 	records [][]byte
 	stats   RecoveryStats
@@ -275,9 +270,6 @@ func (l *Log) Records() [][]byte { return l.records }
 // Stats returns the recovery statistics gathered at Open.
 func (l *Log) Stats() RecoveryStats { return l.stats }
 
-// Dir returns the journal directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Append durably adds one record: AppendBatch of one.
 func (l *Log) Append(payload []byte) error {
 	return l.AppendBatch([][]byte{payload})
@@ -344,13 +336,10 @@ func (l *Log) appendBatch(payloads [][]byte) error {
 		metrics.Add("journal.append.broken", 1)
 		return l.broken
 	}
-	l.unsynced += len(payloads)
 	metrics.Add("journal.append.ok", int64(len(payloads)))
 	metrics.Add("journal.append.bytes", int64(len(buf)))
-	if l.opts.Sync == SyncAlways || (l.opts.Sync == SyncInterval && l.unsynced >= l.opts.SyncEvery) {
-		if err := l.syncLocked(); err != nil {
-			return err
-		}
+	if l.opts.Sync == SyncAlways {
+		return l.syncLocked()
 	}
 	return nil
 }
@@ -384,7 +373,6 @@ func (l *Log) syncLocked() error {
 		return fmt.Errorf("journal: sync: %w", err)
 	}
 	sp.End()
-	l.unsynced = 0
 	metrics.Add("journal.sync.ok", 1)
 	return nil
 }
@@ -430,7 +418,6 @@ func (l *Log) rotateLocked() error {
 	l.f = f
 	l.seq = next
 	l.size = int64(segHeaderLen)
-	l.unsynced = 0
 	metrics.Add("journal.segment.rotated", 1)
 	return nil
 }

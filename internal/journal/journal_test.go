@@ -257,7 +257,6 @@ func TestSyncFaultSurfaces(t *testing.T) {
 func TestSyncPolicies(t *testing.T) {
 	for _, opts := range []Options{
 		{Sync: SyncAlways},
-		{Sync: SyncInterval, SyncEvery: 3},
 		{Sync: SyncNever},
 	} {
 		dir := t.TempDir()

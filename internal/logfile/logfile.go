@@ -18,11 +18,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
 
 	"repro/internal/campaign"
 	"repro/internal/cellib"
@@ -234,58 +234,47 @@ type corpusEntry struct {
 // spec.JournalDir: completed runs are durably appended as they finish,
 // and a generation restarted after a crash replays them instead of
 // recomputing (bit-identically — a corpus run is a pure function of its
-// pre-drawn seed). Journal append failures are surfaced in the returned
-// error but never abort generation; the runs slice is always complete.
+// pre-drawn seed). The journal is a journal.Keyed of runs under their
+// runKey, so its rules are the campaign journal's: first run under a key
+// wins, and append failures are surfaced in the returned error but never
+// abort generation; the runs slice is always complete.
 // With an empty JournalDir this is exactly Generate.
 func GenerateJournaled(spec CorpusSpec) ([]Run, error) {
 	spec = spec.withDefaults()
 	if spec.JournalDir == "" {
 		return generate(spec, nil, nil), nil
 	}
-	log, err := journal.Open(spec.JournalDir, journal.Options{})
+	jrn, err := journal.OpenKeyed(spec.JournalDir, journal.Options{}, func(rec []byte) (string, Run, error) {
+		var e corpusEntry
+		err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&e)
+		if err == nil && e.Key == "" {
+			err = errors.New("logfile: journal entry has no key")
+		}
+		return e.Key, e.Run, err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("logfile: open corpus journal: %w", err)
 	}
-
-	cached := map[string]Run{}
-	corrupt := 0
-	for _, rec := range log.Records() {
-		var e corpusEntry
-		if err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&e); err != nil || e.Key == "" {
-			corrupt++
-			continue
-		}
-		cached[e.Key] = e.Run
-	}
-	if corrupt > 0 {
-		metrics.Add("logfile.journal.corrupt", int64(corrupt))
+	st := jrn.Stats()
+	if st.Corrupt > 0 {
+		metrics.Add("logfile.journal.corrupt", int64(st.Corrupt))
 	}
 
-	var mu sync.Mutex
-	var appendErr error
-	replayed := 0
+	replayed := 0 // generate resolves every lookup before it fans out
 	lookup := func(key string) (Run, bool) {
-		r, ok := cached[key]
+		r, ok := jrn.Get(key)
 		if ok {
-			mu.Lock()
 			replayed++
-			mu.Unlock()
 		}
 		return r, ok
 	}
 	record := func(key string, r Run) {
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(corpusEntry{Key: key, Run: r}); err == nil {
-			err = log.Append(buf.Bytes())
-		} else {
-			err = fmt.Errorf("logfile: encode journal entry: %w", err)
+		err := gob.NewEncoder(&buf).Encode(corpusEntry{Key: key, Run: r})
+		if err == nil {
+			_, err = jrn.Put(key, r, buf.Bytes())
 		}
 		if err != nil {
-			mu.Lock()
-			if appendErr == nil {
-				appendErr = fmt.Errorf("logfile: journal append: %w", err)
-			}
-			mu.Unlock()
 			metrics.Add("logfile.journal.append_err", 1)
 			return
 		}
@@ -295,15 +284,12 @@ func GenerateJournaled(spec CorpusSpec) ([]Run, error) {
 	if replayed > 0 {
 		metrics.Add("logfile.journal.replayed", int64(replayed))
 	}
-	if skipped := len(cached) - replayed; skipped > 0 {
+	if skipped := st.Recovered - replayed; skipped > 0 {
 		// Entries whose keys match no requested run: a changed spec.
 		// They stay on disk untouched.
 		metrics.Add("logfile.journal.skipped", int64(skipped))
 	}
-	if err := log.Close(); err != nil && appendErr == nil {
-		appendErr = fmt.Errorf("logfile: close corpus journal: %w", err)
-	}
-	return runs, appendErr
+	return runs, errors.Join(jrn.Err(), jrn.Close())
 }
 
 // generate is the corpus generator core. lookup (optional) serves a run

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/campaign"
@@ -379,6 +378,21 @@ func TestSpeculativeCampaignWorkerInvariantUnderFaults(t *testing.T) {
 	}
 }
 
+// journaledCache is a fresh campaign cache with jr as its durable tier.
+func journaledCache(jr *campaign.Journal) *campaign.Cache {
+	c := campaign.NewCache(0)
+	c.SetTier(jr)
+	return c
+}
+
+// TestSpeculativeCampaignResumeReplaysStats: a resumed point never runs,
+// so the journal carries its speculation outcome and the tier hit counts
+// it — a resumed campaign's predictor accounting matches what the journal
+// holds, judgment for judgment, and its results the non-speculative
+// reference. The first life runs to completion: a partial one would
+// compute the remainder inside the resuming Run, and those live runs add
+// judgments of their own (scripts/check.sh spec kills one mid-flight and
+// diffs the results instead).
 func TestSpeculativeCampaignResumeReplaysStats(t *testing.T) {
 	design := testDesign(5)
 	key := campaign.KeyFor(design)
@@ -394,38 +408,28 @@ func TestSpeculativeCampaignResumeReplaysStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First life: cancelled mid-campaign — a crash while speculation is
-	// in flight. Whatever completed is durable.
-	ctx, cancel := context.WithCancel(context.Background())
-	var done atomic.Int64 // stepped from both campaign workers
 	eng := campaign.New(campaign.Config{
-		Workers: 2, Journal: jr,
+		Workers: 2, Cache: journaledCache(jr),
 		Oracle: NewMemory(Options{CrossSeed: true}),
-		Observer: flow.ObserverFunc(func(rec flow.StepRecord) {
-			if rec.Step == "sta" && done.Add(1) >= 4 {
-				cancel()
-			}
-		}),
 	})
-	if _, err := eng.Run(ctx, pts); err == nil {
-		t.Log("campaign finished before the injected crash; resume will be pure replay")
+	if _, err := eng.Run(context.Background(), pts); err != nil {
+		t.Fatal(err)
 	}
-	cancel()
 	if err := jr.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Second life: resume from the journal with a fresh oracle and count
-	// what the replay mirrors into the predictor counters.
-	jr2, err := campaign.OpenJournal(dir, journal.Options{})
+	// What the journal holds, read off the raw log.
+	log, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jr2.Close()
-	// The replay must mirror exactly the judgments the journal holds.
-	entries, _ := jr2.Entries()
 	var wantDelta int64
-	for _, e := range entries {
+	for _, rec := range log.Records() {
+		e, err := campaign.DecodeEntry(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if e.Spec == nil {
 			continue
 		}
@@ -436,32 +440,40 @@ func TestSpeculativeCampaignResumeReplaysStats(t *testing.T) {
 			wantDelta++
 		}
 	}
+	if len(log.Records()) != len(pts) || wantDelta == 0 {
+		t.Fatalf("first life journaled %d of %d points holding %d judgments", len(log.Records()), len(pts), wantDelta)
+	}
+	log.Close()
+
+	// Second life: resume from the journal with a fresh oracle and count
+	// what the tier hits mirror into the predictor counters.
+	jr2, err := campaign.OpenJournal(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr2.Close()
 	judged := func() int64 {
 		return metrics.Get("predict.synth.hit") + metrics.Get("predict.synth.miss") +
 			metrics.Get("predict.place.hit") + metrics.Get("predict.place.miss")
 	}
 	before := judged()
 	eng2 := campaign.New(campaign.Config{
-		Workers: 2, Journal: jr2,
+		Workers: 2, Cache: journaledCache(jr2),
 		Oracle: NewMemory(Options{CrossSeed: true}),
 	})
-	st, err := eng2.Replay(pts)
-	if err != nil {
-		t.Fatalf("replay failed: %v", err)
-	}
-	if st.Replayed == 0 {
-		t.Error("resume replayed nothing; the first life journaled no points")
-	}
-	if got, want := judged()-before, wantDelta; got != want {
-		t.Errorf("replay mirrored %d predictor judgments, journal holds %d", got, want)
-	}
 	got, err := eng2.Run(context.Background(), pts)
 	if err != nil {
 		t.Fatalf("resumed run failed: %v", err)
 	}
+	if st := jr2.ResumeStats(); st.Replayed != len(pts) {
+		t.Errorf("resume stats %+v, want every point replayed", st)
+	}
+	if got, want := judged()-before, wantDelta; got != want {
+		t.Errorf("resume mirrored %d predictor judgments, journal holds %d", got, want)
+	}
 	for i := range got {
-		// A replayed point is its journaled summary, a recomputed one the
-		// full result: compare what both are guaranteed to carry.
+		// A replayed point is its journaled summary: compare what both
+		// are guaranteed to carry.
 		if !reflect.DeepEqual(normalized(got[i]).Summary(), want[i].Summary()) {
 			t.Errorf("resumed point %d differs from the non-speculative reference", i)
 		}

@@ -59,13 +59,13 @@ type Attr struct {
 
 // SpanData is one finished span as the collector retains it.
 type SpanData struct {
-	ID     uint64
-	Parent uint64 // 0 = root
-	Name   string
-	Start  time.Duration // offset from the tracer epoch
-	Dur    time.Duration
+	ID      uint64
+	Parent  uint64 // 0 = root
+	Name    string
+	Start   time.Duration // offset from the tracer epoch
+	Dur     time.Duration
 	Outcome Outcome
-	Attrs  []Attr
+	Attrs   []Attr
 }
 
 // Span is an in-flight span. The zero of *Span is nil, and every method

@@ -3,10 +3,11 @@
 // itself. Every flow stage of every campaign point, on every node,
 // produces one structured record (QoR scalars, options key, node,
 // corner); records are ingested over HTTP from the whole fleet, made
-// durable in a CRC-framed WAL (internal/journal), and served back
-// through a query/aggregate API, an SSE live tail, and a regression
-// miner — the substrate the ROADMAP's "continuously learning prediction
-// service" trains from.
+// durable in a journal.Keyed (first-wins under the dedupe key, in the WAL
+// before visible — the one policy every durable store here has), and
+// served back through a query/aggregate API, an SSE live tail, and a
+// regression miner — the substrate the ROADMAP's "continuously learning
+// prediction service" trains from.
 //
 // Determinism contract: the flow is deterministic per (design, options)
 // point, so records for the same (campaign, point, stage) are identical
@@ -24,6 +25,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/journal"
@@ -34,12 +36,12 @@ import (
 // Record is one flow stage of one campaign point as the warehouse
 // stores it.
 type Record struct {
-	Campaign string  // campaign id (hex of the sweep-spec hash)
-	Point    int     // index in the campaign's canonical point list
-	Stage    string  // "synth", "place", "cts", "groute", "droute", "sta", "recover"
-	Node     string  // node that emitted it ("local", "w0", ...)
-	Corner   string  // analysis corner (single-corner flow: "typ")
-	Key      string  // canonical flow.Options key of the point
+	Campaign string // campaign id (hex of the sweep-spec hash)
+	Point    int    // index in the campaign's canonical point list
+	Stage    string // "synth", "place", "cts", "groute", "droute", "sta", "recover"
+	Node     string // node that emitted it ("local", "w0", ...)
+	Corner   string // analysis corner (single-corner flow: "typ")
+	Key      string // canonical flow.Options key of the point
 	Design   string
 	Seed     int64
 	FreqGHz  float64
@@ -57,118 +59,92 @@ func (r Record) dedupeKey() string {
 // Stats summarizes a warehouse.
 type Stats struct {
 	Records  int   // live (deduped) records
-	Deduped  int64 // ingested records dropped as duplicates
+	Deduped  int64 // ingested or replayed records dropped as duplicates
 	Replayed int   // records recovered from the WAL at Open
+	Corrupt  int   // CRC-valid WAL records that were not a Record (skipped)
 	Torn     int   // WAL segments with torn tails truncated at Open
 }
 
-// Warehouse is the store. All methods are safe for concurrent use.
+// Warehouse is the store: a journal.Keyed of records under their dedupe
+// key, plus the live-tail subscribers. All methods are safe for
+// concurrent use.
 type Warehouse struct {
-	mu    sync.RWMutex
-	log   *journal.Log // nil = memory only
-	recs  []Record
-	index map[string]int // dedupeKey → recs index
-	subs  map[chan Record]bool
+	recs    *journal.Keyed[Record]
+	deduped atomic.Int64 // duplicates refused since Open
 
-	deduped  int64
-	replayed int
-	torn     int
+	mu   sync.Mutex // guards subs, and orders sends against channel closes
+	subs map[chan Record]bool
 }
 
 // Open opens (or creates) a warehouse backed by the WAL in dir and
 // replays every durable record. dir == "" is memory-only (tests,
 // single-shot runs).
 func Open(dir string, opts journal.Options) (*Warehouse, error) {
-	w := &Warehouse{index: map[string]int{}, subs: map[chan Record]bool{}}
-	if dir == "" {
-		return w, nil
-	}
-	log, err := journal.Open(dir, opts)
+	recs, err := journal.OpenKeyed(dir, opts, func(payload []byte) (string, Record, error) {
+		// A corrupt-but-CRC-valid record means a writer bug, not media
+		// damage; it is counted and skipped, not a reason to refuse the
+		// whole store.
+		var rec Record
+		err := json.Unmarshal(payload, &rec)
+		return rec.dedupeKey(), rec, err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: %w", err)
 	}
-	w.log = log
-	for _, payload := range log.Records() {
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			// A corrupt-but-CRC-valid record means a writer bug, not media
-			// damage; skip it rather than refusing the whole store.
-			continue
-		}
-		if w.insert(rec) {
-			w.replayed++
-		}
+	st := recs.Stats()
+	metrics.Add("warehouse.replayed", int64(st.Recovered))
+	if st.Corrupt > 0 {
+		metrics.Add("warehouse.corrupt", int64(st.Corrupt))
 	}
-	w.torn = log.Stats().TornTails
-	metrics.Add("warehouse.replayed", int64(w.replayed))
-	return w, nil
-}
-
-// insert adds rec to the in-memory index (no WAL write). Returns false
-// for duplicates. Caller holds no lock; insert takes it.
-func (w *Warehouse) insert(rec Record) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, dup := w.index[rec.dedupeKey()]; dup {
-		w.deduped++
-		return false
-	}
-	w.index[rec.dedupeKey()] = len(w.recs)
-	w.recs = append(w.recs, rec)
-	for ch := range w.subs {
-		select {
-		case ch <- rec:
-		default: // a slow tail subscriber drops, never blocks ingest
-		}
-	}
-	return true
+	return &Warehouse{recs: recs, subs: map[chan Record]bool{}}, nil
 }
 
 // Append ingests one record: AppendBatch of one.
 func (w *Warehouse) Append(rec Record) error { return w.AppendBatch([]Record{rec}) }
 
-// AppendBatch ingests records under one WAL group commit: WAL first
-// (durable before visible — one journal.AppendBatch, so one fsync for
-// the batch), then the in-memory index. Duplicate (campaign, point,
-// stage) records — of a stored record or of an earlier one in the batch
-// — are dropped before the WAL: determinism makes them identical, so
-// at-least-once delivery from the fleet is safe. A WAL error ingests
-// none of the batch.
+// AppendBatch ingests records under one WAL group commit (durable before
+// visible — one journal.Keyed.PutBatch, so one fsync for the batch).
+// Duplicate (campaign, point, stage) records — of a stored record, of an
+// earlier one in the batch, or of one a concurrent batch is ingesting —
+// never reach the WAL: determinism makes them identical, so at-least-once
+// delivery from the fleet is safe. A WAL error is returned, but the batch
+// is ingested in memory all the same (a retry then dedupes).
 func (w *Warehouse) AppendBatch(recs []Record) error {
-	var payloads [][]byte
-	inBatch := make(map[string]bool, len(recs))
-	w.mu.RLock()
-	log := w.log
-	for _, rec := range recs {
+	var items []journal.Item[Record]
+	for i, rec := range recs {
 		k := rec.dedupeKey()
-		if _, dup := w.index[k]; dup || inBatch[k] || log == nil {
-			continue
+		if _, dup := w.recs.Get(k); dup {
+			continue // the common resend costs no encode; PutBatch decides the rest
 		}
-		inBatch[k] = true
 		payload, err := json.Marshal(rec)
 		if err != nil {
-			w.mu.RUnlock()
 			return fmt.Errorf("warehouse: encode: %w", err)
 		}
-		payloads = append(payloads, payload)
-	}
-	w.mu.RUnlock()
-	if len(payloads) > 0 {
-		if err := log.AppendBatch(payloads); err != nil {
-			return fmt.Errorf("warehouse: append: %w", err)
+		if items == nil {
+			items = make([]journal.Item[Record], 0, len(recs)-i)
 		}
+		items = append(items, journal.Item[Record]{Key: k, Value: rec, Payload: payload})
 	}
-	appended := 0
-	for _, rec := range recs {
-		if w.insert(rec) { // counts the duplicates it refuses
-			appended++
+	added, err := w.recs.PutBatch(items)
+	if len(added) > 0 {
+		metrics.Add("warehouse.appended", int64(len(added)))
+		w.mu.Lock()
+		for _, it := range added {
+			for ch := range w.subs {
+				select {
+				case ch <- it.Value:
+				default: // a slow tail subscriber drops, never blocks ingest
+				}
+			}
 		}
+		w.mu.Unlock()
 	}
-	if appended > 0 {
-		metrics.Add("warehouse.appended", int64(appended))
+	if dups := len(recs) - len(added); dups > 0 {
+		w.deduped.Add(int64(dups))
+		metrics.Add("warehouse.deduped", int64(dups))
 	}
-	if appended < len(recs) {
-		metrics.Add("warehouse.deduped", int64(len(recs)-appended))
+	if err != nil {
+		return fmt.Errorf("warehouse: append: %w", err)
 	}
 	return nil
 }
@@ -211,14 +187,12 @@ func (q Query) match(r Record) bool {
 // Select returns the matching records sorted canonically (campaign,
 // point, stage).
 func (w *Warehouse) Select(q Query) []Record {
-	w.mu.RLock()
 	var out []Record
-	for _, r := range w.recs {
+	for _, r := range w.recs.Values() {
 		if q.match(r) {
 			out = append(out, r)
 		}
 	}
-	w.mu.RUnlock()
 	sortCanonical(out)
 	return out
 }
@@ -295,9 +269,11 @@ func (w *Warehouse) DumpCanonical(out io.Writer, campaign string) {
 
 // Stats returns store counters.
 func (w *Warehouse) Stats() Stats {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return Stats{Records: len(w.recs), Deduped: w.deduped, Replayed: w.replayed, Torn: w.torn}
+	st := w.recs.Stats()
+	return Stats{
+		Records: w.recs.Len(), Deduped: w.deduped.Load() + int64(st.Duplicate),
+		Replayed: st.Recovered, Corrupt: st.Corrupt, Torn: st.Log.TornTails,
+	}
 }
 
 // Close flushes and closes the WAL (memory-only warehouses are a
@@ -308,11 +284,6 @@ func (w *Warehouse) Close() error {
 		delete(w.subs, ch)
 		close(ch)
 	}
-	log := w.log
-	w.log = nil
 	w.mu.Unlock()
-	if log != nil {
-		return log.Close()
-	}
-	return nil
+	return w.recs.Close()
 }

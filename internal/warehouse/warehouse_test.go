@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/journal"
@@ -97,8 +98,8 @@ func TestSelectAggregate(t *testing.T) {
 	defer w.Close()
 	// Insert out of order; Select must come back (campaign, point, stage).
 	w.Append(rec("c", 1, "sta", map[string]float64{"wns_ps": -200})) //nolint:errcheck
-	w.Append(rec("c", 0, "synth", map[string]float64{"t_ms": 5}))   //nolint:errcheck
-	w.Append(rec("c", 0, "place", map[string]float64{"t_ms": 7}))   //nolint:errcheck
+	w.Append(rec("c", 0, "synth", map[string]float64{"t_ms": 5}))    //nolint:errcheck
+	w.Append(rec("c", 0, "place", map[string]float64{"t_ms": 7}))    //nolint:errcheck
 	got := w.Select(Query{Campaign: "c"})
 	if len(got) != 3 || got[0].Stage != "place" || got[1].Stage != "synth" || got[2].Point != 1 {
 		t.Fatalf("canonical order broken: %+v", got)
@@ -257,5 +258,83 @@ func TestAppendBatchGroupCommits(t *testing.T) {
 	w2.DumpCanonical(&after, "c")
 	if !bytes.Equal(before.Bytes(), after.Bytes()) || w2.Stats().Replayed != 15 {
 		t.Fatalf("replay of a batched WAL differs (replayed %d)", w2.Stats().Replayed)
+	}
+}
+
+// TestConcurrentDuplicateIngestReachesWALOnce: the fleet delivers at
+// least once — a client retry, two nodes that both computed a point — so
+// the same records arrive concurrently. The duplicate check and the WAL
+// append share one lock, so each record reaches the WAL exactly once
+// however the deliveries interleave.
+func TestConcurrentDuplicateIngestReachesWALOnce(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, journal.Options{Sync: journal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []Record
+	for p := 0; p < 16; p++ {
+		for _, stage := range []string{"synth", "place", "droute", "sta"} {
+			batch = append(batch, rec("c", p, stage, map[string]float64{"t_ms": float64(p)}))
+		}
+	}
+	const senders = 8
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := w.AppendBatch(batch); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if st := w.Stats(); st.Records != len(batch) || st.Deduped != int64((senders-1)*len(batch)) {
+		t.Fatalf("stats %+v, want %d records and %d deduped", st, len(batch), (senders-1)*len(batch))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if n := len(log.Records()); n != len(batch) {
+		t.Fatalf("WAL holds %d frames for %d distinct records", n, len(batch))
+	}
+}
+
+// TestCorruptRecordCounted: a CRC-valid WAL record that is not a Record
+// is skipped at Open and shows in Stats, instead of vanishing.
+func TestCorruptRecordCounted(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(rec("c", 0, "sta", nil)); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	log, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Append([]byte("{not a record")); err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	w2, err := Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if st := w2.Stats(); st.Replayed != 1 || st.Corrupt != 1 || st.Records != 1 {
+		t.Fatalf("stats %+v, want 1 replayed and 1 corrupt", st)
 	}
 }

@@ -1,11 +1,12 @@
 #!/bin/sh
 # Tier-1 gate for the repository.
 #
-#   scripts/check.sh          vet + build + race-enabled tests (with a
-#                             doubled concurrency tier on the scheduler,
-#                             campaign engine, the parallel place &
-#                             route kernels, and the speculative flow
-#                             path), then vet + tests of the nested
+#   scripts/check.sh          gofmt + vet + build + race-enabled tests
+#                             (with a doubled concurrency tier on the
+#                             scheduler, campaign engine, the keyed
+#                             journal, the parallel place & route
+#                             kernels, and the speculative flow path),
+#                             then vet + tests of the nested
 #                             benchmark module, then 10 s of fuzzing per
 #                             byte-facing decoder (campaign entry,
 #                             journal segment), of the placer's net
@@ -120,6 +121,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Formatting is part of the gate: name the unformatted files, then fail.
+test -z "$(gofmt -l . | tee /dev/stderr)"
 go vet ./...
 go build ./...
 # Concurrency tier: the license pool, gang scheduler and campaign
@@ -130,9 +133,11 @@ go build ./...
 # whole speculative stage chains concurrently with the real stages; run
 # their race tests twice (fresh caches each time) before the full
 # suite; the dist service rides along because its store, claims, and
-# coordinator queues are hammered by every worker node at once.
+# coordinator queues are hammered by every worker node at once, and the
+# journal because every durable store is a journal.Keyed whose puts,
+# gets and Close race by design.
 go test -race -count=2 ./internal/sched/... ./internal/campaign/... \
-    ./internal/trace/... ./internal/metrics/... \
+    ./internal/journal/... ./internal/trace/... ./internal/metrics/... \
     ./internal/place/... ./internal/route/... \
     ./internal/flow/... ./internal/spec/... ./internal/dist/...
 go test -race ./...
