@@ -11,12 +11,14 @@
 package flow
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"time"
 
 	"repro/internal/cts"
 	"repro/internal/netlist"
+	"repro/internal/num"
 	"repro/internal/place"
 	"repro/internal/route"
 	"repro/internal/sched"
@@ -83,52 +85,15 @@ func (o Options) withDefaults() Options {
 	if o.PlaceMoves <= 0 {
 		o.PlaceMoves = 60
 	}
-	if o.Speculate.Enabled {
-		if o.Speculate.TolerancePct <= 0 {
-			o.Speculate.TolerancePct = 1
-		}
-	} else {
+	switch {
+	case !o.Speculate.Enabled:
 		// A disabled config carries no knobs: all non-speculative runs
 		// share one canonical key.
 		o.Speculate = SpecConfig{}
+	case o.Speculate.TolerancePct <= 0:
+		o.Speculate.TolerancePct = 1
 	}
 	return o
-}
-
-// Stage option builders, shared verbatim by the real stage bodies and
-// the speculative chains so the two paths can never drift apart.
-
-func placeOptions(o Options, n *netlist.Netlist) place.Options {
-	return place.Options{
-		Seed:        subSeed(o.Seed, 2),
-		Moves:       o.PlaceMoves * n.NumCells(),
-		Utilization: o.Utilization,
-		Partitions:  o.Partitions,
-		Workers:     o.PlaceWorkers,
-	}
-}
-
-func ctsOptions(o Options) cts.Options {
-	return cts.Options{Seed: subSeed(o.Seed, 3)}
-}
-
-func grouteOptions(o Options) route.GlobalOptions {
-	return route.GlobalOptions{
-		Seed:          subSeed(o.Seed, 4),
-		TracksPerEdge: o.TracksPerEdge,
-		Tiles:         o.RouteTiles,
-		Workers:       o.RouteWorkers,
-	}
-}
-
-func drouteOptions(o Options, hook route.IterHook) route.DetailOptions {
-	return route.DetailOptions{
-		Iterations: o.RouteIters,
-		Effort:     o.RouteEffort,
-		Seed:       subSeed(o.Seed, 5),
-		StopAfter:  o.StopRouteAfter,
-		IterHook:   hook,
-	}
 }
 
 // Result is the outcome of one flow run.
@@ -208,7 +173,7 @@ func (r *Result) Summary() *Result {
 type StepRecord struct {
 	Design  string
 	RunSeed int64
-	Step    string // "synth", "place", "cts", "groute", "droute", "sta"
+	Step    string // "synth", "place", "cts", "groute", "droute", "sta", "recover"
 	Options Options
 	Metrics map[string]float64
 	// Series carries per-iteration data for steps that have it (the
@@ -238,12 +203,7 @@ type RouteSupervisor interface {
 }
 
 // subSeed derives a decorrelated per-step seed (splitmix64 step).
-func subSeed(seed int64, step uint64) int64 {
-	z := uint64(seed) + step*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
+func subSeed(seed int64, step uint64) int64 { return num.Mix(seed, step-1) }
 
 // Run executes the full flow. The input design is not modified.
 func Run(design *netlist.Netlist, opts Options) *Result {
@@ -290,39 +250,36 @@ type RunConfig struct {
 // implies: nil = ok, a watchdog/hang fault = hung, any other injected
 // fault = failed, context death = aborted.
 func endStageSpan(sp *trace.Span, err error) {
-	if sp == nil {
-		return
-	}
 	var fe *FaultError
 	switch {
-	case err == nil:
-		sp.End()
-	case errors.As(err, &fe):
-		sp.Set("fault", fe.Kind)
-		if fe.Kind == FaultHang {
-			sp.EndWith(trace.Hung)
-		} else {
-			sp.EndWith(trace.Failed)
-		}
-	default:
+	case !errors.As(err, &fe):
 		sp.EndErr(err)
+	case fe.Kind == FaultHang:
+		sp.Set("fault", fe.Kind)
+		sp.EndWith(trace.Hung)
+	default:
+		sp.Set("fault", fe.Kind)
+		sp.EndWith(trace.Failed)
 	}
 }
 
-// RunCfg executes the full flow under ctx with the given run machinery.
-// Each stage runs in three steps: a boundary gate (context check plus
-// injected crash/license faults), the stage body under the watchdog (see
-// RunConfig.StageTimeout), and a commit that publishes the stage's
-// results into the Result and emits its step record. The commit runs on
-// the caller's goroutine only after the body is known to have finished,
-// so a reaped stage can never race with the caller: an abandoned body
-// writes only stage-local state that nobody reads.
+// RunCfg executes the full flow under ctx with the given run machinery:
+// one pass over the stage table (stages.go). Each stage runs in three
+// steps: a boundary gate (context check plus injected crash/license
+// faults), the stage's compute under the watchdog (see
+// RunConfig.StageTimeout), and its commit, which publishes the stage's
+// artifact into the Result and emits its step record. The commit runs on
+// the caller's goroutine only after the compute is known to have
+// finished, so a reaped stage can never race with the caller: an
+// abandoned compute writes only the run's artifact set, which nobody
+// reads after the abort.
 //
-// Cancellation is checked at every stage boundary and between
-// detailed-routing rip-up passes, so a doomed-run STOP or a campaign
+// Cancellation is checked at every stage boundary, between annealing
+// move blocks and between detailed-routing rip-up passes, so a campaign
 // teardown reclaims the run's license within one iteration instead of
-// after the full run: the partial Result has Aborted set and ctx.Err() is
-// returned. rc.Faults (which may be nil) is consulted at the same
+// after the full run: the partial Result has Aborted set, holds the
+// stages committed before the one cancellation hit (a stage cut short is
+// never committed), and ctx.Err() is returned. rc.Faults (which may be nil) is consulted at the same
 // boundaries with the run seed, the stage about to execute and
 // rc.Attempt; an injected crash or license drop aborts the run with a
 // *FaultError, and the campaign engine's retry loop increments Attempt so
@@ -338,358 +295,142 @@ func endStageSpan(sp *trace.Span, err error) {
 func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunConfig) (res *Result, err error) {
 	opts = opts.withDefaults()
 	ctx, runSpan := trace.Start(ctx, "flow.run")
-	if runSpan != nil {
-		runSpan.Set("design", design.Name)
-		runSpan.SetInt("seed", opts.Seed)
-		runSpan.SetInt("attempt", int64(rc.Attempt))
-		defer func() {
-			if err == nil && res != nil && res.Stopped {
-				runSpan.EndWith(trace.Stopped)
-				return
-			}
-			if err != nil && res != nil && res.FailedStage != "" {
-				runSpan.Set("failed_stage", res.FailedStage)
-			}
-			endStageSpan(runSpan, err)
-		}()
-	}
+	runSpan.Set("design", design.Name)
+	runSpan.SetInt("seed", opts.Seed)
+	runSpan.SetInt("attempt", int64(rc.Attempt))
 	res = &Result{Options: opts}
-	// The returned netlist must be value-identical to its serialized
-	// round-trip (campaign journals replay results and compare them to
-	// recomputed ones), so drop any in-memory placement cache the run's
-	// kernels left behind before handing the result out.
-	defer func() {
-		if res != nil && res.Netlist != nil {
-			res.Netlist.InvalidatePlacement()
-		}
-	}()
+	a := &artifacts{opts: opts, n: design}
+	// The live doomed-run hook, resolved before speculation launches
+	// because a supervised run must keep detailed routing on the real path.
 	obs := rc.Observer
-	emit := func(step string, metrics map[string]float64, series []float64) {
-		if obs != nil {
-			obs.OnStep(StepRecord{
-				Design: design.Name, RunSeed: opts.Seed, Step: step,
-				Options: opts, Metrics: metrics, Series: series,
-			})
-		}
-	}
-	// The live doomed-run hook (consulted between detailed-routing
-	// rip-up passes); resolved before speculation launches because a
-	// supervised run must keep detailed routing on the real path.
-	var hook route.IterHook
 	if sup, ok := obs.(RouteSupervisor); ok {
-		hook = func(iter int, drvs []int) route.IterAction {
+		a.hook = func(iter int, drvs []int) route.IterAction {
 			return sup.RouteIter(design.Name, opts.Seed, iter, drvs)
 		}
 	}
-	// Speculation: draw predictions and launch downstream chains before
-	// the first real stage, so the overlap covers synth and place. The
-	// oracle observes every run (learning is free); predictions are only
+	// Speculation: draw predictions and launch chains before the first
+	// real stage, so the overlap covers synth and place. The oracle
+	// observes every run (learning is free); predictions are only
 	// consulted when the option point asks for them.
 	var oracleFP uint64
 	if rc.Oracle != nil {
 		oracleFP = design.Fingerprint()
 	}
-	spec := rc.newSpecRun(ctx, opts, oracleFP)
-	if spec != nil {
-		spec.launch(hook != nil)
-		defer spec.close()
-	}
+	spec := rc.newSpecRun(ctx, opts, oracleFP, a.hook != nil)
 	defer func() {
-		if spec != nil && rc.SpecReport != nil && err == nil && res != nil {
-			rc.SpecReport(spec.stats)
+		// The returned netlist must be value-identical to its serialized
+		// round-trip (campaign journals replay results and compare them
+		// to recomputed ones), so drop any in-memory placement cache the
+		// run's kernels left behind before handing the result out.
+		if res.Netlist != nil {
+			res.Netlist.InvalidatePlacement()
+		}
+		// Chains not adopted by now are cancelled with the run.
+		if spec != nil {
+			spec.cancel()
+			if rc.SpecReport != nil && err == nil {
+				rc.SpecReport(spec.stats)
+			}
+		}
+		switch {
+		case err == nil && res.Stopped:
+			runSpan.EndWith(trace.Stopped)
+		case err != nil && res.FailedStage != "":
+			runSpan.Set("failed_stage", res.FailedStage)
+			fallthrough
+		default:
+			endStageSpan(runSpan, err)
 		}
 	}()
-	// stage gates entry (a dead context or an injected fault kills the
-	// run at the boundary, where a real flow manager would reap the tool
-	// process and release its license), runs body under the watchdog,
-	// and on completion commits on this goroutine. body must write only
-	// state that commit publishes — never res directly — so that an
-	// abandoned hung stage cannot race with the caller.
-	stage := func(name string, body func(sctx context.Context), commit func()) error {
-		stageCtx, ssp := trace.Start(ctx, "flow."+name)
-		fail := func(err error) error {
+	// Provenance of the placement this run is about to compute: the
+	// committed post-synth fingerprint (coordinates still zero) plus the
+	// exact annealer options, taken once after synth and used both to
+	// verify a directly-committable place prediction and to stamp the
+	// oracle's observation.
+	var prov PlaceProvenance
+
+	for i := range stages {
+		if i == stRecover && !opts.RecoverArea {
+			break
+		}
+		st := &stages[i]
+		src := spec.source(i, prov)
+		// The gate: a dead context or an injected fault kills the run at
+		// the boundary, where a real flow manager would reap the tool
+		// process and release its license.
+		stageCtx, ssp := trace.Start(ctx, "flow."+st.name)
+		fail := func(err error) (*Result, error) {
 			res.Aborted = true
-			res.FailedStage = name
+			res.FailedStage = st.name
 			endStageSpan(ssp, err)
-			return err
+			return res, err
 		}
-		if err := ctx.Err(); err != nil {
+		if err := cmp.Or(ctx.Err(), rc.Faults.Check(opts.Seed, st.name, rc.Attempt)); err != nil {
 			return fail(err)
 		}
-		if err := rc.Faults.Check(opts.Seed, name, rc.Attempt); err != nil {
-			return fail(err)
-		}
-		completed := false
-		// The body runs under the span-carrying context so work it spawns
-		// (detailed-route iterations) nests under the stage span.
+		// The compute runs under the span-carrying context so work it
+		// spawns (detailed-route iterations) nests under the stage span.
 		gerr := sched.Guard(stageCtx, rc.StageTimeout, func(sctx context.Context) {
-			if !rc.Faults.Hang(sctx, opts.Seed, name, rc.Attempt) {
-				return // wedged "tool" died with its context, never computing
+			// A wedged "tool" that died with its context never computes.
+			if rc.Faults.Hang(sctx, opts.Seed, st.name, rc.Attempt) {
+				spec.adoptOrCompute(sctx, i, a, src)
 			}
-			body(sctx)
-			completed = true
 		})
 		if gerr != nil {
 			// Watchdog reap: the stage missed its deadline. Surface it as
 			// a fault so the campaign retry path treats a hung tool like a
 			// crashed one (the retry draws a fresh hang coin).
 			ssp.Set("watchdog", "reaped")
-			return fail(&FaultError{Stage: name, Kind: FaultHang})
+			return fail(&FaultError{Stage: st.name, Kind: FaultHang})
 		}
-		if !completed {
-			// The body never ran: the injected wedge was released by run
-			// cancellation (Guard only cancels sctx after it returns, so a
-			// nil gerr means the parent context died). Report whichever
-			// cause is present; an unbounded hang with no watchdog and no
-			// cancellation would still be blocked above.
-			if err := ctx.Err(); err != nil {
-				return fail(err)
-			}
-			return fail(&FaultError{Stage: name, Kind: FaultHang})
+		// Guard cancels sctx only after it returns, so with a nil gerr a
+		// dead sctx means a dead run: its cancellation released an
+		// injected wedge or a wait for a speculative artifact, or cut the
+		// stage short (an anneal polls it, the router checks it between
+		// rip-up passes). A stage the run's context cut short is never
+		// committed.
+		if err := ctx.Err(); err != nil {
+			return fail(err)
 		}
-		commit()
+		metrics, series := st.commit(res, a)
+		if obs != nil {
+			obs.OnStep(StepRecord{
+				Design: design.Name, RunSeed: opts.Seed, Step: st.name,
+				Options: opts, Metrics: metrics, Series: series,
+			})
+		}
 		ssp.End()
-		return nil
-	}
 
-	// Synthesis.
-	var n *netlist.Netlist
-	var syn synth.Result
-	if err := stage("synth", func(context.Context) {
-		syn = synth.Run(design, synth.Options{
-			TargetFreqGHz: opts.TargetFreqGHz,
-			Effort:        opts.SynthEffort,
-			Seed:          subSeed(opts.Seed, 1),
-			MaxFanout:     opts.MaxFanout,
-		})
-	}, func() {
-		res.Synth = syn
-		n = syn.Netlist
-		res.Netlist = n
-		res.Cells = n.NumCells()
-		res.RuntimeProxy += float64(syn.Passes) * float64(n.NumCells()) / 1000
-		emit("synth", map[string]float64{
-			"area":    syn.AreaUm2,
-			"wns":     syn.WNSPs,
-			"cells":   float64(n.NumCells()),
-			"upsized": float64(syn.Upsized),
-			"buffers": float64(syn.BuffersAdded),
-		}, nil)
-	}); err != nil {
-		return res, err
-	}
-	spec.judgeSynth(syn)
-	if rc.Oracle != nil && ctx.Err() == nil {
-		rc.Oracle.ObserveSynth(oracleFP, opts, syn)
-	}
-
-	// Provenance of the placement this run is about to compute: the
-	// committed post-synth fingerprint (coordinates still zero) plus the
-	// exact annealer options. Computed once, pre-place, and used both to
-	// verify directly-committable predictions and to stamp the oracle's
-	// observation.
-	var prov PlaceProvenance
-	if rc.Oracle != nil {
-		prov = placeProv(n, opts)
-	}
-
-	// Placement, strongest adoption first. A verbatim place prediction
-	// whose provenance equals this run's commits outright — determinism
-	// makes it certain, so the dominant stage is skipped, not just
-	// overlapped. Failing that, a judged-exact synth prediction means
-	// the speculative placement (started before synthesis) ran on
-	// identical content: the stage body then just waits for it and
-	// copies its coordinates into the real netlist instead of annealing
-	// again.
-	var pl place.Result
-	placeBody := func(context.Context) {
-		pl = place.Place(n, placeOptions(opts, n))
-	}
-	switch {
-	case spec.adoptPredicted(prov):
-		placeBody = spec.predictedPlaceBody(&pl, n)
-	case spec.adoptPlace():
-		placeBody = spec.placeBody(&pl, n)
-	}
-	if err := stage("place", placeBody, func() {
-		res.Place = pl
-		res.RuntimeProxy += float64(pl.RuntimeProxy) / 50000
-		emit("place", map[string]float64{
-			"hpwl":         pl.HPWLUm,
-			"initial_hpwl": pl.InitialHPWLUm,
-			"width":        pl.Width,
-		}, nil)
-	}); err != nil {
-		return res, err
-	}
-	spec.judgePlace(pl, n)
-	// The ctx guard matters on the speculative path: a run cancelled
-	// while waiting for its speculative placement commits a zero stage
-	// result before the next boundary aborts it, and the oracle must not
-	// learn that half-built artifact as this point's truth.
-	if rc.Oracle != nil && ctx.Err() == nil {
-		rc.Oracle.ObservePlace(oracleFP, opts, pl, n, prov)
-	}
-
-	// Clock-tree synthesis. A judged-exact place prediction unlocks the
-	// whole speculative downstream chain; each of the next three stages
-	// adopts its precomputed result as it lands.
-	var ct cts.Result
-	ctsBody := func(context.Context) {
-		ct = cts.Synthesize(n, ctsOptions(opts))
-	}
-	if spec.adoptChain() {
-		ctsBody = spec.ctsBody(&ct, n)
-	}
-	if err := stage("cts", ctsBody, func() {
-		res.CTS = ct
-		res.RuntimeProxy += float64(ct.Buffers) / 100
-		emit("cts", map[string]float64{
-			"skew":    ct.MaxSkewPs,
-			"latency": ct.LatencyPs,
-			"buffers": float64(ct.Buffers),
-		}, nil)
-	}); err != nil {
-		return res, err
-	}
-
-	// Global routing.
-	var gr *route.GlobalResult
-	grouteBody := func(context.Context) {
-		gr = route.GlobalRoute(n, grouteOptions(opts))
-	}
-	if spec.adoptChain() {
-		grouteBody = spec.grouteBody(&gr, n)
-	}
-	if err := stage("groute", grouteBody, func() {
-		res.Global = gr
-		res.RuntimeProxy += gr.WirelengthUm / 5000
-		emit("groute", map[string]float64{
-			"wirelength":   gr.WirelengthUm,
-			"overflow":     gr.OverflowTotal,
-			"overflowPeak": gr.OverflowPeak,
-			"hotspots":     gr.HotspotFrac,
-			"margin":       gr.CongestionMargin(),
-		}, nil)
-	}); err != nil {
-		return res, err
-	}
-
-	// Detailed routing, with the live doomed-run hook (resolved above)
-	// when the observer supervises. The hook sees iterations as they
-	// complete; its STOP truncates the run in place, which is where the
-	// compute reclaim of Figs. 9-10 actually happens. The body routes
-	// under the stage context so a watchdog reap aborts the router
-	// within one rip-up pass instead of waiting out the iteration
-	// budget. A speculative chain never routes under supervision, so on
-	// supervised runs the adoption body always computes here — with the
-	// hook.
-	var dr *route.DetailResult
-	drouteBody := func(sctx context.Context) {
-		dr = route.DetailRouteCtx(sctx, gr, drouteOptions(opts, hook))
-	}
-	if spec.adoptChain() {
-		drouteBody = spec.drouteBody(&dr, &gr, hook)
-	}
-	if err := stage("droute", drouteBody, func() {
-		res.Route = dr
-		res.RuntimeProxy += dr.RuntimeProxy
-		series := make([]float64, len(dr.DRVs))
-		for i, d := range dr.DRVs {
-			series[i] = float64(d)
+		switch i {
+		case stSynth, stPlace:
+			spec.judge(i, a)
+			// The oracle learns every run that is still alive.
+			if rc.Oracle == nil || ctx.Err() != nil {
+				break
+			}
+			if i == stSynth {
+				rc.Oracle.ObserveSynth(oracleFP, opts, a.syn)
+				prov = placeProv(a.n, opts)
+			} else {
+				rc.Oracle.ObservePlace(oracleFP, opts, a.pl, a.n, prov)
+			}
+		case stDroute:
+			// Live STOP: the run is terminated here, exactly as the
+			// paper's policy kills the tool to reclaim its license.
+			// Headline fields that exist are filled; signoff never
+			// happens.
+			res.Stopped = a.dr.StopIter > 0
 		}
-		drouteMetrics := map[string]float64{
-			"drvs":       float64(dr.Final),
-			"iterations": float64(dr.IterationsRun),
+		if res.Stopped {
+			break
 		}
-		if dr.StopIter > 0 {
-			drouteMetrics["stopped_at"] = float64(dr.StopIter)
-			drouteMetrics["saved_iters"] = float64(dr.IterationsBudget - dr.IterationsRun)
-		}
-		emit("droute", drouteMetrics, series)
-	}); err != nil {
-		return res, err
 	}
-	if res.Route.Aborted {
-		res.Aborted = true
-		res.FailedStage = "droute"
-		return res, ctx.Err()
-	}
-	if res.Route.StopIter > 0 {
-		// Live STOP: the run is terminated here, exactly as the paper's
-		// policy kills the tool to reclaim its license. Headline fields
-		// that exist are filled; signoff never happens.
-		res.Stopped = true
-		res.AreaUm2 = n.Area() + res.CTS.AreaUm2
-		res.PowerNW = n.Leakage() + res.CTS.PowerNW
-		res.RouteOK = false
-		res.Met = false
+
+	res.AreaUm2 = a.n.Area() + res.CTS.AreaUm2
+	res.PowerNW = a.n.Leakage() + res.CTS.PowerNW
+	if res.Stopped {
 		return res, nil
 	}
-
-	// Signoff timing with CTS skews.
-	var sign *sta.Report
-	if err := stage("sta", func(context.Context) {
-		sign = sta.Analyze(n, sta.Config{
-			Engine:    sta.Signoff,
-			SI:        true,
-			ClockSkew: res.CTS.SkewPs,
-			DeratePct: opts.DeratePct,
-		})
-	}, func() {
-		res.Sign = sign
-		res.RuntimeProxy += sign.CostUnits
-		emit("sta", map[string]float64{
-			"wns":     sign.WNSPs,
-			"tns":     sign.TNSPs,
-			"maxfreq": sign.MaxFreqGHz,
-		}, nil)
-	}); err != nil {
-		return res, err
-	}
-
-	// Optional area recovery on the incremental signoff timer: downsize
-	// whatever the flow left oversized while the margin holds, then
-	// refresh the signoff report if anything changed.
-	if opts.RecoverArea {
-		signCfg := sta.Config{
-			Engine:    sta.Signoff,
-			SI:        true,
-			ClockSkew: res.CTS.SkewPs,
-			DeratePct: opts.DeratePct,
-		}
-		var rec sizing.Result
-		var resigned *sta.Report
-		if err := stage("recover", func(context.Context) {
-			rec = sizing.Recover(n, sizing.Config{
-				Seed:          subSeed(opts.Seed, 6),
-				Engine:        &signCfg,
-				SlackMarginPs: opts.RecoverMarginPs,
-			})
-			if rec.Downsized > 0 {
-				resigned = sta.Analyze(n, signCfg)
-			}
-		}, func() {
-			res.Recover = &rec
-			// Propagation work is measured in full-Analyze equivalents;
-			// convert to runtime via the signoff run's cost.
-			res.RuntimeProxy += rec.TimerWorkEquiv * res.Sign.CostUnits
-			if resigned != nil {
-				res.Sign = resigned
-			}
-			emit("recover", map[string]float64{
-				"downsized":  float64(rec.Downsized),
-				"area":       rec.AreaAfter,
-				"wns":        res.Sign.WNSPs,
-				"timer_work": rec.TimerWorkEquiv,
-			}, nil)
-		}); err != nil {
-			return res, err
-		}
-	}
-
-	res.AreaUm2 = n.Area() + res.CTS.AreaUm2
-	res.PowerNW = n.Leakage() + res.CTS.PowerNW
 	res.WNSPs = res.Sign.WNSPs
 	res.MaxFreqGHz = res.Sign.MaxFreqGHz
 	res.TimingMet = res.Sign.WNSPs >= 0

@@ -1,9 +1,6 @@
 package flow
 
-import (
-	"hash/fnv"
-	"strconv"
-)
+import "strconv"
 
 // Key returns the canonical cache key of an option point: two Options
 // that drive identical flow runs — including ones that only differ in
@@ -52,12 +49,4 @@ func keyInt(b []byte, name string, v int64) []byte {
 // keyFloat spells v as %g does (fmt formats through this same call).
 func keyFloat(b []byte, name string, v float64) []byte {
 	return strconv.AppendFloat(append(b, name...), v, 'g', -1, 64)
-}
-
-// Hash returns the FNV-1a hash of Key, for shard selection and compact
-// fingerprints.
-func (o Options) Hash() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(o.Key())) //nolint:errcheck // fnv never fails
-	return h.Sum64()
 }

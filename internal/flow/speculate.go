@@ -1,8 +1,10 @@
 // Speculative stage overlap: while a real upstream stage (synth, place)
-// is still running, the downstream stage (place, the cts→groute→droute
-// chain) is launched concurrently on a *predicted* upstream artifact;
-// when the real result lands it is judged against the prediction and
-// the speculative work is either committed or discarded.
+// is still running, a chain of the stages downstream of it (place; or
+// cts→groute→droute) runs concurrently on a *predicted* upstream
+// artifact — the same stage table entries the real run drives, on the
+// chain's own artifact set. When the real result lands it is judged
+// against the prediction, and each real stage then adopts the chain's
+// artifact or computes its own (adoptOrCompute).
 //
 // Determinism is non-negotiable and holds by construction:
 //
@@ -17,10 +19,10 @@
 //     count, or which goroutine finished first. A prediction that is
 //     within scalar tolerance but not artifact-exact is a "near hit":
 //     recorded in the accuracy histograms, still discarded.
-//   - On a miss the downstream stage reruns on the true upstream result
-//     through the exact same stage() helper as a non-speculative run,
-//     so fault coins, watchdog deadlines, emit order and commit order
-//     are identical either way.
+//   - Adopted or computed, every stage passes the same gate, watchdog
+//     and commit of RunCfg's loop as on a non-speculative run, so fault
+//     coins, watchdog deadlines, emit order and commit order are
+//     identical either way.
 //
 // Speculative work only ever takes a free sched.Slots slot (never
 // queues) and so cannot delay the real stages it is trying to hide
@@ -29,11 +31,11 @@ package flow
 
 import (
 	"context"
+	"math"
+	"strconv"
 
-	"repro/internal/cts"
 	"repro/internal/netlist"
 	"repro/internal/place"
-	"repro/internal/route"
 	"repro/internal/sched"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -164,407 +166,223 @@ type SpecStats struct {
 // relErrPct is the relative error of pred vs real in percent, with a
 // scale floor so near-zero reference values do not explode the ratio.
 func relErrPct(pred, real, floor float64) float64 {
-	scale := real
-	if scale < 0 {
-		scale = -scale
+	return 100 * math.Abs(pred-real) / max(math.Abs(real), floor)
+}
+
+// chain is a speculative run of the stages [from, to) on its own
+// artifact set, started from a clone of a predicted upstream artifact.
+// Each stage's outcome is published behind its own done channel, so the
+// real flow adopts stages as they land instead of waiting for the whole
+// chain.
+type chain struct {
+	from, to int
+	a        *artifacts
+	done     [len(stages)]chan struct{} // done[i] closes once stage i is settled
+	ok       [len(stages)]bool          // ok[i]: stage i produced its artifact
+	cancel   context.CancelFunc
+}
+
+func newChain(from, to int, a *artifacts) *chain {
+	c := &chain{from: from, to: to, a: a}
+	for i := from; i < to; i++ {
+		c.done[i] = make(chan struct{})
 	}
-	if scale < floor {
-		scale = floor
-	}
-	d := pred - real
-	if d < 0 {
-		d = -d
-	}
-	return 100 * d / scale
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// judgeSynthPrediction is the pure commit decision for a synthesis
-// prediction: artifact-exact and scalar-close.
-func judgeSynthPrediction(p SynthPrediction, real synth.Result, tolPct float64) (exact bool, errPct float64, hit bool) {
-	exact = p.Synth.Netlist != nil && real.Netlist != nil &&
-		p.Synth.Netlist.Fingerprint() == real.Netlist.Fingerprint()
-	errPct = maxf(relErrPct(p.Synth.AreaUm2, real.AreaUm2, 1),
-		relErrPct(p.Synth.WNSPs, real.WNSPs, 25))
-	return exact, errPct, exact && errPct <= tolPct
-}
-
-// judgePlacePrediction is the pure commit decision for a placement
-// prediction: placed-artifact-exact and HPWL-close.
-func judgePlacePrediction(p PlacePrediction, real place.Result, placed *netlist.Netlist, tolPct float64) (exact bool, errPct float64, hit bool) {
-	exact = p.Netlist != nil && placed != nil &&
-		p.Netlist.Fingerprint() == placed.Fingerprint()
-	errPct = relErrPct(p.Place.HPWLUm, real.HPWLUm, 1)
-	return exact, errPct, exact && errPct <= tolPct
-}
-
-// specPlace is the speculative placement chain: place.PlaceCtx running
-// on a clone of the predicted post-synth artifact, cancellable so a
-// missed synth judgment reaps the anneal instead of letting it burn to
-// completion.
-type specPlace struct {
-	pred   SynthPrediction
-	done   chan struct{}
-	ctx    context.Context
-	cancel context.CancelFunc
-	res    place.Result
-	coords []float64 // place.Snapshot of the speculatively placed clone
-	ok     bool
-}
-
-// specChain is the speculative downstream chain on a clone of the
-// predicted placed artifact: cts, groute and (when unsupervised)
-// droute, each published behind its own done channel so the real flow
-// adopts steps as they land instead of waiting for the whole chain.
-type specChain struct {
-	pred       PlacePrediction
-	supervised bool // live RouteSupervisor present: the chain must not run droute
-	ctx        context.Context
-	cancel     context.CancelFunc
-
-	ctsDone chan struct{}
-	ct      cts.Result
-	ctOK    bool
-
-	grDone chan struct{}
-	gr     *route.GlobalResult
-
-	drDone chan struct{}
-	dr     *route.DetailResult
+	return c
 }
 
 // specRun owns one flow run's speculative side: the predictions drawn
-// at launch, the background chains, and the judgments made as real
+// at launch, the chains they drive, and the judgments made as real
 // stages commit. All judgment fields are written on the run's own
 // goroutine; the chains communicate only through their done channels.
 type specRun struct {
-	cfg    SpecConfig
-	oracle SpecOracle
 	slots  *sched.Slots
 	opts   Options
-	fp     uint64
-
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	stats SpecStats
-	place *specPlace
-	chain *specChain
+	stats     SpecStats
+	synthPred SynthPrediction
+	placePred PlacePrediction
+	place     *chain // place on the predicted synth artifact, if launched
+	route     *chain // cts, groute, droute on the predicted placed one
 }
 
-// newSpecRun builds the speculative side of a run, or nil when
-// speculation is off (disabled, or no oracle to predict with).
-func (rc RunConfig) newSpecRun(ctx context.Context, opts Options, fp uint64) *specRun {
+// newSpecRun builds the speculative side of a run and launches whatever
+// chains a free slot allows, or returns nil when speculation is off
+// (disabled, or no oracle to predict with). Predictions that find no
+// slot are still judged later (the accuracy counters measure the
+// predictor, not the scheduler) but never adopted. supervised marks a
+// live RouteSupervisor: the route chain then stops before detailed
+// routing, because a stateful supervisor must see each route iteration
+// exactly once, from the real stage.
+func (rc RunConfig) newSpecRun(ctx context.Context, opts Options, fp uint64, supervised bool) *specRun {
 	if !opts.Speculate.Enabled || rc.Oracle == nil {
 		return nil
 	}
-	s := &specRun{cfg: opts.Speculate, oracle: rc.Oracle, slots: rc.SpecSlots, opts: opts, fp: fp}
-	s.stats.Version = rc.Oracle.Version()
+	s := &specRun{slots: rc.SpecSlots, opts: opts, stats: SpecStats{Version: rc.Oracle.Version()}}
 	s.ctx, s.cancel = context.WithCancel(ctx)
-	return s
-}
-
-// launch consults the oracle and starts whatever speculative chains a
-// free slot allows. Predictions that find no slot are still judged
-// later (the accuracy counters measure the predictor, not the
-// scheduler) but never adopted. supervised marks a live
-// RouteSupervisor: the speculative chain then skips detailed routing,
-// because a stateful supervisor must see each route iteration exactly
-// once, from the real stage.
-func (s *specRun) launch(supervised bool) {
-	sp, sOK := s.oracle.PredictSynth(s.fp, s.opts)
-	pp, pOK := s.oracle.PredictPlace(s.fp, s.opts)
+	sp, sOK := rc.Oracle.PredictSynth(fp, opts)
+	pp, pOK := rc.Oracle.PredictPlace(fp, opts)
 	if sOK {
+		s.synthPred = sp
 		s.stats.Synth = SpecJudgment{Predicted: true, ID: sp.ID}
-		s.place = &specPlace{pred: sp}
 		// A verbatim place prediction provably annealed from this same
 		// predicted synth artifact makes the speculative anneal
 		// redundant: if the synth prediction verifies, the placement
-		// commits directly from the prediction (see adoptPredicted); if
-		// it misses, the anneal's output could never be adopted. Either
-		// way, spend no slot and no core on it.
+		// commits directly from the prediction (see source); if it
+		// misses, the anneal's output could never be adopted. Either way,
+		// spend no slot and no core on it.
 		redundant := pOK && sp.Synth.Netlist != nil && pp.Prov.UpstreamFP != 0 &&
-			pp.Prov == placeProv(sp.Synth.Netlist, s.opts)
+			pp.Prov == placeProv(sp.Synth.Netlist, opts)
 		if !redundant && sp.Synth.Netlist != nil {
-			if s.slots.TryAcquire() {
-				s.stats.Launched++
-				s.stats.Synth.Launched = true
-				s.place.done = make(chan struct{})
-				s.place.ctx, s.place.cancel = context.WithCancel(s.ctx)
-				go s.runSpecPlace()
-			} else {
-				s.stats.Skipped++
-			}
+			s.place = s.start(&s.stats.Synth, stPlace, stCTS, sp.Synth.Netlist)
 		}
 	}
-	if p := pp; pOK {
-		s.stats.Place = SpecJudgment{Predicted: true, ID: p.ID}
-		c := &specChain{pred: p, supervised: supervised}
-		if s.slots.TryAcquire() {
-			s.stats.Launched++
-			s.stats.Place.Launched = true
-			c.ctx, c.cancel = context.WithCancel(s.ctx)
-			c.ctsDone = make(chan struct{})
-			c.grDone = make(chan struct{})
-			c.drDone = make(chan struct{})
-			s.chain = c
-			go s.runSpecChain()
-		} else {
-			s.stats.Skipped++
-			s.chain = c
+	if pOK {
+		s.placePred = pp
+		s.stats.Place = SpecJudgment{Predicted: true, ID: pp.ID}
+		to := stDroute + 1
+		if supervised {
+			to = stDroute
 		}
+		s.route = s.start(&s.stats.Place, stCTS, to, pp.Netlist)
 	}
+	return s
 }
 
-// close cancels any still-running speculative work. Chains not adopted
-// by the time the run returns are abandoned; cancellable steps (spec
-// droute) stop within one iteration, uncancellable ones (spec place)
-// run to completion in the background and release their slot then.
-func (s *specRun) close() {
-	if s != nil {
-		s.cancel()
+// start launches a chain over [from, to) on a clone of the predicted
+// artifact art when a free slot allows, and records the launch in j.
+func (s *specRun) start(j *SpecJudgment, from, to int, art *netlist.Netlist) *chain {
+	if !s.slots.TryAcquire() {
+		s.stats.Skipped++
+		return nil
 	}
+	s.stats.Launched++
+	j.Launched = true
+	c := newChain(from, to, &artifacts{opts: s.opts})
+	ctx, cancel := context.WithCancel(s.ctx)
+	c.cancel = cancel
+	go s.runChain(ctx, c, art, j.ID)
+	return c
 }
 
-func (s *specRun) runSpecPlace() {
-	defer s.slots.Release()
-	defer close(s.place.done)
-	defer s.place.cancel()
-	sp := trace.Begin("spec.launch")
-	sp.Set("stage", "place")
-	sp.Set("pred", s.place.pred.ID)
-	if s.place.ctx.Err() != nil {
-		sp.EndWith(trace.Aborted)
-		return
-	}
-	// Clone: the oracle owns the predicted artifact and other runs may
-	// be speculating from it concurrently.
-	n := s.place.pred.Synth.Netlist.Clone()
-	res, ok := place.PlaceCtx(s.place.ctx, n, placeOptions(s.opts, n))
-	if !ok {
-		// Reaped mid-anneal: the synth judgment missed and cancelled
-		// this chain; the partial placement is garbage.
-		sp.EndWith(trace.Aborted)
-		return
-	}
-	s.place.res = res
-	s.place.coords = place.Snapshot(n)
-	s.place.ok = true
-	sp.End()
-}
-
-func (s *specRun) runSpecChain() {
-	c := s.chain
+// runChain computes c's stages in order on a clone of art (the oracle
+// owns the predicted artifact, and other runs may be speculating from it
+// concurrently). A stage whose context died before or during it is
+// partial or missing, and so is every stage after it. Chains not adopted
+// by the time the run returns are cancelled with it and stop at their
+// next cancellation point (an anneal's poll, a rip-up pass, a stage
+// boundary), releasing their slot then.
+func (s *specRun) runChain(ctx context.Context, c *chain, art *netlist.Netlist, pred string) {
 	defer s.slots.Release()
 	defer c.cancel()
 	sp := trace.Begin("spec.launch")
-	sp.Set("stage", "route")
-	sp.Set("pred", c.pred.ID)
-	n := c.pred.Netlist.Clone()
-	if c.ctx.Err() == nil {
-		c.ct = cts.Synthesize(n, ctsOptions(s.opts))
-		c.ctOK = true
-	}
-	close(c.ctsDone)
-	if c.ctOK && c.ctx.Err() == nil {
-		c.gr = route.GlobalRoute(n, grouteOptions(s.opts))
-	}
-	close(c.grDone)
-	if c.gr != nil && !c.supervised && c.ctx.Err() == nil {
-		// Speculative detailed routing runs under the chain context so a
-		// misprediction cancels it within one rip-up pass instead of
-		// burning the full iteration budget.
-		dr := route.DetailRouteCtx(c.ctx, c.gr, drouteOptions(s.opts, nil))
-		if !dr.Aborted {
-			c.dr = dr
+	sp.Set("stage", stages[c.from].name)
+	sp.Set("pred", pred)
+	c.a.n = art.Clone()
+	ok := true
+	for i := c.from; i < c.to; i++ {
+		if ok = ok && ctx.Err() == nil; ok {
+			stages[i].compute(ctx, c.a)
+			ok = ctx.Err() == nil
 		}
+		c.ok[i] = ok
+		close(c.done[i])
 	}
-	close(c.drDone)
-	if c.ctx.Err() != nil {
-		sp.EndWith(trace.Aborted)
-		return
+	if !ok {
+		sp.SetOutcome(trace.Aborted)
 	}
 	sp.End()
 }
 
-// endJudgeSpan emits the spec.commit / spec.discard span for one
-// judgment — the trace-level record of every speculation verdict.
-func endJudgeSpan(stage string, j SpecJudgment) {
-	name := "spec.discard"
-	if j.Hit {
-		name = "spec.commit"
+// judge grades the prediction of stage i's artifact (synth or place)
+// right after the real stage commits — artifact-fingerprint-exact and
+// scalar-close, a pure function of (prediction, real result, tolerance).
+// Its verdict gates adoption of the chain the prediction drove; a miss
+// reaps that chain now, so it stops contending with the real stages
+// instead of burning to completion.
+func (s *specRun) judge(i int, a *artifacts) {
+	if s == nil {
+		return
+	}
+	j, c := &s.stats.Synth, s.place
+	if i == stPlace {
+		j, c = &s.stats.Place, s.route
+	}
+	if !j.Predicted {
+		return
+	}
+	pred := s.synthPred.Synth.Netlist
+	if i == stSynth {
+		j.ErrPct = max(relErrPct(s.synthPred.Synth.AreaUm2, a.syn.AreaUm2, 1),
+			relErrPct(s.synthPred.Synth.WNSPs, a.syn.WNSPs, 25))
+	} else {
+		pred = s.placePred.Netlist
+		j.ErrPct = relErrPct(s.placePred.Place.HPWLUm, a.pl.HPWLUm, 1)
+	}
+	j.Exact = pred != nil && pred.Fingerprint() == a.n.Fingerprint()
+	j.Hit = j.Exact && j.ErrPct <= s.opts.Speculate.TolerancePct
+	// The trace-level record of every verdict.
+	name, out := "spec.commit", trace.OK
+	if !j.Hit {
+		name, out = "spec.discard", trace.Aborted
+		if c != nil {
+			s.stats.Discarded++
+			c.cancel()
+		}
 	}
 	sp := trace.Begin(name)
-	sp.Set("stage", stage)
+	sp.Set("stage", stages[i].name)
 	sp.Set("pred", j.ID)
 	sp.SetFloat("err_pct", j.ErrPct)
-	if j.Launched {
-		sp.Set("launched", "true")
-	} else {
-		sp.Set("launched", "false")
-	}
-	if j.Hit {
-		sp.End()
-		return
-	}
-	sp.EndWith(trace.Aborted)
+	sp.Set("launched", strconv.FormatBool(j.Launched))
+	sp.EndWith(out)
 }
 
-// judgeSynth grades the synthesis prediction against the real result.
-// Called on the run goroutine right after the synth stage commits; the
-// verdict gates adoption of the speculative placement.
-func (s *specRun) judgeSynth(real synth.Result) {
-	if s == nil || !s.stats.Synth.Predicted {
-		return
+// source picks the chain stage i adopts from, strongest first. A
+// verbatim place prediction whose provenance equals this run's (prov:
+// the committed synth output plus the exact annealer options) is a chain
+// whose place stage has already landed: placement is a pure function of
+// exactly those inputs, so the predicted pair IS the stage's result — no
+// anneal, no slot — and the decision is still a pure function of
+// (prediction, real upstream result). Failing that, a hit judgment of
+// the prediction a launched chain ran on unlocks that chain. nil means
+// compute.
+func (s *specRun) source(i int, prov PlaceProvenance) *chain {
+	switch {
+	case s == nil:
+	case i == stPlace && s.stats.Place.Predicted && s.placePred.Netlist != nil &&
+		prov.UpstreamFP != 0 && s.placePred.Prov == prov:
+		c := newChain(stPlace, stCTS, &artifacts{n: s.placePred.Netlist, pl: s.placePred.Place})
+		c.ok[stPlace] = true
+		close(c.done[stPlace])
+		return c
+	case i == stPlace && s.stats.Synth.Hit:
+		return s.place
+	case i > stPlace && s.stats.Place.Hit:
+		return s.route
 	}
-	j := &s.stats.Synth
-	j.Exact, j.ErrPct, j.Hit = judgeSynthPrediction(s.place.pred, real, s.cfg.TolerancePct)
-	if !j.Hit && j.Launched {
-		// The speculative placement is garbage: reap the anneal now so
-		// it stops contending with the real one instead of burning to
-		// completion in the background.
-		s.stats.Discarded++
-		s.place.cancel()
-	}
-	endJudgeSpan("synth", *j)
+	return nil
 }
 
-// judgePlace grades the placement prediction against the real placed
-// netlist. Called right after the place stage commits (on either the
-// real or the adopted path — the placed content is identical).
-func (s *specRun) judgePlace(real place.Result, placed *netlist.Netlist) {
-	if s == nil || !s.stats.Place.Predicted {
-		return
-	}
-	j := &s.stats.Place
-	j.Exact, j.ErrPct, j.Hit = judgePlacePrediction(s.chain.pred, real, placed, s.cfg.TolerancePct)
-	if !j.Hit && j.Launched {
-		s.stats.Discarded++
-		s.chain.cancel() // reclaim the speculative droute's CPU now
-	}
-	endJudgeSpan("place", *j)
-}
-
-// adoptPredicted reports whether the placement stage can commit the
-// predicted placement outright: the prediction carries verbatim
-// provenance and it equals the provenance of the placement this run is
-// about to compute (post-synth fingerprint of the *committed* synth
-// output plus the exact annealer options). Placement is a pure function
-// of exactly those inputs, so the predicted pair IS the stage's result
-// — no anneal, no slot, no speculative compute. This is the decision
-// that turns a dominant-stage sweep from "hide synth behind a re-anneal"
-// into "skip the anneal", and it is still a pure function of
-// (prediction, real upstream result).
-func (s *specRun) adoptPredicted(prov PlaceProvenance) bool {
-	return s != nil && s.stats.Place.Predicted && s.chain != nil &&
-		s.chain.pred.Netlist != nil && prov.UpstreamFP != 0 &&
-		s.chain.pred.Prov == prov
-}
-
-// predictedPlaceBody commits the predicted placement as the place
-// stage's result: the stored stage scalars verbatim, the stored
-// coordinates copied into the real netlist.
-func (s *specRun) predictedPlaceBody(out *place.Result, n *netlist.Netlist) func(context.Context) {
-	return func(context.Context) {
-		*out = s.chain.pred.Place
-		place.Restore(n, place.Snapshot(s.chain.pred.Netlist))
-		s.stats.Committed++
-	}
-}
-
-// adoptPlace reports whether the placement stage should adopt the
-// speculative result: the synth prediction was judged an exact hit and
-// a speculative placement was actually launched on it.
-func (s *specRun) adoptPlace() bool {
-	return s != nil && s.stats.Synth.Hit && s.stats.Synth.Launched
-}
-
-// adoptChain reports whether the downstream chain should adopt the
-// speculative cts/groute/droute results.
-func (s *specRun) adoptChain() bool {
-	return s != nil && s.stats.Place.Hit && s.stats.Place.Launched
-}
-
-// placeBody returns the placement stage body that waits for the
-// speculative placement and adopts it by copying its coordinates into
-// the real post-synth netlist — the committed netlist is the same
-// object as on the non-speculative path, carrying identical (because
-// fingerprint-equal inputs drive a deterministic annealer) coordinates.
-// If the chain died with the run context, it falls back to computing
-// for real.
-func (s *specRun) placeBody(out *place.Result, n *netlist.Netlist) func(context.Context) {
-	return func(sctx context.Context) {
+// adoptOrCompute is stage i's work on a run whose source for it is src:
+// it waits for src to settle the stage and adopts the artifact into a,
+// or computes the stage for real when there is no source or src did not
+// produce it (it stopped short, or died with its context) — so a chain
+// can cost a stage time, never its result. A wait that ctx ends leaves
+// the stage undone.
+func (s *specRun) adoptOrCompute(ctx context.Context, i int, a *artifacts, src *chain) {
+	if src != nil && i < src.to {
 		select {
-		case <-s.place.done:
-		case <-sctx.Done():
+		case <-src.done[i]:
+		case <-ctx.Done():
 			return
 		}
-		if !s.place.ok {
-			*out = place.Place(n, placeOptions(s.opts, n))
+		if src.ok[i] {
+			stages[i].adopt(a, src.a)
+			s.stats.Committed++
 			return
 		}
-		*out = s.place.res
-		place.Restore(n, s.place.coords)
-		s.stats.Committed++
 	}
-}
-
-// ctsBody adopts the speculative clock tree (or recomputes if the
-// chain bailed out with the run context).
-func (s *specRun) ctsBody(out *cts.Result, n *netlist.Netlist) func(context.Context) {
-	return func(sctx context.Context) {
-		select {
-		case <-s.chain.ctsDone:
-		case <-sctx.Done():
-			return
-		}
-		if !s.chain.ctOK {
-			*out = cts.Synthesize(n, ctsOptions(s.opts))
-			return
-		}
-		*out = s.chain.ct
-		s.stats.Committed++
-	}
-}
-
-// grouteBody adopts the speculative global route.
-func (s *specRun) grouteBody(out **route.GlobalResult, n *netlist.Netlist) func(context.Context) {
-	return func(sctx context.Context) {
-		select {
-		case <-s.chain.grDone:
-		case <-sctx.Done():
-			return
-		}
-		if s.chain.gr == nil {
-			*out = route.GlobalRoute(n, grouteOptions(s.opts))
-			return
-		}
-		*out = s.chain.gr
-		s.stats.Committed++
-	}
-}
-
-// drouteBody adopts the speculative detailed route. When the chain
-// skipped droute (live supervision, or an abort) it computes for real —
-// with the supervisor hook, which the speculative path must never see.
-func (s *specRun) drouteBody(out **route.DetailResult, gr **route.GlobalResult, hook route.IterHook) func(context.Context) {
-	return func(sctx context.Context) {
-		select {
-		case <-s.chain.drDone:
-		case <-sctx.Done():
-			return
-		}
-		if s.chain.dr == nil {
-			*out = route.DetailRouteCtx(sctx, *gr, drouteOptions(s.opts, hook))
-			return
-		}
-		*out = s.chain.dr
-		s.stats.Committed++
-	}
+	stages[i].compute(ctx, a)
 }

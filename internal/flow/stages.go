@@ -1,0 +1,244 @@
+package flow
+
+import (
+	"context"
+
+	"repro/internal/cts"
+	"repro/internal/netlist"
+	"repro/internal/place"
+	"repro/internal/route"
+	"repro/internal/sizing"
+	"repro/internal/sta"
+	"repro/internal/synth"
+)
+
+// artifacts is one run's set of named stage artifacts — what the stages
+// pass to each other — plus the inputs every stage reads. A flow run owns
+// one and every speculative chain owns another; a stage's compute reads
+// its upstream fields and writes only its own.
+type artifacts struct {
+	opts Options
+	hook route.IterHook // the live doomed-run supervisor; never on a chain
+
+	n    *netlist.Netlist // synth's input, then its output, placed by place
+	syn  synth.Result
+	pl   place.Result
+	ct   cts.Result
+	gr   *route.GlobalResult
+	dr   *route.DetailResult
+	sign *sta.Report // recover refreshes it when it changed the netlist
+	rec  sizing.Result
+}
+
+// stage is one step of the flow as data.
+type stage struct {
+	// name keys the step's fault coins, its "flow.<name>" span and
+	// StepRecord.Step.
+	name string
+	// compute runs the step on a. It writes only its own artifact, so a
+	// stage the watchdog abandons never touches the Result. A kernel that
+	// can stop early when ctx dies may leave the artifact partial; a
+	// stage cut short is never committed or adopted.
+	compute func(ctx context.Context, a *artifacts)
+	// commit publishes the artifact into res, adds its runtime proxy and
+	// returns the metrics and series of the step's record.
+	commit func(res *Result, a *artifacts) (map[string]float64, []float64)
+	// adopt copies the artifact from a speculative set; nil for a stage
+	// no chain runs.
+	adopt func(dst, src *artifacts)
+}
+
+// Indices into stages.
+const (
+	stSynth = iota
+	stPlace
+	stCTS
+	stGroute
+	stDroute
+	stSTA
+	stRecover
+)
+
+// stages is the flow in order. RunCfg drives it one entry at a time and a
+// speculative chain runs a slice of it on a predicted artifact, so the
+// two paths share every option a stage derives.
+var stages = [...]stage{
+	stSynth: {
+		name: "synth",
+		compute: func(_ context.Context, a *artifacts) {
+			a.syn = synth.Run(a.n, synth.Options{
+				TargetFreqGHz: a.opts.TargetFreqGHz,
+				Effort:        a.opts.SynthEffort,
+				Seed:          subSeed(a.opts.Seed, 1),
+				MaxFanout:     a.opts.MaxFanout,
+			})
+			a.n = a.syn.Netlist
+		},
+		commit: func(res *Result, a *artifacts) (map[string]float64, []float64) {
+			res.Synth, res.Netlist, res.Cells = a.syn, a.n, a.n.NumCells()
+			res.RuntimeProxy += float64(a.syn.Passes) * float64(res.Cells) / 1000
+			return map[string]float64{
+				"area":    a.syn.AreaUm2,
+				"wns":     a.syn.WNSPs,
+				"cells":   float64(res.Cells),
+				"upsized": float64(a.syn.Upsized),
+				"buffers": float64(a.syn.BuffersAdded),
+			}, nil
+		},
+	},
+	stPlace: {
+		name: "place",
+		compute: func(ctx context.Context, a *artifacts) {
+			a.pl, _ = place.PlaceCtx(ctx, a.n, placeOptions(a.opts, a.n))
+		},
+		commit: func(res *Result, a *artifacts) (map[string]float64, []float64) {
+			res.Place = a.pl
+			res.RuntimeProxy += float64(a.pl.RuntimeProxy) / 50000
+			return map[string]float64{
+				"hpwl":         a.pl.HPWLUm,
+				"initial_hpwl": a.pl.InitialHPWLUm,
+				"width":        a.pl.Width,
+			}, nil
+		},
+		// The committed netlist stays the run's own object; it takes the
+		// coordinates, which fingerprint-equal inputs make identical.
+		adopt: func(dst, src *artifacts) {
+			dst.pl = src.pl
+			place.Restore(dst.n, place.Snapshot(src.n))
+		},
+	},
+	stCTS: {
+		name: "cts",
+		compute: func(_ context.Context, a *artifacts) {
+			a.ct = cts.Synthesize(a.n, cts.Options{Seed: subSeed(a.opts.Seed, 3)})
+		},
+		commit: func(res *Result, a *artifacts) (map[string]float64, []float64) {
+			res.CTS = a.ct
+			res.RuntimeProxy += float64(a.ct.Buffers) / 100
+			return map[string]float64{
+				"skew":    a.ct.MaxSkewPs,
+				"latency": a.ct.LatencyPs,
+				"buffers": float64(a.ct.Buffers),
+			}, nil
+		},
+		adopt: func(dst, src *artifacts) { dst.ct = src.ct },
+	},
+	stGroute: {
+		name: "groute",
+		compute: func(_ context.Context, a *artifacts) {
+			a.gr = route.GlobalRoute(a.n, route.GlobalOptions{
+				Seed:          subSeed(a.opts.Seed, 4),
+				TracksPerEdge: a.opts.TracksPerEdge,
+				Tiles:         a.opts.RouteTiles,
+				Workers:       a.opts.RouteWorkers,
+			})
+		},
+		commit: func(res *Result, a *artifacts) (map[string]float64, []float64) {
+			res.Global = a.gr
+			res.RuntimeProxy += a.gr.WirelengthUm / 5000
+			return map[string]float64{
+				"wirelength":   a.gr.WirelengthUm,
+				"overflow":     a.gr.OverflowTotal,
+				"overflowPeak": a.gr.OverflowPeak,
+				"hotspots":     a.gr.HotspotFrac,
+				"margin":       a.gr.CongestionMargin(),
+			}, nil
+		},
+		adopt: func(dst, src *artifacts) { dst.gr = src.gr },
+	},
+	// The hook sees iterations as they complete; its STOP truncates the
+	// route in place.
+	stDroute: {
+		name: "droute",
+		compute: func(ctx context.Context, a *artifacts) {
+			a.dr = route.DetailRouteCtx(ctx, a.gr, route.DetailOptions{
+				Iterations: a.opts.RouteIters,
+				Effort:     a.opts.RouteEffort,
+				Seed:       subSeed(a.opts.Seed, 5),
+				StopAfter:  a.opts.StopRouteAfter,
+				IterHook:   a.hook,
+			})
+		},
+		commit: func(res *Result, a *artifacts) (map[string]float64, []float64) {
+			dr := a.dr
+			res.Route = dr
+			res.RuntimeProxy += dr.RuntimeProxy
+			series := make([]float64, len(dr.DRVs))
+			for i, d := range dr.DRVs {
+				series[i] = float64(d)
+			}
+			m := map[string]float64{
+				"drvs":       float64(dr.Final),
+				"iterations": float64(dr.IterationsRun),
+			}
+			if dr.StopIter > 0 {
+				m["stopped_at"] = float64(dr.StopIter)
+				m["saved_iters"] = float64(dr.IterationsBudget - dr.IterationsRun)
+			}
+			return m, series
+		},
+		adopt: func(dst, src *artifacts) { dst.dr = src.dr },
+	},
+	stSTA: {
+		name:    "sta",
+		compute: func(_ context.Context, a *artifacts) { a.sign = sta.Analyze(a.n, signoff(a)) },
+		commit: func(res *Result, a *artifacts) (map[string]float64, []float64) {
+			res.Sign = a.sign
+			res.RuntimeProxy += a.sign.CostUnits
+			return map[string]float64{
+				"wns":     a.sign.WNSPs,
+				"tns":     a.sign.TNSPs,
+				"maxfreq": a.sign.MaxFreqGHz,
+			}, nil
+		},
+	},
+	// Area recovery on the incremental signoff timer: downsize whatever
+	// the flow left oversized while the margin holds, then refresh the
+	// signoff report if anything changed.
+	stRecover: {
+		name: "recover",
+		compute: func(_ context.Context, a *artifacts) {
+			cfg := signoff(a)
+			a.rec = sizing.Recover(a.n, sizing.Config{
+				Seed:          subSeed(a.opts.Seed, 6),
+				Engine:        &cfg,
+				SlackMarginPs: a.opts.RecoverMarginPs,
+			})
+			if a.rec.Downsized > 0 {
+				a.sign = sta.Analyze(a.n, cfg)
+			}
+		},
+		commit: func(res *Result, a *artifacts) (map[string]float64, []float64) {
+			rec := a.rec
+			res.Recover = &rec
+			// Propagation work is measured in full-Analyze equivalents;
+			// convert to runtime via the signoff run's cost.
+			res.RuntimeProxy += rec.TimerWorkEquiv * res.Sign.CostUnits
+			res.Sign = a.sign
+			return map[string]float64{
+				"downsized":  float64(rec.Downsized),
+				"area":       rec.AreaAfter,
+				"wns":        res.Sign.WNSPs,
+				"timer_work": rec.TimerWorkEquiv,
+			}, nil
+		},
+	},
+}
+
+// placeOptions are the annealer options of the place stage, which
+// placeProv also stamps on a placement's provenance.
+func placeOptions(o Options, n *netlist.Netlist) place.Options {
+	return place.Options{
+		Seed:        subSeed(o.Seed, 2),
+		Moves:       o.PlaceMoves * n.NumCells(),
+		Utilization: o.Utilization,
+		Partitions:  o.Partitions,
+		Workers:     o.PlaceWorkers,
+	}
+}
+
+// signoff is the signoff timer's configuration: SI on, the clock tree's
+// skews, the option point's derate.
+func signoff(a *artifacts) sta.Config {
+	return sta.Config{Engine: sta.Signoff, SI: true, ClockSkew: a.ct.SkewPs, DeratePct: a.opts.DeratePct}
+}

@@ -339,9 +339,9 @@ func (p *placer) anneal(rng *num.SplitMix) {
 // ~10 slots wide, where the window has nothing to shrink into: 6-13 % longer).
 //
 // annealStream is the num.Mix index of the serial engine's stream; lane l
-// draws from annealStream+1+l. Any index places alike; 4 is the lowest at
-// which two tests that assert on one small placement's coin flip hold unedited
-// (route.TestShardedRouteQuality, core.TestStudyPruningSavesOnDoomedRuns).
+// draws from annealStream+1+l. Any index places alike; 4 was picked while two
+// tests asserted on one small placement's coin flip (both sweep seeds now), and
+// the golden file records it.
 const (
 	stepsPerProposal = 2
 	finalTempDiv     = 2000

@@ -61,29 +61,39 @@ func TestShardedRouteWorkerInvariant(t *testing.T) {
 
 // TestShardedRouteQuality: the sharded net order differs from the
 // serial one, so demand maps differ — but the congestion picture must
-// stay equivalent (same wirelength, comparable overflow).
+// stay equivalent: the same wirelength and total demand on every
+// placement, and comparable overflow. Per placement the overflow ratio
+// is a coin flip (0.2x to 2x over twelve seeds), so the bound holds on
+// the sum over six.
 func TestShardedRouteQuality(t *testing.T) {
-	n := placed(9, netlist.Artificial(9))
-	serial := GlobalRoute(n, GlobalOptions{Seed: 9})
-	shard := GlobalRoute(n, GlobalOptions{Seed: 9, Tiles: 2})
-	// Wirelength is the sum of manhattan net lengths — independent of
-	// route order — but the sharded router merges per-tile partial sums,
-	// so float association differs by ulps from the serial net-order sum.
-	if d := math.Abs(shard.WirelengthUm - serial.WirelengthUm); d > 1e-9*serial.WirelengthUm {
-		t.Fatalf("sharded wirelength %v != serial %v (|d|=%g)", shard.WirelengthUm, serial.WirelengthUm, d)
+	var serialOverflow, shardOverflow float64
+	const seeds = 6
+	for seed := int64(1); seed <= seeds; seed++ {
+		n := placed(seed, netlist.Artificial(seed))
+		serial := GlobalRoute(n, GlobalOptions{Seed: seed})
+		shard := GlobalRoute(n, GlobalOptions{Seed: seed, Tiles: 2})
+		// Wirelength is the sum of manhattan net lengths — independent of
+		// route order — but the sharded router merges per-tile partial
+		// sums, so float association differs by ulps from the serial
+		// net-order sum.
+		if d := math.Abs(shard.WirelengthUm - serial.WirelengthUm); d > 1e-9*serial.WirelengthUm {
+			t.Fatalf("seed %d: sharded wirelength %v != serial %v (|d|=%g)", seed, shard.WirelengthUm, serial.WirelengthUm, d)
+		}
+		var serialTotal, shardTotal float64
+		for i := range serial.Demand {
+			serialTotal += serial.Demand[i]
+		}
+		for i := range shard.Demand {
+			shardTotal += shard.Demand[i]
+		}
+		if shardTotal != serialTotal {
+			t.Fatalf("seed %d: sharded total demand %v != serial %v (demand must be conserved)", seed, shardTotal, serialTotal)
+		}
+		serialOverflow += serial.OverflowTotal
+		shardOverflow += shard.OverflowTotal
 	}
-	var serialTotal, shardTotal float64
-	for i := range serial.Demand {
-		serialTotal += serial.Demand[i]
-	}
-	for i := range shard.Demand {
-		shardTotal += shard.Demand[i]
-	}
-	if shardTotal != serialTotal {
-		t.Fatalf("sharded total demand %v != serial %v (demand must be conserved)", shardTotal, serialTotal)
-	}
-	if shard.OverflowTotal > serial.OverflowTotal*1.5+1 {
-		t.Errorf("sharded overflow %v much worse than serial %v", shard.OverflowTotal, serial.OverflowTotal)
+	if shardOverflow > serialOverflow*1.5+seeds {
+		t.Errorf("sharded overflow %v over %d placements much worse than serial %v", shardOverflow, seeds, serialOverflow)
 	}
 }
 

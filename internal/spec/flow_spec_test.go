@@ -13,6 +13,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netlist"
 	"repro/internal/place"
+	"repro/internal/route"
 	"repro/internal/sched"
 	"repro/internal/synth"
 )
@@ -328,6 +329,81 @@ func TestSpeculationSlotExhaustion(t *testing.T) {
 	}
 	if !reflect.DeepEqual(normalized(got2), ref) {
 		t.Error("memo-committed starved run differs from reference")
+	}
+}
+
+// iterLog is a stateful live supervisor: it records every detailed-route
+// iteration it is shown and STOPs the run at iteration stopAt.
+type iterLog struct {
+	stopAt int
+	iters  []int
+}
+
+func (l *iterLog) OnStep(flow.StepRecord) {}
+func (l *iterLog) RouteIter(_ string, _ int64, iter int, _ []int) route.IterAction {
+	l.iters = append(l.iters, iter)
+	if iter >= l.stopAt {
+		return route.Stop
+	}
+	return route.Continue
+}
+
+// TestSupervisedSpeculativeRunRoutesForReal: under a live RouteSupervisor
+// the route chain stops before detailed routing, so an exact place
+// prediction commits place, cts and groute from speculation while droute
+// runs on the real path with the hook — the supervisor sees each
+// iteration exactly once — and the result is the unspeculated supervised
+// run's.
+func TestSupervisedSpeculativeRunRoutesForReal(t *testing.T) {
+	design := testDesign(6)
+	opts := flow.Options{TargetFreqGHz: 0.5, Seed: 4, RouteIters: 10}
+	const stopAt = 4
+
+	refLog := &iterLog{stopAt: stopAt}
+	cap0 := &capturingOracle{}
+	ref, err := flow.RunCfg(context.Background(), design, opts, flow.RunConfig{Observer: refLog, Oracle: cap0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ref.Stopped || ref.Route.StopIter != stopAt {
+		t.Fatalf("test premise broken: reference run stopped=%t at %d, want a STOP at %d", ref.Stopped, ref.Route.StopIter, stopAt)
+	}
+
+	stub := &stubOracle{placeOK: true, placePred: flow.PlacePrediction{
+		Place: cap0.place, Netlist: cap0.placeArt, Prov: cap0.prov, ID: "t/p"}}
+	log := &iterLog{stopAt: stopAt}
+	specOpts := opts
+	specOpts.Speculate = flow.SpecConfig{Enabled: true}
+	var st *flow.SpecStats
+	got, err := flow.RunCfg(context.Background(), design, specOpts, flow.RunConfig{
+		Observer: log, Oracle: stub,
+		SpecReport: func(s flow.SpecStats) { st = &s },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st == nil || !st.Place.Hit || st.Launched != 1 {
+		t.Fatalf("spec stats %+v, want a launched route chain on a place hit", st)
+	}
+	// place (the verbatim memo), cts and groute — never droute.
+	if st.Committed != 3 {
+		t.Errorf("committed = %d, want 3: the supervised chain must skip droute", st.Committed)
+	}
+	// The real droute ran with the hook: the supervisor stopped it, and
+	// saw iterations 1..stopAt once each, in order.
+	if !got.Stopped || got.Route.StopIter != stopAt {
+		t.Errorf("stopped=%t at %d, want the supervisor's STOP at %d", got.Stopped, got.Route.StopIter, stopAt)
+	}
+	if !reflect.DeepEqual(log.iters, refLog.iters) || len(log.iters) != stopAt {
+		t.Errorf("supervisor saw iterations %v, want %v", log.iters, refLog.iters)
+	}
+	for k, it := range log.iters {
+		if it != k+1 {
+			t.Fatalf("supervisor saw iterations %v, want each of 1..%d once", log.iters, stopAt)
+		}
+	}
+	if !reflect.DeepEqual(normalized(got), ref) {
+		t.Error("supervised speculative result differs from the unspeculated supervised run")
 	}
 }
 

@@ -1,4 +1,4 @@
-#!/bin/sh
+#!/usr/bin/env bash
 # Tier-1 gate for the repository.
 #
 #   scripts/check.sh          gofmt + vet + build + race-enabled tests
@@ -11,7 +11,10 @@
 #                             byte-facing decoder (campaign entry,
 #                             journal segment), of the placer's net
 #                             extremes (FuzzNetExtremes) and of the one-
-#                             walk net electricals (FuzzElectricals)
+#                             walk net electricals (FuzzElectricals);
+#                             the last line printed is this default
+#                             tier's wall time (and the whole run's,
+#                             when a mode below follows it)
 #   scripts/check.sh bench    also run the benchmark pairs and write the
 #                             speedups to BENCH_campaign.json /
 #                             BENCH_sta.json / BENCH_place.json /
@@ -155,6 +158,9 @@ for target in internal/campaign:FuzzDecodeEntry internal/journal:FuzzJournalDeco
     internal/place:FuzzNetExtremes internal/netlist:FuzzElectricals; do
     go test -run='^$' -fuzz="^${target#*:}\$" -fuzztime=10s -fuzzminimizetime=100x "./${target%%:*}"
 done
+# Every mode below runs after the default tier; its time is kept for the
+# closing line.
+tier_s=$SECONDS
 
 if [ "${1:-}" = "bench" ]; then
     # Every pair writes BENCH_x.json.tmp and renames it once its gate
@@ -1015,3 +1021,5 @@ if [ "${1:-}" = "obs" ]; then
     fi
     echo "obs_gate=ok"
 fi
+
+echo "check: default tier ${tier_s}s, total ${SECONDS}s"
