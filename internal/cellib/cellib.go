@@ -91,13 +91,13 @@ type Cell struct {
 }
 
 // Delay returns the pin-to-pin delay in ps for the given output load in fF.
-func (c Cell) Delay(loadFF float64) float64 {
+func (c *Cell) Delay(loadFF float64) float64 {
 	return c.Intrinsic + c.Resist*loadFF
 }
 
 // Slew returns the output transition time in ps for the given load. The
 // model ties slew to the same RC product as delay.
-func (c Cell) Slew(loadFF float64) float64 {
+func (c *Cell) Slew(loadFF float64) float64 {
 	return 0.7*c.Intrinsic + 1.4*c.Resist*loadFF
 }
 
@@ -156,8 +156,8 @@ type Library struct {
 }
 
 // New assembles a library from a cell list. Cells of each class are kept
-// sorted by ascending drive strength.
-func New(name string, wire Wire, rowPitch float64, cells []Cell) *Library {
+// sorted by ascending drive strength. A cell of no known class is an error.
+func New(name string, wire Wire, rowPitch float64, cells []Cell) (*Library, error) {
 	lib := &Library{
 		Name:     name,
 		Wire:     wire,
@@ -166,6 +166,9 @@ func New(name string, wire Wire, rowPitch float64, cells []Cell) *Library {
 		byName:   make(map[string]int, len(cells)),
 	}
 	for i, c := range lib.cells {
+		if c.Class < 0 || c.Class >= numClasses {
+			return nil, fmt.Errorf("cellib: cell %q has unknown class %d", c.Name, c.Class)
+		}
 		lib.byClass[c.Class] = append(lib.byClass[c.Class], i)
 		lib.byName[c.Name] = i
 	}
@@ -178,6 +181,14 @@ func New(name string, wire Wire, rowPitch float64, cells []Cell) *Library {
 			}
 			return ca.VT < cb.VT
 		})
+	}
+	return lib, nil
+}
+
+// must unwraps New for the built-in libraries, whose classes are known.
+func must(lib *Library, err error) *Library {
+	if err != nil {
+		panic(err)
 	}
 	return lib
 }
@@ -325,5 +336,5 @@ func Default14nm() *Library {
 			cells = append(cells, c)
 		}
 	}
-	return New("sim14", Wire{ResPerUm: 0.08, CapPerUm: 0.18}, 0.6, cells)
+	return must(New("sim14", Wire{ResPerUm: 0.08, CapPerUm: 0.18}, 0.6, cells))
 }

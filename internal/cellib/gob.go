@@ -36,6 +36,10 @@ func (l *Library) GobDecode(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return fmt.Errorf("cellib: decode library: %w", err)
 	}
-	*l = *New(w.Name, w.Wire, w.RowPitch, w.Cells)
+	lib, err := New(w.Name, w.Wire, w.RowPitch, w.Cells)
+	if err != nil {
+		return fmt.Errorf("cellib: decode library: %w", err)
+	}
+	*l = *lib
 	return nil
 }

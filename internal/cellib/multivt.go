@@ -38,5 +38,5 @@ func Default14nmMultiVT() *Library {
 			cells = append(cells, v)
 		}
 	}
-	return New("sim14mvt", base.Wire, base.RowPitch, cells)
+	return must(New("sim14mvt", base.Wire, base.RowPitch, cells))
 }

@@ -88,13 +88,14 @@ func (n *Netlist) InsertBuffer(netID int, sinks []PinRef, buf cellib.Cell) int {
 // edits. Returns an error if the combinational graph has a cycle.
 func (n *Netlist) Relevel() error {
 	const unset = -1
-	level := make([]int, len(n.Insts))
+	// The levels, indegrees and queue share one int32 slab.
+	slab := make([]int32, 3*len(n.Insts))
+	level, indeg, queue := slab[:len(n.Insts)], slab[len(n.Insts):2*len(n.Insts)], slab[2*len(n.Insts):2*len(n.Insts)]
 	for i := range level {
 		level[i] = unset
 	}
 	// Kahn-style: indegree over combinational fanins with a driver that
 	// is combinational.
-	indeg := make([]int, len(n.Insts))
 	for i := range n.Insts {
 		if n.Insts[i].Cell.Class.Sequential() {
 			level[i] = 0
@@ -110,14 +111,13 @@ func (n *Netlist) Relevel() error {
 			}
 		}
 	}
-	queue := make([]int, 0, len(n.Insts))
 	for i := range n.Insts {
 		if level[i] == 0 {
 			continue // registers
 		}
 		if indeg[i] == 0 {
 			level[i] = 1
-			queue = append(queue, i)
+			queue = append(queue, int32(i))
 		}
 	}
 	processed := 0
@@ -138,7 +138,7 @@ func (n *Netlist) Relevel() error {
 			}
 			indeg[s.Inst]--
 			if indeg[s.Inst] == 0 {
-				queue = append(queue, s.Inst)
+				queue = append(queue, int32(s.Inst))
 			}
 		}
 	}
@@ -151,7 +151,7 @@ func (n *Netlist) Relevel() error {
 		if level[i] == unset {
 			level[i] = 1
 		}
-		n.Insts[i].Level = level[i]
+		n.Insts[i].Level = int(level[i])
 	}
 	return nil
 }

@@ -359,7 +359,7 @@ func (n *Netlist) Clone() *Netlist {
 		Lib:           n.Lib,
 		Insts:         append([]Instance(nil), n.Insts...),
 		Nets:          append([]Net(nil), n.Nets...),
-		FaninNet:      make([][]int, len(n.FaninNet)),
+		FaninNet:      append([][]int(nil), n.FaninNet...), // each list replaced below
 		FanoutNet:     append([]int(nil), n.FanoutNet...),
 		ClockNet:      n.ClockNet,
 		ClockPeriodPs: n.ClockPeriodPs,
@@ -367,7 +367,10 @@ func (n *Netlist) Clone() *Netlist {
 	// The per-net and per-instance lists are carved out of one slab each,
 	// not allocated one by one. Every piece is capacity-clipped, so a later
 	// append (Connect, InsertBuffer) reallocates that list instead of
-	// running into its neighbour; an empty list stays nil.
+	// running into its neighbour; an empty list stays nil. The per-instance
+	// arrays are all appended, never made: the allocation's round-up is then
+	// capacity, and appending a few instances (synthesis's buffers) regrows
+	// none of them.
 	var numSinks, numFanins int
 	for i := range n.Nets {
 		numSinks += len(n.Nets[i].Sinks)

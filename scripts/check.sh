@@ -9,7 +9,8 @@
 #                             then vet + tests of the nested
 #                             benchmark module, then 10 s of fuzzing per
 #                             byte-facing decoder (campaign entry,
-#                             journal segment), of the placer's net
+#                             journal segment, warehouse ingest, gob
+#                             cell library), of the placer's net
 #                             extremes (FuzzNetExtremes) and of the one-
 #                             walk net electricals (FuzzElectricals);
 #                             the last line printed is this default
@@ -155,6 +156,7 @@ go test -race ./...
 # one package per invocation; minimizing each new coverage-raising input
 # is capped, or its 60 s default eats the budget.
 for target in internal/campaign:FuzzDecodeEntry internal/journal:FuzzJournalDecode \
+    internal/warehouse:FuzzIngest internal/cellib:FuzzLibraryGobDecode \
     internal/place:FuzzNetExtremes internal/netlist:FuzzElectricals; do
     go test -run='^$' -fuzz="^${target#*:}\$" -fuzztime=10s -fuzzminimizetime=100x "./${target%%:*}"
 done
