@@ -290,7 +290,7 @@ func runWorker(id, addr string, pts []campaign.Point, client *dist.StoreClient, 
 		for i, p := range pts {
 			keys[i] = p.Options.Key()
 		}
-		emit = warehouse.NewEmitter(repro.CampaignID(pts), id, keys, warehouse.NewClient(o.warehouseURL))
+		emit = warehouse.NewEmitter(campaign.ID(pts), id, keys, warehouse.NewClient(o.warehouseURL))
 		obsv = emit
 	}
 	w := dist.NewWorker(dist.WorkerConfig{

@@ -1,6 +1,8 @@
-// Command metricsd runs the METRICS collection server of Fig. 11 and,
-// optionally, a demonstration campaign: an instrumented flow sweep whose
-// records stream into the server, followed by data mining.
+// Command metricsd runs the METRICS server of Fig. 11 — a memory-only
+// warehouse at /warehouse/ beside the live /metrics and /debug
+// endpoints — and, optionally, a demonstration campaign: an
+// instrumented flow sweep whose records ship to the warehouse, followed
+// by data mining.
 //
 // Usage:
 //
@@ -26,11 +28,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"os/signal"
 
 	"repro"
+	"repro/internal/journal"
 	"repro/internal/metrics"
+	"repro/internal/warehouse"
 )
 
 func main() {
@@ -57,7 +62,13 @@ func main() {
 		return
 	}
 
-	srv := metrics.NewServer(nil)
+	wh, err := warehouse.Open("", journal.Options{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	srv := metrics.NewServer()
+	srv.Aux = map[string]http.Handler{"/warehouse/": http.StripPrefix("/warehouse", warehouse.NewHandler(wh))}
 	if *frontdoor {
 		srv.FrontDoor = metrics.NewFrontDoor(metrics.RunnerFunc(runCampaignSpec), *campaignSlots, *campaignQueue)
 	}
@@ -67,7 +78,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("METRICS server listening on %s\n", bound)
-	fmt.Printf("POST XML records to http://%s/collect; query /records and /stats\n", bound)
+	fmt.Printf("POST JSON record arrays to http://%s/warehouse/v1/records; query /warehouse/v1/records and /stats\n", bound)
 	if *frontdoor {
 		fmt.Printf("campaign front door on http://%s/v1/campaigns (%d slots, queue %d)\n",
 			bound, *campaignSlots, *campaignQueue)
@@ -76,8 +87,9 @@ func main() {
 	signal.Notify(sig, os.Interrupt)
 	<-sig
 	srv.Close()
-	acc, rej := srv.Received()
-	fmt.Printf("shutting down: %d records stored, %d accepted, %d rejected\n", srv.Store.Len(), acc, rej)
+	st := wh.Stats()
+	wh.Close()
+	fmt.Printf("shutting down: %d records stored, %d deduped\n", st.Records, st.Deduped)
 }
 
 // campaignSpec is the front door's submission payload: the same sweep

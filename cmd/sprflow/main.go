@@ -66,6 +66,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/campaign"
 	"repro/internal/dist"
 	"repro/internal/journal"
 	"repro/internal/metrics"
@@ -337,7 +338,7 @@ func runSweep(d *repro.Design, baseFreq float64, seed int64, base repro.FlowOpti
 				fmt.Fprintf(os.Stderr, "warehouse dump: %v\n", ferr)
 				return 1
 			}
-			cfg.warehouse.DumpCanonical(f, repro.CampaignID(pts))
+			cfg.warehouse.DumpCanonical(f, campaign.ID(pts))
 			if cerr := f.Close(); cerr != nil {
 				fmt.Fprintf(os.Stderr, "warehouse dump: %v\n", cerr)
 				return 1

@@ -4,11 +4,15 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 
+	"repro/internal/campaign"
 	"repro/internal/flow"
+	"repro/internal/journal"
 	"repro/internal/logfile"
 	"repro/internal/mdp"
 	"repro/internal/metrics"
+	"repro/internal/warehouse"
 )
 
 // corpusSizes returns (training runs, testing runs) per scale; Paper
@@ -194,12 +198,11 @@ func plural(k int) string {
 // ---------------------------------------------------------------------
 // Figure 11: the METRICS loop end to end.
 
-// Fig11Result summarizes an instrumented flow campaign through a live
-// METRICS server.
+// Fig11Result summarizes an instrumented flow campaign shipped to a live
+// METRICS warehouse and mined there.
 type Fig11Result struct {
 	Runs          int
-	RecordsStored int64
-	Rejected      int64
+	RecordsStored int
 	BestFreqGHz   float64
 	PrescribedLo  float64
 	PrescribedHi  float64
@@ -207,57 +210,62 @@ type Fig11Result struct {
 	SensFreqArea  float64 // mined sensitivity: target freq -> synth area
 }
 
-// Fig11 stands up a METRICS server, instruments a flow campaign over a
-// ladder of targets, then mines the store for guidance — the complete
-// collect/store/mine/feed-back loop of the METRICS architecture.
+// Fig11 serves a memory-only METRICS warehouse on loopback, instruments
+// a flow campaign over a ladder of targets so every stage ships a record
+// to it as JSON over HTTP, then mines the warehouse for guidance — the
+// complete collect/store/mine/feed-back loop of the METRICS architecture.
 func Fig11(scale Scale, seed int64) (Fig11Result, error) {
-	srv := metrics.NewServer(nil)
+	wh, err := warehouse.Open("", journal.Options{})
+	if err != nil {
+		return Fig11Result{}, err
+	}
+	defer wh.Close()
+	srv := metrics.NewServer()
+	srv.Aux = map[string]http.Handler{"/warehouse/": http.StripPrefix("/warehouse", warehouse.NewHandler(wh))}
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		return Fig11Result{}, err
 	}
 	defer srv.Close()
-	tx := metrics.NewTransmitter("http://" + addr)
 
 	design := designForScale(scale, seed)
 	probe := RunFlow(design, flow.Options{TargetFreqGHz: 0.3, Seed: seed})
 	fmax := probe.MaxFreqGHz
-	targets := []float64{fmax * 0.6, fmax * 0.8, fmax * 0.9, fmax * 1.0, fmax * 1.1}
 	runsPer := 2
 	if scale == Paper {
 		runsPer = 6
 	}
-	res := Fig11Result{}
-	for i, f := range targets {
+	// The ladder is one campaign whose points are its runs in run order.
+	key := campaign.KeyFor(design)
+	var pts []campaign.Point
+	for i, f := range []float64{fmax * 0.6, fmax * 0.8, fmax * 0.9, fmax * 1.0, fmax * 1.1} {
 		for s := 0; s < runsPer; s++ {
-			flow.RunObserved(design, flow.Options{
-				TargetFreqGHz: f,
-				Seed:          seed + int64(i*100+s),
-			}, tx)
-			res.Runs++
+			opts := flow.Options{TargetFreqGHz: f, Seed: seed + int64(i*100+s)}
+			pts = append(pts, campaign.Point{Design: design, DesignKey: key, Options: opts})
 		}
 	}
-	res.RecordsStored, res.Rejected = srv.Received()
+	emit := warehouse.NewEmitter(campaign.ID(pts), "local", pointKeys(pts), warehouse.NewClient("http://"+addr+"/warehouse"))
+	for _, p := range pts {
+		flow.RunObserved(design, p.Options, emit)
+	}
+	emit.Flush()
 
-	miner := metrics.Miner{Store: srv.Store}
-	res.BestFreqGHz, _ = miner.BestTargetFreq(design.Name)
-	res.PrescribedLo, res.PrescribedHi, err = miner.PrescribeFreqRange(design.Name)
+	res := Fig11Result{Runs: len(pts), RecordsStored: wh.Stats().Records}
+	res.BestFreqGHz, _ = warehouse.BestTargetFreq(wh, design.Name)
+	res.PrescribedLo, res.PrescribedHi, err = warehouse.PrescribeFreqRange(wh, design.Name)
 	if err != nil {
 		return res, err
 	}
-	res.Suggested = miner.Suggest(design.Name, flow.Options{TargetFreqGHz: fmax * 0.6})
-	res.SensFreqArea, err = miner.Sensitivity("synth", "target_freq_ghz", "area")
-	if err != nil {
-		return res, err
-	}
-	return res, nil
+	res.Suggested = warehouse.Suggest(wh, design.Name, flow.Options{TargetFreqGHz: fmax * 0.6})
+	res.SensFreqArea, err = warehouse.Sensitivity(wh, "synth", "area")
+	return res, err
 }
 
 // Print writes the loop summary.
 func (r Fig11Result) Print(w io.Writer) {
-	fmt.Fprintf(w, "Figure 11: METRICS loop (XML over HTTP, central store, miner)\n")
+	fmt.Fprintf(w, "Figure 11: METRICS loop (JSON over HTTP, warehouse, miner)\n")
 	fmt.Fprintf(w, "flow runs instrumented:      %d\n", r.Runs)
-	fmt.Fprintf(w, "records stored / rejected:   %d / %d\n", r.RecordsStored, r.Rejected)
+	fmt.Fprintf(w, "records stored:              %d\n", r.RecordsStored)
 	fmt.Fprintf(w, "mined best met target:       %.3f GHz\n", r.BestFreqGHz)
 	fmt.Fprintf(w, "prescribed achievable range: %.3f - %.3f GHz\n", r.PrescribedLo, r.PrescribedHi)
 	fmt.Fprintf(w, "suggested next target:       %.3f GHz\n", r.Suggested.TargetFreqGHz)

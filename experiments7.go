@@ -10,7 +10,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"reflect"
 	"sync/atomic"
@@ -110,20 +109,6 @@ type SweepConfig struct {
 	Warehouse warehouse.Appender
 }
 
-// CampaignID derives the stable identity of a campaign from its point
-// list: the fnv-64a of every point's cache key in order. Every process
-// that derives the same point list — the single-node sweep, each campd
-// worker, the coordinator — computes the same id, which is what lets
-// warehouse records from any node land in one queryable campaign.
-func CampaignID(pts []campaign.Point) string {
-	h := fnv.New64a()
-	for _, p := range pts {
-		io.WriteString(h, p.CacheKey()) //nolint:errcheck
-		h.Write([]byte{0})              //nolint:errcheck
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // pointKeys lists the canonical options key of every point, in point
 // order — the emitter's step-record-to-point-index map.
 func pointKeys(pts []campaign.Point) []string {
@@ -179,7 +164,7 @@ func Sweep(cfg SweepConfig) (SweepResult, error) {
 	}
 	var emit *warehouse.Emitter
 	if cfg.Warehouse != nil {
-		emit = warehouse.NewEmitter(CampaignID(pts), "local", pointKeys(pts), cfg.Warehouse)
+		emit = warehouse.NewEmitter(campaign.ID(pts), "local", pointKeys(pts), cfg.Warehouse)
 		ecfg.Observer = emit
 		defer emit.Flush()
 	}

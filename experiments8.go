@@ -165,7 +165,7 @@ func DistSweep(cfg DistSweepConfig) (SweepResult, error) {
 		defer whSrv.Close()
 		whURL = "http://" + ln.Addr().String()
 	}
-	campaignID := CampaignID(pts)
+	campaignID := campaign.ID(pts)
 	keys := pointKeys(pts)
 
 	var coordNodes []dist.Node

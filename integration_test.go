@@ -3,35 +3,48 @@ package repro
 // Integration test: the full "no human in the loop" pipeline the paper
 // sketches, run end to end on one design — Stage 1 robot closure,
 // Stage 2 orchestrated search, Stage 3 doomed-run pruning, Stage 4
-// METRICS-fed adaptation — with the infrastructure (collection server,
+// METRICS-fed adaptation — with the infrastructure (METRICS warehouse,
 // anonymized sharing) in the loop.
 
 import (
-	"bytes"
+	"net/http"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/flow"
+	"repro/internal/journal"
 	"repro/internal/logfile"
 	"repro/internal/mdp"
 	"repro/internal/metrics"
 	"repro/internal/share"
+	"repro/internal/warehouse"
 )
 
 func TestFullRoadmapPipeline(t *testing.T) {
 	design := NewDesign(DefaultLibrary(), TinyDesign(99))
 
-	// METRICS server collects everything the pipeline does.
-	srv := metrics.NewServer(nil)
+	// A WAL-backed METRICS warehouse served on loopback collects
+	// everything the pipeline does.
+	dir := t.TempDir()
+	wh, err := warehouse.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := metrics.NewServer()
+	srv.Aux = map[string]http.Handler{"/warehouse/": http.StripPrefix("/warehouse", warehouse.NewHandler(wh))}
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	tx := metrics.NewTransmitter("http://" + addr)
 
-	// Stage 1: a robot closes an aggressive target without a human.
-	probe := flow.RunObserved(design, flow.Options{TargetFreqGHz: 0.3, Seed: 1}, tx)
+	// Stage 1: a robot closes an aggressive target without a human. The
+	// probe run ships its records over HTTP.
+	probeOpts := flow.Options{TargetFreqGHz: 0.3, Seed: 1}
+	emit := warehouse.NewEmitter("probe", "local", []string{probeOpts.Key()}, warehouse.NewClient("http://"+addr+"/warehouse"))
+	probe := flow.RunObserved(design, probeOpts, emit)
+	emit.Flush()
 	robot := core.Robot{
 		Design: design,
 		Base:   flow.Options{TargetFreqGHz: probe.MaxFreqGHz * 1.6, Seed: 2},
@@ -67,9 +80,9 @@ func TestFullRoadmapPipeline(t *testing.T) {
 		t.Error("stage 3: pruning increased runtime")
 	}
 
-	// Stage 4: the adaptive agent, writing into the same METRICS store,
+	// Stage 4: the adaptive agent, writing into the same warehouse,
 	// converges to a met target after an infeasible start.
-	agent := core.Agent{Design: design, Store: srv.Store, Start: flow.Options{TargetFreqGHz: stage1Freq * 2, Seed: 6}}
+	agent := core.Agent{Design: design, Warehouse: wh, Start: flow.Options{TargetFreqGHz: stage1Freq * 2, Seed: 6}}
 	rounds := agent.RunRounds(4)
 	lastMet := rounds[len(rounds)-1].Met
 	backedOff := rounds[len(rounds)-1].TargetFreqGHz < rounds[0].TargetFreqGHz
@@ -77,14 +90,14 @@ func TestFullRoadmapPipeline(t *testing.T) {
 		t.Error("stage 4: agent neither met nor backed off")
 	}
 
-	// Infrastructure: the store saw the instrumented runs and can be
+	// Infrastructure: the warehouse saw the instrumented runs and can be
 	// mined; the design can be shared without leaking identifiers and
 	// still produce comparable flow results.
-	if srv.Store.Len() == 0 {
-		t.Fatal("METRICS store empty after the pipeline")
+	if wh.Stats().Records == 0 {
+		t.Fatal("METRICS warehouse empty after the pipeline")
 	}
-	miner := metrics.Miner{Store: srv.Store}
-	if _, ok := miner.BestTargetFreq(design.Name); !ok {
+	best, ok := warehouse.BestTargetFreq(wh, design.Name)
+	if !ok {
 		t.Error("miner found no met run despite stage-4 adaptation")
 	}
 	anon := share.Anonymize(design, share.Obfuscate, 7)
@@ -96,16 +109,21 @@ func TestFullRoadmapPipeline(t *testing.T) {
 		t.Error("anonymized design failed to implement")
 	}
 
-	// The store round-trips through persistence with mining intact.
-	var buf bytes.Buffer
-	if err := srv.Store.WriteJSON(&buf); err != nil {
+	// The warehouse reopens from its WAL with mining intact.
+	recs := wh.Select(warehouse.Query{})
+	srv.Close()
+	if err := wh.Close(); err != nil {
 		t.Fatal(err)
 	}
-	restored := metrics.NewStore()
-	if err := restored.ReadJSON(&buf); err != nil {
+	reopened, err := warehouse.Open(dir, journal.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Len() != srv.Store.Len() {
-		t.Error("store persistence lost records")
+	defer reopened.Close()
+	if got := reopened.Select(warehouse.Query{}); !reflect.DeepEqual(got, recs) {
+		t.Errorf("reopened warehouse holds %d records, want the %d written", len(got), len(recs))
+	}
+	if again, _ := warehouse.BestTargetFreq(reopened, design.Name); again != best {
+		t.Errorf("mining diverged after reopen: %v vs %v", again, best)
 	}
 }

@@ -20,6 +20,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"runtime"
 	"strings"
 	"time"
@@ -63,6 +65,20 @@ func (p Point) CacheKey() string {
 // entries and two different ones never collide on a name.
 func KeyFor(design *netlist.Netlist) string {
 	return fmt.Sprintf("%s#%016x", design.Name, design.Fingerprint())
+}
+
+// ID derives the stable identity of a campaign from its point list: the
+// fnv-64a of every point's cache key in order. Every process that
+// derives the same point list — the single-node sweep, each campd
+// worker, the coordinator — computes the same id, which is what lets
+// warehouse records from any node land in one queryable campaign.
+func ID(pts []Point) string {
+	h := fnv.New64a()
+	for _, p := range pts {
+		io.WriteString(h, p.CacheKey()) //nolint:errcheck
+		h.Write([]byte{0})              //nolint:errcheck
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Points expands a base option point into one Point per seed — the

@@ -3,20 +3,21 @@ package core
 import (
 	"math"
 
+	"repro/internal/campaign"
 	"repro/internal/flow"
-	"repro/internal/metrics"
 	"repro/internal/ml"
 	"repro/internal/netlist"
+	"repro/internal/warehouse"
 )
 
-// Agent is the Stage-4 adaptive flow: every run is instrumented into a
-// METRICS store, and the data miner's predictions choose the next run's
-// options — the closed "measure, to improve" loop of Sec. 4 with no
-// human intervention.
+// Agent is the Stage-4 adaptive flow: every run is instrumented into the
+// METRICS warehouse, and the warehouse miner's predictions choose the
+// next run's options — the closed "measure, to improve" loop of Sec. 4
+// with no human intervention.
 type Agent struct {
-	Design *netlist.Netlist
-	Store  *metrics.Store
-	Start  flow.Options
+	Design    *netlist.Netlist
+	Warehouse *warehouse.Warehouse // required; records accumulate across rounds and agents
+	Start     flow.Options
 }
 
 // AgentRound is one adaptation step.
@@ -30,27 +31,26 @@ type AgentRound struct {
 }
 
 // RunRounds executes the adapt-run-record loop for the given number of
-// rounds and returns the trajectory. The store accumulates records
-// across rounds (and across agents sharing it).
+// rounds and returns the trajectory. Each round is a one-point campaign
+// whose id hashes the run's cache key (design fingerprint + options
+// key), so a repeated identical run dedupes in the warehouse and two
+// different runs never collide.
 func (a Agent) RunRounds(rounds int) []AgentRound {
-	if a.Store == nil {
-		a.Store = metrics.NewStore()
-	}
-	miner := metrics.Miner{Store: a.Store}
-	collector := flow.ObserverFunc(func(rec flow.StepRecord) {
-		a.Store.Add(metrics.FromStep(rec))
-	})
+	designKey := campaign.KeyFor(a.Design)
 	opts := a.Start
 	var out []AgentRound
 	for r := 0; r < rounds; r++ {
 		opts.Seed = a.Start.Seed + int64(r)*104729
-		res := flow.RunObserved(a.Design, opts, collector)
+		pt := campaign.Point{Design: a.Design, DesignKey: designKey, Options: opts}
+		emit := warehouse.NewEmitter(campaign.ID([]campaign.Point{pt}), "local", []string{opts.Key()}, a.Warehouse)
+		res := flow.RunObserved(a.Design, opts, emit)
+		emit.Flush()
 		out = append(out, AgentRound{
 			Round: r, Options: opts, Met: res.Met,
 			AreaUm2: res.AreaUm2, WNSPs: res.WNSPs,
 			TargetFreqGHz: opts.TargetFreqGHz,
 		})
-		opts = miner.Suggest(a.Design.Name, opts)
+		opts = warehouse.Suggest(a.Warehouse, a.Design.Name, opts)
 	}
 	return out
 }

@@ -6,10 +6,11 @@ import (
 
 	"repro/internal/cellib"
 	"repro/internal/flow"
+	"repro/internal/journal"
 	"repro/internal/logfile"
 	"repro/internal/mdp"
-	"repro/internal/metrics"
 	"repro/internal/netlist"
+	"repro/internal/warehouse"
 )
 
 func tiny(seed int64) *netlist.Netlist {
@@ -180,18 +181,27 @@ func TestStudyPruningSavesOnDoomedRuns(t *testing.T) {
 }
 
 func TestAgentAdapts(t *testing.T) {
-	store := metrics.NewStore()
-	agent := Agent{Design: tiny(8), Store: store, Start: flow.Options{TargetFreqGHz: 0.9, Seed: 1}}
+	wh, err := warehouse.Open("", journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wh.Close()
+	agent := Agent{Design: tiny(8), Warehouse: wh, Start: flow.Options{TargetFreqGHz: 0.9, Seed: 1}}
 	rounds := agent.RunRounds(4)
 	if len(rounds) != 4 {
 		t.Fatalf("%d rounds", len(rounds))
 	}
-	if store.Len() != 4*6 {
-		t.Fatalf("store holds %d records, want 24", store.Len())
+	if n := wh.Stats().Records; n != 4*6 {
+		t.Fatalf("warehouse holds %d records, want 24", n)
 	}
 	// If the first round failed, the agent must have changed target.
 	if !rounds[0].Met && rounds[1].TargetFreqGHz >= rounds[0].TargetFreqGHz {
 		t.Error("agent did not back off after a failed round")
+	}
+	// Rerunning round 0 is the same one-point campaign: it dedupes.
+	agent.RunRounds(1)
+	if st := wh.Stats(); st.Records != 4*6 || st.Deduped != 6 {
+		t.Fatalf("rerun of round 0: %+v, want 24 records and 6 deduped", st)
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 
 // TestServerStartServeCloseRace is the shutdown-ordering regression
 // test: requests in flight while Close runs must never observe a nil
-// listener or store, Close must be idempotent, and Start after Close
+// listener, Close must be idempotent, and Start after Close
 // must fail instead of leaking a listener.
 func TestServerStartServeCloseRace(t *testing.T) {
 	for iter := 0; iter < 15; iter++ {
-		srv := NewServer(nil)
+		srv := NewServer()
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("start: %v", err)
@@ -37,8 +37,8 @@ func TestServerStartServeCloseRace(t *testing.T) {
 						return
 					}
 					resp.Body.Close()
-					resp, err = http.Post("http://"+addr+"/collect", "application/xml",
-						strings.NewReader("not-xml"))
+					resp, err = http.Post("http://"+addr+"/metrics", "text/plain",
+						strings.NewReader("x"))
 					if err != nil {
 						return
 					}
@@ -60,7 +60,7 @@ func TestServerStartServeCloseRace(t *testing.T) {
 		}
 	}
 	// Close before Start is a no-op, not a panic.
-	s := NewServer(nil)
+	s := NewServer()
 	if err := s.Close(); err != nil {
 		t.Fatalf("close before start: %v", err)
 	}
@@ -125,7 +125,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestFrontDoorSubmitStatusStream(t *testing.T) {
 	runner := newBlockingRunner(3)
 	fd := NewFrontDoor(runner, 1, 8)
-	srv := NewServer(nil)
+	srv := NewServer()
 	srv.FrontDoor = fd
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -284,7 +284,7 @@ func TestFrontDoorAdmissionAndFairShare(t *testing.T) {
 func TestFrontDoorCloseUnblocksStreams(t *testing.T) {
 	runner := newBlockingRunner(0) // never released: only ctx ends it
 	fd := NewFrontDoor(runner, 1, 8)
-	srv := NewServer(nil)
+	srv := NewServer()
 	srv.FrontDoor = fd
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {

@@ -29,48 +29,13 @@ func get(t *testing.T, url string) (int, string, string) {
 
 func startServer(t *testing.T) (*Server, string) {
 	t.Helper()
-	srv := NewServer(nil)
+	srv := NewServer()
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("start: %v", err)
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv, "http://" + addr
-}
-
-// A rejected record must 400, be counted in the registry, and show up
-// identically in Received(), /stats, and /metrics — the point of
-// registering the counters instead of keeping loose atomics.
-func TestServerRejectedRecordCounted(t *testing.T) {
-	srv, base := startServer(t)
-
-	resp, err := http.Post(base+"/collect", "application/xml", strings.NewReader("<not-a-record"))
-	if err != nil {
-		t.Fatalf("post: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage record: got %d, want 400", resp.StatusCode)
-	}
-
-	acc, rej := srv.Received()
-	if acc != 0 || rej != 1 {
-		t.Fatalf("Received() = (%d, %d), want (0, 1)", acc, rej)
-	}
-	if got := srv.Reg.Get("metrics.server.record.rejected"); got != 1 {
-		t.Fatalf("registry counter = %d, want 1", got)
-	}
-
-	for _, path := range []string{"/stats", "/metrics"} {
-		code, _, body := get(t, base+path)
-		if code != http.StatusOK {
-			t.Fatalf("%s: status %d", path, code)
-		}
-		if !strings.Contains(body, "metrics.server.record.rejected 1") {
-			t.Errorf("%s does not expose the rejected counter:\n%s", path, body)
-		}
-	}
 }
 
 func TestMetricsEndpointExposesCountersAndHistograms(t *testing.T) {
@@ -80,21 +45,8 @@ func TestMetricsEndpointExposesCountersAndHistograms(t *testing.T) {
 	srv.Trace = tr
 	_, sp := tr.StartOn(context.Background(), "unit.test.op")
 	sp.End()
-
-	rec := Record{Design: "d", Step: "synth", RunSeed: 1, Metrics: []KV{{Name: "wns", Value: 1}}}
-	data, err := EncodeXML(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(base+"/collect", "application/xml", strings.NewReader(string(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("collect: %d", resp.StatusCode)
-	}
+	Add("unit.test.counter", 1)
+	Observe("unit.test.value", 0.25)
 
 	code, ctype, body := get(t, base+"/metrics")
 	if code != http.StatusOK {
@@ -103,11 +55,10 @@ func TestMetricsEndpointExposesCountersAndHistograms(t *testing.T) {
 	if !strings.HasPrefix(ctype, "text/plain") {
 		t.Fatalf("/metrics content type %q", ctype)
 	}
-	if !strings.Contains(body, "metrics.server.record.received 1") {
-		t.Errorf("/metrics missing received counter:\n%s", body)
-	}
-	if !strings.Contains(body, "unit.test.op count=1") {
-		t.Errorf("/metrics missing span histogram:\n%s", body)
+	for _, want := range []string{"unit.test.counter ", "unit.test.value count=", "unit.test.op count=1 "} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, body)
+		}
 	}
 }
 

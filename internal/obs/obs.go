@@ -67,7 +67,7 @@ func SetupCfg(cfg Config) (flush func(), err error) {
 	}
 	var srv *metrics.Server
 	if cfg.MetricsAddr != "" {
-		srv = metrics.NewServer(nil)
+		srv = metrics.NewServer()
 		srv.Aux = cfg.Aux
 		bound, err := srv.Start(cfg.MetricsAddr)
 		if err != nil {

@@ -64,6 +64,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		if r, ok := rootCache[id]; ok {
 			return r
 		}
+		rootCache[id] = id // ends the walk on a parent cycle, which ingested spans can hold
 		p, ok := parentOf[id]
 		r := id
 		if ok && p != 0 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 )
@@ -123,58 +122,5 @@ func TestIngestRetention(t *testing.T) {
 	}
 	if _, dropped := tr.Snapshot(); dropped != int64(9*shardCount) {
 		t.Fatalf("dropped = %d, want %d", dropped, 9*shardCount)
-	}
-}
-
-// TestHistMergeAcrossNodes is the satellite -race coverage: N "node"
-// histograms observed concurrently, snapshotted, and merged into one
-// fleet histogram while it is itself still being observed — counts must
-// be exact (torn-free) and quantile buckets preserved.
-func TestHistMergeAcrossNodes(t *testing.T) {
-	const nodes = 4
-	const perNode = 1000
-	fleet := &Hist{}
-	var wg sync.WaitGroup
-	for n := 0; n < nodes; n++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			local := &Hist{}
-			for i := 0; i < perNode; i++ {
-				local.Observe(time.Duration(i%100) * time.Microsecond)
-			}
-			fleet.Merge(local.Snapshot("stage"))
-		}(n)
-		// Concurrent direct observation (the collector's own ingest path)
-		// must not tear the merge.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perNode; i++ {
-				fleet.Observe(time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	snap := fleet.Snapshot("stage")
-	if want := int64(2 * nodes * perNode); snap.Count != want {
-		t.Fatalf("merged count = %d, want %d", snap.Count, want)
-	}
-	if snap.MaxUs < 64 { // max observed is 99µs -> bucket cap >= 64µs upper bound holds exact max
-		t.Fatalf("merged max %.1fµs lost the node maxima", snap.MaxUs)
-	}
-}
-
-// TestHistSetMerge merges by name through the registry.
-func TestHistSetMerge(t *testing.T) {
-	a, b := NewHistSet(), NewHistSet()
-	a.Observe("s", time.Millisecond)
-	a.Observe("t", time.Millisecond)
-	b.Merge(a.Snapshots())
-	b.Merge(a.Snapshots())
-	for _, name := range []string{"s", "t"} {
-		if got := b.Hist(name).Snapshot(name).Count; got != 2 {
-			t.Fatalf("%s count = %d, want 2", name, got)
-		}
 	}
 }

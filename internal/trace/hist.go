@@ -3,81 +3,92 @@ package trace
 import (
 	"fmt"
 	"io"
-	"math/bits"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// histBuckets is the bucket count of a latency histogram: bucket k
-// holds durations in [2^(k-1), 2^k) microseconds (bucket 0 is < 1 µs),
-// so 48 buckets span sub-microsecond to ~8.9 years — log-spaced, fixed
-// memory, one atomic add per observation.
-const histBuckets = 48
+// histBuckets is the bucket count of a histogram: bucket k holds values
+// in [2^(k-21), 2^(k-20)) — bucket 0 also everything below 2^-20, zero
+// included, and the last bucket everything from 2^42 up — so 64
+// log-spaced buckets span ~1e-6 to ~4e12: span latencies in µs from
+// sub-microsecond to ~50 days, and percentage-scale values (predictor
+// tolerance errors, warehouse scalars) alike.
+const histBuckets = 64
 
-// Hist is one log-bucketed latency histogram. Observations are a
-// single atomic increment; snapshots are lock-free reads, so a
-// /debug/hist scrape never stalls the campaign writing to it.
+// Hist is one log-bucketed histogram of non-negative float64 values.
+// Observations are a few atomic operations; snapshots are lock-free
+// reads, so a /debug/hist scrape never stalls the campaign writing to it.
 type Hist struct {
 	counts [histBuckets]atomic.Int64
-	count  atomic.Int64
-	sumNs  atomic.Int64
-	maxNs  atomic.Int64
+	sum    atomic.Uint64 // float64 bits, CAS-accumulated
+	max    atomic.Uint64 // float64 bits
 }
 
-// bucketOf maps a duration to its bucket index.
-func bucketOf(d time.Duration) int {
-	us := uint64(d / time.Microsecond)
-	b := bits.Len64(us) // 0 for <1µs, k for [2^(k-1), 2^k) µs
-	if b >= histBuckets {
-		b = histBuckets - 1
+// bucketOf maps a value to its bucket index.
+func bucketOf(v float64) int {
+	switch {
+	case !(v >= 0x1p-20): // NaN included
+		return 0
+	case v >= 0x1p42:
+		return histBuckets - 1
 	}
-	return b
+	_, exp := math.Frexp(v) // v in [2^(exp-1), 2^exp)
+	return exp + 20
 }
 
-// bucketUpperUs returns the exclusive upper bound of bucket b in
-// microseconds.
-func bucketUpperUs(b int) float64 {
-	return float64(uint64(1) << uint(b))
-}
+// bucketUpper returns the exclusive upper bound of bucket b.
+func bucketUpper(b int) float64 { return math.Ldexp(1, b-20) }
 
-// Observe records one duration.
-func (h *Hist) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
+// Add records one value. Negative and NaN values count as zero: the
+// histograms hold magnitudes (latencies, errors), not signed values.
+func (h *Hist) Add(v float64) {
+	if !(v > 0) {
+		v = 0
 	}
-	h.counts[bucketOf(d)].Add(1)
-	h.count.Add(1)
-	h.sumNs.Add(int64(d))
+	h.counts[bucketOf(v)].Add(1)
 	for {
-		cur := h.maxNs.Load()
-		if int64(d) <= cur || h.maxNs.CompareAndSwap(cur, int64(d)) {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			break
+		}
+	}
+	for {
+		old := h.max.Load()
+		if v <= math.Float64frombits(old) || h.max.CompareAndSwap(old, math.Float64bits(v)) {
 			break
 		}
 	}
 }
 
-// HistSnapshot is a point-in-time summary of one histogram. Quantiles
-// are bucket upper bounds (a conservative estimate: the true quantile
-// is at most the reported value, within one power of two).
+// Observe records one duration in microseconds. A duration of at least
+// 1 µs lands in the bucket [2^(j-1), 2^j) µs that holds its whole
+// microseconds.
+func (h *Hist) Observe(d time.Duration) { h.Add(float64(d) / 1e3) }
+
+// HistSnapshot is a point-in-time summary of one histogram, in the unit
+// of the values it was fed (µs for span latencies). Quantiles are bucket
+// upper bounds (a conservative estimate: the true quantile is at most
+// the reported value, within one power of two).
 type HistSnapshot struct {
-	Name   string
-	Count  int64
-	MeanUs float64
-	P50Us  float64
-	P90Us  float64
-	P99Us  float64
-	MaxUs  float64
-	// Buckets holds the non-empty buckets as (upper bound µs, count)
-	// pairs, for callers that want the full shape.
+	Name  string
+	Count int64
+	Mean  float64
+	P50   float64
+	P90   float64
+	P99   float64
+	Max   float64
+	// Buckets holds the non-empty buckets as (upper bound, count) pairs,
+	// for callers that want the full shape.
 	Buckets []HistBucket
 }
 
 // HistBucket is one non-empty histogram bucket.
 type HistBucket struct {
-	UpperUs float64
-	Count   int64
+	Upper float64
+	Count int64
 }
 
 // Snapshot summarizes the histogram. Writers may race with the reads —
@@ -93,72 +104,33 @@ func (h *Hist) Snapshot(name string) HistSnapshot {
 	if s.Count == 0 {
 		return s
 	}
-	s.MeanUs = float64(h.sumNs.Load()) / float64(s.Count) / 1e3
-	s.MaxUs = float64(h.maxNs.Load()) / 1e3
+	s.Mean = math.Float64frombits(h.sum.Load()) / float64(s.Count)
+	s.Max = math.Float64frombits(h.max.Load())
 	quantile := func(q float64) float64 {
 		target := int64(q*float64(s.Count-1)) + 1
 		var cum int64
 		for i, c := range counts {
 			cum += c
 			if cum >= target {
-				return bucketUpperUs(i)
+				return bucketUpper(i)
 			}
 		}
-		return bucketUpperUs(histBuckets - 1)
+		return bucketUpper(histBuckets - 1)
 	}
-	s.P50Us = quantile(0.50)
-	s.P90Us = quantile(0.90)
-	s.P99Us = quantile(0.99)
+	s.P50 = quantile(0.50)
+	s.P90 = quantile(0.90)
+	s.P99 = quantile(0.99)
 	for i, c := range counts {
 		if c > 0 {
-			s.Buckets = append(s.Buckets, HistBucket{UpperUs: bucketUpperUs(i), Count: c})
+			s.Buckets = append(s.Buckets, HistBucket{Upper: bucketUpper(i), Count: c})
 		}
 	}
 	return s
 }
 
-// Merge folds a snapshot taken on another node into this histogram —
-// the cross-node aggregation path: each worker snapshots its per-stage
-// Hist, ships it inside warehouse records or span batches, and the
-// warehouse Merges them into fleet-wide percentiles. Every update is an
-// atomic add/CAS, so Merge is safe against concurrent Observe and
-// concurrent Merges from other nodes.
-func (h *Hist) Merge(snap HistSnapshot) {
-	var n int64
-	for _, b := range snap.Buckets {
-		i := bits.Len64(uint64(b.UpperUs)) - 1 // invert bucketUpperUs: 2^i → i
-		if i < 0 {
-			i = 0
-		}
-		if i >= histBuckets {
-			i = histBuckets - 1
-		}
-		h.counts[i].Add(b.Count)
-		n += b.Count
-	}
-	if n == 0 {
-		return
-	}
-	h.count.Add(n)
-	h.sumNs.Add(int64(snap.MeanUs * 1e3 * float64(snap.Count)))
-	maxNs := int64(snap.MaxUs * 1e3)
-	for {
-		cur := h.maxNs.Load()
-		if maxNs <= cur || h.maxNs.CompareAndSwap(cur, maxNs) {
-			break
-		}
-	}
-}
-
-// Merge folds a set of remote snapshots into this registry by name.
-func (s *HistSet) Merge(snaps []HistSnapshot) {
-	for _, snap := range snaps {
-		s.Hist(snap.Name).Merge(snap)
-	}
-}
-
-// HistSet is a registry of histograms keyed by span name, with the same
-// read-mostly locking idiom as metrics.Counters.
+// HistSet is a registry of named histograms — span names, or
+// subsystem.noun value names such as predict.tolerr.synth — with the
+// same read-mostly locking idiom as metrics.Counters.
 type HistSet struct {
 	mu sync.RWMutex
 	m  map[string]*Hist
@@ -203,12 +175,12 @@ func (s *HistSet) Snapshots() []HistSnapshot {
 	return out
 }
 
-// Write renders one "name count=N mean_us=X p50_us=X p90_us=X p99_us=X
-// max_us=X" line per histogram, sorted by name — the /debug/hist and
-// /metrics exposition format.
+// Write renders one "name count=N mean=X p50=X p90=X p99=X max=X" line
+// per histogram, sorted by name — the /debug/hist and /metrics
+// exposition format.
 func (s *HistSet) Write(w io.Writer) {
 	for _, snap := range s.Snapshots() {
-		fmt.Fprintf(w, "%s count=%d mean_us=%.1f p50_us=%g p90_us=%g p99_us=%g max_us=%.1f\n",
-			snap.Name, snap.Count, snap.MeanUs, snap.P50Us, snap.P90Us, snap.P99Us, snap.MaxUs)
+		fmt.Fprintf(w, "%s count=%d mean=%.6g p50=%g p90=%g p99=%g max=%.6g\n",
+			snap.Name, snap.Count, snap.Mean, snap.P50, snap.P90, snap.P99, snap.Max)
 	}
 }

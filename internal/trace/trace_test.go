@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 	"time"
@@ -241,14 +242,14 @@ func TestHistQuantiles(t *testing.T) {
 	if s.Count != 100 {
 		t.Fatalf("count %d", s.Count)
 	}
-	if s.P50Us > 8 {
-		t.Fatalf("p50 %gµs, want small", s.P50Us)
+	if s.P50 > 8 {
+		t.Fatalf("p50 %gµs, want small", s.P50)
 	}
-	if s.P99Us < 512 {
-		t.Fatalf("p99 %gµs, want slow bucket", s.P99Us)
+	if s.P99 < 512 {
+		t.Fatalf("p99 %gµs, want slow bucket", s.P99)
 	}
-	if s.MaxUs < 999 || s.MaxUs > 1001 {
-		t.Fatalf("max %gµs", s.MaxUs)
+	if s.Max < 999 || s.Max > 1001 {
+		t.Fatalf("max %gµs", s.Max)
 	}
 	if len(s.Buckets) != 2 {
 		t.Fatalf("buckets %+v", s.Buckets)
@@ -307,5 +308,26 @@ func TestHistSetWriteFormat(t *testing.T) {
 	}
 	if fmt.Sprint(got) != "[a.first b.second]" {
 		t.Fatalf("unsorted snapshots: %v", got)
+	}
+}
+
+// TestHistMicrosecondBuckets: a span of at least 1 µs lands in the
+// bucket of its whole microseconds, [2^(j-1), 2^j) with j =
+// bits.Len64(µs) — the bounds of an integer-microsecond histogram — so
+// span quantiles read the same as with one.
+func TestHistMicrosecondBuckets(t *testing.T) {
+	for k := 0; k < 42; k++ {
+		base := time.Duration(1<<k) * time.Microsecond
+		for _, d := range []time.Duration{base - time.Nanosecond, base, base + time.Nanosecond, base + base/2, 2*base - time.Nanosecond} {
+			if d < time.Microsecond {
+				continue
+			}
+			want := float64(uint64(1) << bits.Len64(uint64(d/time.Microsecond)))
+			var h Hist
+			h.Observe(d)
+			if s := h.Snapshot("d"); s.P50 != want || s.P99 != want {
+				t.Fatalf("%v: p50 %g p99 %g, want %g", d, s.P50, s.P99, want)
+			}
+		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+
+	"repro/internal/metrics"
 )
 
 // maxIngestBytes bounds one ingest POST.
@@ -71,6 +73,8 @@ func NewHandler(w *Warehouse) http.Handler {
 	return mux
 }
 
+// handleIngest appends a POSTed batch. A body that is not a JSON array
+// of records is refused with 400 and counted in warehouse.rejected.
 func handleIngest(w *Warehouse, rw http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxIngestBytes))
 	if err != nil {
@@ -79,6 +83,7 @@ func handleIngest(w *Warehouse, rw http.ResponseWriter, r *http.Request) {
 	}
 	var recs []Record
 	if err := json.Unmarshal(body, &recs); err != nil {
+		metrics.Add("warehouse.rejected", 1)
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -6,8 +6,9 @@
 // durable in a journal.Keyed (first-wins under the dedupe key, in the WAL
 // before visible — the one policy every durable store here has), and
 // served back through a query/aggregate API, an SSE live tail, and a
-// regression miner — the substrate the ROADMAP's "continuously learning
-// prediction service" trains from.
+// miner: campaign-to-campaign regressions, and the Fig. 11 guidance
+// (best met target, achievable frequency range, next-run options,
+// option sensitivities) that the METRICS loop feeds back into the flow.
 //
 // Determinism contract: the flow is deterministic per (design, options)
 // point, so records for the same (campaign, point, stage) are identical
@@ -23,10 +24,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/journal"
 	"repro/internal/metrics"
@@ -210,21 +211,16 @@ func sortCanonical(recs []Record) {
 	})
 }
 
-// Aggregate folds the named scalar of every matching record into a
-// latency-histogram snapshot (the existing trace.Hist machinery, with
-// the scalar read as microseconds), yielding count/mean/p50/p90/p99/max
-// across the fleet in one pass.
+// Aggregate folds the magnitude of the named scalar of every matching
+// record (wns_ps is negative when timing fails) into one histogram,
+// yielding count/mean/p50/p90/p99/max across the fleet in one pass, in
+// the scalar's own unit.
 func (w *Warehouse) Aggregate(q Query, scalar string) trace.HistSnapshot {
 	h := &trace.Hist{}
 	for _, r := range w.Select(q) {
-		v, ok := r.Scalars[scalar]
-		if !ok {
-			continue
+		if v, ok := r.Scalars[scalar]; ok {
+			h.Add(math.Abs(v))
 		}
-		if v < 0 {
-			v = -v // magnitudes: wns_ps is negative when timing fails
-		}
-		h.Observe(time.Duration(v * float64(time.Microsecond)))
 	}
 	return h.Snapshot(scalar)
 }

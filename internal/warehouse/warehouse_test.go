@@ -105,11 +105,28 @@ func TestSelectAggregate(t *testing.T) {
 		t.Fatalf("canonical order broken: %+v", got)
 	}
 	snap := w.Aggregate(Query{Campaign: "c", Stage: "sta"}, "wns_ps")
-	if snap.Count != 1 || snap.MaxUs != 200 {
+	if snap.Count != 1 || snap.Max != 200 {
 		t.Fatalf("aggregate = %+v, want count 1 max 200 (magnitude of -200)", snap)
 	}
 	if snap = w.Aggregate(Query{Campaign: "c"}, "t_ms"); snap.Count != 2 {
 		t.Fatalf("t_ms aggregate count = %d, want 2", snap.Count)
+	}
+}
+
+// TestAggregateBelowOne: scalars are values, not whole microseconds —
+// ones below 1 keep their quantiles and their mean.
+func TestAggregateBelowOne(t *testing.T) {
+	w, _ := Open("", journal.Options{})
+	defer w.Close()
+	for p := 0; p < 3; p++ {
+		w.Append(rec("c", p, "sta", map[string]float64{"ratio": 0.1})) //nolint:errcheck
+	}
+	w.Append(rec("d", 0, "sta", map[string]float64{"tiny": 0.0004})) //nolint:errcheck
+	if s := w.Aggregate(Query{Campaign: "c"}, "ratio"); s.Count != 3 || s.P50 > 0.125 {
+		t.Errorf("{0.1, 0.1, 0.1}: count %d p50 %g, want 3 and <= 0.125", s.Count, s.P50)
+	}
+	if s := w.Aggregate(Query{Campaign: "d"}, "tiny"); s.Mean != 0.0004 {
+		t.Errorf("mean of {0.0004} = %g", s.Mean)
 	}
 }
 

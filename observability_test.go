@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/journal"
 	"repro/internal/warehouse"
 )
@@ -47,7 +48,7 @@ func TestWarehouseMatchesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := wh.Select(warehouse.Query{Campaign: CampaignID(pts)})
+	recs := wh.Select(warehouse.Query{Campaign: campaign.ID(pts)})
 	if want := len(pts) * len(flowStages); len(recs) != want {
 		t.Fatalf("warehouse has %d records, want %d (%d points x %d stages)", len(recs), want, len(pts), len(flowStages))
 	}
@@ -109,7 +110,7 @@ func TestWarehouseDistByteIdentical(t *testing.T) {
 	}
 
 	pts, _ := CampaignPoints(scfg)
-	id := CampaignID(pts)
+	id := campaign.ID(pts)
 	var sdump, ddump bytes.Buffer
 	single.DumpCanonical(&sdump, id)
 	distWh.DumpCanonical(&ddump, id)

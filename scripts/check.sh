@@ -10,7 +10,8 @@
 #                             benchmark module, then 10 s of fuzzing per
 #                             byte-facing decoder (campaign entry,
 #                             journal segment, warehouse ingest, gob
-#                             cell library), of the placer's net
+#                             cell library, span collector, campaign
+#                             front door), of the placer's net
 #                             extremes (FuzzNetExtremes) and of the one-
 #                             walk net electricals (FuzzElectricals);
 #                             the last line printed is this default
@@ -157,6 +158,7 @@ go test -race ./...
 # is capped, or its 60 s default eats the budget.
 for target in internal/campaign:FuzzDecodeEntry internal/journal:FuzzJournalDecode \
     internal/warehouse:FuzzIngest internal/cellib:FuzzLibraryGobDecode \
+    internal/trace:FuzzCollectorIngest internal/metrics:FuzzFrontDoorSubmit \
     internal/place:FuzzNetExtremes internal/netlist:FuzzElectricals; do
     go test -run='^$' -fuzz="^${target#*:}\$" -fuzztime=10s -fuzzminimizetime=100x "./${target%%:*}"
 done
