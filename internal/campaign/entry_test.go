@@ -169,8 +169,10 @@ func TestCongestionMarginSurvivesSummary(t *testing.T) {
 }
 
 // FuzzDecodeEntry drives the entry decoder — which reads bytes off disks
-// and sockets — with arbitrary input: it returns an entry or an error,
-// never panics, and never allocates beyond a fixed multiple of its input
+// and sockets — with arbitrary input: it agrees with a fresh gob decoder
+// (both fail, or both return the same entry) although every iteration
+// shares one pool primed with the seed record's section, never panics,
+// and never allocates beyond a fixed multiple of its input
 // plus gob's fixed slack (gob sizes a decoded slice from its length
 // prefix but in chunks of at most 10 MB, one per nesting level). Known
 // hole, gob's and as old as the record: a map — StepRecord.Metrics — is
@@ -201,6 +203,10 @@ func FuzzDecodeEntry(f *testing.F) {
 	}
 	f.Add(full.Bytes())
 
+	if _, err := DecodeEntry(data); err != nil {
+		f.Fatal(err)
+	}
+
 	const slack, multiple = 64 << 20, 512
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -210,11 +216,15 @@ func FuzzDecodeEntry(f *testing.F) {
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > slack+multiple*uint64(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
 		}
+		want, werr := freshDecode(data)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("DecodeEntry error %v, fresh decode error %v", err, werr)
+		}
 		if err != nil {
 			return
 		}
-		if e.Key == "" || e.Res == nil {
-			t.Fatal("accepted an entry without key or result")
+		if !sameBits(reflect.ValueOf(e), reflect.ValueOf(want)) {
+			t.Fatal("DecodeEntry and a fresh decode returned different entries")
 		}
 		// What decodes must encode again: a store re-serves it.
 		if _, err := EncodeEntry(e); err != nil {

@@ -8,8 +8,6 @@
 package campaign
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync/atomic"
 
@@ -36,33 +34,6 @@ type Entry struct {
 	// matches an uninterrupted one. Journals written before speculation
 	// existed decode with Spec nil.
 	Spec *flow.SpecStats
-}
-
-// EncodeEntry serializes an entry for the durable log or the network
-// result store — the one wire format a journaled point has, so a store
-// node and a local journal can exchange records byte-for-byte.
-func EncodeEntry(e Entry) ([]byte, error) {
-	if e.Res != nil {
-		e.Res = e.Res.Summary()
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return nil, fmt.Errorf("campaign: encode entry: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeEntry parses an encoded entry, rejecting structurally empty
-// records (no key or no result) the same way journal recovery does.
-func DecodeEntry(data []byte) (Entry, error) {
-	var e Entry
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
-		return Entry{}, fmt.Errorf("campaign: decode entry: %w", err)
-	}
-	if e.Key == "" || e.Res == nil {
-		return Entry{}, fmt.Errorf("campaign: decode entry: missing key or result")
-	}
-	return e, nil
 }
 
 // Journal is the campaign's durable memo tier: a journal.Keyed of gob

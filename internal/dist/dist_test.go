@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -197,6 +198,47 @@ func TestStoreClaimLifecycle(t *testing.T) {
 	}
 	if stored, err := s.Put(key, data); err != nil || stored {
 		t.Fatalf("duplicate put: stored=%v err=%v", stored, err)
+	}
+}
+
+// TestStoreDuplicatePutKeepsFirstBytes: two encodes of one entry decode
+// the same but need not be the same bytes — gob writes StepRecord.Metrics
+// in map iteration order. A re-encoded duplicate is still a duplicate, and
+// Get keeps serving the bytes the first put stored.
+func TestStoreDuplicatePutKeepsFirstBytes(t *testing.T) {
+	pts := sweepPoints(tinyDesign(7), 1, 1)
+	ref := singleNodeReference(t, pts)
+	key := pts[0].CacheKey()
+	e := campaign.Entry{Key: key, Res: ref[0], Steps: []flow.StepRecord{{
+		Step:    "synth",
+		Metrics: map[string]float64{"area": 1, "wns": 2, "tns": 3, "power": 4, "cells": 5, "passes": 6},
+	}}}
+	first, err := campaign.EncodeEntry(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again []byte
+	for i := 0; i < 100 && (again == nil || bytes.Equal(again, first)); i++ {
+		if again, err = campaign.EncodeEntry(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bytes.Equal(again, first) {
+		t.Fatal("100 encodes of a six-key map came out byte-identical")
+	}
+	s, err := OpenStore("", journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if stored, err := s.Put(key, first); err != nil || !stored {
+		t.Fatalf("first put: stored=%v err=%v", stored, err)
+	}
+	if stored, err := s.Put(key, again); err != nil || stored {
+		t.Fatalf("re-encoded duplicate put: stored=%v err=%v", stored, err)
+	}
+	if got, ok := s.Get(key); !ok || !bytes.Equal(got, first) {
+		t.Fatal("Get does not serve the first put's bytes")
 	}
 }
 

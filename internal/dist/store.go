@@ -21,8 +21,9 @@ import (
 // claiming node dead), and a second worker asking for a held key is
 // told to wait instead of burning a license on a duplicate run.
 // Determinism makes duplicate computes harmless — both produce the same
-// bytes and the first put wins — so claims are purely a work-saving
-// contract, never a correctness one.
+// entry (not always the same bytes: gob writes a map in iteration order)
+// and the first put wins — so claims are purely a work-saving contract,
+// never a correctness one.
 type Store struct {
 	entries *journal.Keyed[[]byte]
 
@@ -63,7 +64,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 
 // Put stores one encoded entry under the exactly-once contract: the
 // first write for a key wins (a duplicate is acknowledged but dropped
-// — determinism guarantees it carried the same bytes), the WAL append
+// — determinism guarantees it carried the same entry), the WAL append
 // happens before the entry becomes visible, and any claim on the key is
 // cleared. The payload must decode as a campaign.Entry whose key
 // matches; garbage is rejected so one sick node cannot poison every
