@@ -3,10 +3,11 @@
 // HTTP at one worker node (the single-host reference deployment) and at
 // four. Every point is unique and every iteration starts a fresh
 // in-memory store, so nothing is served from memo state — the ratio is
-// pure node scaling, with the real HTTP dispatch, claim, and gob
-// encode/decode costs included. Both variants report the same qor_hash
-// (byte-identity is the service's contract); scripts/check.sh dist
-// derives the throughput ratio into BENCH_dist.json, gated at >= 1.8x.
+// pure node scaling, with the real HTTP dispatch, store read and put,
+// and gob encode/decode costs included. Both variants report the same
+// qor_hash (byte-identity is the service's contract); scripts/check.sh
+// dist derives the throughput ratio into BENCH_dist.json, gated at
+// >= 1.8x.
 package repro
 
 import (

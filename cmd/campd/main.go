@@ -263,7 +263,7 @@ func runStore(addr, journalDir string, o nodeObs) int {
 		fmt.Fprintf(os.Stderr, "store: shutdown: %v\n", err)
 	}
 	st := store.Stats()
-	fmt.Fprintf(os.Stderr, "store: %d entries, %d claims outstanding\n", st.Entries, st.Claims)
+	fmt.Fprintf(os.Stderr, "store: %d entries at shutdown\n", st.Entries)
 	if wh != nil {
 		ws := wh.Stats()
 		fmt.Fprintf(os.Stderr, "warehouse: %d records (%d deduped, %d replayed, %d torn tails)\n",
@@ -409,7 +409,7 @@ const collectLinger = 1200 * time.Millisecond
 
 // waitSignal blocks until SIGINT or SIGTERM. The seed only caught
 // os.Interrupt, so a SIGTERM (the kill(1) and orchestrator default)
-// skipped every drain path and died with claims held and journal
+// skipped every drain path and died with puts in flight and journal
 // buffers unflushed.
 func waitSignal() {
 	sig := make(chan os.Signal, 1)

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"context"
+	"errors"
 	"sync"
 
 	"repro/internal/flow"
@@ -176,9 +178,10 @@ func (c *Cache) Do(key string, compute func() *flow.Result) *flow.Result {
 // fresh compute is written through to the tier before the call returns.
 // A compute error is propagated to the caller and to every coalesced
 // waiter, and nothing is cached — a failed or aborted run must never be
-// served as a memoized result.
+// served as a memoized result. A cancelled compute is the exception: its
+// waiters were not cancelled, so they look again and one of them computes.
 func (c *Cache) DoRecorded(key string, compute func() (*flow.Result, []flow.StepRecord, error)) (res *flow.Result, steps []flow.StepRecord, hit bool, err error) {
-	e, hit, err := c.do(key, true, func() (Entry, error) {
+	e, hit, err := c.do(key, func() (Entry, error) {
 		res, steps, err := compute()
 		return Entry{Res: res, Steps: steps}, err
 	})
@@ -188,38 +191,45 @@ func (c *Cache) DoRecorded(key string, compute func() (*flow.Result, []flow.Step
 // do is DoRecorded in the engine's currency, an Entry: what compute
 // returns is written through to the tier whole, Spec included, and a tier
 // hit hands back what the tier held — an L1 or coalesced hit carries Res
-// and Steps only. loadTier false skips the tier read after an L1 miss,
-// for a caller that already knows the tier has no entry (the write
-// through after the compute still happens).
-func (c *Cache) do(key string, loadTier bool, compute func() (Entry, error)) (ent Entry, hit bool, err error) {
+// and Steps only.
+func (c *Cache) do(key string, compute func() (Entry, error)) (ent Entry, hit bool, err error) {
 	if e, ok := c.lookup(key); ok {
 		return *e, true, nil
 	}
 	s := c.shard(key)
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		// Landed between the probe and the lock.
-		s.mu.Unlock()
-		c.countHit(false)
-		return *e, true, nil
-	}
-	if call, ok := s.inflight[key]; ok {
+	for {
+		s.mu.Lock()
+		if e, ok := s.entries[key]; ok {
+			// Landed between the probe and the lock.
+			s.mu.Unlock()
+			c.countHit(false)
+			return *e, true, nil
+		}
+		call, ok := s.inflight[key]
+		if !ok {
+			break // s.mu still held: this caller computes
+		}
 		s.mu.Unlock()
 		<-call.done
-		if call.err != nil {
+		switch {
+		case call.err == nil:
+			c.countHit(true)
+			return *call.ent, true, nil
+		case !errors.Is(call.err, context.Canceled) && !errors.Is(call.err, context.DeadlineExceeded):
 			// The computing caller failed; surface its error so the
 			// waiter's own retry loop can re-attempt (and coalesce
 			// again) rather than treating the point as memoized-failed.
 			return Entry{}, false, call.err
 		}
-		c.countHit(true)
-		return *call.ent, true, nil
+		// The computing caller was cancelled: its context, not this
+		// one's. Its call left inflight before done closed, so look
+		// again — and compute, unless someone else already is.
 	}
 	call := &inflightCall{done: make(chan struct{})}
 	s.inflight[key] = call
 	s.mu.Unlock()
 
-	if c.tier != nil && loadTier {
+	if c.tier != nil {
 		if ent, hit = c.tier.Load(key); hit {
 			// Served by the tier: this is a hit for this caller too —
 			// nothing was computed, so nothing is written back.

@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -213,5 +215,42 @@ func TestDoRecordedCoalescedError(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatal("failed compute left a cache entry")
+	}
+}
+
+// TestCacheWaiterOutlivesCancelledLeader: a caller coalesced onto a
+// compute whose own caller was cancelled did not inherit that
+// cancellation — it looks again, computes, and returns its own result.
+// The leader's compute is held until the waiter is provably parked on it.
+func TestCacheWaiterOutlivesCancelledLeader(t *testing.T) {
+	c := NewCache(0)
+	waited := make(chan struct{})
+	var res *flow.Result
+	var err error
+	_, _, _, lerr := c.DoRecorded("k", func() (*flow.Result, []flow.StepRecord, error) {
+		go func() {
+			defer close(waited)
+			res, _, _, err = c.DoRecorded("k", func() (*flow.Result, []flow.StepRecord, error) {
+				return &flow.Result{AreaUm2: 2}, nil, nil
+			})
+		}()
+		buf := make([]byte, 1<<20)
+		for deadline := time.Now().Add(revisitDeadline); !parkedInCacheDo(buf); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Error("the waiter never coalesced onto the in-flight compute")
+				break
+			}
+		}
+		return nil, nil, context.Canceled
+	})
+	<-waited
+	if lerr != context.Canceled {
+		t.Fatalf("leader err = %v, want context.Canceled", lerr)
+	}
+	if err != nil || res == nil || res.AreaUm2 != 2 {
+		t.Fatalf("waiter got (%+v, %v), want its own result and no error", res, err)
+	}
+	if got, ok := c.Get("k"); !ok || got != res {
+		t.Fatal("the waiter's compute was not cached")
 	}
 }

@@ -237,18 +237,6 @@ type pointOutcome struct {
 // per Config.Retry; a point that fails permanently stays nil and Run
 // returns a *RunError listing it.
 func (e *Engine) Run(ctx context.Context, pts []Point) ([]*flow.Result, error) {
-	return e.run(ctx, pts, true)
-}
-
-// RunClaimed is Run for points whose absence from the cache's shared
-// tier the caller has just established (a dist worker holding the
-// store's freshly granted compute claim): an in-process miss goes
-// straight to the compute instead of asking the tier first.
-func (e *Engine) RunClaimed(ctx context.Context, pts []Point) ([]*flow.Result, error) {
-	return e.run(ctx, pts, false)
-}
-
-func (e *Engine) run(ctx context.Context, pts []Point, loadTier bool) ([]*flow.Result, error) {
 	ctx, runSpan := trace.Start(ctx, "campaign.run")
 	runSpan.SetInt("points", int64(len(pts)))
 	runSpan.SetInt("workers", int64(e.pool.Licenses()))
@@ -256,7 +244,7 @@ func (e *Engine) run(ctx context.Context, pts []Point, loadTier bool) ([]*flow.R
 	keys, todo := e.revisit(ctx, pts, results)
 	outs, ran, err := sched.MapCtx(ctx, e.pool, len(todo), func(j int) pointOutcome {
 		i := todo[j]
-		return e.runPoint(ctx, pts[i], keys[i], i, loadTier)
+		return e.runPoint(ctx, pts[i], keys[i], i)
 	})
 	var failed []PointError
 	abandoned := 0
@@ -357,7 +345,7 @@ func (e *Engine) mirrorPoolStats() {
 // engine's retry policy. Attempt numbers feed the fault injector, so a
 // retried point draws fresh fault coins while staying deterministic at
 // any worker count.
-func (e *Engine) runPoint(ctx context.Context, p Point, key string, index int, loadTier bool) pointOutcome {
+func (e *Engine) runPoint(ctx context.Context, p Point, key string, index int) pointOutcome {
 	ctx, psp := pointSpan(ctx, p, index)
 	var lastErr error
 	for attempt := 0; attempt <= e.retry.Max; attempt++ {
@@ -374,7 +362,7 @@ func (e *Engine) runPoint(ctx context.Context, p Point, key string, index int, l
 		}
 		actx, asp := trace.Start(ctx, "campaign.attempt")
 		asp.SetInt("attempt", int64(attempt))
-		ent, hit, err := e.runOnce(actx, p, key, attempt, loadTier)
+		ent, hit, err := e.runOnce(actx, p, key, attempt)
 		if err == nil {
 			if hit {
 				// Only a tier hit carries a Spec: the outcome of a run some
@@ -411,12 +399,12 @@ func (e *Engine) runPoint(ctx context.Context, p Point, key string, index int, l
 // cache or its tier (including a coalesced wait on an in-flight compute)
 // rather than computed by this attempt, and its records are deliverHit's
 // to replay.
-func (e *Engine) runOnce(ctx context.Context, p Point, key string, attempt int, loadTier bool) (Entry, bool, error) {
+func (e *Engine) runOnce(ctx context.Context, p Point, key string, attempt int) (Entry, bool, error) {
 	if key == "" {
 		res, spec, err := e.compute(ctx, p, attempt, e.obs)
 		return Entry{Res: res, Spec: spec}, false, err
 	}
-	return e.cache.do(key, loadTier, func() (Entry, error) {
+	return e.cache.do(key, func() (Entry, error) {
 		rec := &recordingObserver{next: e.obs}
 		res, spec, err := e.compute(ctx, p, attempt, rec)
 		return Entry{Res: res, Steps: rec.steps, Spec: spec}, err

@@ -343,6 +343,75 @@ func TestBacklogBackfillOnHeal(t *testing.T) {
 	}
 }
 
+// failPuts is a transport whose every PUT fails: a worker behind it
+// computes and reads the store but can never publish.
+type failPuts struct{ base http.RoundTripper }
+
+func (f failPuts) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPut {
+		return nil, fmt.Errorf("failPuts: %s refused", req.URL.Path)
+	}
+	return f.base.RoundTrip(req)
+}
+
+// TestUnpublishableNodeDoesNotStall: w0 computes its points but cannot
+// put them, so each one answers 503 until the coordinator moves it to
+// w1. Nothing but the queue decides who computes, so w1 starts on the
+// point at once; the campaign finishes well inside its deadline and
+// matches the reference.
+func TestUnpublishableNodeDoesNotStall(t *testing.T) {
+	pts := sweepPoints(tinyDesign(2), 2, 3)
+	ref := singleNodeReference(t, pts)
+
+	store, err := OpenStore("", journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewStoreServer(store)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	var clients []*StoreClient
+	var nodes []Node
+	for i := 0; i < 2; i++ {
+		cfg := ClientConfig{}
+		if i == 0 {
+			cfg.RPC = RPCConfig{Transport: failPuts{NewTransport()}, Retries: -1}
+		}
+		c := NewStoreClientCfg("http://"+addr, cfg)
+		t.Cleanup(c.Close)
+		clients = append(clients, c)
+		id := fmt.Sprintf("w%d", i)
+		w := NewWorker(WorkerConfig{ID: id, Points: pts, Store: c, Workers: 2})
+		waddr, err := w.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		nodes = append(nodes, Node{ID: id, URL: "http://" + waddr, Slots: 2})
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{Points: pts, Nodes: nodes, Store: clients[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got, err := coord.Run(ctx)
+	if err != nil {
+		t.Fatalf("campaign with an unpublishable node: %v (stats %+v)", err, coord.Stats())
+	}
+	for i := range ref {
+		if !reflect.DeepEqual(got[i], ref[i].Summary()) {
+			t.Fatalf("point %d diverged", i)
+		}
+	}
+	if clients[0].PendingBacklog() == 0 {
+		t.Fatal("w0 computed nothing it could not publish: the test exercised no move")
+	}
+}
+
 // TestWorkerGracefulShutdown: a draining worker refuses new runs with
 // 503 and Shutdown returns cleanly with nothing in flight.
 func TestWorkerGracefulShutdown(t *testing.T) {

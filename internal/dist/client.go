@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -119,7 +118,7 @@ func (c *StoreClient) LoadCtx(ctx context.Context, key string) (campaign.Entry, 
 		metrics.Add("dist.client.decode_err", 1)
 		return campaign.Entry{}, false
 	}
-	c.flushSome(ctx) // the store answered: opportunistically backfill
+	c.flush(ctx, 2) // the store answered: opportunistically backfill
 	return e, true
 }
 
@@ -137,7 +136,7 @@ func (c *StoreClient) StoreCtx(ctx context.Context, e campaign.Entry) {
 		c.park(e)
 		return
 	}
-	c.flushSome(ctx)
+	c.flush(ctx, 2)
 }
 
 // put uploads one entry (no backlog interaction).
@@ -194,7 +193,16 @@ func (c *StoreClient) PendingBacklog() int {
 // failure (the store is presumably still unreachable). Returns how many
 // entries were published and how many remain parked.
 func (c *StoreClient) Backfill(ctx context.Context) (flushed, pending int) {
-	for {
+	return c.flush(ctx, 0)
+}
+
+// flush publishes parked entries from the head of the backlog, stopping
+// at the first failed put and, when limit > 0, after limit entries. The
+// tier methods flush a couple after any healthy RPC — the reconnect
+// signal that costs no extra probing, bounded so a tier call never turns
+// into a long flush; Backfill flushes them all.
+func (c *StoreClient) flush(ctx context.Context, limit int) (flushed, pending int) {
+	for limit <= 0 || flushed < limit {
 		c.backMu.Lock()
 		if len(c.backlog) == 0 {
 			c.backMu.Unlock()
@@ -204,11 +212,11 @@ func (c *StoreClient) Backfill(ctx context.Context) (flushed, pending int) {
 		c.backMu.Unlock()
 
 		if err := c.put(ctx, e); err != nil {
-			return flushed, c.PendingBacklog()
+			break
 		}
 		c.backMu.Lock()
-		// Pop e if still at the head (a concurrent Backfill may have
-		// raced us to it; either way it is published).
+		// Pop e if still at the head (a concurrent flush may have raced
+		// us to it; either way it is published).
 		if len(c.backlog) > 0 && c.backlog[0].Key == e.Key {
 			c.backlog = c.backlog[1:]
 			delete(c.backSet, e.Key)
@@ -217,77 +225,7 @@ func (c *StoreClient) Backfill(ctx context.Context) (flushed, pending int) {
 		flushed++
 		metrics.Add("dist.client.backfilled", 1)
 	}
-}
-
-// flushSome opportunistically backfills a couple of parked entries
-// after any healthy RPC — the reconnect signal that costs no extra
-// probing. Bounded so a tier call never turns into a long flush.
-func (c *StoreClient) flushSome(ctx context.Context) {
-	if c.PendingBacklog() == 0 {
-		return
-	}
-	for i := 0; i < 2; i++ {
-		c.backMu.Lock()
-		if len(c.backlog) == 0 {
-			c.backMu.Unlock()
-			return
-		}
-		e := c.backlog[0]
-		c.backMu.Unlock()
-		if err := c.put(ctx, e); err != nil {
-			return
-		}
-		c.backMu.Lock()
-		if len(c.backlog) > 0 && c.backlog[0].Key == e.Key {
-			c.backlog = c.backlog[1:]
-			delete(c.backSet, e.Key)
-		}
-		c.backMu.Unlock()
-		metrics.Add("dist.client.backfilled", 1)
-	}
-}
-
-// Claim asks the store for the right to compute key on node's behalf.
-func (c *StoreClient) Claim(ctx context.Context, key, node string) (ClaimState, error) {
-	u := fmt.Sprintf("%s/v1/claim?key=%s&node=%s", c.base, url.QueryEscape(key), url.QueryEscape(node))
-	res, err := c.rpc.do(ctx, "claim", http.MethodPost, u, nil, 1<<16, false)
-	if err != nil {
-		return ClaimState{}, err
-	}
-	if res.status != http.StatusOK {
-		return ClaimState{}, fmt.Errorf("dist: claim returned %d", res.status)
-	}
-	var st ClaimState
-	if err := json.Unmarshal(res.body, &st); err != nil {
-		return ClaimState{}, err
-	}
-	return st, nil
-}
-
-// ReleaseClaim abandons node's claim on key (best-effort).
-func (c *StoreClient) ReleaseClaim(ctx context.Context, key, node string) {
-	u := fmt.Sprintf("%s/v1/release?key=%s&node=%s", c.base, url.QueryEscape(key), url.QueryEscape(node))
-	c.rpc.do(ctx, "release", http.MethodPost, u, nil, 1<<16, false) //nolint:errcheck
-}
-
-// ReleaseNode revokes every claim node holds — the coordinator's
-// dead-node call. Unlike the tier methods this one propagates errors:
-// reassigning points while a ghost still holds claims would stall the
-// replacement workers in their wait loops.
-func (c *StoreClient) ReleaseNode(ctx context.Context, node string) (int, error) {
-	u := c.base + "/v1/release-node?node=" + url.QueryEscape(node)
-	res, err := c.rpc.do(ctx, "release-node", http.MethodPost, u, nil, 1<<16, false)
-	if err != nil {
-		return 0, err
-	}
-	if res.status != http.StatusOK {
-		return 0, fmt.Errorf("dist: release-node returned %d", res.status)
-	}
-	var out map[string]int
-	if err := json.Unmarshal(res.body, &out); err != nil {
-		return 0, err
-	}
-	return out["released"], nil
+	return flushed, c.PendingBacklog()
 }
 
 // Healthz probes the store once, with the per-attempt deadline and no

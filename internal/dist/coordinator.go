@@ -38,7 +38,7 @@ type CoordinatorConfig struct {
 	Points []campaign.Point
 	// Nodes are the worker nodes to shard over.
 	Nodes []Node
-	// Store fetches the final results (and revokes dead nodes' claims).
+	// Store fetches the final results a worker's answer did not carry.
 	Store *StoreClient
 	// Replicas is the ring's virtual-node count per node (0 = 64).
 	Replicas int

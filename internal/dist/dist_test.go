@@ -147,49 +147,24 @@ func TestRingIsPureFunctionOfNodeSet(t *testing.T) {
 	}
 }
 
-func TestStoreClaimLifecycle(t *testing.T) {
+// TestStorePutValidatesAndDedupes: a put must decode as an entry under
+// its own key — garbage and key-mismatched puts are rejected — and a
+// second put of a stored key is acknowledged but dropped.
+func TestStorePutValidatesAndDedupes(t *testing.T) {
 	s, err := OpenStore("", journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Claim("k", "a"); st.State != "granted" {
-		t.Fatalf("first claim: %+v", st)
-	}
-	if st := s.Claim("k", "a"); st.State != "granted" {
-		t.Fatalf("same-node re-claim should be granted: %+v", st)
-	}
-	if st := s.Claim("k", "b"); st.State != "held" || st.Holder != "a" {
-		t.Fatalf("second node claim: %+v", st)
-	}
-	s.ReleaseClaim("k", "b") // not the holder: no-op
-	if st := s.Claim("k", "b"); st.State != "held" {
-		t.Fatalf("release by non-holder must not free the claim: %+v", st)
-	}
-	s.ReleaseNode("a")
-	if st := s.Claim("k", "b"); st.State != "granted" {
-		t.Fatalf("claim after dead-node revoke: %+v", st)
-	}
-
-	// A stored entry flips claims to "done" and clears the holder.
-	design := tinyDesign(7)
-	pts := sweepPoints(design, 1, 1)
+	pts := sweepPoints(tinyDesign(7), 1, 1)
 	ref := singleNodeReference(t, pts)
 	key := pts[0].CacheKey()
 	data, err := campaign.EncodeEntry(campaign.Entry{Key: key, Res: ref[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Claim(key, "a")
 	if stored, err := s.Put(key, data); err != nil || !stored {
 		t.Fatalf("put: stored=%v err=%v", stored, err)
 	}
-	if st := s.Claim(key, "b"); st.State != "done" {
-		t.Fatalf("claim of stored key: %+v", st)
-	}
-	if s.Stats().Claims != 1 { // only "k" held by b
-		t.Fatalf("claims: %+v", s.Stats())
-	}
-	// Garbage and key-mismatched puts are rejected; duplicates dropped.
 	if _, err := s.Put(key, []byte("junk")); err == nil {
 		t.Fatal("garbage put accepted")
 	}
@@ -198,6 +173,9 @@ func TestStoreClaimLifecycle(t *testing.T) {
 	}
 	if stored, err := s.Put(key, data); err != nil || stored {
 		t.Fatalf("duplicate put: stored=%v err=%v", stored, err)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("store holds %d entries, want 1", s.Len())
 	}
 }
 
@@ -341,9 +319,6 @@ func TestShardedMatchesSingleNode(t *testing.T) {
 					t.Fatalf("nodes=%d: point %d diverged from single-node reference", n, i)
 				}
 			}
-			if st := cl.store.Stats(); st.Claims != 0 {
-				t.Fatalf("claims leaked: %+v", st)
-			}
 		})
 	}
 }
@@ -394,17 +369,16 @@ func TestStealPolicy(t *testing.T) {
 	}
 }
 
-// TestWorkerKillMidPointReassigns kills a worker after it has claimed a
-// point (ghost claim in the store), and requires the coordinator to
-// revoke the claim, reshard the dead node's points onto survivors, and
-// still produce the byte-identical result set.
+// TestWorkerKillMidPointReassigns kills a worker on its first run
+// request, and requires the coordinator to move the node's points onto
+// survivors and still produce the byte-identical result set.
 func TestWorkerKillMidPointReassigns(t *testing.T) {
 	design := tinyDesign(1)
 	pts := sweepPoints(design, 3, 4)
 	ref := singleNodeReference(t, pts)
 
 	// Every worker gets some share of 12 points on a 3-node ring; kill
-	// w1 on its first run request, mid-point, claim in hand.
+	// w1 on its first run request, mid-point.
 	cl := startCluster(t, pts, 3, map[int]int{1: 1})
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Points: pts, Nodes: cl.nodes, Store: cl.client,
@@ -422,15 +396,14 @@ func TestWorkerKillMidPointReassigns(t *testing.T) {
 			t.Fatalf("point %d diverged after worker death", i)
 		}
 	}
+	// The survivors may steal the suspect node's whole queue and finish
+	// before the prober declares it dead.
 	st := coord.Stats()
-	if st.Deaths != 1 {
-		t.Fatalf("deaths = %d, want 1", st.Deaths)
+	if st.Deaths > 1 {
+		t.Fatalf("deaths = %d, want at most 1", st.Deaths)
 	}
 	if st.Reassigned == 0 {
-		t.Fatal("no points reassigned after worker death")
-	}
-	if ss := cl.store.Stats(); ss.Claims != 0 {
-		t.Fatalf("ghost claim survived revocation: %+v", ss)
+		t.Fatal("no points reassigned off the killed worker")
 	}
 	if cl.workers[1].Completed() != 0 {
 		t.Fatalf("killed worker completed %d points", cl.workers[1].Completed())
@@ -508,10 +481,11 @@ func TestTierServesAcrossNodes(t *testing.T) {
 	}
 }
 
-// TestRunAnswerCarriesEntry pins the two RPC folds on a healthy 2-node
-// campaign: results equal the Summary() of the live run's, and the store
-// serves no read at all — a granted claim skips the tier read, and every
-// point is assembled from the entry its worker's 200 carried.
+// TestRunAnswerCarriesEntry pins the store traffic of a healthy 2-node
+// campaign: results equal the Summary() of the live run's, each point
+// costs its worker one tier read (a miss: nobody computed it yet), and
+// no point is fetched again for assembly — each one is assembled from the
+// entry its worker's 200 carried.
 func TestRunAnswerCarriesEntry(t *testing.T) {
 	pts := sweepPoints(tinyDesign(3), 2, 3)
 	ref := singleNodeReference(t, pts)
@@ -520,8 +494,7 @@ func TestRunAnswerCarriesEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reads := func() int64 { return metrics.Get("dist.store.hit") + metrics.Get("dist.store.miss") }
-	before := reads()
+	hits, misses := metrics.Get("dist.store.hit"), metrics.Get("dist.store.miss")
 	got, err := coord.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -531,8 +504,11 @@ func TestRunAnswerCarriesEntry(t *testing.T) {
 			t.Fatalf("point %d is not the live result's summary", i)
 		}
 	}
-	if n := reads() - before; n != 0 {
-		t.Fatalf("store served %d entry reads, want 0", n)
+	if n := metrics.Get("dist.store.hit") - hits; n != 0 {
+		t.Fatalf("store served %d entry hits, want 0", n)
+	}
+	if n := metrics.Get("dist.store.miss") - misses; n != int64(len(pts)) {
+		t.Fatalf("store answered %d entry misses, want one per point (%d)", n, len(pts))
 	}
 	if cl.store.Len() != len(pts) {
 		t.Fatalf("store holds %d entries for %d points", cl.store.Len(), len(pts))

@@ -15,8 +15,8 @@ import (
 //	Live    ──rpc failure──▶ Suspect   (work to the node pauses;
 //	                                    its queue is kept)
 //	Suspect ──probe ok──────▶ Live     (recovered: dispatch resumes)
-//	Suspect ──N probe fails─▶ Dead     (claims revoked, queue
-//	                                    resharded onto survivors)
+//	Suspect ──N probe fails─▶ Dead     (queue resharded onto
+//	                                    survivors)
 //	Dead    ──probe ok──────▶ Live     (rejoined: the ring owns it
 //	                                    again, idle slots steal work
 //	                                    back to it)
@@ -33,8 +33,8 @@ const (
 	// NodeSuspect nodes had an RPC fail; dispatch pauses while the
 	// prober decides between recovery and death.
 	NodeSuspect
-	// NodeDead nodes have no queue and hold no claims; the prober keeps
-	// watching for a rejoin unless DisableRejoin is set.
+	// NodeDead nodes have no queue; the prober keeps watching for a
+	// rejoin unless DisableRejoin is set.
 	NodeDead
 )
 
@@ -153,10 +153,7 @@ func (c *Coordinator) revive(id string) {
 }
 
 // declareDead finalizes a suspicion: cancel the node's in-flight
-// dispatches, revoke its store claims so replacement workers are
-// granted instead of waiting on a ghost, and reshard its queued points
-// onto the survivors. Claims first, reassignment second — a replacement
-// worker must never find the ghost still holding its key.
+// dispatches and reshard its queued points onto the survivors.
 func (c *Coordinator) declareDead(id string, cause error) {
 	c.mu.Lock()
 	if c.state[id] == NodeDead {
@@ -167,7 +164,6 @@ func (c *Coordinator) declareDead(id string, cause error) {
 	orphans := c.queues[id]
 	delete(c.queues, id)
 	cancel := c.nodeCancel[id]
-	ctx := c.runCtx
 	c.mu.Unlock()
 
 	if cancel != nil {
@@ -178,12 +174,6 @@ func (c *Coordinator) declareDead(id string, cause error) {
 	metrics.Add("dist.coord.node_dead", 1)
 	sp := trace.Begin("dist.coord.node_dead")
 	sp.Set("node", id)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if _, err := c.cfg.Store.ReleaseNode(ctx, id); err != nil {
-		metrics.Add("dist.coord.release_node_err", 1)
-	}
 	sp.EndErr(cause)
 	for _, idx := range orphans {
 		c.reassign(idx)

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/campaign"
 	"repro/internal/journal"
@@ -10,25 +9,18 @@ import (
 )
 
 // Store is the network tier of the campaign memo cache: a journal.Keyed
-// of encoded campaign.Entry records under their content keys (every
+// of encoded campaign.Entry records under their content keys. Every
 // accepted put is in the WAL before it is visible, the first put under a
 // key wins, and Open replays the log so a restarted store serves
-// everything it ever acknowledged), plus the claims below.
+// everything it ever acknowledged.
 //
-// The store also arbitrates the exactly-once compute contract via
-// claims: a worker claims a key before computing it, the claim is
-// cleared when the entry arrives (or when the coordinator declares the
-// claiming node dead), and a second worker asking for a held key is
-// told to wait instead of burning a license on a duplicate run.
-// Determinism makes duplicate computes harmless — both produce the same
-// entry (not always the same bytes: gob writes a map in iteration order)
-// and the first put wins — so claims are purely a work-saving contract,
-// never a correctness one.
+// The store does not decide who computes a point — the coordinator's
+// queue does, one node at a time. Two puts of one key happen only on
+// failure paths (a point moved off a node that computed it but could not
+// answer); determinism makes them carry the same entry (not always the
+// same bytes: gob writes a map in iteration order), and the first wins.
 type Store struct {
 	entries *journal.Keyed[[]byte]
-
-	mu     sync.Mutex // guards claims; held across a Put so a claim and its entry agree
-	claims map[string]string
 }
 
 // OpenStore opens the result store, replaying the WAL in dir when dir
@@ -48,7 +40,7 @@ func OpenStore(dir string, opts journal.Options) (*Store, error) {
 		metrics.Add("dist.store.corrupt", int64(st.Corrupt))
 	}
 	metrics.Add("dist.store.recovered", int64(st.Recovered))
-	return &Store{entries: entries, claims: map[string]string{}}, nil
+	return &Store{entries: entries}, nil
 }
 
 // Get returns the encoded entry for a key, if the store holds it.
@@ -62,11 +54,10 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return data, ok
 }
 
-// Put stores one encoded entry under the exactly-once contract: the
-// first write for a key wins (a duplicate is acknowledged but dropped
-// — determinism guarantees it carried the same entry), the WAL append
-// happens before the entry becomes visible, and any claim on the key is
-// cleared. The payload must decode as a campaign.Entry whose key
+// Put stores one encoded entry: the first write for a key wins (a
+// duplicate is acknowledged but dropped — determinism guarantees it
+// carried the same entry), and the WAL append happens before the entry
+// becomes visible. The payload must decode as a campaign.Entry whose key
 // matches; garbage is rejected so one sick node cannot poison every
 // node's cache. A WAL failure is not an error here: the entry still
 // serves from memory, and Err reports the degraded durability.
@@ -80,9 +71,6 @@ func (s *Store) Put(key string, data []byte) (stored bool, err error) {
 		metrics.Add("dist.store.rejected", 1)
 		return false, fmt.Errorf("dist: put key %q does not match entry key %q", key, e.Key)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.claims, key) // the compute completed, whoever held it
 	cp := append([]byte(nil), data...)
 	stored, werr := s.entries.Put(key, cp, cp)
 	switch {
@@ -96,64 +84,6 @@ func (s *Store) Put(key string, data []byte) (stored bool, err error) {
 	return true, nil
 }
 
-// ClaimState is the store's answer to a compute claim.
-type ClaimState struct {
-	// State is "granted" (caller should compute), "done" (entry exists,
-	// fetch it) or "held" (another node is computing; wait or poll).
-	State string `json:"state"`
-	// Holder is the claiming node for "held".
-	Holder string `json:"holder,omitempty"`
-}
-
-// Claim asks for the right to compute key. Re-claiming a key the same
-// node already holds is granted again (idempotent retry).
-func (s *Store) Claim(key, node string) ClaimState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries.Get(key); ok {
-		return ClaimState{State: "done"}
-	}
-	if holder, ok := s.claims[key]; ok && holder != node {
-		metrics.Add("dist.claim.held", 1)
-		return ClaimState{State: "held", Holder: holder}
-	}
-	s.claims[key] = node
-	metrics.Add("dist.claim.granted", 1)
-	return ClaimState{State: "granted"}
-}
-
-// ReleaseClaim abandons node's claim on key (no-op if node does not
-// hold it) — the orderly give-up path of a worker that claimed but
-// cannot finish.
-func (s *Store) ReleaseClaim(key, node string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.claims[key] == node {
-		delete(s.claims, key)
-		metrics.Add("dist.claim.released", 1)
-	}
-}
-
-// ReleaseNode clears every claim node holds — the dead-node path: the
-// coordinator declares a worker lost, frees its claims in one call, and
-// only then reassigns its points, so the replacement workers are
-// granted instead of told "held" by a ghost.
-func (s *Store) ReleaseNode(node string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for key, holder := range s.claims {
-		if holder == node {
-			delete(s.claims, key)
-			n++
-		}
-	}
-	if n > 0 {
-		metrics.Add("dist.claim.revoked", int64(n))
-	}
-	return n
-}
-
 // Len returns the number of stored entries.
 func (s *Store) Len() int { return s.entries.Len() }
 
@@ -164,22 +94,20 @@ func (s *Store) WALStats() journal.RecoveryStats { return s.entries.Stats().Log 
 // Err reports the first WAL append failure (nil = fully durable).
 func (s *Store) Err() error { return s.entries.Err() }
 
-// StoreStats is a coherent snapshot of the store.
+// StoreStats is the store's size now, beside what WAL recovery found at
+// open.
 type StoreStats struct {
 	Entries   int `json:"entries"`
-	Claims    int `json:"claims"`
 	Recovered int `json:"recovered"`
 	Corrupt   int `json:"corrupt"`
 	Duplicate int `json:"duplicate"`
 }
 
-// Stats snapshots the store under one lock.
+// Stats snapshots the store.
 func (s *Store) Stats() StoreStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.entries.Stats()
 	return StoreStats{
-		Entries: s.entries.Len(), Claims: len(s.claims),
+		Entries:   s.entries.Len(),
 		Recovered: st.Recovered, Corrupt: st.Corrupt, Duplicate: st.Duplicate,
 	}
 }

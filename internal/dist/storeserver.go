@@ -14,9 +14,6 @@ import (
 //
 //	GET  /v1/entry?key=K          encoded entry bytes | 404
 //	PUT  /v1/entry?key=K          body = encoded entry; {"stored":bool}
-//	POST /v1/claim?key=K&node=N   ClaimState JSON
-//	POST /v1/release?key=K&node=N release one claim
-//	POST /v1/release-node?node=N  {"released":n} — dead-node revocation
 //	GET  /v1/stats                StoreStats JSON
 //	GET  /healthz                 "ok"
 type StoreServer struct {
@@ -43,9 +40,6 @@ func (s *StoreServer) Store() *Store { return s.store }
 func (s *StoreServer) Start(addr string) (string, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/entry", s.handleEntry)
-	mux.HandleFunc("/v1/claim", s.handleClaim)
-	mux.HandleFunc("/v1/release", s.handleRelease)
-	mux.HandleFunc("/v1/release-node", s.handleReleaseNode)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/healthz", handleHealthz)
 	mountNodeDebug(mux)
@@ -60,8 +54,8 @@ func (s *StoreServer) Addr() string { return s.node.addr() }
 func (s *StoreServer) Close() error { return s.node.close() }
 
 // Shutdown stops the server gracefully: in-flight requests (a put being
-// journaled, a claim poll) finish before the listener closes, bounded
-// by ctx. Idempotent with Close.
+// journaled) finish before the listener closes, bounded by ctx.
+// Idempotent with Close.
 func (s *StoreServer) Shutdown(ctx context.Context) error { return s.node.shutdown(ctx) }
 
 func handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -106,46 +100,6 @@ func (s *StoreServer) handleEntry(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, "GET or PUT required", http.StatusMethodNotAllowed)
 	}
-}
-
-func (s *StoreServer) handleClaim(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	key, node := r.URL.Query().Get("key"), r.URL.Query().Get("node")
-	if key == "" || node == "" {
-		http.Error(w, "missing key or node", http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, s.store.Claim(key, node))
-}
-
-func (s *StoreServer) handleRelease(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	key, node := r.URL.Query().Get("key"), r.URL.Query().Get("node")
-	if key == "" || node == "" {
-		http.Error(w, "missing key or node", http.StatusBadRequest)
-		return
-	}
-	s.store.ReleaseClaim(key, node)
-	writeJSON(w, map[string]bool{"ok": true})
-}
-
-func (s *StoreServer) handleReleaseNode(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	node := r.URL.Query().Get("node")
-	if node == "" {
-		http.Error(w, "missing node", http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, map[string]int{"released": s.store.ReleaseNode(node)})
 }
 
 func (s *StoreServer) handleStats(w http.ResponseWriter, r *http.Request) {

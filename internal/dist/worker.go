@@ -26,11 +26,11 @@ import (
 //	GET  /healthz  "ok"
 //
 // When the store is unreachable the worker degrades instead of dying:
-// it computes without a claim (determinism makes duplicate computes
-// harmless), parks write-throughs in the client backlog, and backfills
-// when the link heals. A point whose result cannot reach the store
-// answers 503 — the coordinator retries or re-routes; it never records
-// a permanent failure for a transient outage.
+// a tier read that fails is a miss, so it computes, parks the
+// write-through in the client backlog, and backfills when the link
+// heals. A point whose result cannot reach the store answers 503 — the
+// coordinator retries or re-routes; it never records a permanent
+// failure for a transient outage.
 type Worker struct {
 	cfg    WorkerConfig
 	engine *campaign.Engine
@@ -46,7 +46,7 @@ type Worker struct {
 
 // WorkerConfig parameterizes a worker node.
 type WorkerConfig struct {
-	// ID is the node's stable identity on the ring and in store claims.
+	// ID is the node's stable identity on the ring.
 	ID string
 	// Points is the campaign's full point list; the coordinator
 	// addresses work by index into it. Every node and the coordinator
@@ -55,7 +55,7 @@ type WorkerConfig struct {
 	// under its own key, never served under another's).
 	Points []campaign.Point
 	// Store is the shared result store (required): the cache's network
-	// tier and the claims arbiter.
+	// tier.
 	Store *StoreClient
 	// Workers is the node's local license pool (<=0 = one per CPU).
 	Workers int
@@ -66,15 +66,8 @@ type WorkerConfig struct {
 	Retry campaign.Retry
 	// KillOnRun, for tests, abortively closes the node when run request
 	// number KillOnRun (1-based) arrives — before the point computes —
-	// simulating a worker killed mid-point with a claim in hand.
+	// simulating a worker killed mid-point.
 	KillOnRun int
-	// ClaimPoll is the wait between polls of a held claim (0 = 5ms).
-	ClaimPoll time.Duration
-	// ClaimWait caps how long a held claim is waited on before the
-	// worker computes anyway (0 = 30s). The cap exists for the holder
-	// nobody revokes — a duplicate compute costs cycles, a forever-wait
-	// costs the campaign.
-	ClaimWait time.Duration
 	// Observer receives flow step records from every point this node
 	// computes or replays — the hook the METRICS warehouse emitter
 	// plugs into (nil = none).
@@ -189,16 +182,13 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if k := int64(w.cfg.KillOnRun); k > 0 && n >= k {
-		// Simulated mid-point kill: request k takes the compute claim,
-		// then the node dies without computing or releasing — the
-		// ghost-claim state the coordinator must revoke before
-		// reassigning, or the point's next owner waits on a dead holder
-		// forever. A kill takes the whole process, so a request that
-		// arrives beside or after the fatal one finds its connection
-		// reset too, however the two would have raced.
+		// Simulated mid-point kill: the node dies without computing, and
+		// the coordinator must move its points to the survivors. A kill
+		// takes the whole process, so a request that arrives beside or
+		// after the fatal one finds its connection reset too, however the
+		// two would have raced.
 		if n == k {
-			w.cfg.Store.Claim(r.Context(), key, w.cfg.ID) //nolint:errcheck
-			w.Close()                                     //nolint:errcheck
+			w.Close() //nolint:errcheck
 		}
 		panic(http.ErrAbortHandler)
 	}
@@ -231,33 +221,15 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	rw.Write(body) //nolint:errcheck // a lost answer is the coordinator's retry
 }
 
-// runPoint enforces the exactly-once compute contract, then runs the
-// point through the engine: a "done" or tier-hit point is served without
-// computing, a granted claim computes and write-through publishes, and
-// a held claim waits for the holder (whose completion or revocation
-// resolves the wait, with ClaimWait as the backstop). A nil error
+// runPoint runs the point through the engine: an in-process miss reads
+// the store, and a fresh compute writes through to it. A nil error
 // guarantees the result is in the store, so an entry parked in the
 // backlog reports errUnavailable instead. The returned bytes are that
 // entry's key and result, encoded: the coordinator keeps them and skips
 // its assembly fetch.
 func (w *Worker) runPoint(ctx context.Context, p campaign.Point, key string) ([]byte, error) {
-	claim, err := w.acquireClaim(ctx, key)
+	res, err := w.engine.Run(ctx, []campaign.Point{p})
 	if err != nil {
-		return nil, err
-	}
-	run := w.engine.Run
-	if claim == claimGranted {
-		// The store granted the claim because it holds no entry: the
-		// tier read behind an in-process miss would be a certain 404.
-		run = w.engine.RunClaimed
-	}
-	res, err := run(ctx, []campaign.Point{p})
-	if err != nil {
-		if claim != claimNone {
-			// Give the claim back so a retry (here or elsewhere) is
-			// granted instead of waiting on us.
-			w.cfg.Store.ReleaseClaim(ctx, key, w.cfg.ID)
-		}
 		return nil, err
 	}
 	if w.cfg.Store.Parked(key) {
@@ -274,64 +246,6 @@ func (w *Worker) runPoint(ctx context.Context, p campaign.Point, key string) ([]
 	// records out; an unusable body costs it one fetch.
 	body, _ := campaign.EncodeEntry(campaign.Entry{Key: key, Res: res[0]})
 	return body, nil
-}
-
-// claimResult is how acquireClaim ended.
-type claimResult int
-
-const (
-	// claimNone: compute without a claim — the store is unreachable
-	// (degraded mode; duplicates are harmless by determinism) or a held
-	// claim outlived ClaimWait.
-	claimNone claimResult = iota
-	// claimDone: the store already holds the entry.
-	claimDone
-	// claimGranted: ours to compute, and the store holds no entry.
-	claimGranted
-)
-
-// acquireClaim polls the store for the compute claim on key. The only
-// error is the caller's own cancellation.
-func (w *Worker) acquireClaim(ctx context.Context, key string) (claimResult, error) {
-	poll := w.cfg.ClaimPoll
-	if poll <= 0 {
-		poll = 5 * time.Millisecond
-	}
-	cap := w.cfg.ClaimWait
-	if cap <= 0 {
-		cap = 30 * time.Second
-	}
-	waited := time.Duration(0)
-	for {
-		st, err := w.cfg.Store.Claim(ctx, key, w.cfg.ID)
-		if err != nil {
-			if ctx.Err() != nil {
-				return claimNone, ctx.Err()
-			}
-			// Retries exhausted: the store is unreachable from here.
-			// Degrade to local compute; the backlog publishes later.
-			metrics.Add("dist.worker.store_degraded", 1)
-			return claimNone, nil
-		}
-		switch st.State {
-		case "granted":
-			return claimGranted, nil
-		case "done":
-			return claimDone, nil
-		}
-		if waited >= cap {
-			metrics.Add("dist.worker.claim_wait_capped", 1)
-			return claimNone, nil
-		}
-		// Another live node is computing this key; waiting is cheaper
-		// than a duplicate run, and a dead holder's claim is revoked by
-		// the coordinator, which unblocks the next poll.
-		metrics.Add("dist.worker.claim_wait", 1)
-		if err := sleepCtx(ctx, poll); err != nil {
-			return claimNone, err
-		}
-		waited += poll
-	}
 }
 
 // workerStats is the /v1/stats shape.

@@ -126,6 +126,20 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# wait_addr NAME FILE: campd binds port 0 and prints "campd NAME listening
+# on ADDR"; poll ADDR out of the process's stdout file (the dist and chaos
+# tiers run real campd deployments).
+wait_addr() {
+    i=0
+    while [ "$i" -lt 100 ]; do
+        a=$(sed -n "s/^campd $1 listening on \([^ ]*\).*/\1/p" "$2")
+        if [ -n "$a" ]; then printf '%s' "$a"; return 0; fi
+        i=$((i+1)); sleep 0.05
+    done
+    echo "check.sh: $1 never reported its address" >&2
+    return 1
+}
+
 # Formatting is part of the gate: name the unformatted files, then fail.
 test -z "$(gofmt -l . | tee /dev/stderr)"
 go vet ./...
@@ -137,7 +151,7 @@ go build ./...
 # lanes and sharded regions on the gang, and the flow/spec pair runs
 # whole speculative stage chains concurrently with the real stages; run
 # their race tests twice (fresh caches each time) before the full
-# suite; the dist service rides along because its store, claims, and
+# suite; the dist service rides along because its store and
 # coordinator queues are hammered by every worker node at once, and the
 # journal because every durable store is a journal.Keyed whose puts,
 # gets and Close race by design.
@@ -650,8 +664,8 @@ fi
 if [ "${1:-}" = "dist" ]; then
     # Distributed campaign tier.
     #
-    # 1. Doubled race tests over the service: the store's claims and
-    #    WAL, the ring, coordinator dispatch/steal/reassign, the worker
+    # 1. Doubled race tests over the service: the store and its WAL,
+    #    the ring, coordinator dispatch/steal/reassign, the worker
     #    engine, the slot ledger, and the front door campaigns are
     #    submitted through.
     go test -race -count=2 ./internal/dist/... ./internal/metrics/... \
@@ -677,24 +691,11 @@ if [ "${1:-}" = "dist" ]; then
 
     # 3. kill -9 a worker *process* mid-campaign, in a real multi-process
     #    campd deployment (store + two workers + coordinator over
-    #    loopback HTTP). The coordinator must revoke the dead node's
-    #    store claims, reshard its points onto the survivor, and still
-    #    emit the single-process reference bytes.
+    #    loopback HTTP). The coordinator must move the dead node's
+    #    points onto the survivor and still emit the single-process
+    #    reference bytes.
     shape="-design pulpino -freq 0.5 -seed 1 -effort 2 -sweep 4"
     "$work/sprflow" $shape -parallel 1 > "$work/pref.out"
-
-    # campd binds port 0 and prints the bound address; poll it out of
-    # the process's stdout file.
-    wait_addr() {
-        i=0
-        while [ "$i" -lt 100 ]; do
-            a=$(sed -n "s/^campd $1 listening on \([^ ]*\).*/\1/p" "$2")
-            if [ -n "$a" ]; then printf '%s' "$a"; return 0; fi
-            i=$((i+1)); sleep 0.05
-        done
-        echo "check.sh: $1 never reported its address" >&2
-        return 1
-    }
 
     "$work/campd" -mode store -addr 127.0.0.1:0 \
         > "$work/store.out" 2> /dev/null &
@@ -875,16 +876,6 @@ if [ "${1:-}" = "chaos" ]; then
     # 4. Graceful SIGTERM: a campd store (with WAL) and worker must
     #    drain and exit 0 on SIGTERM — the orchestrator default — and
     #    the store's journal must come back clean afterwards.
-    wait_addr() {
-        i=0
-        while [ "$i" -lt 100 ]; do
-            a=$(sed -n "s/^campd $1 listening on \([^ ]*\).*/\1/p" "$2")
-            if [ -n "$a" ]; then printf '%s' "$a"; return 0; fi
-            i=$((i+1)); sleep 0.05
-        done
-        echo "check.sh: $1 never reported its address" >&2
-        return 1
-    }
     "$work/campd" -mode store -addr 127.0.0.1:0 -journal "$work/gwal" \
         > "$work/gstore.out" 2> "$work/gstore.err" &
     store_pid=$!
@@ -908,7 +899,7 @@ if [ "${1:-}" = "chaos" ]; then
         echo "check.sh: campd store exited non-zero ($?) on SIGTERM" >&2
         exit 1
     fi
-    grep -q 'claims outstanding' "$work/gstore.err" || {
+    grep -q 'entries at shutdown' "$work/gstore.err" || {
         echo "check.sh: campd store skipped its drain path on SIGTERM" >&2
         exit 1
     }
