@@ -26,8 +26,9 @@ var distBenchDesign = sync.OnceValue(func() *Design {
 })
 
 // distBenchSweep is the pulpino-proxy campaign shape: 3 frequencies x 8
-// seeds = 24 points, enough that consistent-hash shard imbalance across
-// 4 nodes stays well under the 1.8x gate's slack.
+// seeds = 24 points, enough that the last few points, which leave some
+// of 4 nodes' slots idle at the tail, stay well under the 1.8x gate's
+// slack.
 func distBenchSweep() SweepConfig {
 	seeds := make([]int64, 8)
 	for i := range seeds {

@@ -19,8 +19,8 @@
 //
 // With -dist-nodes N the sweep runs through the distributed campaign
 // service instead: a loopback result store, N worker nodes (each with
-// -parallel local workers), and a coordinator sharding points by
-// content key. stdout is byte-identical to the single-process sweep at
+// -parallel local workers), and a coordinator whose one queue of points
+// feeds every node's slots. stdout is byte-identical to the single-process sweep at
 // any node count; -journal DIR becomes the shared store's WAL, so a
 // killed deployment rerun with the same flags recomputes only the
 // points that never reached the store.
@@ -294,9 +294,8 @@ func runSweep(d *repro.Design, baseFreq float64, seed int64, base repro.FlowOpti
 		})
 		// Failure-handling accounting goes to stderr so stdout stays a
 		// byte-diffable result stream under any fault schedule.
-		fmt.Fprintf(os.Stderr, "dist: deaths=%d suspected=%d recovered=%d rejoined=%d reassigned=%d stolen=%d rerouted=%d\n",
-			dstats.Deaths, dstats.Suspected, dstats.Recovered, dstats.Rejoined,
-			dstats.Reassigned, dstats.Stolen, dstats.Rerouted)
+		fmt.Fprintf(os.Stderr, "dist: deaths=%d suspected=%d recovered=%d rejoined=%d reassigned=%d\n",
+			dstats.Deaths, dstats.Suspected, dstats.Recovered, dstats.Rejoined, dstats.Reassigned)
 		if cfg.chaosProfile != "" {
 			metrics.Default.WritePrefix(os.Stderr, "chaos.")
 		}

@@ -7,10 +7,10 @@ package repro
 // sweep to the distributed service in internal/dist: a shared
 // WAL-backed result store, worker nodes running the unchanged campaign
 // engine with the store as their cache's network tier, and a
-// coordinator sharding points by content key. Byte-identity with the
-// single-node sweep is the whole contract: the output is assembled from
-// the store by content key, so node count, scheduling, even a worker
-// killed mid-point cannot change a byte of it.
+// coordinator whose one queue of points feeds every node's slots.
+// Byte-identity with the single-node sweep is the whole contract: the
+// output is assembled from the store by content key, so node count,
+// scheduling, even a worker killed mid-point cannot change a byte of it.
 
 import (
 	"context"
@@ -69,7 +69,7 @@ type DistSweepConfig struct {
 	// ChaosSeed keys the chaos coin schedule (and the RPC retry jitter).
 	ChaosSeed int64
 	// Stats, when non-nil, receives the coordinator's failure-handling
-	// counters after the run (suspected, rejoined, rerouted, ...).
+	// counters after the run (suspected, rejoined, reassigned, ...).
 	Stats *dist.CoordStats
 	// Warehouse, when non-nil, is served over loopback HTTP for the
 	// duration of the sweep, and every worker node ingests its METRICS

@@ -17,7 +17,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/flow"
 	"repro/internal/journal"
-	"repro/internal/metrics"
 )
 
 // fastHealth is the probe cadence the chaos tests run at: quick enough
@@ -280,7 +279,7 @@ func TestStoreClientErrorPaths(t *testing.T) {
 		defer c.Close()
 		c.Store(campaign.Entry{Key: key, Res: ref[0]})
 		if got := c.PendingBacklog(); got != 0 {
-			t.Fatalf("duplicated put parked the entry: backlog=%d", got)
+			t.Fatalf("duplicated put backlogged the entry: backlog=%d", got)
 		}
 		if store.Len() != 1 {
 			t.Fatalf("store has %d entries after duplicated put, want 1", store.Len())
@@ -296,7 +295,7 @@ func TestStoreClientErrorPaths(t *testing.T) {
 }
 
 // TestBacklogBackfillOnHeal: a worker-side client whose store link is
-// cut parks write-throughs and publishes them when the link heals.
+// cut backlogs write-throughs and publishes them when the link heals.
 func TestBacklogBackfillOnHeal(t *testing.T) {
 	design := tinyDesign(6)
 	pts := sweepPoints(design, 1, 2)
@@ -488,8 +487,8 @@ func TestNoGoroutineLeaks(t *testing.T) {
 // Dead ends at a node's next good probe: under the flaky schedule all
 // three nodes can fail ProbeFails probes in a row at once, the more
 // easily the slower a loaded host answers. Here both nodes are cut until
-// dead, so every point is orphaned with no node alive; healing one link
-// must bring the campaign home, on parked points, not on luck.
+// dead, so every point waits in the queue with no node alive; healing
+// one link must bring the campaign home, not luck.
 func TestAllNodesDeadThenHealCompletes(t *testing.T) {
 	design := tinyDesign(1)
 	pts := sweepPoints(design, 2, 3)
@@ -507,7 +506,6 @@ func TestAllNodesDeadThenHealCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parked := metrics.Get("dist.coord.parked")
 	done := make(chan error, 1)
 	var got []*flow.Result
 	go func() {
@@ -515,9 +513,7 @@ func TestAllNodesDeadThenHealCompletes(t *testing.T) {
 		got = res
 		done <- err
 	}()
-	waitFor(t, 5*time.Second, func() bool {
-		return coord.Stats().Deaths >= 2 && metrics.Get("dist.coord.parked")-parked >= int64(len(pts))
-	})
+	waitFor(t, 5*time.Second, func() bool { return coord.Stats().Deaths >= 2 })
 	select {
 	case err := <-done:
 		t.Fatalf("campaign ended with every node dead: %v", err)
@@ -534,7 +530,7 @@ func TestAllNodesDeadThenHealCompletes(t *testing.T) {
 	}
 }
 
-// TestAllNodesDeadEndsWithContext: parked points wait for a rejoin, and
+// TestAllNodesDeadEndsWithContext: queued points wait for a rejoin, and
 // the campaign's own context is what ends the wait.
 func TestAllNodesDeadEndsWithContext(t *testing.T) {
 	pts := sweepPoints(tinyDesign(1), 1, 2)

@@ -28,11 +28,6 @@ type StoreClient struct {
 	base string
 	rpc  *rpc
 
-	// baseCtx scopes the Tier methods (campaign.Tier has no ctx
-	// parameter); Background until SetBaseContext.
-	ctxMu   sync.RWMutex
-	baseCtx context.Context
-
 	backMu  sync.Mutex
 	backlog []campaign.Entry
 	backSet map[string]bool
@@ -42,9 +37,6 @@ type StoreClient struct {
 type ClientConfig struct {
 	// RPC tunes deadlines, retries, and the chaos transport.
 	RPC RPCConfig
-	// Source is the logical endpoint name the chaos engine sees as the
-	// origin of this client's RPCs (defaults to "client").
-	Source string
 }
 
 // backlogCap bounds the offline backlog; beyond it the oldest entries
@@ -62,30 +54,8 @@ func NewStoreClientCfg(baseURL string, cfg ClientConfig) *StoreClient {
 	return &StoreClient{
 		base:    baseURL,
 		rpc:     newRPC(cfg.RPC, "store"),
-		baseCtx: context.Background(),
 		backSet: map[string]bool{},
 	}
-}
-
-// BaseURL returns the store base URL.
-func (c *StoreClient) BaseURL() string { return c.base }
-
-// SetBaseContext scopes the context-free Tier methods (Load/Store) to
-// ctx — typically the owning worker's lifecycle — so a shutdown
-// releases any RPC the cache has in flight.
-func (c *StoreClient) SetBaseContext(ctx context.Context) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	c.ctxMu.Lock()
-	c.baseCtx = ctx
-	c.ctxMu.Unlock()
-}
-
-func (c *StoreClient) tierCtx() context.Context {
-	c.ctxMu.RLock()
-	defer c.ctxMu.RUnlock()
-	return c.baseCtx
 }
 
 // Close releases pooled connections. The client stays usable; Close is
@@ -98,7 +68,7 @@ func (c *StoreClient) entryURL(key string) string {
 
 // Load implements campaign.Tier: fetch and decode the entry for key.
 func (c *StoreClient) Load(key string) (campaign.Entry, bool) {
-	return c.LoadCtx(c.tierCtx(), key)
+	return c.LoadCtx(context.Background(), key)
 }
 
 // LoadCtx is Load with the caller's context.
@@ -123,10 +93,10 @@ func (c *StoreClient) LoadCtx(ctx context.Context, key string) (campaign.Entry, 
 }
 
 // Store implements campaign.Tier: encode and upload a computed entry.
-// Best-effort by contract — failures are counted and the entry parked
+// Best-effort by contract — failures are counted and the entry queued
 // in the backlog for backfill, never propagated.
 func (c *StoreClient) Store(e campaign.Entry) {
-	c.StoreCtx(c.tierCtx(), e)
+	c.StoreCtx(context.Background(), e)
 }
 
 // StoreCtx is Store with the caller's context.
@@ -191,12 +161,12 @@ func (c *StoreClient) PendingBacklog() int {
 
 // Backfill pushes the whole backlog to the store, stopping at the first
 // failure (the store is presumably still unreachable). Returns how many
-// entries were published and how many remain parked.
+// entries were published and how many remain in the backlog.
 func (c *StoreClient) Backfill(ctx context.Context) (flushed, pending int) {
 	return c.flush(ctx, 0)
 }
 
-// flush publishes parked entries from the head of the backlog, stopping
+// flush publishes backlogged entries from the head of the backlog, stopping
 // at the first failed put and, when limit > 0, after limit entries. The
 // tier methods flush a couple after any healthy RPC — the reconnect
 // signal that costs no extra probing, bounded so a tier call never turns
@@ -226,19 +196,4 @@ func (c *StoreClient) flush(ctx context.Context, limit int) (flushed, pending in
 		metrics.Add("dist.client.backfilled", 1)
 	}
 	return flushed, c.PendingBacklog()
-}
-
-// Healthz probes the store once, with the per-attempt deadline and no
-// retries (probes are themselves the retry loop).
-func (c *StoreClient) Healthz(ctx context.Context) error {
-	r := &rpc{cfg: c.rpc.cfg, client: c.rpc.client, target: "store"}
-	r.cfg.Retries = -1
-	res, err := r.do(ctx, "healthz", http.MethodGet, c.base+"/healthz", nil, 1<<10, false)
-	if err != nil {
-		return err
-	}
-	if res.status != http.StatusOK {
-		return fmt.Errorf("dist: store healthz returned %d", res.status)
-	}
-	return nil
 }

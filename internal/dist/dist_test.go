@@ -108,45 +108,6 @@ func startCluster(t *testing.T, pts []campaign.Point, n int, kills map[int]int) 
 	return cl
 }
 
-func TestRingIsPureFunctionOfNodeSet(t *testing.T) {
-	keys := make([]string, 40)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%d", i)
-	}
-	a := NewRing([]string{"w0", "w1", "w2"}, 64)
-	b := NewRing([]string{"w2", "w0", "w1"}, 64) // permuted node order
-	owners := map[string]bool{}
-	for _, k := range keys {
-		oa, ok := a.Owner(k, nil)
-		if !ok {
-			t.Fatalf("no owner for %s", k)
-		}
-		ob, _ := b.Owner(k, nil)
-		if oa != ob {
-			t.Fatalf("ring not permutation-invariant: %s -> %s vs %s", k, oa, ob)
-		}
-		owners[oa] = true
-	}
-	if len(owners) < 2 {
-		t.Fatalf("degenerate ring: all keys on one node")
-	}
-	// A node death moves only the dead node's keys.
-	live := map[string]bool{"w0": true, "w2": true}
-	for _, k := range keys {
-		before, _ := a.Owner(k, nil)
-		after, ok := a.Owner(k, live)
-		if !ok {
-			t.Fatalf("no live owner for %s", k)
-		}
-		if before != "w1" && after != before {
-			t.Fatalf("key %s moved from live node %s to %s", k, before, after)
-		}
-		if after == "w1" {
-			t.Fatalf("key %s assigned to dead node", k)
-		}
-	}
-}
-
 // TestStorePutValidatesAndDedupes: a put must decode as an entry under
 // its own key — garbage and key-mismatched puts are rejected — and a
 // second put of a stored key is acknowledged but dropped.
@@ -323,49 +284,66 @@ func TestShardedMatchesSingleNode(t *testing.T) {
 	}
 }
 
-// TestStealPolicy pins the work-stealing rules an idle slot follows:
-// longest live queue first, node-ID tie-break, tail-end pop (the owner
-// pops the head, so thief and owner never chase the same point), dead
-// nodes never victimized, and no self-steal.
-func TestStealPolicy(t *testing.T) {
-	design := tinyDesign(1)
-	pts := sweepPoints(design, 2, 3)
-	nodes := []Node{
-		{ID: "a", URL: "http://x"}, {ID: "b", URL: "http://x"}, {ID: "c", URL: "http://x"},
-	}
+// TestQueuePolicy pins how slots pull from the coordinator's one queue:
+// points go out in point order; a failed dispatch counts as a
+// reassignment, suspects its node and puts the point back at the head,
+// where it goes to another node while one is not Dead; a Suspect node
+// pulls nothing.
+func TestQueuePolicy(t *testing.T) {
+	pts := sweepPoints(tinyDesign(1), 2, 3)
+	nodes := []Node{{ID: "a", URL: "http://x"}, {ID: "b", URL: "http://x"}}
 	c, err := NewCoordinator(CoordinatorConfig{
 		Points: pts, Nodes: nodes, Store: NewStoreClient("http://x"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.queues = map[string][]int{"a": {}, "b": {1, 2, 3}, "c": {4, 5}}
+	c.queue = []int{0, 1, 2, 3, 4, 5}
+	ctx := context.Background()
+	take := func(id string, want int) {
+		t.Helper()
+		if idx, ok := c.next(ctx, id); !ok || idx != want {
+			t.Fatalf("next(%s) = (%d,%t), want (%d,true)", id, idx, ok, want)
+		}
+	}
+	takesNothing := func(id string) {
+		t.Helper()
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if idx, ok := c.takeLocked(id); ok {
+			t.Fatalf("%s (%s) pulled point %d", id, c.state[id], idx)
+		}
+	}
+	setState := func(id string, st NodeState) {
+		c.mu.Lock()
+		c.state[id] = st
+		c.mu.Unlock()
+	}
 
-	if idx, ok := c.stealLocked("a"); !ok || idx != 3 {
-		t.Fatalf("steal 1: got (%d,%t), want tail of longest queue (3,true)", idx, ok)
+	take("a", 0)
+	take("b", 1)
+	take("a", 2)
+
+	c.redispatch("a", 0, errUnavailable)
+	if st := c.stateOf("a"); st != NodeSuspect {
+		t.Fatalf("failed dispatch left a %s, want suspect", st)
 	}
-	// b and c now tie at two queued points: lowest node ID wins.
-	if idx, ok := c.stealLocked("a"); !ok || idx != 2 {
-		t.Fatalf("steal 2: got (%d,%t), want (2,true) from b on tie-break", idx, ok)
-	}
-	if idx, ok := c.stealLocked("a"); !ok || idx != 5 {
-		t.Fatalf("steal 3: got (%d,%t), want (5,true) from c", idx, ok)
-	}
-	// A dead node's queue is declareDead's to drain, never a victim's.
-	c.state["c"] = NodeDead
-	c.queues["c"] = []int{4, 5, 6, 7}
-	if idx, ok := c.stealLocked("a"); !ok || idx != 1 {
-		t.Fatalf("steal 4: got (%d,%t), want (1,true) from live b, not dead c", idx, ok)
-	}
-	// Only the caller's own queue has work left: nothing to steal.
-	c.queues["a"] = []int{9}
-	if _, ok := c.stealLocked("a"); ok {
-		t.Fatal("stole despite only own queue having work")
-	}
-	if got := c.stolen.Load(); got != 4 {
-		t.Fatalf("stolen counter = %d, want 4", got)
+	takesNothing("a")
+	c.revive("a")
+	take("a", 3) // 0 is back at the head, but not for the node it failed on
+	take("b", 0)
+
+	c.redispatch("a", 3, errUnavailable)
+	c.revive("a")
+	setState("b", NodeSuspect)
+	take("a", 4) // a suspect b may still recover and take 3
+	setState("b", NodeDead)
+	take("a", 3) // with b dead, a takes its failed point back
+	take("a", 5)
+	takesNothing("a")
+
+	if got := c.Stats().Reassigned; got != 2 {
+		t.Fatalf("Reassigned = %d, want 2 (one per failed dispatch)", got)
 	}
 }
 
@@ -377,8 +355,8 @@ func TestWorkerKillMidPointReassigns(t *testing.T) {
 	pts := sweepPoints(design, 3, 4)
 	ref := singleNodeReference(t, pts)
 
-	// Every worker gets some share of 12 points on a 3-node ring; kill
-	// w1 on its first run request, mid-point.
+	// Every node's slots pull from the start, so w1 gets points; kill it
+	// on its first run request, mid-point.
 	cl := startCluster(t, pts, 3, map[int]int{1: 1})
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Points: pts, Nodes: cl.nodes, Store: cl.client,
@@ -396,8 +374,8 @@ func TestWorkerKillMidPointReassigns(t *testing.T) {
 			t.Fatalf("point %d diverged after worker death", i)
 		}
 	}
-	// The survivors may steal the suspect node's whole queue and finish
-	// before the prober declares it dead.
+	// The survivors may take every point left and finish before the
+	// prober declares w1 dead.
 	st := coord.Stats()
 	if st.Deaths > 1 {
 		t.Fatalf("deaths = %d, want at most 1", st.Deaths)
@@ -407,26 +385,6 @@ func TestWorkerKillMidPointReassigns(t *testing.T) {
 	}
 	if cl.workers[1].Completed() != 0 {
 		t.Fatalf("killed worker completed %d points", cl.workers[1].Completed())
-	}
-}
-
-// TestAllNodesDeadFails: when every node dies and the coordinator does
-// not watch for rejoins, the campaign reports the failure instead of
-// hanging. (With rejoin probing on, orphaned points wait for a node to
-// come back — TestAllNodesDeadThenHealCompletes.)
-func TestAllNodesDeadFails(t *testing.T) {
-	design := tinyDesign(1)
-	pts := sweepPoints(design, 1, 2)
-	cl := startCluster(t, pts, 1, map[int]int{0: 1})
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Points: pts, Nodes: cl.nodes, Store: cl.client,
-		Health: HealthConfig{DisableRejoin: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coord.Run(context.Background()); err == nil {
-		t.Fatal("campaign with no surviving node succeeded")
 	}
 }
 

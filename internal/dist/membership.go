@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"log"
 	"net/http"
 	"time"
 
@@ -12,29 +13,29 @@ import (
 // NodeState is one worker node's membership state as the coordinator
 // sees it. The machine is suspect -> dead -> rejoin:
 //
-//	Live    ──rpc failure──▶ Suspect   (work to the node pauses;
-//	                                    its queue is kept)
-//	Suspect ──probe ok──────▶ Live     (recovered: dispatch resumes)
-//	Suspect ──N probe fails─▶ Dead     (queue resharded onto
-//	                                    survivors)
-//	Dead    ──probe ok──────▶ Live     (rejoined: the ring owns it
-//	                                    again, idle slots steal work
-//	                                    back to it)
+//	Live    ──rpc failure──▶ Suspect   (its slots stop pulling;
+//	                                    the failed point goes back
+//	                                    to the queue)
+//	Suspect ──probe ok──────▶ Live     (recovered: pulling resumes)
+//	Suspect ──N probe fails─▶ Dead     (in-flight dispatches are
+//	                                    cancelled and requeued)
+//	Dead    ──probe ok──────▶ Live     (rejoined: its slots pull
+//	                                    from the queue again)
 //
 // A single transient RPC error therefore never buries a node — the
 // seed's markDead-on-first-error behavior is now a suspicion plus a
-// /healthz probe, and a healed node rides the consistent-hash ring's
-// minimal-movement property back into the campaign.
+// /healthz probe — and with every node Dead the queue simply waits for
+// the first one back.
 type NodeState int32
 
 const (
-	// NodeLive nodes are dispatched to and steal work when idle.
+	// NodeLive nodes' slots pull points from the queue.
 	NodeLive NodeState = iota
-	// NodeSuspect nodes had an RPC fail; dispatch pauses while the
-	// prober decides between recovery and death.
+	// NodeSuspect nodes had an RPC fail; their slots pull nothing while
+	// the prober decides between recovery and death.
 	NodeSuspect
-	// NodeDead nodes have no queue; the prober keeps watching for a
-	// rejoin unless DisableRejoin is set.
+	// NodeDead nodes pull nothing; the prober keeps watching for a
+	// rejoin.
 	NodeDead
 )
 
@@ -63,9 +64,6 @@ type HealthConfig struct {
 	// RejoinInterval is the pause between probes of a dead node
 	// (0 = 4 x ProbeInterval).
 	RejoinInterval time.Duration
-	// DisableRejoin stops probing a node once it is dead — the seed's
-	// permanent-death behavior, kept for tests that need it.
-	DisableRejoin bool
 }
 
 func (h HealthConfig) probeInterval() time.Duration {
@@ -103,19 +101,8 @@ func (c *Coordinator) stateOf(id string) NodeState {
 	return c.state[id]
 }
 
-// aliveLocked (mu held) is the ring's liveness view: Live and Suspect
-// nodes own keys (a suspect node usually recovers; if it dies its keys
-// are reassigned then), Dead nodes do not.
-func (c *Coordinator) aliveLocked() map[string]bool {
-	alive := make(map[string]bool, len(c.state))
-	for id, st := range c.state {
-		alive[id] = st != NodeDead
-	}
-	return alive
-}
-
 // suspect moves a Live node to Suspect after an RPC failure. The
-// node's queue and in-flight dispatches are kept — the prober decides
+// node's in-flight dispatches are kept — the prober decides
 // whether this was a blip (recover) or a death. Idempotent; no-op on
 // Suspect or Dead nodes.
 func (c *Coordinator) suspect(id string, cause error) {
@@ -153,7 +140,7 @@ func (c *Coordinator) revive(id string) {
 }
 
 // declareDead finalizes a suspicion: cancel the node's in-flight
-// dispatches and reshard its queued points onto the survivors.
+// dispatches, whose runners put their points back in the queue.
 func (c *Coordinator) declareDead(id string, cause error) {
 	c.mu.Lock()
 	if c.state[id] == NodeDead {
@@ -161,9 +148,8 @@ func (c *Coordinator) declareDead(id string, cause error) {
 		return
 	}
 	c.state[id] = NodeDead
-	orphans := c.queues[id]
-	delete(c.queues, id)
 	cancel := c.nodeCancel[id]
+	outage := !c.done && !c.otherAliveLocked(id)
 	c.mu.Unlock()
 
 	if cancel != nil {
@@ -175,18 +161,16 @@ func (c *Coordinator) declareDead(id string, cause error) {
 	sp := trace.Begin("dist.coord.node_dead")
 	sp.Set("node", id)
 	sp.EndErr(cause)
-	for _, idx := range orphans {
-		c.reassign(idx)
+	if outage {
+		// Once per outage: nothing else tells an operator why a
+		// campaign without a deadline has stopped moving.
+		log.Printf("dist: every node is dead; points wait for one to rejoin or for the campaign context to end")
 	}
 	c.cond.Broadcast()
 }
 
 // rejoinNode brings a healed Dead node back: it becomes Live with a
-// fresh dispatch context, the ring's minimal-movement property makes
-// its old keys route back to it for anything still queued elsewhere to
-// be stolen, it takes over the points orphaned while no node was alive
-// (later rejoiners steal their share), and its parked runners wake to
-// pull work.
+// fresh dispatch context, and its waiting runners wake to pull work.
 func (c *Coordinator) rejoinNode(id string) {
 	c.mu.Lock()
 	if c.state[id] != NodeDead || c.done {
@@ -198,12 +182,6 @@ func (c *Coordinator) rejoinNode(id string) {
 		nctx, cancel := context.WithCancel(c.runCtx)
 		c.nodeCtx[id] = nctx
 		c.nodeCancel[id] = cancel
-	}
-	if n := len(c.parked); n > 0 {
-		c.queues[id] = append(c.queues[id], c.parked...)
-		c.parked = nil
-		c.reassigned.Add(int64(n))
-		metrics.Add("dist.coord.reassigned", int64(n))
 	}
 	c.mu.Unlock()
 	c.rejoined.Add(1)
@@ -246,9 +224,6 @@ func (c *Coordinator) monitor(ctx context.Context, id string) {
 		st, done := c.state[id], c.done
 		c.mu.Unlock()
 		if done || ctx.Err() != nil {
-			return
-		}
-		if st == NodeDead && h.DisableRejoin {
 			return
 		}
 		if st == NodeLive {

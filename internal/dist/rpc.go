@@ -30,10 +30,9 @@ type RPCConfig struct {
 	// Retries is how many times a transient failure is retried after the
 	// first attempt (0 = 3; <0 = none).
 	Retries int
-	// BackoffBase seeds the exponential backoff (0 = 25ms).
+	// BackoffBase seeds the exponential backoff (0 = 25ms); one sleep
+	// never exceeds backoffMax.
 	BackoffBase time.Duration
-	// BackoffMax caps one backoff sleep (0 = 1s).
-	BackoffMax time.Duration
 	// Seed keys the deterministic backoff jitter — the same seeded
 	// source the chaos engine draws from, so a rerun under the same
 	// schedule reproduces the same sleep pattern per (target, op,
@@ -72,12 +71,8 @@ func (c RPCConfig) backoffBase() time.Duration {
 	return c.BackoffBase
 }
 
-func (c RPCConfig) backoffMax() time.Duration {
-	if c.BackoffMax <= 0 {
-		return time.Second
-	}
-	return c.BackoffMax
-}
+// backoffMax caps one backoff sleep.
+const backoffMax = time.Second
 
 // NewTransport builds the hardened default transport — exported so a
 // chaos engine can wrap it (chaos.Engine.Transport(source, base)) and
@@ -156,8 +151,8 @@ func (r *rpc) do(ctx context.Context, op, method, url string, body []byte, maxBo
 	for attempt := 0; ; attempt++ {
 		// One span per logical attempt: the receiver adopts this span's
 		// identity from the injected headers, so its server-side work
-		// parents under exactly the attempt that carried it — retries and
-		// reroutes become visible sibling children in the stitched trace.
+		// parents under exactly the attempt that carried it — retries
+		// become visible sibling children in the stitched trace.
 		actx, asp := trace.Start(ctx, "dist.rpc")
 		asp.Set("op", op)
 		asp.Set("target", r.target)
@@ -238,9 +233,7 @@ func (r *rpc) once(ctx context.Context, op, method, url string, body []byte, max
 // same schedule sleep identically.
 func (r *rpc) backoff(op string, attempt int) time.Duration {
 	d := r.cfg.backoffBase() << uint(min(attempt, 20))
-	if max := r.cfg.backoffMax(); d > max {
-		d = max
-	}
+	d = min(d, backoffMax)
 	h := fnv.New64a()
 	io.WriteString(h, r.target) //nolint:errcheck
 	h.Write([]byte{0})          //nolint:errcheck
@@ -267,6 +260,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // errUnavailable marks a node-level transient condition a worker
 // reports instead of failing a point (e.g. the store is unreachable
-// from that worker): the coordinator should retry or re-route, not
+// from that worker): the coordinator should requeue the point, not
 // record a permanent point failure and not necessarily bury the node.
 var errUnavailable = errors.New("dist: temporarily unavailable")

@@ -46,7 +46,7 @@ func TestRPCRetryTraceAdoption(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	r := newRPC(RPCConfig{BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond}, "store")
+	r := newRPC(RPCConfig{BackoffBase: time.Millisecond}, "store")
 	defer r.closeIdle()
 	ctx, root := tr.StartOn(context.Background(), "caller")
 	res, err := r.do(ctx, "test.op", http.MethodGet, srv.URL, nil, 1<<20, false)

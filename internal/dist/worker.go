@@ -26,11 +26,11 @@ import (
 //	GET  /healthz  "ok"
 //
 // When the store is unreachable the worker degrades instead of dying:
-// a tier read that fails is a miss, so it computes, parks the
+// a tier read that fails is a miss, so it computes, keeps the
 // write-through in the client backlog, and backfills when the link
 // heals. A point whose result cannot reach the store answers 503 — the
-// coordinator retries or re-routes; it never records a permanent
-// failure for a transient outage.
+// coordinator puts it back in its queue for another node; it never
+// records a permanent failure for a transient outage.
 type Worker struct {
 	cfg    WorkerConfig
 	engine *campaign.Engine
@@ -46,7 +46,8 @@ type Worker struct {
 
 // WorkerConfig parameterizes a worker node.
 type WorkerConfig struct {
-	// ID is the node's stable identity on the ring.
+	// ID is the node's stable name in logs, traces and stats (the
+	// coordinator's Node.ID for it).
 	ID string
 	// Points is the campaign's full point list; the coordinator
 	// addresses work by index into it. Every node and the coordinator
@@ -205,7 +206,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		if err == errUnavailable || ctx.Err() != nil {
 			// Node-transient, not a point failure: the result exists (or
 			// will) but cannot reach the store from here right now. Tell
-			// the coordinator to retry or re-route.
+			// the coordinator to requeue the point.
 			http.Error(rw, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
@@ -223,7 +224,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 
 // runPoint runs the point through the engine: an in-process miss reads
 // the store, and a fresh compute writes through to it. A nil error
-// guarantees the result is in the store, so an entry parked in the
+// guarantees the result is in the store, so an entry still in the
 // backlog reports errUnavailable instead. The returned bytes are that
 // entry's key and result, encoded: the coordinator keeps them and skips
 // its assembly fetch.

@@ -52,7 +52,7 @@
 #                             nodes diffed byte-for-byte against the
 #                             single-process reference, a kill -9 of a
 #                             campd worker process mid-campaign (the
-#                             coordinator must reshard and still emit
+#                             coordinator must requeue and still emit
 #                             the reference bytes), killed deployments
 #                             rerun against the store WAL, and the
 #                             1-node vs 4-node pulpino throughput pair
@@ -665,9 +665,9 @@ if [ "${1:-}" = "dist" ]; then
     # Distributed campaign tier.
     #
     # 1. Doubled race tests over the service: the store and its WAL,
-    #    the ring, coordinator dispatch/steal/reassign, the worker
-    #    engine, the slot ledger, and the front door campaigns are
-    #    submitted through.
+    #    the coordinator's queue, dispatch and requeue, the worker
+    #    engine, and the front door campaigns are submitted through
+    #    with its slot ledger.
     go test -race -count=2 ./internal/dist/... ./internal/metrics/... \
         ./internal/sched/...
 
