@@ -29,14 +29,10 @@ func campaignBenchPoints(design *netlist.Netlist, designKey string) []campaign.P
 	var pts []campaign.Point
 	for f := 0; f < 2; f++ {
 		for s := 0; s < 4; s++ {
-			pts = append(pts, campaign.Point{
-				Design:    design,
-				DesignKey: designKey,
-				Options: flow.Options{
-					TargetFreqGHz: 0.35 + 0.15*float64(f),
-					Seed:          int64(1000*f + s),
-				},
-			})
+			pts = append(pts, campaign.NewPoint(design, designKey, flow.Options{
+				TargetFreqGHz: 0.35 + 0.15*float64(f),
+				Seed:          int64(1000*f + s),
+			}))
 		}
 	}
 	return pts
@@ -50,7 +46,7 @@ func BenchmarkCampaignSerial(b *testing.B) {
 		area = 0
 		for study := 0; study < campaignStudies; study++ {
 			for _, p := range pts {
-				area += flow.Run(p.Design, p.Options).AreaUm2
+				area += flow.Run(p.Design(), p.Options()).AreaUm2
 			}
 		}
 	}

@@ -288,7 +288,7 @@ func runWorker(id, addr string, pts []campaign.Point, client *dist.StoreClient, 
 	if o.warehouseURL != "" {
 		keys := make([]string, len(pts))
 		for i, p := range pts {
-			keys[i] = p.Options.Key()
+			keys[i] = p.Options().Key()
 		}
 		emit = warehouse.NewEmitter(campaign.ID(pts), id, keys, warehouse.NewClient(o.warehouseURL))
 		obsv = emit
@@ -380,8 +380,8 @@ func runCoord(nodeList string, pts []campaign.Point, scfg repro.SweepConfig, cli
 	res := repro.SweepResult{Points: make([]repro.SweepPoint, len(results))}
 	for i, r := range results {
 		res.Points[i] = repro.SweepPoint{
-			FreqGHz:    pts[i].Options.TargetFreqGHz,
-			Seed:       pts[i].Options.Seed,
+			FreqGHz:    pts[i].Options().TargetFreqGHz,
+			Seed:       pts[i].Options().Seed,
 			Met:        r.Met,
 			WNSPs:      r.WNSPs,
 			AreaUm2:    r.AreaUm2,

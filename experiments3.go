@@ -241,12 +241,12 @@ func Fig11(scale Scale, seed int64) (Fig11Result, error) {
 	for i, f := range []float64{fmax * 0.6, fmax * 0.8, fmax * 0.9, fmax * 1.0, fmax * 1.1} {
 		for s := 0; s < runsPer; s++ {
 			opts := flow.Options{TargetFreqGHz: f, Seed: seed + int64(i*100+s)}
-			pts = append(pts, campaign.Point{Design: design, DesignKey: key, Options: opts})
+			pts = append(pts, campaign.NewPoint(design, key, opts))
 		}
 	}
 	emit := warehouse.NewEmitter(campaign.ID(pts), "local", pointKeys(pts), warehouse.NewClient("http://"+addr+"/warehouse"))
 	for _, p := range pts {
-		flow.RunObserved(design, p.Options, emit)
+		flow.RunObserved(design, p.Options(), emit)
 	}
 	emit.Flush()
 

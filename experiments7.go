@@ -114,7 +114,7 @@ type SweepConfig struct {
 func pointKeys(pts []campaign.Point) []string {
 	keys := make([]string, len(pts))
 	for i, p := range pts {
-		keys[i] = p.Options.Key()
+		keys[i] = p.Options().Key()
 	}
 	return keys
 }
@@ -192,8 +192,8 @@ func Sweep(cfg SweepConfig) (SweepResult, error) {
 	out.Points = make([]SweepPoint, len(results))
 	for i, r := range results {
 		out.Points[i] = SweepPoint{
-			FreqGHz:    pts[i].Options.TargetFreqGHz,
-			Seed:       pts[i].Options.Seed,
+			FreqGHz:    pts[i].Options().TargetFreqGHz,
+			Seed:       pts[i].Options().Seed,
 			Met:        r.Met,
 			WNSPs:      r.WNSPs,
 			AreaUm2:    r.AreaUm2,

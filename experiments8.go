@@ -225,8 +225,8 @@ func DistSweep(cfg DistSweepConfig) (SweepResult, error) {
 	out.Points = make([]SweepPoint, len(results))
 	for i, r := range results {
 		out.Points[i] = SweepPoint{
-			FreqGHz:    pts[i].Options.TargetFreqGHz,
-			Seed:       pts[i].Options.Seed,
+			FreqGHz:    pts[i].Options().TargetFreqGHz,
+			Seed:       pts[i].Options().Seed,
 			Met:        r.Met,
 			WNSPs:      r.WNSPs,
 			AreaUm2:    r.AreaUm2,

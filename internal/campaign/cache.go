@@ -103,13 +103,37 @@ func NewCache(capacity int) *Cache {
 func (c *Cache) SetTier(t Tier) { c.tier = t }
 
 func (c *Cache) shard(key string) *cacheShard {
-	// FNV-1a over the key, folded to a shard index.
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
+	return &c.shards[shardHash(key)&(shardCount-1)]
+}
+
+// shardHash folds a key eight bytes at a time (the tail zero-padded, the
+// length mixed in) and finishes with a multiply-xorshift, so every key
+// byte reaches the low bits a shard index is taken from. It is
+// deterministic across processes, unlike hash/maphash, so a bounded
+// cache evicts — and counts evictions — the same way in every process.
+func shardHash(key string) uint64 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(len(key)) * m
+	for len(key) >= 8 {
+		h = (h ^ le64(key)) * m
+		h ^= h >> 29
+		key = key[8:]
 	}
-	return &c.shards[h&(shardCount-1)]
+	var tail uint64
+	for i := 0; i < len(key); i++ {
+		tail |= uint64(key[i]) << (8 * i)
+	}
+	h = (h ^ tail) * m
+	h ^= h >> 32
+	h *= 0xbf58476d1ce4e5b9
+	return h ^ h>>31
+}
+
+// le64 reads key's first eight bytes as a little-endian word; the
+// compiler merges the byte loads into one.
+func le64(key string) uint64 {
+	return uint64(key[0]) | uint64(key[1])<<8 | uint64(key[2])<<16 | uint64(key[3])<<24 |
+		uint64(key[4])<<32 | uint64(key[5])<<40 | uint64(key[6])<<48 | uint64(key[7])<<56
 }
 
 // count applies one coherent counter update.
@@ -119,16 +143,22 @@ func (c *Cache) count(f func(c *Cache)) {
 	c.cmu.Unlock()
 }
 
-func (c *Cache) countHit(coalesced bool) {
+// countHits counts n hits, all coalesced or none. Get and do count each
+// lookup; the engine's revisit pass probes without counting and adds its
+// hits here once, when it ends.
+func (c *Cache) countHits(n int64, coalesced bool) {
+	if n == 0 {
+		return
+	}
 	c.count(func(c *Cache) {
-		c.hits++
+		c.hits += n
 		if coalesced {
-			c.coalesced++
+			c.coalesced += n
 		}
 	})
-	metrics.Add("campaign.cache.hit", 1)
+	metrics.Add("campaign.cache.hit", n)
 	if coalesced {
-		metrics.Add("campaign.cache.coalesced", 1)
+		metrics.Add("campaign.cache.coalesced", n)
 	}
 }
 
@@ -144,17 +174,24 @@ func (c *Cache) Get(key string) (*flow.Result, bool) {
 	return nil, false
 }
 
-// lookup is the one L1 probe, shared by Get, do and the engine's revisit
-// pass: the entry under key if L1 holds it, counted as a hit. Absence
-// counts nothing — whether it is a miss is the caller's to find out.
+// lookup is Get's and do's L1 probe: the entry under key if L1 holds it,
+// counted as a hit. Absence counts nothing — whether it is a miss is the
+// caller's to find out.
 func (c *Cache) lookup(key string) (*Entry, bool) {
+	e, ok := c.probe(key)
+	if ok {
+		c.countHits(1, false)
+	}
+	return e, ok
+}
+
+// probe is the one L1 probe, shared by lookup and the engine's revisit
+// pass, which counts its hits once per pass: it counts nothing.
+func (c *Cache) probe(key string) (*Entry, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
 	e, ok := s.entries[key]
 	s.mu.RUnlock()
-	if ok {
-		c.countHit(false)
-	}
 	return e, ok
 }
 
@@ -202,7 +239,7 @@ func (c *Cache) do(key string, compute func() (Entry, error)) (ent Entry, hit bo
 		if e, ok := s.entries[key]; ok {
 			// Landed between the probe and the lock.
 			s.mu.Unlock()
-			c.countHit(false)
+			c.countHits(1, false)
 			return *e, true, nil
 		}
 		call, ok := s.inflight[key]
@@ -213,7 +250,7 @@ func (c *Cache) do(key string, compute func() (Entry, error)) (ent Entry, hit bo
 		<-call.done
 		switch {
 		case call.err == nil:
-			c.countHit(true)
+			c.countHits(1, true)
 			return *call.ent, true, nil
 		case !errors.Is(call.err, context.Canceled) && !errors.Is(call.err, context.DeadlineExceeded):
 			// The computing caller failed; surface its error so the

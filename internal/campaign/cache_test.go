@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -81,6 +82,76 @@ func TestCacheSharding(t *testing.T) {
 	}
 	if c.Len() != 256 {
 		t.Errorf("len %d", c.Len())
+	}
+
+	// The real key shape: design key, NUL, canonical options. The 64
+	// keys of the memo_revisit benchmark (tiny design, 8 frequencies x 8
+	// seeds, its profiled seed 7) differ only in a few digits; 64 keys
+	// cannot be relied on to reach all 32 shards under any hash that
+	// spreads like a random one (~4 stay empty on average), so they are
+	// held to the load bound and the 20 000 random option keys to both.
+	d := tinyDesign(1)
+	var memo []string
+	for _, f := range []float64{0.30, 0.35, 0.40, 0.45, 0.50, 0.55, 0.60, 0.65} {
+		for _, p := range Points(d, KeyFor(d), flow.Options{SynthEffort: 2, TargetFreqGHz: f}, []int64{8, 9, 10, 11, 12, 13, 14, 15}) {
+			memo = append(memo, p.CacheKey())
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	random := make([]string, 20000)
+	for i := range random {
+		random[i] = NewPoint(d, KeyFor(d), flow.Options{
+			TargetFreqGHz: 0.2 + rng.Float64(), Seed: rng.Int63(),
+			SynthEffort: rng.Intn(4), Utilization: 0.5 + 0.4*rng.Float64(),
+			PlaceMoves: 20 + rng.Intn(100), RouteIters: rng.Intn(20),
+			RecoverArea: rng.Intn(2) == 1,
+		}).CacheKey()
+	}
+	for _, set := range []struct {
+		name     string
+		keys     []string
+		reachAll bool
+	}{{"memo_revisit", memo, false}, {"random", random, true}} {
+		var load [shardCount]int
+		for _, k := range set.keys {
+			load[shardHash(k)&(shardCount-1)]++
+		}
+		limit := 2 * len(set.keys) / shardCount
+		for i, n := range load {
+			if n > limit {
+				t.Errorf("%s keys: shard %d holds %d of %d, above twice its fair share (%d)", set.name, i, n, len(set.keys), limit)
+			}
+			if n == 0 && set.reachAll {
+				t.Errorf("%s keys: shard %d is never used", set.name, i)
+			}
+		}
+	}
+}
+
+// TestShardHashPinned: the shard of a key is a pure function of its
+// bytes, the same in every process, so a bounded cache evicts the same
+// entries everywhere. Every byte, the tail included, moves the hash.
+func TestShardHashPinned(t *testing.T) {
+	for _, tc := range []struct {
+		key  string
+		want uint64
+	}{
+		{"", 0x0},
+		{"a", 0x633b2c11c4f11877},
+		{"tiny#0827b9de7477fbed\x00f=0.3 seed=0", 0xa39aaf1ae569a131},
+	} {
+		if got := shardHash(tc.key); got != tc.want {
+			t.Errorf("shardHash(%q) = %#x, want %#x", tc.key, got, tc.want)
+		}
+	}
+	key := []byte("tiny#0827b9de7477fbed\x00f=0.3 seed=0 se=0")
+	base := shardHash(string(key))
+	for i := range key {
+		key[i] ^= 1
+		if shardHash(string(key)) == base {
+			t.Errorf("flipping byte %d of %d leaves the hash unchanged", i, len(key))
+		}
+		key[i] ^= 1
 	}
 }
 

@@ -34,33 +34,41 @@ import (
 	"repro/internal/trace"
 )
 
-// Point is one flow run in a campaign: a design, its cache identity and
-// the option point to run it at.
+// Point is one flow run in a campaign: a design, the option point to run
+// it at, and its memo key. A Point is immutable and built by NewPoint, so
+// its key is built once, however often a campaign revisits it, and cannot
+// go stale behind an edited option point.
 type Point struct {
-	Design *netlist.Netlist
-	// DesignKey identifies the design contents for memoization; use
-	// KeyFor to derive it. An empty key disables the cache for the
-	// point (e.g. when the caller will mutate the result's netlist).
-	DesignKey string
-	Options   flow.Options
+	design *netlist.Netlist
+	opts   flow.Options
+	key    string
 }
 
-// cacheKey is the full memo key: design content x canonical options.
-func (p Point) cacheKey() string { return p.DesignKey + "\x00" + p.Options.Key() }
-
-// CacheKey exposes the memo key for external tiers and coordinators:
-// the distributed campaign service shards points and addresses the
-// shared result store by exactly the key the in-process cache uses, so
-// a result computed anywhere is a hit everywhere. Empty when the point
-// has no DesignKey (uncacheable points cannot be distributed).
-func (p Point) CacheKey() string {
-	if p.DesignKey == "" {
-		return ""
+// NewPoint builds a point of design at opts. designKey identifies the
+// design contents for memoization (derive it with KeyFor); the memo key is
+// designKey + "\x00" + opts.Key(). An empty designKey disables the cache
+// for the point (e.g. when the caller will mutate the result's netlist).
+func NewPoint(design *netlist.Netlist, designKey string, opts flow.Options) Point {
+	p := Point{design: design, opts: opts}
+	if designKey != "" {
+		p.key = designKey + "\x00" + opts.Key()
 	}
-	return p.cacheKey()
+	return p
 }
 
-// KeyFor derives a Point.DesignKey from the design's content
+// Design is the netlist the point runs.
+func (p Point) Design() *netlist.Netlist { return p.design }
+
+// Options is the option point the flow runs at.
+func (p Point) Options() flow.Options { return p.opts }
+
+// CacheKey is the memo key: the in-process cache, its tiers and the
+// distributed campaign service all address a point by it, so a result
+// computed anywhere is a hit everywhere. Empty when the point was built
+// without a design key (uncacheable points cannot be distributed).
+func (p Point) CacheKey() string { return p.key }
+
+// KeyFor derives a NewPoint design key from the design's content
 // fingerprint, so two structurally identical designs share cache
 // entries and two different ones never collide on a name.
 func KeyFor(design *netlist.Netlist) string {
@@ -88,7 +96,7 @@ func Points(design *netlist.Netlist, key string, base flow.Options, seeds []int6
 	for i, s := range seeds {
 		opts := base
 		opts.Seed = s
-		pts[i] = Point{Design: design, DesignKey: key, Options: opts}
+		pts[i] = NewPoint(design, key, opts)
 	}
 	return pts
 }
@@ -241,10 +249,10 @@ func (e *Engine) Run(ctx context.Context, pts []Point) ([]*flow.Result, error) {
 	runSpan.SetInt("points", int64(len(pts)))
 	runSpan.SetInt("workers", int64(e.pool.Licenses()))
 	results := make([]*flow.Result, len(pts))
-	keys, todo := e.revisit(ctx, pts, results)
+	todo := e.revisit(ctx, pts, results)
 	outs, ran, err := sched.MapCtx(ctx, e.pool, len(todo), func(j int) pointOutcome {
 		i := todo[j]
-		return e.runPoint(ctx, pts[i], keys[i], i)
+		return e.runPoint(ctx, pts[i], i)
 	})
 	var failed []PointError
 	abandoned := 0
@@ -278,29 +286,33 @@ func (e *Engine) Run(ctx context.Context, pts []Point) ([]*flow.Result, error) {
 }
 
 // revisit is run's first pass, on the caller's goroutine and in point
-// order: it builds the memo key of every point the cache covers (keys[i];
-// "" otherwise) and serves what L1 already holds into results. Only the
-// rest — todo — go to the license pool: a revisit is a lookup, not a tool
-// run, so it starts no goroutine, waits for no license and is no sched.*
-// task. A cancelled context serves nothing; the pool abandons every point.
-func (e *Engine) revisit(ctx context.Context, pts []Point, results []*flow.Result) (keys []string, todo []int) {
-	keys = make([]string, len(pts))
+// order: it probes L1 under each point's memo key, built with the point,
+// and serves what L1 already holds into results. Only the rest — todo —
+// go to the license pool: a revisit is a lookup, not a tool run, so it
+// starts no goroutine, waits for no license and is no sched.* task. Its
+// hits are counted once, when the pass ends. A cancelled context serves
+// nothing; the pool abandons every point.
+func (e *Engine) revisit(ctx context.Context, pts []Point, results []*flow.Result) (todo []int) {
 	serve := e.cache != nil && ctx.Err() == nil
+	var hits int64
 	for i, p := range pts {
-		if serve && p.DesignKey != "" {
-			keys[i] = p.cacheKey()
-			if ent, ok := e.cache.lookup(keys[i]); ok {
+		if serve && p.key != "" {
+			if ent, ok := e.cache.probe(p.key); ok {
 				pctx, psp := pointSpan(ctx, p, i)
 				_, asp := trace.Start(pctx, "campaign.attempt")
 				asp.SetInt("attempt", 0)
 				e.deliverHit(psp, asp, 0, ent.Steps)
 				results[i] = ent.Res
+				hits++
 				continue
 			}
 		}
 		todo = append(todo, i)
 	}
-	return keys, todo
+	if serve {
+		e.cache.countHits(hits, false)
+	}
+	return todo
 }
 
 // deliverHit owns everything a memo hit emits besides its result, found
@@ -326,7 +338,7 @@ func (e *Engine) deliverHit(psp, asp *trace.Span, attempt int, steps []flow.Step
 func pointSpan(ctx context.Context, p Point, index int) (context.Context, *trace.Span) {
 	ctx, psp := trace.Start(ctx, "campaign.point")
 	psp.SetInt("index", int64(index))
-	psp.SetInt("seed", p.Options.Seed)
+	psp.SetInt("seed", p.opts.Seed)
 	return ctx, psp
 }
 
@@ -345,7 +357,7 @@ func (e *Engine) mirrorPoolStats() {
 // engine's retry policy. Attempt numbers feed the fault injector, so a
 // retried point draws fresh fault coins while staying deterministic at
 // any worker count.
-func (e *Engine) runPoint(ctx context.Context, p Point, key string, index int) pointOutcome {
+func (e *Engine) runPoint(ctx context.Context, p Point, index int) pointOutcome {
 	ctx, psp := pointSpan(ctx, p, index)
 	var lastErr error
 	for attempt := 0; attempt <= e.retry.Max; attempt++ {
@@ -362,7 +374,7 @@ func (e *Engine) runPoint(ctx context.Context, p Point, key string, index int) p
 		}
 		actx, asp := trace.Start(ctx, "campaign.attempt")
 		asp.SetInt("attempt", int64(attempt))
-		ent, hit, err := e.runOnce(actx, p, key, attempt)
+		ent, hit, err := e.runOnce(actx, p, attempt)
 		if err == nil {
 			if hit {
 				// Only a tier hit carries a Spec: the outcome of a run some
@@ -392,19 +404,19 @@ func (e *Engine) runPoint(ctx context.Context, p Point, key string, index int) p
 	return pointOutcome{err: lastErr}
 }
 
-// runOnce is a single attempt at a point: cache-aware and observer-aware;
-// key is the point's memo key, "" if the cache does not cover it (such a
-// point has no identity to memoize or resume it under, so nothing records
-// its steps). The bool reports a hit: the entry was served by the memo
-// cache or its tier (including a coalesced wait on an in-flight compute)
-// rather than computed by this attempt, and its records are deliverHit's
-// to replay.
-func (e *Engine) runOnce(ctx context.Context, p Point, key string, attempt int) (Entry, bool, error) {
-	if key == "" {
+// runOnce is a single attempt at a point: cache-aware and observer-aware.
+// A point without a memo key, or an engine without a cache, computes
+// directly (such a point has no identity to memoize or resume it under,
+// so nothing records its steps). The bool reports a hit: the entry was
+// served by the memo cache or its tier (including a coalesced wait on an
+// in-flight compute) rather than computed by this attempt, and its
+// records are deliverHit's to replay.
+func (e *Engine) runOnce(ctx context.Context, p Point, attempt int) (Entry, bool, error) {
+	if e.cache == nil || p.key == "" {
 		res, spec, err := e.compute(ctx, p, attempt, e.obs)
 		return Entry{Res: res, Spec: spec}, false, err
 	}
-	return e.cache.do(key, func() (Entry, error) {
+	return e.cache.do(p.key, func() (Entry, error) {
 		rec := &recordingObserver{next: e.obs}
 		res, spec, err := e.compute(ctx, p, attempt, rec)
 		return Entry{Res: res, Steps: rec.steps, Spec: spec}, err
@@ -426,7 +438,7 @@ func (e *Engine) compute(ctx context.Context, p Point, attempt int, obs flow.Obs
 		rcfg.Oracle, rcfg.SpecSlots = e.oracle, e.specSlots
 		rcfg.SpecReport = func(st flow.SpecStats) { spec = &st }
 	}
-	res, err := flow.RunCfg(ctx, p.Design, p.Options, rcfg)
+	res, err := flow.RunCfg(ctx, p.design, p.opts, rcfg)
 	if err != nil {
 		return nil, nil, err
 	}

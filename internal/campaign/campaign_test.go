@@ -43,7 +43,7 @@ func TestParallelMatchesSerialReference(t *testing.T) {
 	// run inline.
 	want := make([]*flow.Result, len(pts))
 	for i, p := range pts {
-		want[i] = flow.Run(p.Design, p.Options)
+		want[i] = flow.Run(p.Design(), p.Options())
 	}
 
 	cases := []struct {
@@ -64,7 +64,7 @@ func TestParallelMatchesSerialReference(t *testing.T) {
 			for i := range want {
 				if !reflect.DeepEqual(got[i], want[i]) {
 					t.Fatalf("point %d (%s) diverged from serial reference",
-						i, pts[i].Options.Key())
+						i, pts[i].Options().Key())
 				}
 			}
 		})
@@ -109,8 +109,8 @@ func TestDistinctDesignsNeverCollide(t *testing.T) {
 	eng := New(Config{Workers: 2, Cache: cache})
 	opts := flow.Options{TargetFreqGHz: 0.4, Seed: 5}
 	pts := []Point{
-		{Design: d1, DesignKey: KeyFor(d1), Options: opts},
-		{Design: d2, DesignKey: KeyFor(d2), Options: opts},
+		NewPoint(d1, KeyFor(d1), opts),
+		NewPoint(d2, KeyFor(d2), opts),
 	}
 	res, err := eng.Run(context.Background(), pts)
 	if err != nil {

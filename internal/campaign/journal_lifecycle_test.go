@@ -23,7 +23,7 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := Entry{
-		Key:   pts[0].cacheKey(),
+		Key:   pts[0].CacheKey(),
 		Res:   res[0],
 		Steps: []flow.StepRecord{{Step: "synth"}},
 		Spec:  &flow.SpecStats{Launched: 2, Committed: 1},
@@ -69,11 +69,11 @@ func TestJournalRecordAfterClose(t *testing.T) {
 	if err := jrn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	jrn.Store(Entry{Key: pts[0].cacheKey(), Res: res[0]})
+	jrn.Store(Entry{Key: pts[0].CacheKey(), Res: res[0]})
 	if jerr := jrn.Err(); !errors.Is(jerr, journal.ErrClosed) {
 		t.Fatalf("Err = %v, want wrapped journal.ErrClosed", jerr)
 	}
-	if e, ok := jrn.Load(pts[0].cacheKey()); !ok || e.Res == nil || e.Res.Netlist != nil {
+	if e, ok := jrn.Load(pts[0].CacheKey()); !ok || e.Res == nil || e.Res.Netlist != nil {
 		t.Fatalf("entry stored after Close not served as its summary: ok=%t", ok)
 	}
 	if st := jrn.ResumeStats(); st != (ResumeStats{}) {
@@ -108,12 +108,12 @@ func TestJournalRecordAfterFailStaysSticky(t *testing.T) {
 	if err := jrn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	jrn.Store(Entry{Key: pts[0].cacheKey(), Res: res[0]})
+	jrn.Store(Entry{Key: pts[0].CacheKey(), Res: res[0]})
 	first := jrn.Err()
 	if first == nil {
 		t.Fatal("first failure not surfaced")
 	}
-	jrn.Store(Entry{Key: pts[1].cacheKey(), Res: res[1]})
+	jrn.Store(Entry{Key: pts[1].CacheKey(), Res: res[1]})
 	if jrn.Err() != first {
 		t.Fatalf("later failure replaced the sticky error: %v", jrn.Err())
 	}
@@ -140,7 +140,7 @@ func TestJournalCloseRacesInFlightAppends(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			jrn.Store(Entry{Key: pts[i].cacheKey(), Res: res[i]})
+			jrn.Store(Entry{Key: pts[i].CacheKey(), Res: res[i]})
 		}(i)
 	}
 	wg.Add(1)

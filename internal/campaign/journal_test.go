@@ -200,7 +200,7 @@ func TestKillResumeSoak(t *testing.T) {
 
 	wantKeys := map[string]bool{}
 	for _, p := range pts {
-		wantKeys[p.cacheKey()] = true
+		wantKeys[p.CacheKey()] = true
 	}
 
 	for _, off := range offsets {

@@ -292,6 +292,17 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return t.base.RoundTrip(req)
 }
 
+// CloseIdleConnections forwards to base, so closing a client's idle
+// connections reaches through the fault layer. Without it a connection
+// the base transport dialed but never sent a request on stays open, and a
+// server shutting down waits out net/http's 5 s grace for such
+// connections before it returns.
+func (t *transport) CloseIdleConnections() {
+	if ci, ok := t.base.(interface{ CloseIdleConnections() }); ok {
+		ci.CloseIdleConnections()
+	}
+}
+
 // coin converts the next 53 bits of the stream into a uniform [0, 1).
 func coin(s *num.SplitMix) float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -202,6 +203,35 @@ func TestNilEngineIsNoOp(t *testing.T) {
 	}
 	if eng.Partitioned("a", "b") {
 		t.Fatal("nil engine reported a partition")
+	}
+}
+
+// TestCloseIdleReachesServer: closing a client's idle connections closes
+// them through the fault layer — the server sees the connection end.
+// Otherwise a connection dialed and never used holds a server's Shutdown
+// for net/http's 5 s grace on new connections.
+func TestCloseIdleReachesServer(t *testing.T) {
+	closed := make(chan struct{}, 1)
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateClosed {
+			closed <- struct{}{}
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	client := &http.Client{Transport: New(Config{Seed: 1}).Transport("src", &http.Transport{})}
+	resp, err := client.Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	client.CloseIdleConnections()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the server never saw the client's idle connection close")
 	}
 }
 

@@ -41,7 +41,7 @@ func (a Agent) RunRounds(rounds int) []AgentRound {
 	var out []AgentRound
 	for r := 0; r < rounds; r++ {
 		opts.Seed = a.Start.Seed + int64(r)*104729
-		pt := campaign.Point{Design: a.Design, DesignKey: designKey, Options: opts}
+		pt := campaign.NewPoint(a.Design, designKey, opts)
 		emit := warehouse.NewEmitter(campaign.ID([]campaign.Point{pt}), "local", []string{opts.Key()}, a.Warehouse)
 		res := flow.RunObserved(a.Design, opts, emit)
 		emit.Flush()

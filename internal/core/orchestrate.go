@@ -115,7 +115,7 @@ func Search(design *netlist.Netlist, base flow.Options, cons flow.Constraints, c
 			opts := base
 			opts.TargetFreqGHz = cfg.Freqs[arms[k]]
 			opts.Seed = rng.Int63()
-			pts[k] = campaign.Point{Design: design, DesignKey: designKey, Options: opts}
+			pts[k] = campaign.NewPoint(design, designKey, opts)
 		}
 		outs, err := eng.Run(context.Background(), pts)
 		if err != nil {

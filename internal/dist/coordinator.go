@@ -62,7 +62,6 @@ type CoordinatorConfig struct {
 // healed node rejoins and pulls points again.
 type Coordinator struct {
 	cfg        CoordinatorConfig
-	keys       []string
 	httpClient *http.Client
 	rpcs       map[string]*rpc
 
@@ -106,10 +105,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		}
 		urls[n.ID] = strings.TrimSuffix(n.URL, "/")
 	}
-	keys := make([]string, len(cfg.Points))
 	for i, p := range cfg.Points {
-		keys[i] = p.CacheKey()
-		if keys[i] == "" {
+		if p.CacheKey() == "" {
 			return nil, fmt.Errorf("dist: point %d has no design key", i)
 		}
 	}
@@ -118,7 +115,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		rt = newTransport()
 	}
 	c := &Coordinator{
-		cfg: cfg, keys: keys,
+		cfg:        cfg,
 		httpClient: &http.Client{Transport: rt},
 		rpcs:       map[string]*rpc{},
 		state:      map[string]NodeState{}, urls: urls,
@@ -335,7 +332,7 @@ func (c *Coordinator) otherAliveLocked(id string) bool {
 // empty or torn body) just leaves the point to that fetch.
 func (c *Coordinator) finish(idx int, body []byte) {
 	var res *flow.Result
-	if e, err := campaign.DecodeEntry(body); err == nil && e.Key == c.keys[idx] {
+	if e, err := campaign.DecodeEntry(body); err == nil && e.Key == c.cfg.Points[idx].CacheKey() {
 		res = e.Res
 	}
 	c.mu.Lock()
@@ -428,7 +425,7 @@ func (c *Coordinator) assemble(ctx context.Context, failed []campaign.PointError
 			// otherwise complete campaign. A genuinely missing entry
 			// costs three short sleeps, nothing more.
 			for round := 0; ; round++ {
-				if e, ok := c.cfg.Store.LoadCtx(ctx, c.keys[i]); ok {
+				if e, ok := c.cfg.Store.LoadCtx(ctx, c.cfg.Points[i].CacheKey()); ok {
 					results[i] = e.Res
 					return
 				}
@@ -442,7 +439,7 @@ func (c *Coordinator) assemble(ctx context.Context, failed []campaign.PointError
 	wg.Wait()
 	for i, m := range missing {
 		if m {
-			return nil, fmt.Errorf("dist: point %d completed but store has no entry for %s", i, c.keys[i])
+			return nil, fmt.Errorf("dist: point %d completed but store has no entry for %s", i, c.cfg.Points[i].CacheKey())
 		}
 	}
 	if len(failed) > 0 {

@@ -177,8 +177,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p := w.cfg.Points[req.Index]
-	key := p.CacheKey()
-	if key == "" {
+	if p.CacheKey() == "" {
 		http.Error(rw, "point has no design key (uncacheable points cannot be distributed)", http.StatusBadRequest)
 		return
 	}
@@ -200,7 +199,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	ctx, sp := trace.Start(trace.AdoptHTTP(r.Context(), r.Header), "dist.worker.run")
 	sp.SetInt("index", int64(req.Index))
 	sp.Set("node", w.cfg.ID)
-	body, err := w.runPoint(ctx, p, key)
+	body, err := w.runPoint(ctx, p)
 	if err != nil {
 		sp.EndErr(err)
 		if err == errUnavailable || ctx.Err() != nil {
@@ -228,7 +227,8 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 // backlog reports errUnavailable instead. The returned bytes are that
 // entry's key and result, encoded: the coordinator keeps them and skips
 // its assembly fetch.
-func (w *Worker) runPoint(ctx context.Context, p campaign.Point, key string) ([]byte, error) {
+func (w *Worker) runPoint(ctx context.Context, p campaign.Point) ([]byte, error) {
+	key := p.CacheKey()
 	res, err := w.engine.Run(ctx, []campaign.Point{p})
 	if err != nil {
 		return nil, err

@@ -93,14 +93,10 @@ func Sweep(design *netlist.Netlist, cfg Config) Study {
 		pts := make([]campaign.Point, 0, len(grid))
 		for ti, f := range targets {
 			for s := 0; s < cfg.Seeds; s++ {
-				pts = append(pts, campaign.Point{
-					Design:    design,
-					DesignKey: key,
-					Options: flow.Options{
-						TargetFreqGHz: f,
-						Seed:          cfg.Seed + int64(1000*ti) + int64(s),
-					},
-				})
+				pts = append(pts, campaign.NewPoint(design, key, flow.Options{
+					TargetFreqGHz: f,
+					Seed:          cfg.Seed + int64(1000*ti) + int64(s),
+				}))
 			}
 		}
 		results, _ := eng.Run(context.Background(), pts)

@@ -158,7 +158,7 @@ func CampaignWith(designs []*netlist.Netlist, variants []flow.Options, seedsPer 
 			for s := 0; s < seedsPer; s++ {
 				opts := v
 				opts.Seed = v.Seed + int64(vi*1000+s)
-				pts = append(pts, campaign.Point{Design: d, DesignKey: key, Options: opts})
+				pts = append(pts, campaign.NewPoint(d, key, opts))
 				stats = append(stats, st)
 			}
 		}

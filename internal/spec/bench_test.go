@@ -35,7 +35,7 @@ func sweepPoints(speculate bool) []campaign.Point {
 		if speculate {
 			o.Speculate = flow.SpecConfig{Enabled: true}
 		}
-		pts = append(pts, campaign.Point{Design: d, DesignKey: key, Options: o})
+		pts = append(pts, campaign.NewPoint(d, key, o))
 	}
 	return pts
 }
@@ -51,7 +51,7 @@ func seedPoints(speculate bool) []campaign.Point {
 		if speculate {
 			o.Speculate = flow.SpecConfig{Enabled: true}
 		}
-		pts = append(pts, campaign.Point{Design: d, DesignKey: key, Options: o})
+		pts = append(pts, campaign.NewPoint(d, key, o))
 	}
 	return pts
 }

@@ -418,7 +418,7 @@ func specSweepPoints(design *netlist.Netlist, key string, speculate bool) []camp
 			if speculate {
 				o.Speculate = flow.SpecConfig{Enabled: true}
 			}
-			pts = append(pts, campaign.Point{Design: design, DesignKey: key, Options: o})
+			pts = append(pts, campaign.NewPoint(design, key, o))
 		}
 	}
 	return pts
@@ -430,7 +430,7 @@ func TestSpeculativeCampaignWorkerInvariantUnderFaults(t *testing.T) {
 	refPts := specSweepPoints(design, key, false)
 	want := make([]*flow.Result, len(refPts))
 	for i, p := range refPts {
-		want[i] = flow.Run(p.Design, p.Options)
+		want[i] = flow.Run(p.Design(), p.Options())
 	}
 
 	pts := specSweepPoints(design, key, true)
@@ -476,7 +476,7 @@ func TestSpeculativeCampaignResumeReplaysStats(t *testing.T) {
 	refPts := specSweepPoints(design, key, false)
 	want := make([]*flow.Result, len(refPts))
 	for i, p := range refPts {
-		want[i] = flow.Run(p.Design, p.Options)
+		want[i] = flow.Run(p.Design(), p.Options())
 	}
 
 	dir := filepath.Join(t.TempDir(), "wal")
