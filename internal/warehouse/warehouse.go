@@ -22,10 +22,12 @@ package warehouse
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -54,7 +56,7 @@ type Record struct {
 // dedupeKey identifies the deterministic content of a record: one
 // record per (campaign, point, stage) survives, first-wins.
 func (r Record) dedupeKey() string {
-	return fmt.Sprintf("%s\x00%d\x00%s", r.Campaign, r.Point, r.Stage)
+	return r.Campaign + "\x00" + strconv.Itoa(r.Point) + "\x00" + r.Stage
 }
 
 // Stats summarizes a warehouse.
@@ -81,12 +83,12 @@ type Warehouse struct {
 // replays every durable record. dir == "" is memory-only (tests,
 // single-shot runs).
 func Open(dir string, opts journal.Options) (*Warehouse, error) {
+	var dec replayDecoder
 	recs, err := journal.OpenKeyed(dir, opts, func(payload []byte) (string, Record, error) {
 		// A corrupt-but-CRC-valid record means a writer bug, not media
 		// damage; it is counted and skipped, not a reason to refuse the
 		// whole store.
-		var rec Record
-		err := json.Unmarshal(payload, &rec)
+		rec, err := dec.decodeRecord(payload)
 		return rec.dedupeKey(), rec, err
 	})
 	if err != nil {
@@ -109,9 +111,13 @@ func (w *Warehouse) Append(rec Record) error { return w.AppendBatch([]Record{rec
 // earlier one in the batch, or of one a concurrent batch is ingesting —
 // never reach the WAL: determinism makes them identical, so at-least-once
 // delivery from the fleet is safe. A WAL error is returned, but the batch
-// is ingested in memory all the same (a retry then dedupes).
+// is ingested in memory all the same (a retry then dedupes). A record
+// json.Marshal refuses (a ±Inf or NaN scalar) is skipped alone, counted
+// in warehouse.unencodable and named in the returned error; the rest of
+// the batch is ingested.
 func (w *Warehouse) AppendBatch(recs []Record) error {
 	var items []journal.Item[Record]
+	var errs []error // one per record json.Marshal refuses, then the WAL's
 	for i, rec := range recs {
 		k := rec.dedupeKey()
 		if _, dup := w.recs.Get(k); dup {
@@ -119,7 +125,8 @@ func (w *Warehouse) AppendBatch(recs []Record) error {
 		}
 		payload, err := json.Marshal(rec)
 		if err != nil {
-			return fmt.Errorf("warehouse: encode: %w", err)
+			errs = append(errs, fmt.Errorf("warehouse: encode %s/%d/%s: %w", rec.Campaign, rec.Point, rec.Stage, err))
+			continue
 		}
 		if items == nil {
 			items = make([]journal.Item[Record], 0, len(recs)-i)
@@ -140,14 +147,17 @@ func (w *Warehouse) AppendBatch(recs []Record) error {
 		}
 		w.mu.Unlock()
 	}
-	if dups := len(recs) - len(added); dups > 0 {
+	if dups := len(recs) - len(errs) - len(added); dups > 0 {
 		w.deduped.Add(int64(dups))
 		metrics.Add("warehouse.deduped", int64(dups))
 	}
-	if err != nil {
-		return fmt.Errorf("warehouse: append: %w", err)
+	if len(errs) > 0 {
+		metrics.Add("warehouse.unencodable", int64(len(errs)))
 	}
-	return nil
+	if err != nil {
+		errs = append(errs, fmt.Errorf("warehouse: append: %w", err))
+	}
+	return errors.Join(errs...)
 }
 
 // Appender is the ingest interface: the in-process *Warehouse and the

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -353,5 +354,43 @@ func TestCorruptRecordCounted(t *testing.T) {
 	defer w2.Close()
 	if st := w2.Stats(); st.Replayed != 1 || st.Corrupt != 1 || st.Records != 1 {
 		t.Fatalf("stats %+v, want 1 replayed and 1 corrupt", st)
+	}
+}
+
+// TestAppendBatchSkipsUnencodable: a record json.Marshal refuses (an
+// unconstrained design's +Inf WNS) costs that record alone — the rest of
+// its batch is stored, the skip is counted, and the error names it.
+func TestAppendBatchSkipsUnencodable(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := metrics.Get("warehouse.unencodable")
+	err = w.AppendBatch([]Record{
+		rec("c", 0, "sta", map[string]float64{"wns": -3}),
+		rec("c", 1, "sta", map[string]float64{"wns": math.Inf(1)}),
+		rec("c", 2, "sta", map[string]float64{"wns": 5}),
+	})
+	if err == nil || !strings.Contains(err.Error(), "c/1/sta") {
+		t.Fatalf("AppendBatch err = %v, want one naming c/1/sta", err)
+	}
+	if n := metrics.Get("warehouse.unencodable") - before; n != 1 {
+		t.Fatalf("warehouse.unencodable moved by %d, want 1", n)
+	}
+	if st := w.Stats(); st.Records != 2 || st.Deduped != 0 {
+		t.Fatalf("stats %+v, want 2 records and nothing deduped", st)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, err = Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	got := w.Select(Query{Campaign: "c"})
+	if len(got) != 2 || got[0].Point != 0 || got[1].Point != 2 {
+		t.Fatalf("replayed %+v, want points 0 and 2", got)
 	}
 }

@@ -11,7 +11,8 @@
 #                             byte-facing decoder (campaign entry,
 #                             journal segment, warehouse ingest, gob
 #                             cell library, span collector, campaign
-#                             front door), of the placer's net
+#                             front door, warehouse WAL replay against
+#                             json.Unmarshal), of the placer's net
 #                             extremes (FuzzNetExtremes) and of the one-
 #                             walk net electricals (FuzzElectricals);
 #                             the last line printed is this default
@@ -173,7 +174,8 @@ go test -race ./...
 for target in internal/campaign:FuzzDecodeEntry internal/journal:FuzzJournalDecode \
     internal/warehouse:FuzzIngest internal/cellib:FuzzLibraryGobDecode \
     internal/trace:FuzzCollectorIngest internal/metrics:FuzzFrontDoorSubmit \
-    internal/place:FuzzNetExtremes internal/netlist:FuzzElectricals; do
+    internal/place:FuzzNetExtremes internal/netlist:FuzzElectricals \
+    internal/warehouse:FuzzDecodeRecord; do
     go test -run='^$' -fuzz="^${target#*:}\$" -fuzztime=10s -fuzzminimizetime=100x "./${target%%:*}"
 done
 # Every mode below runs after the default tier; its time is kept for the
