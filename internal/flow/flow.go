@@ -37,7 +37,7 @@ type Options struct {
 	SynthEffort   int     // 1..3
 	MaxFanout     int     // synthesis buffering threshold
 	Utilization   float64 // placement utilization
-	PlaceMoves    int     // annealing budget per cell, default 60; the placer evaluates half as many proposals
+	PlaceMoves    int     // annealing budget per cell, default 60; after its global step the placer evaluates a twelfth as many proposals
 	Partitions    int     // placement partitioning (Fig. 4(b) lever)
 	TracksPerEdge float64 // routing supply (default 28)
 	RouteEffort   int     // 1..3

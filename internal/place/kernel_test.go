@@ -243,10 +243,7 @@ func annealSerialWith(p *placer, rng *num.SplitMix, k serialKernel) {
 				p.aborted = true
 				return
 			}
-			p.rc, p.rr = p.reach(temp / t0)
-		}
-		if p.opts.Partitions > 1 && !p.partitioned && m >= proposals/4 {
-			p.assignPartitions()
+			p.rc, p.rr = p.reach(startFrac * temp / t0)
 		}
 		inst := rng.Intn(numCells)
 		if p.partitioned {
@@ -347,7 +344,7 @@ func TestSerialCommitKeepsKernelState(t *testing.T) {
 					checkKernelState(t, p)
 				}
 				annealSerialWith(p, rng, k)
-				if p.res.MovesAccepted < opts.Moves/10 {
+				if p.res.MovesAccepted < opts.Moves/stepsPerProposal/5 {
 					t.Fatalf("only %d commits checked", p.res.MovesAccepted)
 				}
 				// The loop is the engine's: same Result from annealSerial.
@@ -806,7 +803,7 @@ func (c probeCtx) Err() error {
 // TestSerialAnnealMatchesReference runs the serial engine beside the same
 // loop over the reference kernel — every proposal measured across a real
 // swap, the textbook Metropolis test: the same accepted count at every
-// cancellation poll (every 4096 proposals), the same Result and placement, and
+// cancellation poll (every abortCheckMoves proposals), the same Result and placement, and
 // the same next draw from the stream — so no decision and no draw differed.
 func TestSerialAnnealMatchesReference(t *testing.T) {
 	type outcome struct {

@@ -10,29 +10,28 @@ import (
 )
 
 // The territory engine's schedule. None of it is a knob: the outcome is a
-// function of (Seed, Moves) because these are constants. Each was measured
-// on the 18 Workers > 0 rows of testdata/golden_qor.txt (12 place, 6 flow;
-// scripts/goldenfence) as mean (worst) HPWL relative to the serial row beside
-// them, under the proposal window (ISSUE 21). Lengths are in proposals,
-// Moves/2 to a budget.
+// function of (Seed, Moves) because these are constants. Lengths are in
+// proposals, Moves/stepsPerProposal to a budget.
 //
 // lanes: territories per stripe epoch — two per crew member on a 2-core
-// host, which is what lets the gang steal around a slow lane. 2 lanes 1.031x
-// (1.084), 4 lanes 1.052x (1.087), 8 lanes 1.074x (1.109): what the lanes
-// lose to the serial engine is the stripe walls a window cannot reach across.
+// host, which is what lets the gang steal around a slow lane. Measured on
+// the 18 Workers > 0 rows of testdata/golden_qor.txt under the proposal
+// window, mean (worst) HPWL relative to the serial row beside
+// them: 2 lanes 1.031x (1.084), 4 lanes 1.052x (1.087), 8 lanes 1.074x
+// (1.109): what the lanes lose to the serial engine is the stripe walls a
+// window cannot reach across.
 //
-// Epoch length, per cell: lanes read foreign pins frozen at the epoch start,
-// and while the anneal is hot most proposals commit, so a long epoch
-// optimises against stale neighbours — most of all in a partitioned run,
-// whose flat coarse phase is the hot quarter and nothing after it can cross
-// a region to repair it (ISSUE 18: 2 per cell throughout lost 1–8 % there).
-// 1/4 per cell for the first quarter of the schedule and 2 after is ~42
-// epochs for a 60-steps-per-cell flow anneal: 1.052x; 1/8 then 2 1.053x,
-// 1/16 then 2 1.048x, 1/4 then 1 1.046x, 1/2 then 2 1.061x, 1/4 then 4 1.069x.
+// epochDiv: lanes read foreign pins frozen at the epoch start, so a long
+// epoch optimises against stale neighbours. From the global step's start the
+// anneal is cold and its window a few percent of the die, and the epoch
+// length hardly matters: soc-proxy after synthesis, mean of seeds 1-3, a
+// half, a quarter or an eighth of a proposal per cell place 1.000x, 1.001x
+// and 1.000x the serial engine. A tenth gives the flow's five proposals a
+// cell fifty epochs, each a barrier and a refresh of every lane's pos and
+// net.
 const (
-	lanes         = 4
-	hotEpochDiv   = 4 // hot epoch = numCells / hotEpochDiv proposals
-	coldEpochMult = 2 // cold epoch = coldEpochMult * numCells proposals
+	lanes    = 4
+	epochDiv = 10 // an epoch is numCells / epochDiv proposals
 )
 
 // laneEval is one crew member's private evaluator. Its placer shares n,
@@ -69,9 +68,9 @@ func (le *laneEval) touch(inst int) {
 //
 // Territories are four stripes, vertical and horizontal by turns and
 // shifted by half a stripe every second epoch, so no cell pair stays
-// separated; once a partitioned run has locked its regions (a quarter of
-// the schedule, as in the serial engine) the territories are the k x k
-// regions themselves — Fig. 4(b) executed. The window is the serial
+// separated; a partitioned run has locked its regions after the global
+// step, and its territories are the k x k regions themselves — Fig. 4(b)
+// executed. The window is the serial
 // engine's, sized at the temperature the epoch starts at and clipped to the
 // lane's rectangle. Lane proposal j of an epoch starting at T runs at
 // T*cool^(L*j), L the lane count, so the L lanes together spend the epoch's
@@ -79,7 +78,6 @@ func (le *laneEval) touch(inst int) {
 func (p *placer) annealTerritory(rng *num.SplitMix) {
 	t0, cool := p.schedule(rng)
 	numCells, proposals := p.n.NumCells(), p.opts.Moves/stepsPerProposal
-	quarter := proposals / 4
 
 	// By value: a lane draws from a copy on its stack, not beside its neighbour's.
 	streams := make([]num.SplitMix, max(lanes, p.opts.Partitions*p.opts.Partitions))
@@ -111,22 +109,15 @@ func (p *placer) annealTerritory(rng *num.SplitMix) {
 			return
 		}
 		p.terr = stripes[epoch%len(stripes)]
-		b := coldEpochMult * numCells
-		if m < quarter {
-			// Epochs never straddle the hot->cold (and coarse->partitioned) switch.
-			b = min(max(numCells/hotEpochDiv, 1), quarter-m)
-		} else if p.opts.Partitions > 1 {
-			if !p.partitioned {
-				p.assignPartitions()
-			}
+		if p.partitioned {
 			p.terr = p.region
 		}
-		b = min(b, proposals-m)
+		b := min(max(numCells/epochDiv, 1), proposals-m)
 
 		sp := trace.Begin("place.move")
 		L := len(p.terr)
 		cooled := math.Pow(cool, float64(m))
-		p.rc, p.rr = p.reach(cooled)
+		p.rc, p.rr = p.reach(startFrac * cooled)
 		temp, laneCool := t0*cooled, math.Pow(cool, float64(L))
 		gang.Round(L, func(lo, hi int) {
 			le := <-free

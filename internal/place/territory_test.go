@@ -55,13 +55,11 @@ func checkEpoch(t *testing.T, p *placer, before []int) {
 }
 
 // scheduleEpochs is the epoch count of the engine's schedule over the
-// moves/2 proposals of a budget: a quarter proposal per cell while hot (the
-// first quarter of them), two per cell after, neither kind straddling the
-// switch.
+// moves/stepsPerProposal proposals of a budget: numCells/epochDiv
+// proposals each, the last one what is left.
 func scheduleEpochs(numCells, moves int) int {
 	ceil := func(a, b int) int { return (a + b - 1) / b }
-	proposals := moves / stepsPerProposal
-	return ceil(proposals/4, max(numCells/4, 1)) + ceil(proposals-proposals/4, 2*numCells)
+	return ceil(moves/stepsPerProposal, max(numCells/epochDiv, 1))
 }
 
 // TestTerritoryEpochInvariants runs the territory engine on a crew of two
@@ -217,7 +215,7 @@ func TestTerritoryCancelWithinOneEpoch(t *testing.T) {
 			}
 			checkKernelState(t, p)
 			// An epoch of the hot phase is a quarter proposal per cell.
-			if spent := polls * (n.NumCells() / hotEpochDiv); p.res.MovesTried > spent || p.res.MovesTried >= full.MovesTried {
+			if spent := polls * (n.NumCells() / epochDiv); p.res.MovesTried > spent || p.res.MovesTried >= full.MovesTried {
 				t.Fatalf("cancelled at poll %d: tried %d moves, %d epochs hold at most %d", polls, p.res.MovesTried, polls, spent)
 			}
 			if workers == 1 {

@@ -147,19 +147,19 @@ func TestBudget(t *testing.T) {
 		opts Options
 		want int
 	}{
-		{"flat", Options{Moves: 40 * cells}, 20 * cells},
-		{"flat/odd", Options{Moves: 40*cells + 1}, 20 * cells},
-		{"partitioned", Options{Moves: 40 * cells, Partitions: 2}, 20 * cells},
-		{"partitioned3", Options{Moves: 40 * cells, Partitions: 3}, 20 * cells},
-		{"territory", Options{Moves: 40 * cells, Workers: 2}, 20 * cells},
-		{"territory/partitioned", Options{Moves: 40 * cells, Workers: 2, Partitions: 3}, 20 * cells},
-		{"default", Options{}, 60 * cells},
-		{"moves1", Options{Moves: 1}, 0},
-		{"moves2", Options{Moves: 2}, 1},
-		{"moves3", Options{Moves: 3, Partitions: 2}, 1},
-		{"territory/moves1", Options{Moves: 1, Workers: 2}, 0},
-		{"territory/moves3", Options{Moves: 3, Workers: 2}, 1},
-		{"territory/moves<lanes", Options{Moves: 2*lanes - 1, Workers: 3, Partitions: 2}, lanes - 1},
+		{"flat", Options{Moves: 40 * cells}, 40 * cells / stepsPerProposal},
+		{"flat/odd", Options{Moves: 40*cells + 1}, 40 * cells / stepsPerProposal},
+		{"partitioned", Options{Moves: 40 * cells, Partitions: 2}, 40 * cells / stepsPerProposal},
+		{"partitioned3", Options{Moves: 40 * cells, Partitions: 3}, 40 * cells / stepsPerProposal},
+		{"territory", Options{Moves: 40 * cells, Workers: 2}, 40 * cells / stepsPerProposal},
+		{"territory/partitioned", Options{Moves: 40 * cells, Workers: 2, Partitions: 3}, 40 * cells / stepsPerProposal},
+		{"default", Options{}, 120 * cells / stepsPerProposal},
+		{"moves1", Options{Moves: stepsPerProposal - 1}, 0},
+		{"moves2", Options{Moves: stepsPerProposal}, 1},
+		{"moves3", Options{Moves: 2*stepsPerProposal - 1, Partitions: 2}, 1},
+		{"territory/moves1", Options{Moves: stepsPerProposal - 1, Workers: 2}, 0},
+		{"territory/moves3", Options{Moves: 2*stepsPerProposal - 1, Workers: 2}, 1},
+		{"territory/moves<lanes", Options{Moves: lanes*stepsPerProposal - 1, Workers: 3, Partitions: 2}, lanes - 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.opts.Seed = 5
@@ -180,8 +180,8 @@ func TestBudget(t *testing.T) {
 // TestAcceptanceBand: at the flow's budget (60 steps per cell) the serial
 // engine accepts at least a fifth of what it evaluates — a tenth with the
 // die-wide draw the window replaced — and more budget never buys a longer
-// placement. The curve logged is the one DESIGN.md "Proposal window and
-// budget" prints.
+// placement. DESIGN.md "Global start, window and budget" quotes the
+// acceptance it logs.
 func TestAcceptanceBand(t *testing.T) {
 	specs := []netlist.Spec{netlist.PulpinoProxy(1), mid3k, socProxy()}
 	if testing.Short() {

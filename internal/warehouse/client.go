@@ -3,10 +3,13 @@ package warehouse
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Client ingests records into a remote warehouse over HTTP — the
@@ -31,15 +34,38 @@ func NewClient(base string) *Client {
 // paths).
 func (c *Client) Append(rec Record) error { return c.AppendBatch([]Record{rec}) }
 
-// AppendBatch ships records, retrying transient failures.
+// AppendBatch ships records, retrying transient failures. Each record is
+// encoded on its own, as Warehouse.AppendBatch does: one json.Marshal
+// refuses (a ±Inf or NaN scalar) is skipped alone, counted in
+// warehouse.unencodable and named in the returned error, and the rest of
+// the batch is shipped.
 func (c *Client) AppendBatch(recs []Record) error {
-	if len(recs) == 0 {
-		return nil
+	var errs []error // one per record json.Marshal refuses, then the POST's
+	body := []byte{'['}
+	for _, rec := range recs {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("warehouse client: encode %s/%d/%s: %w", rec.Campaign, rec.Point, rec.Stage, err))
+			continue
+		}
+		if len(body) > 1 {
+			body = append(body, ',')
+		}
+		body = append(body, payload...)
 	}
-	body, err := json.Marshal(recs)
-	if err != nil {
-		return fmt.Errorf("warehouse client: encode: %w", err)
+	if len(errs) > 0 {
+		metrics.Add("warehouse.unencodable", int64(len(errs)))
 	}
+	if len(body) > 1 {
+		if err := c.post(append(body, ']')); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// post sends one encoded batch, up to three times.
+func (c *Client) post(body []byte) error {
 	var last error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {

@@ -357,6 +357,32 @@ func TestCorruptRecordCounted(t *testing.T) {
 	}
 }
 
+// TestClientAppendBatchSkipsUnencodable: on the HTTP path too, a record
+// json.Marshal refuses costs that record alone — the other two of its batch
+// reach the warehouse, the skip is counted, and the error names it.
+func TestClientAppendBatchSkipsUnencodable(t *testing.T) {
+	w, _ := Open("", journal.Options{})
+	defer w.Close()
+	srv := httptest.NewServer(NewHandler(w))
+	defer srv.Close()
+	before := metrics.Get("warehouse.unencodable")
+	err := NewClient(srv.URL).AppendBatch([]Record{
+		rec("c", 0, "sta", map[string]float64{"wns": -3}),
+		rec("c", 1, "sta", map[string]float64{"wns": math.Inf(1)}),
+		rec("c", 2, "sta", map[string]float64{"wns": 5}),
+	})
+	if err == nil || !strings.Contains(err.Error(), "c/1/sta") {
+		t.Fatalf("AppendBatch err = %v, want one naming c/1/sta", err)
+	}
+	if n := metrics.Get("warehouse.unencodable") - before; n != 1 {
+		t.Fatalf("warehouse.unencodable moved by %d, want 1", n)
+	}
+	got := w.Select(Query{Campaign: "c"})
+	if len(got) != 2 || got[0].Point != 0 || got[1].Point != 2 {
+		t.Fatalf("stored %+v, want points 0 and 2", got)
+	}
+}
+
 // TestAppendBatchSkipsUnencodable: a record json.Marshal refuses (an
 // unconstrained design's +Inf WNS) costs that record alone — the rest of
 // its batch is stored, the skip is counted, and the error names it.
