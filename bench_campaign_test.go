@@ -1,16 +1,18 @@
-// Campaign-engine benchmarks: the serial reference loop against the
-// engine with memoization on an identical workload — three studies
-// revisiting the same (frequency x seed) option points, the repeated-
-// sampling pattern of the Fig. 3 / Fig. 7 harnesses. Both benchmarks
-// report the same qor_area_sum, proving equal statistical output; the
-// parallel variant additionally reports its cache hit rate.
-//
-// scripts/check.sh bench runs the pair and derives the speedup into
-// BENCH_campaign.json.
+// Campaign-engine benchmarks: the engine with memoization on three
+// studies revisiting the same (frequency x seed) option points — the
+// repeated-sampling pattern of the Fig. 3 / Fig. 7 harnesses — untraced,
+// traced and warehoused. All three report the same qor_area_sum and
+// cache hit rate. BenchmarkCampaignOverheadGate holds the traced and
+// warehoused variants to the untraced one.
 package repro
 
 import (
 	"context"
+	"math"
+	"os"
+	"os/exec"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
@@ -36,21 +38,6 @@ func campaignBenchPoints(design *netlist.Netlist, designKey string) []campaign.P
 		}
 	}
 	return pts
-}
-
-func BenchmarkCampaignSerial(b *testing.B) {
-	design := NewDesign(DefaultLibrary(), TinyDesign(1))
-	pts := campaignBenchPoints(design, "")
-	var area float64
-	for i := 0; i < b.N; i++ {
-		area = 0
-		for study := 0; study < campaignStudies; study++ {
-			for _, p := range pts {
-				area += flow.Run(p.Design(), p.Options()).AreaUm2
-			}
-		}
-	}
-	b.ReportMetric(area, "qor_area_sum")
 }
 
 func BenchmarkCampaignParallel(b *testing.B) {
@@ -80,9 +67,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 
 // BenchmarkCampaignTraced is BenchmarkCampaignParallel with the tracer
 // armed: every campaign point, flow stage, route iteration, and
-// scheduler wait emits a span. scripts/check.sh bench compares it
-// against the untraced parallel run and gates the overhead at <=5% —
-// the cost of full observability must stay in the noise.
+// scheduler wait emits a span.
 func BenchmarkCampaignTraced(b *testing.B) {
 	design := NewDesign(DefaultLibrary(), TinyDesign(1))
 	pts := campaignBenchPoints(design, campaign.KeyFor(design))
@@ -119,8 +104,6 @@ func BenchmarkCampaignTraced(b *testing.B) {
 // BenchmarkCampaignWarehoused is BenchmarkCampaignParallel with a
 // warehouse emitter wired as the campaign observer: every flow stage of
 // every point lands as a METRICS record in an in-memory warehouse.
-// scripts/check.sh bench gates the overhead against the untraced
-// parallel run at <=5%, same bar as tracing.
 func BenchmarkCampaignWarehoused(b *testing.B) {
 	design := NewDesign(DefaultLibrary(), TinyDesign(1))
 	pts := campaignBenchPoints(design, campaign.KeyFor(design))
@@ -154,4 +137,71 @@ func BenchmarkCampaignWarehoused(b *testing.B) {
 	b.ReportMetric(area, "qor_area_sum")
 	b.ReportMetric(hitRate, "cache_hit_rate")
 	b.ReportMetric(float64(records), "records")
+}
+
+// benchRuns runs the named benchmarks of this package in a child copy of
+// the test binary at the -benchtime and -count their gate has always
+// used (testing.Benchmark cannot run inside a running benchmark: both
+// hold the testing package's one benchmark lock) and returns each one's
+// metrics from its last result line, with ns/op the fastest of its runs.
+func benchRuns(b *testing.B, benchtime string, count int, names ...string) []map[string]float64 {
+	b.Helper()
+	out, err := exec.Command(os.Args[0], "-test.run=^$", "-test.bench=^("+strings.Join(names, "|")+")$",
+		"-test.benchtime="+benchtime, "-test.count="+strconv.Itoa(count)).CombinedOutput()
+	if err != nil {
+		b.Fatalf("%v\n%s", err, out)
+	}
+	runs := map[string]map[string]float64{}
+	for _, line := range strings.Split(string(out), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 || f[3] != "ns/op" {
+			continue
+		}
+		name, _, _ := strings.Cut(f[0], "-")
+		m := map[string]float64{}
+		for i := 2; i+1 < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				b.Fatalf("%s: %v", line, err)
+			}
+			m[f[i+1]] = v
+		}
+		if prev, ok := runs[name]; ok {
+			m["ns/op"] = min(m["ns/op"], prev["ns/op"])
+		}
+		runs[name] = m
+	}
+	res := make([]map[string]float64, len(names))
+	for i, name := range names {
+		if res[i] = runs[name]; res[i] == nil {
+			b.Fatalf("no result line for %s in\n%s", name, out)
+		}
+	}
+	return res
+}
+
+// BenchmarkCampaignOverheadGate holds full observability to the noise:
+// the traced and the warehoused campaign may each be at most 5% slower
+// than the untraced one, gated on the best of five interleaved pairs. A
+// pair runs the three seconds apart, so the machine's drift lands on both
+// sides of its ratio instead of on the overhead, and the best pair
+// discounts a traced run that noise slowed; a genuine cost above 5% shows
+// in every pair. Noise that slows an untraced run deflates its pair's
+// ratio instead, so nothing else may load the host while the gate runs.
+func BenchmarkCampaignOverheadGate(b *testing.B) {
+	traced, warehoused := math.Inf(1), math.Inf(1)
+	for i := 0; i < 5; i++ {
+		r := benchRuns(b, "1s", 1, "BenchmarkCampaignParallel", "BenchmarkCampaignTraced", "BenchmarkCampaignWarehoused")
+		base := r[0]["ns/op"]
+		traced = min(traced, r[1]["ns/op"]/base)
+		warehoused = min(warehoused, r[2]["ns/op"]/base)
+	}
+	tPct, wPct := (traced-1)*100, (warehoused-1)*100
+	b.Logf("trace_overhead_pct=%.2f warehouse_overhead_pct=%.2f", tPct, wPct)
+	if tPct > 5 {
+		b.Errorf("tracing overhead %.2f%% above the 5%% bound", tPct)
+	}
+	if wPct > 5 {
+		b.Errorf("warehouse overhead %.2f%% above the 5%% bound", wPct)
+	}
 }

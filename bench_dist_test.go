@@ -5,9 +5,8 @@
 // in-memory store, so nothing is served from memo state — the ratio is
 // pure node scaling, with the real HTTP dispatch, store read and put,
 // and gob encode/decode costs included. Both variants report the same
-// qor_hash (byte-identity is the service's contract); scripts/check.sh
-// dist derives the throughput ratio into BENCH_dist.json, gated at
-// >= 1.8x.
+// qor_hash (byte-identity is the service's contract);
+// BenchmarkDistGate holds four nodes to >= 1.8x one node's throughput.
 package repro
 
 import (
@@ -86,3 +85,17 @@ func runDistBench(b *testing.B, nodes int) {
 
 func BenchmarkDistSweep1(b *testing.B) { runDistBench(b, 1) }
 func BenchmarkDistSweep4(b *testing.B) { runDistBench(b, 4) }
+
+// BenchmarkDistGate: four nodes must clear 1.8x one node's throughput,
+// min-of-3 each, at an identical qor_hash.
+func BenchmarkDistGate(b *testing.B) {
+	r := benchRuns(b, "1x", 3, "BenchmarkDistSweep1", "BenchmarkDistSweep4")
+	speedup := r[0]["ns/op"] / r[1]["ns/op"]
+	b.Logf("dist_speedup_x=%.2f (1 node %.1f ms, 4 nodes %.1f ms)", speedup, r[0]["ns/op"]/1e6, r[1]["ns/op"]/1e6)
+	if r[0]["qor_hash"] != r[1]["qor_hash"] {
+		b.Errorf("1-node/4-node QoR mismatch: qor_hash %.0f vs %.0f", r[0]["qor_hash"], r[1]["qor_hash"])
+	}
+	if speedup < 1.8 {
+		b.Errorf("dist speedup %.2fx below the 1.8x bound", speedup)
+	}
+}

@@ -16,14 +16,14 @@
 //	                      # zero QoR drift vs the reference
 //	doomed -all           # everything
 //	      [-scale small|paper] [-seed 1] [-parallel N]
-//	      [-journal DIR] [-resume]
+//	      [-journal DIR]
 //	      [-trace trace.json] [-metrics-addr :8080]
 //
 // With -journal DIR the logfile corpora behind every experiment are
 // generated crash-safely: each completed detailed-route run is durably
-// appended to a write-ahead journal, and a rerun after a kill (-resume,
-// or simply the same -journal) replays them bit-identically instead of
-// regenerating — at paper scale that is thousands of router runs.
+// appended to a write-ahead journal, and a rerun after a kill with the
+// same -journal replays them bit-identically instead of regenerating —
+// at paper scale that is thousands of router runs.
 //
 // With -trace FILE the corpus generation is traced (route iterations,
 // journal appends) and a Chrome trace_event JSON file is written at
@@ -57,15 +57,10 @@ func run() int {
 	placeWorkers := flag.Int("place-workers", 0, "territory-parallel annealer workers for corpus substrates (0 = serial placer)")
 	routeTiles := flag.Int("route-tiles", 0, "region-sharded global router tiles per side for corpus substrates (0/1 = serial router)")
 	journalDir := flag.String("journal", "", "durable corpus journal directory (enables checkpoint/resume)")
-	resume := flag.Bool("resume", false, "resume corpora from an existing -journal")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON file of the run (view in chrome://tracing or Perfetto)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live /metrics and /debug endpoints on this address (e.g. :8080)")
 	flag.Parse()
 
-	if *resume && *journalDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -journal DIR")
-		return 2
-	}
 	flush, err := obs.Setup(*traceFile, *metricsAddr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	sprflow -design pulpino -freq 0.6 -seed 1 [-effort 2] [-robot]
-//	sprflow -design tiny -sweep 4 [-parallel N] [-journal DIR] [-resume]
+//	sprflow -design tiny -sweep 4 [-parallel N] [-journal DIR]
 //	sprflow -design tiny -sweep 4 -speculate [-spec-tol 1]
 //	sprflow -design tiny -sweep 4 -dist-nodes 4 [-journal DIR]
 //	sprflow -design tiny -sweep 4 -dist-nodes 4 -chaos-profile partition -chaos-seed 7
@@ -14,7 +14,7 @@
 // A -sweep runs the full frequency x seed cross on the campaign engine
 // and prints one stable line per point to stdout (resume accounting
 // goes to stderr). With -journal DIR every completed point is durable:
-// kill -9 the sweep at any moment, rerun it with -resume, and the
+// kill -9 the sweep at any moment, rerun it with the same flags, and the
 // output is byte-identical to the uninterrupted run.
 //
 // With -dist-nodes N the sweep runs through the distributed campaign
@@ -87,7 +87,6 @@ func run() int {
 	sweep := flag.Int("sweep", 0, "run a crash-safe QOR sweep with this many seeds per frequency")
 	parallel := flag.Int("parallel", 0, "sweep concurrency (0 = one per CPU); results identical at any setting")
 	journalDir := flag.String("journal", "", "durable journal directory for -sweep (enables checkpoint/resume)")
-	resume := flag.Bool("resume", false, "resume a killed -sweep from its -journal (same flags required)")
 	stageTimeout := flag.Duration("stage-timeout", 0, "per-stage hung-tool watchdog deadline (0 = off)")
 	distNodes := flag.Int("dist-nodes", 0, "run -sweep through the distributed campaign service with this many loopback worker nodes (0 = single-process; stdout identical either way)")
 	chaosProfile := flag.String("chaos-profile", "", "inject a deterministic network fault schedule into -dist-nodes: flaky, slow, partition, kill (stdout stays byte-identical)")
@@ -157,10 +156,6 @@ func run() int {
 	}
 	d := repro.NewDesign(repro.DefaultLibrary(), spec)
 
-	if *resume && *journalDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -journal DIR")
-		return 2
-	}
 	if *speculate && *sweep <= 0 {
 		fmt.Fprintln(os.Stderr, "-speculate requires -sweep (a single run has no prior artifacts to predict from)")
 		return 2

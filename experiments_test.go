@@ -237,6 +237,35 @@ func TestTable1Shape(t *testing.T) {
 	}
 }
 
+// TestDoomedLiveShape: live supervision of the Fig. 9 test corpus must
+// reclaim at least 20% of detail-route iterations while every run the
+// card lets finish stays bit-identical to its uninterrupted twin.
+func TestDoomedLiveShape(t *testing.T) {
+	r := DoomedLive(Small, 1)
+	t.Logf("reclaimed %.2f%% (%d of %d iterations), %d QoR mismatches",
+		r.SavedPct, r.SavedIters, r.BaselineIters, r.QORMismatches)
+	if r.QORMismatches != 0 {
+		t.Errorf("QoR drift on %d finished runs", r.QORMismatches)
+	}
+	if r.SavedPct < 20 {
+		t.Errorf("reclaimed %.2f%% below the 20%% bound", r.SavedPct)
+	}
+}
+
+// TestSpecOverlapShape: the downstream sweep must commit speculative
+// stages, and no committed result may drift from the non-speculative
+// reference.
+func TestSpecOverlapShape(t *testing.T) {
+	r := SpecOverlap(Small, 1)
+	t.Logf("%d stages committed, %d QoR mismatches", r.Committed, r.QORMismatches)
+	if r.Committed < 1 {
+		t.Error("speculation committed no stages")
+	}
+	if r.QORMismatches != 0 {
+		t.Errorf("speculation drifted QoR on %d points", r.QORMismatches)
+	}
+}
+
 // TestFig11Shape pins the small-scale loop exactly: every record of the
 // ladder reaches the warehouse over HTTP, and the miner reads the
 // numbers the in-memory XML store it replaced read. A placer change that

@@ -104,7 +104,7 @@ func TestParallelPlaceWorkerInvariant(t *testing.T) {
 
 // engineVsSerial is the one bound on the territory engine's HPWL against the
 // serial engine at the same budget; scripts/goldenfence (rule 4) and
-// check.sh bench's place gate hold the same number. Until the proposal
+// BenchmarkPlaceGate hold the same number. Until the proposal
 // window a stripe was the tree's only range limit and the lanes placed a few
 // percent shorter than the serial engine; now both engines limit the range,
 // the serial one without stale neighbours or stripe walls, and the lanes
