@@ -61,7 +61,7 @@ func run() int {
 	metricsAddr := flag.String("metrics-addr", "", "serve live /metrics and /debug endpoints on this address (e.g. :8080)")
 	flag.Parse()
 
-	flush, err := obs.Setup(*traceFile, *metricsAddr)
+	flush, err := obs.SetupCfg(obs.Config{TraceFile: *traceFile, MetricsAddr: *metricsAddr, SpanRetention: -1})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2

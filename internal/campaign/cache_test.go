@@ -104,7 +104,6 @@ func TestCacheSharding(t *testing.T) {
 			TargetFreqGHz: 0.2 + rng.Float64(), Seed: rng.Int63(),
 			SynthEffort: rng.Intn(4), Utilization: 0.5 + 0.4*rng.Float64(),
 			PlaceMoves: 20 + rng.Intn(100), RouteIters: rng.Intn(20),
-			RecoverArea: rng.Intn(2) == 1,
 		}).CacheKey()
 	}
 	for _, set := range []struct {

@@ -148,12 +148,11 @@ type Config struct {
 	// Options.Speculate asks for it: one oracle is shared by every run
 	// in the campaign, observing completed stages and serving
 	// predictions (see flow.SpecOracle, internal/spec). nil leaves
-	// speculation off regardless of point options.
+	// speculation off regardless of point options. At most one
+	// speculative chain per CPU runs across the whole campaign, and
+	// speculative work only ever takes a free slot, never queues, so it
+	// cannot delay real stages.
 	Oracle flow.SpecOracle
-	// SpecWorkers caps concurrent speculative chains across the whole
-	// campaign (0 = one per CPU). Speculative work only ever takes a
-	// free slot, never queues, so it cannot delay real stages.
-	SpecWorkers int
 }
 
 // Engine executes campaigns. The zero-value Engine is not usable; build
@@ -181,7 +180,7 @@ func New(cfg Config) *Engine {
 	}
 	var slots *sched.Slots
 	if cfg.Oracle != nil {
-		slots = sched.NewSlots(Workers(cfg.SpecWorkers))
+		slots = sched.NewSlots(runtime.NumCPU())
 	}
 	return &Engine{
 		pool: pool, cache: cfg.Cache, obs: cfg.Observer, retry: cfg.Retry,

@@ -43,16 +43,12 @@ func chaosCluster(t *testing.T, pts []campaign.Point, n int, eng *chaos.Engine) 
 		t.Fatalf("start store server: %v", err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	coordClient := NewStoreClientCfg("http://"+addr, ClientConfig{
-		RPC: RPCConfig{Transport: eng.Transport("coord", NewTransport())},
-	})
+	coordClient := NewStoreClientCfg("http://"+addr, RPCConfig{Transport: eng.Transport("coord", NewTransport())})
 	t.Cleanup(coordClient.Close)
 	cl := &cluster{store: store, server: srv, client: coordClient}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("w%d", i)
-		wc := NewStoreClientCfg("http://"+addr, ClientConfig{
-			RPC: RPCConfig{Transport: eng.Transport(id, NewTransport())},
-		})
+		wc := NewStoreClientCfg("http://"+addr, RPCConfig{Transport: eng.Transport(id, NewTransport())})
 		t.Cleanup(wc.Close)
 		w := NewWorker(WorkerConfig{ID: id, Points: pts, Store: wc, Workers: 2})
 		waddr, err := w.Start("127.0.0.1:0")
@@ -223,7 +219,7 @@ func TestStoreClientErrorPaths(t *testing.T) {
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				w.Write(data[:cutAt]) //nolint:errcheck
 			}))
-			c := NewStoreClientCfg(srv.URL, ClientConfig{RPC: RPCConfig{Retries: -1}})
+			c := NewStoreClientCfg(srv.URL, RPCConfig{Retries: -1})
 			if _, ok := c.Load(key); ok {
 				t.Fatalf("truncated body at %d bytes decoded as a hit", cutAt)
 			}
@@ -273,9 +269,7 @@ func TestStoreClientErrorPaths(t *testing.T) {
 		// Every put delivered twice: the store must keep exactly one
 		// entry and the client must still see success.
 		eng := chaos.New(chaos.Config{Seed: 1, DupRate: 1})
-		c := NewStoreClientCfg("http://"+addr, ClientConfig{
-			RPC: RPCConfig{Transport: eng.Transport("w0", NewTransport())},
-		})
+		c := NewStoreClientCfg("http://"+addr, RPCConfig{Transport: eng.Transport("w0", NewTransport())})
 		defer c.Close()
 		c.Store(campaign.Entry{Key: key, Res: ref[0]})
 		if got := c.PendingBacklog(); got != 0 {
@@ -314,9 +308,7 @@ func TestBacklogBackfillOnHeal(t *testing.T) {
 
 	g := newGate()
 	g.set("store", true)
-	c := NewStoreClientCfg("http://"+addr, ClientConfig{
-		RPC: RPCConfig{Transport: g, Retries: -1, BackoffBase: time.Millisecond},
-	})
+	c := NewStoreClientCfg("http://"+addr, RPCConfig{Transport: g, Retries: -1, BackoffBase: time.Millisecond})
 	defer c.Close()
 
 	for i, p := range pts {
@@ -375,9 +367,9 @@ func TestUnpublishableNodeDoesNotStall(t *testing.T) {
 	var clients []*StoreClient
 	var nodes []Node
 	for i := 0; i < 2; i++ {
-		cfg := ClientConfig{}
+		cfg := RPCConfig{}
 		if i == 0 {
-			cfg.RPC = RPCConfig{Transport: failPuts{NewTransport()}, Retries: -1}
+			cfg = RPCConfig{Transport: failPuts{NewTransport()}, Retries: -1}
 		}
 		c := NewStoreClientCfg("http://"+addr, cfg)
 		t.Cleanup(c.Close)

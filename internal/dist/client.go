@@ -33,12 +33,6 @@ type StoreClient struct {
 	backSet map[string]bool
 }
 
-// ClientConfig parameterizes a store client.
-type ClientConfig struct {
-	// RPC tunes deadlines, retries, and the chaos transport.
-	RPC RPCConfig
-}
-
 // backlogCap bounds the offline backlog; beyond it the oldest entries
 // are dropped (they cost one recompute, never correctness).
 const backlogCap = 1024
@@ -46,14 +40,15 @@ const backlogCap = 1024
 // NewStoreClient creates a client for a store base URL
 // (e.g. "http://127.0.0.1:7600") with default hardening.
 func NewStoreClient(baseURL string) *StoreClient {
-	return NewStoreClientCfg(baseURL, ClientConfig{})
+	return NewStoreClientCfg(baseURL, RPCConfig{})
 }
 
-// NewStoreClientCfg creates a client with explicit RPC hardening.
-func NewStoreClientCfg(baseURL string, cfg ClientConfig) *StoreClient {
+// NewStoreClientCfg creates a client whose RPCs cfg tunes: deadlines,
+// retries and the chaos transport.
+func NewStoreClientCfg(baseURL string, cfg RPCConfig) *StoreClient {
 	return &StoreClient{
 		base:    baseURL,
-		rpc:     newRPC(cfg.RPC, "store"),
+		rpc:     newRPC(cfg, "store"),
 		backSet: map[string]bool{},
 	}
 }

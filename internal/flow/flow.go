@@ -3,7 +3,6 @@
 // paper's experiments drive.
 //
 // A flow run is the atomic unit everywhere in the reproduction: the
-// noise study of Fig. 3 runs it repeatedly with different seeds, the
 // multi-armed bandit of Fig. 7 samples it at different target
 // frequencies, the doomed-run corpus of Figs. 9-10 harvests its detailed-
 // routing logfiles, and METRICS (Fig. 11) instruments its steps through
@@ -22,7 +21,6 @@ import (
 	"repro/internal/place"
 	"repro/internal/route"
 	"repro/internal/sched"
-	"repro/internal/sizing"
 	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -58,17 +56,6 @@ type Options struct {
 	// the cache key — sharded results are identical at every worker
 	// count.
 	RouteWorkers int
-
-	// StopRouteAfter truncates detailed routing (set by doomed-run
-	// policies; 0 = run to completion).
-	StopRouteAfter int
-
-	// RecoverArea enables a post-signoff area-recovery pass: speculative
-	// downsizing on the incremental signoff timer (sizing.Recover),
-	// keeping WNS above RecoverMarginPs. Off by default — it changes the
-	// implemented netlist, so experiments opt in explicitly.
-	RecoverArea     bool
-	RecoverMarginPs float64 // slack floor for recovery (default 5 ps)
 
 	// Speculate enables speculative stage overlap: downstream stages
 	// launched on predicted upstream artifacts while the real stage is
@@ -107,9 +94,6 @@ type Result struct {
 	Global *route.GlobalResult
 	Route  *route.DetailResult
 	Sign   *sta.Report
-	// Recover is the post-signoff area-recovery result; nil unless
-	// Options.RecoverArea is set.
-	Recover *sizing.Result
 
 	// Headline QOR.
 	AreaUm2    float64 // cell area + clock buffers
@@ -173,7 +157,7 @@ func (r *Result) Summary() *Result {
 type StepRecord struct {
 	Design  string
 	RunSeed int64
-	Step    string // "synth", "place", "cts", "groute", "droute", "sta", "recover"
+	Step    string // "synth", "place", "cts", "groute", "droute", "sta"
 	Options Options
 	Metrics map[string]float64
 	// Series carries per-iteration data for steps that have it (the
@@ -350,9 +334,6 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 	var prov PlaceProvenance
 
 	for i := range stages {
-		if i == stRecover && !opts.RecoverArea {
-			break
-		}
 		st := &stages[i]
 		src := spec.source(i, prov)
 		// The gate: a dead context or an injected fault kills the run at
@@ -414,14 +395,12 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 			} else {
 				rc.Oracle.ObservePlace(oracleFP, opts, a.pl, a.n, prov)
 			}
-		case stDroute:
-			// Live STOP: the run is terminated here, exactly as the
-			// paper's policy kills the tool to reclaim its license.
-			// Headline fields that exist are filled; signoff never
-			// happens.
-			res.Stopped = a.dr.StopIter > 0
 		}
-		if res.Stopped {
+		// Live STOP: the run is terminated here, exactly as the paper's
+		// policy kills the tool to reclaim its license. Headline fields
+		// that exist are filled; signoff never happens.
+		if i == stDroute && a.dr.StopIter > 0 {
+			res.Stopped = true
 			break
 		}
 	}

@@ -85,18 +85,6 @@ func TestObserverSeesAllSteps(t *testing.T) {
 	}
 }
 
-func TestStopRouteAfterSavesRuntime(t *testing.T) {
-	d := tiny(5)
-	full := Run(d, Options{TargetFreqGHz: 0.4, Seed: 6})
-	cut := Run(d, Options{TargetFreqGHz: 0.4, Seed: 6, StopRouteAfter: 3})
-	if cut.Route.IterationsRun != 3 {
-		t.Fatalf("StopRouteAfter=3 ran %d iterations", cut.Route.IterationsRun)
-	}
-	if cut.RuntimeProxy >= full.RuntimeProxy {
-		t.Error("early route stop should save runtime")
-	}
-}
-
 func TestConstraints(t *testing.T) {
 	d := tiny(7)
 	r := Run(d, Options{TargetFreqGHz: 0.3, Seed: 1})
@@ -154,48 +142,6 @@ func BenchmarkFlowTiny(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(d, Options{TargetFreqGHz: 0.4, Seed: int64(i)})
-	}
-}
-
-// TestRecoverAreaStage: the opt-in post-signoff recovery pass must only
-// shrink area, never break met timing, and report through the observer.
-func TestRecoverAreaStage(t *testing.T) {
-	d := tiny(9)
-	anyDown := false
-	// Targets hard enough that synthesis upsizes (leaving slack on the
-	// table for recovery to reclaim) but still achievable on Tiny.
-	for _, f := range []float64{2.5, 3.0, 3.5} {
-		base := Run(d, Options{TargetFreqGHz: f, Seed: 3})
-		var steps []string
-		rec := RunObserved(d, Options{TargetFreqGHz: f, Seed: 3, RecoverArea: true},
-			ObserverFunc(func(r StepRecord) { steps = append(steps, r.Step) }))
-		if rec.Recover == nil {
-			t.Fatalf("f=%g: RecoverArea run missing Recover result", f)
-		}
-		if base.Recover != nil {
-			t.Fatalf("f=%g: default run unexpectedly ran recovery", f)
-		}
-		if len(steps) == 0 || steps[len(steps)-1] != "recover" {
-			t.Fatalf("f=%g: observer did not see a final recover step: %v", f, steps)
-		}
-		if rec.AreaUm2 > base.AreaUm2 {
-			t.Errorf("f=%g: recovery increased area %v -> %v", f, base.AreaUm2, rec.AreaUm2)
-		}
-		if base.TimingMet && !rec.TimingMet {
-			t.Errorf("f=%g: recovery broke met timing (wns %v -> %v)", f, base.WNSPs, rec.WNSPs)
-		}
-		if rec.RuntimeProxy <= base.RuntimeProxy {
-			t.Errorf("f=%g: recovery runtime not accounted (%v <= %v)", f, rec.RuntimeProxy, base.RuntimeProxy)
-		}
-		if rec.Recover.Downsized > 0 {
-			anyDown = true
-			if rec.AreaUm2 >= base.AreaUm2 {
-				t.Errorf("f=%g: downsized %d cells but area did not drop", f, rec.Recover.Downsized)
-			}
-		}
-	}
-	if !anyDown {
-		t.Error("recovery never downsized a cell across targets; stage is a no-op")
 	}
 }
 

@@ -32,10 +32,10 @@ func (o Options) Key() string {
 	b = keyInt(b, " re=", int64(o.RouteEffort))
 	b = keyInt(b, " ri=", int64(o.RouteIters))
 	b = keyFloat(b, " dr=", o.DeratePct)
-	b = keyInt(b, " stop=", int64(o.StopRouteAfter))
-	b = strconv.AppendBool(append(b, " rec="...), o.RecoverArea)
-	b = keyFloat(b, " rm=", o.RecoverMarginPs)
-	b = keyInt(b, " pw=", int64(o.PlaceWorkers))
+	// stop, rec and rm spelled the route-truncation and area-recovery
+	// options, which were zero in every key ever written; the options
+	// are gone and their spelling stays.
+	b = keyInt(b, " stop=0 rec=false rm=0 pw=", int64(o.PlaceWorkers))
 	b = keyInt(b, " rt=", int64(o.RouteTiles))
 	b = strconv.AppendBool(append(b, " spec="...), o.Speculate.Enabled)
 	b = keyFloat(b, " stol=", o.Speculate.TolerancePct)

@@ -30,9 +30,6 @@ func TestKeyDistinguishesEveryField(t *testing.T) {
 	add("route_effort", func(o *Options) { o.RouteEffort = 2 })
 	add("route_iters", func(o *Options) { o.RouteIters = 10 })
 	add("derate", func(o *Options) { o.DeratePct = 3 })
-	add("stop_after", func(o *Options) { o.StopRouteAfter = 5 })
-	add("recover", func(o *Options) { o.RecoverArea = true })
-	add("recover_margin", func(o *Options) { o.RecoverMarginPs = 12 })
 	add("place_workers", func(o *Options) { o.PlaceWorkers = 4 })
 	add("route_tiles", func(o *Options) { o.RouteTiles = 4 })
 	add("speculate", func(o *Options) { o.Speculate.Enabled = true })

@@ -7,7 +7,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/place"
 	"repro/internal/route"
-	"repro/internal/sizing"
 	"repro/internal/sta"
 	"repro/internal/synth"
 )
@@ -26,8 +25,7 @@ type artifacts struct {
 	ct   cts.Result
 	gr   *route.GlobalResult
 	dr   *route.DetailResult
-	sign *sta.Report // recover refreshes it when it changed the netlist
-	rec  sizing.Result
+	sign *sta.Report
 }
 
 // stage is one step of the flow as data.
@@ -56,7 +54,6 @@ const (
 	stGroute
 	stDroute
 	stSTA
-	stRecover
 )
 
 // stages is the flow in order. RunCfg drives it one entry at a time and a
@@ -155,7 +152,6 @@ var stages = [...]stage{
 				Iterations: a.opts.RouteIters,
 				Effort:     a.opts.RouteEffort,
 				Seed:       subSeed(a.opts.Seed, 5),
-				StopAfter:  a.opts.StopRouteAfter,
 				IterHook:   a.hook,
 			})
 		},
@@ -189,37 +185,6 @@ var stages = [...]stage{
 				"wns":     a.sign.WNSPs,
 				"tns":     a.sign.TNSPs,
 				"maxfreq": a.sign.MaxFreqGHz,
-			}, nil
-		},
-	},
-	// Area recovery on the incremental signoff timer: downsize whatever
-	// the flow left oversized while the margin holds, then refresh the
-	// signoff report if anything changed.
-	stRecover: {
-		name: "recover",
-		compute: func(_ context.Context, a *artifacts) {
-			cfg := signoff(a)
-			a.rec = sizing.Recover(a.n, sizing.Config{
-				Seed:          subSeed(a.opts.Seed, 6),
-				Engine:        &cfg,
-				SlackMarginPs: a.opts.RecoverMarginPs,
-			})
-			if a.rec.Downsized > 0 {
-				a.sign = sta.Analyze(a.n, cfg)
-			}
-		},
-		commit: func(res *Result, a *artifacts) (map[string]float64, []float64) {
-			rec := a.rec
-			res.Recover = &rec
-			// Propagation work is measured in full-Analyze equivalents;
-			// convert to runtime via the signoff run's cost.
-			res.RuntimeProxy += rec.TimerWorkEquiv * res.Sign.CostUnits
-			res.Sign = a.sign
-			return map[string]float64{
-				"downsized":  float64(rec.Downsized),
-				"area":       rec.AreaAfter,
-				"wns":        res.Sign.WNSPs,
-				"timer_work": rec.TimerWorkEquiv,
 			}, nil
 		},
 	},

@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"repro/internal/campaign"
-	"repro/internal/flow"
 	"repro/internal/ml"
 	"repro/internal/netlist"
 	"repro/internal/synth"
@@ -37,8 +36,7 @@ type Study struct {
 
 // Config parameterizes the sweep.
 type Config struct {
-	Seeds    int  // runs per frequency point (default 20)
-	FullFlow bool // run the whole SP&R flow (slower) instead of synthesis only
+	Seeds int // runs per frequency point (default 20)
 	// Targets are the frequencies to sample; if empty, a ramp from
 	// 0.5*fmax to 1.02*fmax is generated with Steps points.
 	Targets []float64
@@ -48,9 +46,6 @@ type Config struct {
 	// CPU). Per-run seeds are fixed by sweep position, so the results
 	// are bit-identical at any worker count.
 	Workers int
-	// Cache memoizes full-flow runs across studies (optional; only
-	// consulted when FullFlow is set).
-	Cache *campaign.Cache
 }
 
 func (c Config) withDefaults() Config {
@@ -83,37 +78,17 @@ func Sweep(design *netlist.Netlist, cfg Config) Study {
 		area float64
 		met  bool
 	}
-	eng := campaign.New(campaign.Config{Workers: campaign.Workers(cfg.Workers), Cache: cfg.Cache})
+	eng := campaign.New(campaign.Config{Workers: cfg.Workers})
 	grid := make([]sample, len(targets)*cfg.Seeds)
-	if cfg.FullFlow {
-		key := ""
-		if cfg.Cache != nil {
-			key = campaign.KeyFor(design)
-		}
-		pts := make([]campaign.Point, 0, len(grid))
-		for ti, f := range targets {
-			for s := 0; s < cfg.Seeds; s++ {
-				pts = append(pts, campaign.NewPoint(design, key, flow.Options{
-					TargetFreqGHz: f,
-					Seed:          cfg.Seed + int64(1000*ti) + int64(s),
-				}))
-			}
-		}
-		results, _ := eng.Run(context.Background(), pts)
-		for i, r := range results {
-			grid[i] = sample{area: r.AreaUm2, met: r.TimingMet}
-		}
-	} else {
-		campaign.Map(context.Background(), eng, len(grid), func(i int) struct{} { //nolint:errcheck
-			ti, s := i/cfg.Seeds, i%cfg.Seeds
-			r := synth.Run(design, synth.Options{
-				TargetFreqGHz: targets[ti],
-				Seed:          cfg.Seed + int64(1000*ti) + int64(s),
-			})
-			grid[i] = sample{area: r.AreaUm2, met: r.Met}
-			return struct{}{}
+	campaign.Map(context.Background(), eng, len(grid), func(i int) struct{} { //nolint:errcheck
+		ti, s := i/cfg.Seeds, i%cfg.Seeds
+		r := synth.Run(design, synth.Options{
+			TargetFreqGHz: targets[ti],
+			Seed:          cfg.Seed + int64(1000*ti) + int64(s),
 		})
-	}
+		grid[i] = sample{area: r.AreaUm2, met: r.Met}
+		return struct{}{}
+	})
 	for ti, f := range targets {
 		p := Point{TargetFreqGHz: f}
 		met := 0

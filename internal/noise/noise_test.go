@@ -89,13 +89,3 @@ func TestGaussianAt(t *testing.T) {
 		t.Errorf("histogram holds %d samples", total)
 	}
 }
-
-func TestFullFlowMode(t *testing.T) {
-	st := Sweep(tiny(7), Config{Seeds: 2, Targets: []float64{0.3}, FullFlow: true, Seed: 7})
-	if len(st.Points) != 1 || len(st.Points[0].AreaSamples) != 2 {
-		t.Fatal("full-flow sweep malformed")
-	}
-	if st.Points[0].MeanArea <= 0 {
-		t.Fatal("full-flow area missing")
-	}
-}

@@ -34,11 +34,9 @@ type Config struct {
 	// NodeID namespaces span ids (trace.Config.NodeID) so this
 	// process's spans can ship to a fleet collector without colliding.
 	NodeID uint16
-	// ShipURL, when non-empty, periodically drains finished spans and
+	// ShipURL, when non-empty, drains finished spans every 500 ms and
 	// POSTs them to this collector endpoint (a coordinator's /v1/spans).
 	ShipURL string
-	// ShipInterval is the drain period (0 = 500ms).
-	ShipInterval time.Duration
 	// ShipNode labels shipped batches (diagnostics only).
 	ShipNode string
 	// Aux mounts extra handlers on the metrics server by pattern — the
@@ -50,15 +48,9 @@ type Config struct {
 	Gauges time.Duration
 }
 
-// Setup arms tracing and/or the metrics server per the flag values
-// (empty string = off) and returns a flush function that must run
-// before the process exits — it writes the trace file and shuts the
+// SetupCfg arms what cfg selects and returns a flush function that must
+// run before the process exits — it writes the trace file and shuts the
 // server down. Callers should route every exit path through it.
-func Setup(traceFile, metricsAddr string) (flush func(), err error) {
-	return SetupCfg(Config{TraceFile: traceFile, MetricsAddr: metricsAddr, SpanRetention: -1})
-}
-
-// SetupCfg is Setup with the full Config surface.
 func SetupCfg(cfg Config) (flush func(), err error) {
 	var tr *trace.Tracer
 	if cfg.TraceFile != "" || cfg.ShipURL != "" {
@@ -78,7 +70,7 @@ func SetupCfg(cfg Config) (flush func(), err error) {
 	}
 	var shipper *trace.Shipper
 	if cfg.ShipURL != "" && tr != nil {
-		shipper = trace.NewShipper(tr, cfg.ShipNode, cfg.ShipURL, cfg.ShipInterval)
+		shipper = trace.NewShipper(tr, cfg.ShipNode, cfg.ShipURL, 0)
 		shipper.Start()
 	}
 	var stopGauges func()

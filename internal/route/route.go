@@ -293,10 +293,6 @@ type DetailOptions struct {
 	Iterations int   // rip-up-and-reroute iterations (default 20, as in Fig. 9)
 	Effort     int   // 1..3; higher effort converges faster (default 2)
 	Seed       int64 // run noise
-	// StopAfter lets a supervising policy terminate the run early
-	// (<=0 means run all iterations). Used by the post-hoc doomed-run
-	// replays; live policies use IterHook instead.
-	StopAfter int
 	// IterHook, when non-nil, is consulted between rip-up passes and
 	// can stop the run live (see DetailRouteCtx). It never affects the
 	// DRV values of the iterations that do run: the rng stream is
@@ -388,9 +384,6 @@ func DetailRouteCtx(ctx context.Context, g *GlobalResult, opts DetailOptions) *D
 	rho := 0.72 - 0.09*float64(opts.Effort)
 	res.DRVs = append(res.DRVs, int(drv))
 	for t := 1; t <= opts.Iterations; t++ {
-		if opts.StopAfter > 0 && t > opts.StopAfter {
-			break
-		}
 		if ctx.Err() != nil {
 			res.Aborted = true
 			break

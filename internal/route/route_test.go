@@ -104,25 +104,6 @@ func TestDetailRouteSeriesShape(t *testing.T) {
 	}
 }
 
-func TestStopAfterTruncates(t *testing.T) {
-	n := placed(6, netlist.Tiny(6))
-	g := GlobalRoute(n, GlobalOptions{Seed: 1})
-	full := DetailRoute(g, DetailOptions{Seed: 7})
-	short := DetailRoute(g, DetailOptions{Seed: 7, StopAfter: 5})
-	if short.IterationsRun != 5 {
-		t.Fatalf("StopAfter=5 ran %d iterations", short.IterationsRun)
-	}
-	if short.RuntimeProxy >= full.RuntimeProxy {
-		t.Error("early stop should save runtime")
-	}
-	// Identical prefix: the same seed must give the same trajectory.
-	for i := 0; i <= 5; i++ {
-		if short.DRVs[i] != full.DRVs[i] {
-			t.Fatalf("prefix diverged at %d: %d vs %d", i, short.DRVs[i], full.DRVs[i])
-		}
-	}
-}
-
 func TestEffortSpeedsConvergence(t *testing.T) {
 	n := placed(7, netlist.Tiny(7))
 	g := GlobalRoute(n, GlobalOptions{Seed: 1, TracksPerEdge: 60})

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"context"
 	"sort"
 	"sync"
 )
@@ -10,10 +9,8 @@ import (
 // pool of slots ("licenses") each named owner — a worker node, a tenant
 // — holds right now, and arbitrates who gets the next free one. The
 // single-process Pool counts anonymous goroutines; the Ledger is its
-// distributed sibling, where the holders are remote and identified, the
-// grant decision must be fair across competing owners, and the caller
-// (a coordinator, a front door) needs to revoke everything a dead owner
-// held in one call.
+// distributed sibling, where the holders are remote and identified and
+// the grant decision must be fair across competing owners.
 //
 // Fairness is deterministic max-min: the next grant goes to the
 // candidate holding the fewest slots relative to its weight, ties
@@ -23,14 +20,9 @@ type Ledger struct {
 	total int
 
 	mu     sync.Mutex
-	cond   *sync.Cond
 	inUse  map[string]int
 	weight map[string]int
 	used   int
-
-	granted  int64
-	released int64
-	revoked  int64
 }
 
 // NewLedger creates a ledger over total shared slots (total < 1 is
@@ -39,13 +31,8 @@ func NewLedger(total int) *Ledger {
 	if total < 1 {
 		total = 1
 	}
-	l := &Ledger{total: total, inUse: map[string]int{}, weight: map[string]int{}}
-	l.cond = sync.NewCond(&l.mu)
-	return l
+	return &Ledger{total: total, inUse: map[string]int{}, weight: map[string]int{}}
 }
-
-// Total returns the shared slot count.
-func (l *Ledger) Total() int { return l.total }
 
 // SetWeight sets an owner's fair-share weight (default 1; w < 1 is
 // clamped to 1). An owner with weight 2 is entitled to twice the slots
@@ -66,41 +53,9 @@ func (l *Ledger) TryGrant(owner string) bool {
 	if l.used >= l.total {
 		return false
 	}
-	l.grantLocked(owner)
-	return true
-}
-
-// Acquire blocks until a slot is free (or ctx is done) and takes it for
-// owner. It returns ctx.Err() on cancellation, nil on success.
-func (l *Ledger) Acquire(ctx context.Context, owner string) error {
-	// Wake the wait loop when the context dies: cond has no native
-	// cancellation, so a watcher broadcasts on ctx.Done.
-	stop := context.AfterFunc(ctx, func() {
-		l.mu.Lock()
-		l.cond.Broadcast()
-		l.mu.Unlock()
-	})
-	defer stop()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.used >= l.total {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		l.cond.Wait()
-	}
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	l.grantLocked(owner)
-	return nil
-}
-
-// grantLocked records one grant. Caller holds l.mu.
-func (l *Ledger) grantLocked(owner string) {
 	l.inUse[owner]++
 	l.used++
-	l.granted++
+	return true
 }
 
 // Release returns one of owner's slots. Releasing a slot the owner does
@@ -117,39 +72,13 @@ func (l *Ledger) Release(owner string) {
 		delete(l.inUse, owner)
 	}
 	l.used--
-	l.released++
-	l.cond.Signal()
-}
-
-// Revoke releases every slot owner holds — the dead-node path: a
-// coordinator that declares a worker lost must free its licenses in one
-// step before reassigning its points. Returns how many were freed.
-func (l *Ledger) Revoke(owner string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.inUse[owner]
-	if n == 0 {
-		return 0
-	}
-	delete(l.inUse, owner)
-	l.used -= n
-	l.revoked += int64(n)
-	l.cond.Broadcast()
-	return n
-}
-
-// InUse reports how many slots owner currently holds.
-func (l *Ledger) InUse(owner string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inUse[owner]
 }
 
 // PickFair chooses which candidate should receive the next slot:
 // the one with the lowest weighted usage (inUse/weight), ties broken by
 // name so the decision is deterministic. ok is false when candidates is
-// empty. PickFair does not grant — callers follow up with TryGrant or
-// Acquire for the picked owner.
+// empty. PickFair does not grant — callers follow up with TryGrant for
+// the picked owner.
 func (l *Ledger) PickFair(candidates []string) (owner string, ok bool) {
 	if len(candidates) == 0 {
 		return "", false
@@ -175,28 +104,4 @@ func (l *Ledger) scoreLocked(owner string) float64 {
 		w = 1
 	}
 	return float64(l.inUse[owner]) / float64(w)
-}
-
-// LedgerStats is a point-in-time snapshot of the ledger.
-type LedgerStats struct {
-	Total    int
-	Used     int
-	Owners   map[string]int
-	Granted  int64
-	Released int64
-	Revoked  int64
-}
-
-// Stats snapshots the ledger coherently (one lock, all fields).
-func (l *Ledger) Stats() LedgerStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	owners := make(map[string]int, len(l.inUse))
-	for k, v := range l.inUse {
-		owners[k] = v
-	}
-	return LedgerStats{
-		Total: l.total, Used: l.used, Owners: owners,
-		Granted: l.granted, Released: l.released, Revoked: l.revoked,
-	}
 }

@@ -41,7 +41,7 @@ import (
 type Record struct {
 	Campaign string // campaign id (hex of the sweep-spec hash)
 	Point    int    // index in the campaign's canonical point list
-	Stage    string // "synth", "place", "cts", "groute", "droute", "sta", "recover"
+	Stage    string // "synth", "place", "cts", "groute", "droute", "sta"
 	Node     string // node that emitted it ("local", "w0", ...)
 	Corner   string // analysis corner (single-corner flow: "typ")
 	Key      string // canonical flow.Options key of the point

@@ -7,7 +7,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/flow"
-	"repro/internal/noise"
 	"repro/internal/predict"
 )
 
@@ -64,9 +63,6 @@ func TestPointKeyIdentityAcrossBuilders(t *testing.T) {
 				core.SearchConfig{Freqs: []float64{0.3, 0.5}, Iterations: 2, Licenses: 2, Seed: 1, Cache: c}); err != nil {
 				t.Fatal(err)
 			}
-		}},
-		{"noise.Sweep", func(c *campaign.Cache) {
-			noise.Sweep(design, noise.Config{Seeds: 2, FullFlow: true, Targets: []float64{0.3, 0.5}, Seed: 1, Workers: 2, Cache: c})
 		}},
 		{"predict.CampaignWith", func(c *campaign.Cache) {
 			predict.CampaignWith([]*Design{design}, []flow.Options{{TargetFreqGHz: 0.4, SynthEffort: 2}}, 2,

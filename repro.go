@@ -8,8 +8,8 @@
 // the ITRS design-cost roadmap model.
 //
 // This file is the facade: the small, stable API a downstream user
-// needs. The per-figure experiment harness lives in experiments.go; the
-// full machinery is under internal/.
+// needs. The per-figure experiment harnesses live in figs_*.go and
+// ext_*.go; the full machinery is under internal/.
 package repro
 
 import (
