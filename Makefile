@@ -7,9 +7,6 @@ bench:
 crash:
 	scripts/check.sh crash
 
-spec:
-	scripts/check.sh spec
-
 dist:
 	scripts/check.sh dist
 
@@ -22,4 +19,4 @@ obs:
 trace-demo:
 	scripts/check.sh trace
 
-.PHONY: check bench crash spec dist chaos obs trace-demo
+.PHONY: check bench crash dist chaos obs trace-demo

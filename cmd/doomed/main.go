@@ -10,10 +10,6 @@
 //	doomed -doomed-live   # live abort: card STOPs runs mid-route and
 //	                      # reports reclaimed license-iterations vs the
 //	                      # post-hoc baseline
-//	doomed -speculate     # speculative stage overlap: a downstream flow
-//	                      # sweep run against the artifact-memory oracle,
-//	                      # with deterministic hit/commit accounting and
-//	                      # zero QoR drift vs the reference
 //	doomed -all           # everything
 //	      [-scale small|paper] [-seed 1] [-parallel N]
 //	      [-journal DIR]
@@ -49,7 +45,6 @@ func run() int {
 	card := flag.Bool("card", false, "print the MDP strategy card (Fig. 10)")
 	table := flag.Bool("table", false, "print the consecutive-STOP error table (Table 1)")
 	live := flag.Bool("doomed-live", false, "run the test corpus under live MDP supervision and report reclaimed license-iterations")
-	speculate := flag.Bool("speculate", false, "run a downstream flow sweep with speculative stage overlap and report deterministic hit/commit accounting")
 	all := flag.Bool("all", false, "print everything")
 	scale := flag.String("scale", "small", "experiment scale: small or paper")
 	seed := flag.Int64("seed", 1, "experiment seed")
@@ -74,7 +69,7 @@ func run() int {
 	if *scale == "paper" {
 		s = repro.Paper
 	}
-	if !*fig9 && !*card && !*table && !*live && !*speculate && !*all {
+	if !*fig9 && !*card && !*table && !*live && !*all {
 		*all = true
 	}
 	if *all || *fig9 {
@@ -93,12 +88,6 @@ func run() int {
 	}
 	if *all || *live {
 		repro.DoomedLive(s, *seed).Print(os.Stdout)
-	}
-	if *all || *speculate {
-		if *all || *live {
-			fmt.Println()
-		}
-		repro.SpecOverlap(s, *seed).Print(os.Stdout)
 	}
 	if *journalDir != "" {
 		// Journal accounting goes to stderr so experiment output stays

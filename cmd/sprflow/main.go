@@ -6,7 +6,6 @@
 //
 //	sprflow -design pulpino -freq 0.6 -seed 1 [-effort 2] [-robot]
 //	sprflow -design tiny -sweep 4 [-parallel N] [-journal DIR]
-//	sprflow -design tiny -sweep 4 -speculate [-spec-tol 1]
 //	sprflow -design tiny -sweep 4 -dist-nodes 4 [-journal DIR]
 //	sprflow -design tiny -sweep 4 -dist-nodes 4 -chaos-profile partition -chaos-seed 7
 //	sprflow -design tiny -sweep 4 -trace trace.json -metrics-addr :8080
@@ -31,13 +30,6 @@
 // partitions — keyed on -chaos-seed. stdout remains byte-identical to
 // the single-process sweep under any schedule that leaves at least one
 // worker reachable; failure-handling counters go to stderr.
-//
-// With -speculate the sweep overlaps downstream stages on predicted
-// upstream artifacts drawn from a sweep-local artifact memory; commit
-// decisions are pure functions of (prediction, real result), so the
-// point lines on stdout are byte-identical to a non-speculative sweep
-// at any -parallel setting. Hit/miss and chain accounting goes to
-// stderr.
 //
 // With -trace FILE the whole run is traced — campaign points, flow
 // stages, router iterations, scheduler queue waits, journal fsyncs —
@@ -91,8 +83,6 @@ func run() int {
 	distNodes := flag.Int("dist-nodes", 0, "run -sweep through the distributed campaign service with this many loopback worker nodes (0 = single-process; stdout identical either way)")
 	chaosProfile := flag.String("chaos-profile", "", "inject a deterministic network fault schedule into -dist-nodes: flaky, slow, partition, kill (stdout stays byte-identical)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "seed for the -chaos-profile coin schedule")
-	speculate := flag.Bool("speculate", false, "overlap downstream flow stages on predicted upstream artifacts during -sweep (committed results identical to a non-speculative sweep)")
-	specTol := flag.Float64("spec-tol", 0, "speculative commit tolerance on predicted stage scalars, percent (0 = default 1)")
 	placeWorkers := flag.Int("place-workers", 0, "territory-parallel annealer workers (0 = serial placer; results identical at any count >= 1)")
 	routeTiles := flag.Int("route-tiles", 0, "region-sharded global router tiles per side (0/1 = serial router)")
 	routeWorkers := flag.Int("route-workers", 0, "concurrent regions for -route-tiles (0 = one per region, at most one per CPU; results identical at any setting)")
@@ -156,10 +146,6 @@ func run() int {
 	}
 	d := repro.NewDesign(repro.DefaultLibrary(), spec)
 
-	if *speculate && *sweep <= 0 {
-		fmt.Fprintln(os.Stderr, "-speculate requires -sweep (a single run has no prior artifacts to predict from)")
-		return 2
-	}
 	if *distNodes > 0 && *sweep <= 0 {
 		fmt.Fprintln(os.Stderr, "-dist-nodes requires -sweep")
 		return 2
@@ -180,8 +166,6 @@ func run() int {
 			parallel:     *parallel,
 			journalDir:   *journalDir,
 			stageTimeout: *stageTimeout,
-			speculate:    *speculate,
-			specTol:      *specTol,
 			distNodes:    *distNodes,
 			chaosProfile: *chaosProfile,
 			chaosSeed:    *chaosSeed,
@@ -237,8 +221,6 @@ type sweepConfig struct {
 	parallel     int
 	journalDir   string
 	stageTimeout time.Duration
-	speculate    bool
-	specTol      float64
 	distNodes    int
 	chaosProfile string
 	chaosSeed    int64
@@ -248,10 +230,9 @@ type sweepConfig struct {
 
 // runSweep executes the crash-safe QOR sweep: nSeeds seeds at three
 // target frequencies around base. Point lines go to stdout in point
-// order — a stable byte stream — while journal/resume and speculation
-// accounting go to stderr, so `diff` between a resumed (or speculative)
-// and an uninterrupted (or non-speculative) sweep compares only
-// results.
+// order — a stable byte stream — while journal/resume accounting goes to
+// stderr, so `diff` between a resumed and an uninterrupted sweep
+// compares only results.
 func runSweep(d *repro.Design, baseFreq float64, seed int64, base repro.FlowOptions, cfg sweepConfig) int {
 	freqs := []float64{0.8 * baseFreq, baseFreq, 1.2 * baseFreq}
 	seeds := make([]int64, cfg.seeds)
@@ -259,15 +240,13 @@ func runSweep(d *repro.Design, baseFreq float64, seed int64, base repro.FlowOpti
 		seeds[i] = seed + int64(i)
 	}
 	scfg := repro.SweepConfig{
-		Design:           d,
-		Base:             base,
-		Freqs:            freqs,
-		Seeds:            seeds,
-		Workers:          cfg.parallel,
-		JournalDir:       cfg.journalDir,
-		StageTimeout:     cfg.stageTimeout,
-		Speculate:        cfg.speculate,
-		SpecTolerancePct: cfg.specTol,
+		Design:       d,
+		Base:         base,
+		Freqs:        freqs,
+		Seeds:        seeds,
+		Workers:      cfg.parallel,
+		JournalDir:   cfg.journalDir,
+		StageTimeout: cfg.stageTimeout,
 	}
 	if cfg.warehouse != nil {
 		scfg.Warehouse = cfg.warehouse
@@ -310,12 +289,6 @@ func runSweep(d *repro.Design, baseFreq float64, seed int64, base repro.FlowOpti
 		if res.JournalErr != nil {
 			fmt.Fprintf(os.Stderr, "journal degraded: %v\n", res.JournalErr)
 		}
-	}
-	if cfg.speculate {
-		// Speculation accounting: chain and predictor counters mirrored
-		// by the campaign (spec.chain.*, spec.stage.*, predict.*).
-		metrics.Default.WritePrefix(os.Stderr, "spec.")
-		metrics.Default.WritePrefix(os.Stderr, "predict.")
 	}
 	if cfg.warehouse != nil {
 		st := cfg.warehouse.Stats()

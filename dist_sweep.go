@@ -44,9 +44,6 @@ func CampaignPoints(cfg SweepConfig) ([]campaign.Point, error) {
 	for _, f := range cfg.Freqs {
 		base := cfg.Base
 		base.TargetFreqGHz = f
-		if cfg.Speculate {
-			base.Speculate = flow.SpecConfig{Enabled: true, TolerancePct: cfg.SpecTolerancePct}
-		}
 		pts = append(pts, campaign.Points(cfg.Design, key, base, cfg.Seeds)...)
 	}
 	return pts, nil
@@ -84,11 +81,6 @@ type DistSweepConfig struct {
 // Sweep on the same config at any node count.
 func DistSweep(cfg DistSweepConfig) (SweepResult, error) {
 	var out SweepResult
-	if cfg.Speculate {
-		// The speculation oracle is an in-process artifact memory;
-		// sharing it across nodes is future work.
-		return out, fmt.Errorf("repro: DistSweep: -speculate is not supported in dist mode")
-	}
 	pts, err := CampaignPoints(cfg.SweepConfig)
 	if err != nil {
 		return out, err

@@ -65,8 +65,8 @@ type Cache struct {
 
 type cacheShard struct {
 	mu       sync.RWMutex
-	entries  map[string]*Entry // without their Spec: see do
-	order    []string          // insertion order, for FIFO eviction
+	entries  map[string]*Entry
+	order    []string // insertion order, for FIFO eviction
 	inflight map[string]*inflightCall
 }
 
@@ -226,9 +226,8 @@ func (c *Cache) DoRecorded(key string, compute func() (*flow.Result, []flow.Step
 }
 
 // do is DoRecorded in the engine's currency, an Entry: what compute
-// returns is written through to the tier whole, Spec included, and a tier
-// hit hands back what the tier held — an L1 or coalesced hit carries Res
-// and Steps only.
+// returns is written through to the tier whole, and a hit of any kind
+// hands back the entry's Res and Steps.
 func (c *Cache) do(key string, compute func() (Entry, error)) (ent Entry, hit bool, err error) {
 	if e, ok := c.lookup(key); ok {
 		return *e, true, nil
@@ -291,10 +290,9 @@ func (c *Cache) do(key string, compute func() (Entry, error)) (ent Entry, hit bo
 			metrics.Add("campaign.cache.tier_store", 1)
 		}
 	}
-	// Fill L1 and resolve the waiters, with an entry that has no Spec: a
-	// speculation outcome is counted once, by this caller.
+	// Fill L1 and resolve the waiters with a copy, so ent itself stays
+	// off the heap on the hit paths above.
 	l1 := ent
-	l1.Spec = nil
 	call.ent = &l1
 	s.mu.Lock()
 	delete(s.inflight, key)

@@ -144,15 +144,6 @@ type Config struct {
 	// run (see flow.RunConfig.StageTimeout). A reaped stage surfaces as
 	// a FaultHang fault and follows the normal retry path.
 	StageTimeout time.Duration
-	// Oracle enables speculative stage overlap for points whose
-	// Options.Speculate asks for it: one oracle is shared by every run
-	// in the campaign, observing completed stages and serving
-	// predictions (see flow.SpecOracle, internal/spec). nil leaves
-	// speculation off regardless of point options. At most one
-	// speculative chain per CPU runs across the whole campaign, and
-	// speculative work only ever takes a free slot, never queues, so it
-	// cannot delay real stages.
-	Oracle flow.SpecOracle
 }
 
 // Engine executes campaigns. The zero-value Engine is not usable; build
@@ -164,8 +155,6 @@ type Engine struct {
 	retry        Retry
 	faults       *flow.FaultInjector
 	stageTimeout time.Duration
-	oracle       flow.SpecOracle
-	specSlots    *sched.Slots
 }
 
 // New creates an engine.
@@ -178,14 +167,9 @@ func New(cfg Config) *Engine {
 		}
 		pool = sched.NewPool(w)
 	}
-	var slots *sched.Slots
-	if cfg.Oracle != nil {
-		slots = sched.NewSlots(runtime.NumCPU())
-	}
 	return &Engine{
 		pool: pool, cache: cfg.Cache, obs: cfg.Observer, retry: cfg.Retry,
 		faults: cfg.Faults, stageTimeout: cfg.StageTimeout,
-		oracle: cfg.Oracle, specSlots: slots,
 	}
 }
 
@@ -294,10 +278,11 @@ func (e *Engine) Run(ctx context.Context, pts []Point) ([]*flow.Result, error) {
 func (e *Engine) revisit(ctx context.Context, pts []Point, results []*flow.Result) (todo []int) {
 	serve := e.cache != nil && ctx.Err() == nil
 	var hits int64
-	for i, p := range pts {
+	for i := range pts {
+		p := &pts[i]
 		if serve && p.key != "" {
 			if ent, ok := e.cache.probe(p.key); ok {
-				pctx, psp := pointSpan(ctx, p, i)
+				pctx, psp := pointSpan(ctx, p.opts.Seed, i)
 				_, asp := trace.Start(pctx, "campaign.attempt")
 				asp.SetInt("attempt", 0)
 				e.deliverHit(psp, asp, 0, ent.Steps)
@@ -334,10 +319,10 @@ func (e *Engine) deliverHit(psp, asp *trace.Span, attempt int, steps []flow.Step
 
 // pointSpan opens a point's span (index, seed, final outcome); each run or
 // re-run gets a campaign.attempt child, so a retry storm shows under it.
-func pointSpan(ctx context.Context, p Point, index int) (context.Context, *trace.Span) {
+func pointSpan(ctx context.Context, seed int64, index int) (context.Context, *trace.Span) {
 	ctx, psp := trace.Start(ctx, "campaign.point")
 	psp.SetInt("index", int64(index))
-	psp.SetInt("seed", p.opts.Seed)
+	psp.SetInt("seed", seed)
 	return ctx, psp
 }
 
@@ -357,7 +342,7 @@ func (e *Engine) mirrorPoolStats() {
 // retried point draws fresh fault coins while staying deterministic at
 // any worker count.
 func (e *Engine) runPoint(ctx context.Context, p Point, index int) pointOutcome {
-	ctx, psp := pointSpan(ctx, p, index)
+	ctx, psp := pointSpan(ctx, p.opts.Seed, index)
 	var lastErr error
 	for attempt := 0; attempt <= e.retry.Max; attempt++ {
 		if attempt > 0 {
@@ -376,9 +361,6 @@ func (e *Engine) runPoint(ctx context.Context, p Point, index int) pointOutcome 
 		ent, hit, err := e.runOnce(actx, p, attempt)
 		if err == nil {
 			if hit {
-				// Only a tier hit carries a Spec: the outcome of a run some
-				// earlier process counted, which this one never will.
-				countSpec(ent.Spec)
 				e.deliverHit(psp, asp, attempt, ent.Steps)
 			} else {
 				asp.End()
@@ -412,38 +394,27 @@ func (e *Engine) runPoint(ctx context.Context, p Point, index int) pointOutcome 
 // records are deliverHit's to replay.
 func (e *Engine) runOnce(ctx context.Context, p Point, attempt int) (Entry, bool, error) {
 	if e.cache == nil || p.key == "" {
-		res, spec, err := e.compute(ctx, p, attempt, e.obs)
-		return Entry{Res: res, Spec: spec}, false, err
+		res, err := e.compute(ctx, p, attempt, e.obs)
+		return Entry{Res: res}, false, err
 	}
 	return e.cache.do(p.key, func() (Entry, error) {
 		rec := &recordingObserver{next: e.obs}
-		res, spec, err := e.compute(ctx, p, attempt, rec)
-		return Entry{Res: res, Steps: rec.steps, Spec: spec}, err
+		res, err := e.compute(ctx, p, attempt, rec)
+		return Entry{Res: res, Steps: rec.steps}, err
 	})
 }
 
 // compute runs the flow on one point under obs, and counts the run if it
-// succeeded — the only kind a memo tier ever holds, and the only kind
-// that reports a speculation outcome, so counters re-counted at resume
-// match counters counted live.
-func (e *Engine) compute(ctx context.Context, p Point, attempt int, obs flow.Observer) (*flow.Result, *flow.SpecStats, error) {
-	var spec *flow.SpecStats
-	rcfg := flow.RunConfig{
+// succeeded — the only kind a memo tier ever holds.
+func (e *Engine) compute(ctx context.Context, p Point, attempt int, obs flow.Observer) (*flow.Result, error) {
+	res, err := flow.RunCfg(ctx, p.design, p.opts, flow.RunConfig{
 		Observer: obs, Faults: e.faults, Attempt: attempt, StageTimeout: e.stageTimeout,
-	}
-	if e.oracle != nil {
-		// The campaign's one oracle and its speculative worker slots;
-		// without them the run stays purely sequential.
-		rcfg.Oracle, rcfg.SpecSlots = e.oracle, e.specSlots
-		rcfg.SpecReport = func(st flow.SpecStats) { spec = &st }
-	}
-	res, err := flow.RunCfg(ctx, p.design, p.opts, rcfg)
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	e.countStopped(res)
-	countSpec(spec)
-	return res, spec, nil
+	return res, nil
 }
 
 // countStopped mirrors live doomed-run stops into the campaign counters
@@ -456,44 +427,6 @@ func (e *Engine) countStopped(res *flow.Result) {
 	if saved := res.Route.IterationsBudget - res.Route.IterationsRun; saved > 0 {
 		metrics.Add("campaign.doomed.saved_iters", int64(saved))
 	}
-}
-
-// countSpec mirrors one run's speculation outcome into the process-wide
-// counters and predictor-accuracy histograms (flow cannot: metrics
-// depends on it). nil means the run did not speculate.
-func countSpec(st *flow.SpecStats) {
-	if st == nil {
-		return
-	}
-	if st.Launched > 0 {
-		metrics.Add("spec.chain.launched", int64(st.Launched))
-	}
-	if st.Skipped > 0 {
-		metrics.Add("spec.chain.skipped", int64(st.Skipped))
-	}
-	if st.Committed > 0 {
-		metrics.Add("spec.stage.committed", int64(st.Committed))
-	}
-	if st.Discarded > 0 {
-		metrics.Add("spec.chain.discarded", int64(st.Discarded))
-	}
-	countJudgment("synth", st.Synth)
-	countJudgment("place", st.Place)
-}
-
-// countJudgment counts one stage prediction as hit or miss and feeds its
-// tolerance error into the per-stage accuracy histogram
-// (predict.tolerr.<stage>, rendered by /debug/hist).
-func countJudgment(stage string, j flow.SpecJudgment) {
-	if !j.Predicted {
-		return
-	}
-	if j.Hit {
-		metrics.Add("predict."+stage+".hit", 1)
-	} else {
-		metrics.Add("predict."+stage+".miss", 1)
-	}
-	metrics.Observe("predict.tolerr."+stage, j.ErrPct)
 }
 
 // countFault classifies a retryable failure into the fault counters.

@@ -219,7 +219,7 @@ func TestEncodeEntryIsSectionPlusValue(t *testing.T) {
 		pulpinoEntry(),
 		full,
 		{Key: "k", Res: &flow.Result{}},
-		{Key: "k", Res: full.Res, Spec: &flow.SpecStats{Launched: 1}},
+		{Key: "k", Res: full.Res, Steps: full.Steps[:1]},
 	}
 	fresh := gobEncode(t, shapes[2])
 	section := fresh[:sectionLen(fresh)]

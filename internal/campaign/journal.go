@@ -27,13 +27,6 @@ type Entry struct {
 	Key   string
 	Res   *flow.Result
 	Steps []flow.StepRecord
-	// Spec is the run's speculation outcome (nil if it did not
-	// speculate). It rides the write-through to the tier, and the first
-	// tier hit on the journaled entry re-counts the predictor hit/miss
-	// counters the live run counted, so a resumed campaign's accounting
-	// matches an uninterrupted one. Journals written before speculation
-	// existed decode with Spec nil.
-	Spec *flow.SpecStats
 }
 
 // Journal is the campaign's durable memo tier: a journal.Keyed of gob
@@ -52,9 +45,9 @@ type Journal struct {
 	served atomic.Int64 // recovered entries handed to the cache
 }
 
-// journaled is an entry the journal holds; counted says its Spec has been
-// counted by this process — live, if it was stored here, else by the first
-// Load.
+// journaled is an entry the journal holds; counted says this process has
+// served it — stored it live, or handed it out on a first Load, which
+// ResumeStats counts as a replay.
 type journaled struct {
 	Entry
 	counted atomic.Bool
@@ -83,18 +76,15 @@ func OpenJournal(dir string, opts journal.Options) (*Journal, error) {
 // Stats exposes the recovery statistics of the underlying log.
 func (j *Journal) Stats() journal.RecoveryStats { return j.k.Stats().Log }
 
-// Load implements Tier. Spec travels with the first Load of a recovered
-// entry only: the engine counts it, and a reload after an L1 eviction
-// must not count it again.
+// Load implements Tier. The first Load of a recovered entry is a replay;
+// a reload after an L1 eviction is not counted again.
 func (j *Journal) Load(key string) (Entry, bool) {
 	held, ok := j.k.Get(key)
 	if !ok {
 		return Entry{}, false
 	}
 	e := held.Entry
-	if held.counted.Swap(true) {
-		e.Spec = nil
-	} else {
+	if !held.counted.Swap(true) {
 		j.served.Add(1)
 		metrics.Add("campaign.journal.replayed", 1)
 	}

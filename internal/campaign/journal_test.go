@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -507,10 +508,65 @@ func TestResumeParentWrittenJournal(t *testing.T) {
 	}
 }
 
+// TestOpenParentWrittenSpeculativeJournal: testdata/journal_parent_spec
+// is `sprflow -design tiny -sweep 2 -speculate -journal DIR` as written
+// by the last build with speculative stage overlap, so each entry carries
+// the run's speculation outcome and each Options its speculation config.
+// Every record still decodes — gob skips the fields this tree lacks — and
+// since every key ends in "spec=true stol=1", which no point of this tree
+// spells, the whole journal counts as skipped while the same sweep
+// computes afresh to the results the speculative run journaled.
+func TestOpenParentWrittenSpeculativeJournal(t *testing.T) {
+	dir := copyJournal(t, filepath.Join("testdata", "journal_parent_spec"))
+	log, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled := map[string]Entry{}
+	for _, rec := range log.Records() {
+		e, err := DecodeEntry(rec)
+		if err != nil {
+			t.Fatalf("record %d: %v", len(journaled), err)
+		}
+		journaled[e.Key] = e
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jrn := openJournal(t, dir)
+	defer jrn.Close()
+	design := tinyDesign(1)
+	var pts []Point
+	for _, f := range []float64{0.4, 0.5, 0.6} {
+		pts = append(pts, Points(design, KeyFor(design), flow.Options{TargetFreqGHz: f, SynthEffort: 2}, []int64{1, 2})...)
+	}
+	got, st, err := resume(context.Background(), Config{Workers: 2, Cache: journaledCache(jrn)}, jrn, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(journaled) != len(pts) || st != (ResumeStats{SkippedUnknown: len(pts)}) {
+		t.Fatalf("%d records decoded, stats %+v: want %d records, all skipped", len(journaled), st, len(pts))
+	}
+	for i, p := range pts {
+		key, ok := strings.CutSuffix(p.CacheKey(), " spec=false stol=0")
+		if !ok {
+			t.Fatalf("point %d: key %q", i, p.CacheKey())
+		}
+		e, ok := journaled[key+" spec=true stol=1"]
+		if !ok {
+			t.Fatalf("point %d: no speculative record for %q", i, key)
+		}
+		if !reflect.DeepEqual(e.Res, got[i].Summary()) || len(e.Steps) != 6 {
+			t.Fatalf("point %d: journaled %+v, computed %+v", i, e.Res, got[i].Summary())
+		}
+	}
+}
+
 // TestJournalReloadAfterEvictionCountsOnce: behind an L1 too small for
 // the campaign the journal is asked for the same key again and again. A
-// recovered entry is a replay — and its Spec the engine's to count — the
-// first time only, and an entry this process stored never is.
+// recovered entry is a replay the first time only, and an entry this
+// process stored never is.
 func TestJournalReloadAfterEvictionCountsOnce(t *testing.T) {
 	design := tinyDesign(1)
 	pts := sweepPoints(design, KeyFor(design), 8, 5) // more points than L1 has shards

@@ -15,7 +15,7 @@ import (
 func TestPointKeyIdentity(t *testing.T) {
 	design := tinyDesign(1)
 	key := KeyFor(design)
-	opts := flow.Options{TargetFreqGHz: 0.45, Seed: 3, SynthEffort: 2, Speculate: flow.SpecConfig{Enabled: true}}
+	opts := flow.Options{TargetFreqGHz: 0.45, Seed: 3, SynthEffort: 2}
 	pts := append(Points(design, key, opts, []int64{1, 2, 3}), NewPoint(design, key, opts))
 	for i, p := range pts {
 		if want := key + "\x00" + p.Options().Key(); p.CacheKey() != want {

@@ -21,7 +21,6 @@ func mountNodeDebug(mux *http.ServeMux) {
 	mux.HandleFunc("/metrics", func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		metrics.Default.Write(rw)
-		metrics.DefaultHists.Write(rw)
 		if t := trace.Active(); t != nil {
 			t.Histograms().Write(rw)
 		}

@@ -56,13 +56,6 @@ type Options struct {
 	// the cache key — sharded results are identical at every worker
 	// count.
 	RouteWorkers int
-
-	// Speculate enables speculative stage overlap: downstream stages
-	// launched on predicted upstream artifacts while the real stage is
-	// still running, committed only when the prediction proves exact
-	// (see speculate.go). Part of the cache key; committed results are
-	// byte-identical to the non-speculative reference.
-	Speculate SpecConfig
 }
 
 func (o Options) withDefaults() Options {
@@ -71,14 +64,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PlaceMoves <= 0 {
 		o.PlaceMoves = 60
-	}
-	switch {
-	case !o.Speculate.Enabled:
-		// A disabled config carries no knobs: all non-speculative runs
-		// share one canonical key.
-		o.Speculate = SpecConfig{}
-	case o.Speculate.TolerancePct <= 0:
-		o.Speculate.TolerancePct = 1
 	}
 	return o
 }
@@ -216,18 +201,6 @@ type RunConfig struct {
 	// wedged tool process to get its license back. Zero disables the
 	// watchdog and stages run inline on the caller's goroutine.
 	StageTimeout time.Duration
-
-	// Oracle supplies (and learns) upstream-stage predictions for
-	// speculative overlap. Observed on every run when non-nil;
-	// consulted for predictions only when Options.Speculate.Enabled.
-	Oracle SpecOracle
-	// SpecSlots caps concurrent speculative chains process-wide.
-	// Speculation only ever takes a free slot — nil means unlimited.
-	SpecSlots *sched.Slots
-	// SpecReport, when non-nil, receives the run's speculation
-	// accounting after a successful (or STOPped) run. Aborted runs
-	// report nothing, mirroring what campaigns cache and journal.
-	SpecReport func(SpecStats)
 }
 
 // endStageSpan closes a stage span with the outcome the stage's error
@@ -284,23 +257,12 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 	runSpan.SetInt("attempt", int64(rc.Attempt))
 	res = &Result{Options: opts}
 	a := &artifacts{opts: opts, n: design}
-	// The live doomed-run hook, resolved before speculation launches
-	// because a supervised run must keep detailed routing on the real path.
 	obs := rc.Observer
 	if sup, ok := obs.(RouteSupervisor); ok {
 		a.hook = func(iter int, drvs []int) route.IterAction {
 			return sup.RouteIter(design.Name, opts.Seed, iter, drvs)
 		}
 	}
-	// Speculation: draw predictions and launch chains before the first
-	// real stage, so the overlap covers synth and place. The oracle
-	// observes every run (learning is free); predictions are only
-	// consulted when the option point asks for them.
-	var oracleFP uint64
-	if rc.Oracle != nil {
-		oracleFP = design.Fingerprint()
-	}
-	spec := rc.newSpecRun(ctx, opts, oracleFP, a.hook != nil)
 	defer func() {
 		// The returned netlist must be value-identical to its serialized
 		// round-trip (campaign journals replay results and compare them
@@ -308,13 +270,6 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 		// run's kernels left behind before handing the result out.
 		if res.Netlist != nil {
 			res.Netlist.InvalidatePlacement()
-		}
-		// Chains not adopted by now are cancelled with the run.
-		if spec != nil {
-			spec.cancel()
-			if rc.SpecReport != nil && err == nil {
-				rc.SpecReport(spec.stats)
-			}
 		}
 		switch {
 		case err == nil && res.Stopped:
@@ -326,16 +281,9 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 			endStageSpan(runSpan, err)
 		}
 	}()
-	// Provenance of the placement this run is about to compute: the
-	// committed post-synth fingerprint (coordinates still zero) plus the
-	// exact annealer options, taken once after synth and used both to
-	// verify a directly-committable place prediction and to stamp the
-	// oracle's observation.
-	var prov PlaceProvenance
 
 	for i := range stages {
 		st := &stages[i]
-		src := spec.source(i, prov)
 		// The gate: a dead context or an injected fault kills the run at
 		// the boundary, where a real flow manager would reap the tool
 		// process and release its license.
@@ -354,7 +302,7 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 		gerr := sched.Guard(stageCtx, rc.StageTimeout, func(sctx context.Context) {
 			// A wedged "tool" that died with its context never computes.
 			if rc.Faults.Hang(sctx, opts.Seed, st.name, rc.Attempt) {
-				spec.adoptOrCompute(sctx, i, a, src)
+				st.compute(sctx, a)
 			}
 		})
 		if gerr != nil {
@@ -366,10 +314,9 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 		}
 		// Guard cancels sctx only after it returns, so with a nil gerr a
 		// dead sctx means a dead run: its cancellation released an
-		// injected wedge or a wait for a speculative artifact, or cut the
-		// stage short (an anneal polls it, the router checks it between
-		// rip-up passes). A stage the run's context cut short is never
-		// committed.
+		// injected wedge or cut the stage short (an anneal polls it, the
+		// router checks it between rip-up passes). A stage the run's
+		// context cut short is never committed.
 		if err := ctx.Err(); err != nil {
 			return fail(err)
 		}
@@ -382,20 +329,6 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 		}
 		ssp.End()
 
-		switch i {
-		case stSynth, stPlace:
-			spec.judge(i, a)
-			// The oracle learns every run that is still alive.
-			if rc.Oracle == nil || ctx.Err() != nil {
-				break
-			}
-			if i == stSynth {
-				rc.Oracle.ObserveSynth(oracleFP, opts, a.syn)
-				prov = placeProv(a.n, opts)
-			} else {
-				rc.Oracle.ObservePlace(oracleFP, opts, a.pl, a.n, prov)
-			}
-		}
 		// Live STOP: the run is terminated here, exactly as the paper's
 		// policy kills the tool to reclaim its license. Headline fields
 		// that exist are filled; signoff never happens.

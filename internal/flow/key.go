@@ -16,10 +16,6 @@ func (o Options) Key() string {
 	o = o.withDefaults()
 	// RouteWorkers is deliberately absent: the sharded router's result
 	// is identical at every worker count, so it is not a QOR knob.
-	// Speculation is present even though committed results match the
-	// non-speculative reference: the config is an input of the run
-	// (Result.Options records it) and campaigns must not serve a point
-	// configured one way from a cache entry computed the other.
 	b := make([]byte, 0, 192)
 	b = keyFloat(b, "f=", o.TargetFreqGHz)
 	b = keyInt(b, " seed=", o.Seed)
@@ -37,9 +33,9 @@ func (o Options) Key() string {
 	// are gone and their spelling stays.
 	b = keyInt(b, " stop=0 rec=false rm=0 pw=", int64(o.PlaceWorkers))
 	b = keyInt(b, " rt=", int64(o.RouteTiles))
-	b = strconv.AppendBool(append(b, " spec="...), o.Speculate.Enabled)
-	b = keyFloat(b, " stol=", o.Speculate.TolerancePct)
-	return string(b)
+	// spec and stol spelled speculative stage overlap, which is gone;
+	// every key a non-speculative run wrote ends this way.
+	return string(append(b, " spec=false stol=0"...))
 }
 
 func keyInt(b []byte, name string, v int64) []byte {

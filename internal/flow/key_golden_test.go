@@ -11,7 +11,9 @@ import (
 // ever written until it was rebuilt on strconv. It stays here as the
 // oracle: every key on disk was produced by this exact format string.
 // The stop, rec and rm verbs take literal arguments: the options they
-// spelled were zero in every key written, and the fields are gone.
+// spelled were zero in every key written, and the fields are gone. So do
+// spec and stol: speculative keys were written, but no point of this
+// tree can ask for one.
 func sprintfKey(o Options) string {
 	o = o.withDefaults()
 	return fmt.Sprintf("f=%g seed=%d se=%d mf=%d u=%g pm=%d part=%d tpe=%g re=%d ri=%d dr=%g stop=%d rec=%t rm=%g pw=%d rt=%d spec=%t stol=%g",
@@ -19,7 +21,7 @@ func sprintfKey(o Options) string {
 		o.SynthEffort, o.MaxFanout, o.Utilization, o.PlaceMoves,
 		o.Partitions, o.TracksPerEdge, o.RouteEffort, o.RouteIters,
 		o.DeratePct, 0, false, 0.0,
-		o.PlaceWorkers, o.RouteTiles, o.Speculate.Enabled, o.Speculate.TolerancePct)
+		o.PlaceWorkers, o.RouteTiles, false, 0.0)
 }
 
 // TestKeyGolden pins the key grammar to literals: a respelled field
@@ -29,9 +31,9 @@ func TestKeyGolden(t *testing.T) {
 		TargetFreqGHz: 0.65, Seed: -7, SynthEffort: 3, MaxFanout: 12,
 		Utilization: 0.72, PlaceMoves: 80, Partitions: 4, TracksPerEdge: 28.5,
 		RouteEffort: 2, RouteIters: 15, DeratePct: 1e-05, PlaceWorkers: 2,
-		RouteTiles: 4, RouteWorkers: 8, Speculate: SpecConfig{Enabled: true, TolerancePct: 0.1},
+		RouteTiles: 4, RouteWorkers: 8,
 	}
-	const wantFull = "f=0.65 seed=-7 se=3 mf=12 u=0.72 pm=80 part=4 tpe=28.5 re=2 ri=15 dr=1e-05 stop=0 rec=false rm=0 pw=2 rt=4 spec=true stol=0.1"
+	const wantFull = "f=0.65 seed=-7 se=3 mf=12 u=0.72 pm=80 part=4 tpe=28.5 re=2 ri=15 dr=1e-05 stop=0 rec=false rm=0 pw=2 rt=4 spec=false stol=0"
 	const wantZero = "f=0.5 seed=0 se=0 mf=0 u=0 pm=60 part=0 tpe=0 re=0 ri=0 dr=0 stop=0 rec=false rm=0 pw=0 rt=0 spec=false stol=0"
 	if got := full.Key(); got != wantFull {
 		t.Errorf("populated key\n got %q\nwant %q", got, wantFull)
@@ -88,7 +90,6 @@ func TestKeyMatchesSprintfOracle(t *testing.T) {
 	for _, f := range keyFloats {
 		check(Options{
 			TargetFreqGHz: f, Utilization: f, TracksPerEdge: f, DeratePct: f,
-			Speculate: SpecConfig{Enabled: true, TolerancePct: f},
 		})
 	}
 	rng := rand.New(rand.NewSource(17))
@@ -101,7 +102,6 @@ func TestKeyMatchesSprintfOracle(t *testing.T) {
 			RouteEffort: randKeyInt(rng), RouteIters: randKeyInt(rng),
 			DeratePct: randKeyFloat(rng), PlaceWorkers: randKeyInt(rng),
 			RouteTiles: randKeyInt(rng), RouteWorkers: randKeyInt(rng),
-			Speculate: SpecConfig{Enabled: rng.Intn(2) == 0, TolerancePct: randKeyFloat(rng)},
 		})
 	}
 }

@@ -32,10 +32,6 @@ func TestKeyDistinguishesEveryField(t *testing.T) {
 	add("derate", func(o *Options) { o.DeratePct = 3 })
 	add("place_workers", func(o *Options) { o.PlaceWorkers = 4 })
 	add("route_tiles", func(o *Options) { o.RouteTiles = 4 })
-	add("speculate", func(o *Options) { o.Speculate.Enabled = true })
-	add("speculate_tol", func(o *Options) {
-		o.Speculate = SpecConfig{Enabled: true, TolerancePct: 2.5}
-	})
 
 	// RouteWorkers must NOT change the key: the sharded router commits
 	// identical results at every worker count.
@@ -43,14 +39,6 @@ func TestKeyDistinguishesEveryField(t *testing.T) {
 	rw.RouteWorkers = 8
 	if rw.Key() != base.Key() {
 		t.Errorf("RouteWorkers changed the key: %q vs %q", rw.Key(), base.Key())
-	}
-
-	// A disabled speculation config is normalized: its tolerance knob is
-	// inert and must not split the cache.
-	st := base
-	st.Speculate.TolerancePct = 3
-	if st.Key() != base.Key() {
-		t.Errorf("disabled-speculation tolerance changed the key: %q vs %q", st.Key(), base.Key())
 	}
 
 	seen := map[string]string{base.Key(): "base"}

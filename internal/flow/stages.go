@@ -12,12 +12,11 @@ import (
 )
 
 // artifacts is one run's set of named stage artifacts — what the stages
-// pass to each other — plus the inputs every stage reads. A flow run owns
-// one and every speculative chain owns another; a stage's compute reads
-// its upstream fields and writes only its own.
+// pass to each other — plus the inputs every stage reads. A stage's
+// compute reads its upstream fields and writes only its own.
 type artifacts struct {
 	opts Options
-	hook route.IterHook // the live doomed-run supervisor; never on a chain
+	hook route.IterHook // the live doomed-run supervisor, if any
 
 	n    *netlist.Netlist // synth's input, then its output, placed by place
 	syn  synth.Result
@@ -36,14 +35,11 @@ type stage struct {
 	// compute runs the step on a. It writes only its own artifact, so a
 	// stage the watchdog abandons never touches the Result. A kernel that
 	// can stop early when ctx dies may leave the artifact partial; a
-	// stage cut short is never committed or adopted.
+	// stage cut short is never committed.
 	compute func(ctx context.Context, a *artifacts)
 	// commit publishes the artifact into res, adds its runtime proxy and
 	// returns the metrics and series of the step's record.
 	commit func(res *Result, a *artifacts) (map[string]float64, []float64)
-	// adopt copies the artifact from a speculative set; nil for a stage
-	// no chain runs.
-	adopt func(dst, src *artifacts)
 }
 
 // Indices into stages.
@@ -56,9 +52,7 @@ const (
 	stSTA
 )
 
-// stages is the flow in order. RunCfg drives it one entry at a time and a
-// speculative chain runs a slice of it on a predicted artifact, so the
-// two paths share every option a stage derives.
+// stages is the flow in order; RunCfg drives it one entry at a time.
 var stages = [...]stage{
 	stSynth: {
 		name: "synth",
@@ -86,7 +80,13 @@ var stages = [...]stage{
 	stPlace: {
 		name: "place",
 		compute: func(ctx context.Context, a *artifacts) {
-			a.pl, _ = place.PlaceCtx(ctx, a.n, placeOptions(a.opts, a.n))
+			a.pl, _ = place.PlaceCtx(ctx, a.n, place.Options{
+				Seed:        subSeed(a.opts.Seed, 2),
+				Moves:       a.opts.PlaceMoves * a.n.NumCells(),
+				Utilization: a.opts.Utilization,
+				Partitions:  a.opts.Partitions,
+				Workers:     a.opts.PlaceWorkers,
+			})
 		},
 		commit: func(res *Result, a *artifacts) (map[string]float64, []float64) {
 			res.Place = a.pl
@@ -96,12 +96,6 @@ var stages = [...]stage{
 				"initial_hpwl": a.pl.InitialHPWLUm,
 				"width":        a.pl.Width,
 			}, nil
-		},
-		// The committed netlist stays the run's own object; it takes the
-		// coordinates, which fingerprint-equal inputs make identical.
-		adopt: func(dst, src *artifacts) {
-			dst.pl = src.pl
-			place.Restore(dst.n, place.Snapshot(src.n))
 		},
 	},
 	stCTS: {
@@ -118,7 +112,6 @@ var stages = [...]stage{
 				"buffers": float64(a.ct.Buffers),
 			}, nil
 		},
-		adopt: func(dst, src *artifacts) { dst.ct = src.ct },
 	},
 	stGroute: {
 		name: "groute",
@@ -141,7 +134,6 @@ var stages = [...]stage{
 				"margin":       a.gr.CongestionMargin(),
 			}, nil
 		},
-		adopt: func(dst, src *artifacts) { dst.gr = src.gr },
 	},
 	// The hook sees iterations as they complete; its STOP truncates the
 	// route in place.
@@ -173,7 +165,6 @@ var stages = [...]stage{
 			}
 			return m, series
 		},
-		adopt: func(dst, src *artifacts) { dst.dr = src.dr },
 	},
 	stSTA: {
 		name:    "sta",
@@ -188,18 +179,6 @@ var stages = [...]stage{
 			}, nil
 		},
 	},
-}
-
-// placeOptions are the annealer options of the place stage, which
-// placeProv also stamps on a placement's provenance.
-func placeOptions(o Options, n *netlist.Netlist) place.Options {
-	return place.Options{
-		Seed:        subSeed(o.Seed, 2),
-		Moves:       o.PlaceMoves * n.NumCells(),
-		Utilization: o.Utilization,
-		Partitions:  o.Partitions,
-		Workers:     o.PlaceWorkers,
-	}
 }
 
 // signoff is the signoff timer's configuration: SI on, the clock tree's

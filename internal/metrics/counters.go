@@ -1,7 +1,7 @@
 // Package metrics is the instrumentation side of the paper's METRICS
 // system (Sec. 4, Fig. 11, refs [9][28][43]) turned on the
 // reproduction's own infrastructure: a registry of named counters, the
-// process-wide value histograms, the METRICS server (live introspection
+// METRICS server (live introspection
 // endpoints, with the warehouse API mounted on it), and the campaign
 // front door. The design records and the data miner of the Fig. 11 loop
 // are internal/warehouse.
@@ -14,8 +14,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/trace"
 )
 
 // Counters is a registry of named monotonic counters and gauges — the
@@ -122,11 +120,3 @@ func Set(name string, value int64) { Default.Set(name, value) }
 
 // Get reads a counter from the Default registry.
 func Get(name string) int64 { return Default.Get(name) }
-
-// DefaultHists is the process-wide registry of value histograms, the
-// distribution-shaped sibling of Default: counters count events,
-// histograms hold how big they were (predict.tolerr.<stage>, percent).
-var DefaultHists = trace.NewHistSet()
-
-// Observe records a value into the named DefaultHists histogram.
-func Observe(name string, v float64) { DefaultHists.Hist(name).Add(v) }

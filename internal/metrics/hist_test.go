@@ -1,27 +1,24 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
+
+	"repro/internal/trace"
 )
 
-var histSeq atomic.Int64
-
-// freshHist returns the name of a DefaultHists histogram no earlier
-// observation has fed: the registry is process-wide, and -count=N reruns
-// a test in the same process.
-func freshHist(base string) string { return fmt.Sprintf("%s.%d", base, histSeq.Add(1)) }
+// The value histograms behind /metrics and /debug/hist are trace.Hist;
+// these tests pin the bucket, snapshot and write behaviour those
+// endpoints render, on a set of their own.
 
 func TestValueHistBasics(t *testing.T) {
-	name := freshHist("test.valuehist.basics")
+	h := trace.NewHistSet().Hist("basics")
 	for _, v := range []float64{0, 0.5, 1, 2, 100} {
-		Observe(name, v)
+		h.Add(v)
 	}
-	s := DefaultHists.Hist(name).Snapshot(name)
+	s := h.Snapshot("basics")
 	if s.Count != 5 {
 		t.Fatalf("count = %d, want 5", s.Count)
 	}
@@ -48,11 +45,11 @@ func TestValueHistBasics(t *testing.T) {
 // as zero, in the lowest bucket (which ends at 2^-20), and a huge one
 // lands in the top bucket (which ends at 2^43).
 func TestValueHistClampsPathologicalSamples(t *testing.T) {
-	name := freshHist("test.valuehist.clamps")
-	Observe(name, -5)
-	Observe(name, math.NaN())
-	Observe(name, 1e300)
-	s := DefaultHists.Hist(name).Snapshot(name)
+	h := trace.NewHistSet().Hist("clamps")
+	h.Add(-5)
+	h.Add(math.NaN())
+	h.Add(1e300)
+	s := h.Snapshot("clamps")
 	if s.Count != 3 || s.Max != 1e300 {
 		t.Fatalf("count %d max %g, want 3 and 1e300", s.Count, s.Max)
 	}
@@ -67,19 +64,19 @@ func TestValueHistClampsPathologicalSamples(t *testing.T) {
 // TestValueHistConcurrent: the CAS-accumulated sum and max lose no
 // update under concurrent writers.
 func TestValueHistConcurrent(t *testing.T) {
-	name := freshHist("test.valuehist.concurrent")
+	h := trace.NewHistSet().Hist("concurrent")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1020; i++ { // 60 whole cycles of 0..16
-				Observe(name, float64(i%17))
+				h.Add(float64(i % 17))
 			}
 		}()
 	}
 	wg.Wait()
-	s := DefaultHists.Hist(name).Snapshot(name)
+	s := h.Snapshot("concurrent")
 	if s.Count != 8160 {
 		t.Fatalf("count = %d, want 8160", s.Count)
 	}
@@ -91,21 +88,20 @@ func TestValueHistConcurrent(t *testing.T) {
 	}
 }
 
-// TestHistsRegistryWrite: Observe feeds the process-wide value
-// histograms, which render one line per name, sorted.
+// TestHistsRegistryWrite: a histogram set hands out one histogram per
+// name and renders one line per name, sorted.
 func TestHistsRegistryWrite(t *testing.T) {
-	synth := DefaultHists.Hist("test.tolerr.synth")
-	before := synth.Snapshot("").Count
-	Observe("test.tolerr.synth", 0.2)
-	Observe("test.tolerr.synth", 3)
-	Observe("test.tolerr.place", 1)
-	if n := synth.Snapshot("").Count - before; n != 2 {
+	hs := trace.NewHistSet()
+	hs.Hist("test.stage.synth").Add(0.2)
+	hs.Hist("test.stage.synth").Add(3)
+	hs.Hist("test.stage.place").Add(1)
+	if n := hs.Hist("test.stage.synth").Snapshot("").Count; n != 2 {
 		t.Fatalf("synth histogram took %d observations, want 2", n)
 	}
 	var b strings.Builder
-	DefaultHists.Write(&b)
+	hs.Write(&b)
 	out := b.String()
-	place, syn := strings.Index(out, "test.tolerr.place count="), strings.Index(out, "test.tolerr.synth count=")
+	place, syn := strings.Index(out, "test.stage.place count="), strings.Index(out, "test.stage.synth count=")
 	if place < 0 || syn < 0 || place > syn {
 		t.Errorf("histogram lines missing or unsorted:\n%s", out)
 	}

@@ -25,7 +25,7 @@ import (
 //	/debug/spans  JSON snapshot of the armed tracer: in-flight spans
 //	              (what the campaign is doing right now) and recent
 //	              finished spans
-//	/debug/hist   plain-text per-name value and latency quantiles
+//	/debug/hist   plain-text per-span-name latency quantiles
 //	/debug/pprof  the standard net/http/pprof handlers
 type Server struct {
 	// Trace overrides the tracer the /debug endpoints introspect
@@ -127,11 +127,9 @@ func handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics is the plain-text exposition endpoint: every counter,
-// the process-wide value histograms (predictor tolerance errors and
-// friends), and finally the armed tracer's latency histograms.
+// then the armed tracer's latency histograms.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	handleStats(w, r)
-	DefaultHists.Write(w)
 	if t := s.tracer(); t != nil {
 		t.Histograms().Write(w)
 	}
@@ -210,12 +208,10 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp) //nolint:errcheck
 }
 
-// handleHist renders the process-wide value histograms (per-stage
-// predictor tolerance errors live here) followed by the armed tracer's
-// per-span-name latency histograms as plain text.
+// handleHist renders the armed tracer's per-span-name latency
+// histograms as plain text.
 func (s *Server) handleHist(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	DefaultHists.Write(w)
 	t := s.tracer()
 	if t == nil {
 		fmt.Fprintln(w, "# tracing off (run with -trace or trace.Enable)")

@@ -46,7 +46,6 @@ func TestMetricsEndpointExposesCountersAndHistograms(t *testing.T) {
 	_, sp := tr.StartOn(context.Background(), "unit.test.op")
 	sp.End()
 	Add("unit.test.counter", 1)
-	Observe("unit.test.value", 0.25)
 
 	code, ctype, body := get(t, base+"/metrics")
 	if code != http.StatusOK {
@@ -55,7 +54,7 @@ func TestMetricsEndpointExposesCountersAndHistograms(t *testing.T) {
 	if !strings.HasPrefix(ctype, "text/plain") {
 		t.Fatalf("/metrics content type %q", ctype)
 	}
-	for _, want := range []string{"unit.test.counter ", "unit.test.value count=", "unit.test.op count=1 "} {
+	for _, want := range []string{"unit.test.counter ", "unit.test.op count=1 "} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}

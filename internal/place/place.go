@@ -238,9 +238,9 @@ const abortCheckMoves = 512
 // before it runs to the end: ~35 ms on soc-proxy). The second
 // return is false for an aborted anneal — its Result and the netlist's
 // coordinates are then partial and must be discarded. Cancellation
-// exists so speculative callers can reap a mispredicted anneal early;
-// an uncancelled run never aborts, so committed placements keep their
-// bit-exact determinism and worker invariance.
+// lets a campaign teardown or the stage watchdog reclaim the anneal
+// early; an uncancelled run never aborts, so committed placements keep
+// their bit-exact determinism and worker invariance.
 func PlaceCtx(ctx context.Context, n *netlist.Netlist, opts Options) (Result, bool) {
 	p, rng := newPlacer(ctx, n, opts)
 	p.anneal(rng)
@@ -685,22 +685,14 @@ func applyCoords(n *netlist.Netlist, g *grid) {
 	n.InvalidatePlacement()
 }
 
-// Snapshot captures instance coordinates so multistart/GWTW can save and
-// restore placements.
+// Snapshot captures instance coordinates, x and y per instance: the
+// placement vector Distance compares.
 func Snapshot(n *netlist.Netlist) []float64 {
 	s := make([]float64, 2*n.NumCells())
 	for i := range n.Insts {
 		s[2*i], s[2*i+1] = n.Insts[i].X, n.Insts[i].Y
 	}
 	return s
-}
-
-// Restore writes a snapshot back.
-func Restore(n *netlist.Netlist, s []float64) {
-	for i := range n.Insts {
-		n.Insts[i].X, n.Insts[i].Y = s[2*i], s[2*i+1]
-	}
-	n.InvalidatePlacement()
 }
 
 // Distance returns the average per-cell Manhattan distance between two

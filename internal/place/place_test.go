@@ -103,18 +103,6 @@ func TestPartitionedPlacement(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	n := tiny(8)
-	Place(n, Options{Seed: 1, Moves: 3000})
-	s := Snapshot(n)
-	h := n.TotalHPWL()
-	Place(n, Options{Seed: 2, Moves: 3000})
-	Restore(n, s)
-	if math.Abs(n.TotalHPWL()-h) > 1e-9 {
-		t.Fatalf("restore did not recover HPWL: %v vs %v", n.TotalHPWL(), h)
-	}
-}
-
 func TestDistanceProperties(t *testing.T) {
 	n := tiny(9)
 	s1 := Snapshot(n)

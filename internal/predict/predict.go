@@ -294,29 +294,3 @@ func (m *PrefixModel) EvaluatePrefix(series [][]int) (accuracy float64, n int) {
 	}
 	return float64(correct) / float64(n), n
 }
-
-// ToleranceHint converts a rope's held-out accuracy into a speculation
-// commit tolerance (flow.SpecConfig.TolerancePct): the model's test MAE
-// expressed as a percentage of the predicted quantity's typical scale.
-// A predictor that misses by 2% of the metric's magnitude has no
-// business committing speculation judged at 1% — setting the tolerance
-// from measured accuracy keeps the near-hit histograms honest instead
-// of hand-tuned. The hint is clamped to [0.5, 25]: below that a
-// fingerprint-exact prediction would be rejected on scalar noise, above
-// it the tolerance stops being a prediction-quality signal at all.
-func ToleranceHint(e Eval, scale float64) float64 {
-	if scale < 0 {
-		scale = -scale
-	}
-	if scale == 0 || e.TestMAE <= 0 {
-		return 0.5
-	}
-	tol := 100 * e.TestMAE / scale
-	if tol < 0.5 {
-		tol = 0.5
-	}
-	if tol > 25 {
-		tol = 25
-	}
-	return tol
-}

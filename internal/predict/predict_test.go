@@ -119,31 +119,3 @@ func TestPrefixFeaturesBounded(t *testing.T) {
 		t.Errorf("clamped k = %v", f[4])
 	}
 }
-
-func TestToleranceHint(t *testing.T) {
-	// MAE of 3 on a quantity of scale 100 -> 3% tolerance.
-	if got := ToleranceHint(Eval{TestMAE: 3}, 100); got != 3 {
-		t.Errorf("ToleranceHint = %g, want 3", got)
-	}
-	// Clamped below: a near-perfect model must not demand sub-noise
-	// scalar agreement.
-	if got := ToleranceHint(Eval{TestMAE: 0.001}, 1000); got != 0.5 {
-		t.Errorf("lower clamp: got %g, want 0.5", got)
-	}
-	// Clamped above: a terrible model caps out instead of accepting
-	// anything.
-	if got := ToleranceHint(Eval{TestMAE: 900}, 100); got != 25 {
-		t.Errorf("upper clamp: got %g, want 25", got)
-	}
-	// Degenerate inputs fall back to the strict floor.
-	if got := ToleranceHint(Eval{TestMAE: 0}, 100); got != 0.5 {
-		t.Errorf("zero MAE: got %g, want 0.5", got)
-	}
-	if got := ToleranceHint(Eval{TestMAE: 5}, 0); got != 0.5 {
-		t.Errorf("zero scale: got %g, want 0.5", got)
-	}
-	// Sign of the scale is irrelevant (WNS is negative).
-	if ToleranceHint(Eval{TestMAE: 3}, -100) != ToleranceHint(Eval{TestMAE: 3}, 100) {
-		t.Error("negative scale treated differently")
-	}
-}

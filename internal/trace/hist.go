@@ -128,9 +128,8 @@ func (h *Hist) Snapshot(name string) HistSnapshot {
 	return s
 }
 
-// HistSet is a registry of named histograms — span names, or
-// subsystem.noun value names such as predict.tolerr.synth — with the
-// same read-mostly locking idiom as metrics.Counters.
+// HistSet is a registry of named histograms, one per span name, with
+// the same read-mostly locking idiom as metrics.Counters.
 type HistSet struct {
 	mu sync.RWMutex
 	m  map[string]*Hist

@@ -5,7 +5,7 @@
 #                             (with a doubled concurrency tier on the
 #                             scheduler, campaign engine, the keyed
 #                             journal, the parallel place & route
-#                             kernels, and the speculative flow path),
+#                             kernels, and the flow's stage loop),
 #                             then vet + tests of the nested
 #                             benchmark module, then 10 s of fuzzing per
 #                             byte-facing decoder (campaign entry,
@@ -23,16 +23,9 @@
 #                             -benchtime and min-of-N, logs both sides,
 #                             and fails on a broken bound (campaign
 #                             trace/warehouse overhead, sta recover,
-#                             place, route, spec, dist); the bounds that
-#                             need no clock (doomed-run abort, spec
-#                             overlap) are tests in the default tier
-#   scripts/check.sh spec     speculation tier: doubled -race over the
-#                             flow/spec packages, speculative sweeps
-#                             diffed byte-for-byte against the
-#                             non-speculative reference at worker counts
-#                             1/2/4/8, a kill -9 resume mid-speculation,
-#                             and TestSpecOverlapShape (commits > 0,
-#                             QoR drift 0)
+#                             place, route, dist); the bound that needs
+#                             no clock (doomed-run abort) is a test in
+#                             the default tier
 #   scripts/check.sh crash    crash-safety tier: -race over the journal/
 #                             watchdog/campaign/flow paths, a fuzz smoke
 #                             of the journal decoder, then a real kill -9
@@ -103,17 +96,17 @@ go build ./...
 # engine carry the cancellation/retry machinery every experiment fans
 # out on, the tracer/metrics server are written to by every one of
 # those goroutines at once, the place/route kernels run territory
-# lanes and sharded regions on the gang, and the flow/spec pair runs
-# whole speculative stage chains concurrently with the real stages; run
-# their race tests twice (fresh caches each time) before the full
-# suite; the dist service rides along because its store and
-# coordinator queues are hammered by every worker node at once, and the
-# journal because every durable store is a journal.Keyed whose puts,
-# gets and Close race by design.
+# lanes and sharded regions on the gang, and the flow's stage loop may
+# abandon a watchdog-reaped stage that is still running; run their race
+# tests twice (fresh caches each time) before the full suite; the dist
+# service rides along because its store and coordinator queues are
+# hammered by every worker node at once, and the journal because every
+# durable store is a journal.Keyed whose puts, gets and Close race by
+# design.
 go test -race -count=2 ./internal/sched/... ./internal/campaign/... \
     ./internal/journal/... ./internal/trace/... ./internal/metrics/... \
     ./internal/place/... ./internal/route/... \
-    ./internal/flow/... ./internal/spec/... ./internal/dist/...
+    ./internal/flow/... ./internal/dist/...
 go test -race ./...
 # The repo benchmark is a nested module (benchmark/go.mod), which the
 # ./... patterns above cannot see.
@@ -230,65 +223,6 @@ if [ "${1:-}" = "trace" ]; then
         -require 'campaign.run,campaign.point,flow.run,flow.synth,flow.droute,route.iter,sched.wait,place.move,route.tile' \
         "$work/trace.json"
     echo "trace_demo=ok"
-fi
-
-if [ "${1:-}" = "spec" ]; then
-    # Speculation tier.
-    #
-    # 1. Doubled race tests over the speculative flow path: real and
-    #    speculative stage chains share netlist clones, slots, and the
-    #    oracle concurrently.
-    go test -race -count=2 ./internal/flow/... ./internal/spec/...
-
-    work=$(mktemp -d)
-    trap 'rm -rf "$work"' EXIT
-    go build -o "$work/sprflow" ./cmd/sprflow
-
-    # 2. End-to-end determinism: a speculative sweep's stdout must be
-    #    byte-identical to the non-speculative reference at every worker
-    #    count — whichever speculations hit or miss, commit decisions
-    #    are pure functions of (prediction, real result).
-    sweep_flags="-design tiny -sweep 4"
-    "$work/sprflow" $sweep_flags -parallel 4 > "$work/ref.out"
-    for workers in 1 2 4 8; do
-        "$work/sprflow" $sweep_flags -parallel "$workers" -speculate \
-            > "$work/spec-w$workers.out" 2> "$work/spec-w$workers.err"
-        if ! diff -u "$work/ref.out" "$work/spec-w$workers.out"; then
-            echo "check.sh: speculative sweep at $workers workers differs from reference" >&2
-            exit 1
-        fi
-    done
-    # The oracle must actually have been consulted: at 1 worker the
-    # sweep warms the artifact memory point by point, so later points
-    # are offered predictions (hits or misses — either proves life).
-    if ! grep -Eq '^predict\.(synth|place)\.(hit|miss) [1-9]' "$work/spec-w1.err"; then
-        echo "check.sh: speculative sweep consulted no predictions" >&2
-        cat "$work/spec-w1.err" >&2
-        exit 1
-    fi
-
-    # 3. kill -9 mid-speculation: resume the journaled speculative
-    #    sweep; its output must still match the non-speculative,
-    #    uninterrupted reference byte-for-byte.
-    jdir="$work/j"
-    "$work/sprflow" $sweep_flags -parallel 4 -speculate -journal "$jdir" \
-        > /dev/null 2>&1 &
-    pid=$!
-    sleep 0.3
-    kill -9 "$pid" 2>/dev/null || true
-    wait "$pid" 2>/dev/null || true
-    "$work/sprflow" $sweep_flags -parallel 4 -speculate -journal "$jdir" \
-        > "$work/resumed.out" 2> /dev/null
-    if ! diff -u "$work/ref.out" "$work/resumed.out"; then
-        echo "check.sh: resumed speculative sweep differs from reference" >&2
-        exit 1
-    fi
-
-    # 4. Deterministic overlap accounting: speculation must commit
-    #    downstream stages and must never drift QoR from the
-    #    non-speculative reference.
-    go test -run '^TestSpecOverlapShape$' .
-    echo "spec_gate=ok"
 fi
 
 if [ "${1:-}" = "dist" ]; then

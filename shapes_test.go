@@ -252,20 +252,6 @@ func TestDoomedLiveShape(t *testing.T) {
 	}
 }
 
-// TestSpecOverlapShape: the downstream sweep must commit speculative
-// stages, and no committed result may drift from the non-speculative
-// reference.
-func TestSpecOverlapShape(t *testing.T) {
-	r := SpecOverlap(Small, 1)
-	t.Logf("%d stages committed, %d QoR mismatches", r.Committed, r.QORMismatches)
-	if r.Committed < 1 {
-		t.Error("speculation committed no stages")
-	}
-	if r.QORMismatches != 0 {
-		t.Errorf("speculation drifted QoR on %d points", r.QORMismatches)
-	}
-}
-
 // TestFig11Shape pins the small-scale loop exactly: every record of the
 // ladder reaches the warehouse over HTTP, and the miner reads the
 // numbers the in-memory XML store it replaced read. A placer change that

@@ -11,15 +11,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"reflect"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/flow"
 	"repro/internal/journal"
 	"repro/internal/logfile"
-	"repro/internal/spec"
 	"repro/internal/warehouse"
 )
 
@@ -92,17 +89,6 @@ type SweepConfig struct {
 	JournalDir string
 	// StageTimeout arms the per-stage hung-tool watchdog (0 = off).
 	StageTimeout time.Duration
-	// Speculate overlaps downstream stages on predicted upstream
-	// artifacts drawn from a sweep-local artifact memory
-	// (flow.Options.Speculate + internal/spec, cross-seed tier: the
-	// sweep's points are unique in (frequency, seed), so only family
-	// predictions can fire). Committed results are byte-identical to a
-	// non-speculative sweep at any Workers setting; only wall-clock and
-	// the stderr-side accounting change.
-	Speculate bool
-	// SpecTolerancePct is the speculative commit tolerance on predicted
-	// stage scalars (0 = the flow default, 1%).
-	SpecTolerancePct float64
 	// Warehouse, when non-nil, receives one METRICS record per flow
 	// stage per point (node "local") through a warehouse emitter wired
 	// as the campaign observer.
@@ -144,10 +130,10 @@ type SweepResult struct {
 }
 
 // Sweep runs the full Freqs x Seeds cross on the campaign engine. With
-// JournalDir set the sweep is crash-safe: every completed point is
-// durable before the next is dispatched to disk-order, and rerunning
-// the same sweep after a kill reproduces the uninterrupted results
-// bit-identically at any worker count.
+// JournalDir set the sweep is crash-safe: every completed point is on
+// disk before any caller sees its result, and rerunning the same sweep
+// after a kill reproduces the uninterrupted results bit-identically at
+// any worker count.
 func Sweep(cfg SweepConfig) (SweepResult, error) {
 	pts, err := CampaignPoints(cfg)
 	if err != nil {
@@ -158,9 +144,6 @@ func Sweep(cfg SweepConfig) (SweepResult, error) {
 		Workers:      campaign.Workers(cfg.Workers),
 		Cache:        campaign.NewCache(0),
 		StageTimeout: cfg.StageTimeout,
-	}
-	if cfg.Speculate {
-		ecfg.Oracle = spec.NewMemory(spec.Options{CrossSeed: true})
 	}
 	var emit *warehouse.Emitter
 	if cfg.Warehouse != nil {
@@ -212,100 +195,4 @@ func (r SweepResult) Print(w io.Writer) {
 		fmt.Fprintf(w, "point freq=%.3f seed=%d met=%t wns=%.1f area=%.1f power=%.1f maxfreq=%.3f\n",
 			p.FreqGHz, p.Seed, p.Met, p.WNSPs, p.AreaUm2, p.PowerNW, p.MaxFreqGHz)
 	}
-}
-
-// ---------------------------------------------------------------------
-// Speculative stage overlap: deterministic accounting for the CLIs.
-
-// SpecOverlapResult is the outcome of running one downstream sweep
-// twice — without and with speculative stage overlap — and comparing
-// every committed result against the non-speculative reference. All
-// fields are pure functions of (design, seed, oracle contents): the
-// points run sequentially with unlimited speculative slots, so the
-// report is byte-stable across machines and reruns.
-type SpecOverlapResult struct {
-	Points                 int
-	Launched               int // speculative chains started
-	Skipped                int // predictions dropped (redundant or slot-starved)
-	Committed              int // downstream stages adopted from speculation
-	Discarded              int // chains judged wrong and dropped
-	SynthHits, SynthMisses int
-	PlaceHits, PlaceMisses int
-	// QORMismatches counts speculative results that drifted from the
-	// non-speculative reference. Must be 0: commit decisions are pure
-	// functions of (prediction, real result), never of timing.
-	QORMismatches int
-}
-
-// SpecOverlap runs a routing-budget sweep — the downstream-knob shape
-// speculation exists for: upstream inputs pinned, so after the first
-// (cold) point the artifact memory re-derives every upstream stage —
-// once as the plain reference and once speculatively against a shared
-// artifact memory, accumulating the flow's speculation accounting.
-func SpecOverlap(scale Scale, seed int64) SpecOverlapResult {
-	design := designForScale(scale, seed)
-	iters := []int{8, 12, 16, 20}
-	if scale == Paper {
-		iters = []int{6, 8, 10, 12, 14, 16, 18, 20}
-	}
-	mem := spec.NewMemory(spec.Options{})
-	res := SpecOverlapResult{Points: len(iters)}
-	for _, it := range iters {
-		opts := flow.Options{TargetFreqGHz: 0.5, Seed: seed, RouteIters: it}
-		ref := flow.Run(design, opts)
-
-		opts.Speculate = flow.SpecConfig{Enabled: true}
-		var st flow.SpecStats
-		got, err := flow.RunCfg(context.Background(), design, opts, flow.RunConfig{
-			Oracle:     mem,
-			SpecReport: func(s flow.SpecStats) { st = s },
-		})
-		// The committed result may differ from the reference only in its
-		// own recorded speculation config; everything the flow computed
-		// must match exactly.
-		if got != nil {
-			norm := *got
-			norm.Options.Speculate = flow.SpecConfig{}
-			if err != nil || !reflect.DeepEqual(&norm, ref) {
-				res.QORMismatches++
-			}
-		} else {
-			res.QORMismatches++
-		}
-		res.Launched += st.Launched
-		res.Skipped += st.Skipped
-		res.Committed += st.Committed
-		res.Discarded += st.Discarded
-		countHit := func(j flow.SpecJudgment, hits, misses *int) {
-			if !j.Predicted {
-				return
-			}
-			if j.Hit {
-				*hits++
-			} else {
-				*misses++
-			}
-		}
-		countHit(st.Synth, &res.SynthHits, &res.SynthMisses)
-		countHit(st.Place, &res.PlaceHits, &res.PlaceMisses)
-	}
-	return res
-}
-
-// Print writes the overlap report, ending with the same figures as
-// key=value lines for a reader that greps the report
-// (TestSpecOverlapShape reads the struct).
-func (r SpecOverlapResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "Speculative stage overlap (%d downstream points, artifact-memory oracle)\n", r.Points)
-	fmt.Fprintf(w, "chains:    %d launched, %d skipped, %d discarded; %d stages committed\n",
-		r.Launched, r.Skipped, r.Discarded, r.Committed)
-	fmt.Fprintf(w, "predictor: synth %d hit / %d miss, place %d hit / %d miss\n",
-		r.SynthHits, r.SynthMisses, r.PlaceHits, r.PlaceMisses)
-	fmt.Fprintf(w, "QOR drift vs non-speculative reference: %d (commits are timing-independent when 0)\n",
-		r.QORMismatches)
-	fmt.Fprintf(w, "spec_overlap_points=%d\n", r.Points)
-	fmt.Fprintf(w, "spec_overlap_launched=%d\n", r.Launched)
-	fmt.Fprintf(w, "spec_overlap_committed=%d\n", r.Committed)
-	fmt.Fprintf(w, "spec_overlap_discarded=%d\n", r.Discarded)
-	fmt.Fprintf(w, "spec_overlap_qor_mismatches=%d\n", r.QORMismatches)
 }
