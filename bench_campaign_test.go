@@ -116,7 +116,7 @@ func BenchmarkCampaignWarehoused(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		emit := warehouse.NewEmitter(campaign.ID(pts), "bench", pointKeys(pts), wh)
+		emit := warehouse.NewEmitter(campaign.ID(pts), "bench", PointKeys(pts), wh)
 		cache := campaign.NewCache(0)
 		eng := campaign.New(campaign.Config{Cache: cache, Observer: emit})
 		area = 0

@@ -13,21 +13,24 @@
 //	      -design tiny -freq 0.5 -seed 1 -sweep 4
 //
 // Every process derives the identical campaign point list from the
-// same sweep flags (-design/-freq/-seed/-sweep/-effort), so the
-// coordinator addresses work by point index and assembles results by
-// content key. The coordinator's stdout is byte-identical to
+// same sweep flags (-design/-freq/-seed/-sweep/-effort, expanded by
+// repro.SweepSpec as sprflow's flags and the metricsd front door's JSON
+// are), so the coordinator addresses work by point index and assembles
+// results by content key. The coordinator's stdout is byte-identical to
 // `sprflow -sweep` with the same flags, at any node count, including
 // after killing workers mid-campaign. The store's -journal DIR makes
 // results durable: restart the store and finished points are served,
 // not recomputed.
 //
-// Observability: every worker and store serves /metrics (live counters,
-// including chaos.fault.injected.* and dist.rpc.retried, plus
-// runtime.goroutines / runtime.heap.alloc gauges) and /debug/pprof on
-// its own listen address. The coordinator's -metrics-addr additionally
-// hosts the span collector at /v1/spans: give workers
-// -span-ship http://COORD_METRICS/v1/spans and -trace on the
-// coordinator writes one stitched Chrome trace for the whole fleet.
+// Observability: every worker and store is a metrics.Server with its
+// /v1 routes mounted beside the server's own, so it serves /metrics
+// (live counters, including chaos.fault.injected.* and dist.rpc.retried,
+// plus runtime.goroutines / runtime.heap.alloc gauges), /stats,
+// /debug/spans, /debug/hist and /debug/pprof on its own listen address.
+// The coordinator's -metrics-addr additionally hosts the span collector
+// at /v1/spans: give workers -span-ship http://COORD_METRICS/v1/spans
+// and -trace on the coordinator writes one stitched Chrome trace for
+// the whole fleet.
 // The store's -warehouse DIR opens the WAL-backed METRICS warehouse
 // (served under /warehouse/ on its -metrics-addr); workers feed it via
 // -warehouse-url.
@@ -103,9 +106,11 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "campd: -store-url required")
 		return 2
 	}
-	scfg, err := sweepConfig(*design, *freq, *seed, *effort, *sweep)
+	scfg, err := repro.SweepSpec{
+		Design: *design, Freq: *freq, Seed: *seed, Seeds: *sweep, Effort: *effort,
+	}.Config()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "campd:", err)
 		return 2
 	}
 	scfg.Workers = *parallel
@@ -177,35 +182,6 @@ func setupObs(o nodeObs, aux map[string]http.Handler) (flush func(), err error) 
 		return nil, err
 	}
 	return obsFlush, nil
-}
-
-// sweepConfig derives the campaign spec from the shared sweep flags —
-// the same derivation sprflow's -sweep uses, so the two binaries agree
-// on the point list byte-for-byte.
-func sweepConfig(design string, freq float64, seed int64, effort, nSeeds int) (repro.SweepConfig, error) {
-	var spec repro.DesignSpec
-	switch design {
-	case "pulpino":
-		spec = repro.PulpinoProxy(seed)
-	case "cpu":
-		spec = repro.EmbeddedCPU(seed)
-	case "artificial":
-		spec = repro.Artificial(seed)
-	case "tiny":
-		spec = repro.TinyDesign(seed)
-	default:
-		return repro.SweepConfig{}, fmt.Errorf("campd: unknown design %q", design)
-	}
-	seeds := make([]int64, nSeeds)
-	for i := range seeds {
-		seeds[i] = seed + int64(i)
-	}
-	return repro.SweepConfig{
-		Design: repro.NewDesign(repro.DefaultLibrary(), spec),
-		Base:   repro.FlowOptions{SynthEffort: effort},
-		Freqs:  []float64{0.8 * freq, freq, 1.2 * freq},
-		Seeds:  seeds,
-	}, nil
 }
 
 func runStore(addr, journalDir string, o nodeObs) int {
@@ -286,11 +262,7 @@ func runWorker(id, addr string, pts []campaign.Point, client *dist.StoreClient, 
 	var emit *warehouse.Emitter
 	var obsv flow.Observer
 	if o.warehouseURL != "" {
-		keys := make([]string, len(pts))
-		for i, p := range pts {
-			keys[i] = p.Options().Key()
-		}
-		emit = warehouse.NewEmitter(campaign.ID(pts), id, keys, warehouse.NewClient(o.warehouseURL))
+		emit = warehouse.NewEmitter(campaign.ID(pts), id, repro.PointKeys(pts), warehouse.NewClient(o.warehouseURL))
 		obsv = emit
 	}
 	w := dist.NewWorker(dist.WorkerConfig{
@@ -377,19 +349,7 @@ func runCoord(nodeList string, pts []campaign.Point, scfg repro.SweepConfig, cli
 		fmt.Fprintf(os.Stderr, "campaign failed: %v\n", err)
 		return 1
 	}
-	res := repro.SweepResult{Points: make([]repro.SweepPoint, len(results))}
-	for i, r := range results {
-		res.Points[i] = repro.SweepPoint{
-			FreqGHz:    pts[i].Options().TargetFreqGHz,
-			Seed:       pts[i].Options().Seed,
-			Met:        r.Met,
-			WNSPs:      r.WNSPs,
-			AreaUm2:    r.AreaUm2,
-			PowerNW:    r.PowerNW,
-			MaxFreqGHz: r.MaxFreqGHz,
-		}
-	}
-	res.Print(os.Stdout)
+	repro.SweepResult{Points: repro.SweepRows(pts, results)}.Print(os.Stdout)
 	st := coord.Stats()
 	fmt.Fprintf(os.Stderr, "coord: %d points, %d node deaths, %d reassigned\n",
 		len(results), st.Deaths, st.Reassigned)

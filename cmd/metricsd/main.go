@@ -20,7 +20,11 @@
 //
 // Admission is bounded (-campaign-queue) and running slots are shared
 // fairly across tenants (-campaign-slots). A spec with dist_nodes > 0
-// runs through the distributed campaign service over loopback nodes.
+// runs through the distributed campaign service over loopback nodes,
+// each of which also serves /stats, /metrics, /debug/{spans,hist} and
+// /debug/pprof. A spec is bounded before anything is built: seeds at
+// most 1024, workers at most 256, dist_nodes at most 16 and effort
+// 1..3; one outside ends the campaign failed, with the reason.
 package main
 
 import (
@@ -92,32 +96,32 @@ func main() {
 	fmt.Printf("shutting down: %d records stored, %d deduped\n", st.Records, st.Deduped)
 }
 
-// campaignSpec is the front door's submission payload: the same sweep
-// shape the sprflow and campd CLIs expose as flags.
+// Front-door bounds. A POSTed spec is network bytes, so every number
+// that sizes memory (seeds: 3 points each), goroutines (workers per
+// node), listeners (dist_nodes) or work (effort: 6 synth passes each)
+// is checked against these before anything is allocated. The CLIs'
+// flags stay unbounded.
+const (
+	maxSpecSeeds     = 1024
+	maxSpecWorkers   = 256
+	maxSpecDistNodes = 16
+	maxSpecEffort    = 3
+)
+
+// campaignSpec is the front door's submission payload: the sweep the
+// sprflow and campd CLIs take as flags, plus its deployment shape.
 type campaignSpec struct {
-	Design    string  `json:"design"` // pulpino, cpu, artificial, tiny
-	Freq      float64 `json:"freq"`
-	Seed      int64   `json:"seed"`
-	Seeds     int     `json:"seeds"`
-	Effort    int     `json:"effort"`
-	Workers   int     `json:"workers"`
-	DistNodes int     `json:"dist_nodes"`
+	repro.SweepSpec
+	Workers   int `json:"workers"`
+	DistNodes int `json:"dist_nodes"`
 }
 
-// campaignSummary is the terminal summary stored on the campaign.
-type campaignSummary struct {
-	Points int `json:"points"`
-	Met    int `json:"met"`
-}
-
-// runCampaignSpec is the injected CampaignRunner: it parses the opaque
-// spec and runs the sweep — distributed when dist_nodes asks for it.
-// Point events are emitted after the run (the engine reports results as
-// a batch); the status endpoint remains the lossless view.
-func runCampaignSpec(ctx context.Context, raw json.RawMessage, onPoint func(index, total int)) (json.RawMessage, error) {
+// decodeCampaignSpec parses a submitted spec, fills the front door's
+// defaults and rejects a spec with any number outside the bounds.
+func decodeCampaignSpec(raw json.RawMessage) (campaignSpec, error) {
 	var spec campaignSpec
 	if err := json.Unmarshal(raw, &spec); err != nil {
-		return nil, fmt.Errorf("bad campaign spec: %w", err)
+		return spec, fmt.Errorf("bad campaign spec: %w", err)
 	}
 	if spec.Design == "" {
 		spec.Design = "tiny"
@@ -131,32 +135,40 @@ func runCampaignSpec(ctx context.Context, raw json.RawMessage, onPoint func(inde
 	if spec.Effort == 0 {
 		spec.Effort = 2
 	}
-	var ds repro.DesignSpec
-	switch spec.Design {
-	case "pulpino":
-		ds = repro.PulpinoProxy(spec.Seed)
-	case "cpu":
-		ds = repro.EmbeddedCPU(spec.Seed)
-	case "artificial":
-		ds = repro.Artificial(spec.Seed)
-	case "tiny":
-		ds = repro.TinyDesign(spec.Seed)
-	default:
-		return nil, fmt.Errorf("unknown design %q", spec.Design)
+	switch {
+	case spec.Seeds > maxSpecSeeds:
+		return spec, fmt.Errorf("bad campaign spec: seeds %d above %d", spec.Seeds, maxSpecSeeds)
+	case spec.Workers > maxSpecWorkers:
+		return spec, fmt.Errorf("bad campaign spec: workers %d above %d", spec.Workers, maxSpecWorkers)
+	case spec.DistNodes > maxSpecDistNodes:
+		return spec, fmt.Errorf("bad campaign spec: dist_nodes %d above %d", spec.DistNodes, maxSpecDistNodes)
+	case spec.Effort < 1 || spec.Effort > maxSpecEffort:
+		return spec, fmt.Errorf("bad campaign spec: effort %d outside 1..%d", spec.Effort, maxSpecEffort)
 	}
-	seeds := make([]int64, spec.Seeds)
-	for i := range seeds {
-		seeds[i] = spec.Seed + int64(i)
+	return spec, nil
+}
+
+// campaignSummary is the terminal summary stored on the campaign.
+type campaignSummary struct {
+	Points int `json:"points"`
+	Met    int `json:"met"`
+}
+
+// runCampaignSpec is the injected CampaignRunner: it decodes the opaque
+// spec and runs the sweep — distributed when dist_nodes asks for it.
+// Point events are emitted after the run (the engine reports results as
+// a batch); the status endpoint remains the lossless view.
+func runCampaignSpec(ctx context.Context, raw json.RawMessage, onPoint func(index, total int)) (json.RawMessage, error) {
+	spec, err := decodeCampaignSpec(raw)
+	if err != nil {
+		return nil, err
 	}
-	scfg := repro.SweepConfig{
-		Design:  repro.NewDesign(repro.DefaultLibrary(), ds),
-		Base:    repro.FlowOptions{SynthEffort: spec.Effort},
-		Freqs:   []float64{0.8 * spec.Freq, spec.Freq, 1.2 * spec.Freq},
-		Seeds:   seeds,
-		Workers: spec.Workers,
+	scfg, err := spec.Config()
+	if err != nil {
+		return nil, err
 	}
+	scfg.Workers = spec.Workers
 	var res repro.SweepResult
-	var err error
 	if spec.DistNodes > 0 {
 		res, err = repro.DistSweep(repro.DistSweepConfig{SweepConfig: scfg, Nodes: spec.DistNodes})
 	} else {

@@ -55,7 +55,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"time"
 
 	"repro"
 	"repro/internal/campaign"
@@ -130,21 +129,14 @@ func run() int {
 	}
 	defer flush()
 
-	var spec repro.DesignSpec
-	switch *design {
-	case "pulpino":
-		spec = repro.PulpinoProxy(*seed)
-	case "cpu":
-		spec = repro.EmbeddedCPU(*seed)
-	case "artificial":
-		spec = repro.Artificial(*seed)
-	case "tiny":
-		spec = repro.TinyDesign(*seed)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown design %q\n", *design)
+	scfg, err := repro.SweepSpec{
+		Design: *design, Freq: *freq, Seed: *seed, Seeds: *sweep, Effort: *effort,
+	}.Config()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	d := repro.NewDesign(repro.DefaultLibrary(), spec)
+	d := scfg.Design
 
 	if *distNodes > 0 && *sweep <= 0 {
 		fmt.Fprintln(os.Stderr, "-dist-nodes requires -sweep")
@@ -154,18 +146,14 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "-chaos-profile requires -dist-nodes (chaos is injected into the network tier)")
 		return 2
 	}
-	kernels := repro.FlowOptions{
-		SynthEffort:  *effort,
-		PlaceWorkers: *placeWorkers,
-		RouteTiles:   *routeTiles,
-		RouteWorkers: *routeWorkers,
-	}
+	scfg.Base.PlaceWorkers = *placeWorkers
+	scfg.Base.RouteTiles = *routeTiles
+	scfg.Base.RouteWorkers = *routeWorkers
 	if *sweep > 0 {
-		return runSweep(d, *freq, *seed, kernels, sweepConfig{
-			seeds:        *sweep,
-			parallel:     *parallel,
-			journalDir:   *journalDir,
-			stageTimeout: *stageTimeout,
+		scfg.Workers = *parallel
+		scfg.JournalDir = *journalDir
+		scfg.StageTimeout = *stageTimeout
+		return runSweep(scfg, sweepConfig{
 			distNodes:    *distNodes,
 			chaosProfile: *chaosProfile,
 			chaosSeed:    *chaosSeed,
@@ -178,7 +166,7 @@ func run() int {
 	fmt.Printf("design %s: %d cells, %d registers, %d nets, depth %d\n",
 		d.Name, stats.Cells, stats.Registers, stats.Nets, stats.MaxLevel)
 
-	opts := kernels
+	opts := scfg.Base
 	opts.TargetFreqGHz = *freq
 	opts.Seed = *seed
 	if *robot {
@@ -215,12 +203,8 @@ func run() int {
 	return 0
 }
 
-// sweepConfig carries the sweep-only flags into runSweep.
+// sweepConfig carries the dist and warehouse flags into runSweep.
 type sweepConfig struct {
-	seeds        int
-	parallel     int
-	journalDir   string
-	stageTimeout time.Duration
 	distNodes    int
 	chaosProfile string
 	chaosSeed    int64
@@ -228,36 +212,17 @@ type sweepConfig struct {
 	whDump       string
 }
 
-// runSweep executes the crash-safe QOR sweep: nSeeds seeds at three
-// target frequencies around base. Point lines go to stdout in point
-// order — a stable byte stream — while journal/resume accounting goes to
-// stderr, so `diff` between a resumed and an uninterrupted sweep
-// compares only results.
-func runSweep(d *repro.Design, baseFreq float64, seed int64, base repro.FlowOptions, cfg sweepConfig) int {
-	freqs := []float64{0.8 * baseFreq, baseFreq, 1.2 * baseFreq}
-	seeds := make([]int64, cfg.seeds)
-	for i := range seeds {
-		seeds[i] = seed + int64(i)
-	}
-	scfg := repro.SweepConfig{
-		Design:       d,
-		Base:         base,
-		Freqs:        freqs,
-		Seeds:        seeds,
-		Workers:      cfg.parallel,
-		JournalDir:   cfg.journalDir,
-		StageTimeout: cfg.stageTimeout,
-	}
-	if cfg.warehouse != nil {
-		scfg.Warehouse = cfg.warehouse
-	}
+// runSweep executes the crash-safe QOR sweep. Point lines go to stdout
+// in point order — a stable byte stream — while journal/resume
+// accounting goes to stderr, so `diff` between a resumed and an
+// uninterrupted sweep compares only results.
+func runSweep(scfg repro.SweepConfig, cfg sweepConfig) int {
 	var res repro.SweepResult
 	var err error
 	if cfg.distNodes > 0 {
 		var dstats dist.CoordStats
 		// In dist mode the warehouse is fed over loopback HTTP by every
-		// node, so leave the in-process observer unset.
-		scfg.Warehouse = nil
+		// node, so the in-process observer stays unset.
 		res, err = repro.DistSweep(repro.DistSweepConfig{
 			SweepConfig:  scfg,
 			Nodes:        cfg.distNodes,
@@ -274,13 +239,16 @@ func runSweep(d *repro.Design, baseFreq float64, seed int64, base repro.FlowOpti
 			metrics.Default.WritePrefix(os.Stderr, "chaos.")
 		}
 	} else {
+		if cfg.warehouse != nil {
+			scfg.Warehouse = cfg.warehouse
+		}
 		res, err = repro.Sweep(scfg)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep failed: %v\n", err)
 		return 1
 	}
-	if cfg.journalDir != "" {
+	if scfg.JournalDir != "" {
 		rec := res.Recovery
 		fmt.Fprintf(os.Stderr, "journal: %d segments, %d records recovered, %d torn tails (%d bytes dropped)\n",
 			rec.Segments, rec.Records, rec.TornTails, rec.TornBytes)

@@ -15,7 +15,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"net"
 	"net/http"
 	"time"
 
@@ -24,6 +23,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/flow"
 	"repro/internal/journal"
+	"repro/internal/metrics"
 	"repro/internal/warehouse"
 )
 
@@ -68,10 +68,10 @@ type DistSweepConfig struct {
 	// Stats, when non-nil, receives the coordinator's failure-handling
 	// counters after the run (suspected, rejoined, reassigned, ...).
 	Stats *dist.CoordStats
-	// Warehouse, when non-nil, is served over loopback HTTP for the
-	// duration of the sweep, and every worker node ingests its METRICS
-	// records through its own HTTP client — the same ingest path a
-	// multi-host fleet uses. Ingestion always bypasses the chaos
+	// Warehouse, when non-nil, is served at /warehouse/ on a loopback
+	// metrics.Server for the duration of the sweep, and every worker
+	// node ingests its METRICS records through its own HTTP client —
+	// the same ingest path a multi-host fleet uses. Ingestion always bypasses the chaos
 	// transports: observability must survive the faults it describes.
 	Warehouse *warehouse.Warehouse
 }
@@ -148,17 +148,19 @@ func DistSweep(cfg DistSweepConfig) (SweepResult, error) {
 	var whURL string
 	var emitters []*warehouse.Emitter
 	if cfg.Warehouse != nil {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		whSrv := metrics.NewServer()
+		whSrv.Aux = map[string]http.Handler{
+			"/warehouse/": http.StripPrefix("/warehouse", warehouse.NewHandler(cfg.Warehouse)),
+		}
+		whAddr, err := whSrv.Start("127.0.0.1:0")
 		if err != nil {
 			return out, err
 		}
-		whSrv := &http.Server{Handler: warehouse.NewHandler(cfg.Warehouse)}
-		go whSrv.Serve(ln) //nolint:errcheck // Serve returns on Close
 		defer whSrv.Close()
-		whURL = "http://" + ln.Addr().String()
+		whURL = "http://" + whAddr + "/warehouse"
 	}
 	campaignID := campaign.ID(pts)
-	keys := pointKeys(pts)
+	keys := PointKeys(pts)
 
 	var coordNodes []dist.Node
 	for i := 0; i < nodes; i++ {
@@ -213,18 +215,6 @@ func DistSweep(cfg DistSweepConfig) (SweepResult, error) {
 		return out, err
 	}
 	out.JournalErr = store.Err()
-
-	out.Points = make([]SweepPoint, len(results))
-	for i, r := range results {
-		out.Points[i] = SweepPoint{
-			FreqGHz:    pts[i].Options().TargetFreqGHz,
-			Seed:       pts[i].Options().Seed,
-			Met:        r.Met,
-			WNSPs:      r.WNSPs,
-			AreaUm2:    r.AreaUm2,
-			PowerNW:    r.PowerNW,
-			MaxFreqGHz: r.MaxFreqGHz,
-		}
-	}
+	out.Points = SweepRows(pts, results)
 	return out, nil
 }

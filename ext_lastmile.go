@@ -335,10 +335,3 @@ func (r ScheduleResult) Print(w io.Writer) {
 	}
 	fmt.Fprintf(w, "best policy saves %.1f%% vs FIFO\n", r.SavingsPct)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -244,7 +244,7 @@ func Fig11(scale Scale, seed int64) (Fig11Result, error) {
 			pts = append(pts, campaign.NewPoint(design, key, opts))
 		}
 	}
-	emit := warehouse.NewEmitter(campaign.ID(pts), "local", pointKeys(pts), warehouse.NewClient("http://"+addr+"/warehouse"))
+	emit := warehouse.NewEmitter(campaign.ID(pts), "local", PointKeys(pts), warehouse.NewClient("http://"+addr+"/warehouse"))
 	for _, p := range pts {
 		flow.RunObserved(design, p.Options(), emit)
 	}

@@ -134,15 +134,19 @@ func (g *gate) RoundTrip(req *http.Request) (*http.Response, error) {
 // TestSuspectDeadRejoinServesPoints drives the membership machine end
 // to end with a deterministic gate: w0 is cut until the coordinator
 // declares it dead, then healed — it must rejoin and complete points
-// again, and the output must still match the reference.
+// again, and the output must still match the reference. w1 stays cut
+// until w0 has completed a point: a tiny point takes well under a
+// millisecond, so a live w1 could finish the whole campaign before the
+// prober brings w0 back.
 func TestSuspectDeadRejoinServesPoints(t *testing.T) {
 	design := tinyDesign(1)
-	pts := sweepPoints(design, 4, 6) // enough work to outlive the heal
+	pts := sweepPoints(design, 4, 6)
 	ref := singleNodeReference(t, pts)
 
 	cl := startCluster(t, pts, 2, nil)
 	g := newGate()
 	g.set("w0", true)
+	g.set("w1", true)
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Points: pts, Nodes: cl.nodes, Store: cl.client,
 		RPC:    RPCConfig{Transport: g},
@@ -160,16 +164,19 @@ func TestSuspectDeadRejoinServesPoints(t *testing.T) {
 		done <- err
 	}()
 
-	// Phase 1: the cut link must take w0 through suspect to dead.
-	waitFor(t, 5*time.Second, func() bool { return coord.Stats().Deaths >= 1 })
+	// Phase 1: the cut links must take both nodes through suspect to
+	// dead.
+	waitFor(t, 5*time.Second, func() bool { return coord.Stats().Deaths >= 2 })
 	before := cl.workers[0].Completed()
 	if before != 0 {
 		t.Fatalf("cut worker completed %d points", before)
 	}
 
 	// Phase 2: heal. The prober must bring w0 back and its slots must
-	// pull work again.
+	// pull work again; then w1 may help finish.
 	g.set("w0", false)
+	waitFor(t, 5*time.Second, func() bool { return cl.workers[0].Completed() > 0 })
+	g.set("w1", false)
 	if err := <-done; err != nil {
 		t.Fatalf("campaign failed: %v (stats %+v)", err, coord.Stats())
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -16,9 +17,11 @@ import (
 //	PUT  /v1/entry?key=K          body = encoded entry; {"stored":bool}
 //	GET  /v1/stats                StoreStats JSON
 //	GET  /healthz                 "ok"
+//
+// These ride on a metrics.Server, as a worker's do.
 type StoreServer struct {
 	store *Store
-	node  httpNode
+	srv   *metrics.Server
 }
 
 // maxEntryBytes bounds one encoded entry on the wire — a put body, a
@@ -29,7 +32,13 @@ const maxEntryBytes = 1 << 20
 
 // NewStoreServer wraps a store.
 func NewStoreServer(store *Store) *StoreServer {
-	return &StoreServer{store: store}
+	s := &StoreServer{store: store, srv: metrics.NewServer()}
+	s.srv.Aux = map[string]http.Handler{
+		"/v1/entry": http.HandlerFunc(s.handleEntry),
+		"/v1/stats": http.HandlerFunc(s.handleStats),
+		"/healthz":  http.HandlerFunc(handleHealthz),
+	}
+	return s
 }
 
 // Store returns the underlying store.
@@ -37,26 +46,16 @@ func (s *StoreServer) Store() *Store { return s.store }
 
 // Start begins listening on addr ("127.0.0.1:0" for an ephemeral port)
 // and returns the bound address.
-func (s *StoreServer) Start(addr string) (string, error) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/entry", s.handleEntry)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/healthz", handleHealthz)
-	mountNodeDebug(mux)
-	return s.node.start(addr, mux)
-}
-
-// Addr returns the bound address.
-func (s *StoreServer) Addr() string { return s.node.addr() }
+func (s *StoreServer) Start(addr string) (string, error) { return s.srv.Start(addr) }
 
 // Close stops serving (idempotent; the store itself stays usable and is
 // closed separately so its WAL outlives the listener).
-func (s *StoreServer) Close() error { return s.node.close() }
+func (s *StoreServer) Close() error { return s.srv.Close() }
 
 // Shutdown stops the server gracefully: in-flight requests (a put being
 // journaled) finish before the listener closes, bounded by ctx.
 // Idempotent with Close.
-func (s *StoreServer) Shutdown(ctx context.Context) error { return s.node.shutdown(ctx) }
+func (s *StoreServer) Shutdown(ctx context.Context) error { return s.srv.Shutdown(ctx) }
 
 func handleHealthz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ok\n") //nolint:errcheck

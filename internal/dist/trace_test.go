@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -110,37 +111,36 @@ func TestRPCRetryTraceAdoption(t *testing.T) {
 	}
 }
 
-// TestNodeDebugEndpoints: every worker and store process exposes
-// /metrics (live counters + histograms) and the stock pprof set.
+// TestNodeDebugEndpoints: a real worker and a real store each serve
+// /metrics (live counters + histograms), /debug/spans and the stock
+// pprof set on their own listen address.
 func TestNodeDebugEndpoints(t *testing.T) {
 	metrics.Add("dist.rpc.retried", 1) // ensure the counter exists in the dump
-	mux := http.NewServeMux()
-	mountNodeDebug(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("/metrics: %v", err)
-	}
-	body := make([]byte, 1<<20)
-	n, _ := resp.Body.Read(body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status = %d", resp.StatusCode)
-	}
-	if !strings.Contains(string(body[:n]), "dist.rpc.retried") {
-		t.Fatalf("/metrics missing dist.rpc.retried:\n%s", body[:n])
-	}
-
-	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
+	cl := startCluster(t, sweepPoints(tinyDesign(1), 1, 1), 1, nil)
+	for name, base := range map[string]string{
+		"store":  cl.client.base,
+		"worker": cl.nodes[0].URL,
+	} {
+		get := func(path string) string {
+			t.Helper()
+			resp, err := http.Get(base + path)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, path, err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s: status %d, err %v", name, path, resp.StatusCode, err)
+			}
+			return string(body)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s status = %d", path, resp.StatusCode)
+		if body := get("/metrics"); !strings.Contains(body, "dist.rpc.retried") {
+			t.Fatalf("%s /metrics missing dist.rpc.retried:\n%s", name, body)
+		}
+		get("/debug/pprof/")
+		get("/debug/pprof/cmdline")
+		if body := get("/debug/spans"); !strings.Contains(body, `"enabled"`) {
+			t.Fatalf("%s /debug/spans is not the spans JSON: %s", name, body)
 		}
 	}
 }

@@ -25,6 +25,9 @@ import (
 //	GET  /v1/stats worker + cache counters
 //	GET  /healthz  "ok"
 //
+// These ride on a metrics.Server, so a worker also serves /stats,
+// /metrics, /debug/spans, /debug/hist and /debug/pprof/.
+//
 // When the store is unreachable the worker degrades instead of dying:
 // a tier read that fails is a miss, so it computes, keeps the
 // write-through in the client backlog, and backfills when the link
@@ -34,7 +37,7 @@ import (
 type Worker struct {
 	cfg    WorkerConfig
 	engine *campaign.Engine
-	node   httpNode
+	srv    *metrics.Server
 
 	drainMu  sync.Mutex
 	draining bool
@@ -86,26 +89,22 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		StageTimeout: cfg.StageTimeout,
 		Observer:     cfg.Observer,
 	})
-	return &Worker{cfg: cfg, engine: eng}
+	w := &Worker{cfg: cfg, engine: eng, srv: metrics.NewServer()}
+	w.srv.Aux = map[string]http.Handler{
+		"/v1/run":   http.HandlerFunc(w.handleRun),
+		"/v1/stats": http.HandlerFunc(w.handleStats),
+		"/healthz":  http.HandlerFunc(handleHealthz),
+	}
+	return w
 }
 
 // Start begins listening ("127.0.0.1:0" for ephemeral) and returns the
-// bound address.
-func (w *Worker) Start(addr string) (string, error) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/run", w.handleRun)
-	mux.HandleFunc("/v1/stats", w.handleStats)
-	mux.HandleFunc("/healthz", handleHealthz)
-	mountNodeDebug(mux)
-	return w.node.start(addr, mux)
-}
-
-// Addr returns the bound address.
-func (w *Worker) Addr() string { return w.node.addr() }
+// bound address. Start after Close fails instead of leaking a listener.
+func (w *Worker) Start(addr string) (string, error) { return w.srv.Start(addr) }
 
 // Close stops the node abortively (in-flight requests die — the "kill"
 // semantics the reassignment path is built for). Idempotent.
-func (w *Worker) Close() error { return w.node.close() }
+func (w *Worker) Close() error { return w.srv.Close() }
 
 // Shutdown drains the node gracefully: new run requests answer 503,
 // in-flight points finish (bounded by ctx; past the bound the node is
@@ -127,13 +126,13 @@ func (w *Worker) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 	case <-ctx.Done():
-		w.node.close() //nolint:errcheck
+		w.srv.Close() //nolint:errcheck
 		return ctx.Err()
 	}
 	if w.cfg.Store != nil {
 		w.cfg.Store.Backfill(ctx)
 	}
-	err := w.node.shutdown(ctx)
+	err := w.srv.Shutdown(ctx)
 	if w.cfg.Store != nil {
 		w.cfg.Store.Close()
 	}

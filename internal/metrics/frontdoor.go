@@ -84,7 +84,7 @@ type campaign struct {
 // Admission control is two-layer: MaxQueue bounds accepted-but-unstarted
 // work (beyond it, submits are rejected, not buffered), and Slots bounds
 // concurrently running campaigns, arbitrated across tenants by a
-// sched.Ledger — the tenant with the least weighted usage starts next,
+// sched.Ledger — the tenant running the fewest campaigns starts next,
 // deterministically, so one chatty tenant cannot starve the rest.
 type FrontDoor struct {
 	// Runner executes campaigns (required).
@@ -93,8 +93,6 @@ type FrontDoor struct {
 	Slots int
 	// MaxQueue bounds queued campaigns (<=0 = 16).
 	MaxQueue int
-	// Weights sets per-tenant fair-share weights (default 1 each).
-	Weights map[string]int
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -187,9 +185,6 @@ func (fd *FrontDoor) Submit(tenant string, spec json.RawMessage) (string, error)
 		spec: spec,
 		subs: map[chan CampaignEvent]bool{},
 	}
-	if w := fd.Weights[tenant]; w > 0 {
-		fd.ledger.SetWeight(tenant, w)
-	}
 	fd.campaigns[id] = c
 	fd.order = append(fd.order, id)
 	fd.queues[tenant] = append(fd.queues[tenant], id)
@@ -243,11 +238,13 @@ func (fd *FrontDoor) dispatch(ctx context.Context) {
 		c.status.State = StateRunning
 		c.status.Started = time.Now()
 		fd.queued--
+		// Add under fd.mu, where Close cannot yet have set closed: an
+		// Add racing Close's Wait on a zero counter is a data race.
+		fd.running.Add(1)
 		fd.mu.Unlock()
 		fd.emit(c.status.ID, CampaignEvent{Type: "state", State: StateRunning})
 		Add("metrics.frontdoor.started", 1)
 
-		fd.running.Add(1)
 		go func(c *campaign) {
 			defer fd.running.Done()
 			fd.run(ctx, c)

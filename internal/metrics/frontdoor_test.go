@@ -14,9 +14,10 @@ import (
 )
 
 // TestServerStartServeCloseRace is the shutdown-ordering regression
-// test: requests in flight while Close runs must never observe a nil
-// listener, Close must be idempotent, and Start after Close
-// must fail instead of leaking a listener.
+// test: requests in flight while Close or Shutdown runs must never
+// observe a nil listener, Close and Shutdown must be idempotent with
+// each other, and Start after either must fail instead of leaking a
+// listener.
 func TestServerStartServeCloseRace(t *testing.T) {
 	for iter := 0; iter < 15; iter++ {
 		srv := NewServer()
@@ -47,13 +48,20 @@ func TestServerStartServeCloseRace(t *testing.T) {
 			}()
 		}
 		wg.Add(1)
-		go func() {
+		go func(graceful bool) {
 			defer wg.Done()
-			srv.Close() //nolint:errcheck
-		}()
+			if graceful {
+				srv.Shutdown(context.Background()) //nolint:errcheck
+			} else {
+				srv.Close() //nolint:errcheck
+			}
+		}(iter%2 == 0)
 		wg.Wait()
 		if err := srv.Close(); err != nil {
 			t.Fatalf("double close: %v", err)
+		}
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatalf("shutdown after close: %v", err)
 		}
 		if _, err := srv.Start("127.0.0.1:0"); err == nil {
 			t.Fatal("start after close succeeded")

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -17,7 +18,9 @@ import (
 // today's commodity networking ... will be much simpler", and it is.)
 // Design records reach it through the warehouse API mounted on Aux; the
 // server itself is the live introspection surface of a running
-// campaign:
+// campaign. It is also the one HTTP server type of every campaign
+// process: a dist worker or store is a Server with its /v1 routes on
+// Aux, so every node serves these endpoints too:
 //
 //	/stats        counter dump
 //	/metrics      plain-text exposition of every counter and histogram
@@ -37,7 +40,8 @@ type Server struct {
 	FrontDoor *FrontDoor
 
 	// Aux mounts extra handlers by pattern before Start — how the span
-	// collector ("/v1/spans") and the METRICS warehouse ("/warehouse/")
+	// collector ("/v1/spans"), the METRICS warehouse ("/warehouse/") and
+	// the dist worker and store routes ("/v1/run", "/v1/entry", ...)
 	// ride on this server without this package importing them.
 	Aux map[string]http.Handler
 
@@ -88,12 +92,34 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Close shuts the server down: the front door first (its streams and
-// dispatcher hold handler goroutines open), then the HTTP server.
-// Idempotent, and safe to race with Start and with in-flight requests —
-// a Close that wins the race leaves Start returning an error rather
-// than a leaked listener.
+// Close shuts the server down abortively: the front door first (its
+// streams and dispatcher hold handler goroutines open), then the HTTP
+// server, killing in-flight connections. Idempotent, and safe to race
+// with Start, Shutdown and in-flight requests — a Close that wins the
+// race leaves Start returning an error rather than a leaked listener.
 func (s *Server) Close() error {
+	srv := s.stop()
+	if srv == nil {
+		return nil
+	}
+	return srv.Close()
+}
+
+// Shutdown stops the server gracefully: the front door closes, then the
+// listener, and in-flight requests finish (bounded by ctx). Idempotent
+// with Close.
+func (s *Server) Shutdown(ctx context.Context) error {
+	srv := s.stop()
+	if srv == nil {
+		return nil
+	}
+	return srv.Shutdown(ctx)
+}
+
+// stop marks the server closed and closes its front door. It returns
+// the HTTP server to stop, or nil when there is none or an earlier
+// Close or Shutdown already took it.
+func (s *Server) stop() *http.Server {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -105,10 +131,7 @@ func (s *Server) Close() error {
 	if fd != nil {
 		fd.Close()
 	}
-	if srv != nil {
-		return srv.Close()
-	}
-	return nil
+	return srv
 }
 
 // tracer resolves the tracer the /debug endpoints introspect.

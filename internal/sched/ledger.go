@@ -13,16 +13,14 @@ import (
 // the grant decision must be fair across competing owners.
 //
 // Fairness is deterministic max-min: the next grant goes to the
-// candidate holding the fewest slots relative to its weight, ties
-// broken by name — so two coordinators replaying the same request
+// candidate holding the fewest slots, ties broken by name — so two coordinators replaying the same request
 // sequence make identical grant decisions.
 type Ledger struct {
 	total int
 
-	mu     sync.Mutex
-	inUse  map[string]int
-	weight map[string]int
-	used   int
+	mu    sync.Mutex
+	inUse map[string]int
+	used  int
 }
 
 // NewLedger creates a ledger over total shared slots (total < 1 is
@@ -31,19 +29,7 @@ func NewLedger(total int) *Ledger {
 	if total < 1 {
 		total = 1
 	}
-	return &Ledger{total: total, inUse: map[string]int{}, weight: map[string]int{}}
-}
-
-// SetWeight sets an owner's fair-share weight (default 1; w < 1 is
-// clamped to 1). An owner with weight 2 is entitled to twice the slots
-// of a weight-1 owner before it is considered "ahead".
-func (l *Ledger) SetWeight(owner string, w int) {
-	if w < 1 {
-		w = 1
-	}
-	l.mu.Lock()
-	l.weight[owner] = w
-	l.mu.Unlock()
+	return &Ledger{total: total, inUse: map[string]int{}}
 }
 
 // TryGrant takes one slot for owner if any is free, without blocking.
@@ -75,8 +61,7 @@ func (l *Ledger) Release(owner string) {
 }
 
 // PickFair chooses which candidate should receive the next slot:
-// the one with the lowest weighted usage (inUse/weight), ties broken by
-// name so the decision is deterministic. ok is false when candidates is
+// the one holding the fewest slots, ties broken by name so the decision is deterministic. ok is false when candidates is
 // empty. PickFair does not grant — callers follow up with TryGrant for
 // the picked owner.
 func (l *Ledger) PickFair(candidates []string) (owner string, ok bool) {
@@ -88,20 +73,10 @@ func (l *Ledger) PickFair(candidates []string) (owner string, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	best := sorted[0]
-	bestScore := l.scoreLocked(best)
 	for _, c := range sorted[1:] {
-		if s := l.scoreLocked(c); s < bestScore {
-			best, bestScore = c, s
+		if l.inUse[c] < l.inUse[best] {
+			best = c
 		}
 	}
 	return best, true
-}
-
-// scoreLocked is owner's weighted usage. Caller holds l.mu.
-func (l *Ledger) scoreLocked(owner string) float64 {
-	w := l.weight[owner]
-	if w < 1 {
-		w = 1
-	}
-	return float64(l.inUse[owner]) / float64(w)
 }

@@ -29,12 +29,6 @@ func TestLedgerPickFairDeterministic(t *testing.T) {
 	if o, _ := l.PickFair(cands); o != "t3" {
 		t.Fatalf("pick = %s, want t3", o)
 	}
-	// Weighted: t1 at weight 4 has usage 0.5, below t2's 1 and t3's +1.
-	l.SetWeight("t1", 4)
-	l.TryGrant("t3")
-	if o, _ := l.PickFair(cands); o != "t1" {
-		t.Fatalf("weighted pick = %s, want t1", o)
-	}
 	if _, ok := l.PickFair(nil); ok {
 		t.Fatal("PickFair(nil) must report !ok")
 	}

@@ -205,10 +205,3 @@ func Proxy(target netlist.Stats, lib *cellib.Library, seed int64) (*netlist.Netl
 	}
 	return netlist.Generate(lib, spec), spec
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -82,3 +82,32 @@ func TestPointKeyIdentityAcrossBuilders(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepSpecCampaignIDs pins the campaign id every front end derives
+// from one spec, per design name: sprflow, campd and the metricsd front
+// door expand a SweepSpec, so a change to the design table or the
+// frequency × seed cross moves these ids (they are the ids the commit
+// before SweepSpec derived from campd's flags).
+func TestSweepSpecCampaignIDs(t *testing.T) {
+	for design, want := range map[string]string{
+		"pulpino":    "ef8d97318198b9b2",
+		"cpu":        "5dd6ad12ee307e5c",
+		"artificial": "a2e3ffd6bc9a62fe",
+		"tiny":       "42400a54f6c06f58",
+	} {
+		scfg, err := SweepSpec{Design: design, Freq: 0.5, Seed: 1, Seeds: 2, Effort: 2}.Config()
+		if err != nil {
+			t.Fatalf("%s: %v", design, err)
+		}
+		pts, err := CampaignPoints(scfg)
+		if err != nil {
+			t.Fatalf("%s: %v", design, err)
+		}
+		if got := campaign.ID(pts); len(pts) != 6 || got != want {
+			t.Errorf("%s: %d points, campaign id %s; want 6, %s", design, len(pts), got, want)
+		}
+	}
+	if _, err := (SweepSpec{Design: "nope", Freq: 0.5, Seeds: 2}).Config(); err == nil {
+		t.Fatal("an unknown design name must error")
+	}
+}

@@ -11,10 +11,11 @@
 #                             byte-facing decoder (campaign entry,
 #                             journal segment, warehouse ingest, gob
 #                             cell library, span collector, campaign
-#                             front door, warehouse WAL replay against
-#                             json.Unmarshal), of the placer's net
-#                             extremes (FuzzNetExtremes) and of the one-
-#                             walk net electricals (FuzzElectricals);
+#                             front door and its spec decoder, warehouse
+#                             WAL replay against json.Unmarshal), of the
+#                             placer's net extremes (FuzzNetExtremes)
+#                             and of the one-walk net electricals
+#                             (FuzzElectricals);
 #                             the last line printed is this default
 #                             tier's wall time (and the whole run's,
 #                             when a mode below follows it)
@@ -122,7 +123,7 @@ for target in internal/campaign:FuzzDecodeEntry internal/journal:FuzzJournalDeco
     internal/warehouse:FuzzIngest internal/cellib:FuzzLibraryGobDecode \
     internal/trace:FuzzCollectorIngest internal/metrics:FuzzFrontDoorSubmit \
     internal/place:FuzzNetExtremes internal/netlist:FuzzElectricals \
-    internal/warehouse:FuzzDecodeRecord; do
+    internal/warehouse:FuzzDecodeRecord cmd/metricsd:FuzzCampaignSpec; do
     go test -run='^$' -fuzz="^${target#*:}\$" -fuzztime=10s -fuzzminimizetime=100x "./${target%%:*}"
 done
 # Every mode below runs after the default tier; its time is kept for the

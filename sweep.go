@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/flow"
 	"repro/internal/journal"
 	"repro/internal/logfile"
 	"repro/internal/warehouse"
@@ -95,14 +96,83 @@ type SweepConfig struct {
 	Warehouse warehouse.Appender
 }
 
-// pointKeys lists the canonical options key of every point, in point
+// SweepSpec is the one description of a QOR sweep that every front end
+// expands: sprflow's and campd's flags and the metricsd front door's
+// JSON. The sweep is Seeds seeds from Seed up at 0.8, 1 and 1.2 × Freq
+// on the named design. Every process that expands the same spec gets
+// the same points, keys and campaign id, so campd's coordinator, sprflow
+// and the front door print the same bytes.
+type SweepSpec struct {
+	Design string  `json:"design"` // pulpino, cpu, artificial, tiny
+	Freq   float64 `json:"freq"`
+	Seed   int64   `json:"seed"`
+	Seeds  int     `json:"seeds"`
+	Effort int     `json:"effort"` // synthesis effort 1..3
+}
+
+// Cross is the spec's frequency × seed cross: 0.8, 1 and 1.2 × Freq,
+// and Seed … Seed+Seeds−1 (none when Seeds < 1).
+func (s SweepSpec) Cross() (freqs []float64, seeds []int64) {
+	seeds = make([]int64, max(s.Seeds, 0))
+	for i := range seeds {
+		seeds[i] = s.Seed + int64(i)
+	}
+	return []float64{0.8 * s.Freq, s.Freq, 1.2 * s.Freq}, seeds
+}
+
+// Config builds the spec's design — pulpino, cpu, artificial or tiny,
+// generated at Seed — and its sweep. Base carries the synthesis effort;
+// callers add kernel options and the run knobs (Workers, JournalDir,
+// ...) to the result.
+func (s SweepSpec) Config() (SweepConfig, error) {
+	var ds DesignSpec
+	switch s.Design {
+	case "pulpino":
+		ds = PulpinoProxy(s.Seed)
+	case "cpu":
+		ds = EmbeddedCPU(s.Seed)
+	case "artificial":
+		ds = Artificial(s.Seed)
+	case "tiny":
+		ds = TinyDesign(s.Seed)
+	default:
+		return SweepConfig{}, fmt.Errorf("unknown design %q", s.Design)
+	}
+	freqs, seeds := s.Cross()
+	return SweepConfig{
+		Design: NewDesign(DefaultLibrary(), ds),
+		Base:   FlowOptions{SynthEffort: s.Effort},
+		Freqs:  freqs,
+		Seeds:  seeds,
+	}, nil
+}
+
+// PointKeys lists the canonical options key of every point, in point
 // order — the emitter's step-record-to-point-index map.
-func pointKeys(pts []campaign.Point) []string {
+func PointKeys(pts []campaign.Point) []string {
 	keys := make([]string, len(pts))
 	for i, p := range pts {
 		keys[i] = p.Options().Key()
 	}
 	return keys
+}
+
+// SweepRows pairs every point with its result as one printed row.
+func SweepRows(pts []campaign.Point, results []*flow.Result) []SweepPoint {
+	rows := make([]SweepPoint, len(results))
+	for i, r := range results {
+		o := pts[i].Options()
+		rows[i] = SweepPoint{
+			FreqGHz:    o.TargetFreqGHz,
+			Seed:       o.Seed,
+			Met:        r.Met,
+			WNSPs:      r.WNSPs,
+			AreaUm2:    r.AreaUm2,
+			PowerNW:    r.PowerNW,
+			MaxFreqGHz: r.MaxFreqGHz,
+		}
+	}
+	return rows
 }
 
 // SweepPoint is one (frequency, seed) outcome.
@@ -147,7 +217,7 @@ func Sweep(cfg SweepConfig) (SweepResult, error) {
 	}
 	var emit *warehouse.Emitter
 	if cfg.Warehouse != nil {
-		emit = warehouse.NewEmitter(campaign.ID(pts), "local", pointKeys(pts), cfg.Warehouse)
+		emit = warehouse.NewEmitter(campaign.ID(pts), "local", PointKeys(pts), cfg.Warehouse)
 		ecfg.Observer = emit
 		defer emit.Flush()
 	}
@@ -171,19 +241,7 @@ func Sweep(cfg SweepConfig) (SweepResult, error) {
 	if err != nil {
 		return out, err
 	}
-
-	out.Points = make([]SweepPoint, len(results))
-	for i, r := range results {
-		out.Points[i] = SweepPoint{
-			FreqGHz:    pts[i].Options().TargetFreqGHz,
-			Seed:       pts[i].Options().Seed,
-			Met:        r.Met,
-			WNSPs:      r.WNSPs,
-			AreaUm2:    r.AreaUm2,
-			PowerNW:    r.PowerNW,
-			MaxFreqGHz: r.MaxFreqGHz,
-		}
-	}
+	out.Points = SweepRows(pts, results)
 	return out, nil
 }
 
