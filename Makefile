@@ -4,6 +4,9 @@ check:
 bench:
 	scripts/check.sh bench
 
+paper:
+	scripts/check.sh paper
+
 crash:
 	scripts/check.sh crash
 
@@ -19,4 +22,4 @@ obs:
 trace-demo:
 	scripts/check.sh trace
 
-.PHONY: check bench crash dist chaos obs trace-demo
+.PHONY: check bench paper crash dist chaos obs trace-demo

@@ -1,13 +1,12 @@
 // Command metricsd runs the METRICS server of Fig. 11 — a memory-only
 // warehouse at /warehouse/ beside the live /metrics and /debug
-// endpoints — and, optionally, a demonstration campaign: an
-// instrumented flow sweep whose records ship to the warehouse, followed
-// by data mining.
+// endpoints — until interrupted. The Fig. 11 loop itself (an
+// instrumented campaign shipping records to such a server, then data
+// mining) is `sprflow -fig fig11`.
 //
 // Usage:
 //
-//	metricsd -addr 127.0.0.1:8800          # serve until interrupted
-//	metricsd -demo [-scale small|paper]    # end-to-end loop, then exit
+//	metricsd -addr 127.0.0.1:8800
 //	metricsd -addr 127.0.0.1:8800 -frontdoor [-campaign-slots 2]
 //
 // With -frontdoor the server also accepts campaign submissions:
@@ -44,27 +43,10 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8800", "listen address")
-	demo := flag.Bool("demo", false, "run the end-to-end METRICS loop and exit")
-	scale := flag.String("scale", "small", "demo scale: small or paper")
-	seed := flag.Int64("seed", 1, "demo seed")
 	frontdoor := flag.Bool("frontdoor", false, "accept campaign submissions on /v1/campaigns")
 	campaignSlots := flag.Int("campaign-slots", 1, "concurrently running campaigns (front door)")
 	campaignQueue := flag.Int("campaign-queue", 16, "max queued campaigns before 429 (front door)")
 	flag.Parse()
-
-	if *demo {
-		s := repro.Small
-		if *scale == "paper" {
-			s = repro.Paper
-		}
-		res, err := repro.Fig11(s, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		res.Print(os.Stdout)
-		return
-	}
 
 	wh, err := warehouse.Open("", journal.Options{})
 	if err != nil {

@@ -1,14 +1,25 @@
 // Command sprflow runs the simulated SP&R implementation flow on a
 // synthetic design and prints the QOR report — the atomic tool run every
-// experiment in this repository drives.
+// experiment in this repository drives — and regenerates the paper's
+// artefacts from those runs.
 //
 // Usage:
 //
+//	sprflow -fig fig7|table1|...|all [-scale small|paper] [-seed 1] [-parallel N] [-journal DIR]
 //	sprflow -design pulpino -freq 0.6 -seed 1 [-effort 2] [-robot]
 //	sprflow -design tiny -sweep 4 [-parallel N] [-journal DIR]
 //	sprflow -design tiny -sweep 4 -dist-nodes 4 [-journal DIR]
 //	sprflow -design tiny -sweep 4 -dist-nodes 4 -chaos-profile partition -chaos-seed 7
 //	sprflow -design tiny -sweep 4 -trace trace.json -metrics-addr :8080
+//
+// A -fig prints one paper artefact (a figure, table or study, named as
+// in repro.Artifacts) at -scale, or every artefact in paper order, each
+// followed by one blank line. The output is identical at any
+// -parallel. With -journal DIR the logfile corpora behind Figs. 9-10,
+// Table 1 and the live doomed-run study are crash-safe: every completed
+// detailed-route run is appended to a journal in DIR, a rerun replays
+// it instead of routing again, and the journal accounting goes to
+// stderr.
 //
 // A -sweep runs the full frequency x seed cross on the campaign engine
 // and prints one stable line per point to stdout (resume accounting
@@ -55,6 +66,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"slices"
 
 	"repro"
 	"repro/internal/campaign"
@@ -70,14 +82,16 @@ func main() {
 }
 
 func run() int {
+	fig := flag.String("fig", "", "print a paper artefact (fig1 ... schedule, or all) instead of running a flow")
+	scale := flag.String("scale", "small", "artefact scale for -fig: small or paper")
 	design := flag.String("design", "pulpino", "design: pulpino, cpu, artificial, tiny")
 	freq := flag.Float64("freq", 0.5, "target frequency, GHz")
 	seed := flag.Int64("seed", 1, "run seed")
 	effort := flag.Int("effort", 2, "synthesis effort 1..3")
 	robot := flag.Bool("robot", false, "run as a Stage-1 robot engineer (retry to success)")
 	sweep := flag.Int("sweep", 0, "run a crash-safe QOR sweep with this many seeds per frequency")
-	parallel := flag.Int("parallel", 0, "sweep concurrency (0 = one per CPU); results identical at any setting")
-	journalDir := flag.String("journal", "", "durable journal directory for -sweep (enables checkpoint/resume)")
+	parallel := flag.Int("parallel", 0, "sweep or -fig concurrency (0 = one per CPU); results identical at any setting")
+	journalDir := flag.String("journal", "", "durable journal directory for -sweep or the -fig corpora (enables checkpoint/resume)")
 	stageTimeout := flag.Duration("stage-timeout", 0, "per-stage hung-tool watchdog deadline (0 = off)")
 	distNodes := flag.Int("dist-nodes", 0, "run -sweep through the distributed campaign service with this many loopback worker nodes (0 = single-process; stdout identical either way)")
 	chaosProfile := flag.String("chaos-profile", "", "inject a deterministic network fault schedule into -dist-nodes: flaky, slow, partition, kill (stdout stays byte-identical)")
@@ -91,6 +105,11 @@ func run() int {
 	warehouseDir := flag.String("warehouse", "", "ingest one METRICS record per flow stage per point into a WAL-backed warehouse at DIR during -sweep (\"mem\" = in-memory only)")
 	warehouseDump := flag.String("warehouse-dump", "", "write the campaign's canonical warehouse dump (byte-identical across node counts and crash/replay) to FILE after the sweep (- = stdout omitted; requires -warehouse)")
 	flag.Parse()
+
+	if *fig != "" && (*sweep > 0 || *robot || *distNodes > 0 || *warehouseDir != "") {
+		fmt.Fprintln(os.Stderr, "-fig runs alone: drop -sweep, -robot, -dist-nodes and -warehouse")
+		return 2
+	}
 
 	var wh *warehouse.Warehouse
 	if *warehouseDir != "" {
@@ -128,6 +147,10 @@ func run() int {
 		return 2
 	}
 	defer flush()
+
+	if *fig != "" {
+		return runFigs(*fig, *scale, *seed, *parallel, *journalDir)
+	}
 
 	scfg, err := repro.SweepSpec{
 		Design: *design, Freq: *freq, Seed: *seed, Seeds: *sweep, Effort: *effort,
@@ -199,6 +222,49 @@ func run() int {
 		res.AreaUm2, res.PowerNW, res.Met, res.RuntimeProxy)
 	if !res.Met {
 		return 1
+	}
+	return 0
+}
+
+// runFigs prints the artefact named fig, or every artefact for "all".
+func runFigs(fig, scale string, seed int64, parallel int, journalDir string) int {
+	var s repro.Scale
+	switch scale {
+	case "small":
+		s = repro.Small
+	case "paper":
+		s = repro.Paper
+	default:
+		fmt.Fprintf(os.Stderr, "unknown scale %q (want small or paper)\n", scale)
+		return 2
+	}
+	arts := repro.Artifacts()
+	if fig != "all" {
+		arts = slices.DeleteFunc(arts, func(a repro.Artifact) bool { return a.Name != fig })
+		if len(arts) == 0 {
+			fmt.Fprintf(os.Stderr, "unknown artefact %q\n", fig)
+			return 2
+		}
+	}
+	repro.SetWorkers(parallel)
+	repro.SetCorpusJournal(journalDir)
+	for _, a := range arts {
+		if err := a.Run(os.Stdout, s, seed); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", a.Name, err)
+			return 1
+		}
+		if fig == "all" {
+			fmt.Println()
+		}
+	}
+	if journalDir != "" {
+		// Journal accounting goes to stderr so the artefacts stay
+		// byte-comparable between resumed and uninterrupted runs.
+		metrics.Default.WritePrefix(os.Stderr, "logfile.journal.")
+		if err := repro.CorpusJournalErr(); err != nil {
+			fmt.Fprintf(os.Stderr, "journal degraded: %v\n", err)
+			return 1
+		}
 	}
 	return 0
 }

@@ -1,5 +1,5 @@
 // Command tracecheck validates and summarizes a Chrome trace_event
-// JSON file written by sprflow/doomed -trace: it proves the file is
+// JSON file written by sprflow -trace: it proves the file is
 // well-formed (parseable, non-empty, complete events with sane
 // timestamps) and prints a per-span-name table — counts and total
 // time — so a trace can be sanity-checked without opening Perfetto.

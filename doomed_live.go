@@ -57,10 +57,9 @@ func DoomedLive(scale Scale, seed int64) DoomedLiveResult {
 	// salted apart. Replay is safe: the card's verdicts are a pure
 	// function of each run's series, and the supervisor's streak state
 	// is per run key, so a replayed run perturbs nothing.
-	pw, rt := KernelParallel()
 	live := journaledCorpus(logfile.CorpusSpec{
 		Name: "embedded-cpu", Runs: nTest, Seed: seed + 1, Designs: designs,
-		Workers: WorkerCount(), PlaceWorkers: pw, RouteTiles: rt,
+		Workers: WorkerCount(),
 		Supervise: func(id int, design string) route.IterHook {
 			return sup.Hook(fmt.Sprintf("%s#%d", design, id))
 		},

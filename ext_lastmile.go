@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sort"
 
 	"repro/internal/campaign"
 	"repro/internal/correlate"
@@ -192,11 +193,16 @@ func NaturalStructure(scale Scale, seed int64) StructureResult {
 	return res
 }
 
-// Print writes the Rent table.
+// Print writes the Rent table, one row per design family by name.
 func (r StructureResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Natural structure: intrinsic Rent exponents\n")
-	for name, p := range r.Exponents {
-		fmt.Fprintf(w, "  %-16s p = %.3f (fit R2 %.2f)\n", name, p, r.FitR2[name])
+	names := make([]string, 0, len(r.Exponents))
+	for name := range r.Exponents {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(w, "  %-16s p = %.3f (fit R2 %.2f)\n", name, r.Exponents[name], r.FitR2[name])
 	}
 }
 

@@ -140,7 +140,11 @@ func shapedReward(r *SearchResult, maxArm float64) float64 {
 	return total
 }
 
-// Fig7 runs the 5-concurrent x N-iteration MAB sampling experiment.
+// fig7Licenses is K, the concurrent tool runs per bandit iteration (the
+// figure's 5).
+const fig7Licenses = 5
+
+// Fig7 runs the K-concurrent x N-iteration MAB sampling experiment.
 func Fig7(scale Scale, seed int64) (Fig7Result, error) {
 	design := designForScale(scale, seed)
 	// Arms: a ladder of target frequencies straddling feasibility.
@@ -161,7 +165,7 @@ func Fig7(scale Scale, seed int64) (Fig7Result, error) {
 	// two searches both sample is computed once.
 	cache := NewFlowCache(0)
 	main, err := Search(design, base, cons, SearchConfig{
-		Freqs: arms, Iterations: iters, Licenses: 5, Algorithm: "thompson", Seed: seed,
+		Freqs: arms, Iterations: iters, Licenses: fig7Licenses, Algorithm: "thompson", Seed: seed,
 		FreqWeighted: true, Cache: cache,
 	})
 	if err != nil {
@@ -173,7 +177,7 @@ func Fig7(scale Scale, seed int64) (Fig7Result, error) {
 	}
 	for _, alg := range []string{"softmax", "eps-greedy", "ucb1"} {
 		r, err := Search(design, base, cons, SearchConfig{
-			Freqs: arms, Iterations: iters, Licenses: 5, Algorithm: alg, Seed: seed,
+			Freqs: arms, Iterations: iters, Licenses: fig7Licenses, Algorithm: alg, Seed: seed,
 			FreqWeighted: true, Cache: cache,
 		})
 		if err != nil {
@@ -187,7 +191,7 @@ func Fig7(scale Scale, seed int64) (Fig7Result, error) {
 // Print writes the trajectory and comparison.
 func (r Fig7Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "Figure 7: MAB sampling (%s, %d runs, %d licenses)\n",
-		r.Main.Algorithm, r.Main.TotalRuns, r.Main.PeakLicenses)
+		r.Main.Algorithm, r.Main.TotalRuns, fig7Licenses)
 	fmt.Fprintf(w, "arms (GHz):")
 	for _, f := range r.Arms {
 		fmt.Fprintf(w, " %.3f", f)

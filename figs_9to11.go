@@ -31,14 +31,13 @@ func corpusSizes(scale Scale) (train, test, designs int) {
 // replays them instead of regenerating.
 func Corpora(scale Scale, seed int64) (train, test []logfile.Run) {
 	nTrain, nTest, designs := corpusSizes(scale)
-	pw, rt := KernelParallel()
 	train = journaledCorpus(logfile.CorpusSpec{
 		Name: "artificial", Runs: nTrain, Seed: seed, Designs: designs,
-		Workers: WorkerCount(), PlaceWorkers: pw, RouteTiles: rt,
+		Workers: WorkerCount(),
 	}, "train")
 	test = journaledCorpus(logfile.CorpusSpec{
 		Name: "embedded-cpu", Runs: nTest, Seed: seed + 1, Designs: designs,
-		Workers: WorkerCount(), PlaceWorkers: pw, RouteTiles: rt,
+		Workers: WorkerCount(),
 	}, "test")
 	return train, test
 }

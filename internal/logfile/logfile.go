@@ -134,13 +134,6 @@ type CorpusSpec struct {
 	// before any work fans out, so the corpus is bit-identical at any
 	// worker count.
 	Workers int
-	// PlaceWorkers selects the territory-parallel annealer for the
-	// substrate placements (place.Options.Workers); RouteTiles selects
-	// the region-sharded global router (route.GlobalOptions.Tiles).
-	// Zero keeps the historical serial kernels — and the historical
-	// journal keys, so existing corpus journals replay unchanged.
-	PlaceWorkers int
-	RouteTiles   int
 	// Supervise, when set, returns the per-run live iteration hook
 	// wired into route.DetailRouteCtx — the doomed-run card acting
 	// while runs execute. A supervised corpus's unstopped runs are
@@ -170,14 +163,6 @@ func (c CorpusSpec) runKey(id int, runSeed int64) string {
 	fmt.Fprintf(&b, "%s|%s|%d|%d|%d|%d", c.Name, c.JournalSalt, c.Seed, c.Designs, c.Iterations, len(c.TrackSupplies))
 	for _, s := range c.TrackSupplies {
 		fmt.Fprintf(&b, "|%g", s)
-	}
-	// Parallel-kernel fields append only when set, so corpora generated
-	// before the knobs existed keep their journal keys.
-	if c.PlaceWorkers > 0 {
-		fmt.Fprintf(&b, "|pw%d", c.PlaceWorkers)
-	}
-	if c.RouteTiles > 1 {
-		fmt.Fprintf(&b, "|rt%d", c.RouteTiles)
 	}
 	fmt.Fprintf(&b, "|run%d|%d", id, runSeed)
 	return b.String()
@@ -351,9 +336,8 @@ func generate(spec CorpusSpec, lookup func(key string) (Run, bool), record func(
 		ds := spec.DesignSpec(i, spec.Seed)
 		n := netlist.Generate(lib, ds)
 		place.Place(n, place.Options{
-			Seed:    spec.Seed + int64(i),
-			Moves:   25 * n.NumCells(),
-			Workers: spec.PlaceWorkers,
+			Seed:  spec.Seed + int64(i),
+			Moves: 25 * n.NumCells(),
 		})
 		// Probe the design's routing demand with unconstrained
 		// capacity; TrackSupplies are ratios against the mean edge
@@ -362,7 +346,6 @@ func generate(spec CorpusSpec, lookup func(key string) (Run, bool), record func(
 		probe := route.GlobalRoute(n, route.GlobalOptions{
 			Seed:          probeSeeds[i],
 			TracksPerEdge: math.Inf(1),
-			Tiles:         spec.RouteTiles,
 		})
 		var meanDemand float64
 		for _, d := range probe.Demand {
@@ -376,7 +359,6 @@ func generate(spec CorpusSpec, lookup func(key string) (Run, bool), record func(
 			g := route.GlobalRoute(n, route.GlobalOptions{
 				Seed:          supplySeeds[i*nSupply+j],
 				TracksPerEdge: ratio * meanDemand,
-				Tiles:         spec.RouteTiles,
 			})
 			subs[i*nSupply+j] = substrate{design: fmt.Sprintf("%s-%d", ds.Name, i), g: g}
 		}

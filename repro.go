@@ -104,28 +104,3 @@ func SetWorkers(n int) {
 
 // WorkerCount reports the configured limit (0 = one per CPU).
 func WorkerCount() int { return int(workers.Load()) }
-
-// kernelPlaceWorkers/kernelRouteTiles are the process-wide parallel-
-// kernel selections the corpus harnesses thread into substrate builds.
-var (
-	kernelPlaceWorkers atomic.Int64
-	kernelRouteTiles   atomic.Int64
-)
-
-// SetKernelParallel selects the parallel physical-design kernels for
-// experiment substrate construction: placeWorkers > 0 turns on the
-// territory-parallel annealer, routeTiles > 1 the region-sharded
-// global router. Zeroes keep the historical serial kernels (and the
-// historical corpus journal keys). Unlike SetWorkers this changes
-// results — the parallel kernels produce different, equally valid
-// placements and congestion maps — which is why it is a separate,
-// explicit opt-in.
-func SetKernelParallel(placeWorkers, routeTiles int) {
-	kernelPlaceWorkers.Store(int64(max(placeWorkers, 0)))
-	kernelRouteTiles.Store(int64(max(routeTiles, 0)))
-}
-
-// KernelParallel reports the configured parallel-kernel selections.
-func KernelParallel() (placeWorkers, routeTiles int) {
-	return int(kernelPlaceWorkers.Load()), int(kernelRouteTiles.Load())
-}

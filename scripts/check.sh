@@ -27,6 +27,10 @@
 #                             place, route, dist); the bound that needs
 #                             no clock (doomed-run abort) is a test in
 #                             the default tier
+#   scripts/check.sh paper    also regenerate every paper artefact at
+#                             paper scale (TestExperimentsQuotesPaperScale)
+#                             and fail when EXPERIMENTS.md's quoted block
+#                             for it differs
 #   scripts/check.sh crash    crash-safety tier: -race over the journal/
 #                             watchdog/campaign/flow paths, a fuzz smoke
 #                             of the journal decoder, then a real kill -9
@@ -135,6 +139,10 @@ if [ "${1:-}" = "bench" ]; then
     # packages beside them: with vet on, the first gate shares the host
     # with vet for its first seconds (the default tier has vetted already).
     go test -vet=off -run '^$' -bench 'Gate$' -benchtime 1x ./...
+fi
+
+if [ "${1:-}" = "paper" ]; then
+    go test -run '^TestExperimentsQuotesPaperScale$' -scale=paper .
 fi
 
 if [ "${1:-}" = "crash" ]; then

@@ -48,7 +48,7 @@ var corpusJournalErr atomic.Value
 // CorpusJournalErr reports the first journal failure seen by corpus
 // generation since the journal was configured. Journal failures are
 // deliberately non-fatal — durability must never cost the live
-// computation — so callers that care (the doomed CLI) poll this after
+// computation — so callers that care (sprflow -fig) poll this after
 // their experiments finish.
 func CorpusJournalErr() error {
 	if v, ok := corpusJournalErr.Load().(error); ok {
