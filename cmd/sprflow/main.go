@@ -96,9 +96,6 @@ func run() int {
 	distNodes := flag.Int("dist-nodes", 0, "run -sweep through the distributed campaign service with this many loopback worker nodes (0 = single-process; stdout identical either way)")
 	chaosProfile := flag.String("chaos-profile", "", "inject a deterministic network fault schedule into -dist-nodes: flaky, slow, partition, kill (stdout stays byte-identical)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "seed for the -chaos-profile coin schedule")
-	placeWorkers := flag.Int("place-workers", 0, "territory-parallel annealer workers (0 = serial placer; results identical at any count >= 1)")
-	routeTiles := flag.Int("route-tiles", 0, "region-sharded global router tiles per side (0/1 = serial router)")
-	routeWorkers := flag.Int("route-workers", 0, "concurrent regions for -route-tiles (0 = one per region, at most one per CPU; results identical at any setting)")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON file of the run (view in chrome://tracing or Perfetto)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live /metrics and /debug endpoints on this address (e.g. :8080)")
 	spanRetention := flag.Int("span-retention", -1, "cap retained finished spans (0 = default 64k ≈ 8 MB bound, <0 = unbounded; overflow counts as droppedSpans in the trace file)")
@@ -169,9 +166,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "-chaos-profile requires -dist-nodes (chaos is injected into the network tier)")
 		return 2
 	}
-	scfg.Base.PlaceWorkers = *placeWorkers
-	scfg.Base.RouteTiles = *routeTiles
-	scfg.Base.RouteWorkers = *routeWorkers
 	if *sweep > 0 {
 		scfg.Workers = *parallel
 		scfg.JournalDir = *journalDir

@@ -6,9 +6,11 @@ package repro
 // before the place/synth hot loops were rewritten (ISSUE 12), and every
 // later kernel change must reproduce it bit for bit. Regenerate only for
 // a change that is meant to move QoR (go test -run TestGoldenQoR -update),
-// behind scripts/goldenfence: the Workers > 0 rows moved in ISSUE 18, every
-// place and flow row in ISSUE 21 (proposal window, half the evaluations;
-// the synth rows and every init= have never moved).
+// behind scripts/goldenfence: every place and flow row moved with the
+// proposal window (half the evaluations; the synth rows and every init=
+// have never moved). The rows of the parallel place and route kernels
+// (w1, w2, pw2rt4) went with the kernels; every row left is the one the
+// serial kernels wrote before them.
 
 import (
 	"bufio"
@@ -49,15 +51,13 @@ func goldenRows() []string {
 	for _, spec := range goldenSpecs() {
 		design := netlist.Generate(lib, spec)
 		for seed := int64(1); seed <= 3; seed++ {
-			for _, workers := range []int{0, 1, 2} {
-				for _, partitions := range []int{1, 2} {
-					n := design.Clone()
-					r := place.Place(n, place.Options{Seed: seed, Moves: 40 * n.NumCells(), Workers: workers, Partitions: partitions})
-					add("place/%s/s%d/w%d/p%d hpwl=%016x init=%016x tried=%d acc=%d conf=%d batch=%d proxy=%d pproxy=%d placed=%016x",
-						spec.Name, seed, workers, partitions, bits(r.HPWLUm), bits(r.InitialHPWLUm),
-						r.MovesTried, r.MovesAccepted, r.MovesConflicted,
-						r.BatchFinal, r.RuntimeProxy, r.ParallelRuntimeProxy, n.Fingerprint())
-				}
+			for _, partitions := range []int{1, 2} {
+				n := design.Clone()
+				r := place.Place(n, place.Options{Seed: seed, Moves: 40 * n.NumCells(), Partitions: partitions})
+				add("place/%s/s%d/w0/p%d hpwl=%016x init=%016x tried=%d acc=%d conf=%d batch=%d proxy=%d pproxy=%d placed=%016x",
+					spec.Name, seed, partitions, bits(r.HPWLUm), bits(r.InitialHPWLUm),
+					r.MovesTried, r.MovesAccepted, r.MovesConflicted,
+					r.BatchFinal, r.RuntimeProxy, r.ParallelRuntimeProxy, n.Fingerprint())
 			}
 			for effort := 1; effort <= 3; effort++ {
 				r := synth.Run(design, synth.Options{TargetFreqGHz: 0.9, Effort: effort, Seed: seed})
@@ -65,20 +65,15 @@ func goldenRows() []string {
 					spec.Name, seed, effort, bits(r.AreaUm2), bits(r.WNSPs), bits(r.TNSPs),
 					r.Upsized, r.BuffersAdded, r.Passes, r.Netlist.Fingerprint())
 			}
-			for _, eng := range []struct {
-				name                string
-				placeWorkers, tiles int
-			}{{"serial", 0, 0}, {"pw2rt4", 2, 4}} {
-				opts := flow.Options{TargetFreqGHz: 0.5, Seed: seed, SynthEffort: 2, PlaceWorkers: eng.placeWorkers, RouteTiles: eng.tiles}
-				r := flow.Run(design, opts)
-				p := SweepPoint{FreqGHz: opts.TargetFreqGHz, Seed: seed, Met: r.Met, WNSPs: r.WNSPs, AreaUm2: r.AreaUm2, PowerNW: r.PowerNW, MaxFreqGHz: r.MaxFreqGHz}
-				h := fnv.New64a()
-				fmt.Fprintf(h, "%g %d %t %g %g %g %g", p.FreqGHz, p.Seed, p.Met, p.WNSPs, p.AreaUm2, p.PowerNW, p.MaxFreqGHz)
-				add("flow/%s/s%d/%s point=%016x place=%016x/%d/%d/%d netlist=%016x met=%t wns=%016x area=%016x",
-					spec.Name, seed, eng.name, h.Sum64(), bits(r.Place.HPWLUm),
-					r.Place.MovesAccepted, r.Place.MovesConflicted, r.Place.RuntimeProxy, r.Netlist.Fingerprint(),
-					r.Met, bits(r.WNSPs), bits(r.AreaUm2))
-			}
+			opts := flow.Options{TargetFreqGHz: 0.5, Seed: seed, SynthEffort: 2}
+			r := flow.Run(design, opts)
+			p := SweepPoint{FreqGHz: opts.TargetFreqGHz, Seed: seed, Met: r.Met, WNSPs: r.WNSPs, AreaUm2: r.AreaUm2, PowerNW: r.PowerNW, MaxFreqGHz: r.MaxFreqGHz}
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%g %d %t %g %g %g %g", p.FreqGHz, p.Seed, p.Met, p.WNSPs, p.AreaUm2, p.PowerNW, p.MaxFreqGHz)
+			add("flow/%s/s%d/serial point=%016x place=%016x/%d/%d/%d netlist=%016x met=%t wns=%016x area=%016x",
+				spec.Name, seed, h.Sum64(), bits(r.Place.HPWLUm),
+				r.Place.MovesAccepted, r.Place.MovesConflicted, r.Place.RuntimeProxy, r.Netlist.Fingerprint(),
+				r.Met, bits(r.WNSPs), bits(r.AreaUm2))
 		}
 	}
 	return rows
@@ -86,7 +81,7 @@ func goldenRows() []string {
 
 func TestGoldenQoR(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 36 anneals, 18 syntheses and 12 flows")
+		t.Skip("runs 12 anneals, 18 syntheses and 6 flows")
 	}
 	rows := goldenRows()
 	if *updateGolden {

@@ -42,20 +42,13 @@ type Options struct {
 	RouteIters    int     // detailed-routing iteration budget (default 20)
 	DeratePct     float64 // signoff guardband
 
-	// PlaceWorkers > 0 selects the territory-parallel annealer for the
-	// placement stage, with a crew of that size (place.Options.Workers);
-	// 0 keeps the historical serial engine and its bit-exact results.
-	// Part of the cache key: the engines produce different (equally
-	// valid) placements — though every count >= 1 produces the same one.
+	// Deprecated: PlaceWorkers selected the territory-parallel annealer,
+	// which is gone; Run and Key ignore it. It stays until the benchmark
+	// harness stops setting it (ROADMAP item 1(c)).
 	PlaceWorkers int
-	// RouteTiles > 1 selects the region-sharded parallel global router
-	// (route.GlobalOptions.Tiles); 0/1 keeps the serial net order.
+	// Deprecated: RouteTiles selected the region-sharded global router,
+	// which is gone; Run and Key ignore it, as PlaceWorkers.
 	RouteTiles int
-	// RouteWorkers caps concurrent region routing when RouteTiles > 1
-	// (default: one worker per region, at most GOMAXPROCS). Not part of
-	// the cache key — sharded results are identical at every worker
-	// count.
-	RouteWorkers int
 }
 
 func (o Options) withDefaults() Options {

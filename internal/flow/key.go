@@ -14,8 +14,6 @@ import "strconv"
 // key_golden_test.go).
 func (o Options) Key() string {
 	o = o.withDefaults()
-	// RouteWorkers is deliberately absent: the sharded router's result
-	// is identical at every worker count, so it is not a QOR knob.
 	b := make([]byte, 0, 192)
 	b = keyFloat(b, "f=", o.TargetFreqGHz)
 	b = keyInt(b, " seed=", o.Seed)
@@ -29,13 +27,14 @@ func (o Options) Key() string {
 	b = keyInt(b, " ri=", int64(o.RouteIters))
 	b = keyFloat(b, " dr=", o.DeratePct)
 	// stop, rec and rm spelled the route-truncation and area-recovery
-	// options, which were zero in every key ever written; the options
-	// are gone and their spelling stays.
-	b = keyInt(b, " stop=0 rec=false rm=0 pw=", int64(o.PlaceWorkers))
-	b = keyInt(b, " rt=", int64(o.RouteTiles))
-	// spec and stol spelled speculative stage overlap, which is gone;
-	// every key a non-speculative run wrote ends this way.
-	return string(append(b, " spec=false stol=0"...))
+	// options, which were zero in every key ever written; pw and rt the
+	// parallel place and route kernels, which are gone: a point that sets
+	// them computes what the serial point computes, so it shares its key,
+	// and a journal entry written with them set holds a result this tree
+	// no longer computes, so it misses. spec and stol spelled speculative
+	// stage overlap, which is gone too; every key a non-speculative run
+	// wrote ends this way.
+	return string(append(b, " stop=0 rec=false rm=0 pw=0 rt=0 spec=false stol=0"...))
 }
 
 func keyInt(b []byte, name string, v int64) []byte {

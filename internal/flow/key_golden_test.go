@@ -13,7 +13,10 @@ import (
 // The stop, rec and rm verbs take literal arguments: the options they
 // spelled were zero in every key written, and the fields are gone. So do
 // spec and stol: speculative keys were written, but no point of this
-// tree can ask for one.
+// tree can ask for one. pw and rt take literal zeros too: the parallel
+// kernels they spelled are gone, so a point that sets PlaceWorkers or
+// RouteTiles computes the serial result and must share the serial key,
+// and a journal entry written with them set must miss.
 func sprintfKey(o Options) string {
 	o = o.withDefaults()
 	return fmt.Sprintf("f=%g seed=%d se=%d mf=%d u=%g pm=%d part=%d tpe=%g re=%d ri=%d dr=%g stop=%d rec=%t rm=%g pw=%d rt=%d spec=%t stol=%g",
@@ -21,7 +24,7 @@ func sprintfKey(o Options) string {
 		o.SynthEffort, o.MaxFanout, o.Utilization, o.PlaceMoves,
 		o.Partitions, o.TracksPerEdge, o.RouteEffort, o.RouteIters,
 		o.DeratePct, 0, false, 0.0,
-		o.PlaceWorkers, o.RouteTiles, false, 0.0)
+		0, 0, false, 0.0)
 }
 
 // TestKeyGolden pins the key grammar to literals: a respelled field
@@ -31,9 +34,9 @@ func TestKeyGolden(t *testing.T) {
 		TargetFreqGHz: 0.65, Seed: -7, SynthEffort: 3, MaxFanout: 12,
 		Utilization: 0.72, PlaceMoves: 80, Partitions: 4, TracksPerEdge: 28.5,
 		RouteEffort: 2, RouteIters: 15, DeratePct: 1e-05, PlaceWorkers: 2,
-		RouteTiles: 4, RouteWorkers: 8,
+		RouteTiles: 4,
 	}
-	const wantFull = "f=0.65 seed=-7 se=3 mf=12 u=0.72 pm=80 part=4 tpe=28.5 re=2 ri=15 dr=1e-05 stop=0 rec=false rm=0 pw=2 rt=4 spec=false stol=0"
+	const wantFull = "f=0.65 seed=-7 se=3 mf=12 u=0.72 pm=80 part=4 tpe=28.5 re=2 ri=15 dr=1e-05 stop=0 rec=false rm=0 pw=0 rt=0 spec=false stol=0"
 	const wantZero = "f=0.5 seed=0 se=0 mf=0 u=0 pm=60 part=0 tpe=0 re=0 ri=0 dr=0 stop=0 rec=false rm=0 pw=0 rt=0 spec=false stol=0"
 	if got := full.Key(); got != wantFull {
 		t.Errorf("populated key\n got %q\nwant %q", got, wantFull)
@@ -101,7 +104,7 @@ func TestKeyMatchesSprintfOracle(t *testing.T) {
 			Partitions: randKeyInt(rng), TracksPerEdge: randKeyFloat(rng),
 			RouteEffort: randKeyInt(rng), RouteIters: randKeyInt(rng),
 			DeratePct: randKeyFloat(rng), PlaceWorkers: randKeyInt(rng),
-			RouteTiles: randKeyInt(rng), RouteWorkers: randKeyInt(rng),
+			RouteTiles: randKeyInt(rng),
 		})
 	}
 }

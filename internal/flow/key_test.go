@@ -30,15 +30,13 @@ func TestKeyDistinguishesEveryField(t *testing.T) {
 	add("route_effort", func(o *Options) { o.RouteEffort = 2 })
 	add("route_iters", func(o *Options) { o.RouteIters = 10 })
 	add("derate", func(o *Options) { o.DeratePct = 3 })
-	add("place_workers", func(o *Options) { o.PlaceWorkers = 4 })
-	add("route_tiles", func(o *Options) { o.RouteTiles = 4 })
 
-	// RouteWorkers must NOT change the key: the sharded router commits
-	// identical results at every worker count.
-	rw := base
-	rw.RouteWorkers = 8
-	if rw.Key() != base.Key() {
-		t.Errorf("RouteWorkers changed the key: %q vs %q", rw.Key(), base.Key())
+	// The deprecated PlaceWorkers and RouteTiles must NOT change the key:
+	// the flow ignores them.
+	dep := base
+	dep.PlaceWorkers, dep.RouteTiles = 4, 4
+	if dep.Key() != base.Key() {
+		t.Errorf("PlaceWorkers/RouteTiles changed the key: %q vs %q", dep.Key(), base.Key())
 	}
 
 	seen := map[string]string{base.Key(): "base"}

@@ -85,7 +85,6 @@ var stages = [...]stage{
 				Moves:       a.opts.PlaceMoves * a.n.NumCells(),
 				Utilization: a.opts.Utilization,
 				Partitions:  a.opts.Partitions,
-				Workers:     a.opts.PlaceWorkers,
 			})
 		},
 		commit: func(res *Result, a *artifacts) (map[string]float64, []float64) {
@@ -119,8 +118,6 @@ var stages = [...]stage{
 			a.gr = route.GlobalRoute(a.n, route.GlobalOptions{
 				Seed:          subSeed(a.opts.Seed, 4),
 				TracksPerEdge: a.opts.TracksPerEdge,
-				Tiles:         a.opts.RouteTiles,
-				Workers:       a.opts.RouteWorkers,
 			})
 		},
 		commit: func(res *Result, a *artifacts) (map[string]float64, []float64) {

@@ -17,10 +17,9 @@ func Clamp[T cmp.Ordered](x, lo, hi T) T {
 
 // Mix derives a decorrelated child seed from a parent seed and a stream
 // index (one splitmix64 step — the same construction flow.subSeed uses
-// for per-stage seeds). The parallel kernels use it for per-tile and
-// per-phase rng streams: Seed identifies the run, stream the shard, and
-// the result never collides across neighbouring streams the way
-// seed+stream arithmetic does.
+// for per-stage seeds): Seed identifies the run, stream the use (a stage,
+// the anneal, a retry attempt), and the result never collides across
+// neighbouring streams the way seed+stream arithmetic does.
 func Mix(seed int64, stream uint64) int64 {
 	z := uint64(seed) + (stream+1)*0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

@@ -47,9 +47,10 @@ func degenerate(pins int) *netlist.Netlist {
 }
 
 // TestGlobalStepLegal: the global step leaves a legal placement and a
-// consistent kernel state, and so does the anneal after it, on both engines
-// and partitioned, for real designs and for netlists that give the solve
-// nothing to pull on.
+// consistent kernel state, and so does the anneal after it, flat and
+// partitioned, for real designs and for netlists that give the solve
+// nothing to pull on. The territory case sets the deprecated Workers
+// field, which the placer ignores.
 func TestGlobalStepLegal(t *testing.T) {
 	oneCell := netlist.Spec{Name: "one-cell", Seed: 4, NumComb: 1, Levels: 1, Locality: 0.5, NumPIs: 1, ClockPeriodPs: 1500}
 	designs := []struct {
@@ -93,8 +94,8 @@ func globalCoords(spec netlist.Spec, seed int64) []int {
 
 // TestGlobalStepDeterministic: a seed places bit for bit alike, after the
 // global step and after the anneal; another seed starts the solve from
-// another scatter and lands elsewhere; and the territory engine after the
-// global step is the same on a crew of one and of two.
+// another scatter and lands elsewhere; and the deprecated Workers field
+// changes nothing.
 func TestGlobalStepDeterministic(t *testing.T) {
 	for _, spec := range []netlist.Spec{netlist.Tiny(2), netlist.PulpinoProxy(1), mid3k} {
 		if a, b := globalCoords(spec, 1), globalCoords(spec, 1); !slices.Equal(a, b) {
@@ -107,11 +108,10 @@ func TestGlobalStepDeterministic(t *testing.T) {
 		if a, b := placeOutcomeOf(spec, opts), placeOutcomeOf(spec, opts); !a.equal(b) {
 			t.Fatalf("%s: seed 7 placed differently twice", spec.Name)
 		}
-		opts.Workers = 1
-		one := placeOutcomeOf(spec, opts)
+		serial := placeOutcomeOf(spec, opts)
 		opts.Workers = 2
-		if two := placeOutcomeOf(spec, opts); !two.equal(one) {
-			t.Fatalf("%s: territory engine on two workers %+v, on one %+v", spec.Name, two.res, one.res)
+		if two := placeOutcomeOf(spec, opts); !two.equal(serial) {
+			t.Fatalf("%s: Workers 2 placed %+v, Workers 0 %+v", spec.Name, two.res, serial.res)
 		}
 	}
 }

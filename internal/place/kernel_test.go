@@ -217,7 +217,7 @@ type serialKernel struct {
 	commit  func(inst, slot int)
 }
 
-// engineKernel is the engines' own evaluator.
+// engineKernel is the placer's own evaluator.
 func engineKernel(p *placer) serialKernel {
 	return serialKernel{p.delta, accepts, p.commit}
 }
@@ -232,7 +232,7 @@ func referenceKernel(p *placer) serialKernel {
 	}
 }
 
-// annealSerialWith is annealSerial's loop, verbatim, over a given kernel.
+// annealSerialWith is anneal's loop, verbatim, over a given kernel.
 func annealSerialWith(p *placer, rng *num.SplitMix, k serialKernel) {
 	t0, cool := p.schedule(rng)
 	numCells, proposals := p.n.NumCells(), p.opts.Moves/stepsPerProposal
@@ -247,7 +247,7 @@ func annealSerialWith(p *placer, rng *num.SplitMix, k serialKernel) {
 		}
 		inst := rng.Intn(numCells)
 		if p.partitioned {
-			in = p.region[p.part[inst]][0]
+			in = p.region[p.part[inst]]
 		}
 		slot := p.g.target(rng.Uint64(), inst, in, p.rc, p.rr)
 		if slot < 0 {
@@ -263,8 +263,7 @@ func annealSerialWith(p *placer, rng *num.SplitMix, k serialKernel) {
 	}
 }
 
-// layouts are the serial and territory shapes the per-commit and per-epoch
-// checks run over.
+// layouts are the shapes the per-commit and per-poll checks run over.
 var layouts = []struct {
 	name string
 	opts Options
@@ -274,9 +273,10 @@ var layouts = []struct {
 	{"p3", Options{Partitions: 3}},
 }
 
-// TestKernelStateAfterAnneal runs every engine shape to the end (or to
-// a cancellation) and checks the cached state it leaves behind. The case
-// names predate the territory engine: "speculative" is Workers > 0.
+// TestKernelStateAfterAnneal runs every layout to the end (or to a
+// cancellation) and checks the cached state it leaves behind. The case
+// names predate the deleted parallel engines: "speculative" sets the
+// deprecated Workers field, and must stop where Workers 0 stops.
 func TestKernelStateAfterAnneal(t *testing.T) {
 	cancelAfter := func(polls int) func() context.Context {
 		return func() context.Context { return &countdownCtx{Context: context.Background(), left: polls} }
@@ -293,7 +293,7 @@ func TestKernelStateAfterAnneal(t *testing.T) {
 		{"serial/partitioned", Options{Seed: 3, Partitions: 2}, background, false},
 		{"speculative/partitioned", Options{Seed: 4, Workers: 2, Partitions: 2}, background, false},
 		{"serial/aborted", Options{Seed: 5}, cancelAfter(3), true},
-		{"speculative/aborted", Options{Seed: 6, Workers: 2}, cancelAfter(20), true},
+		{"speculative/aborted", Options{Seed: 6, Workers: 2}, cancelAfter(4), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -312,22 +312,22 @@ func TestKernelStateAfterAnneal(t *testing.T) {
 			if tc.opts.Workers == 0 {
 				return
 			}
-			// The same anneal — cancelled at the same poll — on another
-			// crew: counters and the pin tally must not move.
+			// The same anneal — cancelled at the same poll — at Workers 0:
+			// counters and the pin tally must not move.
 			opts := tc.opts
-			opts.Workers = tc.opts.Workers%3 + 1
+			opts.Workers = 0
 			q, rng := newPlacer(tc.ctx(), netlist.Generate(lib(), netlist.Artificial(9)), opts)
 			q.anneal(rng)
 			if q.res != p.res || q.pinsScanned != p.pinsScanned {
-				t.Fatalf("workers %d vs %d: result %+v / %d pins scanned, want %+v / %d",
-					opts.Workers, tc.opts.Workers, q.res, q.pinsScanned, p.res, p.pinsScanned)
+				t.Fatalf("Workers 0: result %+v / %d pins scanned, Workers %d: %+v / %d",
+					q.res, q.pinsScanned, tc.opts.Workers, p.res, p.pinsScanned)
 			}
 		})
 	}
 }
 
-// TestSerialCommitKeepsKernelState drives short serial anneals through
-// annealSerial's own loop over the engines' kernel and checks the whole
+// TestSerialCommitKeepsKernelState drives short anneals through anneal's
+// own loop over the engine's kernel and checks the whole
 // cached state after every commit: a net left unscanned, or scanned before
 // the swap, shows up at the move that did it.
 func TestSerialCommitKeepsKernelState(t *testing.T) {
@@ -347,11 +347,11 @@ func TestSerialCommitKeepsKernelState(t *testing.T) {
 				if p.res.MovesAccepted < opts.Moves/stepsPerProposal/5 {
 					t.Fatalf("only %d commits checked", p.res.MovesAccepted)
 				}
-				// The loop is the engine's: same Result from annealSerial.
+				// The loop is the engine's: same Result from anneal.
 				q, rng := newPlacer(context.Background(), netlist.Generate(lib(), spec), opts)
-				q.annealSerial(rng)
+				q.anneal(rng)
 				if q.res != p.res || q.pinsScanned != p.pinsScanned {
-					t.Fatalf("annealSerial: %+v / %d pins scanned, the checked loop: %+v / %d", q.res, q.pinsScanned, p.res, p.pinsScanned)
+					t.Fatalf("anneal: %+v / %d pins scanned, the checked loop: %+v / %d", q.res, q.pinsScanned, p.res, p.pinsScanned)
 				}
 			})
 		}
@@ -829,7 +829,7 @@ func TestSerialAnnealMatchesReference(t *testing.T) {
 		} {
 			opts.Moves = 60 * (spec.NumComb + spec.NumFFs)
 			want := run(spec, opts, func(p *placer, rng *num.SplitMix) { annealSerialWith(p, rng, referenceKernel(p)) })
-			got := run(spec, opts, (*placer).annealSerial)
+			got := run(spec, opts, (*placer).anneal)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s %+v: serial engine diverged from the reference loop:\n got %+v next %d\nwant %+v next %d",
 					spec.Name, opts, got.Res, got.Next, want.Res, want.Next)

@@ -15,13 +15,8 @@
 //   - the global step (global.go): rounds of a linearised quadratic
 //     wirelength solve and a spread back onto the lattice, whose last
 //     spread is a legal placement, one instance per slot;
-//   - the anneal, a short and cold detailed placer from there, on one of two
-//     engines that share one proposal and one move evaluator: the serial
-//     engine (Workers == 0) draws every proposal from one stream and commits
-//     after each; the territory engine (Workers > 0, see parallel.go) cuts
-//     the slot grid into disjoint territories every epoch and runs the
-//     serial kernel in each of them side by side, producing results that
-//     depend only on Seed/Moves — never on Workers or scheduling.
+//   - the anneal, a short and cold detailed placer from there, which draws
+//     every proposal from one stream and commits after each.
 //
 // A proposal offers an instance a slot from a window around its own, a few
 // percent of the die at first and shrinking with the temperature (reach,
@@ -64,9 +59,9 @@ type Options struct {
 	Moves       int
 	Utilization float64 // die utilization (default 0.6)
 	Partitions  int     // 1 = flat; k means k x k independent regions
-	// Workers > 0 selects the territory engine with a crew of that size
-	// (parallel.go). Its outcome depends only on Seed and Moves — identical
-	// at every Workers >= 1 — and differs from the serial engine's.
+	// Deprecated: Workers selected the territory-parallel annealer, which
+	// is gone; Place ignores it. It stays until the benchmark harness
+	// stops setting it (ROADMAP item 1(c)).
 	Workers int
 }
 
@@ -182,9 +177,7 @@ func (g *grid) spanOf(m uint64) float64 {
 	return (g.colX[cm-int(m>>32&0xffff)] - g.colX[m&0xffff]) + (g.rowY[rm-int(m>>48)] - g.rowY[m>>16&0xffff])
 }
 
-// placer is the annealing state. The serial engine drives one; the
-// territory engine additionally gives each crew member a private one
-// (laneEval) over the same slot maps.
+// placer is the annealing state.
 type placer struct {
 	n    *netlist.Netlist
 	opts Options
@@ -205,14 +198,12 @@ type placer struct {
 
 	part        []int // inst -> region, set by assignPartitions
 	partitioned bool
-	region      [][]rect // region -> its slots: one rectangle, listed as a territory is
+	region      []rect // region -> the rectangle of its slots
 	coarseProxy int
-	terr        [][]rect // territory engine: the current epoch's lanes, one or two rectangles each
-	rc, rr      int      // the proposal window's half-width in columns and rows (reach)
+	rc, rr      int // the proposal window's half-width in columns and rows (reach)
 
-	// pinsScanned counts the pin positions read to keep net current (commits
-	// and the territory engine's per-epoch rescan). Kept out of Result, which
-	// is journaled and golden-pinned.
+	// pinsScanned counts the pin positions read to keep net current, by
+	// commits. Kept out of Result, which is journaled and golden-pinned.
 	pinsScanned int
 
 	ctx     context.Context
@@ -226,11 +217,10 @@ func Place(n *netlist.Netlist, opts Options) Result {
 	return res
 }
 
-// abortCheckMoves is how often, in proposals, the serial annealer polls for
-// cancellation and resizes its window (the territory engine: once per
-// epoch). A power of two so the poll is a mask, not a division; small
-// enough that the flow's five proposals a cell give pulpino-proxy a dozen
-// window sizes.
+// abortCheckMoves is how often, in proposals, the annealer polls for
+// cancellation and resizes its window. A power of two so the poll is a
+// mask, not a division; small enough that the flow's five proposals a cell
+// give pulpino-proxy a dozen window sizes.
 const abortCheckMoves = 512
 
 // PlaceCtx is Place with cooperative cancellation: the anneal polls ctx
@@ -240,7 +230,7 @@ const abortCheckMoves = 512
 // coordinates are then partial and must be discarded. Cancellation
 // lets a campaign teardown or the stage watchdog reclaim the anneal
 // early; an uncancelled run never aborts, so committed placements keep
-// their bit-exact determinism and worker invariance.
+// their bit-exact determinism.
 func PlaceCtx(ctx context.Context, n *netlist.Netlist, opts Options) (Result, bool) {
 	p, rng := newPlacer(ctx, n, opts)
 	p.anneal(rng)
@@ -323,29 +313,16 @@ func netInstances(inc netlist.Incidence, numNets int) netlist.NetPins {
 	return netlist.NetPins{Off: off[:numNets+1], Inst: insts}
 }
 
-// anneal runs the engine Options.Workers selects. A netlist without
-// cells has no proposal to draw: zero moves.
-func (p *placer) anneal(rng *num.SplitMix) {
-	if p.n.NumCells() == 0 {
-		return
-	}
-	if p.opts.Workers > 0 {
-		p.annealTerritory(rng)
-	} else {
-		p.annealSerial(rng)
-	}
-}
-
 // The global start, the proposal window and the budget; none of it is a
 // knob (DESIGN.md "Global start, window and budget" has the curves and the
 // dead ends).
 //
 // An instance is offered a slot drawn uniformly from the rectangle of
 // half-width R(f) = max(W, H) * sqrt(f) um around its own — per axis in
-// slots, never under one — clipped to the die, its locked region and, in a
-// lane, its territory piece, less the slot it sits in. f is startFrac *
-// T/T0: the anneal starts from the global step's legal placement with a
-// window of 7 % of the die, not the whole of it, and T0 = startTemp * the
+// slots, never under one — clipped to the die and its locked region, less
+// the slot it sits in. f is startFrac * T/T0: the anneal starts from the
+// global step's legal placement with a window of 7 % of the die, not the
+// whole of it, and T0 = startTemp * the
 // mean |delta| of 64 such window-sized moves, so the start temperature
 // follows the start's quality. Every draw is a move to evaluate.
 //
@@ -360,10 +337,10 @@ func (p *placer) anneal(rng *num.SplitMix) {
 // seven global rounds. It is here and not in the callers so that a budget
 // calibrated in Moves keeps its meaning.
 //
-// annealStream is the num.Mix index of the serial engine's stream; lane l
-// draws from annealStream+1+l. Any index places alike; 4 was picked while two
-// tests asserted on one small placement's coin flip (both sweep seeds now), and
-// the golden file records it.
+// annealStream is the num.Mix index of the anneal's stream. Any index
+// places alike; 4 was picked while two tests asserted on one small
+// placement's coin flip (both sweep seeds now), and the golden file
+// records it.
 const (
 	stepsPerProposal = 12
 	finalTempDiv     = 2000
@@ -400,10 +377,16 @@ func (g *grid) target(x uint64, inst int, in rect, rc, rr int) int {
 	return (r0+k/w)*g.cols + c0 + k%w
 }
 
-// annealSerial is the commit-every-move engine.
-func (p *placer) annealSerial(rng *num.SplitMix) {
+// anneal is the detailed placer: it commits every accepted move before it
+// draws the next. A netlist without cells has no proposal to draw: zero
+// moves.
+func (p *placer) anneal(rng *num.SplitMix) {
+	numCells := p.n.NumCells()
+	if numCells == 0 {
+		return
+	}
 	t0, cool := p.schedule(rng)
-	numCells, proposals := p.n.NumCells(), p.opts.Moves/stepsPerProposal
+	proposals := p.opts.Moves / stepsPerProposal
 	in := rect{0, 0, p.g.cols - 1, len(p.g.rowY) - 1}
 	for m, temp := 0, t0; m < proposals; m, temp = m+1, temp*cool {
 		if m&(abortCheckMoves-1) == 0 {
@@ -415,7 +398,7 @@ func (p *placer) annealSerial(rng *num.SplitMix) {
 		}
 		inst := rng.Intn(numCells)
 		if p.partitioned {
-			in = p.region[p.part[inst]][0]
+			in = p.region[p.part[inst]]
 		}
 		slot := p.g.target(rng.Uint64(), inst, in, p.rc, p.rr)
 		if slot < 0 {
@@ -442,7 +425,7 @@ func (p *placer) schedule(rng *num.SplitMix) (t0, cool float64) {
 	for i := 0; i < samples; i++ {
 		inst := rng.Intn(p.n.NumCells())
 		if p.partitioned {
-			in = p.region[p.part[inst]][0]
+			in = p.region[p.part[inst]]
 		}
 		slot := p.g.target(rng.Uint64(), inst, in, rc, rr)
 		if slot < 0 {
@@ -470,12 +453,12 @@ func (p *placer) assignPartitions() {
 	p.coarseProxy = p.res.RuntimeProxy
 	// regionOfSlot is monotone in column and row: a region is a column range
 	// times a row range, the bounding box of its slots.
-	p.region = make([][]rect, p.opts.Partitions*p.opts.Partitions)
+	p.region = make([]rect, p.opts.Partitions*p.opts.Partitions)
 	for i := range p.region {
-		p.region[i] = []rect{{maxLattice, maxLattice, -1, -1}}
+		p.region[i] = rect{maxLattice, maxLattice, -1, -1}
 	}
 	for slot := range p.g.instAt {
-		b := &p.region[p.regionOfSlot(slot)][0]
+		b := &p.region[p.regionOfSlot(slot)]
 		c, r := slot%p.g.cols, slot/p.g.cols
 		*b = rect{min(b.c0, c), min(b.r0, r), max(b.c1, c), max(b.r1, r)}
 	}
@@ -554,7 +537,7 @@ func (p *placer) delta(inst, slot int) (d float64, cost int) {
 	return after - before, 2 * (len(mine) + len(theirs) - shared)
 }
 
-// accepts is the Metropolis test of both engines,
+// accepts is the Metropolis test,
 //
 //	d <= 0 || rng.Float64() < math.Exp(-d/temp)
 //

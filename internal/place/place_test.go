@@ -137,8 +137,9 @@ func BenchmarkPlaceTiny(b *testing.B) {
 }
 
 // TestPlaceZeroCells: a netlist without instances used to panic in
-// schedule (rng.Intn(0)); both engines must return a zero-move result
-// with the die set.
+// schedule (rng.Intn(0)); the placer must return a zero-move result
+// with the die set, flat, partitioned and with the deprecated Workers
+// field set ("speculative").
 func TestPlaceZeroCells(t *testing.T) {
 	for _, tc := range []struct {
 		name string

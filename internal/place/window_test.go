@@ -43,8 +43,8 @@ func sweep(n int) []uint64 {
 }
 
 // TestWindowDraw enumerates target on small grids: for every rectangle a
-// proposal is ever clipped to — the die, the regions of a partitioned run,
-// every piece of every stripe cut — every slot of it an instance can sit in
+// proposal is ever clipped to — the die and the regions of a partitioned
+// run — every slot of it an instance can sit in
 // and every half-width the schedule reaches, a full sweep of draw values
 // lands on every other slot of window ∩ rectangle equally often and on
 // nothing else: never outside, never on the instance's own slot. The
@@ -82,14 +82,7 @@ func TestWindowDraw(t *testing.T) {
 		for _, k := range []int{2, 3} {
 			p.opts.Partitions = k
 			p.assignPartitions()
-			for _, region := range p.region {
-				bounds = append(bounds, region...)
-			}
-		}
-		for _, cut := range p.stripeTerritories() {
-			for _, pieces := range cut {
-				bounds = append(bounds, pieces...)
-			}
+			bounds = append(bounds, p.region...)
 		}
 		hits := make([]int, cols*rows)
 		for _, in := range bounds {
@@ -135,10 +128,10 @@ func TestWindowDraw(t *testing.T) {
 }
 
 // TestBudget: an anneal evaluates exactly Moves/stepsPerProposal proposals
-// — flat, partitioned and on the territory engine, no step is burned without
-// an evaluation — budgets below one proposal per lane or per anything do
-// nothing gracefully, and the schedule those proposals walk ends at
-// T0/finalTempDiv.
+// — flat and partitioned, no step is burned without an evaluation —
+// budgets below one proposal do nothing gracefully, and the schedule those
+// proposals walk ends at T0/finalTempDiv. The territory cases set the
+// deprecated Workers field, which spends the same budget.
 func TestBudget(t *testing.T) {
 	spec := netlist.Artificial(2)
 	cells := spec.NumComb + spec.NumFFs
@@ -159,7 +152,7 @@ func TestBudget(t *testing.T) {
 		{"moves3", Options{Moves: 2*stepsPerProposal - 1, Partitions: 2}, 1},
 		{"territory/moves1", Options{Moves: stepsPerProposal - 1, Workers: 2}, 0},
 		{"territory/moves3", Options{Moves: 2*stepsPerProposal - 1, Workers: 2}, 1},
-		{"territory/moves<lanes", Options{Moves: lanes*stepsPerProposal - 1, Workers: 3, Partitions: 2}, lanes - 1},
+		{"territory/moves<lanes", Options{Moves: 4*stepsPerProposal - 1, Workers: 3, Partitions: 2}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.opts.Seed = 5

@@ -33,20 +33,10 @@ type GlobalOptions struct {
 	GridDim       int     // routing grid is GridDim x GridDim (default 24)
 	TracksPerEdge float64 // capacity per grid edge (default 28)
 	Seed          int64
-	// Tiles > 1 selects the region-sharded parallel router (sharded.go):
-	// the grid is partitioned into Tiles x Tiles regions, nets whose
-	// pins all fall inside one region are routed concurrently per region
-	// (each region owns a deterministic rng stream and touches a
-	// disjoint set of demand edges), and the remaining boundary-crossing
-	// nets are reconciled with deterministic parallel
-	// rip-up-and-reroute passes against frozen demand snapshots.
-	// Results depend only on Seed, GridDim and Tiles — identical at
-	// every Workers setting and GOMAXPROCS — but differ from the
-	// Tiles <= 1 serial net order.
+	// Deprecated: Tiles selected the region-sharded parallel router,
+	// which is gone; GlobalRoute ignores it. It stays until the benchmark
+	// harness stops setting it (ROADMAP item 1(c)).
 	Tiles int
-	// Workers caps concurrent region routing (default: one per region,
-	// at most GOMAXPROCS).
-	Workers int
 }
 
 func (o GlobalOptions) withDefaults() GlobalOptions {
@@ -81,27 +71,27 @@ func (g *GlobalResult) CongestionMargin() float64 {
 	return 1 - (g.OverflowTotal/float64(g.Edges))/g.Capacity - 0.6*g.HotspotFrac
 }
 
-// router is the shared global-routing core: grid geometry, the demand
-// map and the negotiated-congestion L-shape primitive. The serial
-// GlobalRoute drives it over all nets with one rng; the region-sharded
-// router (sharded.go) drives it per tile with per-tile rng streams.
+// router is the global-routing state: grid geometry, the demand map and
+// the negotiated-congestion L-shape primitive GlobalRoute drives over all
+// nets with one rng.
 type router struct {
 	n      *netlist.Netlist
-	opts   GlobalOptions
+	tracks float64 // capacity per edge
 	dim    int
 	w, h   float64
 	numH   int
 	demand []float64 // horizontal then vertical edges
 	// cost[k] is congExp at a demand of k tracks. Demand is a unit count
-	// (stampL adds and removes whole tracks), so pricing an edge is a
-	// table read; congCost falls back to the expression past the end.
+	// (stampL adds whole tracks), so pricing an edge is a table read;
+	// congCost falls back to the expression past the end.
 	cost []float64
 }
 
 // costTableMax caps the table. No edge can carry more tracks than the
 // design has pin pairs, which sizes it for small designs; the busiest
 // edge of the 12.5 k-cell soc-proxy on the default 24 x 24 grid carries
-// ~390 (a 256-entry table left math.Exp at 45 % of the tiled router).
+// ~390 (a 256-entry table left math.Exp at 45 % of the retired tiled
+// router).
 const costTableMax = 1024
 
 func newRouter(n *netlist.Netlist, opts GlobalOptions) *router {
@@ -112,7 +102,7 @@ func newRouter(n *netlist.Netlist, opts GlobalOptions) *router {
 	numH := (dim - 1) * dim
 	numV := dim * (dim - 1)
 	r := &router{
-		n: n, opts: opts, dim: dim, w: w, h: h,
+		n: n, tracks: opts.TracksPerEdge, dim: dim, w: w, h: h,
 		numH:   numH,
 		demand: make([]float64, numH+numV),
 	}
@@ -144,60 +134,45 @@ func congExp(d, tracks float64) float64 {
 }
 
 // congCost is congExp of an integral demand, from the table when it
-// reaches that far. A negative d (never priced: the own track is only
-// subtracted where it was claimed) wraps past the table like a large one.
+// reaches that far.
 func (r *router) congCost(d float64) float64 {
 	if k := uint(int(d)); k < uint(len(r.cost)) {
 		return r.cost[k]
 	}
-	return congExp(d, r.opts.TracksPerEdge)
+	return congExp(d, r.tracks)
 }
 
 // pricedHook, when set (tests only), sees every L costL is asked to
 // price, before it is priced.
-var pricedHook func(r *router, x1, y1, x2, y2, subRow, subCol int)
+var pricedHook func(r *router, x1, y1, x2, y2 int)
 
 // costL prices the horizontal-first L from (x1,y1) to (x2,y2) against
-// the demand map without claiming it. When the caller has a previous
-// route for the same pin pair in the map, subRow/subCol name that L's
-// row and column and one track is subtracted on the overlap (the spans
-// coincide because the pair's endpoints do); pass -1/-1 to price
-// as-is. The vertical-first L is the same call with endpoints swapped.
-func (r *router) costL(x1, y1, x2, y2, subRow, subCol int) float64 {
+// the demand map without claiming it. The vertical-first L is the same
+// call with endpoints swapped.
+func (r *router) costL(x1, y1, x2, y2 int) float64 {
 	if pricedHook != nil {
-		pricedHook(r, x1, y1, x2, y2, subRow, subCol)
+		pricedHook(r, x1, y1, x2, y2)
 	}
 	var cost float64
-	ownRow := y1 == subRow
 	for x := min(x1, x2); x < max(x1, x2); x++ {
-		d := r.demand[r.hIdx(x, y1)]
-		if ownRow {
-			d--
-		}
-		cost += r.congCost(d)
+		cost += r.congCost(r.demand[r.hIdx(x, y1)])
 	}
-	ownCol := x2 == subCol
 	for y := min(y1, y2); y < max(y1, y2); y++ {
-		d := r.demand[r.vIdx(x2, y)]
-		if ownCol {
-			d--
-		}
-		cost += r.congCost(d)
+		cost += r.congCost(r.demand[r.vIdx(x2, y)])
 	}
 	return cost
 }
 
 // stampL claims one track along the horizontal-first L from (x1,y1) to
-// (x2,y2) without pricing it. delta is +1 to claim, -1 to rip up. The
-// vertical-first L is the same primitive called with the endpoints
-// reversed: its edge set matches the backward traversal of the
-// horizontal-first route.
-func (r *router) stampL(x1, y1, x2, y2 int, delta float64) {
+// (x2,y2) without pricing it. The vertical-first L is the same primitive
+// called with the endpoints reversed: its edge set matches the backward
+// traversal of the horizontal-first route.
+func (r *router) stampL(x1, y1, x2, y2 int) {
 	for x := min(x1, x2); x < max(x1, x2); x++ {
-		r.demand[r.hIdx(x, y1)] += delta
+		r.demand[r.hIdx(x, y1)]++
 	}
 	for y := min(y1, y2); y < max(y1, y2); y++ {
-		r.demand[r.vIdx(x2, y)] += delta
+		r.demand[r.vIdx(x2, y)]++
 	}
 }
 
@@ -217,53 +192,45 @@ func (r *router) routeNet(netID int, rng *rand.Rand, wl *float64) {
 		}
 		// Two L-shapes: horizontal-first vs vertical-first;
 		// take the cheaper, breaking ties randomly.
-		c1 := r.costL(sx, sy, tx, ty, -1, -1) // H then V
-		c2 := r.costL(tx, ty, sx, sy, -1, -1) // V then H
+		c1 := r.costL(sx, sy, tx, ty) // H then V
+		c2 := r.costL(tx, ty, sx, sy) // V then H
 		if c1 < c2 || (c1 == c2 && rng.Float64() < 0.5) {
-			r.stampL(sx, sy, tx, ty, +1)
+			r.stampL(sx, sy, tx, ty)
 		} else {
-			r.stampL(tx, ty, sx, sy, +1)
+			r.stampL(tx, ty, sx, sy)
 		}
 		*wl += (math.Abs(float64(sx-tx)) + math.Abs(float64(sy-ty))) * r.w / float64(r.dim)
 	}
-}
-
-// finish computes the overflow statistics from the demand map.
-func (r *router) finish(wl float64) *GlobalResult {
-	res := &GlobalResult{
-		GridDim: r.dim, Demand: r.demand, Edges: len(r.demand),
-		Capacity: r.opts.TracksPerEdge, WirelengthUm: wl,
-	}
-	hot := 0
-	for _, d := range r.demand {
-		if over := d - r.opts.TracksPerEdge; over > 0 {
-			res.OverflowTotal += over
-			if over > res.OverflowPeak {
-				res.OverflowPeak = over
-			}
-		}
-		if d > 0.9*r.opts.TracksPerEdge {
-			hot++
-		}
-	}
-	res.HotspotFrac = float64(hot) / float64(len(r.demand))
-	return res
 }
 
 // GlobalRoute routes every non-clock net with congestion-aware L-shaped
 // pattern routing on a uniform grid and returns the congestion picture.
 func GlobalRoute(n *netlist.Netlist, opts GlobalOptions) *GlobalResult {
 	opts = opts.withDefaults()
-	if opts.Tiles > 1 {
-		return globalRouteSharded(n, opts)
-	}
 	r := newRouter(n, opts)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var wl float64
 	for i := range n.Nets {
 		r.routeNet(i, rng, &wl)
 	}
-	return r.finish(wl)
+	res := &GlobalResult{
+		GridDim: r.dim, Demand: r.demand, Edges: len(r.demand),
+		Capacity: opts.TracksPerEdge, WirelengthUm: wl,
+	}
+	hot := 0
+	for _, d := range r.demand {
+		if over := d - opts.TracksPerEdge; over > 0 {
+			res.OverflowTotal += over
+			if over > res.OverflowPeak {
+				res.OverflowPeak = over
+			}
+		}
+		if d > 0.9*opts.TracksPerEdge {
+			hot++
+		}
+	}
+	res.HotspotFrac = float64(hot) / float64(len(r.demand))
+	return res
 }
 
 // IterAction is a live supervision decision taken between rip-up

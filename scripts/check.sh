@@ -24,7 +24,7 @@
 #                             -benchtime and min-of-N, logs both sides,
 #                             and fails on a broken bound (campaign
 #                             trace/warehouse overhead, sta recover,
-#                             place, route, dist); the bound that needs
+#                             dist); the bound that needs
 #                             no clock (doomed-run abort) is a test in
 #                             the default tier
 #   scripts/check.sh paper    also regenerate every paper artefact at
@@ -97,13 +97,13 @@ wait_addr() {
 test -z "$(gofmt -l . | tee /dev/stderr)"
 go vet ./...
 go build ./...
-# Concurrency tier: the license pool, gang scheduler and campaign
-# engine carry the cancellation/retry machinery every experiment fans
-# out on, the tracer/metrics server are written to by every one of
-# those goroutines at once, the place/route kernels run territory
-# lanes and sharded regions on the gang, and the flow's stage loop may
-# abandon a watchdog-reaped stage that is still running; run their race
-# tests twice (fresh caches each time) before the full suite; the dist
+# Concurrency tier: the license pool and campaign engine carry the
+# cancellation/retry machinery every experiment fans out on, the
+# tracer/metrics server are written to by every one of those goroutines
+# at once, the place/route kernels are cancelled from campaign and
+# watchdog goroutines, and the flow's stage loop may abandon a
+# watchdog-reaped stage that is still running; run their race tests
+# twice (fresh caches each time) before the full suite; the dist
 # service rides along because its store and coordinator queues are
 # hammered by every worker node at once, and the journal because every
 # durable store is a journal.Keyed whose puts, gets and Close race by
@@ -226,10 +226,9 @@ if [ "${1:-}" = "trace" ]; then
     work=$(mktemp -d)
     trap 'rm -rf "$work"' EXIT
     go run ./cmd/sprflow -design tiny -sweep 2 -parallel 2 \
-        -place-workers 2 -route-tiles 2 \
         -trace "$work/trace.json" > /dev/null
     go run ./cmd/tracecheck \
-        -require 'campaign.run,campaign.point,flow.run,flow.synth,flow.droute,route.iter,sched.wait,place.move,route.tile' \
+        -require 'campaign.run,campaign.point,flow.run,flow.synth,flow.droute,route.iter,sched.wait,flow.place,flow.groute' \
         "$work/trace.json"
     echo "trace_demo=ok"
 fi
