@@ -136,9 +136,14 @@ func DistSweep(cfg DistSweepConfig) (SweepResult, error) {
 	client := dist.NewStoreClientCfg("http://"+addr, rpcFor("coord"))
 	defer client.Close()
 	if cfg.JournalDir != "" {
+		// The same accounting as Sweep's journal: a recovered entry this
+		// sweep's points ask for is replayed, any other is skipped.
 		out.Recovery = store.WALStats()
-		st := store.Stats()
-		out.Resume = ResumeStats{Replayed: st.Recovered, Corrupt: st.Corrupt}
+		st, held := store.Stats(), store.Holds(pts)
+		out.Resume = ResumeStats{
+			Replayed: held, SkippedUnknown: st.Recovered - held,
+			Corrupt: st.Corrupt, Duplicate: st.Duplicate,
+		}
 	}
 
 	// With a warehouse configured, serve it over loopback and hand every

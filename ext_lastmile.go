@@ -49,7 +49,7 @@ func LastMile(scale Scale, seed int64) LastMileResult {
 	if scale == Paper {
 		trials = 16
 	}
-	eng := campaign.New(campaign.Config{Workers: campaign.Workers(WorkerCount())})
+	eng := campaign.New(campaign.Config{Workers: WorkerCount()})
 	ctx := context.Background()
 
 	// (i) DRC fixing.

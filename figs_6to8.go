@@ -286,7 +286,7 @@ func Fig7Robustness(seed int64) BanditRobustness {
 	// runs serially in setting order, keeping the floating-point
 	// accumulation identical to the serial loop.
 	const seedsPer = 6
-	eng := campaign.New(campaign.Config{Workers: campaign.Workers(WorkerCount())})
+	eng := campaign.New(campaign.Config{Workers: WorkerCount()})
 	perSetting, _, _ := campaign.Map(context.Background(), eng, len(settings), //nolint:errcheck // background ctx never cancels
 		func(i int) map[string]float64 {
 			st := settings[i]

@@ -252,9 +252,8 @@ func (c *Cache) do(key string, compute func() (Entry, error)) (ent Entry, hit bo
 			c.countHits(1, true)
 			return *call.ent, true, nil
 		case !errors.Is(call.err, context.Canceled) && !errors.Is(call.err, context.DeadlineExceeded):
-			// The computing caller failed; surface its error so the
-			// waiter's own retry loop can re-attempt (and coalesce
-			// again) rather than treating the point as memoized-failed.
+			// The computing caller failed; surface its error rather
+			// than treating the point as memoized-failed.
 			return Entry{}, false, call.err
 		}
 		// The computing caller was cancelled: its context, not this

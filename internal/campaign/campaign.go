@@ -29,7 +29,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
-	"repro/internal/route"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -101,25 +100,11 @@ func Points(design *netlist.Netlist, key string, base flow.Options, seeds []int6
 	return pts
 }
 
-// Retry configures fault tolerance: how many times a failed point is
-// re-run before the campaign gives it up.
-type Retry struct {
-	// Max is the number of re-runs after the first attempt (0 = fail
-	// fast on the first fault).
-	Max int
-	// Backoff is the pause before re-running a failed point, scaled
-	// linearly by the attempt number (license servers recover; hammering
-	// them does not help). Zero means retry immediately.
-	Backoff time.Duration
-}
-
 // Config parameterizes an Engine.
 type Config struct {
 	// Workers is the concurrent flow-run limit (the license count).
 	// <= 0 selects one worker per CPU.
 	Workers int
-	// Pool overrides Workers with an externally shared license pool.
-	Pool *sched.Pool
 	// Cache enables flow-result memoization when non-nil, and durability
 	// with it: see Journal, which a cache takes as its Tier.
 	Cache *Cache
@@ -132,17 +117,9 @@ type Config struct {
 	// A tier hit — a resumed point, a dist worker served by the store —
 	// replays from its worker goroutine, like the compute it stands for.
 	Observer flow.Observer
-	// Retry re-runs points that fail with a tool fault. Failed attempts
-	// are never cached, so a retry always recomputes.
-	Retry Retry
-	// Faults injects deterministic tool crashes / license drops at flow
-	// stage boundaries (nil = no injection). With Retry.Max large
-	// enough for every point to eventually succeed, campaign results
-	// are bit-identical to the fault-free run at any worker count.
-	Faults *flow.FaultInjector
 	// StageTimeout arms the per-stage hung-tool watchdog on every flow
-	// run (see flow.RunConfig.StageTimeout). A reaped stage surfaces as
-	// a FaultHang fault and follows the normal retry path.
+	// run (see flow.RunConfig.StageTimeout). A reaped point fails: it
+	// stays nil, is never cached and Run reports it in a *RunError.
 	StageTimeout time.Duration
 }
 
@@ -152,24 +129,14 @@ type Engine struct {
 	pool         *sched.Pool
 	cache        *Cache
 	obs          flow.Observer
-	retry        Retry
-	faults       *flow.FaultInjector
 	stageTimeout time.Duration
 }
 
 // New creates an engine.
 func New(cfg Config) *Engine {
-	pool := cfg.Pool
-	if pool == nil {
-		w := cfg.Workers
-		if w <= 0 {
-			w = runtime.NumCPU()
-		}
-		pool = sched.NewPool(w)
-	}
 	return &Engine{
-		pool: pool, cache: cfg.Cache, obs: cfg.Observer, retry: cfg.Retry,
-		faults: cfg.Faults, stageTimeout: cfg.StageTimeout,
+		pool: sched.NewPool(Workers(cfg.Workers)), cache: cfg.Cache,
+		obs: cfg.Observer, stageTimeout: cfg.StageTimeout,
 	}
 }
 
@@ -179,20 +146,20 @@ func (e *Engine) Pool() *sched.Pool { return e.pool }
 // Cache returns the engine's memo cache (nil if memoization is off).
 func (e *Engine) Cache() *Cache { return e.cache }
 
-// PointError is one point's permanent failure (all retries exhausted).
+// PointError is one point's failure.
 type PointError struct {
 	Index int
 	Err   error
 }
 
-// RunError aggregates the permanently failed points of a campaign whose
-// other points completed.
+// RunError aggregates the failed points of a campaign whose other points
+// completed.
 type RunError struct {
 	Failed []PointError
 }
 
 // Unwrap exposes the per-point failures to errors.Is/errors.As, so a
-// caller can match e.g. a *flow.FaultError through the aggregate.
+// caller can match e.g. sched.ErrHung through the aggregate.
 func (e *RunError) Unwrap() []error {
 	errs := make([]error, len(e.Failed))
 	for i, f := range e.Failed {
@@ -203,7 +170,7 @@ func (e *RunError) Unwrap() []error {
 
 func (e *RunError) Error() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "campaign: %d point(s) failed permanently:", len(e.Failed))
+	fmt.Fprintf(&b, "campaign: %d point(s) failed:", len(e.Failed))
 	for i, f := range e.Failed {
 		if i == 4 {
 			fmt.Fprintf(&b, " ... (%d more)", len(e.Failed)-i)
@@ -224,9 +191,8 @@ type pointOutcome struct {
 // out[i] corresponds to pts[i] no matter how the scheduler interleaves
 // the work. On context cancellation it returns early with ctx.Err();
 // abandoned points stay nil in the output and are never recorded as
-// computed flow results. Points that fail with a tool fault are retried
-// per Config.Retry; a point that fails permanently stays nil and Run
-// returns a *RunError listing it.
+// computed flow results. Each point is attempted once: a point the
+// watchdog reaps stays nil and Run returns a *RunError listing it.
 func (e *Engine) Run(ctx context.Context, pts []Point) ([]*flow.Result, error) {
 	ctx, runSpan := trace.Start(ctx, "campaign.run")
 	runSpan.SetInt("points", int64(len(pts)))
@@ -282,10 +248,8 @@ func (e *Engine) revisit(ctx context.Context, pts []Point, results []*flow.Resul
 		p := &pts[i]
 		if serve && p.key != "" {
 			if ent, ok := e.cache.probe(p.key); ok {
-				pctx, psp := pointSpan(ctx, p.opts.Seed, i)
-				_, asp := trace.Start(pctx, "campaign.attempt")
-				asp.SetInt("attempt", 0)
-				e.deliverHit(psp, asp, 0, ent.Steps)
+				_, psp := pointSpan(ctx, p.opts.Seed, i)
+				e.deliverHit(psp, ent.Steps)
 				results[i] = ent.Res
 				hits++
 				continue
@@ -302,8 +266,8 @@ func (e *Engine) revisit(ctx context.Context, pts []Point, results []*flow.Resul
 // deliverHit owns everything a memo hit emits besides its result, found
 // by the revisit pass or by runPoint (a coalesced wait, a tier hit, a key
 // that reached L1 after the pass): the records its compute emitted
-// replayed to the Observer, and the point's two spans ended cache_hit.
-func (e *Engine) deliverHit(psp, asp *trace.Span, attempt int, steps []flow.StepRecord) {
+// replayed to the Observer, and the point's span ended cache_hit.
+func (e *Engine) deliverHit(psp *trace.Span, steps []flow.StepRecord) {
 	if e.obs != nil {
 		for _, rec := range steps {
 			e.obs.OnStep(rec)
@@ -312,13 +276,10 @@ func (e *Engine) deliverHit(psp, asp *trace.Span, attempt int, steps []flow.Step
 			metrics.Add("campaign.cache.replayed", 1)
 		}
 	}
-	asp.EndWith(trace.CacheHit)
-	psp.SetInt("attempts", int64(attempt+1))
 	psp.EndWith(trace.CacheHit)
 }
 
-// pointSpan opens a point's span (index, seed, final outcome); each run or
-// re-run gets a campaign.attempt child, so a retry storm shows under it.
+// pointSpan opens a point's span (index, seed, outcome).
 func pointSpan(ctx context.Context, seed int64, index int) (context.Context, *trace.Span) {
 	ctx, psp := trace.Start(ctx, "campaign.point")
 	psp.SetInt("index", int64(index))
@@ -337,109 +298,57 @@ func (e *Engine) mirrorPoolStats() {
 	metrics.Set("sched.queue.depth", int64(maxWait))
 }
 
-// runPoint executes one point the revisit pass did not serve, with the
-// engine's retry policy. Attempt numbers feed the fault injector, so a
-// retried point draws fresh fault coins while staying deterministic at
-// any worker count.
+// runPoint executes one point the revisit pass did not serve, once.
 func (e *Engine) runPoint(ctx context.Context, p Point, index int) pointOutcome {
 	ctx, psp := pointSpan(ctx, p.opts.Seed, index)
-	var lastErr error
-	for attempt := 0; attempt <= e.retry.Max; attempt++ {
-		if attempt > 0 {
-			metrics.Add("campaign.point.retried", 1)
-			if e.retry.Backoff > 0 {
-				select {
-				case <-time.After(time.Duration(attempt) * e.retry.Backoff):
-				case <-ctx.Done():
-					psp.EndWith(trace.Aborted)
-					return pointOutcome{err: ctx.Err()}
-				}
-			}
-		}
-		actx, asp := trace.Start(ctx, "campaign.attempt")
-		asp.SetInt("attempt", int64(attempt))
-		ent, hit, err := e.runOnce(actx, p, attempt)
-		if err == nil {
-			if hit {
-				e.deliverHit(psp, asp, attempt, ent.Steps)
-			} else {
-				asp.End()
-				psp.SetInt("attempts", int64(attempt+1))
-				psp.End()
-			}
-			return pointOutcome{res: ent.Res}
-		}
-		if ctx.Err() != nil {
-			// Cancellation is a campaign decision, not a tool fault —
-			// never retried, never recorded.
-			asp.EndWith(trace.Aborted)
-			psp.EndWith(trace.Aborted)
-			return pointOutcome{err: ctx.Err()}
-		}
-		asp.EndWith(trace.Retry)
-		countFault(err)
-		lastErr = err
+	ent, hit, err := e.runOnce(ctx, p)
+	switch {
+	case err == nil && hit:
+		e.deliverHit(psp, ent.Steps)
+		return pointOutcome{res: ent.Res}
+	case err == nil:
+		psp.End()
+		return pointOutcome{res: ent.Res}
+	case ctx.Err() != nil:
+		// Cancellation is a campaign decision, not a tool failure —
+		// never recorded.
+		psp.EndWith(trace.Aborted)
+		return pointOutcome{err: ctx.Err()}
+	}
+	if errors.Is(err, sched.ErrHung) {
+		metrics.Add("campaign.watchdog.fired", 1)
 	}
 	metrics.Add("campaign.point.failed", 1)
 	psp.EndWith(trace.Failed)
-	return pointOutcome{err: lastErr}
+	return pointOutcome{err: err}
 }
 
-// runOnce is a single attempt at a point: cache-aware and observer-aware.
-// A point without a memo key, or an engine without a cache, computes
-// directly (such a point has no identity to memoize or resume it under,
-// so nothing records its steps). The bool reports a hit: the entry was
-// served by the memo cache or its tier (including a coalesced wait on an
-// in-flight compute) rather than computed by this attempt, and its
-// records are deliverHit's to replay.
-func (e *Engine) runOnce(ctx context.Context, p Point, attempt int) (Entry, bool, error) {
+// runOnce runs a point: cache-aware and observer-aware. A point without a
+// memo key, or an engine without a cache, computes directly (such a point
+// has no identity to memoize or resume it under, so nothing records its
+// steps). The bool reports a hit: the entry was served by the memo cache
+// or its tier (including a coalesced wait on an in-flight compute) rather
+// than computed here, and its records are deliverHit's to replay.
+func (e *Engine) runOnce(ctx context.Context, p Point) (Entry, bool, error) {
 	if e.cache == nil || p.key == "" {
-		res, err := e.compute(ctx, p, attempt, e.obs)
+		res, err := e.compute(ctx, p, e.obs)
 		return Entry{Res: res}, false, err
 	}
 	return e.cache.do(p.key, func() (Entry, error) {
 		rec := &recordingObserver{next: e.obs}
-		res, err := e.compute(ctx, p, attempt, rec)
+		res, err := e.compute(ctx, p, rec)
 		return Entry{Res: res, Steps: rec.steps}, err
 	})
 }
 
-// compute runs the flow on one point under obs, and counts the run if it
-// succeeded — the only kind a memo tier ever holds.
-func (e *Engine) compute(ctx context.Context, p Point, attempt int, obs flow.Observer) (*flow.Result, error) {
-	res, err := flow.RunCfg(ctx, p.design, p.opts, flow.RunConfig{
-		Observer: obs, Faults: e.faults, Attempt: attempt, StageTimeout: e.stageTimeout,
-	})
+// compute runs the flow on one point under obs. A failed run returns no
+// result, so a memo tier only ever holds completed ones.
+func (e *Engine) compute(ctx context.Context, p Point, obs flow.Observer) (*flow.Result, error) {
+	res, err := flow.RunCfg(ctx, p.design, p.opts, flow.RunConfig{Observer: obs, StageTimeout: e.stageTimeout})
 	if err != nil {
 		return nil, err
 	}
-	e.countStopped(res)
 	return res, nil
-}
-
-// countStopped mirrors live doomed-run stops into the campaign counters
-// (flow cannot: the metrics package depends on it).
-func (e *Engine) countStopped(res *flow.Result) {
-	if res == nil || !res.Stopped || res.Route == nil {
-		return
-	}
-	metrics.Add("campaign.doomed.stopped", 1)
-	if saved := res.Route.IterationsBudget - res.Route.IterationsRun; saved > 0 {
-		metrics.Add("campaign.doomed.saved_iters", int64(saved))
-	}
-}
-
-// countFault classifies a retryable failure into the fault counters.
-func countFault(err error) {
-	var fe *flow.FaultError
-	if errors.As(err, &fe) {
-		metrics.Add("campaign.fault."+fe.Kind, 1)
-		if fe.Kind == flow.FaultHang {
-			metrics.Add("campaign.watchdog.fired", 1)
-		}
-		return
-	}
-	metrics.Add("campaign.fault.other", 1)
 }
 
 // recordingObserver captures the step records of one flow run (for the
@@ -449,23 +358,12 @@ type recordingObserver struct {
 	steps []flow.StepRecord
 }
 
-// OnStep implements flow.Observer. flow.RunCfg supervises routing when
-// its observer implements flow.RouteSupervisor; the recorder forwards
-// that too so caching does not disable live doomed-run abort.
+// OnStep implements flow.Observer.
 func (r *recordingObserver) OnStep(rec flow.StepRecord) {
 	r.steps = append(r.steps, rec)
 	if r.next != nil {
 		r.next.OnStep(rec)
 	}
-}
-
-// RouteIter implements flow.RouteSupervisor by delegating to the
-// campaign observer when it supervises, else always Continue.
-func (r *recordingObserver) RouteIter(design string, runSeed int64, iter int, drvs []int) route.IterAction {
-	if sup, ok := r.next.(flow.RouteSupervisor); ok {
-		return sup.RouteIter(design, runSeed, iter, drvs)
-	}
-	return route.Continue
 }
 
 // Map is the generic deterministic fan-out for campaign work that is

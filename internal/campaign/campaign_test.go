@@ -3,15 +3,17 @@ package campaign
 import (
 	"context"
 	"errors"
-	"fmt"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cellib"
 	"repro/internal/flow"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
+	"repro/internal/sched"
 )
 
 func tinyDesign(seed int64) *netlist.Netlist {
@@ -183,76 +185,51 @@ func TestWorkersNormalization(t *testing.T) {
 	}
 }
 
-// TestFaultRetryReproducesFaultFreeResults is the fault-tolerance
-// contract: with injected crashes/license drops and enough retries, the
-// campaign lands on results bit-identical to the fault-free run — at
-// any worker count, with or without the memo cache.
-func TestFaultRetryReproducesFaultFreeResults(t *testing.T) {
+// TestReapedPointFailsUncached: a point the stage watchdog reaps comes
+// back nil inside a *RunError that matches sched.ErrHung, and neither
+// the cache nor its journal holds the point afterwards — so a later run
+// without the watchdog computes it cleanly.
+func TestReapedPointFailsUncached(t *testing.T) {
 	design := tinyDesign(1)
-	pts := sweepPoints(design, KeyFor(design), 2, 3)
-
-	want, err := New(Config{Workers: 2}).Run(context.Background(), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	inj := &flow.FaultInjector{Seed: 7, CrashRate: 0.12, LicenseDropRate: 0.08}
-	for _, workers := range []int{1, 4, 8} {
-		for _, cached := range []bool{false, true} {
-			name := fmt.Sprintf("workers=%d cached=%t", workers, cached)
-			cfg := Config{Workers: workers, Faults: inj, Retry: Retry{Max: 25}}
-			if cached {
-				cfg.Cache = NewCache(0)
-			}
-			got, err := New(cfg).Run(context.Background(), pts)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for i := range want {
-				if got[i] == nil {
-					t.Fatalf("%s: point %d missing", name, i)
-				}
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("%s: point %d diverged from fault-free reference", name, i)
-				}
-			}
-		}
-	}
-}
-
-// TestRetryExhaustionFailsPointWithoutCaching: a point whose every
-// attempt faults must come back nil with a RunError — and must never be
-// served from the cache as a failed result.
-func TestRetryExhaustionFailsPointWithoutCaching(t *testing.T) {
-	design := tinyDesign(1)
-	cache := NewCache(0)
-	inj := &flow.FaultInjector{Seed: 1, CrashRate: 1} // every boundary crashes
-	eng := New(Config{Workers: 2, Cache: cache, Faults: inj, Retry: Retry{Max: 3}})
 	pts := Points(design, KeyFor(design), flow.Options{TargetFreqGHz: 0.4}, []int64{1, 2})
-
-	res, err := eng.Run(context.Background(), pts)
+	dir := filepath.Join(t.TempDir(), "journal")
+	jrn := openJournal(t, dir)
+	cache := journaledCache(jrn)
+	// No stage finishes within a nanosecond: every point is reaped.
+	res, err := New(Config{Workers: 2, Cache: cache, StageTimeout: time.Nanosecond}).Run(context.Background(), pts)
 	var re *RunError
-	if !errors.As(err, &re) || len(re.Failed) != 2 {
-		t.Fatalf("err = %v, want RunError with 2 failures", err)
+	if !errors.As(err, &re) || len(re.Failed) != len(pts) {
+		t.Fatalf("err = %v, want RunError with %d failures", err, len(pts))
+	}
+	if !errors.Is(err, sched.ErrHung) {
+		t.Fatalf("err = %v; sched.ErrHung not matchable through RunError", err)
 	}
 	for i, r := range res {
 		if r != nil {
-			t.Fatalf("failed point %d recorded a result", i)
+			t.Fatalf("reaped point %d recorded a result", i)
 		}
 	}
 	if cache.Len() != 0 {
-		t.Fatalf("cache holds %d entries for failed-only runs", cache.Len())
+		t.Fatalf("cache holds %d entries for reaped-only runs", cache.Len())
 	}
-	// The same engine without faults must now compute cleanly — nothing
-	// poisoned the cache.
-	okEng := New(Config{Workers: 2, Cache: cache})
-	ok, err := okEng.Run(context.Background(), pts)
+	if err := jrn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if keys, _ := journalKeys(t, dir); len(keys) != 0 {
+		t.Fatalf("journal holds %d entries for reaped-only runs", len(keys))
+	}
+	jrn = openJournal(t, dir)
+	defer jrn.Close()
+	ok, st, err := resume(context.Background(), Config{Workers: 2, Cache: journaledCache(jrn)}, jrn, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st.Replayed != 0 {
+		t.Fatalf("rerun replayed %d reaped points", st.Replayed)
+	}
 	for i, r := range ok {
 		if r == nil {
-			t.Fatalf("point %d still failing after faults removed", i)
+			t.Fatalf("point %d still failing without the watchdog", i)
 		}
 	}
 }
@@ -308,23 +285,5 @@ func TestAbandonedPointsNeverRecorded(t *testing.T) {
 		if r != nil {
 			t.Fatalf("abandoned point %d recorded result %+v", i, r)
 		}
-	}
-}
-
-// TestFaultErrorMatchableThroughRunError: the aggregate error a failed
-// campaign returns must unwrap to the per-point tool faults, so callers
-// at any layer (flow, campaign, cmd) can errors.As for *flow.FaultError
-// instead of string-matching.
-func TestFaultErrorMatchableThroughRunError(t *testing.T) {
-	design := tinyDesign(1)
-	pts := Points(design, KeyFor(design), flow.Options{TargetFreqGHz: 0.4}, []int64{1})
-	inj := &flow.FaultInjector{Seed: 1, CrashRate: 1} // every boundary crashes
-	_, err := New(Config{Workers: 1, Faults: inj}).Run(context.Background(), pts)
-	var fe *flow.FaultError
-	if !errors.As(err, &fe) {
-		t.Fatalf("err = %v; *flow.FaultError not matchable through RunError", err)
-	}
-	if fe.Kind != flow.FaultCrash || fe.Stage == "" {
-		t.Fatalf("fault = %+v, want a staged crash", fe)
 	}
 }

@@ -14,48 +14,15 @@ import (
 	"repro/internal/journal"
 )
 
-// journalCfg is the engine config the journal tests share: fault and
-// hang injection plus the stage watchdog, so the crash-safety paths are
-// exercised under the same adversity a real campaign sees. The retry
-// budget is large enough that every point eventually completes, which
-// (by the determinism contract) makes results bit-identical to the
-// fault-free reference regardless of the fault schedule. Injected hangs
-// are bounded (the tool recovers after 1 ms) and the watchdog deadline
-// is generous, so a loaded -race machine never reaps a legitimately
-// slow stage and exhausts the retry budget; the reap path itself is
-// covered by TestWatchdogReapRetryConverges.
+// journalCfg is the engine config the journal tests share: a journaled
+// cache and the stage watchdog, armed with a deadline generous enough
+// that a loaded -race machine never reaps a legitimately slow stage.
 func journalCfg(workers int, jrn *Journal) Config {
 	return Config{
 		Workers:      workers,
 		Cache:        journaledCache(jrn),
-		Faults:       &flow.FaultInjector{Seed: 11, CrashRate: 0.06, LicenseDropRate: 0.05, HangRate: 0.05, HangFor: time.Millisecond},
-		Retry:        Retry{Max: 40},
 		StageTimeout: 5 * time.Second,
 	}
-}
-
-// TestWatchdogReapRetryConverges: unbounded wedges reaped by the stage
-// watchdog follow the retry path like any fault, and the campaign still
-// converges to the fault-free reference. One worker keeps the scheduler
-// from starving a guarded stage into a spurious reap on slow machines.
-func TestWatchdogReapRetryConverges(t *testing.T) {
-	design := tinyDesign(1)
-	pts := sweepPoints(design, KeyFor(design), 1, 2)
-	ctx := context.Background()
-	want, err := New(Config{Workers: 1}).Run(ctx, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := New(Config{
-		Workers:      1,
-		Faults:       &flow.FaultInjector{Seed: 3, HangRate: 0.15},
-		Retry:        Retry{Max: 60},
-		StageTimeout: 150 * time.Millisecond,
-	}).Run(ctx, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResults(t, "watchdog-reap", got, want)
 }
 
 // journaledCache is a fresh unbounded cache with jrn as its durable tier

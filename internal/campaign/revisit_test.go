@@ -144,8 +144,8 @@ func TestRevisitReplaysInPointOrder(t *testing.T) {
 }
 
 // TestRevisitSpans: under an armed tracer an all-hit Run of n points is
-// one campaign.run, n campaign.point and n campaign.attempt spans, all
-// cache_hit, and nothing from the scheduler.
+// one campaign.run and n campaign.point spans, all cache_hit, and nothing
+// from the scheduler.
 func TestRevisitSpans(t *testing.T) {
 	design := tinyDesign(1)
 	eng := New(Config{Workers: 2, Cache: NewCache(0)})
@@ -171,7 +171,7 @@ func TestRevisitSpans(t *testing.T) {
 			t.Errorf("span %s ended %q, want %q", sp.Name, sp.Outcome, trace.CacheHit)
 		}
 	}
-	want := map[string]int{"campaign.run": 1, "campaign.point": len(pts), "campaign.attempt": len(pts)}
+	want := map[string]int{"campaign.run": 1, "campaign.point": len(pts)}
 	if !reflect.DeepEqual(byName, want) {
 		t.Errorf("spans %v, want %v", byName, want)
 	}

@@ -74,7 +74,7 @@ func TestCampaignTraceCoverage(t *testing.T) {
 	// The span taxonomy the tentpole promises: campaign lifecycle, flow
 	// stages, router inner loop, scheduler queueing.
 	for _, want := range []string{
-		"campaign.run", "campaign.point", "campaign.attempt",
+		"campaign.run", "campaign.point",
 		"flow.run", "flow.synth", "flow.droute",
 		"route.iter",
 		"sched.wait", "sched.run",
@@ -89,8 +89,7 @@ func TestCampaignTraceCoverage(t *testing.T) {
 	if byName["campaign.point"] != len(pts) {
 		t.Errorf("campaign.point spans = %d, want %d", byName["campaign.point"], len(pts))
 	}
-	// The duplicated half of the points must be traced as cache hits
-	// (point + attempt each carry the outcome).
+	// The duplicated half of the points must be traced as cache hits.
 	if cacheHits < len(pts)/2 {
 		t.Errorf("cache-hit spans = %d, want >= %d", cacheHits, len(pts)/2)
 	}

@@ -17,8 +17,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"repro/internal/flow"
 	"repro/internal/netlist"
 )
@@ -101,93 +99,4 @@ func (r Robot) Execute() RobotResult {
 		out.Final = res
 	}
 	return out
-}
-
-// FreqArms is the bandit environment of the Fig. 7 experiment: arms are
-// target frequencies for the SP&R flow on a fixed design; the reward of
-// a pull is success under the QOR constraint box, optionally weighted by
-// the frequency achieved (so higher feasible targets earn more).
-type FreqArms struct {
-	Design      *netlist.Netlist
-	Freqs       []float64
-	Base        flow.Options
-	Constraints flow.Constraints
-	// FreqWeighted scales success rewards by arm frequency relative to
-	// the fastest arm, making "highest feasible frequency" the optimum.
-	FreqWeighted bool
-
-	// estOptimal is set by Calibrate; OptimalMean returns 1 until then.
-	estOptimal float64
-	// Outcomes collects every flow result for post-analysis (the dots
-	// of Fig. 7). Not safe for concurrent Reward calls.
-	Outcomes []ArmOutcome
-}
-
-// ArmOutcome records one sampled tool run.
-type ArmOutcome struct {
-	Arm       int
-	FreqGHz   float64
-	Satisfied bool
-	AreaUm2   float64
-	WNSPs     float64
-	Runtime   float64
-}
-
-// NumArms implements mab.Environment.
-func (e *FreqArms) NumArms() int { return len(e.Freqs) }
-
-// Reward implements mab.Environment: runs the flow at the arm's target
-// with a seed drawn from rng.
-func (e *FreqArms) Reward(arm int, rng *rand.Rand) float64 {
-	opts := e.Base
-	opts.TargetFreqGHz = e.Freqs[arm]
-	opts.Seed = rng.Int63()
-	res := flow.Run(e.Design, opts)
-	ok := e.Constraints.Satisfied(res)
-	e.Outcomes = append(e.Outcomes, ArmOutcome{
-		Arm: arm, FreqGHz: e.Freqs[arm], Satisfied: ok,
-		AreaUm2: res.AreaUm2, WNSPs: res.WNSPs, Runtime: res.RuntimeProxy,
-	})
-	if !ok {
-		return 0
-	}
-	if e.FreqWeighted {
-		max := e.Freqs[0]
-		for _, f := range e.Freqs {
-			if f > max {
-				max = f
-			}
-		}
-		return e.Freqs[arm] / max
-	}
-	return 1
-}
-
-// OptimalMean implements mab.Environment. Before Calibrate it returns 1
-// (an upper bound), so regret numbers are pessimistic but comparable
-// across algorithms.
-func (e *FreqArms) OptimalMean() float64 {
-	if e.estOptimal > 0 {
-		return e.estOptimal
-	}
-	return 1
-}
-
-// Calibrate estimates per-arm expected rewards with `seeds` probe runs
-// per arm and records the best mean for regret accounting. Expensive:
-// runs len(Freqs)*seeds flows.
-func (e *FreqArms) Calibrate(seeds int, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	means := make([]float64, len(e.Freqs))
-	for arm := range e.Freqs {
-		var sum float64
-		for s := 0; s < seeds; s++ {
-			sum += e.Reward(arm, rng)
-		}
-		means[arm] = sum / float64(seeds)
-		if means[arm] > e.estOptimal {
-			e.estOptimal = means[arm]
-		}
-	}
-	return means
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/cellib"
@@ -47,29 +46,6 @@ func TestRobotBacksOffOnHardTarget(t *testing.T) {
 		if i < len(out.Attempts)-1 && a.Reason == "" && !out.Succeeded {
 			t.Errorf("attempt %d missing recovery reason", i)
 		}
-	}
-}
-
-func TestFreqArmsEnvironment(t *testing.T) {
-	env := &FreqArms{
-		Design: tiny(3),
-		Freqs:  []float64{0.2, 0.35},
-		Base:   flow.Options{Seed: 1},
-	}
-	rng := rand.New(rand.NewSource(1))
-	r := env.Reward(0, rng)
-	if r != 0 && r != 1 {
-		t.Fatalf("binary reward expected, got %v", r)
-	}
-	if len(env.Outcomes) != 1 {
-		t.Fatal("outcome not recorded")
-	}
-	if env.OptimalMean() != 1 {
-		t.Fatal("uncalibrated optimal should be 1")
-	}
-	env.Calibrate(2, 2)
-	if env.OptimalMean() > 1 || env.OptimalMean() <= 0 {
-		t.Fatalf("calibrated optimal %v", env.OptimalMean())
 	}
 }
 

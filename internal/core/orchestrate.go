@@ -9,7 +9,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/mab"
 	"repro/internal/netlist"
-	"repro/internal/sched"
 )
 
 // SearchConfig parameterizes the Stage-2 orchestrated search: N robot
@@ -22,7 +21,8 @@ type SearchConfig struct {
 	Licenses   int       // concurrent tool runs, default 5
 	Algorithm  string    // "thompson" (default), "softmax", "eps-greedy", "ucb1"
 	Seed       int64
-	// FreqWeighted shapes rewards by frequency (see FreqArms).
+	// FreqWeighted scales success rewards by arm frequency relative to
+	// the fastest arm, making "highest feasible frequency" the optimum.
 	FreqWeighted bool
 	// Cache memoizes flow runs, so searches sharing a design reuse each
 	// other's samples (optional). Arm selection and seeding are
@@ -92,8 +92,7 @@ func Search(design *netlist.Netlist, base flow.Options, cons flow.Constraints, c
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	pool := sched.NewPool(cfg.Licenses)
-	eng := campaign.New(campaign.Config{Pool: pool, Cache: cfg.Cache})
+	eng := campaign.New(campaign.Config{Workers: cfg.Licenses, Cache: cfg.Cache})
 	designKey := ""
 	if cfg.Cache != nil {
 		designKey = campaign.KeyFor(design)
@@ -145,6 +144,6 @@ func Search(design *netlist.Netlist, base flow.Options, cons flow.Constraints, c
 		}
 		res.BestFreqSoFar = append(res.BestFreqSoFar, res.BestFreqGHz)
 	}
-	res.PeakLicenses, _, _ = pool.Stats()
+	res.PeakLicenses, _, _ = eng.Pool().Stats()
 	return res, nil
 }

@@ -29,16 +29,10 @@ type Divergence struct {
 	Endpoints     int
 }
 
-// Measure runs both engines and compares endpoint slacks. Endpoints are
-// matched positionally (both reports analyze the identical netlist, so
-// the endpoint sets are identical and ordered identically); identity is
-// verified.
-func Measure(n *netlist.Netlist, from, to sta.Config) (Divergence, error) {
-	a := sta.Analyze(n, from)
-	b := sta.Analyze(n, to)
-	return compare(a, b)
-}
-
+// compare measures the divergence of report b from report a. Endpoints
+// are matched positionally (both reports analyze the identical netlist,
+// so the endpoint sets are identical and ordered identically); identity
+// is verified.
 func compare(a, b *sta.Report) (Divergence, error) {
 	var d Divergence
 	if len(a.Endpoints) != len(b.Endpoints) {

@@ -22,7 +22,7 @@ var truthCfg = sta.Config{Engine: sta.Signoff, SI: true, PathBased: true}
 
 func TestMeasureDivergence(t *testing.T) {
 	n := designs(1, 1)[0]
-	d, err := Measure(n, fastCfg, truthCfg)
+	d, err := compare(sta.Analyze(n, fastCfg), sta.Analyze(n, truthCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestMeasureDivergence(t *testing.T) {
 
 func TestMeasureSelfZero(t *testing.T) {
 	n := designs(1, 2)[0]
-	d, err := Measure(n, truthCfg, truthCfg)
+	d, err := compare(sta.Analyze(n, truthCfg), sta.Analyze(n, truthCfg))
 	if err != nil {
 		t.Fatal(err)
 	}

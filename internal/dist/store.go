@@ -84,6 +84,19 @@ func (s *Store) Put(key string, data []byte) (stored bool, err error) {
 	return true, nil
 }
 
+// Holds returns how many distinct point keys of pts the store holds. It
+// counts neither hits nor misses: a resumed sweep reads it at open, before
+// any node asks for a point.
+func (s *Store) Holds(pts []campaign.Point) int {
+	held := map[string]bool{}
+	for _, p := range pts {
+		if _, ok := s.entries.Get(p.CacheKey()); ok {
+			held[p.CacheKey()] = true
+		}
+	}
+	return len(held)
+}
+
 // Len returns the number of stored entries.
 func (s *Store) Len() int { return s.entries.Len() }
 

@@ -65,9 +65,6 @@ type WorkerConfig struct {
 	Workers int
 	// StageTimeout arms the per-stage hung-tool watchdog (0 = off).
 	StageTimeout time.Duration
-	// Retry re-runs points that fail with a tool fault, as in
-	// campaign.Config.
-	Retry campaign.Retry
 	// KillOnRun, for tests, abortively closes the node when run request
 	// number KillOnRun (1-based) arrives — before the point computes —
 	// simulating a worker killed mid-point.
@@ -83,9 +80,8 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	cache := campaign.NewCache(0)
 	cache.SetTier(cfg.Store)
 	eng := campaign.New(campaign.Config{
-		Workers:      campaign.Workers(cfg.Workers),
+		Workers:      cfg.Workers,
 		Cache:        cache,
-		Retry:        cfg.Retry,
 		StageTimeout: cfg.StageTimeout,
 		Observer:     cfg.Observer,
 	})

@@ -13,19 +13,16 @@
 package doom
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/flow"
 	"repro/internal/mdp"
 	"repro/internal/metrics"
 	"repro/internal/route"
 )
 
-// Supervisor applies an mdp.Card between rip-up passes. It implements
-// flow.RouteSupervisor and flow.Observer, so passing one to flow.RunCfg
-// both forwards step records (to Next, if set) and supervises routing.
+// Supervisor applies an mdp.Card between rip-up passes, through the
+// per-run route.IterHook that Hook returns.
 type Supervisor struct {
 	// Card is the trained GO/STOP strategy card.
 	Card *mdp.Card
@@ -35,8 +32,6 @@ type Supervisor struct {
 	// Budget is the router iteration budget, used only for the
 	// saved-iteration counter (0 disables that counter).
 	Budget int
-	// Next receives step records forwarded by OnStep (may be nil).
-	Next flow.Observer
 
 	mu     sync.Mutex
 	streak map[string]int
@@ -53,12 +48,6 @@ func New(card *mdp.Card, k int) *Supervisor {
 		k = 2
 	}
 	return &Supervisor{Card: card, Consecutive: k, streak: map[string]int{}}
-}
-
-// RouteIter implements flow.RouteSupervisor, keying the streak by
-// (design, run seed).
-func (s *Supervisor) RouteIter(design string, runSeed int64, iter int, drvs []int) route.IterAction {
-	return s.decide(fmt.Sprintf("%s\x00%d", design, runSeed), iter, drvs)
 }
 
 // Hook returns a route.IterHook bound to one run, for callers that
@@ -97,13 +86,6 @@ func (s *Supervisor) decide(key string, iter int, drvs []int) route.IterAction {
 		metrics.Add("doom.live.saved_iters", saved)
 	}
 	return route.Stop
-}
-
-// OnStep implements flow.Observer by forwarding to Next.
-func (s *Supervisor) OnStep(rec flow.StepRecord) {
-	if s.Next != nil {
-		s.Next.OnStep(rec)
-	}
 }
 
 // Stats reports the supervisor's lifetime counters: card consultations,

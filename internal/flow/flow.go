@@ -10,9 +10,9 @@
 package flow
 
 import (
-	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/cts"
@@ -96,17 +96,12 @@ type Result struct {
 	// from a journal or fetched from a remote store — see Summary.
 	Netlist *netlist.Netlist
 
-	// Stopped is set when a live doomed-run supervisor STOPped the run
-	// mid-route: the fields up to and including Route are valid, the
-	// signoff fields are zero, and the license the run held was
-	// released RouteIters-Route.IterationsRun iterations early.
-	Stopped bool
 	// Aborted is set when the run was killed by context cancellation or
-	// an injected fault; the per-step fields populated before the abort
+	// the stage watchdog; the per-step fields populated before the abort
 	// point remain valid.
 	Aborted bool
-	// FailedStage names the stage a fault or cancellation hit (empty
-	// for completed and STOPped runs).
+	// FailedStage names the stage a reap or cancellation hit (empty for
+	// completed runs).
 	FailedStage string
 }
 
@@ -155,15 +150,6 @@ type ObserverFunc func(rec StepRecord)
 // OnStep calls f(rec).
 func (f ObserverFunc) OnStep(rec StepRecord) { f(rec) }
 
-// RouteSupervisor is the live doomed-run hook: an Observer that also
-// implements it is consulted between detailed-routing rip-up passes and
-// can STOP the run while it holds its license (the paper's Fig. 9/10
-// MDP card acting in real time instead of grading finished logfiles).
-// The internal/doom package provides the mdp.Card-backed implementation.
-type RouteSupervisor interface {
-	RouteIter(design string, runSeed int64, iter int, drvs []int) route.IterAction
-}
-
 // subSeed derives a decorrelated per-step seed (splitmix64 step).
 func subSeed(seed int64, step uint64) int64 { return num.Mix(seed, step-1) }
 
@@ -180,66 +166,50 @@ func RunObserved(design *netlist.Netlist, opts Options, obs Observer) *Result {
 }
 
 // RunConfig bundles the run-level machinery around a flow execution:
-// observation, fault injection, the retry attempt number, and the
-// hung-stage watchdog.
+// observation and the hung-stage watchdog.
 type RunConfig struct {
-	Observer Observer       // step events; may be nil
-	Faults   *FaultInjector // deterministic fault schedule; may be nil
-	Attempt  int            // retry attempt; fresh fault coins per attempt
+	Observer Observer // step events; may be nil
 
 	// StageTimeout arms a per-stage watchdog: a stage that has not
 	// completed within this deadline is reaped — its context is
-	// cancelled, its goroutine abandoned, and the run aborts with a
-	// *FaultError of kind FaultHang, exactly as a flow manager kills a
+	// cancelled, its goroutine abandoned, and the run aborts with an
+	// error wrapping sched.ErrHung, exactly as a flow manager kills a
 	// wedged tool process to get its license back. Zero disables the
 	// watchdog and stages run inline on the caller's goroutine.
 	StageTimeout time.Duration
 }
 
 // endStageSpan closes a stage span with the outcome the stage's error
-// implies: nil = ok, a watchdog/hang fault = hung, any other injected
-// fault = failed, context death = aborted.
+// implies: nil = ok, a watchdog reap = hung, context death = aborted.
 func endStageSpan(sp *trace.Span, err error) {
-	var fe *FaultError
-	switch {
-	case !errors.As(err, &fe):
-		sp.EndErr(err)
-	case fe.Kind == FaultHang:
-		sp.Set("fault", fe.Kind)
+	if errors.Is(err, sched.ErrHung) {
 		sp.EndWith(trace.Hung)
-	default:
-		sp.Set("fault", fe.Kind)
-		sp.EndWith(trace.Failed)
+		return
 	}
+	sp.EndErr(err)
 }
 
 // RunCfg executes the full flow under ctx with the given run machinery:
 // one pass over the stage table (stages.go). Each stage runs in three
-// steps: a boundary gate (context check plus injected crash/license
-// faults), the stage's compute under the watchdog (see
-// RunConfig.StageTimeout), and its commit, which publishes the stage's
-// artifact into the Result and emits its step record. The commit runs on
-// the caller's goroutine only after the compute is known to have
-// finished, so a reaped stage can never race with the caller: an
-// abandoned compute writes only the run's artifact set, which nobody
-// reads after the abort.
+// steps: a boundary gate (a context check), the stage's compute under
+// the watchdog (see RunConfig.StageTimeout), and its commit, which
+// publishes the stage's artifact into the Result and emits its step
+// record. The commit runs on the caller's goroutine only after the
+// compute is known to have finished, so a reaped stage can never race
+// with the caller: an abandoned compute writes only the run's artifact
+// set, which nobody reads after the abort.
 //
 // Cancellation is checked at every stage boundary, between annealing
 // move blocks and between detailed-routing rip-up passes, so a campaign
 // teardown reclaims the run's license within one iteration instead of
 // after the full run: the partial Result has Aborted set, holds the
 // stages committed before the one cancellation hit (a stage cut short is
-// never committed), and ctx.Err() is returned. rc.Faults (which may be nil) is consulted at the same
-// boundaries with the run seed, the stage about to execute and
-// rc.Attempt; an injected crash or license drop aborts the run with a
-// *FaultError, and the campaign engine's retry loop increments Attempt so
-// a re-run draws fresh fault coins. If rc.Observer implements
-// RouteSupervisor, its verdicts can STOP the run mid-route; a STOPped run
-// returns (res, nil) with res.Stopped set and no signoff fields.
+// never committed), and ctx.Err() is returned. A watchdog reap ends the
+// run the same way, with an error wrapping sched.ErrHung.
 //
 // When tracing is armed (trace.Enable) the run emits a "flow.run" span
 // with one "flow.<stage>" child per stage, each carrying the stage
-// outcome (ok / hung / failed / aborted) — the per-stage latency
+// outcome (ok / hung / aborted) — the per-stage latency
 // histograms and the flow layer of the Chrome trace both come from
 // here.
 func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunConfig) (res *Result, err error) {
@@ -247,15 +217,9 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 	ctx, runSpan := trace.Start(ctx, "flow.run")
 	runSpan.Set("design", design.Name)
 	runSpan.SetInt("seed", opts.Seed)
-	runSpan.SetInt("attempt", int64(rc.Attempt))
 	res = &Result{Options: opts}
 	a := &artifacts{opts: opts, n: design}
 	obs := rc.Observer
-	if sup, ok := obs.(RouteSupervisor); ok {
-		a.hook = func(iter int, drvs []int) route.IterAction {
-			return sup.RouteIter(design.Name, opts.Seed, iter, drvs)
-		}
-	}
 	defer func() {
 		// The returned netlist must be value-identical to its serialized
 		// round-trip (campaign journals replay results and compare them
@@ -264,22 +228,17 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 		if res.Netlist != nil {
 			res.Netlist.InvalidatePlacement()
 		}
-		switch {
-		case err == nil && res.Stopped:
-			runSpan.EndWith(trace.Stopped)
-		case err != nil && res.FailedStage != "":
+		if res.FailedStage != "" {
 			runSpan.Set("failed_stage", res.FailedStage)
-			fallthrough
-		default:
-			endStageSpan(runSpan, err)
 		}
+		endStageSpan(runSpan, err)
 	}()
 
 	for i := range stages {
 		st := &stages[i]
-		// The gate: a dead context or an injected fault kills the run at
-		// the boundary, where a real flow manager would reap the tool
-		// process and release its license.
+		// The gate: a dead context kills the run at the boundary, where a
+		// real flow manager would reap the tool process and release its
+		// license.
 		stageCtx, ssp := trace.Start(ctx, "flow."+st.name)
 		fail := func(err error) (*Result, error) {
 			res.Aborted = true
@@ -287,29 +246,23 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 			endStageSpan(ssp, err)
 			return res, err
 		}
-		if err := cmp.Or(ctx.Err(), rc.Faults.Check(opts.Seed, st.name, rc.Attempt)); err != nil {
+		if err := ctx.Err(); err != nil {
 			return fail(err)
 		}
 		// The compute runs under the span-carrying context so work it
 		// spawns (detailed-route iterations) nests under the stage span.
 		gerr := sched.Guard(stageCtx, rc.StageTimeout, func(sctx context.Context) {
-			// A wedged "tool" that died with its context never computes.
-			if rc.Faults.Hang(sctx, opts.Seed, st.name, rc.Attempt) {
-				st.compute(sctx, a)
-			}
+			st.compute(sctx, a)
 		})
 		if gerr != nil {
-			// Watchdog reap: the stage missed its deadline. Surface it as
-			// a fault so the campaign retry path treats a hung tool like a
-			// crashed one (the retry draws a fresh hang coin).
+			// Watchdog reap: the stage missed its deadline.
 			ssp.Set("watchdog", "reaped")
-			return fail(&FaultError{Stage: st.name, Kind: FaultHang})
+			return fail(fmt.Errorf("flow: stage %s: %w", st.name, gerr))
 		}
 		// Guard cancels sctx only after it returns, so with a nil gerr a
-		// dead sctx means a dead run: its cancellation released an
-		// injected wedge or cut the stage short (an anneal polls it, the
-		// router checks it between rip-up passes). A stage the run's
-		// context cut short is never committed.
+		// dead sctx means a dead run: its cancellation cut the stage short
+		// (an anneal polls it, the router checks it between rip-up
+		// passes). A stage the run's context cut short is never committed.
 		if err := ctx.Err(); err != nil {
 			return fail(err)
 		}
@@ -321,21 +274,10 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 			})
 		}
 		ssp.End()
-
-		// Live STOP: the run is terminated here, exactly as the paper's
-		// policy kills the tool to reclaim its license. Headline fields
-		// that exist are filled; signoff never happens.
-		if i == stDroute && a.dr.StopIter > 0 {
-			res.Stopped = true
-			break
-		}
 	}
 
 	res.AreaUm2 = a.n.Area() + res.CTS.AreaUm2
 	res.PowerNW = a.n.Leakage() + res.CTS.PowerNW
-	if res.Stopped {
-		return res, nil
-	}
 	res.WNSPs = res.Sign.WNSPs
 	res.MaxFreqGHz = res.Sign.MaxFreqGHz
 	res.TimingMet = res.Sign.WNSPs >= 0

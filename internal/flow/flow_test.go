@@ -2,12 +2,10 @@ package flow
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"repro/internal/cellib"
 	"repro/internal/netlist"
-	"repro/internal/route"
 )
 
 func tiny(seed int64) *netlist.Netlist {
@@ -172,103 +170,5 @@ func TestRunCtxMatchesRun(t *testing.T) {
 	if plain.AreaUm2 != ctxRes.AreaUm2 || plain.WNSPs != ctxRes.WNSPs ||
 		plain.Route.Final != ctxRes.Route.Final || plain.RuntimeProxy != ctxRes.RuntimeProxy {
 		t.Fatal("RunCfg diverged from Run on an uncancelled background context")
-	}
-}
-
-// stopAtSupervisor is a RouteSupervisor that STOPs every run at a fixed
-// iteration.
-type stopAtSupervisor struct {
-	at   int
-	seen []string
-}
-
-func (s *stopAtSupervisor) OnStep(rec StepRecord) { s.seen = append(s.seen, rec.Step) }
-func (s *stopAtSupervisor) RouteIter(design string, runSeed int64, iter int, drvs []int) route.IterAction {
-	if iter >= s.at {
-		return route.Stop
-	}
-	return route.Continue
-}
-
-func TestRunCtxLiveStopEndsFlow(t *testing.T) {
-	d := tiny(12)
-	opts := Options{TargetFreqGHz: 0.4, Seed: 9}
-	full := Run(d, opts)
-	sup := &stopAtSupervisor{at: 4}
-	res, err := RunCfg(context.Background(), d, opts, RunConfig{Observer: sup})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stopped || res.Aborted {
-		t.Fatalf("stopped=%t aborted=%t, want clean live STOP", res.Stopped, res.Aborted)
-	}
-	if res.Route.StopIter != 4 || res.Route.IterationsRun != 4 {
-		t.Fatalf("route stopped at %d after %d iterations", res.Route.StopIter, res.Route.IterationsRun)
-	}
-	if res.Sign != nil || res.Met {
-		t.Fatal("STOPped run must not sign off or be Met")
-	}
-	if res.AreaUm2 <= 0 {
-		t.Fatal("STOPped run should still report implemented area")
-	}
-	// The iterations that ran are the full run's prefix.
-	for i := range res.Route.DRVs {
-		if res.Route.DRVs[i] != full.Route.DRVs[i] {
-			t.Fatalf("supervised prefix diverged at %d", i)
-		}
-	}
-	// Observer saw everything through droute and nothing after.
-	want := []string{"synth", "place", "cts", "groute", "droute"}
-	if len(sup.seen) != len(want) {
-		t.Fatalf("observed %v, want %v", sup.seen, want)
-	}
-	if res.RuntimeProxy >= full.RuntimeProxy {
-		t.Error("live STOP should save runtime")
-	}
-}
-
-func TestFaultInjectorDeterministic(t *testing.T) {
-	inj := &FaultInjector{Seed: 3, CrashRate: 0.25, LicenseDropRate: 0.25}
-	for runSeed := int64(0); runSeed < 50; runSeed++ {
-		for attempt := 0; attempt < 3; attempt++ {
-			a := inj.Check(runSeed, "droute", attempt)
-			b := inj.Check(runSeed, "droute", attempt)
-			if (a == nil) != (b == nil) {
-				t.Fatal("fault coin not deterministic")
-			}
-			if a != nil && a.Error() != b.Error() {
-				t.Fatal("fault kind not deterministic")
-			}
-		}
-	}
-	var faults int
-	for runSeed := int64(0); runSeed < 200; runSeed++ {
-		if inj.Check(runSeed, "sta", 0) != nil {
-			faults++
-		}
-	}
-	if faults < 50 || faults > 150 {
-		t.Fatalf("50%% fault rate hit %d/200 runs", faults)
-	}
-	var nilInj *FaultInjector
-	if nilInj.Check(1, "synth", 0) != nil {
-		t.Fatal("nil injector faulted")
-	}
-}
-
-func TestRunFaultAbortsAtStageBoundary(t *testing.T) {
-	d := tiny(13)
-	// CrashRate 1: the very first boundary kills every attempt.
-	inj := &FaultInjector{Seed: 1, CrashRate: 1}
-	res, err := RunCfg(context.Background(), d, Options{TargetFreqGHz: 0.4, Seed: 2}, RunConfig{Faults: inj})
-	var fe *FaultError
-	if !errors.As(err, &fe) {
-		t.Fatalf("err = %v, want *FaultError", err)
-	}
-	if fe.Stage != "synth" || fe.Kind != FaultCrash {
-		t.Fatalf("fault %+v, want synth crash", fe)
-	}
-	if !res.Aborted || res.FailedStage != "synth" {
-		t.Fatalf("aborted=%t stage=%q", res.Aborted, res.FailedStage)
 	}
 }

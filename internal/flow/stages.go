@@ -16,7 +16,6 @@ import (
 // compute reads its upstream fields and writes only its own.
 type artifacts struct {
 	opts Options
-	hook route.IterHook // the live doomed-run supervisor, if any
 
 	n    *netlist.Netlist // synth's input, then its output, placed by place
 	syn  synth.Result
@@ -29,8 +28,7 @@ type artifacts struct {
 
 // stage is one step of the flow as data.
 type stage struct {
-	// name keys the step's fault coins, its "flow.<name>" span and
-	// StepRecord.Step.
+	// name keys the step's "flow.<name>" span and StepRecord.Step.
 	name string
 	// compute runs the step on a. It writes only its own artifact, so a
 	// stage the watchdog abandons never touches the Result. A kernel that
@@ -132,8 +130,6 @@ var stages = [...]stage{
 			}, nil
 		},
 	},
-	// The hook sees iterations as they complete; its STOP truncates the
-	// route in place.
 	stDroute: {
 		name: "droute",
 		compute: func(ctx context.Context, a *artifacts) {
@@ -141,7 +137,6 @@ var stages = [...]stage{
 				Iterations: a.opts.RouteIters,
 				Effort:     a.opts.RouteEffort,
 				Seed:       subSeed(a.opts.Seed, 5),
-				IterHook:   a.hook,
 			})
 		},
 		commit: func(res *Result, a *artifacts) (map[string]float64, []float64) {
@@ -152,15 +147,10 @@ var stages = [...]stage{
 			for i, d := range dr.DRVs {
 				series[i] = float64(d)
 			}
-			m := map[string]float64{
+			return map[string]float64{
 				"drvs":       float64(dr.Final),
 				"iterations": float64(dr.IterationsRun),
-			}
-			if dr.StopIter > 0 {
-				m["stopped_at"] = float64(dr.StopIter)
-				m["saved_iters"] = float64(dr.IterationsBudget - dr.IterationsRun)
-			}
-			return m, series
+			}, series
 		},
 	},
 	stSTA: {

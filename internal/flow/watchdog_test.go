@@ -5,24 +5,41 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/sched"
 )
 
-// TestHangReapedByWatchdog: an unbounded injected wedge (HangFor 0)
-// never computes, so the stage watchdog must reap it and surface a
-// FaultHang fault the campaign retry path can match.
+// stallSynth swaps the synth stage's compute for one that wedges until
+// its context dies or, with d > 0, until d has passed and the tool comes
+// back and computes. The stage table is package state, so tests that use
+// it must not run in parallel.
+func stallSynth(t *testing.T, d time.Duration) {
+	t.Helper()
+	orig := stages[stSynth].compute
+	t.Cleanup(func() { stages[stSynth].compute = orig })
+	stages[stSynth].compute = func(ctx context.Context, a *artifacts) {
+		if d <= 0 {
+			<-ctx.Done()
+			return
+		}
+		select {
+		case <-time.After(d):
+			orig(ctx, a)
+		case <-ctx.Done():
+		}
+	}
+}
+
+// TestHangReapedByWatchdog: a stage that never comes back is reaped by
+// the stage watchdog; the run aborts at that stage with an error the
+// campaign layer can match, and the reaped stage publishes nothing.
 func TestHangReapedByWatchdog(t *testing.T) {
-	d := tiny(1)
-	inj := &FaultInjector{Seed: 1, HangRate: 1}
-	res, err := RunCfg(context.Background(), d, Options{TargetFreqGHz: 0.4, Seed: 2}, RunConfig{
-		Faults:       inj,
+	stallSynth(t, 0)
+	res, err := RunCfg(context.Background(), tiny(1), Options{TargetFreqGHz: 0.4, Seed: 2}, RunConfig{
 		StageTimeout: 20 * time.Millisecond,
 	})
-	var fe *FaultError
-	if !errors.As(err, &fe) {
-		t.Fatalf("err = %v, want *FaultError", err)
-	}
-	if fe.Kind != FaultHang || fe.Stage != "synth" {
-		t.Fatalf("fault = %+v, want hang at synth", fe)
+	if !errors.Is(err, sched.ErrHung) {
+		t.Fatalf("err = %v, want sched.ErrHung", err)
 	}
 	if !res.Aborted || res.FailedStage != "synth" {
 		t.Fatalf("result aborted=%t failed=%q, want true, synth", res.Aborted, res.FailedStage)
@@ -32,84 +49,39 @@ func TestHangReapedByWatchdog(t *testing.T) {
 	}
 }
 
-// TestHangRecoversCleanly: a bounded wedge (the tool stalls, then comes
-// back) delays the run but must not change its outcome — with or
-// without a watchdog whose deadline outlasts the stall.
+// TestHangRecoversCleanly: a stage that stalls and then comes back
+// delays the run but must not change its outcome — with or without a
+// watchdog whose deadline outlasts the stall.
 func TestHangRecoversCleanly(t *testing.T) {
 	opts := Options{TargetFreqGHz: 0.35, Seed: 3}
 	want := Run(tiny(2), opts)
+	stallSynth(t, time.Millisecond)
 	for _, timeout := range []time.Duration{0, 10 * time.Second} {
-		inj := &FaultInjector{Seed: 1, HangRate: 1, HangFor: time.Millisecond}
-		got, err := RunCfg(context.Background(), tiny(2), opts, RunConfig{
-			Faults:       inj,
-			StageTimeout: timeout,
-		})
+		got, err := RunCfg(context.Background(), tiny(2), opts, RunConfig{StageTimeout: timeout})
 		if err != nil {
 			t.Fatalf("timeout %v: %v", timeout, err)
 		}
 		if got.AreaUm2 != want.AreaUm2 || got.WNSPs != want.WNSPs ||
 			got.MaxFreqGHz != want.MaxFreqGHz || got.Met != want.Met {
-			t.Fatalf("timeout %v: recovered-hang run differs from clean run", timeout)
+			t.Fatalf("timeout %v: stalled run differs from clean run", timeout)
 		}
 	}
 }
 
-// TestHangReleasedByRunCancel: with no watchdog, the only way out of an
-// unbounded wedge is cancelling the run itself.
+// TestHangReleasedByRunCancel: with no watchdog, the only way out of a
+// wedged stage is cancelling the run itself.
 func TestHangReleasedByRunCancel(t *testing.T) {
-	d := tiny(1)
+	stallSynth(t, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	inj := &FaultInjector{Seed: 1, HangRate: 1}
-	res, err := RunCfg(ctx, d, Options{TargetFreqGHz: 0.4, Seed: 2}, RunConfig{Faults: inj})
+	res, err := RunCfg(ctx, tiny(1), Options{TargetFreqGHz: 0.4, Seed: 2}, RunConfig{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if !res.Aborted || res.FailedStage != "synth" {
 		t.Fatalf("result aborted=%t failed=%q, want true, synth", res.Aborted, res.FailedStage)
-	}
-}
-
-// TestHangCoinDeterministicAndExclusive: the hang draw is a pure
-// function of (seed, run seed, stage, attempt), a retried attempt draws
-// a fresh coin, and the three fault kinds are mutually exclusive — a
-// (stage, attempt) that crashes never also hangs.
-func TestHangCoinDeterministicAndExclusive(t *testing.T) {
-	inj := &FaultInjector{Seed: 7, CrashRate: 0.2, LicenseDropRate: 0.2, HangRate: 0.3}
-	// A pre-cancelled context makes a drawn unbounded wedge return false
-	// immediately, exposing the raw coin without any waiting.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	hangs, boundaryFaults := 0, 0
-	for seed := int64(0); seed < 40; seed++ {
-		for attempt := 0; attempt < 4; attempt++ {
-			for _, stage := range []string{"synth", "place", "droute"} {
-				h := inj.Hang(ctx, seed, stage, attempt)
-				if h != inj.Hang(ctx, seed, stage, attempt) {
-					t.Fatalf("hang draw not deterministic at seed=%d stage=%s attempt=%d", seed, stage, attempt)
-				}
-				fault := inj.Check(seed, stage, attempt)
-				if !h && fault != nil {
-					t.Fatalf("seed=%d stage=%s attempt=%d both hangs and faults (%v)", seed, stage, attempt, fault)
-				}
-				if !h {
-					hangs++
-				}
-				if fault != nil {
-					boundaryFaults++
-				}
-			}
-		}
-	}
-	// With rates 0.2/0.2/0.3 over 480 draws both kinds must appear.
-	if hangs == 0 || boundaryFaults == 0 {
-		t.Fatalf("fault mix degenerate: %d hangs, %d boundary faults", hangs, boundaryFaults)
-	}
-	var nilInj *FaultInjector
-	if !nilInj.Hang(ctx, 1, "synth", 0) {
-		t.Fatal("nil injector must never hang")
 	}
 }

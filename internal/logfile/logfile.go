@@ -8,13 +8,9 @@
 // supplies and run seeds — yielding the same observable: noisy DRV
 // series, a mix of doomed and successful, with the paper's <200-DRV
 // success criterion.
-//
-// Runs also serialize to and parse from a plain-text logfile format,
-// exercising the wrapper-script data path of the METRICS architecture.
 package logfile
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/gob"
@@ -56,60 +52,6 @@ func FromDetail(id int, design, corpus string, res *route.DetailResult) Run {
 		Success:   res.Success,
 		StoppedAt: res.StopIter,
 	}
-}
-
-// Format renders the run as tool-log text.
-func (r Run) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# droute run=%d design=%s corpus=%s\n", r.ID, r.Design, r.Corpus)
-	for i, d := range r.DRVs {
-		fmt.Fprintf(&b, "iter %d drvs %d\n", i, d)
-	}
-	fmt.Fprintf(&b, "final drvs %d success %t\n", r.Final, r.Success)
-	return b.String()
-}
-
-// Parse reads a logfile produced by Format.
-func Parse(text string) (Run, error) {
-	var r Run
-	sc := bufio.NewScanner(strings.NewReader(text))
-	sawHeader, sawFinal := false, false
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "# droute"):
-			if _, err := fmt.Sscanf(line, "# droute run=%d design=%s", &r.ID, &r.Design); err != nil {
-				return r, fmt.Errorf("logfile: bad header %q: %w", line, err)
-			}
-			if i := strings.Index(line, "corpus="); i >= 0 {
-				r.Corpus = strings.TrimSpace(line[i+len("corpus="):])
-			}
-			// Design may have absorbed the corpus token.
-			r.Design = strings.TrimSuffix(r.Design, " ")
-			if j := strings.Index(r.Design, " corpus="); j >= 0 {
-				r.Design = r.Design[:j]
-			}
-			sawHeader = true
-		case strings.HasPrefix(line, "iter "):
-			var it, d int
-			if _, err := fmt.Sscanf(line, "iter %d drvs %d", &it, &d); err != nil {
-				return r, fmt.Errorf("logfile: bad iter line %q: %w", line, err)
-			}
-			r.DRVs = append(r.DRVs, d)
-		case strings.HasPrefix(line, "final "):
-			if _, err := fmt.Sscanf(line, "final drvs %d success %t", &r.Final, &r.Success); err != nil {
-				return r, fmt.Errorf("logfile: bad final line %q: %w", line, err)
-			}
-			sawFinal = true
-		case line == "":
-		default:
-			return r, fmt.Errorf("logfile: unrecognized line %q", line)
-		}
-	}
-	if !sawHeader || !sawFinal {
-		return r, fmt.Errorf("logfile: incomplete log (header=%t final=%t)", sawHeader, sawFinal)
-	}
-	return r, nil
 }
 
 // CorpusSpec parameterizes corpus generation.
@@ -284,7 +226,7 @@ func GenerateJournaled(spec CorpusSpec) ([]Run, error) {
 func generate(spec CorpusSpec, lookup func(key string) (Run, bool), record func(key string, r Run)) []Run {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	lib := cellib.Default14nm()
-	eng := campaign.New(campaign.Config{Workers: campaign.Workers(spec.Workers)})
+	eng := campaign.New(campaign.Config{Workers: spec.Workers})
 	ctx := context.Background()
 
 	// Pre-draw every seed in the serial loop's interleaved order: per

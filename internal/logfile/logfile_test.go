@@ -54,57 +54,6 @@ func TestCorporaDiffer(t *testing.T) {
 	}
 }
 
-func TestFormatParseRoundTrip(t *testing.T) {
-	runs := smallCorpus(t, "artificial", 5, 2)
-	for _, r := range runs {
-		text := r.Format()
-		got, err := Parse(text)
-		if err != nil {
-			t.Fatalf("parse: %v\n%s", err, text)
-		}
-		if got.ID != r.ID || got.Design != r.Design || got.Corpus != r.Corpus {
-			t.Fatalf("metadata mismatch: %+v vs %+v", got, r)
-		}
-		if got.Final != r.Final || got.Success != r.Success {
-			t.Fatalf("outcome mismatch: %+v vs %+v", got, r)
-		}
-		if len(got.DRVs) != len(r.DRVs) {
-			t.Fatalf("series length %d vs %d", len(got.DRVs), len(r.DRVs))
-		}
-		for i := range got.DRVs {
-			if got.DRVs[i] != r.DRVs[i] {
-				t.Fatalf("series[%d] = %d, want %d", i, got.DRVs[i], r.DRVs[i])
-			}
-		}
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":     "",
-		"no final":  "# droute run=1 design=d corpus=c\niter 0 drvs 5\n",
-		"bad iter":  "# droute run=1 design=d corpus=c\niter x drvs 5\nfinal drvs 5 success true\n",
-		"bad final": "# droute run=1 design=d corpus=c\nfinal drvs x success maybe\n",
-		"garbage":   "# droute run=1 design=d corpus=c\nhello world\nfinal drvs 1 success true\n",
-	}
-	for name, text := range cases {
-		if _, err := Parse(text); err == nil {
-			t.Errorf("%s: expected parse error", name)
-		}
-	}
-}
-
-func TestParseToleratesBlankLines(t *testing.T) {
-	text := "# droute run=3 design=foo corpus=bar\n\niter 0 drvs 100\n\nfinal drvs 100 success true\n"
-	r, err := Parse(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ID != 3 || r.Design != "foo" || r.Corpus != "bar" {
-		t.Fatalf("parsed %+v", r)
-	}
-}
-
 func TestSummarizeEmpty(t *testing.T) {
 	s := Summarize(nil)
 	if s.Runs != 0 || s.AvgFinal != 0 {

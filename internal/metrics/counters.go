@@ -23,7 +23,7 @@ import (
 // concurrent use; counter increments are a single atomic add.
 //
 // Naming scheme: `subsystem.noun.verb` (or `subsystem.noun.noun` for
-// gauges) — e.g. campaign.cache.hit, campaign.point.retried,
+// gauges) — e.g. campaign.cache.hit, campaign.point.failed,
 // journal.append.ok, sched.queue.depth — so WritePrefix("campaign.")
 // captures everything campaign-related and dashboards group by the
 // first two segments. New counters must follow it.

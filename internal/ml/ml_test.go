@@ -49,9 +49,6 @@ func TestGaussianFitAndCDF(t *testing.T) {
 	if c := g.CDF(g.Mu); math.Abs(c-0.5) > 1e-12 {
 		t.Errorf("CDF(mu) = %v", c)
 	}
-	if p := g.PDF(g.Mu); p <= g.PDF(g.Mu+3*g.Sigma) {
-		t.Error("PDF should peak at mu")
-	}
 }
 
 func TestJarqueBera(t *testing.T) {
@@ -177,7 +174,7 @@ func TestRidgeHandlesCollinear(t *testing.T) {
 	if err != nil {
 		t.Fatalf("collinear fallback failed: %v", err)
 	}
-	if RMSE(m.PredictAll(x), y) > 1 {
+	if MAE(m.PredictAll(x), y) > 1 {
 		t.Error("collinear fit useless")
 	}
 }
@@ -188,20 +185,6 @@ func TestFitErrors(t *testing.T) {
 	}
 	if _, err := FitLinear([][]float64{{1}, {1, 2}}, []float64{1, 2}); err == nil {
 		t.Error("ragged fit should error")
-	}
-}
-
-func TestPolyFeatures(t *testing.T) {
-	out := PolyFeatures([][]float64{{2, 3}})
-	// [2 3 4 6 9]
-	want := []float64{2, 3, 4, 6, 9}
-	if len(out[0]) != len(want) {
-		t.Fatalf("got %v", out[0])
-	}
-	for i := range want {
-		if out[0][i] != want[i] {
-			t.Fatalf("got %v, want %v", out[0], want)
-		}
 	}
 }
 
@@ -222,55 +205,6 @@ func TestScaler(t *testing.T) {
 	c := FitScaler([][]float64{{5}, {5}})
 	if got := c.Transform([][]float64{{5}})[0][0]; got != 0 {
 		t.Errorf("constant col transform = %v", got)
-	}
-}
-
-func TestKNN(t *testing.T) {
-	x := [][]float64{{0}, {1}, {2}, {10}, {11}, {12}}
-	y := []float64{0, 0, 0, 1, 1, 1}
-	m := FitKNN(x, y, 3)
-	if p := m.Predict([]float64{1}); p != 0 {
-		t.Errorf("predict near cluster 0 = %v", p)
-	}
-	if p := m.Predict([]float64{11}); p != 1 {
-		t.Errorf("predict near cluster 1 = %v", p)
-	}
-	if p := FitKNN(x, y, 100).Predict([]float64{5}); math.Abs(p-0.5) > 1e-9 {
-		t.Errorf("k>n should average all: %v", p)
-	}
-}
-
-func TestTreeSeparatesClasses(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var x [][]float64
-	var y []int
-	for i := 0; i < 400; i++ {
-		a, b := rng.Float64(), rng.Float64()
-		cls := 0
-		if a > 0.5 && b > 0.3 {
-			cls = 1
-		}
-		x = append(x, []float64{a, b})
-		y = append(y, cls)
-	}
-	tree := FitTree(x, y, 4, 2)
-	if acc := tree.Accuracy(x, y); acc < 0.95 {
-		t.Errorf("train accuracy %v", acc)
-	}
-	if tree.Depth() < 1 {
-		t.Error("tree did not split")
-	}
-}
-
-func TestTreePureLeaf(t *testing.T) {
-	x := [][]float64{{1}, {2}, {3}}
-	y := []int{7, 7, 7}
-	tree := FitTree(x, y, 4, 1)
-	if tree.Depth() != 0 {
-		t.Error("pure data should be a single leaf")
-	}
-	if tree.Predict([]float64{99}) != 7 {
-		t.Error("leaf class wrong")
 	}
 }
 
@@ -302,9 +236,6 @@ func TestErrorMetrics(t *testing.T) {
 	truth := []float64{1, 2, 4}
 	if m := MAE(pred, truth); math.Abs(m-1.0/3) > 1e-12 {
 		t.Errorf("MAE = %v", m)
-	}
-	if r := RMSE(pred, truth); math.Abs(r-math.Sqrt(1.0/3)) > 1e-12 {
-		t.Errorf("RMSE = %v", r)
 	}
 	if r2 := R2(truth, truth); r2 != 1 {
 		t.Errorf("perfect R2 = %v", r2)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Ridge is a linear model fit with L2 regularization (lambda = 0 gives
@@ -83,22 +82,6 @@ func (r *Ridge) PredictAll(x [][]float64) []float64 {
 	return out
 }
 
-// PolyFeatures expands each sample with pairwise products and squares
-// (degree-2 polynomial basis, no bias term).
-func PolyFeatures(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	for s, row := range x {
-		ext := append([]float64(nil), row...)
-		for i := 0; i < len(row); i++ {
-			for j := i; j < len(row); j++ {
-				ext = append(ext, row[i]*row[j])
-			}
-		}
-		out[s] = ext
-	}
-	return out
-}
-
 // Scaler standardizes features to zero mean, unit variance.
 type Scaler struct {
 	Mu, Sigma []float64
@@ -142,53 +125,6 @@ func (s *Scaler) Transform(x [][]float64) [][]float64 {
 	return out
 }
 
-// KNN is a k-nearest-neighbour regressor with Euclidean distance.
-type KNN struct {
-	K int
-	X [][]float64
-	Y []float64
-}
-
-// FitKNN stores the training set.
-func FitKNN(x [][]float64, y []float64, k int) *KNN {
-	if k < 1 {
-		k = 1
-	}
-	return &KNN{K: k, X: x, Y: y}
-}
-
-// Predict averages the k nearest training targets.
-func (m *KNN) Predict(sample []float64) float64 {
-	type nd struct {
-		d float64
-		y float64
-	}
-	ds := make([]nd, len(m.X))
-	for i, row := range m.X {
-		var d float64
-		for j := range row {
-			if j < len(sample) {
-				diff := row[j] - sample[j]
-				d += diff * diff
-			}
-		}
-		ds[i] = nd{d: d, y: m.Y[i]}
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].d < ds[j].d })
-	k := m.K
-	if k > len(ds) {
-		k = len(ds)
-	}
-	if k == 0 {
-		return 0
-	}
-	var s float64
-	for i := 0; i < k; i++ {
-		s += ds[i].y
-	}
-	return s / float64(k)
-}
-
 // Errors
 
 // MAE returns the mean absolute error.
@@ -201,19 +137,6 @@ func MAE(pred, truth []float64) float64 {
 		s += math.Abs(pred[i] - truth[i])
 	}
 	return s / float64(len(pred))
-}
-
-// RMSE returns the root-mean-square error.
-func RMSE(pred, truth []float64) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range pred {
-		d := pred[i] - truth[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred)))
 }
 
 // R2 returns the coefficient of determination.

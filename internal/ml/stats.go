@@ -1,7 +1,7 @@
 // Package ml is a small, dependency-free machine-learning toolkit: linear
-// and ridge regression, k-nearest-neighbour regression, a CART decision
-// tree, feature scaling, and the distribution statistics (Gaussian fit,
-// Jarque-Bera normality test) used by the implementation-noise study.
+// and ridge regression, feature scaling, and the distribution statistics
+// (Gaussian fit, Jarque-Bera normality test) used by the
+// implementation-noise study.
 //
 // The paper's central theme is that "machine learning techniques must
 // pervade EDA tools"; this package is the reproduction's shared model
@@ -118,15 +118,6 @@ type Gaussian struct {
 // FitGaussian estimates a normal distribution from samples.
 func FitGaussian(xs []float64) Gaussian {
 	return Gaussian{Mu: Mean(xs), Sigma: StdDev(xs)}
-}
-
-// PDF evaluates the normal density.
-func (g Gaussian) PDF(x float64) float64 {
-	if g.Sigma <= 0 {
-		return 0
-	}
-	z := (x - g.Mu) / g.Sigma
-	return math.Exp(-0.5*z*z) / (g.Sigma * math.Sqrt(2*math.Pi))
 }
 
 // CDF evaluates the normal cumulative distribution.

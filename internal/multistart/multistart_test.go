@@ -197,16 +197,6 @@ func TestPlacementCombineSingleElite(t *testing.T) {
 	}
 }
 
-func TestPlacementApply(t *testing.T) {
-	p, n := placementProblem(4)
-	rng := rand.New(rand.NewSource(4))
-	s := p.RandomStart(rng)
-	p.Apply(s)
-	if got := p.Cost(s); math.Abs(got-n.TotalHPWL()) > 1e-6 {
-		t.Errorf("applied cost %v != netlist HPWL %v", got, n.TotalHPWL())
-	}
-}
-
 func TestPlacementAdaptiveRuns(t *testing.T) {
 	p, _ := placementProblem(5)
 	res := Adaptive(p, Config{Starts: 6, LocalSteps: 800, Seed: 1})

@@ -174,13 +174,3 @@ func (p *PlacementProblem) Combine(elite []any, rng *rand.Rand) any {
 	}
 	return base
 }
-
-// Apply writes a permutation's coordinates back to the netlist.
-func (p *PlacementProblem) Apply(s any) {
-	perm := s.(Perm)
-	for cell, slot := range perm {
-		p.n.Insts[cell].X = p.slotsX[slot]
-		p.n.Insts[cell].Y = p.slotsY[slot]
-	}
-	p.n.InvalidatePlacement()
-}

@@ -82,32 +82,6 @@ func (np NetPins) Of(netID int) []int32 {
 	return np.Inst[np.Off[netID]:np.Off[netID+1]]
 }
 
-// BuildNetPins constructs the net -> pin-instances CSR index.
-func (n *Netlist) BuildNetPins() NetPins {
-	np := NetPins{Off: make([]int32, len(n.Nets)+1)}
-	for i := range n.Nets {
-		cnt := len(n.Nets[i].Sinks)
-		if n.Nets[i].Driver >= 0 {
-			cnt++
-		}
-		np.Off[i+1] = np.Off[i] + int32(cnt)
-	}
-	np.Inst = make([]int32, np.Off[len(n.Nets)])
-	pos := 0
-	for i := range n.Nets {
-		net := &n.Nets[i]
-		if net.Driver >= 0 {
-			np.Inst[pos] = int32(net.Driver)
-			pos++
-		}
-		for _, s := range net.Sinks {
-			np.Inst[pos] = int32(s.Inst)
-			pos++
-		}
-	}
-	return np
-}
-
 // PlacedExtent returns the maximum instance X and Y of the current
 // placement, caching the scan until InvalidatePlacement is called (or
 // the instance count changes). The global router used to rescan every

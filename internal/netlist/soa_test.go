@@ -56,30 +56,6 @@ func TestBuildIncidenceMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestBuildNetPinsMatchesHPWLOrder(t *testing.T) {
-	n := Generate(cellib.Default14nm(), Tiny(4))
-	np := n.BuildNetPins()
-	for i := range n.Nets {
-		net := &n.Nets[i]
-		var want []int32
-		if net.Driver >= 0 {
-			want = append(want, int32(net.Driver))
-		}
-		for _, s := range net.Sinks {
-			want = append(want, int32(s.Inst))
-		}
-		got := np.Of(i)
-		if len(got) != len(want) {
-			t.Fatalf("net %d: %d pins, want %d", i, len(got), len(want))
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("net %d pin %d: %d, want %d", i, k, got[k], want[k])
-			}
-		}
-	}
-}
-
 func scanExtent(n *Netlist) (x, y float64) {
 	for i := range n.Insts {
 		if n.Insts[i].X > x {

@@ -134,18 +134,13 @@ type CampaignConfig struct {
 	Cache   *campaign.Cache
 }
 
-// Campaign runs the flow across designs, option variants and seeds and
-// returns the samples for rope evaluation.
-func Campaign(designs []*netlist.Netlist, variants []flow.Options, seedsPer int) []Sample {
-	return CampaignWith(designs, variants, seedsPer, CampaignConfig{})
-}
-
-// CampaignWith is Campaign with execution knobs: the (design x variant x
-// seed) grid fans out over the campaign engine. Per-sample seeds are a
+// CampaignWith runs the flow across designs, option variants and seeds and
+// returns the samples for rope evaluation: the (design x variant x seed)
+// grid fans out over the campaign engine. Per-sample seeds are a
 // pure function of grid position — the serial loop's formula — so the
 // samples are bit-identical at any worker count.
 func CampaignWith(designs []*netlist.Netlist, variants []flow.Options, seedsPer int, cfg CampaignConfig) []Sample {
-	eng := campaign.New(campaign.Config{Workers: campaign.Workers(cfg.Workers), Cache: cfg.Cache})
+	eng := campaign.New(campaign.Config{Workers: cfg.Workers, Cache: cfg.Cache})
 	var pts []campaign.Point
 	var stats []netlist.Stats // parallel to pts
 	for _, d := range designs {

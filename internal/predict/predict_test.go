@@ -21,7 +21,7 @@ func testCampaign(t testing.TB) []Sample {
 		{TargetFreqGHz: 0.8, Seed: 2},
 		{TargetFreqGHz: 2.0, Seed: 3},
 	}
-	return Campaign(designs, variants, 3)
+	return CampaignWith(designs, variants, 3, CampaignConfig{})
 }
 
 func TestCampaignSize(t *testing.T) {

@@ -37,12 +37,6 @@ func NewPool(n int) *Pool {
 // Licenses returns the pool size.
 func (p *Pool) Licenses() int { return p.licenses }
 
-// Run executes the tasks with at most Licenses() of them in flight at a
-// time, blocking until all complete.
-func (p *Pool) Run(tasks []func()) {
-	p.RunCtx(context.Background(), tasks) //nolint:errcheck // background ctx never cancels
-}
-
 // RunCtx executes the tasks under the license limit, blocking until all
 // complete or ctx is cancelled. All tasks are spawned immediately and
 // acquire a license from inside their goroutine, so task launch is never

@@ -14,7 +14,7 @@ func TestPoolRunsAllTasks(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = func() { atomic.AddInt64(&count, 1) }
 	}
-	p.Run(tasks)
+	p.RunCtx(context.Background(), tasks)
 	if count != 20 {
 		t.Fatalf("ran %d tasks", count)
 	}
@@ -41,7 +41,7 @@ func TestPoolEnforcesLimit(t *testing.T) {
 			atomic.AddInt64(&active, -1)
 		}
 	}
-	p.Run(tasks)
+	p.RunCtx(context.Background(), tasks)
 	if violations > 0 {
 		t.Fatalf("%d concurrency violations", violations)
 	}
@@ -60,7 +60,7 @@ func TestPoolClampsToOne(t *testing.T) {
 		t.Fatalf("licenses %d", p.Licenses())
 	}
 	done := false
-	p.Run([]func(){func() { done = true }})
+	p.RunCtx(context.Background(), []func(){func() { done = true }})
 	if !done {
 		t.Fatal("task not run")
 	}
@@ -78,7 +78,7 @@ func TestMapCollectsInOrder(t *testing.T) {
 
 func TestEmptyRun(t *testing.T) {
 	p := NewPool(2)
-	p.Run(nil)
+	p.RunCtx(context.Background(), nil)
 	if _, total, _ := p.Stats(); total != 0 {
 		t.Fatal("phantom tasks")
 	}
@@ -95,7 +95,7 @@ func TestAdmissionNotSerialized(t *testing.T) {
 	tasks := []func(){block, block, block}
 	done := make(chan struct{})
 	go func() {
-		p.Run(tasks)
+		p.RunCtx(context.Background(), tasks)
 		close(done)
 	}()
 	// Whichever task holds the only license blocks on release, so the

@@ -3,14 +3,14 @@ package sta
 // Incremental timing: the "signoff timer in the optimization loop" of
 // the paper's ref [24] is only affordable when a resize does not pay for
 // a full-graph propagation. This engine holds the arrival/slew/depth
-// state of one full analysis and, on a change notification (Resize,
-// MoveNet, SetDerate), re-propagates only the affected downstream cone
-// using a level-bucketed worklist with an epsilon-stable early cutoff:
-// propagation stops at any net whose recomputed state is unchanged.
-// Endpoint slacks, WNS/TNS and the critical path are maintained through
-// a slack-indexed lazy min-heap instead of full endpoint rebuilds, and a
-// Checkpoint/Rollback pair makes speculative moves (try-downsize-then-
-// revert, annealing rejects) O(touched cone) instead of O(graph).
+// state of one full analysis and, on a resize notification, re-propagates
+// only the affected downstream cone using a level-bucketed worklist with
+// an epsilon-stable early cutoff: propagation stops at any net whose
+// recomputed state is unchanged. Endpoint slacks, WNS/TNS and the
+// critical path are maintained through a slack-indexed lazy min-heap
+// instead of full endpoint rebuilds, and a Checkpoint/Rollback pair
+// makes speculative moves (try-downsize-then-revert, annealing rejects)
+// O(touched cone) instead of O(graph).
 //
 // With the default Epsilon of 0 the engine is exact: every query result
 // is bit-identical to a fresh Analyze of the mutated netlist, because
@@ -113,27 +113,21 @@ type Incremental struct {
 
 	// Checkpoint journal (single outstanding checkpoint). Journaling is
 	// first-touch: each net/endpoint is saved at most once per epoch.
-	cpActive      bool
-	epoch         int
-	netStamp      []int
-	epStamp       []int
-	journalNet    []netUndo
-	journalEp     []epUndo
-	journalDerate []derateUndo
-	cpTNS         float64
-	cpTNSComp     float64
-	cpViol        int
-}
-
-type derateUndo struct {
-	inst int
-	old  float64
+	cpActive   bool
+	epoch      int
+	netStamp   []int
+	epStamp    []int
+	journalNet []netUndo
+	journalEp  []epUndo
+	cpTNS      float64
+	cpTNSComp  float64
+	cpViol     int
 }
 
 // NewIncremental builds the engine with one full propagation. The
-// netlist is captured by reference: the caller mutates it (cell sizes,
-// placement) and notifies the engine. The config's ClockSkew/InstDerate
-// slices are copied; later derate changes must go through SetDerate.
+// netlist is captured by reference: the caller resizes its cells and
+// notifies the engine. The config's ClockSkew/InstDerate
+// slices are copied.
 func NewIncremental(n *netlist.Netlist, cfg Config) *Incremental {
 	cfg.ClockSkew = append([]float64(nil), cfg.ClockSkew...)
 	cfg.InstDerate = append([]float64(nil), cfg.InstDerate...)
@@ -219,54 +213,6 @@ func (inc *Incremental) Resize(id int) {
 		}
 		if idx := inc.epOfInst[id]; idx >= 0 {
 			inc.refreshEndpoint(idx) // setup time changed
-		}
-	} else {
-		inc.markDirty(id)
-	}
-	inc.flush()
-}
-
-// MoveNet must be called after the placement geometry of a net changes
-// (any endpoint instance moved): its wire delay and wire load are
-// recomputed and the downstream cone updated.
-func (inc *Incremental) MoveNet(netID int) {
-	inc.updates++
-	inc.touchNet(netID)
-	inc.flush()
-}
-
-// MoveInst must be called after Insts[id] moved: every incident net's
-// geometry changed.
-func (inc *Incremental) MoveInst(id int) {
-	inc.updates++
-	for _, f := range inc.n.FaninNet[id] {
-		if f >= 0 {
-			inc.touchNet(f)
-		}
-	}
-	if out := inc.n.FanoutNet[id]; out >= 0 {
-		inc.touchNet(out)
-	}
-	inc.flush()
-}
-
-// SetDerate changes the per-instance delay multiplier (<=0 resets to 1)
-// and re-propagates the instance's cone.
-func (inc *Incremental) SetDerate(id int, mult float64) {
-	inc.updates++
-	if inc.cfg.InstDerate == nil {
-		inc.cfg.InstDerate = make([]float64, len(inc.n.Insts))
-	}
-	for len(inc.cfg.InstDerate) <= id {
-		inc.cfg.InstDerate = append(inc.cfg.InstDerate, 0)
-	}
-	if inc.cpActive {
-		inc.journalDerate = append(inc.journalDerate, derateUndo{inst: id, old: inc.cfg.InstDerate[id]})
-	}
-	inc.cfg.InstDerate[id] = mult
-	if inc.n.Insts[id].Cell.Class.Sequential() {
-		if q := inc.n.FanoutNet[id]; q >= 0 {
-			inc.refreshSource(q)
 		}
 	} else {
 		inc.markDirty(id)
@@ -478,7 +424,6 @@ func (inc *Incremental) Checkpoint() {
 	inc.cpTNS, inc.cpTNSComp, inc.cpViol = inc.tns, inc.tnsComp, inc.violations
 	inc.journalNet = inc.journalNet[:0]
 	inc.journalEp = inc.journalEp[:0]
-	inc.journalDerate = inc.journalDerate[:0]
 }
 
 // Commit accepts the speculative region, discarding the journal.
@@ -505,14 +450,9 @@ func (inc *Incremental) Rollback() {
 		inc.endpoints[u.idx] = u.old
 		inc.pushSlack(u.idx, u.old.SlackPs)
 	}
-	for i := len(inc.journalDerate) - 1; i >= 0; i-- {
-		u := inc.journalDerate[i]
-		inc.cfg.InstDerate[u.inst] = u.old
-	}
 	inc.tns, inc.tnsComp, inc.violations = inc.cpTNS, inc.cpTNSComp, inc.cpViol
 	inc.journalNet = inc.journalNet[:0]
 	inc.journalEp = inc.journalEp[:0]
-	inc.journalDerate = inc.journalDerate[:0]
 	inc.cpActive = false
 }
 

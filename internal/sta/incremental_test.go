@@ -58,13 +58,11 @@ func requireMatch(t *testing.T, tag string, step int, n *netlist.Netlist, cfg Co
 	}
 }
 
-// mutator applies one randomized netlist/timing mutation, keeping the
-// oracle Config's derate slice in sync with the engine.
+// mutator applies one randomized netlist/timing mutation.
 type mutator struct {
-	n       *netlist.Netlist
-	inc     *Incremental
-	rng     *rand.Rand
-	derates []float64
+	n   *netlist.Netlist
+	inc *Incremental
+	rng *rand.Rand
 }
 
 func (m *mutator) resize(id int) bool {
@@ -91,42 +89,31 @@ func (m *mutator) resize(id int) bool {
 }
 
 func (m *mutator) step() {
-	switch r := m.rng.Float64(); {
-	case r < 0.55:
+	if m.rng.Float64() < 0.80 {
 		m.resize(m.rng.Intn(len(m.n.Insts)))
-	case r < 0.70:
-		id := m.rng.Intn(len(m.n.Insts))
-		m.n.Insts[id].X += (m.rng.Float64() - 0.5) * 8
-		m.n.Insts[id].Y += (m.rng.Float64() - 0.5) * 8
-		m.inc.MoveInst(id)
-	case r < 0.80:
-		id := m.rng.Intn(len(m.n.Insts))
-		v := 0.9 + 0.3*m.rng.Float64()
-		m.derates[id] = v
-		m.inc.SetDerate(id, v)
-	default:
-		// Speculative probe: a burst of resizes under a checkpoint,
-		// then roll everything back (engine state via Rollback, the
-		// netlist by the caller, mirroring Recover's reject path).
-		type undo struct {
-			id   int
-			cell cellib.Cell
-		}
-		var undos []undo
-		m.inc.Checkpoint()
-		for k := 1 + m.rng.Intn(3); k > 0; k-- {
-			id := m.rng.Intn(len(m.n.Insts))
-			prev := m.n.Insts[id].Cell
-			if m.resize(id) {
-				undos = append(undos, undo{id, prev})
-			}
-		}
-		_ = m.inc.WNSPs() // query mid-speculation, as Recover does
-		for i := len(undos) - 1; i >= 0; i-- {
-			m.n.Insts[undos[i].id].Cell = undos[i].cell
-		}
-		m.inc.Rollback()
+		return
 	}
+	// Speculative probe: a burst of resizes under a checkpoint, then
+	// roll everything back (engine state via Rollback, the netlist by
+	// the caller, mirroring Recover's reject path).
+	type undo struct {
+		id   int
+		cell cellib.Cell
+	}
+	var undos []undo
+	m.inc.Checkpoint()
+	for k := 1 + m.rng.Intn(3); k > 0; k-- {
+		id := m.rng.Intn(len(m.n.Insts))
+		prev := m.n.Insts[id].Cell
+		if m.resize(id) {
+			undos = append(undos, undo{id, prev})
+		}
+	}
+	_ = m.inc.WNSPs() // query mid-speculation, as Recover does
+	for i := len(undos) - 1; i >= 0; i-- {
+		m.n.Insts[undos[i].id].Cell = undos[i].cell
+	}
+	m.inc.Rollback()
 }
 
 // diffConfigs spans both engines, SI, path-based recovery, global
@@ -147,9 +134,9 @@ func diffConfigs() []struct {
 	}
 }
 
-// TestIncrementalDifferential interleaves resizes, moves, derate
-// changes and speculative rollbacks, checking the incremental engine
-// against a fresh full Analyze after every step. Step counts across
+// TestIncrementalDifferential interleaves resizes and speculative
+// rollbacks on a netlist with per-instance derates, checking the
+// incremental engine against a fresh full Analyze after every step. Step counts across
 // the preset/config grid total >= 1000.
 func TestIncrementalDifferential(t *testing.T) {
 	presets := []struct {
@@ -172,14 +159,12 @@ func TestIncrementalDifferential(t *testing.T) {
 			t.Run(tag, func(t *testing.T) {
 				cfg := c.cfg
 				n := tightened(t, p.spec, cfg)
-				derates := make([]float64, len(n.Insts))
-				cfg.InstDerate = derates
-				m := &mutator{
-					n:       n,
-					inc:     NewIncremental(n, cfg),
-					rng:     rand.New(rand.NewSource(int64(len(tag)) * 1009)),
-					derates: derates,
+				rng := rand.New(rand.NewSource(int64(len(tag)) * 1009))
+				cfg.InstDerate = make([]float64, len(n.Insts))
+				for id := range cfg.InstDerate {
+					cfg.InstDerate[id] = 0.9 + 0.3*rng.Float64()
 				}
+				m := &mutator{n: n, inc: NewIncremental(n, cfg), rng: rng}
 				for s := 0; s < p.steps; s++ {
 					m.step()
 					requireMatch(t, tag, s, n, cfg, m.inc)
@@ -231,19 +216,9 @@ func TestCheckpointRollbackRestoresExactly(t *testing.T) {
 			n.Insts[id].Cell = up
 			inc.Resize(id)
 		}
-		n.Insts[id].X += 3
-		inc.MoveInst(id)
-		ids = append(ids, ^id) // marker for the move
-		inc.SetDerate(id, 1.1)
 	}
-	ci := len(cells)
 	for i := len(ids) - 1; i >= 0; i-- {
-		if ids[i] < 0 {
-			n.Insts[^ids[i]].X -= 3
-		} else {
-			ci--
-			n.Insts[ids[i]].Cell = cells[ci]
-		}
+		n.Insts[ids[i]].Cell = cells[i]
 	}
 	inc.Rollback()
 

@@ -44,8 +44,8 @@ const (
 	Aborted Outcome = "aborted"
 	// Stopped is a run terminated live by a doomed-run supervisor.
 	Stopped Outcome = "stopped"
-	// Failed is a permanent failure (fault with retries exhausted,
-	// append error, ...).
+	// Failed is a permanent failure (a point reaped by the watchdog, an
+	// append error, an RPC with retries exhausted, ...).
 	Failed Outcome = "failed"
 )
 

@@ -2,7 +2,6 @@ package warehouse
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/flow"
@@ -70,18 +69,6 @@ func Mine(w *Warehouse, baseCampaign, headCampaign string, tolerancePct float64)
 		return out[i].Scalar < out[j].Scalar
 	})
 	return out
-}
-
-// WriteRegressions renders a miner report, worst first.
-func WriteRegressions(out io.Writer, regs []Regression) {
-	for _, r := range regs {
-		tag := "improved"
-		if r.Worse {
-			tag = "REGRESSED"
-		}
-		fmt.Fprintf(out, "%s %s.%s base=%.3f head=%.3f delta=%+.1f%%\n",
-			tag, r.Stage, r.Scalar, r.Base, r.Head, r.DeltaPct)
-	}
 }
 
 type stageScalar struct{ stage, scalar string }

@@ -4,8 +4,7 @@
 #   scripts/check.sh          gofmt + vet + build + race-enabled tests
 #                             (with a doubled concurrency tier on the
 #                             scheduler, campaign engine, the keyed
-#                             journal, the parallel place & route
-#                             kernels, and the flow's stage loop),
+#                             journal and the flow's stage loop),
 #                             then vet + tests of the nested
 #                             benchmark module, then 10 s of fuzzing per
 #                             byte-facing decoder (campaign entry,
@@ -97,10 +96,9 @@ wait_addr() {
 test -z "$(gofmt -l . | tee /dev/stderr)"
 go vet ./...
 go build ./...
-# Concurrency tier: the license pool and campaign engine carry the
-# cancellation/retry machinery every experiment fans out on, the
-# tracer/metrics server are written to by every one of those goroutines
-# at once, the place/route kernels are cancelled from campaign and
+# Concurrency tier: every experiment fans out on the license pool and
+# campaign engine, the tracer/metrics server are written to by every one
+# of those goroutines at once, the place/route kernels are cancelled from campaign and
 # watchdog goroutines, and the flow's stage loop may abandon a
 # watchdog-reaped stage that is still running; run their race tests
 # twice (fresh caches each time) before the full suite; the dist

@@ -211,7 +211,7 @@ func Sweep(cfg SweepConfig) (SweepResult, error) {
 	}
 
 	ecfg := campaign.Config{
-		Workers:      campaign.Workers(cfg.Workers),
+		Workers:      cfg.Workers,
 		Cache:        campaign.NewCache(0),
 		StageTimeout: cfg.StageTimeout,
 	}
