@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -185,11 +186,12 @@ func TestWorkersNormalization(t *testing.T) {
 	}
 }
 
-// TestReapedPointFailsUncached: a point the stage watchdog reaps comes
-// back nil inside a *RunError that matches sched.ErrHung, and neither
-// the cache nor its journal holds the point afterwards — so a later run
-// without the watchdog computes it cleanly.
-func TestReapedPointFailsUncached(t *testing.T) {
+// TestRetryExhaustionFailsPointWithoutCaching: each point is attempted
+// once, so a point the stage watchdog reaps has exhausted its attempts.
+// It must come back nil inside a *RunError, and neither the cache nor
+// its journal may hold it afterwards — so a later run without the
+// watchdog computes it cleanly.
+func TestRetryExhaustionFailsPointWithoutCaching(t *testing.T) {
 	design := tinyDesign(1)
 	pts := Points(design, KeyFor(design), flow.Options{TargetFreqGHz: 0.4}, []int64{1, 2})
 	dir := filepath.Join(t.TempDir(), "journal")
@@ -200,9 +202,6 @@ func TestReapedPointFailsUncached(t *testing.T) {
 	var re *RunError
 	if !errors.As(err, &re) || len(re.Failed) != len(pts) {
 		t.Fatalf("err = %v, want RunError with %d failures", err, len(pts))
-	}
-	if !errors.Is(err, sched.ErrHung) {
-		t.Fatalf("err = %v; sched.ErrHung not matchable through RunError", err)
 	}
 	for i, r := range res {
 		if r != nil {
@@ -231,6 +230,27 @@ func TestReapedPointFailsUncached(t *testing.T) {
 		if r == nil {
 			t.Fatalf("point %d still failing without the watchdog", i)
 		}
+	}
+}
+
+// TestFaultErrorMatchableThroughRunError: the aggregate error a failed
+// campaign returns must unwrap to the per-point tool faults — here a
+// watchdog reap — so callers at any layer (flow, campaign, cmd) can
+// errors.Is for sched.ErrHung instead of string-matching, and the fault
+// still names the stage it hit.
+func TestFaultErrorMatchableThroughRunError(t *testing.T) {
+	design := tinyDesign(1)
+	pts := Points(design, KeyFor(design), flow.Options{TargetFreqGHz: 0.4}, []int64{1})
+	_, err := New(Config{Workers: 1, StageTimeout: time.Nanosecond}).Run(context.Background(), pts)
+	var re *RunError
+	if !errors.As(err, &re) || len(re.Failed) != 1 {
+		t.Fatalf("err = %v, want RunError with 1 failure", err)
+	}
+	if !errors.Is(err, sched.ErrHung) {
+		t.Fatalf("err = %v; sched.ErrHung not matchable through RunError", err)
+	}
+	if !strings.Contains(re.Failed[0].Err.Error(), "flow: stage ") {
+		t.Fatalf("fault = %v, want a staged reap", re.Failed[0].Err)
 	}
 }
 
