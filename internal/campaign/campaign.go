@@ -130,13 +130,17 @@ type Engine struct {
 	cache        *Cache
 	obs          flow.Observer
 	stageTimeout time.Duration
+	// prefixes lets the engine's runs of one design and seed whose
+	// synthesis resized nothing share one place/cts/groute/droute: a
+	// frequency sweep's points differ there only in their clock period.
+	prefixes *flow.Prefixes
 }
 
 // New creates an engine.
 func New(cfg Config) *Engine {
 	return &Engine{
 		pool: sched.NewPool(Workers(cfg.Workers)), cache: cfg.Cache,
-		obs: cfg.Observer, stageTimeout: cfg.StageTimeout,
+		obs: cfg.Observer, stageTimeout: cfg.StageTimeout, prefixes: flow.NewPrefixes(),
 	}
 }
 
@@ -344,7 +348,7 @@ func (e *Engine) runOnce(ctx context.Context, p Point) (Entry, bool, error) {
 // compute runs the flow on one point under obs. A failed run returns no
 // result, so a memo tier only ever holds completed ones.
 func (e *Engine) compute(ctx context.Context, p Point, obs flow.Observer) (*flow.Result, error) {
-	res, err := flow.RunCfg(ctx, p.design, p.opts, flow.RunConfig{Observer: obs, StageTimeout: e.stageTimeout})
+	res, err := flow.RunCfg(ctx, p.design, p.opts, flow.RunConfig{Observer: obs, StageTimeout: e.stageTimeout, Prefixes: e.prefixes})
 	if err != nil {
 		return nil, err
 	}

@@ -177,6 +177,11 @@ type RunConfig struct {
 	// wedged tool process to get its license back. Zero disables the
 	// watchdog and stages run inline on the caller's goroutine.
 	StageTimeout time.Duration
+
+	// Prefixes, when non-nil, is the memo through which runs of one design
+	// whose synthesis resized nothing share their place, cts, groute and
+	// droute (see Prefixes). Nil computes every stage.
+	Prefixes *Prefixes
 }
 
 // endStageSpan closes a stage span with the outcome the stage's error
@@ -207,9 +212,16 @@ func endStageSpan(sp *trace.Span, err error) {
 // never committed), and ctx.Err() is returned. A watchdog reap ends the
 // run the same way, with an error wrapping sched.ErrHung.
 //
+// With RunConfig.Prefixes set, a run whose synthesis resized no cell
+// looks its post-synthesis prefix up once synthesis has committed. On a
+// hit its place, cts, groute and droute skip their compute (the gate and
+// the commit run as ever); on a miss it computes them and stores the
+// prefix once droute has committed, so an aborted run stores nothing.
+//
 // When tracing is armed (trace.Enable) the run emits a "flow.run" span
 // with one "flow.<stage>" child per stage, each carrying the stage
-// outcome (ok / hung / aborted) — the per-stage latency
+// outcome (ok / hung / aborted), and "reused" on a stage whose compute a
+// prefix supplied — the per-stage latency
 // histograms and the flow layer of the Chrome trace both come from
 // here.
 func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunConfig) (res *Result, err error) {
@@ -220,6 +232,7 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 	res = &Result{Options: opts}
 	a := &artifacts{opts: opts, n: design}
 	obs := rc.Observer
+	var pk prefixKey // the run's prefix key, once it has one
 	defer func() {
 		// The returned netlist must be value-identical to its serialized
 		// round-trip (campaign journals replay results and compare them
@@ -249,22 +262,27 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 		if err := ctx.Err(); err != nil {
 			return fail(err)
 		}
-		// The compute runs under the span-carrying context so work it
-		// spawns (detailed-route iterations) nests under the stage span.
-		gerr := sched.Guard(stageCtx, rc.StageTimeout, func(sctx context.Context) {
-			st.compute(sctx, a)
-		})
-		if gerr != nil {
-			// Watchdog reap: the stage missed its deadline.
-			ssp.Set("watchdog", "reaped")
-			return fail(fmt.Errorf("flow: stage %s: %w", st.name, gerr))
-		}
-		// Guard cancels sctx only after it returns, so with a nil gerr a
-		// dead sctx means a dead run: its cancellation cut the stage short
-		// (an anneal polls it, the router checks it between rip-up
-		// passes). A stage the run's context cut short is never committed.
-		if err := ctx.Err(); err != nil {
-			return fail(err)
+		if st.shared && a.reused {
+			ssp.Set("reused", "true")
+		} else {
+			// The compute runs under the span-carrying context so work it
+			// spawns (detailed-route iterations) nests under the stage span.
+			gerr := sched.Guard(stageCtx, rc.StageTimeout, func(sctx context.Context) {
+				st.compute(sctx, a)
+			})
+			if gerr != nil {
+				// Watchdog reap: the stage missed its deadline.
+				ssp.Set("watchdog", "reaped")
+				return fail(fmt.Errorf("flow: stage %s: %w", st.name, gerr))
+			}
+			// Guard cancels sctx only after it returns, so with a nil gerr a
+			// dead sctx means a dead run: its cancellation cut the stage
+			// short (an anneal polls it, the router checks it between rip-up
+			// passes). A stage the run's context cut short is never
+			// committed.
+			if err := ctx.Err(); err != nil {
+				return fail(err)
+			}
 		}
 		metrics, series := st.commit(res, a)
 		if obs != nil {
@@ -274,6 +292,13 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 			})
 		}
 		ssp.End()
+		switch {
+		case i == stSynth && rc.Prefixes != nil && a.syn.Upsized == 0:
+			pk = prefixKey{design: design, opts: opts.prefixOptions()}
+			rc.Prefixes.adopt(pk, a)
+		case i == stDroute && pk.design != nil && !a.reused:
+			rc.Prefixes.store(pk, a)
+		}
 	}
 
 	res.AreaUm2 = a.n.Area() + res.CTS.AreaUm2

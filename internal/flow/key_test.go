@@ -1,6 +1,9 @@
 package flow
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestKeyNormalizesDefaults(t *testing.T) {
 	zero := Options{}
@@ -46,5 +49,35 @@ func TestKeyDistinguishesEveryField(t *testing.T) {
 			t.Errorf("options differing in %s collide with %s: %q", name, prev, k)
 		}
 		seen[k] = name
+	}
+}
+
+// TestPrefixKeyCoversEveryField walks Options by reflection: every field
+// but the five a post-synthesis prefix does not depend on must change the
+// prefix key, so a field added later that place, cts or routing reads
+// cannot let two runs share a prefix they do not have in common.
+func TestPrefixKeyCoversEveryField(t *testing.T) {
+	shared := map[string]bool{
+		"TargetFreqGHz": true, "SynthEffort": true, "DeratePct": true,
+		"PlaceWorkers": true, "RouteTiles": true,
+	}
+	base := Options{}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		o := base
+		v := reflect.ValueOf(&o).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(7)
+		case reflect.Float64:
+			v.SetFloat(0.7)
+		default:
+			t.Fatalf("Options.%s is a %s: teach this test to set it", f.Name, v.Kind())
+		}
+		changed := o.prefixOptions() != base.prefixOptions()
+		if changed == shared[f.Name] {
+			t.Errorf("Options.%s: prefix key changed = %v, want %v", f.Name, changed, !shared[f.Name])
+		}
 	}
 }

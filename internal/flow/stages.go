@@ -24,12 +24,19 @@ type artifacts struct {
 	gr   *route.GlobalResult
 	dr   *route.DetailResult
 	sign *sta.Report
+
+	// reused is set when a's place, cts, groute and droute artifacts came
+	// from an earlier run's prefix (see Prefixes).
+	reused bool
 }
 
 // stage is one step of the flow as data.
 type stage struct {
 	// name keys the step's "flow.<name>" span and StepRecord.Step.
 	name string
+	// shared marks the post-synthesis stages a reused prefix supplies: a
+	// run that reuses one skips their compute and runs their commit.
+	shared bool
 	// compute runs the step on a. It writes only its own artifact, so a
 	// stage the watchdog abandons never touches the Result. A kernel that
 	// can stop early when ctx dies may leave the artifact partial; a
@@ -76,7 +83,8 @@ var stages = [...]stage{
 		},
 	},
 	stPlace: {
-		name: "place",
+		name:   "place",
+		shared: true,
 		compute: func(ctx context.Context, a *artifacts) {
 			a.pl, _ = place.PlaceCtx(ctx, a.n, place.Options{
 				Seed:        subSeed(a.opts.Seed, 2),
@@ -96,7 +104,8 @@ var stages = [...]stage{
 		},
 	},
 	stCTS: {
-		name: "cts",
+		name:   "cts",
+		shared: true,
 		compute: func(_ context.Context, a *artifacts) {
 			a.ct = cts.Synthesize(a.n, cts.Options{Seed: subSeed(a.opts.Seed, 3)})
 		},
@@ -111,7 +120,8 @@ var stages = [...]stage{
 		},
 	},
 	stGroute: {
-		name: "groute",
+		name:   "groute",
+		shared: true,
 		compute: func(_ context.Context, a *artifacts) {
 			a.gr = route.GlobalRoute(a.n, route.GlobalOptions{
 				Seed:          subSeed(a.opts.Seed, 4),
@@ -131,7 +141,8 @@ var stages = [...]stage{
 		},
 	},
 	stDroute: {
-		name: "droute",
+		name:   "droute",
+		shared: true,
 		compute: func(ctx context.Context, a *artifacts) {
 			a.dr = route.DetailRouteCtx(ctx, a.gr, route.DetailOptions{
 				Iterations: a.opts.RouteIters,

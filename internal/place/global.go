@@ -56,6 +56,9 @@ type globalState struct {
 	// pins is the pin count of nets: what one pass over them visits.
 	pins int
 	keys []uint64 // the spread's instances, as bisect describes
+	// cellW and rowH are a slot's width and a row's height in um, which
+	// bisect weighs a region's sides by.
+	cellW, rowH float64
 }
 
 // byDegree is the longest net length nets orders on; longer ones follow
@@ -70,21 +73,18 @@ const byDegree = 16
 // the global step's 64 passes over its 40 k pins take ~31 ms, ~0.012 us a
 // pin.
 func (p *placer) globalPlace() {
-	if p.n.NumCells() == 0 {
-		return
+	if p.n.NumCells() > 0 {
+		var gs globalState
+		gs.init(p)
+		g := p.g
+		pitchX, pitchY := float32(gs.cellW), float32(gs.rowH)
+		for _, round := range globalRounds {
+			gs.solveAxis(gs.x, 0, g.colX, pitchX, round.alpha, round.steps)
+			gs.solveAxis(gs.y, 16, g.rowY, pitchY, round.alpha, round.steps)
+			gs.spread()
+		}
 	}
-	var gs globalState
-	gs.init(p)
-	g := p.g
-	pitchX, pitchY := float32(p.w/float64(g.cols)), float32(p.h/float64(len(g.rowY)))
-	for _, round := range globalRounds {
-		gs.solveAxis(gs.x, 0, g.colX, pitchX, round.alpha, round.steps)
-		gs.solveAxis(gs.y, 16, g.rowY, pitchY, round.alpha, round.steps)
-		gs.spread()
-	}
-	for nid := range p.net {
-		p.rescan(int32(nid))
-	}
+	p.rescanAll()
 }
 
 // init carves the slab and starts every instance where the grid has it.
@@ -109,6 +109,7 @@ func (gs *globalState) init(p *placer) {
 	*gs = globalState{p: p,
 		x: cut(cells), y: cut(cells), r: cut(cells), d: cut(cells), q: cut(cells), diag: cut(cells),
 		w: cut(numNets), nets: make([]int32, numNets), keys: make([]uint64, cells),
+		cellW: p.w / float64(p.g.cols), rowH: p.h / float64(len(p.g.rowY)),
 	}
 	for nid := range p.net {
 		if k := len(p.pins.Of(nid)); k >= 2 {
@@ -229,8 +230,7 @@ func (gs *globalState) spread() {
 // 'y', or 0 before the first split), as an ordered uint32, in its high 32:
 // ordering keys orders by coordinate, ties by instance.
 func (gs *globalState) bisect(in rect, keys []uint64, loaded byte) {
-	p, g := gs.p, gs.p.g
-	cellW, rowH := p.w/float64(g.cols), p.h/float64(len(g.rowY))
+	g := gs.p.g
 	for len(keys) > 0 {
 		cols, rows := in.c1-in.c0+1, in.r1-in.r0+1
 		if cols*rows == 1 {
@@ -239,7 +239,7 @@ func (gs *globalState) bisect(in rect, keys []uint64, loaded byte) {
 			return
 		}
 		lo, hi, axis := in, in, byte('y')
-		if rows == 1 || cols > 1 && float64(cols)*cellW >= float64(rows)*rowH {
+		if rows == 1 || cols > 1 && float64(cols)*gs.cellW >= float64(rows)*gs.rowH {
 			lo.c1, hi.c0, axis = in.c0+cols/2-1, in.c0+cols/2, 'x'
 		} else {
 			lo.r1, hi.r0 = in.r0+rows/2-1, in.r0+rows/2

@@ -140,3 +140,14 @@ func TestGlobalPlaceAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestGlobalPlaceZeroCellsRescans: a netlist without instances skips the
+// global step's rounds, but the step still leaves every net record as
+// rescan computes it — initNets leaves them zero.
+func TestGlobalPlaceZeroCellsRescans(t *testing.T) {
+	n := &netlist.Netlist{Lib: lib(), ClockNet: -1, Nets: []netlist.Net{{ID: 0, Driver: -1}}}
+	p, _ := newPlacer(context.Background(), n, Options{Seed: 1})
+	if want := (netRec{a: laneMax, b: laneMax}); p.net[0] != want {
+		t.Fatalf("pinless net's record %+v, want %+v", p.net[0], want)
+	}
+}

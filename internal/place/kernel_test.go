@@ -639,6 +639,7 @@ func rawPlacer(cols, rows int, slots []int, nets []rawNet) *placer {
 	}
 	p := &placer{n: n, g: g, ctx: context.Background()}
 	p.initNets()
+	p.rescanAll()
 	return p
 }
 

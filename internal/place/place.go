@@ -272,12 +272,17 @@ func newPlacer(ctx context.Context, n *netlist.Netlist, opts Options) (*placer, 
 	return p, num.NewSplitMix(num.Mix(opts.Seed, annealStream))
 }
 
-// initNets builds the per-net evaluator state for the grid's placement.
+// initNets builds the per-net evaluator state; its records are zero until
+// rescanAll (globalPlace's last step) fills them in.
 func (p *placer) initNets() {
 	numNets := len(p.n.Nets)
 	p.inc = p.n.BuildIncidence()
 	p.pins = netInstances(p.inc, numNets)
 	p.net = make([]netRec, numNets)
+}
+
+// rescanAll recomputes every net record from the grid's placement.
+func (p *placer) rescanAll() {
 	for nid := range p.net {
 		p.rescan(int32(nid))
 	}

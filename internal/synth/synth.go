@@ -62,6 +62,13 @@ type Result struct {
 // Run synthesizes the design toward the target frequency. The input
 // netlist is not modified; all cells of the result start from the input
 // sizes and are strengthened as needed.
+//
+// The target reaches the result's netlist only through its ClockPeriodPs
+// and the cells the sizing passes resize: a Run that returns Upsized == 0
+// returns the input buffered as Seed and MaxFanout decide, the same
+// netlist at every target and Effort but for ClockPeriodPs. The flow's
+// post-synthesis prefix memo rests on this
+// (TestUnresizedNetlistIgnoresTarget).
 func Run(design *netlist.Netlist, opts Options) Result {
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))

@@ -529,3 +529,48 @@ func BenchmarkSynthRun(b *testing.B) {
 	b.ReportMetric(float64(res.Passes), "passes")
 	b.ReportMetric(float64(res.Upsized), "upsized")
 }
+
+// TestUnresizedNetlistIgnoresTarget pins the rule the flow's post-synthesis
+// prefix memo rests on: a Run that resizes no cell returns the buffered
+// clone of its input, so its netlist is the same at every target frequency
+// but for ClockPeriodPs. Pulpino-proxy at 0.45 GHz shows the other side: it
+// resizes cells, and its netlist differs from the one at 0.50 GHz.
+func TestUnresizedNetlistIgnoresTarget(t *testing.T) {
+	same := func(a, b *netlist.Netlist) bool {
+		c := *b
+		c.ClockPeriodPs = a.ClockPeriodPs
+		return reflect.DeepEqual(a, &c)
+	}
+	for _, tc := range []struct {
+		design *netlist.Netlist
+		freqs  []float64
+	}{
+		{tiny(1), []float64{0.30, 0.35, 0.40, 0.45, 0.50, 0.55, 0.60, 0.65}},
+		{netlist.Generate(cellib.Default14nm(), netlist.PulpinoProxy(1)), []float64{0.30, 0.35, 0.40}},
+	} {
+		for seed := int64(2); seed <= 4; seed++ {
+			first := Run(tc.design, Options{TargetFreqGHz: tc.freqs[0], Seed: seed})
+			for _, f := range tc.freqs {
+				res := Run(tc.design, Options{TargetFreqGHz: f, Seed: seed})
+				if res.Upsized != 0 {
+					t.Fatalf("%s seed %d at %.2f GHz resized %d cells, want 0", tc.design.Name, seed, f, res.Upsized)
+				}
+				if !same(first.Netlist, res.Netlist) {
+					t.Errorf("%s seed %d: netlist at %.2f GHz differs from %.2f GHz beyond ClockPeriodPs", tc.design.Name, seed, f, tc.freqs[0])
+				}
+			}
+		}
+	}
+
+	pulpino := netlist.Generate(cellib.Default14nm(), netlist.PulpinoProxy(1))
+	for seed := int64(2); seed <= 4; seed++ {
+		hard := Run(pulpino, Options{TargetFreqGHz: 0.45, Seed: seed})
+		t.Logf("pulpino-proxy seed %d at 0.45 GHz: %d cells resized", seed, hard.Upsized)
+		if hard.Upsized == 0 {
+			t.Fatalf("pulpino-proxy seed %d at 0.45 GHz resized nothing", seed)
+		}
+		if same(hard.Netlist, Run(pulpino, Options{TargetFreqGHz: 0.50, Seed: seed}).Netlist) {
+			t.Errorf("pulpino-proxy seed %d: resized netlists at 0.45 and 0.50 GHz are equal", seed)
+		}
+	}
+}

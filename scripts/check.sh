@@ -99,8 +99,10 @@ go build ./...
 # Concurrency tier: every experiment fans out on the license pool and
 # campaign engine, the tracer/metrics server are written to by every one
 # of those goroutines at once, the place/route kernels are cancelled from campaign and
-# watchdog goroutines, and the flow's stage loop may abandon a
-# watchdog-reaped stage that is still running; run their race tests
+# watchdog goroutines, the flow's stage loop may abandon a
+# watchdog-reaped stage that is still running, and every engine's runs
+# share one post-synthesis prefix memo (flow.Prefixes) that concurrent
+# workers look up and store into at once; run their race tests
 # twice (fresh caches each time) before the full suite; the dist
 # service rides along because its store and coordinator queues are
 # hammered by every worker node at once, and the journal because every
