@@ -102,8 +102,9 @@ func NewCache(capacity int) *Cache {
 // field is not synchronized against concurrent lookups).
 func (c *Cache) SetTier(t Tier) { c.tier = t }
 
-func (c *Cache) shard(key string) *cacheShard {
-	return &c.shards[shardHash(key)&(shardCount-1)]
+// shard is the shard of a key whose shardHash is h.
+func (c *Cache) shard(h uint64) *cacheShard {
+	return &c.shards[h&(shardCount-1)]
 }
 
 // shardHash folds a key eight bytes at a time (the tail zero-padded, the
@@ -166,7 +167,7 @@ func (c *Cache) countHits(n int64, coalesced bool) {
 // in-process tier only; the shared tier is consulted by DoRecorded,
 // where a miss has a compute to coalesce against.
 func (c *Cache) Get(key string) (*flow.Result, bool) {
-	if e, ok := c.lookup(key); ok {
+	if e, ok := c.lookup(key, shardHash(key)); ok {
 		return e.Res, true
 	}
 	c.count(func(c *Cache) { c.misses++ })
@@ -174,11 +175,11 @@ func (c *Cache) Get(key string) (*flow.Result, bool) {
 	return nil, false
 }
 
-// lookup is Get's and do's L1 probe: the entry under key if L1 holds it,
-// counted as a hit. Absence counts nothing — whether it is a miss is the
-// caller's to find out.
-func (c *Cache) lookup(key string) (*Entry, bool) {
-	e, ok := c.probe(key)
+// lookup is Get's and do's L1 probe: the entry under key, whose shardHash
+// is h, if L1 holds it, counted as a hit. Absence counts nothing — whether
+// it is a miss is the caller's to find out.
+func (c *Cache) lookup(key string, h uint64) (*Entry, bool) {
+	e, ok := c.probe(key, h)
 	if ok {
 		c.countHits(1, false)
 	}
@@ -186,9 +187,10 @@ func (c *Cache) lookup(key string) (*Entry, bool) {
 }
 
 // probe is the one L1 probe, shared by lookup and the engine's revisit
-// pass, which counts its hits once per pass: it counts nothing.
-func (c *Cache) probe(key string) (*Entry, bool) {
-	s := c.shard(key)
+// pass, which counts its hits once per pass: it counts nothing. h is key's
+// shardHash, which a Point carries from NewPoint.
+func (c *Cache) probe(key string, h uint64) (*Entry, bool) {
+	s := c.shard(h)
 	s.mu.RLock()
 	e, ok := s.entries[key]
 	s.mu.RUnlock()
@@ -218,21 +220,21 @@ func (c *Cache) Do(key string, compute func() *flow.Result) *flow.Result {
 // served as a memoized result. A cancelled compute is the exception: its
 // waiters were not cancelled, so they look again and one of them computes.
 func (c *Cache) DoRecorded(key string, compute func() (*flow.Result, []flow.StepRecord, error)) (res *flow.Result, steps []flow.StepRecord, hit bool, err error) {
-	e, hit, err := c.do(key, func() (Entry, error) {
+	e, hit, err := c.do(key, shardHash(key), func() (Entry, error) {
 		res, steps, err := compute()
 		return Entry{Res: res, Steps: steps}, err
 	})
 	return e.Res, e.Steps, hit, err
 }
 
-// do is DoRecorded in the engine's currency, an Entry: what compute
-// returns is written through to the tier whole, and a hit of any kind
-// hands back the entry's Res and Steps.
-func (c *Cache) do(key string, compute func() (Entry, error)) (ent Entry, hit bool, err error) {
-	if e, ok := c.lookup(key); ok {
+// do is DoRecorded in the engine's currency, an Entry, under key and its
+// shardHash h: what compute returns is written through to the tier whole,
+// and a hit of any kind hands back the entry's Res and Steps.
+func (c *Cache) do(key string, h uint64, compute func() (Entry, error)) (ent Entry, hit bool, err error) {
+	if e, ok := c.lookup(key, h); ok {
 		return *e, true, nil
 	}
-	s := c.shard(key)
+	s := c.shard(h)
 	for {
 		s.mu.Lock()
 		if e, ok := s.entries[key]; ok {

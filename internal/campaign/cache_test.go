@@ -46,11 +46,11 @@ func TestCacheEviction(t *testing.T) {
 	c := NewCache(1)
 	var aKey, bKey string
 	// Find two keys on the same shard.
-	base := c.shard("k0")
+	base := c.shard(shardHash("k0"))
 	aKey = "k0"
 	for i := 1; ; i++ {
 		k := fmt.Sprintf("k%d", i)
-		if c.shard(k) == base {
+		if c.shard(shardHash(k)) == base {
 			bKey = k
 			break
 		}
@@ -74,7 +74,7 @@ func TestCacheSharding(t *testing.T) {
 	used := map[*cacheShard]bool{}
 	for i := 0; i < 256; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		used[c.shard(k)] = true
+		used[c.shard(shardHash(k))] = true
 		c.Do(k, func() *flow.Result { return &flow.Result{} })
 	}
 	if len(used) < shardCount/2 {

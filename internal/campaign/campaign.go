@@ -24,6 +24,7 @@ import (
 	"io"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/flow"
@@ -34,13 +35,15 @@ import (
 )
 
 // Point is one flow run in a campaign: a design, the option point to run
-// it at, and its memo key. A Point is immutable and built by NewPoint, so
-// its key is built once, however often a campaign revisits it, and cannot
-// go stale behind an edited option point.
+// it at, and its memo key with the key's shard hash. A Point is immutable
+// and built by NewPoint, so its key is built and hashed once, however often
+// a campaign revisits it, and cannot go stale behind an edited option
+// point.
 type Point struct {
 	design *netlist.Netlist
 	opts   flow.Options
 	key    string
+	hash   uint64 // shardHash(key)
 }
 
 // NewPoint builds a point of design at opts. designKey identifies the
@@ -51,6 +54,7 @@ func NewPoint(design *netlist.Netlist, designKey string, opts flow.Options) Poin
 	p := Point{design: design, opts: opts}
 	if designKey != "" {
 		p.key = designKey + "\x00" + opts.Key()
+		p.hash = shardHash(p.key)
 	}
 	return p
 }
@@ -131,8 +135,9 @@ type Engine struct {
 	obs          flow.Observer
 	stageTimeout time.Duration
 	// prefixes lets the engine's runs of one design and seed whose
-	// synthesis resized nothing share one place/cts/groute/droute: a
-	// frequency sweep's points differ there only in their clock period.
+	// synthesis resizes nothing share all but their slack: a frequency
+	// sweep's points differ there only in their clock period. Run hands it
+	// to the points sharers picks.
 	prefixes *flow.Prefixes
 }
 
@@ -203,9 +208,13 @@ func (e *Engine) Run(ctx context.Context, pts []Point) ([]*flow.Result, error) {
 	runSpan.SetInt("workers", int64(e.pool.Licenses()))
 	results := make([]*flow.Result, len(pts))
 	todo := e.revisit(ctx, pts, results)
+	var plan *prefixPlan // one point has no other to share a prefix with
+	if len(todo) > 1 {
+		plan = &prefixPlan{pts: pts, todo: todo}
+	}
 	outs, ran, err := sched.MapCtx(ctx, e.pool, len(todo), func(j int) pointOutcome {
 		i := todo[j]
-		return e.runPoint(ctx, pts[i], i)
+		return e.runPoint(ctx, pts[i], i, func() *flow.Prefixes { return plan.memo(e.prefixes, j) })
 	})
 	var failed []PointError
 	abandoned := 0
@@ -251,7 +260,7 @@ func (e *Engine) revisit(ctx context.Context, pts []Point, results []*flow.Resul
 	for i := range pts {
 		p := &pts[i]
 		if serve && p.key != "" {
-			if ent, ok := e.cache.probe(p.key); ok {
+			if ent, ok := e.cache.probe(p.key, p.hash); ok {
 				_, psp := pointSpan(ctx, p.opts.Seed, i)
 				e.deliverHit(psp, ent.Steps)
 				results[i] = ent.Res
@@ -302,10 +311,11 @@ func (e *Engine) mirrorPoolStats() {
 	metrics.Set("sched.queue.depth", int64(maxWait))
 }
 
-// runPoint executes one point the revisit pass did not serve, once.
-func (e *Engine) runPoint(ctx context.Context, p Point, index int) pointOutcome {
+// runPoint executes one point the revisit pass did not serve, once. A
+// compute runs with the prefix memo that memo returns (nil for none).
+func (e *Engine) runPoint(ctx context.Context, p Point, index int, memo func() *flow.Prefixes) pointOutcome {
 	ctx, psp := pointSpan(ctx, p.opts.Seed, index)
-	ent, hit, err := e.runOnce(ctx, p)
+	ent, hit, err := e.runOnce(ctx, p, memo)
 	switch {
 	case err == nil && hit:
 		e.deliverHit(psp, ent.Steps)
@@ -333,26 +343,81 @@ func (e *Engine) runPoint(ctx context.Context, p Point, index int) pointOutcome 
 // steps). The bool reports a hit: the entry was served by the memo cache
 // or its tier (including a coalesced wait on an in-flight compute) rather
 // than computed here, and its records are deliverHit's to replay.
-func (e *Engine) runOnce(ctx context.Context, p Point) (Entry, bool, error) {
+func (e *Engine) runOnce(ctx context.Context, p Point, memo func() *flow.Prefixes) (Entry, bool, error) {
 	if e.cache == nil || p.key == "" {
-		res, err := e.compute(ctx, p, e.obs)
+		res, err := e.compute(ctx, p, e.obs, memo())
 		return Entry{Res: res}, false, err
 	}
-	return e.cache.do(p.key, func() (Entry, error) {
+	return e.cache.do(p.key, p.hash, func() (Entry, error) {
 		rec := &recordingObserver{next: e.obs}
-		res, err := e.compute(ctx, p, rec)
+		res, err := e.compute(ctx, p, rec, memo())
 		return Entry{Res: res, Steps: rec.steps}, err
 	})
 }
 
-// compute runs the flow on one point under obs. A failed run returns no
-// result, so a memo tier only ever holds completed ones.
-func (e *Engine) compute(ctx context.Context, p Point, obs flow.Observer) (*flow.Result, error) {
-	res, err := flow.RunCfg(ctx, p.design, p.opts, flow.RunConfig{Observer: obs, StageTimeout: e.stageTimeout, Prefixes: e.prefixes})
+// compute runs the flow on one point under obs, with the prefix memo memo
+// (nil for none). A failed run returns no result, so a memo tier only ever
+// holds completed ones.
+func (e *Engine) compute(ctx context.Context, p Point, obs flow.Observer, memo *flow.Prefixes) (*flow.Result, error) {
+	res, err := flow.RunCfg(ctx, p.design, p.opts, flow.RunConfig{Observer: obs, StageTimeout: e.stageTimeout, Prefixes: memo})
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// prefixPlan picks the points of a Run that the engine's prefix memo
+// serves (sharers) when the first of them computes, so a Run whose cache
+// tiers serve every point never picks.
+type prefixPlan struct {
+	once   sync.Once
+	pts    []Point
+	todo   []int
+	shares []bool
+}
+
+// memo returns m for the plan's todo point j if the plan picks it, else
+// nil; a nil plan picks none.
+func (pl *prefixPlan) memo(m *flow.Prefixes, j int) *flow.Prefixes {
+	if pl == nil {
+		return nil
+	}
+	pl.once.Do(func() { pl.shares = sharers(pl.pts, pl.todo) })
+	if pl.shares != nil && pl.shares[j] {
+		return m
+	}
+	return nil
+}
+
+// sharers reports which of the todo points the engine's prefix memo may
+// serve: those with a memo key (their results are immutable, so the memo may
+// keep one as a donor) whose design and flow.Options.PrefixOptions another
+// such point of todo shares. Only they look a prefix up or store one, so a
+// Run whose points share no prefix — a dist worker's single point — leaves
+// the memo as it found it. Nil when no point may.
+func sharers(pts []Point, todo []int) []bool {
+	type prefixID struct {
+		design *netlist.Netlist
+		opts   flow.Options
+	}
+	ids := make([]prefixID, len(todo))
+	count := make(map[prefixID]int, len(todo))
+	for j, i := range todo {
+		if p := &pts[i]; p.key != "" {
+			ids[j] = prefixID{p.design, p.opts.PrefixOptions()}
+			count[ids[j]]++
+		}
+	}
+	var shares []bool
+	for j, id := range ids {
+		if id.design != nil && count[id] > 1 {
+			if shares == nil {
+				shares = make([]bool, len(todo))
+			}
+			shares[j] = true
+		}
+	}
+	return shares
 }
 
 // recordingObserver captures the step records of one flow run (for the

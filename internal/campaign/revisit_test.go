@@ -267,7 +267,7 @@ func TestRevisitSurvivesEviction(t *testing.T) {
 	a := point(1)
 	var b Point
 	for seed := int64(2); ; seed++ {
-		if b = point(seed); cache.shard(b.CacheKey()) == cache.shard(a.CacheKey()) {
+		if b = point(seed); cache.shard(b.hash) == cache.shard(a.hash) {
 			break
 		}
 	}

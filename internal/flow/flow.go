@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/cts"
+	"repro/internal/metrics"
 	"repro/internal/netlist"
 	"repro/internal/num"
 	"repro/internal/place"
@@ -179,8 +180,8 @@ type RunConfig struct {
 	StageTimeout time.Duration
 
 	// Prefixes, when non-nil, is the memo through which runs of one design
-	// whose synthesis resized nothing share their place, cts, groute and
-	// droute (see Prefixes). Nil computes every stage.
+	// whose synthesis resizes nothing share everything but their endpoint
+	// slack (see Prefixes). Nil computes every stage.
 	Prefixes *Prefixes
 }
 
@@ -212,11 +213,12 @@ func endStageSpan(sp *trace.Span, err error) {
 // never committed), and ctx.Err() is returned. A watchdog reap ends the
 // run the same way, with an error wrapping sched.ErrHung.
 //
-// With RunConfig.Prefixes set, a run whose synthesis resized no cell
-// looks its post-synthesis prefix up once synthesis has committed. On a
-// hit its place, cts, groute and droute skip their compute (the gate and
-// the commit run as ever); on a miss it computes them and stores the
-// prefix once droute has committed, so an aborted run stores nothing.
+// With RunConfig.Prefixes set, a run looks its post-synthesis prefix up
+// before synthesis. On a hit whose synthesis would resize nothing, every
+// stage the prefix supplies skips its compute (the gate and the commit run
+// as ever); otherwise the run computes every stage and, if its synthesis
+// resized no cell, stores its prefix once it has finished, so an aborted
+// run stores nothing.
 //
 // When tracing is armed (trace.Enable) the run emits a "flow.run" span
 // with one "flow.<stage>" child per stage, each carrying the stage
@@ -232,13 +234,22 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 	res = &Result{Options: opts}
 	a := &artifacts{opts: opts, n: design}
 	obs := rc.Observer
-	var pk prefixKey // the run's prefix key, once it has one
+	var pk prefixKey // the run's prefix key, when it has a memo
+	if rc.Prefixes != nil {
+		pk = prefixKey{design: design, opts: opts.PrefixOptions()}
+		if p := rc.Prefixes.lookup(pk); p != nil && a.adopt(p) {
+			metrics.Add("flow.prefix.reused", 1)
+		}
+	}
 	defer func() {
 		// The returned netlist must be value-identical to its serialized
 		// round-trip (campaign journals replay results and compare them
 		// to recomputed ones), so drop any in-memory placement cache the
-		// run's kernels left behind before handing the result out.
-		if res.Netlist != nil {
+		// run's kernels left behind before handing the result out — a
+		// finished run's below, before its prefix is stored. A reaped
+		// stage's abandoned compute may still be writing the netlist, so a
+		// reaped run's is left as it is.
+		if err != nil && res.Netlist != nil && !errors.Is(err, sched.ErrHung) {
 			res.Netlist.InvalidatePlacement()
 		}
 		if res.FailedStage != "" {
@@ -262,7 +273,7 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 		if err := ctx.Err(); err != nil {
 			return fail(err)
 		}
-		if st.shared && a.reused {
+		if a.supplied(i) {
 			ssp.Set("reused", "true")
 		} else {
 			// The compute runs under the span-carrying context so work it
@@ -292,15 +303,9 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 			})
 		}
 		ssp.End()
-		switch {
-		case i == stSynth && rc.Prefixes != nil && a.syn.Upsized == 0:
-			pk = prefixKey{design: design, opts: opts.prefixOptions()}
-			rc.Prefixes.adopt(pk, a)
-		case i == stDroute && pk.design != nil && !a.reused:
-			rc.Prefixes.store(pk, a)
-		}
 	}
 
+	a.n.InvalidatePlacement()
 	res.AreaUm2 = a.n.Area() + res.CTS.AreaUm2
 	res.PowerNW = a.n.Leakage() + res.CTS.PowerNW
 	res.WNSPs = res.Sign.WNSPs
@@ -308,6 +313,9 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 	res.TimingMet = res.Sign.WNSPs >= 0
 	res.RouteOK = res.Route.Success
 	res.Met = res.TimingMet && res.RouteOK
+	if pk.design != nil && !a.reused && a.fast != nil {
+		rc.Prefixes.store(pk, a)
+	}
 	return res, nil
 }
 

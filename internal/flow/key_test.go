@@ -75,7 +75,7 @@ func TestPrefixKeyCoversEveryField(t *testing.T) {
 		default:
 			t.Fatalf("Options.%s is a %s: teach this test to set it", f.Name, v.Kind())
 		}
-		changed := o.prefixOptions() != base.prefixOptions()
+		changed := o.PrefixOptions() != base.PrefixOptions()
 		if changed == shared[f.Name] {
 			t.Errorf("Options.%s: prefix key changed = %v, want %v", f.Name, changed, !shared[f.Name])
 		}

@@ -12,9 +12,10 @@ import (
 )
 
 // TestPrefixReuseSpansAndRecords: a second run of a seed at another target
-// frequency takes place, cts, groute and droute from the first. It emits
-// the step records and returns the result a plain run does, its four
-// reused stage spans say so, and flow.prefix.reused counts it.
+// frequency takes everything but its slack from the first: it computes no
+// stage. It emits the step records and returns the result a plain run
+// does, its six reused stage spans say so, and flow.prefix.reused counts
+// it.
 func TestPrefixReuseSpansAndRecords(t *testing.T) {
 	d := tiny(1)
 	donorOpts, opts := Options{TargetFreqGHz: 0.3, Seed: 2}, Options{TargetFreqGHz: 0.5, Seed: 2}
@@ -74,7 +75,7 @@ func TestPrefixReuseSpansAndRecords(t *testing.T) {
 	if r := reused(runs[0]); len(r) != 0 {
 		t.Errorf("the donor run's spans %v are tagged reused", r)
 	}
-	if r, w := reused(runs[1]), []string{"flow.place", "flow.cts", "flow.groute", "flow.droute"}; !slices.Equal(r, w) {
+	if r, w := reused(runs[1]), []string{"flow.synth", "flow.place", "flow.cts", "flow.groute", "flow.droute", "flow.sta"}; !slices.Equal(r, w) {
 		t.Errorf("reused spans %v, want %v", r, w)
 	}
 }

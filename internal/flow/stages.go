@@ -25,18 +25,27 @@ type artifacts struct {
 	dr   *route.DetailResult
 	sign *sta.Report
 
-	// reused is set when a's place, cts, groute and droute artifacts came
-	// from an earlier run's prefix (see Prefixes).
+	// graph and fast are synthesis's compiled graph of n and its fast
+	// timer, set when it resized no cell (synth.RunTimed); signer is n's
+	// signoff timer.
+	graph        *sta.Graph
+	fast, signer *sta.Analyzer
+
+	// reused is set when a's synthesis, place, cts, groute and droute
+	// artifacts came from an earlier run's prefix (see Prefixes), and its
+	// signoff report with them when sign is set before the sta stage.
 	reused bool
+}
+
+// supplied reports whether a prefix supplied stage i's artifact.
+func (a *artifacts) supplied(i int) bool {
+	return a.reused && (i != stSTA || a.sign != nil)
 }
 
 // stage is one step of the flow as data.
 type stage struct {
 	// name keys the step's "flow.<name>" span and StepRecord.Step.
 	name string
-	// shared marks the post-synthesis stages a reused prefix supplies: a
-	// run that reuses one skips their compute and runs their commit.
-	shared bool
 	// compute runs the step on a. It writes only its own artifact, so a
 	// stage the watchdog abandons never touches the Result. A kernel that
 	// can stop early when ctx dies may leave the artifact partial; a
@@ -62,7 +71,7 @@ var stages = [...]stage{
 	stSynth: {
 		name: "synth",
 		compute: func(_ context.Context, a *artifacts) {
-			a.syn = synth.Run(a.n, synth.Options{
+			a.syn, a.graph, a.fast = synth.RunTimed(a.n, synth.Options{
 				TargetFreqGHz: a.opts.TargetFreqGHz,
 				Effort:        a.opts.SynthEffort,
 				Seed:          subSeed(a.opts.Seed, 1),
@@ -83,8 +92,7 @@ var stages = [...]stage{
 		},
 	},
 	stPlace: {
-		name:   "place",
-		shared: true,
+		name: "place",
 		compute: func(ctx context.Context, a *artifacts) {
 			a.pl, _ = place.PlaceCtx(ctx, a.n, place.Options{
 				Seed:        subSeed(a.opts.Seed, 2),
@@ -104,8 +112,7 @@ var stages = [...]stage{
 		},
 	},
 	stCTS: {
-		name:   "cts",
-		shared: true,
+		name: "cts",
 		compute: func(_ context.Context, a *artifacts) {
 			a.ct = cts.Synthesize(a.n, cts.Options{Seed: subSeed(a.opts.Seed, 3)})
 		},
@@ -120,8 +127,7 @@ var stages = [...]stage{
 		},
 	},
 	stGroute: {
-		name:   "groute",
-		shared: true,
+		name: "groute",
 		compute: func(_ context.Context, a *artifacts) {
 			a.gr = route.GlobalRoute(a.n, route.GlobalOptions{
 				Seed:          subSeed(a.opts.Seed, 4),
@@ -141,8 +147,7 @@ var stages = [...]stage{
 		},
 	},
 	stDroute: {
-		name:   "droute",
-		shared: true,
+		name: "droute",
 		compute: func(ctx context.Context, a *artifacts) {
 			a.dr = route.DetailRouteCtx(ctx, a.gr, route.DetailOptions{
 				Iterations: a.opts.RouteIters,
@@ -165,8 +170,17 @@ var stages = [...]stage{
 		},
 	},
 	stSTA: {
-		name:    "sta",
-		compute: func(_ context.Context, a *artifacts) { a.sign = sta.Analyze(a.n, signoff(a)) },
+		name: "sta",
+		compute: func(_ context.Context, a *artifacts) {
+			// Synthesis's graph, when it handed one over, is still n's:
+			// nothing after it resizes or rewires a cell.
+			g := a.graph
+			if g == nil {
+				g = sta.Compile(a.n)
+			}
+			a.signer = new(sta.Analyzer)
+			a.sign = a.signer.Analyze(g, signoff(a))
+		},
 		commit: func(res *Result, a *artifacts) (map[string]float64, []float64) {
 			res.Sign = a.sign
 			res.RuntimeProxy += a.sign.CostUnits

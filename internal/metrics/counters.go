@@ -24,8 +24,8 @@ import (
 //
 // Naming scheme: `subsystem.noun.verb` (or `subsystem.noun.noun` for
 // gauges) — e.g. campaign.cache.hit, campaign.point.failed,
-// flow.prefix.reused (flow runs that took place, cts, groute and droute
-// from an earlier run of their design and seed: flow.Prefixes),
+// flow.prefix.reused (flow runs that took all but their slack from an
+// earlier run of their design and seed: flow.Prefixes),
 // journal.append.ok, sched.queue.depth — so WritePrefix("campaign.")
 // captures everything campaign-related and dashboards group by the
 // first two segments. New counters must follow it.

@@ -158,8 +158,8 @@ func NewIncremental(n *netlist.Netlist, cfg Config) *Incremental {
 // rebuild runs Analyze's own full propagation and endpoint construction.
 func (inc *Incremental) rebuild() {
 	n, cfg := inc.n, &inc.cfg
-	var full Analyzer
 	inc.g = Compile(n)
+	full := Analyzer{g: inc.g, cfg: *cfg}
 	full.propagate(inc.g, cfg, inc.derate)
 	inc.state = full.state
 
@@ -171,7 +171,7 @@ func (inc *Incremental) rebuild() {
 		inc.epOfNet[i] = -1
 	}
 	inc.tns, inc.tnsComp, inc.violations = 0, 0, 0
-	full.endpoints(inc.g, cfg, func(ep Endpoint) {
+	full.endpoints(n.ClockPeriodPs, func(ep Endpoint) {
 		if ep.Inst >= 0 {
 			inc.epOfInst[ep.Inst] = len(inc.endpoints)
 		} else {
@@ -360,9 +360,9 @@ func (inc *Incremental) refreshEndpoint(idx int) {
 	st, load := &inc.state[old.Net], inc.n.NetLoad(old.Net)
 	var ep Endpoint
 	if old.Inst >= 0 {
-		ep = ffEndpoint(inc.n, &inc.cfg, inc.setupF, old.Inst, old.Net, st, load)
+		ep = ffEndpoint(inc.n, &inc.cfg, inc.setupF, inc.n.ClockPeriodPs, old.Inst, old.Net, st, load)
 	} else {
-		ep = netEndpoint(inc.n, &inc.cfg, old.Net, st, load)
+		ep = netEndpoint(&inc.cfg, inc.n.ClockPeriodPs, old.Net, st, load)
 	}
 	if ep == old {
 		return

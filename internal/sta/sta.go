@@ -260,17 +260,20 @@ func combState(g *Graph, n *netlist.Netlist, cfg *Config, derate float64, id int
 	}, true
 }
 
-// ffEndpoint builds the setup endpoint of a flip-flop D pin from the
-// state of the net feeding it and that net's load, including path-based
-// recovery when the configuration applies it.
-func ffEndpoint(n *netlist.Netlist, cfg *Config, setupF float64, ff, dNet int, st *arrivalState, load float64) Endpoint {
-	required := n.ClockPeriodPs + cfg.skew(ff) - n.Insts[ff].Cell.SetupTime*(1+cfg.DeratePct/100)*setupF
+// ffEndpoint builds the setup endpoint of a flip-flop D pin at the clock
+// period periodPs from the state of the net feeding it and that net's
+// load, including path-based recovery when the configuration applies it.
+// The period enters an analysis here and in netEndpoint only: propagation
+// never reads it.
+func ffEndpoint(n *netlist.Netlist, cfg *Config, setupF, periodPs float64, ff, dNet int, st *arrivalState, load float64) Endpoint {
+	required := periodPs + cfg.skew(ff) - n.Insts[ff].Cell.SetupTime*(1+cfg.DeratePct/100)*setupF
 	return endpoint(cfg, ff, dNet, required, st, load)
 }
 
-// netEndpoint builds the endpoint of an externally loaded net.
-func netEndpoint(n *netlist.Netlist, cfg *Config, netID int, st *arrivalState, load float64) Endpoint {
-	return endpoint(cfg, -1, netID, n.ClockPeriodPs, st, load)
+// netEndpoint builds the endpoint of an externally loaded net at the clock
+// period periodPs.
+func netEndpoint(cfg *Config, periodPs float64, netID int, st *arrivalState, load float64) Endpoint {
+	return endpoint(cfg, -1, netID, periodPs, st, load)
 }
 
 func endpoint(cfg *Config, inst, netID int, required float64, st *arrivalState, load float64) Endpoint {
@@ -297,8 +300,10 @@ func Analyze(n *netlist.Netlist, cfg Config) *Report {
 // The zero value is ready. Per call it sweeps arrivals over the graph it is
 // handed and fills endpoints, so no result depends on an earlier call — but
 // the report it returns is its own, overwritten by the next call. Not safe
-// for concurrent use.
+// for concurrent use, except ReportAt and WNSAt, which only read it.
 type Analyzer struct {
+	g     *Graph // the last analysis's graph and configuration
+	cfg   Config
 	state []arrivalState
 	load  []float64 // NetLoad of every net
 
@@ -316,7 +321,8 @@ func (a *Analyzer) Load(netID int) float64 { return a.load[netID] }
 // for everything downstream: a stage's output net by the stage, every
 // other net before the stages. A stage's output starts unreached, so a
 // stage whose levels do not order it after a fanin reads that fanin as
-// unreached, never as the last analysis left it.
+// unreached, never as the last analysis left it. Nothing here reads the
+// clock period.
 func (a *Analyzer) propagate(g *Graph, cfg *Config, derate float64) {
 	n := g.n
 	a.state, a.load = resize(a.state, len(n.Nets)), resize(a.load, len(n.Nets))
@@ -344,19 +350,20 @@ func (a *Analyzer) propagate(g *Graph, cfg *Config, derate float64) {
 	}
 }
 
-// endpoints hands add the endpoints of the propagated state in report
-// order: flip-flop D pins in register order, then externally loaded nets.
-func (a *Analyzer) endpoints(g *Graph, cfg *Config, add func(Endpoint)) {
-	n := g.n
+// endpoints hands add the endpoints of the propagated state at the clock
+// period periodPs in report order: flip-flop D pins in register order, then
+// externally loaded nets.
+func (a *Analyzer) endpoints(periodPs float64, add func(Endpoint)) {
+	g, cfg := a.g, &a.cfg
 	_, _, setupF := cfg.Corner.factors()
 	for _, f := range g.ffs {
 		if st := &a.state[f.d]; !math.IsInf(st.arrival, -1) {
-			add(ffEndpoint(n, cfg, setupF, int(f.ff), int(f.d), st, a.load[f.d]))
+			add(ffEndpoint(g.n, cfg, setupF, periodPs, int(f.ff), int(f.d), st, a.load[f.d]))
 		}
 	}
 	for _, net := range g.extEnds {
 		if st := &a.state[net]; !math.IsInf(st.arrival, -1) {
-			add(netEndpoint(n, cfg, int(net), st, a.load[net]))
+			add(netEndpoint(cfg, periodPs, int(net), st, a.load[net]))
 		}
 	}
 }
@@ -364,20 +371,55 @@ func (a *Analyzer) endpoints(g *Graph, cfg *Config, add func(Endpoint)) {
 // Analyze is the package function Analyze of g's netlist in this workspace.
 // The report is the Analyzer's: valid until its next call.
 func (a *Analyzer) Analyze(g *Graph, cfg Config) *Report {
-	n := g.n
-	a.propagate(g, &cfg, globalDerate(&cfg))
+	a.g, a.cfg = g, cfg
+	a.propagate(g, &a.cfg, globalDerate(&a.cfg))
 	if a.rep == nil {
 		a.rep = new(Report)
 	}
 	r := a.rep
-	*r = Report{Engine: cfg.Engine, PathBased: cfg.PathBased, SI: cfg.SI, WNSPs: math.Inf(1), sorted: r.sorted[:0], keys: r.keys[:0]}
+	*r = Report{sorted: r.sorted[:0], keys: r.keys[:0]}
+	// Endpoints into storage sized for all of them.
+	a.eps, a.path = a.report(g.n.ClockPeriodPs, r, resize(a.eps, len(g.ffs)+len(g.extEnds))[:0], a.path[:0])
+	return r
+}
 
-	// Endpoints: flip-flop D pins and externally loaded nets, into storage
-	// sized for all of them.
-	a.eps = resize(a.eps, len(g.ffs)+len(g.extEnds))[:0]
+// ReportAt returns, in a report of its own, what Analyze of the last
+// analysis's netlist and configuration returns when the netlist's
+// ClockPeriodPs is periodPs. Arrivals do not depend on the period, so it
+// evaluates the endpoints of the propagated state again and propagates
+// nothing. The last analysis must stand: no cell resized since. Where the
+// cells sit does not matter, as the loads and arrivals are the analysis's.
+// It does not modify the Analyzer, so concurrent ReportAt and WNSAt calls
+// are safe.
+func (a *Analyzer) ReportAt(periodPs float64) *Report {
+	r := new(Report)
+	a.report(periodPs, r, make([]Endpoint, 0, len(a.g.ffs)+len(a.g.extEnds)), nil)
+	return r
+}
+
+// WNSAt is ReportAt(periodPs).WNSPs, computed without allocating.
+func (a *Analyzer) WNSAt(periodPs float64) float64 {
+	wns, found := math.Inf(1), false
+	a.endpoints(periodPs, func(ep Endpoint) {
+		found = true
+		if ep.SlackPs < wns {
+			wns = ep.SlackPs
+		}
+	})
+	if !found {
+		return periodPs
+	}
+	return wns
+}
+
+// report fills r, a zero report but for its sort storage, from the
+// propagated state at the clock period periodPs: its endpoints go into eps
+// and its critical path into path, both empty, and come back for reuse.
+func (a *Analyzer) report(periodPs float64, r *Report, eps []Endpoint, path []int) ([]Endpoint, []int) {
+	r.Engine, r.PathBased, r.SI, r.WNSPs = a.cfg.Engine, a.cfg.PathBased, a.cfg.SI, math.Inf(1)
 	worstNet := -1 // no endpoint, no critical path
-	a.endpoints(g, &cfg, func(ep Endpoint) {
-		a.eps = append(a.eps, ep)
+	a.endpoints(periodPs, func(ep Endpoint) {
+		eps = append(eps, ep)
 		if ep.SlackPs < r.WNSPs {
 			r.WNSPs = ep.SlackPs
 			worstNet = ep.Net
@@ -387,29 +429,28 @@ func (a *Analyzer) Analyze(g *Graph, cfg Config) *Report {
 			r.Violations++
 		}
 	})
-	if len(a.eps) > 0 {
-		r.Endpoints = a.eps
+	if len(eps) > 0 {
+		r.Endpoints = eps
 	} else {
-		r.WNSPs = n.ClockPeriodPs
+		r.WNSPs = periodPs
 	}
 
 	// Critical path retrace.
 	if worstNet >= 0 {
-		a.path = retrace(g, worstNet, a.state, a.path[:0])
-		if len(a.path) > 0 {
-			r.CriticalPath = a.path
+		path = retrace(a.g, worstNet, a.state, path)
+		if len(path) > 0 {
+			r.CriticalPath = path
 		}
 	}
 
 	// Max frequency: arrival of the worst endpoint fixes the minimum
 	// feasible period.
-	worstArrival := n.ClockPeriodPs - r.WNSPs
-	if worstArrival > 0 {
+	if worstArrival := periodPs - r.WNSPs; worstArrival > 0 {
 		r.MaxFreqGHz = 1000 / worstArrival
 	}
 
-	r.CostUnits = costUnits(n, &cfg)
-	return r
+	r.CostUnits = costUnits(a.g.n, &a.cfg)
+	return eps, path
 }
 
 // pbaRecovery returns the slack recovered by path-based analysis for an

@@ -70,6 +70,17 @@ type Result struct {
 // post-synthesis prefix memo rests on this
 // (TestUnresizedNetlistIgnoresTarget).
 func Run(design *netlist.Netlist, opts Options) Result {
+	res, _, _ := RunTimed(design, opts)
+	return res
+}
+
+// RunTimed is Run that also hands back, when the result resized no cell,
+// the compiled graph of its netlist and the fast timer whose one analysis
+// is of that netlist as synthesis left it: the sizing pass's timing, of
+// which sta.Analyzer.ReportAt gives the report at any other period (only
+// the period separates two such runs). The caller may read the timer but
+// must not analyse with it again. Both are nil when a cell was resized.
+func RunTimed(design *netlist.Netlist, opts Options) (Result, *sta.Graph, *sta.Analyzer) {
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	n := design.Clone()
@@ -90,8 +101,8 @@ func Run(design *netlist.Netlist, opts Options) Result {
 	// Challenge 2).
 	maxPasses := 6 * opts.Effort
 	staCfg := sta.Config{Engine: sta.Fast}
-	g := sta.Compile(n)    // sizing leaves the topology as it is
-	var timer sta.Analyzer // one workspace for every analysis of this run
+	g := sta.Compile(n)      // sizing leaves the topology as it is
+	timer := &sta.Analyzer{} // one workspace for every analysis of this run
 	var bufs passBuffers
 	var final *sta.Report // the report of n as it stands, nil once resized
 	for pass := 0; pass < maxPasses; pass++ {
@@ -100,7 +111,7 @@ func Run(design *netlist.Netlist, opts Options) Result {
 		if final.WNSPs >= 0 {
 			break
 		}
-		if bufs.upsizePass(g, &timer, final, opts, rng, &res) == 0 {
+		if bufs.upsizePass(g, timer, final, opts, rng, &res) == 0 {
 			break // saturated: every critical cell at max drive
 		}
 		final = nil
@@ -113,7 +124,10 @@ func Run(design *netlist.Netlist, opts Options) Result {
 	res.Met = final.WNSPs >= 0
 	res.AreaUm2 = n.Area()
 	res.LeakageNW = n.Leakage()
-	return res
+	if res.Upsized > 0 {
+		return res, nil, nil
+	}
+	return res, g, timer
 }
 
 // bufferHighFanout splits nets with excessive fanout behind buffers,

@@ -102,7 +102,8 @@ go build ./...
 # watchdog goroutines, the flow's stage loop may abandon a
 # watchdog-reaped stage that is still running, and every engine's runs
 # share one post-synthesis prefix memo (flow.Prefixes) that concurrent
-# workers look up and store into at once; run their race tests
+# workers look up and store into at once, each reading one donor's
+# synthesis and signoff timers (sta.Analyzer.ReportAt/WNSAt); run their race tests
 # twice (fresh caches each time) before the full suite; the dist
 # service rides along because its store and coordinator queues are
 # hammered by every worker node at once, and the journal because every
@@ -111,7 +112,8 @@ go build ./...
 go test -race -count=2 ./internal/sched/... ./internal/campaign/... \
     ./internal/journal/... ./internal/trace/... ./internal/metrics/... \
     ./internal/place/... ./internal/route/... \
-    ./internal/flow/... ./internal/dist/...
+    ./internal/flow/... ./internal/dist/... \
+    ./internal/sta/... ./internal/synth/...
 go test -race ./...
 # The repo benchmark is a nested module (benchmark/go.mod), which the
 # ./... patterns above cannot see.
