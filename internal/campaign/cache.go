@@ -39,11 +39,14 @@ type Tier interface {
 // The cache is sharded (mutex per shard) and coalesces concurrent
 // requests for the same key into a single computation. Cached results
 // are shared: callers must treat them — including Result.Netlist — as
-// immutable. Hit/miss/eviction counts live behind one counter mutex so
-// Stats and HitRate always see a coherent snapshot (no torn reads
-// between related counters); they are mirrored into the process-wide
-// metrics registry (campaign.cache.* counters, visible on the METRICS
-// server's /stats endpoint).
+// immutable. A result's netlist storage may be shared beyond its key too:
+// a run that adopts its seed's prefix returns that seed's netlist storage
+// under a header of its own (flow.Prefixes), so a finished run's netlist
+// storage is never written. Hit/miss/eviction counts live behind one
+// counter mutex so Stats and HitRate always see a coherent snapshot (no
+// torn reads between related counters); they are mirrored into the
+// process-wide metrics registry (campaign.cache.* counters, visible on the
+// METRICS server's /stats endpoint).
 type Cache struct {
 	capPerShard int
 	shards      [shardCount]cacheShard

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cellib"
@@ -30,6 +31,31 @@ func freqSweep() []Point {
 	return pts
 }
 
+// finishTier is a cache tier that serves nothing and takes the fingerprint
+// of each computed result's netlist as its run finishes: the cache writes a
+// computed entry through before any other caller sees it.
+type finishTier struct {
+	mu sync.Mutex
+	fp map[*netlist.Netlist]uint64
+}
+
+func (ft *finishTier) Load(string) (Entry, bool) { return Entry{}, false }
+
+func (ft *finishTier) Store(e Entry) {
+	fp := e.Res.Netlist.Fingerprint()
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	ft.fp[e.Res.Netlist] = fp
+}
+
+// sweepEngine is an engine of the given workers whose cache fingerprints
+// every result as its run finishes (see requireFlowRun).
+func sweepEngine(workers int, obs flow.Observer) *Engine {
+	c := NewCache(0)
+	c.SetTier(&finishTier{fp: map[*netlist.Netlist]uint64{}})
+	return New(Config{Workers: workers, Cache: c, Observer: obs})
+}
+
 // runReused runs pts on eng and returns the results and how many runs
 // reused a prefix.
 func runReused(t *testing.T, eng *Engine, pts []Point) ([]*flow.Result, int64) {
@@ -45,9 +71,29 @@ func runReused(t *testing.T, eng *Engine, pts []Point) ([]*flow.Result, int64) {
 // requireFlowRun fails unless every result is what flow.Run returns for its
 // point — its synthesis result, its full signoff report (endpoints and
 // critical path included), its netlist and everything else — and every
-// netlist is a result's own, at the point's clock period.
-func requireFlowRun(t *testing.T, pts []Point, got []*flow.Result) {
+// netlist is a result's own, at the point's clock period. The reused runs
+// of eng's sweep share the instance and net storage of the runs they
+// adopted, so the results hold that many fewer distinct arrays, and no
+// run wrote a netlist after its run finished: each fingerprint is the
+// one eng's cache took then.
+func requireFlowRun(t *testing.T, eng *Engine, pts []Point, got []*flow.Result, reused int64) {
 	t.Helper()
+	finished := eng.cache.tier.(*finishTier).fp
+	insts, nets := map[*netlist.Instance]bool{}, map[*netlist.Net]bool{}
+	for i, g := range got {
+		fp, ok := finished[g.Netlist]
+		if !ok {
+			t.Fatalf("point %d: its netlist was never written through the cache", i)
+		}
+		if now := g.Netlist.Fingerprint(); now != fp {
+			t.Fatalf("point %d: netlist fingerprint %016x after the sweep, %016x when its run finished", i, now, fp)
+		}
+		insts[&g.Netlist.Insts[0]], nets[&g.Netlist.Nets[0]] = true, true
+	}
+	if want := len(got) - int(reused); len(insts) != want || len(nets) != want {
+		t.Fatalf("%d results over %d instance and %d net arrays; %d reused a prefix, so want %d of each",
+			len(got), len(insts), len(nets), reused, want)
+	}
 	own := map[*netlist.Netlist]int{}
 	for i, p := range pts {
 		want := flow.Run(p.Design(), p.Options())
@@ -87,8 +133,9 @@ func TestPrefixReuseMatchesFlowRun(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		got, reused := runReused(t, New(Config{Workers: workers}), pts)
-		requireFlowRun(t, pts, got)
+		eng := sweepEngine(workers, nil)
+		got, reused := runReused(t, eng, pts)
+		requireFlowRun(t, eng, pts, got, reused)
 		t.Logf("workers %d: %d of %d runs reused a prefix", workers, reused, len(pts))
 		if workers == 1 && reused != 28 {
 			t.Errorf("workers 1: %d runs reused a prefix, want 28 (4 seeds computed once each)", reused)
@@ -108,17 +155,17 @@ func TestPrefixReuseMatchesFlowRun(t *testing.T) {
 		defer cancel()
 		// The first point's groute commit cancels the campaign, so neither
 		// of two points that share a prefix finishes.
-		eng := New(Config{Workers: 1, Observer: flow.ObserverFunc(func(rec flow.StepRecord) {
+		eng := sweepEngine(1, flow.ObserverFunc(func(rec flow.StepRecord) {
 			if rec.Step == "groute" {
 				cancel()
 			}
-		})})
+		}))
 		if _, err := eng.Run(ctx, []Point{pts[0], pts[4]}); err != context.Canceled {
 			t.Fatalf("aborted campaign: err = %v, want context.Canceled", err)
 		}
 		eng.obs = nil
 		got, reused := runReused(t, eng, pts)
-		requireFlowRun(t, pts, got)
+		requireFlowRun(t, eng, pts, got, reused)
 		if reused != 28 {
 			t.Errorf("after an aborted run: %d reuses, want 28 — the aborted run left a prefix", reused)
 		}
@@ -129,8 +176,9 @@ func TestPrefixReuseMatchesFlowRun(t *testing.T) {
 		// another derate its signoff is its own, so the donor's report at
 		// its period would differ from flow.Run's.
 		sweep := []Point{at(0.30, 0), at(0.50, 5)}
-		got, reused := runReused(t, New(Config{Workers: 1}), sweep)
-		requireFlowRun(t, sweep, got)
+		eng := sweepEngine(1, nil)
+		got, reused := runReused(t, eng, sweep)
+		requireFlowRun(t, eng, sweep, got, reused)
 		if reused != 1 {
 			t.Errorf("%d reuses, want 1", reused)
 		}
@@ -141,8 +189,9 @@ func TestPrefixReuseMatchesFlowRun(t *testing.T) {
 		// the 0.30 GHz run, runs in full, and the 0.50 GHz run after it
 		// still reuses that prefix.
 		sweep := []Point{at(0.30, 0), at(3.0, 0), at(0.50, 0)}
-		got, reused := runReused(t, New(Config{Workers: 1}), sweep)
-		requireFlowRun(t, sweep, got)
+		eng := sweepEngine(1, nil)
+		got, reused := runReused(t, eng, sweep)
+		requireFlowRun(t, eng, sweep, got, reused)
 		if got[1].Synth.Upsized == 0 {
 			t.Fatal("tiny at 3 GHz resized nothing; the case needs a run that fails timing")
 		}
@@ -155,7 +204,7 @@ func TestPrefixReuseMatchesFlowRun(t *testing.T) {
 		// A Run of one point gets no memo, nor does a point of a Run that
 		// shares its prefix with no other: the two-point Run after them
 		// computes its first point and reuses only for its second.
-		eng := New(Config{Workers: 1})
+		eng := sweepEngine(1, nil)
 		if _, reused := runReused(t, eng, []Point{at(0.30, 0)}); reused != 0 {
 			t.Fatalf("a one-point Run reused %d prefixes", reused)
 		}
@@ -165,7 +214,7 @@ func TestPrefixReuseMatchesFlowRun(t *testing.T) {
 		}
 		sweep := []Point{at(0.40, 0), at(0.50, 0)}
 		got, reused := runReused(t, eng, sweep)
-		requireFlowRun(t, sweep, got)
+		requireFlowRun(t, eng, sweep, got, reused)
 		if reused != 1 {
 			t.Errorf("%d reuses after Runs that share no prefix, want 1 — one of them stored a prefix", reused)
 		}

@@ -203,7 +203,7 @@ func endStageSpan(sp *trace.Span, err error) {
 // record. The commit runs on the caller's goroutine only after the
 // compute is known to have finished, so a reaped stage can never race
 // with the caller: an abandoned compute writes only the run's artifact
-// set, which nobody reads after the abort.
+// set and the netlist under construction, and a reaped run returns neither.
 //
 // Cancellation is checked at every stage boundary, between annealing
 // move blocks and between detailed-routing rip-up passes, so a campaign
@@ -211,7 +211,8 @@ func endStageSpan(sp *trace.Span, err error) {
 // after the full run: the partial Result has Aborted set, holds the
 // stages committed before the one cancellation hit (a stage cut short is
 // never committed), and ctx.Err() is returned. A watchdog reap ends the
-// run the same way, with an error wrapping sched.ErrHung.
+// run the same way, with an error wrapping sched.ErrHung, but its partial
+// Result holds no netlist (Netlist and Synth.Netlist are nil).
 //
 // With RunConfig.Prefixes set, a run looks its post-synthesis prefix up
 // before synthesis. On a hit whose synthesis would resize nothing, every
@@ -242,15 +243,11 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 		}
 	}
 	defer func() {
-		// The returned netlist must be value-identical to its serialized
-		// round-trip (campaign journals replay results and compare them
-		// to recomputed ones), so drop any in-memory placement cache the
-		// run's kernels left behind before handing the result out — a
-		// finished run's below, before its prefix is stored. A reaped
-		// stage's abandoned compute may still be writing the netlist, so a
-		// reaped run's is left as it is.
-		if err != nil && res.Netlist != nil && !errors.Is(err, sched.ErrHung) {
-			res.Netlist.InvalidatePlacement()
+		// A reaped stage's abandoned compute may still be writing the
+		// netlist, so a reaped run returns none, as a replayed result
+		// holds none.
+		if err != nil && errors.Is(err, sched.ErrHung) {
+			res.Netlist, res.Synth.Netlist = nil, nil
 		}
 		if res.FailedStage != "" {
 			runSpan.Set("failed_stage", res.FailedStage)
@@ -305,7 +302,6 @@ func RunCfg(ctx context.Context, design *netlist.Netlist, opts Options, rc RunCo
 		ssp.End()
 	}
 
-	a.n.InvalidatePlacement()
 	res.AreaUm2 = a.n.Area() + res.CTS.AreaUm2
 	res.PowerNW = a.n.Leakage() + res.CTS.PowerNW
 	res.WNSPs = res.Sign.WNSPs

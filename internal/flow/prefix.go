@@ -18,22 +18,25 @@ import (
 // alike, and a frequency sweep need compute that once per seed.
 //
 // A run looks its prefix up before synthesis. On a hit whose fast slack at
-// its own period shows that its synthesis would resize nothing, it takes a
-// Clone of the donor's netlist at its own period, the donor's synthesis
-// result with the sizing pass's timing evaluated at that period, and the
-// donor's place, cts, groute and droute artifacts; its signoff report is the
-// donor's signoff timing evaluated at its period, or, at another derate, a
-// full signoff of its own netlist. Everything it returns and records is
-// what it would have computed. Any other run computes every stage.
+// its own period shows that its synthesis would resize nothing, it takes
+// the donor's netlist under a header of its own at its own period, the
+// donor's synthesis result with the sizing pass's timing evaluated at that
+// period, and the donor's place, cts, groute and droute artifacts; its
+// signoff report is the donor's signoff timing evaluated at its period, or,
+// at another derate, a full signoff of its own netlist. Everything it
+// returns and records is what it would have computed. Any other run
+// computes every stage.
 //
 // An entry is the donor's own artifact set, stored once the donor has
 // finished: nothing is copied. Its netlist is the donor's Result.Netlist,
-// so a memo serves only runs whose results are treated as immutable, as a
-// campaign's cache demands of every keyed point; a caller that edits a
-// result's netlist must not hand that run a memo. The other artifacts are
-// shared with every run that reuses them, as they always were: nothing
-// outside internal/route writes through a Result's Global, Route or
-// CTS.SkewPs, and a report or timer is only read.
+// and every run that adopts it returns that netlist's instance, net and pin
+// storage under a header of its own (see netlist.Netlist), so a memo
+// serves only runs whose results are treated as immutable, as a campaign's
+// cache demands of every keyed point; a caller that edits a result's
+// netlist must not hand that run a memo. The other artifacts are shared
+// with every run that reuses them, as they always were: nothing outside
+// internal/route writes through a Result's Global, Route or CTS.SkewPs,
+// and a report or timer is only read.
 //
 // A design is known by its pointer, so it must not change while a memo
 // that has run it is in use. Two runs that miss the same key at once both
@@ -84,24 +87,24 @@ func (m *Prefixes) store(k prefixKey, donor *artifacts) {
 }
 
 // adopt makes a the run that the donor p implies at a's options, unless its
-// synthesis would resize a cell: a clone of the donor's netlist at a's
-// clock period (as synth.Run sets it), the donor's synthesis result with the
-// sizing pass's timing at that period, its four stage artifacts and, at the
-// donor's derate, its signoff timing at that period. It reports whether it
-// did; a run it did not adopt computes every stage.
+// synthesis would resize a cell: the donor's netlist under a header of a's
+// own at a's clock period (as synth.Run sets it), the donor's synthesis
+// result with the sizing pass's timing at that period, its four stage
+// artifacts and, at the donor's derate, its signoff timing at that period.
+// It reports whether it did; a run it did not adopt computes every stage.
 func (a *artifacts) adopt(p *artifacts) bool {
 	period := 1000 / a.opts.TargetFreqGHz
 	wns := p.fast.WNSAt(period)
 	if !(wns >= 0) {
 		return false // the first sizing pass would resize cells
 	}
-	n := p.n.Clone()
+	n := *p.n // the donor's storage, which no finished run writes
 	n.ClockPeriodPs = period
-	a.n = n
+	a.n = &n
 	// Passes 1 and Upsized 0, as every donor's; the donor's area, leakage
 	// and buffers. A met timing has no negative slack to total.
 	a.syn = p.syn
-	a.syn.Netlist, a.syn.WNSPs, a.syn.TNSPs, a.syn.Met = n, wns, 0, true
+	a.syn.Netlist, a.syn.WNSPs, a.syn.TNSPs, a.syn.Met = a.n, wns, 0, true
 	a.pl, a.ct, a.gr, a.dr = p.pl, p.ct, p.gr, p.dr
 	if a.opts.DeratePct == p.opts.DeratePct {
 		a.sign = p.signer.ReportAt(period)

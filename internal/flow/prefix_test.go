@@ -3,11 +3,15 @@ package flow
 import (
 	"context"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"runtime/pprof"
 	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/netlist"
 	"repro/internal/trace"
 )
 
@@ -77,5 +81,54 @@ func TestPrefixReuseSpansAndRecords(t *testing.T) {
 	}
 	if r, w := reused(runs[1]), []string{"flow.synth", "flow.place", "flow.cts", "flow.groute", "flow.droute", "flow.sta"}; !slices.Equal(r, w) {
 		t.Errorf("reused spans %v, want %v", r, w)
+	}
+}
+
+// heapBytes returns the bytes f allocates. The count is process-wide, so
+// it is taken with the collector off: every cycle wakes the runtime's
+// cleanup of unique's maps (net/netip registers one), which allocates on
+// its own goroutine. A window in which the runtime started an OS thread,
+// which allocates 5.5 KB for its m and two g's, is taken again.
+func heapBytes(f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	threads := pprof.Lookup("threadcreate")
+	for try := 0; ; try++ {
+		runtime.GC()
+		n := threads.Count()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if threads.Count() == n || try == 4 {
+			return after.TotalAlloc - before.TotalAlloc
+		}
+	}
+}
+
+// TestAdoptedRunAllocs: a run that adopts its seed's prefix takes the
+// donor's netlist storage under a header of its own, so it allocates less
+// than half of what one Clone of that netlist does (a Clone was 86 % of an
+// adopted tiny run's bytes).
+func TestAdoptedRunAllocs(t *testing.T) {
+	d, ctx, memo := tiny(1), context.Background(), NewPrefixes()
+	run := func(ghz float64) *Result {
+		res, err := RunCfg(ctx, d, Options{TargetFreqGHz: ghz, Seed: 2}, RunConfig{Prefixes: memo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	donor := run(0.3)
+	reused := metrics.Get("flow.prefix.reused")
+	run(0.45)
+	if metrics.Get("flow.prefix.reused") != reused+1 {
+		t.Fatal("the 0.45 GHz run did not adopt the 0.3 GHz run's prefix")
+	}
+	var clone *netlist.Netlist
+	cloneBytes := heapBytes(func() { clone = donor.Netlist.Clone() })
+	adoptBytes := heapBytes(func() { run(0.45) })
+	t.Logf("adopted run %d bytes, one Clone of its %d-cell netlist %d", adoptBytes, clone.NumCells(), cloneBytes)
+	if adoptBytes >= cloneBytes/2 {
+		t.Errorf("an adopted run allocated %d bytes, want under half of a Clone's %d", adoptBytes, cloneBytes)
 	}
 }

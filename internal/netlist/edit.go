@@ -73,7 +73,6 @@ func (n *Netlist) InsertBuffer(netID int, sinks []PinRef, buf cellib.Cell) int {
 		n.Insts[id].X = cx / float64(len(sinks))
 		n.Insts[id].Y = cy / float64(len(sinks))
 	}
-	n.InvalidatePlacement()
 	newNet := n.AddNet(id, "")
 	for _, s := range sinks {
 		n.detachSink(netID, s.Inst, s.Pin)

@@ -44,7 +44,15 @@ type Net struct {
 	ExternalCap float64
 }
 
-// Netlist is a complete gate-level design.
+// Netlist is a complete gate-level design: a header (the name, the
+// library, the clock net and period and the four slice headers) over its
+// instance, net and pin storage. Two netlists may share storage under
+// headers of their own: the flow's runs of one design that differ only in
+// their clock period each return their own header over one run's storage
+// (see flow.Prefixes). A finished run's netlist storage is never written:
+// the flow writes only the netlist its run is building, and a caller that
+// edits a result (an ECO) edits a Clone, so a header that shares storage
+// reads what its run computed.
 type Netlist struct {
 	Name string
 	Lib  *cellib.Library
@@ -60,12 +68,6 @@ type Netlist struct {
 
 	ClockNet      int // net ID of the clock, or -1
 	ClockPeriodPs float64
-
-	// Cached placement extent (see PlacedExtent). Unexported so Clone
-	// drops it; guarded by extentCells against instance insertion.
-	extentValid      bool
-	extentCells      int
-	extentX, extentY float64
 }
 
 // NumCells returns the number of instances.
@@ -592,7 +594,6 @@ func Generate(lib *cellib.Library, spec Spec) *Netlist {
 // SpreadInitial assigns a deterministic initial placement: instances in
 // level-major order, row by row, on a die sized for ~60% utilization.
 func SpreadInitial(n *Netlist) {
-	n.InvalidatePlacement()
 	w, h := DieSize(n, 0.6)
 	order := n.TopoOrder()
 	cols := int(math.Ceil(math.Sqrt(float64(len(order)))))

@@ -81,38 +81,3 @@ type NetPins struct {
 func (np NetPins) Of(netID int) []int32 {
 	return np.Inst[np.Off[netID]:np.Off[netID+1]]
 }
-
-// PlacedExtent returns the maximum instance X and Y of the current
-// placement, caching the scan until InvalidatePlacement is called (or
-// the instance count changes). The global router used to rescan every
-// instance per call; campaign benches route the same placement many
-// times, so the scan is hoisted here. Not safe for concurrent first
-// call on a shared netlist — like every other mutating accessor.
-func (n *Netlist) PlacedExtent() (maxX, maxY float64) {
-	if n.extentValid && n.extentCells == len(n.Insts) {
-		return n.extentX, n.extentY
-	}
-	for i := range n.Insts {
-		if n.Insts[i].X > maxX {
-			maxX = n.Insts[i].X
-		}
-		if n.Insts[i].Y > maxY {
-			maxY = n.Insts[i].Y
-		}
-	}
-	n.extentValid, n.extentCells = true, len(n.Insts)
-	n.extentX, n.extentY = maxX, maxY
-	return maxX, maxY
-}
-
-// InvalidatePlacement drops the cached placement extent. Every code
-// path that writes instance coordinates must call it (Clone drops the
-// cache implicitly). All cache fields are zeroed — not just the valid
-// bit — so an invalidated netlist is value-identical to one that never
-// cached (campaign journals compare replayed results to recomputed
-// ones with reflect.DeepEqual).
-func (n *Netlist) InvalidatePlacement() {
-	n.extentValid = false
-	n.extentCells = 0
-	n.extentX, n.extentY = 0, 0
-}

@@ -55,53 +55,3 @@ func TestBuildIncidenceMatchesNaive(t *testing.T) {
 		}
 	}
 }
-
-func scanExtent(n *Netlist) (x, y float64) {
-	for i := range n.Insts {
-		if n.Insts[i].X > x {
-			x = n.Insts[i].X
-		}
-		if n.Insts[i].Y > y {
-			y = n.Insts[i].Y
-		}
-	}
-	return x, y
-}
-
-func TestPlacedExtentCacheTracksWriters(t *testing.T) {
-	n := Generate(cellib.Default14nm(), Tiny(5))
-	check := func(stage string) {
-		t.Helper()
-		wx, wy := scanExtent(n)
-		gx, gy := n.PlacedExtent()
-		if gx != wx || gy != wy {
-			t.Fatalf("%s: cached extent (%v,%v) != scan (%v,%v)", stage, gx, gy, wx, wy)
-		}
-	}
-	check("generated")
-
-	// Mutation through a writer must invalidate.
-	n.Insts[0].X = 1e6
-	n.InvalidatePlacement()
-	check("manual write + invalidate")
-
-	// SpreadInitial invalidates itself.
-	SpreadInitial(n)
-	check("spread")
-
-	// Instance insertion is caught by the cell-count guard even without
-	// an explicit invalidate.
-	n.PlacedExtent()
-	id := n.AddInstance(n.Lib.Smallest(cellib.Inverter), "")
-	n.Insts[id].X, n.Insts[id].Y = 2e6, 3e6
-	check("insert")
-
-	// Clone drops the cache.
-	c := n.Clone()
-	c.Insts[0].X = 9e6
-	check("original after clone")
-	cx, _ := c.PlacedExtent()
-	if cx != 9e6 {
-		t.Fatalf("clone extent %v, want 9e6", cx)
-	}
-}

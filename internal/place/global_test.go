@@ -3,6 +3,8 @@ package place
 import (
 	"context"
 	"runtime"
+	"runtime/debug"
+	"runtime/pprof"
 	"slices"
 	"testing"
 
@@ -121,18 +123,38 @@ func TestGlobalStepDeterministic(t *testing.T) {
 // edge list, nothing grown per solve. An edge list appended on every solve
 // cost 4.5 MB on soc-proxy. The runtime hands out an allocation above 32 KiB
 // in whole 8 KiB pages, so each of the three may round up by one.
+//
+// Both counts are process-wide, so they are taken with the collector off:
+// every cycle wakes the runtime's cleanup of unique's maps (net/netip
+// registers one, and internal/trace brings in net/http), which allocates
+// two objects on its own goroutine. A window in which the runtime started
+// an OS thread, which allocates six objects (5.5 KB) for its m and two g's,
+// is taken again. Two cycles inside the three counted steps read as four
+// allocations a step, one thread as five.
 func TestGlobalPlaceAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	threads := pprof.Lookup("threadcreate")
 	for _, spec := range []netlist.Spec{socProxy(), netlist.PulpinoProxy(1)} {
 		n := netlist.Generate(lib(), spec)
 		p, _ := newPlacer(context.Background(), n, Options{Seed: 1})
-		if allocs := testing.AllocsPerRun(3, p.globalPlace); allocs > 3 {
+		var allocs float64
+		var bytes uint64
+		for try := 0; try < 5; try++ {
+			runtime.GC() // the cleanup it wakes runs while it waits
+			started := threads.Count()
+			allocs = testing.AllocsPerRun(3, p.globalPlace)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			p.globalPlace()
+			runtime.ReadMemStats(&after)
+			bytes = after.TotalAlloc - before.TotalAlloc
+			if threads.Count() == started {
+				break
+			}
+		}
+		if allocs > 3 {
 			t.Errorf("%s: %.0f allocations per global step, want at most 3", spec.Name, allocs)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		p.globalPlace()
-		runtime.ReadMemStats(&after)
-		bytes := after.TotalAlloc - before.TotalAlloc
 		limit := uint64(32*n.NumCells() + 8*len(n.Nets) + 3*8192)
 		t.Logf("%s: %d cells, %d nets, %d bytes per global step (limit %d)", spec.Name, n.NumCells(), len(n.Nets), bytes, limit)
 		if bytes > limit {

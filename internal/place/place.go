@@ -670,7 +670,6 @@ func applyCoords(n *netlist.Netlist, g *grid) {
 		n.Insts[inst].X = x
 		n.Insts[inst].Y = y
 	}
-	n.InvalidatePlacement()
 }
 
 // Snapshot captures instance coordinates, x and y per instance: the

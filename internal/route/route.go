@@ -388,10 +388,18 @@ func DetailRouteCtx(ctx context.Context, g *GlobalResult, opts DetailOptions) *D
 	return res
 }
 
-// dieExtent derives the routed die from the placement extent (cached on
-// the netlist) plus a 1% halo.
+// dieExtent derives the routed die from the placement extent plus a 1%
+// halo.
 func dieExtent(n *netlist.Netlist) (w, h float64) {
-	maxX, maxY := n.PlacedExtent()
+	var maxX, maxY float64
+	for i := range n.Insts {
+		if n.Insts[i].X > maxX {
+			maxX = n.Insts[i].X
+		}
+		if n.Insts[i].Y > maxY {
+			maxY = n.Insts[i].Y
+		}
+	}
 	if maxX <= 0 {
 		maxX = 1
 	}

@@ -108,7 +108,6 @@ func Anonymize(n *netlist.Netlist, mode Mode, seed int64) *netlist.Netlist {
 			out.Insts[i].Y = 0
 		}
 	}
-	out.InvalidatePlacement()
 	return out
 }
 
