@@ -8,7 +8,7 @@
 //	campd -mode worker -id w0 -addr 127.0.0.1:7601 \
 //	      -store-url http://127.0.0.1:7600 \
 //	      -design tiny -freq 0.5 -seed 1 -sweep 4 [-parallel 2]
-//	campd -mode coord -store-url http://127.0.0.1:7600 \
+//	campd -mode coord \
 //	      -nodes w0=http://127.0.0.1:7601,w1=http://127.0.0.1:7602 \
 //	      -design tiny -freq 0.5 -seed 1 -sweep 4
 //
@@ -16,7 +16,8 @@
 // same sweep flags (-design/-freq/-seed/-sweep/-effort, expanded by
 // repro.SweepSpec as sprflow's flags and the metricsd front door's JSON
 // are), so the coordinator addresses work by point index and assembles
-// results by content key. The coordinator's stdout is byte-identical to
+// results from the store entries the workers' answers carry; it never
+// talks to the store itself. The coordinator's stdout is byte-identical to
 // `sprflow -sweep` with the same flags, at any node count, including
 // after killing workers mid-campaign. The store's -journal DIR makes
 // results durable: restart the store and finished points are served,
@@ -71,7 +72,7 @@ func run() int {
 	mode := flag.String("mode", "", "store, worker, or coord")
 	addr := flag.String("addr", "127.0.0.1:0", "listen address (store and worker modes)")
 	journalDir := flag.String("journal", "", "store WAL directory (store mode; \"\" = memory only)")
-	storeURL := flag.String("store-url", "", "result store base URL (worker and coord modes)")
+	storeURL := flag.String("store-url", "", "result store base URL (worker mode)")
 	id := flag.String("id", "", "worker node ID (worker mode; must match -nodes entry)")
 	nodeList := flag.String("nodes", "", "comma-separated id=url worker list (coord mode)")
 	design := flag.String("design", "pulpino", "design: pulpino, cpu, artificial, tiny")
@@ -102,8 +103,8 @@ func run() int {
 		return 2
 	}
 
-	if *storeURL == "" {
-		fmt.Fprintln(os.Stderr, "campd: -store-url required")
+	if *mode == "worker" && *storeURL == "" {
+		fmt.Fprintln(os.Stderr, "campd: worker mode needs -store-url")
 		return 2
 	}
 	scfg, err := repro.SweepSpec{
@@ -120,16 +121,14 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	client := dist.NewStoreClient(*storeURL)
-
 	if *mode == "worker" {
-		return runWorker(*id, *addr, pts, client, *parallel, scfg, nodeObs{
+		return runWorker(*id, *addr, pts, dist.NewStoreClient(*storeURL), *parallel, scfg, nodeObs{
 			metricsAddr: *metricsAddr, traceFile: *traceFile,
 			retention: *spanRetention, shipURL: *spanShip,
 			warehouseURL: *warehouseURL, node: *id,
 		})
 	}
-	return runCoord(*nodeList, pts, scfg, client, *parallel, nodeObs{
+	return runCoord(*nodeList, pts, *parallel, nodeObs{
 		metricsAddr: *metricsAddr, traceFile: *traceFile,
 		retention: *spanRetention, node: "coord",
 	})
@@ -280,9 +279,9 @@ func runWorker(id, addr string, pts []campaign.Point, client *dist.StoreClient, 
 	}
 	fmt.Printf("campd worker %s listening on %s (%d points known)\n", id, bound, len(pts))
 	waitSignal()
-	// Graceful: refuse new runs, finish in-flight points, backfill the
-	// store backlog, release pooled connections — nothing computed here
-	// is lost and the coordinator sees clean 503s while we drain.
+	// Graceful: refuse new runs, finish in-flight points, release pooled
+	// connections — every point answered here is in the store, and the
+	// coordinator sees clean 503s while we drain.
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := w.Shutdown(ctx); err != nil {
@@ -295,7 +294,7 @@ func runWorker(id, addr string, pts []campaign.Point, client *dist.StoreClient, 
 	return 0
 }
 
-func runCoord(nodeList string, pts []campaign.Point, scfg repro.SweepConfig, client *dist.StoreClient, parallel int, o nodeObs) int {
+func runCoord(nodeList string, pts []campaign.Point, parallel int, o nodeObs) int {
 	// The coordinator hosts the span collector: workers -span-ship their
 	// finished spans here, and the -trace file written at exit is the
 	// fleet's single stitched timeline. Resolved lazily so the handler
@@ -333,9 +332,7 @@ func runCoord(nodeList string, pts []campaign.Point, scfg repro.SweepConfig, cli
 		fmt.Fprintln(os.Stderr, "campd: coord mode needs -nodes id=url[,id=url...]")
 		return 2
 	}
-	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{
-		Points: pts, Nodes: nodes, Store: client,
-	})
+	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{Points: pts, Nodes: nodes})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

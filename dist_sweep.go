@@ -9,8 +9,9 @@ package repro
 // engine with the store as their cache's network tier, and a
 // coordinator whose one queue of points feeds every node's slots.
 // Byte-identity with the single-node sweep is the whole contract: the
-// output is assembled from the store by content key, so node count,
-// scheduling, even a worker killed mid-point cannot change a byte of it.
+// output is assembled from the store entries the workers' answers carry,
+// addressed by content key, so node count, scheduling, even a worker
+// killed mid-point cannot change a byte of it.
 
 import (
 	"context"
@@ -133,8 +134,9 @@ func DistSweep(cfg DistSweepConfig) (SweepResult, error) {
 		return out, err
 	}
 	defer srv.Close()
-	client := dist.NewStoreClientCfg("http://"+addr, rpcFor("coord"))
-	defer client.Close()
+	// Without chaos the workers share one store client.
+	shared := dist.NewStoreClientCfg("http://"+addr, dist.RPCConfig{Seed: cfg.ChaosSeed})
+	defer shared.Close()
 	if cfg.JournalDir != "" {
 		// The same accounting as Sweep's journal: a recovered entry this
 		// sweep's points ask for is replayed, any other is skipped.
@@ -170,10 +172,10 @@ func DistSweep(cfg DistSweepConfig) (SweepResult, error) {
 	var coordNodes []dist.Node
 	for i := 0; i < nodes; i++ {
 		id := fmt.Sprintf("w%d", i)
-		// Each worker gets its own store client so its RPCs carry its
-		// own source name on the chaos graph (and its offline backlog is
-		// per node, as it would be across real hosts).
-		wclient := client
+		// Under chaos each worker gets its own store client so its RPCs
+		// carry its own source name on the chaos graph (and its unsent
+		// entries are per node, as they would be across real hosts).
+		wclient := shared
 		if eng != nil {
 			wclient = dist.NewStoreClientCfg("http://"+addr, rpcFor(id))
 			defer wclient.Close()
@@ -203,7 +205,7 @@ func DistSweep(cfg DistSweepConfig) (SweepResult, error) {
 	}
 
 	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{
-		Points: pts, Nodes: coordNodes, Store: client,
+		Points: pts, Nodes: coordNodes,
 		RPC: rpcFor("coord"), Health: health,
 	})
 	if err != nil {

@@ -278,17 +278,6 @@ func (l *Library) Downsize(c Cell) (Cell, bool) {
 	return c, false
 }
 
-// WithVT returns the same class/drive cell in another threshold flavor,
-// if the library has it.
-func (l *Library) WithVT(c Cell, vt VT) (Cell, bool) {
-	for _, j := range l.byClass[c.Class] {
-		if l.cells[j].Drive == c.Drive && l.cells[j].VT == vt {
-			return l.cells[j], true
-		}
-	}
-	return c, false
-}
-
 // Default14nm constructs the default library used throughout the
 // reproduction: 11 classes at drive strengths X1..X16 with first-order
 // scaling laws (area and input cap grow with drive; resistance shrinks).

@@ -17,6 +17,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/flow"
 	"repro/internal/journal"
+	"repro/internal/metrics"
 )
 
 // fastHealth is the probe cadence the chaos tests run at: quick enough
@@ -24,13 +25,14 @@ import (
 var fastHealth = HealthConfig{
 	ProbeInterval:  5 * time.Millisecond,
 	ProbeTimeout:   250 * time.Millisecond,
-	ProbeFails:     2,
 	RejoinInterval: 5 * time.Millisecond,
+	probeFails:     2,
 }
 
 // chaosCluster is startCluster with per-endpoint chaos transports: each
 // worker's store client and the coordinator's RPCs all route through
-// one engine, tagged with their logical source names.
+// one engine, tagged with their logical source names. Every worker has
+// its own store client, so the cluster's shared client is nil.
 func chaosCluster(t *testing.T, pts []campaign.Point, n int, eng *chaos.Engine) (*cluster, CoordinatorConfig) {
 	t.Helper()
 	store, err := OpenStore("", journal.Options{})
@@ -43,9 +45,7 @@ func chaosCluster(t *testing.T, pts []campaign.Point, n int, eng *chaos.Engine) 
 		t.Fatalf("start store server: %v", err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	coordClient := NewStoreClientCfg("http://"+addr, RPCConfig{Transport: eng.Transport("coord", NewTransport())})
-	t.Cleanup(coordClient.Close)
-	cl := &cluster{store: store, server: srv, client: coordClient}
+	cl := &cluster{store: store, server: srv}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("w%d", i)
 		wc := NewStoreClientCfg("http://"+addr, RPCConfig{Transport: eng.Transport(id, NewTransport())})
@@ -60,7 +60,7 @@ func chaosCluster(t *testing.T, pts []campaign.Point, n int, eng *chaos.Engine) 
 		cl.nodes = append(cl.nodes, Node{ID: id, URL: "http://" + waddr, Slots: 2})
 	}
 	cfg := CoordinatorConfig{
-		Points: pts, Nodes: cl.nodes, Store: coordClient,
+		Points: pts, Nodes: cl.nodes,
 		RPC:    RPCConfig{Transport: eng.Transport("coord", NewTransport())},
 		Health: fastHealth,
 	}
@@ -148,7 +148,7 @@ func TestSuspectDeadRejoinServesPoints(t *testing.T) {
 	g.set("w0", true)
 	g.set("w1", true)
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Points: pts, Nodes: cl.nodes, Store: cl.client,
+		Points: pts, Nodes: cl.nodes,
 		RPC:    RPCConfig{Transport: g},
 		Health: fastHealth,
 	})
@@ -226,7 +226,7 @@ func TestStoreClientErrorPaths(t *testing.T) {
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				w.Write(data[:cutAt]) //nolint:errcheck
 			}))
-			c := NewStoreClientCfg(srv.URL, RPCConfig{Retries: -1})
+			c := NewStoreClientCfg(srv.URL, RPCConfig{retries: -1})
 			if _, ok := c.Load(key); ok {
 				t.Fatalf("truncated body at %d bytes decoded as a hit", cutAt)
 			}
@@ -278,9 +278,13 @@ func TestStoreClientErrorPaths(t *testing.T) {
 		eng := chaos.New(chaos.Config{Seed: 1, DupRate: 1})
 		c := NewStoreClientCfg("http://"+addr, RPCConfig{Transport: eng.Transport("w0", NewTransport())})
 		defer c.Close()
+		putErrs := metrics.Get("dist.client.put_err")
 		c.Store(campaign.Entry{Key: key, Res: ref[0]})
-		if got := c.PendingBacklog(); got != 0 {
-			t.Fatalf("duplicated put backlogged the entry: backlog=%d", got)
+		if n := metrics.Get("dist.client.put_err") - putErrs; n != 0 {
+			t.Fatalf("duplicated put failed %d times", n)
+		}
+		if err := c.Publish(context.Background(), key); err != nil {
+			t.Fatalf("publish after a duplicated put: %v", err)
 		}
 		if store.Len() != 1 {
 			t.Fatalf("store has %d entries after duplicated put, want 1", store.Len())
@@ -295,11 +299,12 @@ func TestStoreClientErrorPaths(t *testing.T) {
 	})
 }
 
-// TestBacklogBackfillOnHeal: a worker-side client whose store link is
-// cut backlogs write-throughs and publishes them when the link heals.
-func TestBacklogBackfillOnHeal(t *testing.T) {
-	design := tinyDesign(6)
-	pts := sweepPoints(design, 1, 2)
+// TestLoneNodePublishesAfterHeal: the only node's store link is cut, so
+// it computes points it cannot publish and answers 503 for each; once
+// the link heals, it publishes what it computed and the campaign
+// completes with every point in the store.
+func TestLoneNodePublishesAfterHeal(t *testing.T) {
+	pts := sweepPoints(tinyDesign(6), 1, 2)
 	ref := singleNodeReference(t, pts)
 
 	store, err := OpenStore("", journal.Options{})
@@ -315,29 +320,44 @@ func TestBacklogBackfillOnHeal(t *testing.T) {
 
 	g := newGate()
 	g.set("store", true)
-	c := NewStoreClientCfg("http://"+addr, RPCConfig{Transport: g, Retries: -1, BackoffBase: time.Millisecond})
+	c := NewStoreClientCfg("http://"+addr, RPCConfig{Transport: g, retries: -1})
 	defer c.Close()
+	w := NewWorker(WorkerConfig{ID: "w0", Points: pts, Store: c, Workers: 2})
+	waddr, err := w.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Points: pts, Nodes: []Node{{ID: "w0", URL: "http://" + waddr, Slots: 2}}, Health: fastHealth,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for i, p := range pts {
-		c.Store(campaign.Entry{Key: p.CacheKey(), Res: ref[i]})
-	}
-	if got := c.PendingBacklog(); got != len(pts) {
-		t.Fatalf("backlog=%d, want %d (store is cut)", got, len(pts))
-	}
-	if !c.Parked(pts[0].CacheKey()) {
-		t.Fatal("Parked misses a backlogged key")
-	}
+	blocked := metrics.Get("dist.worker.publish_blocked")
+	done := make(chan error, 1)
+	var got []*flow.Result
+	go func() {
+		res, err := coord.Run(context.Background())
+		got = res
+		done <- err
+	}()
+	waitFor(t, 5*time.Second, func() bool { return metrics.Get("dist.worker.publish_blocked") > blocked })
 	if store.Len() != 0 {
 		t.Fatalf("cut store received %d entries", store.Len())
 	}
-
 	g.set("store", false)
-	flushed, pending := c.Backfill(context.Background())
-	if flushed != len(pts) || pending != 0 {
-		t.Fatalf("backfill flushed=%d pending=%d, want %d/0", flushed, pending, len(pts))
+	if err := <-done; err != nil {
+		t.Fatalf("campaign failed after the heal: %v (stats %+v)", err, coord.Stats())
+	}
+	for i := range ref {
+		if !reflect.DeepEqual(got[i], ref[i].Summary()) {
+			t.Fatalf("point %d diverged", i)
+		}
 	}
 	if store.Len() != len(pts) {
-		t.Fatalf("store has %d entries after backfill, want %d", store.Len(), len(pts))
+		t.Fatalf("store has %d entries after the heal, want %d", store.Len(), len(pts))
 	}
 }
 
@@ -371,16 +391,14 @@ func TestUnpublishableNodeDoesNotStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	var clients []*StoreClient
 	var nodes []Node
 	for i := 0; i < 2; i++ {
 		cfg := RPCConfig{}
 		if i == 0 {
-			cfg = RPCConfig{Transport: failPuts{NewTransport()}, Retries: -1}
+			cfg = RPCConfig{Transport: failPuts{NewTransport()}, retries: -1}
 		}
 		c := NewStoreClientCfg("http://"+addr, cfg)
 		t.Cleanup(c.Close)
-		clients = append(clients, c)
 		id := fmt.Sprintf("w%d", i)
 		w := NewWorker(WorkerConfig{ID: id, Points: pts, Store: c, Workers: 2})
 		waddr, err := w.Start("127.0.0.1:0")
@@ -390,12 +408,13 @@ func TestUnpublishableNodeDoesNotStall(t *testing.T) {
 		t.Cleanup(func() { w.Close() })
 		nodes = append(nodes, Node{ID: id, URL: "http://" + waddr, Slots: 2})
 	}
-	coord, err := NewCoordinator(CoordinatorConfig{Points: pts, Nodes: nodes, Store: clients[1]})
+	coord, err := NewCoordinator(CoordinatorConfig{Points: pts, Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	blocked := metrics.Get("dist.worker.publish_blocked")
 	got, err := coord.Run(ctx)
 	if err != nil {
 		t.Fatalf("campaign with an unpublishable node: %v (stats %+v)", err, coord.Stats())
@@ -405,7 +424,7 @@ func TestUnpublishableNodeDoesNotStall(t *testing.T) {
 			t.Fatalf("point %d diverged", i)
 		}
 	}
-	if clients[0].PendingBacklog() == 0 {
+	if metrics.Get("dist.worker.publish_blocked") == blocked {
 		t.Fatal("w0 computed nothing it could not publish: the test exercised no move")
 	}
 }
@@ -457,7 +476,6 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			t.Fatalf("worker shutdown: %v", err)
 		}
 	}
-	cl.client.Close()
 	if err := cl.server.Shutdown(context.Background()); err != nil {
 		t.Fatalf("store shutdown: %v", err)
 	}
@@ -484,7 +502,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 // deterministic. The soak's "no live node to run point N" was reassign
 // declaring the campaign fatal the instant every node was Dead, although
 // Dead ends at a node's next good probe: under the flaky schedule all
-// three nodes can fail ProbeFails probes in a row at once, the more
+// three nodes can fail probeFails probes in a row at once, the more
 // easily the slower a loaded host answers. Here both nodes are cut until
 // dead, so every point waits in the queue with no node alive; healing
 // one link must bring the campaign home, not luck.
@@ -498,7 +516,7 @@ func TestAllNodesDeadThenHealCompletes(t *testing.T) {
 	g.set("w0", true)
 	g.set("w1", true)
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Points: pts, Nodes: cl.nodes, Store: cl.client,
+		Points: pts, Nodes: cl.nodes,
 		RPC:    RPCConfig{Transport: g},
 		Health: fastHealth,
 	})
@@ -537,7 +555,7 @@ func TestAllNodesDeadEndsWithContext(t *testing.T) {
 	g := newGate()
 	g.set("w0", true)
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Points: pts, Nodes: cl.nodes, Store: cl.client,
+		Points: pts, Nodes: cl.nodes,
 		RPC:    RPCConfig{Transport: g},
 		Health: fastHealth,
 	})

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/flow"
@@ -38,10 +37,8 @@ type CoordinatorConfig struct {
 	Points []campaign.Point
 	// Nodes are the worker nodes to dispatch to.
 	Nodes []Node
-	// Store fetches the final results a worker's answer did not carry.
-	Store *StoreClient
-	// RPC hardens the dispatch and probe calls (deadlines, retries, and
-	// the chaos transport).
+	// RPC sets the dispatch and probe calls' jitter seed and transport
+	// (where the chaos engine plugs in).
 	RPC RPCConfig
 	// Health tunes the suspect -> dead -> rejoin membership prober.
 	Health HealthConfig
@@ -50,10 +47,9 @@ type CoordinatorConfig struct {
 // Coordinator runs a campaign on worker nodes from one queue of point
 // indices: every slot of every Live node pulls the next queued point and
 // dispatches it over HTTP, and the final result list is assembled from
-// each point's store entry — the copy a worker's 200 carried, or a fetch
-// from the store for a point that completed without one — which is what
-// makes the output byte-identical to a single-node run at any node
-// count.
+// each point's store entry — the copy a worker's 200 carries — which is
+// what makes the output byte-identical to a single-node run at any node
+// count. The coordinator never talks to the store itself.
 //
 // Failure handling is the suspect -> dead -> rejoin machine in
 // membership.go: a failed dispatch puts its point back at the head of
@@ -91,9 +87,6 @@ type Coordinator struct {
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("dist: coordinator needs at least one node")
-	}
-	if cfg.Store == nil {
-		return nil, fmt.Errorf("dist: coordinator needs a store client")
 	}
 	urls := make(map[string]string, len(cfg.Nodes))
 	for _, n := range cfg.Nodes {
@@ -222,17 +215,20 @@ func (c *Coordinator) Run(ctx context.Context) ([]*flow.Result, error) {
 	}
 	wg.Wait()
 
-	// Stop the probers (and any in-flight probe RPC) before assembling;
-	// assemble itself runs on the outer ctx.
+	// Stop the probers (and any in-flight probe RPC).
 	cancelRun()
 	probers.Wait()
-	defer c.httpClient.CloseIdleConnections()
+	c.httpClient.CloseIdleConnections()
 
 	// Runners return only once the campaign is done or ctx died.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return c.assemble(ctx, c.failed)
+	if len(c.failed) > 0 {
+		sort.Slice(c.failed, func(i, j int) bool { return c.failed[i].Index < c.failed[j].Index })
+		return c.results, &campaign.RunError{Failed: c.failed}
+	}
+	return c.results, nil
 }
 
 // runner is one remote slot's dispatch loop for node id. Runners never
@@ -246,16 +242,19 @@ func (c *Coordinator) runner(ctx context.Context, id string) {
 		}
 		status, body, err := c.dispatch(ctx, id, idx)
 		switch {
-		case err == nil && status == http.StatusOK:
-			c.finish(idx, body)
+		case err == nil && status == http.StatusOK && c.finish(idx, body):
+			// The answer carried the point's entry: the point is done.
 		case err == nil && status == http.StatusUnprocessableEntity:
 			// The point failed permanently on a healthy node — record
 			// it, don't punish the node.
 			c.fail(idx, fmt.Errorf("dist: point %d failed on %s: %s", idx, id, bytes.TrimSpace(body)))
 		default:
 			// Transport error (retry budget exhausted, or the node was
-			// declared dead mid-dispatch) or a node-level 5xx.
-			if err == nil {
+			// declared dead mid-dispatch), a node-level 5xx, or a 200
+			// that does not carry the point's entry.
+			if err == nil && status == http.StatusOK {
+				err = fmt.Errorf("dist: node %s answered point %d without its entry", id, idx)
+			} else if err == nil {
 				err = fmt.Errorf("dist: node %s returned %d: %s", id, status, bytes.TrimSpace(body))
 			}
 			c.redispatch(id, idx, err)
@@ -299,8 +298,7 @@ func (c *Coordinator) next(ctx context.Context, id string) (int, bool) {
 // run. The one placement rule: a point is not handed back to the node
 // its last dispatch failed on while some other node is not Dead — a node
 // that answers /healthz but 5xxes every run (e.g. it cannot reach the
-// store while the coordinator can) hands its points on instead of
-// retrying them forever.
+// store) hands its points on instead of retrying them forever.
 func (c *Coordinator) takeLocked(id string) (int, bool) {
 	if c.state[id] != NodeLive {
 		return 0, false
@@ -326,24 +324,24 @@ func (c *Coordinator) otherAliveLocked(id string) bool {
 	return false
 }
 
-// finish marks one point complete. body is the worker's 200: the entry
-// it guarantees the store now holds. Kept when it decodes to this
-// point's entry, so assemble need not fetch it again; anything else (an
-// empty or torn body) just leaves the point to that fetch.
-func (c *Coordinator) finish(idx int, body []byte) {
-	var res *flow.Result
-	if e, err := campaign.DecodeEntry(body); err == nil && e.Key == c.cfg.Points[idx].CacheKey() {
-		res = e.Res
+// finish marks one point complete when body, a worker's 200, decodes
+// to this point's entry — the entry the worker guarantees the store now
+// holds. It reports false for any other body, which completes nothing.
+func (c *Coordinator) finish(idx int, body []byte) bool {
+	e, err := campaign.DecodeEntry(body)
+	if err != nil || e.Key != c.cfg.Points[idx].CacheKey() {
+		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.results[idx] = res
+	c.results[idx] = e.Res
 	c.remaining--
 	metrics.Add("dist.coord.completed", 1)
 	if c.remaining == 0 {
 		c.done = true
 		c.cond.Broadcast()
 	}
+	return true
 }
 
 // fail records one point's permanent failure.
@@ -391,60 +389,4 @@ func (c *Coordinator) dispatch(ctx context.Context, id string, idx int) (status 
 	dsp.SetInt("status", int64(res.status))
 	dsp.End()
 	return res.status, res.body, nil
-}
-
-// assemble returns every completed point's store entry, in point order
-// — the single source of truth that makes sharded output byte-identical
-// to the single-node reference. Most points arrive with the copy of
-// that entry their worker's 200 carried; the rest (an answer without a
-// readable body) are fetched from the store here.
-func (c *Coordinator) assemble(ctx context.Context, failed []campaign.PointError) ([]*flow.Result, error) {
-	failedAt := make(map[int]bool, len(failed))
-	for _, f := range failed {
-		failedAt[f.Index] = true
-	}
-	results := c.results // every runner has returned
-	// Fetches fan out (each one is an independent HTTP get plus a gob
-	// decode); every result lands in its own index and the lowest missing
-	// index is reported, so concurrency cannot change the output or the
-	// error.
-	missing := make([]bool, len(c.cfg.Points))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 8)
-	for i := range c.cfg.Points {
-		if failedAt[i] || results[i] != nil {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// A Load can lose its whole retry budget to injected faults;
-			// a few patient rounds keep a chaotic link from failing an
-			// otherwise complete campaign. A genuinely missing entry
-			// costs three short sleeps, nothing more.
-			for round := 0; ; round++ {
-				if e, ok := c.cfg.Store.LoadCtx(ctx, c.cfg.Points[i].CacheKey()); ok {
-					results[i] = e.Res
-					return
-				}
-				if round >= 3 || sleepCtx(ctx, 25*time.Millisecond) != nil {
-					missing[i] = true
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, m := range missing {
-		if m {
-			return nil, fmt.Errorf("dist: point %d completed but store has no entry for %s", i, c.cfg.Points[i].CacheKey())
-		}
-	}
-	if len(failed) > 0 {
-		sort.Slice(failed, func(i, j int) bool { return failed[i].Index < failed[j].Index })
-		return results, &campaign.RunError{Failed: failed}
-	}
-	return results, nil
 }

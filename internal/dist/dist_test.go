@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/campaign"
@@ -261,9 +262,7 @@ func TestShardedMatchesSingleNode(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("nodes=%d", n), func(t *testing.T) {
 			cl := startCluster(t, pts, n, nil)
-			coord, err := NewCoordinator(CoordinatorConfig{
-				Points: pts, Nodes: cl.nodes, Store: cl.client,
-			})
+			coord, err := NewCoordinator(CoordinatorConfig{Points: pts, Nodes: cl.nodes})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,9 +291,7 @@ func TestShardedMatchesSingleNode(t *testing.T) {
 func TestQueuePolicy(t *testing.T) {
 	pts := sweepPoints(tinyDesign(1), 2, 3)
 	nodes := []Node{{ID: "a", URL: "http://x"}, {ID: "b", URL: "http://x"}}
-	c, err := NewCoordinator(CoordinatorConfig{
-		Points: pts, Nodes: nodes, Store: NewStoreClient("http://x"),
-	})
+	c, err := NewCoordinator(CoordinatorConfig{Points: pts, Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,9 +355,7 @@ func TestWorkerKillMidPointReassigns(t *testing.T) {
 	// Every node's slots pull from the start, so w1 gets points; kill it
 	// on its first run request, mid-point.
 	cl := startCluster(t, pts, 3, map[int]int{1: 1})
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Points: pts, Nodes: cl.nodes, Store: cl.client,
-	})
+	coord, err := NewCoordinator(CoordinatorConfig{Points: pts, Nodes: cl.nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +389,7 @@ func TestTierServesAcrossNodes(t *testing.T) {
 	design := tinyDesign(2)
 	pts := sweepPoints(design, 2, 2)
 	cl := startCluster(t, pts, 2, nil)
-	coord, err := NewCoordinator(CoordinatorConfig{Points: pts, Nodes: cl.nodes, Store: cl.client})
+	coord, err := NewCoordinator(CoordinatorConfig{Points: pts, Nodes: cl.nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +411,7 @@ func TestTierServesAcrossNodes(t *testing.T) {
 		fresh = append(fresh, w)
 		nodes = append(nodes, Node{ID: fmt.Sprintf("f%d", i), URL: "http://" + addr, Slots: 2})
 	}
-	coord2, err := NewCoordinator(CoordinatorConfig{Points: pts, Nodes: nodes, Store: cl.client})
+	coord2, err := NewCoordinator(CoordinatorConfig{Points: pts, Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +443,7 @@ func TestRunAnswerCarriesEntry(t *testing.T) {
 	pts := sweepPoints(tinyDesign(3), 2, 3)
 	ref := singleNodeReference(t, pts)
 	cl := startCluster(t, pts, 2, nil)
-	coord, err := NewCoordinator(CoordinatorConfig{Points: pts, Nodes: cl.nodes, Store: cl.client})
+	coord, err := NewCoordinator(CoordinatorConfig{Points: pts, Nodes: cl.nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,15 +468,16 @@ func TestRunAnswerCarriesEntry(t *testing.T) {
 	}
 }
 
-// TestAssembleFetchesUnreadableAnswers: a 200 guarantees the entry is in
-// the store, not that the answer's body is usable — a node answering
-// with an empty or torn body costs one store fetch per point, nothing
-// else.
-func TestAssembleFetchesUnreadableAnswers(t *testing.T) {
+// TestUnreadableAnswerIsRedispatched: a 200 completes a point only when
+// it carries that point's entry. A node that answers each point's first
+// dispatch with another point's entry has every point put back in the
+// queue once, and the coordinator still reads nothing from the store.
+func TestUnreadableAnswerIsRedispatched(t *testing.T) {
 	pts := sweepPoints(tinyDesign(4), 1, 3)
 	ref := singleNodeReference(t, pts)
 	cl := startCluster(t, pts, 0, nil)
-	bodies := [][]byte{nil, []byte("not an entry"), nil}
+	var mu sync.Mutex
+	answered := map[int]bool{}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", handleHealthz)
 	mux.HandleFunc("/v1/run", func(rw http.ResponseWriter, r *http.Request) {
@@ -490,19 +486,23 @@ func TestAssembleFetchesUnreadableAnswers(t *testing.T) {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
 		}
-		e := campaign.Entry{Key: pts[req.Index].CacheKey(), Res: ref[req.Index]}
-		cl.client.StoreCtx(r.Context(), e)
-		if req.Index == 2 {
+		i := req.Index
+		cl.client.StoreCtx(r.Context(), campaign.Entry{Key: pts[i].CacheKey(), Res: ref[i]})
+		mu.Lock()
+		first := !answered[i]
+		answered[i] = true
+		mu.Unlock()
+		if first {
 			// Another point's entry: readable, but not this point's.
-			e = campaign.Entry{Key: pts[0].CacheKey(), Res: ref[0]}
-			bodies[2], _ = campaign.EncodeEntry(e)
+			i = (i + 1) % len(pts)
 		}
-		rw.Write(bodies[req.Index]) //nolint:errcheck
+		body, _ := campaign.EncodeEntry(campaign.Entry{Key: pts[i].CacheKey(), Res: ref[i]})
+		rw.Write(body) //nolint:errcheck
 	})
 	node := httptest.NewServer(mux)
 	defer node.Close()
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Points: pts, Nodes: []Node{{ID: "fake", URL: node.URL}}, Store: cl.client,
+		Points: pts, Nodes: []Node{{ID: "fake", URL: node.URL}}, Health: fastHealth,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -517,7 +517,10 @@ func TestAssembleFetchesUnreadableAnswers(t *testing.T) {
 			t.Fatalf("point %d diverged", i)
 		}
 	}
-	if n := metrics.Get("dist.store.hit") - hits; n != int64(len(pts)) {
-		t.Fatalf("assembly fetched %d entries, want %d", n, len(pts))
+	if n := coord.Stats().Reassigned; n != int64(len(pts)) {
+		t.Fatalf("Reassigned = %d, want %d (one per misdirected answer)", n, len(pts))
+	}
+	if n := metrics.Get("dist.store.hit") - hits; n != 0 {
+		t.Fatalf("the store served %d entries during the campaign, want 0", n)
 	}
 }

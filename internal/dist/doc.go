@@ -12,8 +12,10 @@
 //
 // The determinism contract survives distribution by construction: a
 // flow run is a pure function of its point, results are addressed by
-// content key, and the coordinator assembles its output from each
-// point's store entry — so a campaign run on any node count, with any
-// interleaving and any requeue after a failed dispatch, produces
-// byte-identical results to the single-node reference.
+// content key, and a worker answers a point only once the store holds
+// its entry, with that entry in the answer. The coordinator assembles
+// its output from those answers and never talks to the store — so a
+// campaign run on any node count, with any interleaving and any requeue
+// after a failed dispatch, produces byte-identical results to the
+// single-node reference.
 package dist

@@ -58,12 +58,13 @@ type HealthConfig struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe (0 = 1s).
 	ProbeTimeout time.Duration
-	// ProbeFails is how many consecutive probe failures turn a suspect
-	// node dead (0 = 3).
-	ProbeFails int
 	// RejoinInterval is the pause between probes of a dead node
 	// (0 = 4 x ProbeInterval).
 	RejoinInterval time.Duration
+
+	// probeFails is how many consecutive probe failures turn a suspect
+	// node dead (0 = 3).
+	probeFails int
 }
 
 func (h HealthConfig) probeInterval() time.Duration {
@@ -80,11 +81,11 @@ func (h HealthConfig) probeTimeout() time.Duration {
 	return h.ProbeTimeout
 }
 
-func (h HealthConfig) probeFails() int {
-	if h.ProbeFails <= 0 {
+func (h HealthConfig) deadAfter() int {
+	if h.probeFails <= 0 {
 		return 3
 	}
-	return h.ProbeFails
+	return h.probeFails
 }
 
 func (h HealthConfig) rejoinInterval() time.Duration {
@@ -247,7 +248,7 @@ func (c *Coordinator) monitor(ctx context.Context, id string) {
 			fails = 0
 		case err != nil && st == NodeSuspect:
 			fails++
-			if fails >= h.probeFails() {
+			if fails >= h.deadAfter() {
 				c.declareDead(id, err)
 				fails = 0
 			}
@@ -276,8 +277,8 @@ func (c *Coordinator) sleepOrPoke(ctx context.Context, id string, d time.Duratio
 // retries (the monitor loop is the retry policy).
 func (c *Coordinator) probe(ctx context.Context, id string) error {
 	cfg := c.cfg.RPC
-	cfg.Timeout = c.cfg.Health.probeTimeout()
-	cfg.Retries = -1
+	cfg.timeout = c.cfg.Health.probeTimeout()
+	cfg.retries = -1
 	r := &rpc{cfg: cfg, client: c.httpClient, target: id}
 	res, err := r.do(ctx, "healthz", http.MethodGet, c.urls[id]+"/healthz", nil, 1<<10, false)
 	if err != nil {

@@ -23,16 +23,6 @@ import (
 // forever), bounded exponential-backoff retries with deterministic
 // jitter, and transient-vs-permanent error classification.
 type RPCConfig struct {
-	// Timeout bounds one attempt of a short RPC (0 = 10s; <0 = none).
-	// Long-running calls (a dispatched point compute) ignore it and rely
-	// on context cancellation plus connect timeouts.
-	Timeout time.Duration
-	// Retries is how many times a transient failure is retried after the
-	// first attempt (0 = 3; <0 = none).
-	Retries int
-	// BackoffBase seeds the exponential backoff (0 = 25ms); one sleep
-	// never exceeds backoffMax.
-	BackoffBase time.Duration
 	// Seed keys the deterministic backoff jitter — the same seeded
 	// source the chaos engine draws from, so a rerun under the same
 	// schedule reproduces the same sleep pattern per (target, op,
@@ -42,33 +32,44 @@ type RPCConfig struct {
 	// with explicit dial/TLS deadlines). This is where the chaos engine
 	// plugs in.
 	Transport http.RoundTripper
+
+	// timeout bounds one attempt of a short RPC (0 = 10s; <0 = none).
+	// Long-running calls (a dispatched point compute) ignore it and rely
+	// on context cancellation plus connect timeouts.
+	timeout time.Duration
+	// retries is how many times a transient failure is retried after the
+	// first attempt (0 = 3; <0 = none).
+	retries int
+	// backoffBase seeds the exponential backoff (0 = 25ms); one sleep
+	// never exceeds backoffMax.
+	backoffBase time.Duration
 }
 
-func (c RPCConfig) timeout() time.Duration {
-	if c.Timeout == 0 {
+func (c RPCConfig) attemptTimeout() time.Duration {
+	if c.timeout == 0 {
 		return 10 * time.Second
 	}
-	if c.Timeout < 0 {
+	if c.timeout < 0 {
 		return 0
 	}
-	return c.Timeout
+	return c.timeout
 }
 
-func (c RPCConfig) retries() int {
-	if c.Retries == 0 {
+func (c RPCConfig) retryBudget() int {
+	if c.retries == 0 {
 		return 3
 	}
-	if c.Retries < 0 {
+	if c.retries < 0 {
 		return 0
 	}
-	return c.Retries
+	return c.retries
 }
 
-func (c RPCConfig) backoffBase() time.Duration {
-	if c.BackoffBase <= 0 {
+func (c RPCConfig) firstBackoff() time.Duration {
+	if c.backoffBase <= 0 {
 		return 25 * time.Millisecond
 	}
-	return c.BackoffBase
+	return c.backoffBase
 }
 
 // backoffMax caps one backoff sleep.
@@ -147,7 +148,7 @@ func transientErr(ctx context.Context, err error) bool {
 // result for the caller to interpret.
 func (r *rpc) do(ctx context.Context, op, method, url string, body []byte, maxBody int64, long bool) (rpcResult, error) {
 	var lastErr error
-	retries := r.cfg.retries()
+	retries := r.cfg.retryBudget()
 	for attempt := 0; ; attempt++ {
 		// One span per logical attempt: the receiver adopts this span's
 		// identity from the injected headers, so its server-side work
@@ -191,7 +192,7 @@ func (r *rpc) do(ctx context.Context, op, method, url string, body []byte, maxBo
 // once runs a single attempt.
 func (r *rpc) once(ctx context.Context, op, method, url string, body []byte, maxBody int64, long bool) (rpcResult, error) {
 	actx := ctx
-	if t := r.cfg.timeout(); t > 0 && !long {
+	if t := r.cfg.attemptTimeout(); t > 0 && !long {
 		var cancel context.CancelFunc
 		actx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
@@ -232,7 +233,7 @@ func (r *rpc) once(ctx context.Context, op, method, url string, body []byte, max
 // splitmix stream keyed on (seed, target, op, attempt) — reruns of the
 // same schedule sleep identically.
 func (r *rpc) backoff(op string, attempt int) time.Duration {
-	d := r.cfg.backoffBase() << uint(min(attempt, 20))
+	d := r.cfg.firstBackoff() << uint(min(attempt, 20))
 	d = min(d, backoffMax)
 	h := fnv.New64a()
 	io.WriteString(h, r.target) //nolint:errcheck

@@ -11,7 +11,7 @@ import (
 )
 
 // StoreServer exposes a Store over HTTP — the central box every worker
-// and coordinator talks to:
+// talks to:
 //
 //	GET  /v1/entry?key=K          encoded entry bytes | 404
 //	PUT  /v1/entry?key=K          body = encoded entry; {"stored":bool}

@@ -47,7 +47,7 @@ func TestRPCRetryTraceAdoption(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	r := newRPC(RPCConfig{BackoffBase: time.Millisecond}, "store")
+	r := newRPC(RPCConfig{backoffBase: time.Millisecond}, "store")
 	defer r.closeIdle()
 	ctx, root := tr.StartOn(context.Background(), "caller")
 	res, err := r.do(ctx, "test.op", http.MethodGet, srv.URL, nil, 1<<20, false)

@@ -29,11 +29,12 @@ import (
 // /metrics, /debug/spans, /debug/hist and /debug/pprof/.
 //
 // When the store is unreachable the worker degrades instead of dying:
-// a tier read that fails is a miss, so it computes, keeps the
-// write-through in the client backlog, and backfills when the link
-// heals. A point whose result cannot reach the store answers 503 — the
-// coordinator puts it back in its queue for another node; it never
-// records a permanent failure for a transient outage.
+// a tier read that fails is a miss, so it computes, and the client
+// keeps the write-through it could not put. The point then gets one
+// more put; if that fails too the point answers 503 — the coordinator
+// puts it back in its queue for another node, or for this one once the
+// link heals; it never records a permanent failure for a transient
+// outage.
 type Worker struct {
 	cfg    WorkerConfig
 	engine *campaign.Engine
@@ -104,8 +105,7 @@ func (w *Worker) Close() error { return w.srv.Close() }
 
 // Shutdown drains the node gracefully: new run requests answer 503,
 // in-flight points finish (bounded by ctx; past the bound the node is
-// closed abortively), the client backlog is backfilled so nothing
-// computed here is lost, and the listener closes cleanly.
+// closed abortively), and the listener closes cleanly.
 func (w *Worker) Shutdown(ctx context.Context) error {
 	w.drainMu.Lock()
 	already := w.draining
@@ -124,9 +124,6 @@ func (w *Worker) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		w.srv.Close() //nolint:errcheck
 		return ctx.Err()
-	}
-	if w.cfg.Store != nil {
-		w.cfg.Store.Backfill(ctx)
 	}
 	err := w.srv.Shutdown(ctx)
 	if w.cfg.Store != nil {
@@ -218,30 +215,23 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 
 // runPoint runs the point through the engine: an in-process miss reads
 // the store, and a fresh compute writes through to it. A nil error
-// guarantees the result is in the store, so an entry still in the
-// backlog reports errUnavailable instead. The returned bytes are that
-// entry's key and result, encoded: the coordinator keeps them and skips
-// its assembly fetch.
+// guarantees the result is in the store, so a write-through that failed
+// gets one more put here and reports errUnavailable if that fails too.
+// The returned bytes are that entry's key and result, encoded: the
+// coordinator's copy of the result.
 func (w *Worker) runPoint(ctx context.Context, p campaign.Point) ([]byte, error) {
 	key := p.CacheKey()
 	res, err := w.engine.Run(ctx, []campaign.Point{p})
 	if err != nil {
 		return nil, err
 	}
-	if w.cfg.Store.Parked(key) {
-		// Computed, but the write-through could not reach the store.
-		// Try once more now; if the link is still down the coordinator
-		// hears 503 and the backlog keeps the entry for the heal.
-		w.cfg.Store.Backfill(ctx)
-		if w.cfg.Store.Parked(key) {
-			metrics.Add("dist.worker.publish_blocked", 1)
-			return nil, errUnavailable
-		}
+	if err := w.cfg.Store.Publish(ctx, key); err != nil {
+		metrics.Add("dist.worker.publish_blocked", 1)
+		return nil, errUnavailable
 	}
 	// The coordinator assembles results, so the answer leaves the step
-	// records out; an unusable body costs it one fetch.
-	body, _ := campaign.EncodeEntry(campaign.Entry{Key: key, Res: res[0]})
-	return body, nil
+	// records out.
+	return campaign.EncodeEntry(campaign.Entry{Key: key, Res: res[0]})
 }
 
 // workerStats is the /v1/stats shape.
@@ -250,7 +240,6 @@ type workerStats struct {
 	Points    int                 `json:"points"`
 	Runs      int64               `json:"runs"`
 	Completed int64               `json:"completed"`
-	Backlog   int                 `json:"backlog"`
 	Cache     campaign.CacheStats `json:"cache"`
 }
 
@@ -258,7 +247,6 @@ func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, workerStats{
 		ID: w.cfg.ID, Points: len(w.cfg.Points),
 		Runs: w.runs.Load(), Completed: w.completed.Load(),
-		Backlog: w.cfg.Store.PendingBacklog(),
-		Cache:   w.engine.Cache().Stats(),
+		Cache: w.engine.Cache().Stats(),
 	})
 }

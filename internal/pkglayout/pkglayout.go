@@ -173,16 +173,3 @@ func Greedy(signals []Signal, balls []Ball) Assignment {
 	}
 	return a
 }
-
-// Valid reports whether an assignment is a partial injection into the
-// ball set.
-func Valid(a Assignment, numBalls int) bool {
-	seen := make(map[int]bool, len(a))
-	for _, bi := range a {
-		if bi < 0 || bi >= numBalls || seen[bi] {
-			return false
-		}
-		seen[bi] = true
-	}
-	return true
-}

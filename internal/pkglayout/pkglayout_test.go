@@ -6,6 +6,19 @@ import (
 	"testing"
 )
 
+// Valid reports whether an assignment is a partial injection into the
+// ball set.
+func Valid(a Assignment, numBalls int) bool {
+	seen := make(map[int]bool, len(a))
+	for _, bi := range a {
+		if bi < 0 || bi >= numBalls || seen[bi] {
+			return false
+		}
+		seen[bi] = true
+	}
+	return true
+}
+
 func randomSignals(n int, seed int64) []Signal {
 	rng := rand.New(rand.NewSource(seed))
 	sigs := make([]Signal, n)

@@ -90,28 +90,6 @@ func TestFixFullEquivalence(t *testing.T) {
 	}
 }
 
-// TestRecoverVTFullEquivalence: VT swapping must also be decision-exact
-// against the full-STA baseline.
-func TestRecoverVTFullEquivalence(t *testing.T) {
-	engine := sta.Config{Engine: sta.Signoff, SI: true}
-	base := looseDesign(t, cellib.Default14nmMultiVT(), netlist.Artificial(53), engine, 53)
-	nInc, nFull := base.Clone(), base.Clone()
-
-	cfg := Config{Seed: 3, MaxPasses: 2, Engine: &engine}
-	rInc := RecoverVT(nInc, cfg)
-	cfg.ForceFullSTA = true
-	rFull := RecoverVT(nFull, cfg)
-
-	if rInc.LeakageAfter != rFull.LeakageAfter || rInc.Swapped != rFull.Swapped ||
-		rInc.TimerRuns != rFull.TimerRuns || rInc.Met != rFull.Met {
-		t.Fatalf("incremental and full RecoverVT diverged:\n inc  %+v\n full %+v", rInc, rFull)
-	}
-	sameCells(t, nInc, nFull)
-	if rInc.Swapped == 0 {
-		t.Fatal("no cells swapped; test design not loose enough")
-	}
-}
-
 // TestRecoverIncrementalWorkMetric pins the headline saving: the
 // propagation work of incremental Recover, measured in full-Analyze
 // equivalents, must stay well below the timer-query count that the

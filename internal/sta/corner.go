@@ -25,9 +25,6 @@ var (
 	CornerSSCold = Corner{Name: "ss-cold", CellFactor: 1.22, WireFactor: 1.20, SetupFactor: 1.12}
 )
 
-// Corners lists the standard corner set.
-func Corners() []Corner { return []Corner{CornerTT, CornerSS, CornerFF, CornerSSCold} }
-
 // factors returns the corner multipliers, defaulting to typical.
 func (c Corner) factors() (cell, wire, setup float64) {
 	if c.CellFactor <= 0 {

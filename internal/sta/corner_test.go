@@ -7,6 +7,9 @@ import (
 	"repro/internal/netlist"
 )
 
+// Corners lists the standard corner set.
+func Corners() []Corner { return []Corner{CornerTT, CornerSS, CornerFF, CornerSSCold} }
+
 func TestCornerOrdering(t *testing.T) {
 	n := netlist.Generate(cellib.Default14nm(), netlist.Tiny(31))
 	wns := map[string]float64{}

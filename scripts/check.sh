@@ -80,11 +80,13 @@ cd "$(dirname "$0")/.."
 
 # wait_addr NAME FILE: campd binds port 0 and prints "campd NAME listening
 # on ADDR"; poll ADDR out of the process's stdout file (the dist and chaos
-# tiers run real campd deployments).
+# tiers run real campd deployments). The file may not exist yet: the
+# background process opens it after the fork, so a missing file is one
+# more poll, not an error.
 wait_addr() {
     i=0
     while [ "$i" -lt 100 ]; do
-        a=$(sed -n "s/^campd $1 listening on \([^ ]*\).*/\1/p" "$2")
+        a=$(sed -n "s/^campd $1 listening on \([^ ]*\).*/\1/p" "$2" 2>/dev/null || true)
         if [ -n "$a" ]; then printf '%s' "$a"; return 0; fi
         i=$((i+1)); sleep 0.05
     done
@@ -246,7 +248,9 @@ if [ "${1:-}" = "dist" ]; then
         ./internal/sched/...
 
     work=$(mktemp -d)
-    trap 'rm -rf "$work"' EXIT
+    # A step that fails leaves its campd store and workers running: stop
+    # every background job before removing their directory.
+    trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
     go build -o "$work/sprflow" ./cmd/sprflow
     go build -o "$work/campd" ./cmd/campd
 
@@ -283,7 +287,7 @@ if [ "${1:-}" = "dist" ]; then
     done
     w0addr=$(wait_addr "worker w0" "$work/w0.out")
     w1addr=$(wait_addr "worker w1" "$work/w1.out")
-    "$work/campd" -mode coord -store-url "http://$saddr" \
+    "$work/campd" -mode coord \
         -nodes "w0=http://$w0addr,w1=http://$w1addr" $shape -parallel 1 \
         > "$work/coord.out" 2> "$work/coord.err" &
     coord_pid=$!
@@ -344,12 +348,14 @@ if [ "${1:-}" = "chaos" ]; then
     # stdout byte-identical to the single-process sweep.
     #
     # 1. Doubled race tests over the chaos engine and the hardened
-    #    dist layer (RPC retries, membership, worker degrade/backfill,
-    #    graceful shutdown, goroutine-leak check).
+    #    dist layer (RPC retries, membership, worker degrade and
+    #    publish after a heal, graceful shutdown, goroutine-leak check).
     go test -race -count=2 ./internal/chaos/... ./internal/dist/...
 
     work=$(mktemp -d)
-    trap 'rm -rf "$work"' EXIT
+    # A step that fails leaves its campd store and workers running: stop
+    # every background job before removing their directory.
+    trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
     go build -o "$work/sprflow" ./cmd/sprflow
     go build -o "$work/campd" ./cmd/campd
 
