@@ -13,24 +13,29 @@ import (
 const figsSmallPath = "testdata/figs_small.txt"
 
 // printAll writes every artefact followed by one blank line — the bytes
-// of `sprflow -fig all` at scale and seed.
-func printAll(t *testing.T, scale Scale, seed int64) []byte {
+// of `sprflow -fig all` at scale and seed — and names the artefact that
+// printed each line.
+func printAll(t *testing.T, scale Scale, seed int64) ([]byte, []string) {
 	t.Helper()
 	var buf bytes.Buffer
+	var rows []string
 	for _, a := range Artifacts() {
 		if err := a.Run(&buf, scale, seed); err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}
 		buf.WriteByte('\n')
+		for n := bytes.Count(buf.Bytes(), []byte("\n")); len(rows) < n; {
+			rows = append(rows, a.Name)
+		}
 	}
-	return buf.Bytes()
+	return buf.Bytes(), rows
 }
 
 // TestArtifactsGolden pins every artefact's Small-scale, seed-1 report
 // byte for byte. Regenerate with `go test -run TestArtifactsGolden
 // -update` only for a change meant to move a report, and say which.
 func TestArtifactsGolden(t *testing.T) {
-	got := printAll(t, Small, 1)
+	got, rows := printAll(t, Small, 1)
 	if *updateGolden {
 		if err := os.WriteFile(figsSmallPath, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -55,7 +60,11 @@ func TestArtifactsGolden(t *testing.T) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Fatalf("%s line %d drifted\n got  %q\n want %q", figsSmallPath, i+1, g, w)
+			row := "after the last artefact"
+			if i < len(rows) {
+				row = "in " + rows[i]
+			}
+			t.Fatalf("%s line %d (%s) drifted\n got  %q\n want %q", figsSmallPath, i+1, row, g, w)
 		}
 	}
 }

@@ -1,23 +1,18 @@
-// Benchmarks regenerating every table and figure in the paper's
-// evaluation, one benchmark per artifact, plus ablations of the design
-// choices called out in DESIGN.md. Custom metrics carry the
-// experiment's headline numbers alongside the runtime measurement.
+// Benchmarks regenerating the paper's scoreboard, one sub-benchmark per
+// row of Artifacts(), and timing the flow run every experiment
+// multiplies.
 //
-// Run a single experiment at paper scale with, e.g.:
+// Run one artefact at paper scale with, e.g.:
 //
-//	go test -bench=BenchmarkTable1 -benchtime=1x -scale=paper
+//	go test -run '^$' -bench 'Artifacts/table1$' -benchtime 1x -scale=paper
 package repro
 
 import (
 	"flag"
+	"io"
 	"testing"
 
-	"repro/internal/correlate"
 	"repro/internal/flow"
-	"repro/internal/hmm"
-	"repro/internal/mdp"
-	"repro/internal/place"
-	"repro/internal/sta"
 )
 
 var scaleFlag = flag.String("scale", "small", `experiment scale: "small" or "paper"`)
@@ -29,287 +24,19 @@ func benchScale() Scale {
 	return Small
 }
 
-func BenchmarkFig1CapabilityGap(b *testing.B) {
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		r := Fig1()
-		gap = r.Points[len(r.Points)-1].GapFactor
-	}
-	b.ReportMetric(gap, "gap2015_x")
-}
-
-func BenchmarkFig2DesignCost(b *testing.B) {
-	var with, without float64
-	for i := 0; i < b.N; i++ {
-		r := Fig2()
-		with = r.WithInnovation[len(r.WithInnovation)-1].DesignCostUSD
-		without = r.NoPost2013[len(r.NoPost2013)-1].DesignCostUSD
-	}
-	b.ReportMetric(with/1e6, "cost2028_DT_$M")
-	b.ReportMetric(without/1e9, "cost2028_noDT_$B")
-}
-
-func BenchmarkFig3Noise(b *testing.B) {
-	var jump, pval float64
-	grows := 0.0
-	for i := 0; i < b.N; i++ {
-		r := Fig3(benchScale(), int64(i))
-		jump = r.AreaJumpPct
-		pval = r.GaussianPValue
-		if r.NoiseGrows {
-			grows = 1
-		}
-	}
-	b.ReportMetric(jump, "area_jump_%")
-	b.ReportMetric(pval, "jb_pvalue")
-	b.ReportMetric(grows, "noise_grows")
-}
-
-func BenchmarkFig4Margins(b *testing.B) {
-	var dq float64
-	for i := 0; i < b.N; i++ {
-		rows := Fig4(1.1)
-		dq = rows[1].Quality - rows[0].Quality
-	}
-	b.ReportMetric(dq*100, "quality_gain_pts")
-}
-
-func BenchmarkFig5TrajectoryTree(b *testing.B) {
-	var size float64
-	for i := 0; i < b.N; i++ {
-		size = Fig5().SinglePass
-	}
-	b.ReportMetric(size, "trajectories")
-}
-
-func BenchmarkFig6aGWTW(b *testing.B) {
-	var g, ind float64
-	for i := 0; i < b.N; i++ {
-		r := Fig6a(benchScale(), int64(i))
-		g, ind = r.GWTWCost, r.IndependentCost
-	}
-	b.ReportMetric(g, "gwtw_cost")
-	b.ReportMetric(ind, "independent_cost")
-	if g > 0 {
-		b.ReportMetric(ind/g, "gwtw_advantage_x")
-	}
-}
-
-func BenchmarkFig6bMultistart(b *testing.B) {
-	var ad, rnd, corr float64
-	for i := 0; i < b.N; i++ {
-		r := Fig6b(benchScale(), int64(i))
-		ad, rnd, corr = r.AdaptiveBest, r.RandomBest, r.CostDistanceCorr
-	}
-	b.ReportMetric(ad, "adaptive_hpwl")
-	b.ReportMetric(rnd, "random_hpwl")
-	b.ReportMetric(corr, "bigvalley_corr")
-}
-
-func BenchmarkFig7MAB(b *testing.B) {
-	var best float64
-	for i := 0; i < b.N; i++ {
-		r, err := Fig7(benchScale(), int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		best = r.Main.BestFreqGHz
-	}
-	b.ReportMetric(best, "best_feasible_GHz")
-}
-
-func BenchmarkFig8Correlation(b *testing.B) {
-	var fastAcc, mlAcc, mlCost float64
-	for i := 0; i < b.N; i++ {
-		r, err := Fig8(benchScale(), int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range r.Points {
-			switch p.Name {
-			case "fast":
-				fastAcc = p.AccuracyPct
-			case "fast+ml":
-				mlAcc, mlCost = p.AccuracyPct, p.CostUnits
-			}
-		}
-	}
-	b.ReportMetric(fastAcc, "fast_acc_%")
-	b.ReportMetric(mlAcc, "fast_ml_acc_%")
-	b.ReportMetric(mlCost, "fast_ml_cost")
-}
-
-func BenchmarkFig9DRV(b *testing.B) {
-	var series float64
-	for i := 0; i < b.N; i++ {
-		r := Fig9(benchScale(), int64(i))
-		series = float64(len(r.Series))
-	}
-	b.ReportMetric(series, "trajectories_found")
-}
-
-func BenchmarkFig10StrategyCard(b *testing.B) {
-	var stops float64
-	for i := 0; i < b.N; i++ {
-		r := Fig10(benchScale(), int64(i))
-		cfg := r.Card.Config
-		stops = 0
-		for vb := 0; vb < cfg.ViolBins; vb++ {
-			for ds := 0; ds < 2*cfg.DeltaSpan+1; ds++ {
-				if r.Card.Action[vb][ds] == mdp.STOP {
-					stops++
-				}
-			}
-		}
-	}
-	b.ReportMetric(stops, "stop_states")
-}
-
-func BenchmarkTable1DoomedErrors(b *testing.B) {
-	var err1, err3, saved float64
-	for i := 0; i < b.N; i++ {
-		r := Table1(benchScale(), int64(i))
-		err1 = r.Rows[0].Test.TotalErrorPct
-		err3 = r.Rows[2].Test.TotalErrorPct
-		saved = float64(r.Rows[2].Test.IterationsSaved)
-	}
-	b.ReportMetric(err1, "test_err_1stop_%")
-	b.ReportMetric(err3, "test_err_3stop_%")
-	b.ReportMetric(saved, "iters_saved")
-}
-
-func BenchmarkFig11Metrics(b *testing.B) {
-	var stored float64
-	for i := 0; i < b.N; i++ {
-		r, err := Fig11(benchScale(), int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		stored = float64(r.RecordsStored)
-	}
-	b.ReportMetric(stored, "records")
-}
-
-// ---------------------------------------------------------------------
-// Ablations (design choices called out in DESIGN.md).
-
-// BenchmarkAblationBanditAlgos compares the four bandit policies at
-// equal budget (paper: "TS is found to be more robust").
-func BenchmarkAblationBanditAlgos(b *testing.B) {
-	var ts, sm, eg, ucb AlgoScore
-	for i := 0; i < b.N; i++ {
-		r, err := Fig7(benchScale(), int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		ts = r.Comparison["thompson"]
-		sm = r.Comparison["softmax"]
-		eg = r.Comparison["eps-greedy"]
-		ucb = r.Comparison["ucb1"]
-	}
-	b.ReportMetric(ts.TotalReward, "thompson_reward")
-	b.ReportMetric(sm.TotalReward, "softmax_reward")
-	b.ReportMetric(eg.TotalReward, "epsgreedy_reward")
-	b.ReportMetric(ucb.TotalReward, "ucb1_reward")
-	b.ReportMetric(ts.BestFreqGHz, "thompson_GHz")
-}
-
-// BenchmarkAblationDetector compares the MDP strategy card against the
-// HMM likelihood-ratio detector on the same corpora.
-func BenchmarkAblationDetector(b *testing.B) {
-	var mdpErr, hmmErr float64
-	for i := 0; i < b.N; i++ {
-		train, test := Corpora(benchScale(), int64(i))
-		card := mdp.BuildCard(train, mdp.CardConfig{})
-		mdpErr = card.Evaluate(test, 3).TotalErrorPct
-		det := hmm.TrainDetector(train, 3, int64(i))
-		hmmErr = det.Evaluate(test, 3).TotalErrorPct
-	}
-	b.ReportMetric(mdpErr, "mdp_err_%")
-	b.ReportMetric(hmmErr, "hmm_err_%")
-}
-
-// BenchmarkAblationSTACorrection sweeps engine pairs for the ML
-// correction (fast->signoff, GBA->PBA, noSI->SI).
-func BenchmarkAblationSTACorrection(b *testing.B) {
-	pairs := []struct {
-		name     string
-		from, to sta.Config
-	}{
-		{"fast_to_signoff", sta.Config{Engine: sta.Fast}, sta.Config{Engine: sta.Signoff, SI: true, PathBased: true}},
-		{"gba_to_pba", sta.Config{Engine: sta.Signoff, SI: true}, sta.Config{Engine: sta.Signoff, SI: true, PathBased: true}},
-		{"nosi_to_si", sta.Config{Engine: sta.Signoff}, sta.Config{Engine: sta.Signoff, SI: true}},
-	}
-	for _, pair := range pairs {
-		b.Run(pair.name, func(b *testing.B) {
-			var raw, corrected float64
+// BenchmarkArtifacts regenerates every artefact, iteration i at seed
+// i+1: at -benchtime 1x each row computes the report that
+// testdata/figs_small.txt pins (EXPERIMENTS.md quotes at -scale=paper).
+func BenchmarkArtifacts(b *testing.B) {
+	for _, a := range Artifacts() {
+		b.Run(a.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				lib := DefaultLibrary()
-				var train []*Design
-				for k := 0; k < 3; k++ {
-					train = append(train, NewDesign(lib, TinyDesign(int64(i*10+k))))
-				}
-				test := NewDesign(lib, TinyDesign(int64(i*10+9)))
-				m, err := correlate.Train(train, pair.from, pair.to)
-				if err != nil {
+				if err := a.Run(io.Discard, benchScale(), int64(i+1)); err != nil {
 					b.Fatal(err)
 				}
-				ev, err := m.Evaluate(test)
-				if err != nil {
-					b.Fatal(err)
-				}
-				raw, corrected = ev.RawMAEPs, ev.CorrectedMAEPs
 			}
-			b.ReportMetric(raw, "raw_mae_ps")
-			b.ReportMetric(corrected, "ml_mae_ps")
 		})
 	}
-}
-
-// BenchmarkAblationPartitioning compares flat vs partitioned placement
-// (the Fig. 4(b) "many more small subproblems" lever).
-func BenchmarkAblationPartitioning(b *testing.B) {
-	design := designForScale(benchScale(), 1)
-	for _, parts := range []int{1, 2, 4} {
-		b.Run(partLabel(parts), func(b *testing.B) {
-			var hpwl float64
-			var evals float64
-			for i := 0; i < b.N; i++ {
-				n := design.Clone()
-				r := place.Place(n, place.Options{Seed: int64(i), Partitions: parts})
-				hpwl = r.HPWLUm
-				evals = float64(r.ParallelRuntimeProxy)
-			}
-			b.ReportMetric(hpwl, "hpwl_um")
-			b.ReportMetric(evals, "parallel_tat")
-		})
-	}
-}
-
-func partLabel(p int) string {
-	switch p {
-	case 1:
-		return "flat"
-	case 2:
-		return "2x2"
-	default:
-		return "4x4"
-	}
-}
-
-// BenchmarkAblationGWTW sweeps the GWTW keep fraction.
-func BenchmarkAblationGWTW(b *testing.B) {
-	// Implemented via Fig6a at different seeds; the keep-fraction sweep
-	// exercises gwtw.Config directly in internal tests. Here the
-	// headline comparison suffices.
-	var adv float64
-	for i := 0; i < b.N; i++ {
-		r := Fig6a(benchScale(), int64(i))
-		if r.GWTWCost > 0 {
-			adv = r.IndependentCost / r.GWTWCost
-		}
-	}
-	b.ReportMetric(adv, "advantage_x")
 }
 
 // BenchmarkFlowEndToEnd measures the plain SP&R flow run (the atomic

@@ -1,10 +1,6 @@
 package repro
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestMultiphysicsShape(t *testing.T) {
 	r, err := Multiphysics(Small, 1)
@@ -19,11 +15,6 @@ func TestMultiphysicsShape(t *testing.T) {
 	}
 	if r.MLCorrectedPs >= r.RawPs {
 		t.Errorf("ML correction did not help: %v vs %v", r.MLCorrectedPs, r.RawPs)
-	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	if !strings.Contains(buf.String(), "droop") {
-		t.Error("print malformed")
 	}
 }
 
@@ -44,11 +35,6 @@ func TestRopesShape(t *testing.T) {
 	if r.PrefixAccuracy[10] < r.PrefixAccuracy[2]-0.05 {
 		t.Errorf("prefix accuracy fell with more data: %v", r.PrefixAccuracy)
 	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	if !strings.Contains(buf.String(), "span") {
-		t.Error("print malformed")
-	}
 }
 
 func TestSharingShape(t *testing.T) {
@@ -65,11 +51,6 @@ func TestSharingShape(t *testing.T) {
 	if r.ProxySpanErr > 0.6 {
 		t.Errorf("proxy span error %v", r.ProxySpanErr)
 	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	if !strings.Contains(buf.String(), "leaks") {
-		t.Error("print malformed")
-	}
 }
 
 func TestStageFourRLShape(t *testing.T) {
@@ -82,11 +63,6 @@ func TestStageFourRLShape(t *testing.T) {
 	}
 	if len(r.Policy) == 0 {
 		t.Fatal("no policy")
-	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	if !strings.Contains(buf.String(), "episode") {
-		t.Error("print malformed")
 	}
 }
 
@@ -110,10 +86,5 @@ func TestFig7RobustnessShape(t *testing.T) {
 	// supports: TS stays within ~15%% of the per-setting best everywhere.
 	if r.WorstRel["thompson"] < 0.8 {
 		t.Errorf("thompson worst-case rel %v below 0.8", r.WorstRel["thompson"])
-	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	if !strings.Contains(buf.String(), "thompson") {
-		t.Error("print malformed")
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/flow"
-	"repro/internal/netlist"
 	"repro/internal/noise"
+	"repro/internal/place"
 )
 
 // Scale selects experiment size: Small targets seconds of runtime for
@@ -197,6 +197,40 @@ func PrintFig4(w io.Writer, rows []Fig4Row) {
 }
 
 // ---------------------------------------------------------------------
+// Figure 4(b)'s lever: many more small subproblems.
+
+// PartitioningResult places one design flat (1x1) and in 2x2 and 4x4
+// independently placed regions.
+type PartitioningResult struct {
+	Design  string
+	Cells   int
+	Regions []int
+	Places  []place.Result // HPWLUm, and ParallelRuntimeProxy as the TAT
+}
+
+// Partitioning is the "many more small subproblems" lever of Fig. 4(b):
+// more regions trade wirelength for turnaround time.
+func Partitioning(scale Scale, seed int64) PartitioningResult {
+	design := designForScale(scale, seed)
+	res := PartitioningResult{Design: design.Name, Cells: design.NumCells(), Regions: []int{1, 2, 4}}
+	for _, k := range res.Regions {
+		res.Places = append(res.Places, place.Place(design.Clone(), place.Options{Seed: seed, Partitions: k}))
+	}
+	return res
+}
+
+// Print writes each placement against the flat one.
+func (r PartitioningResult) Print(w io.Writer) {
+	fmt.Fprintf(w, "Figure 4(b) lever: partitioned placement (%s, %d cells)\n", r.Design, r.Cells)
+	fmt.Fprintf(w, "%-8s %10s %8s %12s %8s\n", "regions", "HPWL(um)", "vs flat", "parallel TAT", "speedup")
+	flat := r.Places[0]
+	for i, p := range r.Places {
+		fmt.Fprintf(w, "%-8s %10.0f %+7.1f%% %12d %7.2fx\n", fmt.Sprintf("%dx%[1]d", r.Regions[i]), p.HPWLUm,
+			100*(p.HPWLUm/flat.HPWLUm-1), p.ParallelRuntimeProxy, float64(flat.ParallelRuntimeProxy)/float64(p.ParallelRuntimeProxy))
+	}
+}
+
+// ---------------------------------------------------------------------
 // Figure 5: the flow-option trajectory tree.
 
 // Fig5Result quantifies the option-tree explosion.
@@ -239,6 +273,3 @@ func designForScale(scale Scale, seed int64) *Design {
 
 // flowBase returns the baseline flow options used by search experiments.
 func flowBase(seed int64) flow.Options { return flow.Options{Seed: seed} }
-
-// ensure netlist import is used even if facade evolves.
-var _ = netlist.Spec{}

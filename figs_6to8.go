@@ -348,8 +348,18 @@ type Fig8Result struct {
 
 // Fig8 builds the accuracy-cost curve with an ML-corrected fast engine.
 func Fig8(scale Scale, seed int64) (Fig8Result, error) {
+	train, test := fig8Designs(scale, seed)
+	pts, err := correlate.AccuracyCostCurve(train, test)
+	if err != nil {
+		return Fig8Result{}, err
+	}
+	return Fig8Result{Points: pts}, nil
+}
+
+// fig8Designs returns the learned correction's training designs and the
+// held-out design it is scored on.
+func fig8Designs(scale Scale, seed int64) (train []*Design, test *Design) {
 	lib := DefaultLibrary()
-	var train []*Design
 	n := 3
 	if scale == Paper {
 		n = 8
@@ -357,12 +367,7 @@ func Fig8(scale Scale, seed int64) (Fig8Result, error) {
 	for i := 0; i < n; i++ {
 		train = append(train, NewDesign(lib, TinyDesign(seed+int64(i))))
 	}
-	test := designForScale(scale, seed+100)
-	pts, err := correlate.AccuracyCostCurve(train, test)
-	if err != nil {
-		return Fig8Result{}, err
-	}
-	return Fig8Result{Points: pts}, nil
+	return train, designForScale(scale, seed+100)
 }
 
 // Print writes the curve.
@@ -371,5 +376,50 @@ func (r Fig8Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "%-16s %10s %10s %10s\n", "engine", "cost", "accuracy%", "MAE(ps)")
 	for _, p := range r.Points {
 		fmt.Fprintf(w, "%-16s %10.2f %9.1f%% %10.2f\n", p.Name, p.CostUnits, p.AccuracyPct, p.MAEPs)
+	}
+}
+
+// ---------------------------------------------------------------------
+// Figure 8, per engine pair: the learned correction alone.
+
+// STACorrectionResult is the correction's held-out error per engine
+// pair.
+type STACorrectionResult struct {
+	Train int    // training designs
+	Test  string // the held-out design
+	Pairs []string
+	Evals []correlate.Evaluation // RawMAEPs and CorrectedMAEPs, per pair
+}
+
+// STACorrection trains Fig. 8's correction on Fig. 8's designs for each
+// engine pair the paper names — fast->signoff, graph- to path-based, and
+// ref. [27]'s "SI for free" — and scores it on the held-out design.
+func STACorrection(scale Scale, seed int64) (STACorrectionResult, error) {
+	train, test := fig8Designs(scale, seed)
+	gba := sta.Config{Engine: sta.Signoff, SI: true}
+	pba := sta.Config{Engine: sta.Signoff, SI: true, PathBased: true}
+	res := STACorrectionResult{Train: len(train), Test: test.Name, Pairs: []string{"fast->signoff", "GBA->PBA", "noSI->SI"}}
+	from := []sta.Config{{Engine: sta.Fast}, gba, {Engine: sta.Signoff}}
+	to := []sta.Config{pba, pba, gba}
+	for i := range res.Pairs {
+		m, err := correlate.Train(train, from[i], to[i])
+		if err != nil {
+			return res, err
+		}
+		ev, err := m.Evaluate(test)
+		if err != nil {
+			return res, err
+		}
+		res.Evals = append(res.Evals, ev)
+	}
+	return res, nil
+}
+
+// Print writes the raw and corrected error per pair.
+func (r STACorrectionResult) Print(w io.Writer) {
+	fmt.Fprintf(w, "Figure 8 per engine pair: learned timing correction (train %d designs, test %s)\n", r.Train, r.Test)
+	fmt.Fprintf(w, "%-16s %12s %12s\n", "pair", "raw MAE(ps)", "ML MAE(ps)")
+	for i, ev := range r.Evals {
+		fmt.Fprintf(w, "%-16s %12.2f %12.2f\n", r.Pairs[i], ev.RawMAEPs, ev.CorrectedMAEPs)
 	}
 }

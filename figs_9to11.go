@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/flow"
+	"repro/internal/hmm"
 	"repro/internal/journal"
 	"repro/internal/logfile"
 	"repro/internal/mdp"
@@ -184,6 +185,44 @@ func (r Table1Result) Print(w io.Writer) {
 			row.Train.TotalErrorPct, row.Train.Type1, row.Train.Type2,
 			row.Test.TotalErrorPct, row.Test.Type1, row.Test.Type2,
 			row.Test.IterationsSaved)
+	}
+}
+
+// ---------------------------------------------------------------------
+// Table 1's detector against an HMM (Sec. 3.3, ref. [36]).
+
+// DetectorResult scores two doomed-run detectors on the test corpus at
+// 1, 2 and 3 consecutive STOPs.
+type DetectorResult struct {
+	MDP, HMM  []mdp.EvalResult
+	TrainRuns int
+	TestRuns  int
+}
+
+// DetectorAblation trains Table 1's MDP strategy card and an HMM
+// likelihood-ratio detector on the same corpus: the paper's choice of
+// the MDP formulation against the HMM alternative.
+func DetectorAblation(scale Scale, seed int64) DetectorResult {
+	train, test := Corpora(scale, seed)
+	card := mdp.BuildCard(train, mdp.CardConfig{})
+	det := hmm.TrainDetector(train, 3, seed)
+	res := DetectorResult{TrainRuns: len(train), TestRuns: len(test)}
+	for k := 1; k <= 3; k++ {
+		res.MDP = append(res.MDP, card.Evaluate(test, k))
+		res.HMM = append(res.HMM, det.Evaluate(test, k))
+	}
+	return res
+}
+
+// Print writes both detectors' test errors side by side.
+func (r DetectorResult) Print(w io.Writer) {
+	fmt.Fprintf(w, "Doomed-run detectors: MDP card vs HMM likelihood ratio (train %d logfiles, test %d logfiles)\n",
+		r.TrainRuns, r.TestRuns)
+	fmt.Fprintf(w, "%-10s | %8s %7s %7s | %8s %7s %7s\n", "", "mdpErr", "type1", "type2", "hmmErr", "type1", "type2")
+	for i, m := range r.MDP {
+		h := r.HMM[i]
+		fmt.Fprintf(w, "%d STOP%s    | %7.2f%% %7d %7d | %7.2f%% %7d %7d\n", m.ConsecutiveStops, plural(m.ConsecutiveStops),
+			m.TotalErrorPct, m.Type1, m.Type2, h.TotalErrorPct, h.Type1, h.Type2)
 	}
 }
 

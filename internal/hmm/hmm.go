@@ -339,23 +339,27 @@ func Symbolize(r logfile.Run, cfg mdp.CardConfig) []int {
 }
 
 // Outcome applies the detector to a run, requiring k consecutive doomed
-// signals; it returns the stopping iteration or -1.
+// signals; it returns the stopping iteration or -1. A prefix's
+// log-likelihood is the running sum of the forward pass's log scales,
+// so one pass per model scores every prefix.
 func (d *Detector) Outcome(r logfile.Run, k int) int {
 	if k < 1 {
 		k = 1
 	}
 	seq := Symbolize(r, d.Cfg)
+	_, bad, _, err1 := d.Doomed.Forward(seq)
+	_, good, _, err2 := d.Success.Forward(seq)
+	if err1 != nil || err2 != nil {
+		return -1
+	}
+	llBad, llGood := math.Log(bad[0]), math.Log(good[0])
 	consec := 0
 	for t := 1; t < len(seq); t++ {
-		prefix := seq[:t+1]
-		llBad, err1 := d.Doomed.LogLikelihood(prefix)
-		llGood, err2 := d.Success.LogLikelihood(prefix)
-		if err1 != nil || err2 != nil {
-			return -1
-		}
+		llBad += math.Log(bad[t])
+		llGood += math.Log(good[t])
 		// Per-step ratio so the signal is comparable across prefix
 		// lengths.
-		ratio := (llBad - llGood) / float64(len(prefix))
+		ratio := (llBad - llGood) / float64(t+1)
 		if ratio > d.Threshold {
 			consec++
 			if consec >= k {

@@ -5,12 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/sched"
 )
 
 // CampaignRunner executes one submitted campaign. The front door is
@@ -83,9 +80,9 @@ type campaign struct {
 //
 // Admission control is two-layer: MaxQueue bounds accepted-but-unstarted
 // work (beyond it, submits are rejected, not buffered), and Slots bounds
-// concurrently running campaigns, arbitrated across tenants by a
-// sched.Ledger — the tenant running the fewest campaigns starts next,
-// deterministically, so one chatty tenant cannot starve the rest.
+// concurrently running campaigns, arbitrated across tenants by max-min
+// fair share — the tenant running the fewest campaigns starts next, ties
+// broken by name, so one chatty tenant cannot starve the rest.
 type FrontDoor struct {
 	// Runner executes campaigns (required).
 	Runner CampaignRunner
@@ -96,11 +93,12 @@ type FrontDoor struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	ledger    *sched.Ledger
 	campaigns map[string]*campaign
 	order     []string            // submission order, for listing
 	queues    map[string][]string // per-tenant FIFO of queued IDs
 	queued    int
+	inSlots   int            // running campaigns, at most Slots
+	perTenant map[string]int // running campaigns per tenant
 	nextID    int
 	closed    bool
 	cancel    context.CancelFunc
@@ -118,8 +116,8 @@ func NewFrontDoor(runner CampaignRunner, slots, maxQueue int) *FrontDoor {
 	}
 	fd := &FrontDoor{
 		Runner: runner, Slots: slots, MaxQueue: maxQueue,
-		ledger:    sched.NewLedger(slots),
 		campaigns: map[string]*campaign{},
+		perTenant: map[string]int{},
 		queues:    map[string][]string{},
 		done:      make(chan struct{}),
 	}
@@ -253,22 +251,27 @@ func (fd *FrontDoor) dispatch(ctx context.Context) {
 }
 
 // pickLocked chooses the next campaign to start, or nil when no slot is
-// free or nothing is queued. Caller holds fd.mu.
+// free or nothing is queued: the queued tenant running the fewest
+// campaigns, ties broken by name. Caller holds fd.mu.
 func (fd *FrontDoor) pickLocked() *campaign {
-	tenants := make([]string, 0, len(fd.queues))
+	if fd.inSlots >= fd.Slots {
+		return nil // every slot is busy; a finished run will broadcast
+	}
+	tenant := ""
 	for t, q := range fd.queues {
-		if len(q) > 0 {
-			tenants = append(tenants, t)
+		if len(q) == 0 {
+			continue
+		}
+		if tenant == "" || fd.perTenant[t] < fd.perTenant[tenant] ||
+			fd.perTenant[t] == fd.perTenant[tenant] && t < tenant {
+			tenant = t
 		}
 	}
-	if len(tenants) == 0 {
+	if tenant == "" {
 		return nil
 	}
-	sort.Strings(tenants)
-	tenant, ok := fd.ledger.PickFair(tenants)
-	if !ok || !fd.ledger.TryGrant(tenant) {
-		return nil // every slot is busy; a Release will broadcast
-	}
+	fd.inSlots++
+	fd.perTenant[tenant]++
 	id := fd.queues[tenant][0]
 	fd.queues[tenant] = fd.queues[tenant][1:]
 	return fd.campaigns[id]
@@ -304,8 +307,11 @@ func (fd *FrontDoor) run(ctx context.Context, c *campaign) {
 		Add("metrics.frontdoor.done", 1)
 	}
 	fd.emit(id, CampaignEvent{Type: "state", State: state, Error: errText})
-	fd.ledger.Release(tenant)
 	fd.mu.Lock()
+	fd.inSlots--
+	if fd.perTenant[tenant]--; fd.perTenant[tenant] == 0 {
+		delete(fd.perTenant, tenant)
+	}
 	fd.cond.Broadcast() // a slot freed; the dispatcher may start the next
 	fd.mu.Unlock()
 }

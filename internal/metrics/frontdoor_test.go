@@ -287,6 +287,31 @@ func TestFrontDoorAdmissionAndFairShare(t *testing.T) {
 	}
 }
 
+// TestFrontDoorTiesBreakByName: of queued tenants running equally many
+// campaigns, the first by name starts next, whatever order they queued in.
+func TestFrontDoorTiesBreakByName(t *testing.T) {
+	runner := newBlockingRunner(0)
+	fd := NewFrontDoor(runner, 1, 4)
+	defer fd.Close()
+	submit := func(tenant string) {
+		if _, err := fd.Submit(tenant, json.RawMessage(fmt.Sprintf(`{"tenant":%q}`, tenant))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit("z")
+	waitFor(t, "z running", func() bool { return len(runner.startedTenants()) == 1 })
+	submit("y")
+	submit("x")
+	for n := 2; n <= 3; n++ {
+		runner.release <- struct{}{}
+		waitFor(t, "next campaign running", func() bool { return len(runner.startedTenants()) == n })
+	}
+	if got := fmt.Sprint(runner.startedTenants()); got != "[z x y]" {
+		t.Errorf("started %s, want [z x y]", got)
+	}
+	close(runner.release)
+}
+
 // TestFrontDoorCloseUnblocksStreams: closing the server cancels running
 // campaigns and ends open event streams instead of hanging Close.
 func TestFrontDoorCloseUnblocksStreams(t *testing.T) {

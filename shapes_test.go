@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -14,11 +13,6 @@ func TestFig1Shape(t *testing.T) {
 	last := r.Points[len(r.Points)-1]
 	if last.GapFactor <= 1 {
 		t.Errorf("gap by 2015 should exceed 1x: %v", last.GapFactor)
-	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	if !strings.Contains(buf.String(), "Design Capability Gap") {
-		t.Error("print output malformed")
 	}
 }
 
@@ -34,11 +28,6 @@ func TestFig2Shape(t *testing.T) {
 	if no13.DesignCostUSD < 10*with.DesignCostUSD {
 		t.Errorf("counterfactual should dwarf on-time cost: %v vs %v", no13.DesignCostUSD, with.DesignCostUSD)
 	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	if !strings.Contains(buf.String(), "2028") {
-		t.Error("print output missing horizon")
-	}
 }
 
 func TestFig3Shape(t *testing.T) {
@@ -51,11 +40,6 @@ func TestFig3Shape(t *testing.T) {
 	}
 	if r.AreaJumpPct <= 0 {
 		t.Error("no area jump measured")
-	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	if !strings.Contains(buf.String(), "fmax") {
-		t.Error("print malformed")
 	}
 }
 
@@ -70,11 +54,6 @@ func TestFig4Shape(t *testing.T) {
 	}
 	if future.Quality <= today.Quality {
 		t.Error("future quality should beat today's")
-	}
-	var buf bytes.Buffer
-	PrintFig4(&buf, rows)
-	if !strings.Contains(buf.String(), "margin") {
-		t.Error("print malformed")
 	}
 }
 
@@ -142,11 +121,6 @@ func TestFig7Shape(t *testing.T) {
 			t.Errorf("missing comparison entry %s", alg)
 		}
 	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	if !strings.Contains(buf.String(), "thompson") {
-		t.Error("print malformed")
-	}
 }
 
 func TestFig8Shape(t *testing.T) {
@@ -203,11 +177,6 @@ func TestFig10Shape(t *testing.T) {
 	if stops == 0 {
 		t.Error("no STOP region on the right of the card")
 	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	if !strings.ContainsAny(buf.String(), "Ss") {
-		t.Error("card render missing STOP cells")
-	}
 }
 
 func TestTable1Shape(t *testing.T) {
@@ -230,11 +199,6 @@ func TestTable1Shape(t *testing.T) {
 			t.Error("iteration accounting broken")
 		}
 	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	if !strings.Contains(buf.String(), "type1") {
-		t.Error("print malformed")
-	}
 }
 
 // TestDoomedLiveShape: live supervision of the Fig. 9 test corpus must
@@ -252,28 +216,59 @@ func TestDoomedLiveShape(t *testing.T) {
 	}
 }
 
-// TestFig11Shape pins the small-scale loop exactly: every record of the
-// ladder reaches the warehouse over HTTP, and the miner reads the
-// numbers the in-memory XML store it replaced read. A placer change that
-// moves the mined numbers re-pins them only if the mined best met target
-// does not fall: the global placement step raised it from 2.876 GHz.
+// TestFig11Shape: every record of the small-scale ladder reaches the
+// warehouse over HTTP (TestArtifactsGolden pins the mined numbers). A
+// placer change may move what the miner reads only if the mined best
+// met target does not fall below 2.876 GHz, where the global placement
+// step raised it from.
 func TestFig11Shape(t *testing.T) {
 	r, err := Fig11(Small, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	want := `Figure 11: METRICS loop (JSON over HTTP, warehouse, miner)
-flow runs instrumented:      10
-records stored:              60
-mined best met target:       3.045 GHz
-prescribed achievable range: 2.805 - 3.174 GHz
-suggested next target:       3.100 GHz
-sensitivity(target->area):   0.755
-`
-	if got := buf.String(); got != want {
-		t.Errorf("Fig11(Small, 1):\n%s\nwant:\n%s", got, want)
+	if r.Runs != 10 || r.RecordsStored != 60 {
+		t.Errorf("%d runs stored %d records, want 10 and 60", r.Runs, r.RecordsStored)
+	}
+	if r.BestFreqGHz < 2.876 {
+		t.Errorf("mined best met target %.3f GHz fell below 2.876", r.BestFreqGHz)
+	}
+}
+
+// TestPartitioningShape: more regions place faster in parallel and cost
+// at most 5% wirelength over the flat placement.
+func TestPartitioningShape(t *testing.T) {
+	r := Partitioning(Small, 1)
+	for i := 1; i < len(r.Places); i++ {
+		p, prev := r.Places[i], r.Places[i-1]
+		if p.ParallelRuntimeProxy >= prev.ParallelRuntimeProxy {
+			t.Errorf("%d regions a side: parallel TAT %d not below %d", r.Regions[i], p.ParallelRuntimeProxy, prev.ParallelRuntimeProxy)
+		}
+		if p.HPWLUm > 1.05*r.Places[0].HPWLUm {
+			t.Errorf("%d regions a side: HPWL %.0f above 1.05x flat %.0f", r.Regions[i], p.HPWLUm, r.Places[0].HPWLUm)
+		}
+	}
+}
+
+// TestSTACorrectionShape: the learned correction cuts the held-out
+// error of every engine pair.
+func TestSTACorrectionShape(t *testing.T) {
+	r, err := STACorrection(Small, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range r.Evals {
+		if ev.CorrectedMAEPs >= ev.RawMAEPs {
+			t.Errorf("%s: corrected MAE %.2f ps not below raw %.2f ps", r.Pairs[i], ev.CorrectedMAEPs, ev.RawMAEPs)
+		}
+	}
+}
+
+// TestDetectorShape: at three consecutive STOPs the MDP card errs less
+// than the HMM detector, the paper's reason to formulate it as an MDP.
+func TestDetectorShape(t *testing.T) {
+	r := DetectorAblation(Small, 1)
+	if m, h := r.MDP[2].TotalErrorPct, r.HMM[2].TotalErrorPct; m >= h {
+		t.Errorf("k=3: MDP error %.2f%% not below HMM's %.2f%%", m, h)
 	}
 }
 
