@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
-	"repro/internal/metrics"
+	"repro/internal/logfile"
 )
 
 const figsSmallPath = "testdata/figs_small.txt"
@@ -133,37 +135,25 @@ func TestExperimentsQuotesPaperScale(t *testing.T) {
 	}
 }
 
-// TestCorpusJournalReplaysArtifact runs Table 1 through a corpus journal
-// twice: the rerun must print the same bytes and replay every logfile
-// run without routing any again.
-func TestCorpusJournalReplaysArtifact(t *testing.T) {
-	SetCorpusJournal(t.TempDir())
-	t.Cleanup(func() { SetCorpusJournal("") })
-	var table1 Artifact
-	for _, a := range Artifacts() {
-		if a.Name == "table1" {
-			table1 = a
-		}
+// TestCorporaComputedOnce: two racing Corpora calls at the same scale
+// and seed return the same runs, computed once, not two copies, and
+// another seed gets its own corpora.
+func TestCorporaComputedOnce(t *testing.T) {
+	var train, test [2][]logfile.Run
+	var wg sync.WaitGroup
+	for i := range train {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			train[i], test[i] = Corpora(Small, 1)
+		}()
 	}
-	nTrain, nTest, _ := corpusSizes(Small)
-	runs := int64(nTrain + nTest)
-	var out [2]bytes.Buffer
-	for i := range out {
-		appended, replayed := metrics.Get("logfile.journal.appended"), metrics.Get("logfile.journal.replayed")
-		if err := table1.Run(&out[i], Small, 1); err != nil {
-			t.Fatal(err)
-		}
-		appended = metrics.Get("logfile.journal.appended") - appended
-		replayed = metrics.Get("logfile.journal.replayed") - replayed
-		want := [2][2]int64{{runs, 0}, {0, runs}}[i]
-		if appended != want[0] || replayed != want[1] {
-			t.Errorf("run %d: appended %d, replayed %d; want %d, %d", i+1, appended, replayed, want[0], want[1])
-		}
+	wg.Wait()
+	if &train[0][0] != &train[1][0] || &test[0][0] != &test[1][0] {
+		t.Error("Corpora(Small, 1) computed its corpora twice")
 	}
-	if err := CorpusJournalErr(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
-		t.Errorf("replayed Table 1 differs\n first:\n%s\n second:\n%s", out[0].String(), out[1].String())
+	other, _ := Corpora(Small, 2)
+	if &other[0] == &train[0][0] || reflect.DeepEqual(other, train[0]) {
+		t.Error("Corpora(Small, 2) returned seed 1's training runs")
 	}
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	sprflow -fig fig7|table1|...|all [-scale small|paper] [-seed 1] [-parallel N] [-journal DIR]
+//	sprflow -fig fig7|table1|...|all [-scale small|paper] [-seed 1] [-parallel N]
 //	sprflow -design pulpino -freq 0.6 -seed 1 [-effort 2] [-robot]
 //	sprflow -design tiny -sweep 4 [-parallel N] [-journal DIR]
 //	sprflow -design tiny -sweep 4 -dist-nodes 4 [-journal DIR]
@@ -15,11 +15,8 @@
 // A -fig prints one paper artefact (a figure, table or study, named as
 // in repro.Artifacts) at -scale, or every artefact in paper order, each
 // followed by one blank line. The output is identical at any
-// -parallel. With -journal DIR the logfile corpora behind Figs. 9-10,
-// Table 1 and the live doomed-run study are crash-safe: every completed
-// detailed-route run is appended to a journal in DIR, a rerun replays
-// it instead of routing again, and the journal accounting goes to
-// stderr.
+// -parallel. The logfile corpora behind Figs. 9-10, Table 1 and the
+// doomed-run studies are generated once per process and shared.
 //
 // A -sweep runs the full frequency x seed cross on the campaign engine
 // and prints one stable line per point to stdout (resume accounting
@@ -91,7 +88,7 @@ func run() int {
 	robot := flag.Bool("robot", false, "run as a Stage-1 robot engineer (retry to success)")
 	sweep := flag.Int("sweep", 0, "run a crash-safe QOR sweep with this many seeds per frequency")
 	parallel := flag.Int("parallel", 0, "sweep or -fig concurrency (0 = one per CPU); results identical at any setting")
-	journalDir := flag.String("journal", "", "durable journal directory for -sweep or the -fig corpora (enables checkpoint/resume)")
+	journalDir := flag.String("journal", "", "durable journal directory for -sweep (enables checkpoint/resume)")
 	stageTimeout := flag.Duration("stage-timeout", 0, "per-stage hung-tool watchdog deadline (0 = off)")
 	distNodes := flag.Int("dist-nodes", 0, "run -sweep through the distributed campaign service with this many loopback worker nodes (0 = single-process; stdout identical either way)")
 	chaosProfile := flag.String("chaos-profile", "", "inject a deterministic network fault schedule into -dist-nodes: flaky, slow, partition, kill (stdout stays byte-identical)")
@@ -103,8 +100,8 @@ func run() int {
 	warehouseDump := flag.String("warehouse-dump", "", "write the campaign's canonical warehouse dump (byte-identical across node counts and crash/replay) to FILE after the sweep (- = stdout omitted; requires -warehouse)")
 	flag.Parse()
 
-	if *fig != "" && (*sweep > 0 || *robot || *distNodes > 0 || *warehouseDir != "") {
-		fmt.Fprintln(os.Stderr, "-fig runs alone: drop -sweep, -robot, -dist-nodes and -warehouse")
+	if *fig != "" && (*sweep > 0 || *robot || *distNodes > 0 || *warehouseDir != "" || *journalDir != "") {
+		fmt.Fprintln(os.Stderr, "-fig runs alone: drop -sweep, -robot, -dist-nodes, -warehouse and -journal")
 		return 2
 	}
 
@@ -146,7 +143,7 @@ func run() int {
 	defer flush()
 
 	if *fig != "" {
-		return runFigs(*fig, *scale, *seed, *parallel, *journalDir)
+		return runFigs(*fig, *scale, *seed, *parallel)
 	}
 
 	scfg, err := repro.SweepSpec{
@@ -221,7 +218,7 @@ func run() int {
 }
 
 // runFigs prints the artefact named fig, or every artefact for "all".
-func runFigs(fig, scale string, seed int64, parallel int, journalDir string) int {
+func runFigs(fig, scale string, seed int64, parallel int) int {
 	var s repro.Scale
 	switch scale {
 	case "small":
@@ -241,7 +238,6 @@ func runFigs(fig, scale string, seed int64, parallel int, journalDir string) int
 		}
 	}
 	repro.SetWorkers(parallel)
-	repro.SetCorpusJournal(journalDir)
 	for _, a := range arts {
 		if err := a.Run(os.Stdout, s, seed); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", a.Name, err)
@@ -249,15 +245,6 @@ func runFigs(fig, scale string, seed int64, parallel int, journalDir string) int
 		}
 		if fig == "all" {
 			fmt.Println()
-		}
-	}
-	if journalDir != "" {
-		// Journal accounting goes to stderr so the artefacts stay
-		// byte-comparable between resumed and uninterrupted runs.
-		metrics.Default.WritePrefix(os.Stderr, "logfile.journal.")
-		if err := repro.CorpusJournalErr(); err != nil {
-			fmt.Fprintf(os.Stderr, "journal degraded: %v\n", err)
-			return 1
 		}
 	}
 	return 0

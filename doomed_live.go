@@ -52,18 +52,13 @@ func DoomedLive(scale Scale, seed int64) DoomedLiveResult {
 	_, nTest, designs := corpusSizes(scale)
 	sup := doom.New(card, k)
 	sup.Budget = 20
-	// The live corpus shares the test corpus's spec but not its
-	// outcomes (STOPped runs are truncated), so its journal entries are
-	// salted apart. Replay is safe: the card's verdicts are a pure
-	// function of each run's series, and the supervisor's streak state
-	// is per run key, so a replayed run perturbs nothing.
-	live := journaledCorpus(logfile.CorpusSpec{
+	live := logfile.Generate(logfile.CorpusSpec{
 		Name: "embedded-cpu", Runs: nTest, Seed: seed + 1, Designs: designs,
 		Workers: WorkerCount(),
 		Supervise: func(id int, design string) route.IterHook {
 			return sup.Hook(fmt.Sprintf("%s#%d", design, id))
 		},
-	}, fmt.Sprintf("live-k%d", k))
+	})
 
 	res := DoomedLiveResult{
 		Consecutive: k,

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"sync"
 
 	"repro/internal/campaign"
 	"repro/internal/flow"
@@ -26,21 +27,34 @@ func corpusSizes(scale Scale) (train, test, designs int) {
 	return 160, 240, 2
 }
 
-// Corpora generates the training and testing logfile corpora. With a
-// corpus journal configured (SetCorpusJournal), both corpora are
-// crash-safe: completed runs are durable and a restarted experiment
-// replays them instead of regenerating.
+// corpusKey names one Corpora pair. The worker count is not part of it:
+// a corpus is bit-identical at any worker count (logfile.CorpusSpec).
+type corpusKey struct {
+	scale Scale
+	seed  int64
+}
+
+// corpora memoizes Corpora: corpusKey -> func() ([]logfile.Run, []logfile.Run).
+var corpora sync.Map
+
+// Corpora generates the training and testing logfile corpora, once per
+// (scale, seed) per process. Every caller — fig9, fig10, table1,
+// detector, doomed-live and ropes — shares the same runs, so they are
+// read-only: a caller that needs to change a run copies it first.
 func Corpora(scale Scale, seed int64) (train, test []logfile.Run) {
-	nTrain, nTest, designs := corpusSizes(scale)
-	train = journaledCorpus(logfile.CorpusSpec{
-		Name: "artificial", Runs: nTrain, Seed: seed, Designs: designs,
-		Workers: WorkerCount(),
-	}, "train")
-	test = journaledCorpus(logfile.CorpusSpec{
-		Name: "embedded-cpu", Runs: nTest, Seed: seed + 1, Designs: designs,
-		Workers: WorkerCount(),
-	}, "test")
-	return train, test
+	f, _ := corpora.LoadOrStore(corpusKey{scale, seed}, sync.OnceValues(func() (train, test []logfile.Run) {
+		nTrain, nTest, designs := corpusSizes(scale)
+		train = logfile.Generate(logfile.CorpusSpec{
+			Name: "artificial", Runs: nTrain, Seed: seed, Designs: designs,
+			Workers: WorkerCount(),
+		})
+		test = logfile.Generate(logfile.CorpusSpec{
+			Name: "embedded-cpu", Runs: nTest, Seed: seed + 1, Designs: designs,
+			Workers: WorkerCount(),
+		})
+		return train, test
+	}))
+	return f.(func() ([]logfile.Run, []logfile.Run))()
 }
 
 // ---------------------------------------------------------------------

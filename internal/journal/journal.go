@@ -3,9 +3,9 @@
 // sequence of length-prefixed, CRC32C-checksummed records in rotated
 // segment files. Keyed (keyed.go) is the first-wins keyed store replayed
 // from a Log, and the only consumer of one: the campaign journal, the
-// dist result store, the METRICS warehouse and the corpus journal are
-// typed views of it, so "first wins", "durable before visible" and "a
-// corrupt record costs one recompute" are written and tested here once.
+// dist result store and the METRICS warehouse are typed views of it, so
+// "first wins", "durable before visible" and "a corrupt record costs one
+// recompute" are written and tested here once.
 //
 // The durability contract is the one a weekend-scale campaign needs
 // (the paper's "launch 1000 runs" orchestration): a process kill, OOM

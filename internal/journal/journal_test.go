@@ -28,6 +28,26 @@ func mustOpen(t *testing.T, dir string, opts Options) *Log {
 	return l
 }
 
+// cutDir returns a fresh directory for one cut of a byte-image recovery
+// loop. Those loops test how Open recovers an image, not whether an
+// fsync reaches the disk, so the directory is made under /dev/shm when
+// the host has a writable tmpfs there: on some ext4 hosts unlinking an
+// fsynced segment at cleanup costs ~0.1 s, and a loop makes hundreds.
+// Elsewhere it is t.TempDir().
+func cutDir(t *testing.T) string {
+	t.Helper()
+	dir, err := os.MkdirTemp("/dev/shm", "journal-cut-")
+	if err != nil {
+		return t.TempDir()
+	}
+	t.Cleanup(func() {
+		if err := os.RemoveAll(dir); err != nil {
+			t.Error(err)
+		}
+	})
+	return dir
+}
+
 func appendAll(t *testing.T, l *Log, recs [][]byte) {
 	t.Helper()
 	for i, p := range recs {
@@ -142,7 +162,7 @@ func TestKillAtEveryByteBoundary(t *testing.T) {
 	}
 
 	for cut := 0; cut <= len(img); cut++ {
-		dir := t.TempDir()
+		dir := cutDir(t)
 		if err := os.WriteFile(filepath.Join(dir, "seg-00000001.wal"), img[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +202,7 @@ func TestCorruptTailBitFlip(t *testing.T) {
 	for pos := prevOff; pos < len(img); pos++ {
 		mut := append([]byte(nil), img...)
 		mut[pos] ^= 0x5a
-		dir := t.TempDir()
+		dir := cutDir(t)
 		if err := os.WriteFile(filepath.Join(dir, "seg-00000001.wal"), mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +377,7 @@ func TestAppendBatchTornTailRecoversWholeFrames(t *testing.T) {
 		batchStart += recHeaderLen + len(p)
 	}
 	for cut := batchStart; cut <= len(img); cut++ {
-		dir := t.TempDir()
+		dir := cutDir(t)
 		if err := os.WriteFile(filepath.Join(dir, "seg-00000001.wal"), img[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -20,8 +20,8 @@ type KeyedStats struct {
 
 // Keyed is the one durable first-wins keyed store: a Log replayed into a
 // map at open and appended to on every new key. The campaign journal,
-// the dist result store, the METRICS warehouse and the corpus journal
-// are typed views of it, so the policy below is written once.
+// the dist result store and the METRICS warehouse are typed views of
+// it, so the policy below is written once.
 //
 //   - The first value under a key wins, on replay and on put; the check
 //     and the append share one lock, so a key reaches the log once however

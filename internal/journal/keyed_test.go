@@ -290,7 +290,7 @@ func TestKeyedKillAtEveryByteBoundary(t *testing.T) {
 	img := segmentImages(t, srcDir)[0]
 
 	for cut := 0; cut <= len(img); cut++ {
-		dir := t.TempDir()
+		dir := cutDir(t)
 		if err := os.WriteFile(filepath.Join(dir, "seg-00000001.wal"), img[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}

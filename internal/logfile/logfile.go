@@ -11,19 +11,13 @@
 package logfile
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 
 	"repro/internal/campaign"
 	"repro/internal/cellib"
-	"repro/internal/journal"
-	"repro/internal/metrics"
 	"repro/internal/netlist"
 	"repro/internal/place"
 	"repro/internal/route"
@@ -82,32 +76,6 @@ type CorpusSpec struct {
 	// bit-identical to the unsupervised corpus (the hook never touches
 	// the rng stream); stopped runs are truncated with StoppedAt set.
 	Supervise func(id int, design string) route.IterHook
-
-	// JournalDir, when non-empty, makes GenerateJournaled crash-safe:
-	// every completed run is appended to a durable write-ahead journal
-	// in this directory, and a restarted generation replays the journal
-	// instead of recomputing. When every run replays, the design/
-	// placement/global-routing substrates are not built at all.
-	JournalDir string
-	// JournalSalt distinguishes corpora that share a spec but must not
-	// share journal entries — e.g. a supervised corpus whose stopped
-	// runs differ from the unsupervised corpus generated from the same
-	// seeds.
-	JournalSalt string
-}
-
-// runKey identifies one corpus run for the journal: every spec field
-// that shapes the run's content, plus its id and pre-drawn seed. A
-// changed spec changes the keys, so stale entries are skipped (and
-// preserved), never served.
-func (c CorpusSpec) runKey(id int, runSeed int64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|%d|%d|%d|%d", c.Name, c.JournalSalt, c.Seed, c.Designs, c.Iterations, len(c.TrackSupplies))
-	for _, s := range c.TrackSupplies {
-		fmt.Fprintf(&b, "|%g", s)
-	}
-	fmt.Fprintf(&b, "|run%d|%d", id, runSeed)
-	return b.String()
 }
 
 func (c CorpusSpec) withDefaults() CorpusSpec {
@@ -148,82 +116,7 @@ func (c CorpusSpec) withDefaults() CorpusSpec {
 // order the serial loop consumed them, so the corpus does not depend on
 // scheduling.
 func Generate(spec CorpusSpec) []Run {
-	return generate(spec.withDefaults(), nil, nil)
-}
-
-// corpusEntry is the journaled form of one completed corpus run.
-type corpusEntry struct {
-	Key string
-	Run Run
-}
-
-// GenerateJournaled is Generate backed by the write-ahead journal in
-// spec.JournalDir: completed runs are durably appended as they finish,
-// and a generation restarted after a crash replays them instead of
-// recomputing (bit-identically — a corpus run is a pure function of its
-// pre-drawn seed). The journal is a journal.Keyed of runs under their
-// runKey, so its rules are the campaign journal's: first run under a key
-// wins, and append failures are surfaced in the returned error but never
-// abort generation; the runs slice is always complete.
-// With an empty JournalDir this is exactly Generate.
-func GenerateJournaled(spec CorpusSpec) ([]Run, error) {
 	spec = spec.withDefaults()
-	if spec.JournalDir == "" {
-		return generate(spec, nil, nil), nil
-	}
-	jrn, err := journal.OpenKeyed(spec.JournalDir, journal.Options{}, func(rec []byte) (string, Run, error) {
-		var e corpusEntry
-		err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&e)
-		if err == nil && e.Key == "" {
-			err = errors.New("logfile: journal entry has no key")
-		}
-		return e.Key, e.Run, err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("logfile: open corpus journal: %w", err)
-	}
-	st := jrn.Stats()
-	if st.Corrupt > 0 {
-		metrics.Add("logfile.journal.corrupt", int64(st.Corrupt))
-	}
-
-	replayed := 0 // generate resolves every lookup before it fans out
-	lookup := func(key string) (Run, bool) {
-		r, ok := jrn.Get(key)
-		if ok {
-			replayed++
-		}
-		return r, ok
-	}
-	record := func(key string, r Run) {
-		var buf bytes.Buffer
-		err := gob.NewEncoder(&buf).Encode(corpusEntry{Key: key, Run: r})
-		if err == nil {
-			_, err = jrn.Put(key, r, buf.Bytes())
-		}
-		if err != nil {
-			metrics.Add("logfile.journal.append_err", 1)
-			return
-		}
-		metrics.Add("logfile.journal.appended", 1)
-	}
-	runs := generate(spec, lookup, record)
-	if replayed > 0 {
-		metrics.Add("logfile.journal.replayed", int64(replayed))
-	}
-	if skipped := st.Recovered - replayed; skipped > 0 {
-		// Entries whose keys match no requested run: a changed spec.
-		// They stay on disk untouched.
-		metrics.Add("logfile.journal.skipped", int64(skipped))
-	}
-	return runs, errors.Join(jrn.Err(), jrn.Close())
-}
-
-// generate is the corpus generator core. lookup (optional) serves a run
-// from the journal by key; record (optional) durably appends a freshly
-// computed run. When every run is served by lookup, the substrate build
-// — the expensive part — is skipped entirely.
-func generate(spec CorpusSpec, lookup func(key string) (Run, bool), record func(key string, r Run)) []Run {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	lib := cellib.Default14nm()
 	eng := campaign.New(campaign.Config{Workers: spec.Workers})
@@ -244,27 +137,6 @@ func generate(spec CorpusSpec, lookup func(key string) (Run, bool), record func(
 	runSeeds := make([]int64, spec.Runs)
 	for id := range runSeeds {
 		runSeeds[id] = rng.Int63()
-	}
-
-	// Resolve which runs the journal already holds. When it holds all of
-	// them, the substrate build below — the expensive part of corpus
-	// generation — is skipped entirely: a fully journaled regeneration
-	// costs only the replay.
-	keys := make([]string, spec.Runs)
-	cachedRun := make([]bool, spec.Runs)
-	cachedVal := make([]Run, spec.Runs)
-	uncached := spec.Runs
-	if lookup != nil {
-		for id := range keys {
-			keys[id] = spec.runKey(id, runSeeds[id])
-			if r, ok := lookup(keys[id]); ok {
-				cachedRun[id], cachedVal[id] = true, r
-				uncached--
-			}
-		}
-	}
-	if uncached == 0 {
-		return cachedVal
 	}
 
 	// Build the congestion substrates: per design, per track supply,
@@ -309,10 +181,6 @@ func generate(spec CorpusSpec, lookup func(key string) (Run, bool), record func(
 
 	runs := make([]Run, spec.Runs)
 	campaign.Map(ctx, eng, spec.Runs, func(id int) struct{} { //nolint:errcheck // background ctx never cancels
-		if cachedRun[id] {
-			runs[id] = cachedVal[id]
-			return struct{}{}
-		}
 		s := subs[id%len(subs)]
 		opts := route.DetailOptions{
 			Iterations: spec.Iterations,
@@ -323,9 +191,6 @@ func generate(spec CorpusSpec, lookup func(key string) (Run, bool), record func(
 		}
 		res := route.DetailRouteCtx(ctx, s.g, opts)
 		runs[id] = FromDetail(id, s.design, spec.Name, res)
-		if record != nil {
-			record(keys[id], runs[id])
-		}
 		return struct{}{}
 	})
 	return runs

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate for the repository.
 #
-#   scripts/check.sh          gofmt + vet + build + race-enabled tests
+#   scripts/check.sh          gofmt + vet + build, a run of each example
+#                             (quickstart, enterprise), race-enabled tests
 #                             (with a doubled concurrency tier on the
 #                             scheduler, campaign engine, the keyed
 #                             journal and the flow's stage loop),
@@ -100,6 +101,9 @@ wait_addr() {
 test -z "$(gofmt -l . | tee /dev/stderr)"
 go vet ./...
 go build ./...
+# README's two examples must run to a clean exit, not only compile.
+go run ./examples/quickstart >/dev/null
+go run ./examples/enterprise >/dev/null
 # Concurrency tier: every experiment fans out on the license pool and
 # campaign engine, the tracer/metrics server are written to by every one
 # of those goroutines at once, the place/route kernels are cancelled from campaign and

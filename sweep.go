@@ -4,76 +4,22 @@ package repro
 // slips come from wasted tool time; a killed overnight campaign that
 // recomputes every finished run on restart is exactly such waste. This
 // file exposes the campaign journal at the harness level: a durable
-// sweep for the sprflow CLI, and a process-wide corpus-journal knob the
-// doomed-run experiments pick up.
+// sweep for the sprflow CLI.
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/flow"
 	"repro/internal/journal"
-	"repro/internal/logfile"
 	"repro/internal/warehouse"
 )
 
 // ResumeStats re-exports the campaign resume accounting.
 type ResumeStats = campaign.ResumeStats
-
-// corpusJournalDir is the process-wide corpus journal root ("" = off).
-var corpusJournalDir atomic.Value
-
-// SetCorpusJournal points corpus generation (Corpora, DoomedLive) at a
-// durable journal directory: completed detailed-route runs are appended
-// as they finish and replayed on restart, so a killed experiment
-// resumes instead of regenerating. An empty dir turns journaling off.
-func SetCorpusJournal(dir string) { corpusJournalDir.Store(dir) }
-
-// CorpusJournalDir reports the configured corpus journal root.
-func CorpusJournalDir() string {
-	if v, ok := corpusJournalDir.Load().(string); ok {
-		return v
-	}
-	return ""
-}
-
-// corpusJournalErr remembers the first corpus-journal durability
-// failure (see CorpusJournalErr).
-var corpusJournalErr atomic.Value
-
-// CorpusJournalErr reports the first journal failure seen by corpus
-// generation since the journal was configured. Journal failures are
-// deliberately non-fatal — durability must never cost the live
-// computation — so callers that care (sprflow -fig) poll this after
-// their experiments finish.
-func CorpusJournalErr() error {
-	if v, ok := corpusJournalErr.Load().(error); ok {
-		return v
-	}
-	return nil
-}
-
-// journaledCorpus runs spec through GenerateJournaled when a corpus
-// journal is configured, salting the entries so differently supervised
-// corpora sharing a spec never serve each other.
-func journaledCorpus(spec logfile.CorpusSpec, salt string) []logfile.Run {
-	dir := CorpusJournalDir()
-	if dir == "" {
-		return logfile.Generate(spec)
-	}
-	spec.JournalDir = dir
-	spec.JournalSalt = salt
-	runs, err := logfile.GenerateJournaled(spec)
-	if err != nil && corpusJournalErr.Load() == nil {
-		// The runs slice is complete even when the journal is not.
-		corpusJournalErr.Store(err)
-	}
-	return runs
-}
 
 // SweepConfig parameterizes a crash-safe QOR sweep: the full cross of
 // Freqs x Seeds on one design, journaled so a kill -9 at any moment
