@@ -41,8 +41,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -130,7 +128,7 @@ func run() int {
 	}
 	return runCoord(*nodeList, pts, *parallel, nodeObs{
 		metricsAddr: *metricsAddr, traceFile: *traceFile,
-		retention: *spanRetention, node: "coord",
+		retention: *spanRetention,
 	})
 }
 
@@ -145,22 +143,6 @@ type nodeObs struct {
 	node         string
 }
 
-// nodeID derives a stable 16-bit span-id namespace from the node name,
-// never 0 (0 is the single-process default and would collide with the
-// coordinator). The coordinator itself keeps namespace 0.
-func nodeID(node string) uint16 {
-	if node == "coord" {
-		return 0
-	}
-	h := fnv.New32a()
-	io.WriteString(h, node) //nolint:errcheck
-	id := uint16(h.Sum32())
-	if id == 0 {
-		id = 1
-	}
-	return id
-}
-
 // setupObs arms the shared observability stack for one campd process:
 // tracing (shipped to the coordinator's collector when shipURL is set),
 // the central metrics server when requested, and the periodic runtime
@@ -171,9 +153,8 @@ func setupObs(o nodeObs, aux map[string]http.Handler) (flush func(), err error) 
 		TraceFile:     o.traceFile,
 		MetricsAddr:   o.metricsAddr,
 		SpanRetention: o.retention,
-		NodeID:        nodeID(o.node),
+		Node:          o.node,
 		ShipURL:       o.shipURL,
-		ShipNode:      o.node,
 		Aux:           aux,
 		Gauges:        time.Second,
 	})

@@ -1,6 +1,6 @@
 // Command metricsd runs the METRICS server of Fig. 11 — a memory-only
 // warehouse at /warehouse/ beside the live /metrics and /debug
-// endpoints — until interrupted. The Fig. 11 loop itself (an
+// endpoints — until SIGINT or SIGTERM. The Fig. 11 loop itself (an
 // instrumented campaign shipping records to such a server, then data
 // mining) is `sprflow -fig fig11`.
 //
@@ -34,6 +34,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 
 	"repro"
 	"repro/internal/journal"
@@ -47,6 +48,11 @@ func main() {
 	campaignSlots := flag.Int("campaign-slots", 1, "concurrently running campaigns (front door)")
 	campaignQueue := flag.Int("campaign-queue", 16, "max queued campaigns before 429 (front door)")
 	flag.Parse()
+	// SIGTERM (kill(1)'s and orchestrators' default) drains like ^C.
+	// Armed before the listening line, so a signal sent on seeing it
+	// always takes the drain path.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	wh, err := warehouse.Open("", journal.Options{})
 	if err != nil {
@@ -69,9 +75,8 @@ func main() {
 		fmt.Printf("campaign front door on http://%s/v1/campaigns (%d slots, queue %d)\n",
 			bound, *campaignSlots, *campaignQueue)
 	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
 	<-sig
+	signal.Stop(sig)
 	srv.Close()
 	st := wh.Stats()
 	wh.Close()

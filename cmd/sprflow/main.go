@@ -167,11 +167,11 @@ func run() int {
 		scfg.Workers = *parallel
 		scfg.JournalDir = *journalDir
 		scfg.StageTimeout = *stageTimeout
+		scfg.Warehouse = wh
 		return runSweep(scfg, sweepConfig{
 			distNodes:    *distNodes,
 			chaosProfile: *chaosProfile,
 			chaosSeed:    *chaosSeed,
-			warehouse:    wh,
 			whDump:       *warehouseDump,
 		})
 	}
@@ -250,12 +250,11 @@ func runFigs(fig, scale string, seed int64, parallel int) int {
 	return 0
 }
 
-// sweepConfig carries the dist and warehouse flags into runSweep.
+// sweepConfig carries the dist and warehouse-dump flags into runSweep.
 type sweepConfig struct {
 	distNodes    int
 	chaosProfile string
 	chaosSeed    int64
-	warehouse    *warehouse.Warehouse
 	whDump       string
 }
 
@@ -268,15 +267,12 @@ func runSweep(scfg repro.SweepConfig, cfg sweepConfig) int {
 	var err error
 	if cfg.distNodes > 0 {
 		var dstats dist.CoordStats
-		// In dist mode the warehouse is fed over loopback HTTP by every
-		// node, so the in-process observer stays unset.
 		res, err = repro.DistSweep(repro.DistSweepConfig{
 			SweepConfig:  scfg,
 			Nodes:        cfg.distNodes,
 			ChaosProfile: cfg.chaosProfile,
 			ChaosSeed:    cfg.chaosSeed,
 			Stats:        &dstats,
-			Warehouse:    cfg.warehouse,
 		})
 		// Failure-handling accounting goes to stderr so stdout stays a
 		// byte-diffable result stream under any fault schedule.
@@ -286,9 +282,6 @@ func runSweep(scfg repro.SweepConfig, cfg sweepConfig) int {
 			metrics.Default.WritePrefix(os.Stderr, "chaos.")
 		}
 	} else {
-		if cfg.warehouse != nil {
-			scfg.Warehouse = cfg.warehouse
-		}
 		res, err = repro.Sweep(scfg)
 	}
 	if err != nil {
@@ -305,8 +298,8 @@ func runSweep(scfg repro.SweepConfig, cfg sweepConfig) int {
 			fmt.Fprintf(os.Stderr, "journal degraded: %v\n", res.JournalErr)
 		}
 	}
-	if cfg.warehouse != nil {
-		st := cfg.warehouse.Stats()
+	if scfg.Warehouse != nil {
+		st := scfg.Warehouse.Stats()
 		fmt.Fprintf(os.Stderr, "warehouse: %d records (%d deduped, %d replayed, %d torn tails)\n",
 			st.Records, st.Deduped, st.Replayed, st.Torn)
 		if cfg.whDump != "" {
@@ -320,7 +313,7 @@ func runSweep(scfg repro.SweepConfig, cfg sweepConfig) int {
 				fmt.Fprintf(os.Stderr, "warehouse dump: %v\n", ferr)
 				return 1
 			}
-			cfg.warehouse.DumpCanonical(f, campaign.ID(pts))
+			scfg.Warehouse.DumpCanonical(f, campaign.ID(pts))
 			if cerr := f.Close(); cerr != nil {
 				fmt.Fprintf(os.Stderr, "warehouse dump: %v\n", cerr)
 				return 1

@@ -69,12 +69,6 @@ type DistSweepConfig struct {
 	// Stats, when non-nil, receives the coordinator's failure-handling
 	// counters after the run (suspected, rejoined, reassigned, ...).
 	Stats *dist.CoordStats
-	// Warehouse, when non-nil, is served at /warehouse/ on a loopback
-	// metrics.Server for the duration of the sweep, and every worker
-	// node ingests its METRICS records through its own HTTP client —
-	// the same ingest path a multi-host fleet uses. Ingestion always bypasses the chaos
-	// transports: observability must survive the faults it describes.
-	Warehouse *warehouse.Warehouse
 }
 
 // DistSweep runs the sweep through the full coordinator/worker/store
@@ -152,7 +146,8 @@ func DistSweep(cfg DistSweepConfig) (SweepResult, error) {
 	// node its own HTTP ingest client — records flow node → warehouse
 	// exactly as they would across real hosts, and first-wins dedupe on
 	// (campaign, point, stage) absorbs replays and duplicate computes.
-	var whURL string
+	var whURL, campaignID string
+	var keys []string
 	var emitters []*warehouse.Emitter
 	if cfg.Warehouse != nil {
 		whSrv := metrics.NewServer()
@@ -165,11 +160,10 @@ func DistSweep(cfg DistSweepConfig) (SweepResult, error) {
 		}
 		defer whSrv.Close()
 		whURL = "http://" + whAddr + "/warehouse"
+		campaignID, keys = campaign.ID(pts), PointKeys(pts)
 	}
-	campaignID := campaign.ID(pts)
-	keys := PointKeys(pts)
 
-	var coordNodes []dist.Node
+	coordNodes := make([]dist.Node, 0, nodes)
 	for i := 0; i < nodes; i++ {
 		id := fmt.Sprintf("w%d", i)
 		// Under chaos each worker gets its own store client so its RPCs

@@ -46,7 +46,7 @@ type DoomedLiveResult struct {
 // reclaimed compute, not a QOR trade.
 func DoomedLive(scale Scale, seed int64) DoomedLiveResult {
 	train, test := Corpora(scale, seed)
-	card := mdp.BuildCard(train, mdp.CardConfig{})
+	card := mdp.BuildCard(train)
 	const k = 2 // the Table 1 sweet spot: near-minimal error, most savings
 
 	_, nTest, designs := corpusSizes(scale)

@@ -293,7 +293,7 @@ func Fig7Robustness(seed int64) BanditRobustness {
 			totals := map[string]float64{}
 			for s := int64(0); s < seedsPer; s++ {
 				for _, name := range algs {
-					alg, _ := NewAlgorithmByName(name, st.env.NumArms())
+					alg, _ := core.NewAlgorithm(name, st.env.NumArms())
 					h := mab.Simulate(alg, st.env, mab.Config{
 						Iterations: st.iter, Concurrent: st.conc, Seed: seed + s,
 					})
@@ -321,12 +321,6 @@ func Fig7Robustness(seed int64) BanditRobustness {
 		}
 	}
 	return res
-}
-
-// NewAlgorithmByName builds a bandit policy (exposed for the robustness
-// study; mirrors core.NewAlgorithm without the error path).
-func NewAlgorithmByName(name string, arms int) (mab.Algorithm, error) {
-	return core.NewAlgorithm(name, arms)
 }
 
 // Print writes the robustness table.

@@ -140,7 +140,7 @@ type Fig10Result struct {
 // paper derives its card from 1400 industry logfiles).
 func Fig10(scale Scale, seed int64) Fig10Result {
 	train, _ := Corpora(scale, seed)
-	card := mdp.BuildCard(train, mdp.CardConfig{})
+	card := mdp.BuildCard(train)
 	return Fig10Result{Card: card, TrainRuns: len(train), TrainStats: logfile.Summarize(train)}
 }
 
@@ -149,7 +149,7 @@ func (r Fig10Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "Figure 10: MDP strategy card from %d logfiles (%d success / %d doomed)\n",
 		r.TrainRuns, r.TrainStats.Successes, r.TrainStats.Doomed)
 	fmt.Fprintf(w, "rows: delta bin +%d..-%d (top to bottom); cols: violation bin 0..%d\n",
-		r.Card.Config.DeltaSpan, r.Card.Config.DeltaSpan, r.Card.Config.ViolBins-1)
+		mdp.DeltaSpan, mdp.DeltaSpan, mdp.ViolBins-1)
 	fmt.Fprintf(w, "S/s = STOP, ./, = GO (lowercase = footnote-5 fill-in)\n")
 	fmt.Fprint(w, r.Card.String())
 }
@@ -175,7 +175,7 @@ type Table1Result struct {
 // consecutive-STOP policies on both corpora.
 func Table1(scale Scale, seed int64) Table1Result {
 	train, test := Corpora(scale, seed)
-	card := mdp.BuildCard(train, mdp.CardConfig{})
+	card := mdp.BuildCard(train)
 	res := Table1Result{TrainRuns: len(train), TestRuns: len(test)}
 	for _, k := range []int{1, 2, 3} {
 		res.Rows = append(res.Rows, Table1Row{
@@ -218,7 +218,7 @@ type DetectorResult struct {
 // the MDP formulation against the HMM alternative.
 func DetectorAblation(scale Scale, seed int64) DetectorResult {
 	train, test := Corpora(scale, seed)
-	card := mdp.BuildCard(train, mdp.CardConfig{})
+	card := mdp.BuildCard(train)
 	det := hmm.TrainDetector(train, 3, seed)
 	res := DetectorResult{TrainRuns: len(train), TestRuns: len(test)}
 	for k := 1; k <= 3; k++ {

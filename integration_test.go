@@ -2,21 +2,25 @@ package repro
 
 // Integration test: the full "no human in the loop" pipeline the paper
 // sketches, run end to end on one design — Stage 1 robot closure,
-// Stage 2 orchestrated search, Stage 3 doomed-run pruning, Stage 4
-// METRICS-fed adaptation — with the infrastructure (METRICS warehouse,
+// Stage 2 orchestrated search, Stage 3 live doomed-run pruning, Stage 4
+// a Q-learning flow tuner — with the infrastructure (METRICS warehouse,
 // anonymized sharing) in the loop.
 
 import (
+	"fmt"
 	"net/http"
 	"reflect"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/doom"
 	"repro/internal/flow"
 	"repro/internal/journal"
 	"repro/internal/logfile"
 	"repro/internal/mdp"
 	"repro/internal/metrics"
+	"repro/internal/route"
 	"repro/internal/share"
 	"repro/internal/warehouse"
 )
@@ -54,6 +58,15 @@ func TestFullRoadmapPipeline(t *testing.T) {
 		t.Fatalf("stage 1: robot failed after %d attempts", len(rout.Attempts))
 	}
 	stage1Freq := rout.Final.Options.TargetFreqGHz
+	// The robot's closing run ships its records too, as a one-point
+	// campaign: the warehouse now holds a met run for the miner.
+	final := rout.Attempts[len(rout.Attempts)-1].Options
+	pts := []campaign.Point{campaign.NewPoint(design, campaign.KeyFor(design), final)}
+	emit = warehouse.NewEmitter(campaign.ID(pts), "local", PointKeys(pts), warehouse.NewClient("http://"+addr+"/warehouse"))
+	if !flow.RunObserved(design, final, emit).Met {
+		t.Fatal("stage 1: the robot's final run did not meet timing when rerun")
+	}
+	emit.Flush()
 
 	// Stage 2: orchestrated search should do at least as well as the
 	// single robot's trajectory (it explores the same ladder and more).
@@ -69,25 +82,38 @@ func TestFullRoadmapPipeline(t *testing.T) {
 	}
 
 	// Stage 3: a strategy card trained on fresh logfiles supervises a
-	// congested campaign and saves schedule.
+	// second corpus live. Runs it stops end early; every run it lets
+	// finish is its unsupervised twin.
 	train := logfile.Generate(logfile.CorpusSpec{Name: "artificial", Runs: 120, Seed: 4, Designs: 2})
-	card := mdp.BuildCard(train, mdp.CardConfig{})
-	runner := core.PrunedRunner{Card: card, ConsecutiveStops: 3}
-	study := core.StudyPruning(design, flow.Options{
-		TargetFreqGHz: 0.3, Seed: 5, TracksPerEdge: 1.2,
-	}, runner, 5)
-	if study.RuntimePruned > study.RuntimeUnpruned {
-		t.Error("stage 3: pruning increased runtime")
+	sup := doom.New(mdp.BuildCard(train), 2)
+	spec := logfile.CorpusSpec{Name: "embedded-cpu", Runs: 40, Seed: 5, Designs: 2}
+	baseline := logfile.Generate(spec)
+	spec.Supervise = func(id int, name string) route.IterHook { return sup.Hook(fmt.Sprintf("%s#%d", name, id)) }
+	live := logfile.Generate(spec)
+	stopped := 0
+	for i := range live {
+		if live[i].StoppedAt > 0 {
+			stopped++
+			if len(live[i].DRVs) >= len(baseline[i].DRVs) {
+				t.Errorf("stage 3: run %d stopped at %d but ran all %d iterations", i, live[i].StoppedAt, len(baseline[i].DRVs)-1)
+			}
+		} else if !reflect.DeepEqual(live[i].DRVs, baseline[i].DRVs) {
+			t.Errorf("stage 3: unstopped run %d diverged from its baseline", i)
+		}
+	}
+	if _, stops, _ := sup.Stats(); stopped == 0 || int(stops) != stopped {
+		t.Errorf("stage 3: %d runs stopped, supervisor counted %d", stopped, stops)
 	}
 
-	// Stage 4: the adaptive agent, writing into the same warehouse,
-	// converges to a met target after an infeasible start.
-	agent := core.Agent{Design: design, Warehouse: wh, Start: flow.Options{TargetFreqGHz: stage1Freq * 2, Seed: 6}}
-	rounds := agent.RunRounds(4)
-	lastMet := rounds[len(rounds)-1].Met
-	backedOff := rounds[len(rounds)-1].TargetFreqGHz < rounds[0].TargetFreqGHz
-	if !lastMet && !backedOff {
-		t.Error("stage 4: agent neither met nor backed off")
+	// Stage 4: the Q-learning tuner, started at the robot's closing
+	// target, turns run feedback into its action values.
+	agent := core.NewQAgent()
+	episodes := agent.Train(design, flow.Options{TargetFreqGHz: stage1Freq, Seed: 6}, 3, 4, 6)
+	if len(episodes) != 3 {
+		t.Fatalf("stage 4: %d episodes, want 3", len(episodes))
+	}
+	if agent.Q == core.NewQAgent().Q {
+		t.Error("stage 4: no run feedback reached the Q table")
 	}
 
 	// Infrastructure: the warehouse saw the instrumented runs and can be
@@ -98,7 +124,7 @@ func TestFullRoadmapPipeline(t *testing.T) {
 	}
 	best, ok := warehouse.BestTargetFreq(wh, design.Name)
 	if !ok {
-		t.Error("miner found no met run despite stage-4 adaptation")
+		t.Error("miner found no met run despite the robot's closing run")
 	}
 	anon := share.Anonymize(design, share.Obfuscate, 7)
 	if leaks := share.LeakCheck(design, anon); len(leaks) != 0 {

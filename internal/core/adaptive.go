@@ -3,57 +3,8 @@ package core
 import (
 	"math"
 
-	"repro/internal/campaign"
-	"repro/internal/flow"
 	"repro/internal/ml"
-	"repro/internal/netlist"
-	"repro/internal/warehouse"
 )
-
-// Agent is the Stage-4 adaptive flow: every run is instrumented into the
-// METRICS warehouse, and the warehouse miner's predictions choose the
-// next run's options — the closed "measure, to improve" loop of Sec. 4
-// with no human intervention.
-type Agent struct {
-	Design    *netlist.Netlist
-	Warehouse *warehouse.Warehouse // required; records accumulate across rounds and agents
-	Start     flow.Options
-}
-
-// AgentRound is one adaptation step.
-type AgentRound struct {
-	Round         int
-	Options       flow.Options
-	Met           bool
-	AreaUm2       float64
-	WNSPs         float64
-	TargetFreqGHz float64
-}
-
-// RunRounds executes the adapt-run-record loop for the given number of
-// rounds and returns the trajectory. Each round is a one-point campaign
-// whose id hashes the run's cache key (design fingerprint + options
-// key), so a repeated identical run dedupes in the warehouse and two
-// different runs never collide.
-func (a Agent) RunRounds(rounds int) []AgentRound {
-	designKey := campaign.KeyFor(a.Design)
-	opts := a.Start
-	var out []AgentRound
-	for r := 0; r < rounds; r++ {
-		opts.Seed = a.Start.Seed + int64(r)*104729
-		pt := campaign.NewPoint(a.Design, designKey, opts)
-		emit := warehouse.NewEmitter(campaign.ID([]campaign.Point{pt}), "local", []string{opts.Key()}, a.Warehouse)
-		res := flow.RunObserved(a.Design, opts, emit)
-		emit.Flush()
-		out = append(out, AgentRound{
-			Round: r, Options: opts, Met: res.Met,
-			AreaUm2: res.AreaUm2, WNSPs: res.WNSPs,
-			TargetFreqGHz: opts.TargetFreqGHz,
-		})
-		opts = warehouse.Suggest(a.Warehouse, a.Design.Name, opts)
-	}
-	return out
-}
 
 // MarginModel is the quantitative version of the paper's Fig. 4
 // coevolution loop: tool noise forces designers to guardband ("aim

@@ -7,10 +7,13 @@
 //	Stage 2 — orchestration of search: Search, N concurrent robots
 //	  sampling the flow-option tree under a license pool, steered by a
 //	  multi-armed bandit (the Fig. 7 methodology).
-//	Stage 3 — pruning via predictors: PrunedRunner, flow runs
-//	  supervised by the doomed-run MDP strategy card (Figs. 9-10).
-//	Stage 4 — learning loop: Agent, a METRICS-connected adaptive flow
-//	  that feeds mined predictions back into its own options.
+//	Stage 3 — pruning via predictors: the doomed-run MDP strategy card
+//	  of Figs. 9-10 lives in internal/mdp (mdp.Card.Evaluate grades it
+//	  post hoc, the Table 1 row) and acts on live router runs through
+//	  internal/doom (doom.Supervisor, the doomed-live row).
+//	Stage 4 — learning loop: QAgent, a Q-learning flow tuner that learns
+//	  the back-off/push-up policy from run feedback (the rl row); the
+//	  METRICS run → record → warehouse.Suggest loop is the fig11 row.
 //
 // The package also models the flow-option trajectory tree of Fig. 5(a)
 // and the margin/predictability feedback loop of Fig. 4.

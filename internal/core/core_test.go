@@ -5,11 +5,7 @@ import (
 
 	"repro/internal/cellib"
 	"repro/internal/flow"
-	"repro/internal/journal"
-	"repro/internal/logfile"
-	"repro/internal/mdp"
 	"repro/internal/netlist"
-	"repro/internal/warehouse"
 )
 
 func tiny(seed int64) *netlist.Netlist {
@@ -97,87 +93,6 @@ func TestNewAlgorithmNames(t *testing.T) {
 		if err != nil || alg == nil {
 			t.Errorf("algorithm %q: %v", name, err)
 		}
-	}
-}
-
-func trainedCard(t *testing.T) *mdp.Card {
-	t.Helper()
-	train := logfile.Generate(logfile.CorpusSpec{Name: "artificial", Runs: 150, Seed: 3, Designs: 2})
-	return mdp.BuildCard(train, mdp.CardConfig{})
-}
-
-func TestPrunedRunner(t *testing.T) {
-	card := trainedCard(t)
-	runner := PrunedRunner{Card: card, ConsecutiveStops: 3}
-	design := tiny(6)
-	// Force congestion by starving routing tracks so runs are doomed.
-	pr := runner.Run(design, flow.Options{TargetFreqGHz: 0.3, Seed: 1, TracksPerEdge: 1.2})
-	if pr.Result == nil {
-		t.Fatal("no result")
-	}
-	if pr.StoppedAt >= 0 {
-		if pr.SavedRuntime <= 0 {
-			t.Error("stop without savings")
-		}
-		if pr.EffectiveRuntime >= pr.Result.RuntimeProxy {
-			t.Error("effective runtime not reduced")
-		}
-	}
-}
-
-// TestStudyPruningSavesOnDoomedRuns: on the layouts the card is trained
-// on (artificial ones), at a routing supply where congestion dooms most
-// runs, blocks of six seeds are studied until doomed runs turn up; the
-// monitor must then have stopped some and saved schedule. (On a Tiny
-// design no doomed run climbs into the card's STOP bins, so a study
-// there can only hope to find none.)
-func TestStudyPruningSavesOnDoomedRuns(t *testing.T) {
-	card := trainedCard(t)
-	runner := PrunedRunner{Card: card, ConsecutiveStops: 3}
-	design := netlist.Generate(cellib.Default14nm(), netlist.Artificial(7))
-	var st PruningStudy
-	for base := int64(10); st.DoomedRuns == 0; base += 6 {
-		if base > 10+6*8 {
-			t.Fatal("no doomed run in 48 seeds at 9 tracks per edge")
-		}
-		st = StudyPruning(design, flow.Options{TargetFreqGHz: 0.3, Seed: base, TracksPerEdge: 9}, runner, 6)
-		if st.Runs != 6 {
-			t.Fatalf("%d runs", st.Runs)
-		}
-	}
-	if st.DoomedStopped == 0 {
-		t.Errorf("monitor stopped none of %d doomed runs", st.DoomedRuns)
-	}
-	if st.SavedRuntimePct <= 0 {
-		t.Error("no schedule saved")
-	}
-	if st.RuntimePruned > st.RuntimeUnpruned {
-		t.Error("pruned runtime exceeds unpruned")
-	}
-}
-
-func TestAgentAdapts(t *testing.T) {
-	wh, err := warehouse.Open("", journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wh.Close()
-	agent := Agent{Design: tiny(8), Warehouse: wh, Start: flow.Options{TargetFreqGHz: 0.9, Seed: 1}}
-	rounds := agent.RunRounds(4)
-	if len(rounds) != 4 {
-		t.Fatalf("%d rounds", len(rounds))
-	}
-	if n := wh.Stats().Records; n != 4*6 {
-		t.Fatalf("warehouse holds %d records, want 24", n)
-	}
-	// If the first round failed, the agent must have changed target.
-	if !rounds[0].Met && rounds[1].TargetFreqGHz >= rounds[0].TargetFreqGHz {
-		t.Error("agent did not back off after a failed round")
-	}
-	// Rerunning round 0 is the same one-point campaign: it dedupes.
-	agent.RunRounds(1)
-	if st := wh.Stats(); st.Records != 4*6 || st.Deduped != 6 {
-		t.Fatalf("rerun of round 0: %+v, want 24 records and 6 deduped", st)
 	}
 }
 

@@ -18,7 +18,7 @@ func trainingCorpus(t *testing.T) []logfile.Run {
 
 func TestSupervisorStopsDoomedSparesSuccessful(t *testing.T) {
 	runs := trainingCorpus(t)
-	card := mdp.BuildCard(runs, mdp.CardConfig{})
+	card := mdp.BuildCard(runs)
 	sup := New(card, 2)
 	sup.Budget = 20
 
@@ -74,8 +74,7 @@ func TestSupervisorStopsDoomedSparesSuccessful(t *testing.T) {
 func TestSupervisorStreakResetOnGo(t *testing.T) {
 	// A hand-built card that STOPs everywhere makes streak mechanics
 	// observable: with Consecutive=3 the third verdict stops the run.
-	cfg := mdp.CardConfig{}
-	card := mdp.BuildCard(nil, cfg)
+	card := mdp.BuildCard(nil)
 	for vb := range card.Action {
 		for ds := range card.Action[vb] {
 			card.Action[vb][ds] = mdp.STOP

@@ -1,5 +1,5 @@
 // Package hmm implements discrete-emission hidden Markov models
-// (scaled forward/backward, Viterbi, Baum-Welch) and a doomed-run
+// (scaled forward/backward, Baum-Welch) and a doomed-run
 // detector built from a pair of HMMs — the paper's cited alternative to
 // the MDP strategy card for modeling tool logfile time series
 // ("Tool logfile data can be viewed as time series to which hidden
@@ -109,54 +109,6 @@ func (h *HMM) emit(state, symbol int) float64 {
 func (h *HMM) LogLikelihood(obs []int) (float64, error) {
 	_, _, ll, err := h.Forward(obs)
 	return ll, err
-}
-
-// Filter returns P(state | obs[0..t]) for each t (the scaled alphas,
-// which are exactly the filtering posteriors).
-func (h *HMM) Filter(obs []int) ([][]float64, error) {
-	alpha, _, _, err := h.Forward(obs)
-	return alpha, err
-}
-
-// Viterbi returns the most likely state sequence.
-func (h *HMM) Viterbi(obs []int) ([]int, error) {
-	if len(obs) == 0 {
-		return nil, ErrEmpty
-	}
-	T := len(obs)
-	delta := make([][]float64, T)
-	psi := make([][]int, T)
-	for t := 0; t < T; t++ {
-		delta[t] = make([]float64, h.NumStates)
-		psi[t] = make([]int, h.NumStates)
-		for s := 0; s < h.NumStates; s++ {
-			if t == 0 {
-				delta[t][s] = math.Log(math.Max(h.Pi[s], 1e-300)) + math.Log(h.emit(s, obs[t]))
-				continue
-			}
-			best, bestQ := math.Inf(-1), 0
-			for q := 0; q < h.NumStates; q++ {
-				v := delta[t-1][q] + math.Log(math.Max(h.A[q][s], 1e-300))
-				if v > best {
-					best, bestQ = v, q
-				}
-			}
-			delta[t][s] = best + math.Log(h.emit(s, obs[t]))
-			psi[t][s] = bestQ
-		}
-	}
-	path := make([]int, T)
-	best, bestS := math.Inf(-1), 0
-	for s := 0; s < h.NumStates; s++ {
-		if delta[T-1][s] > best {
-			best, bestS = delta[T-1][s], s
-		}
-	}
-	path[T-1] = bestS
-	for t := T - 2; t >= 0; t-- {
-		path[t] = psi[t+1][path[t+1]]
-	}
-	return path, nil
 }
 
 // BaumWelch fits the model to the observation sequences with up to
@@ -289,7 +241,6 @@ func normalizeInto(dst, src []float64, eps float64) {
 type Detector struct {
 	Doomed  *HMM
 	Success *HMM
-	Cfg     mdp.CardConfig // reused for the violation binning
 	// Threshold on the per-step log-likelihood ratio (default 0).
 	Threshold float64
 }
@@ -299,11 +250,9 @@ func TrainDetector(runs []logfile.Run, states int, seed int64) *Detector {
 	if states <= 0 {
 		states = 3
 	}
-	cfg := mdp.CardConfig{}
-	cfg = cfgDefaults(cfg)
 	var good, bad [][]int
 	for _, r := range runs {
-		seq := Symbolize(r, cfg)
+		seq := Symbolize(r)
 		if r.Success {
 			good = append(good, seq)
 		} else {
@@ -311,29 +260,20 @@ func TrainDetector(runs []logfile.Run, states int, seed int64) *Detector {
 		}
 	}
 	d := &Detector{
-		Doomed:  New(states, cfg.ViolBins, seed),
-		Success: New(states, cfg.ViolBins, seed+1),
-		Cfg:     cfg,
+		Doomed:  New(states, mdp.ViolBins, seed),
+		Success: New(states, mdp.ViolBins, seed+1),
 	}
 	d.Doomed.BaumWelch(bad, 25)
 	d.Success.BaumWelch(good, 25)
 	return d
 }
 
-// cfgDefaults applies the card defaults without exporting them from mdp.
-func cfgDefaults(c mdp.CardConfig) mdp.CardConfig {
-	if c.ViolBins <= 0 {
-		c.ViolBins = 18
-	}
-	return c
-}
-
-// Symbolize converts a run's DRV series to violation-bin symbols.
-func Symbolize(r logfile.Run, cfg mdp.CardConfig) []int {
-	cfg = cfgDefaults(cfg)
+// Symbolize converts a run's DRV series to the strategy card's
+// violation-bin symbols.
+func Symbolize(r logfile.Run) []int {
 	seq := make([]int, len(r.DRVs))
 	for i, d := range r.DRVs {
-		seq[i] = cfg.ViolBin(d)
+		seq[i] = mdp.ViolBin(d)
 	}
 	return seq
 }
@@ -346,7 +286,7 @@ func (d *Detector) Outcome(r logfile.Run, k int) int {
 	if k < 1 {
 		k = 1
 	}
-	seq := Symbolize(r, d.Cfg)
+	seq := Symbolize(r)
 	_, bad, _, err1 := d.Doomed.Forward(seq)
 	_, good, _, err2 := d.Success.Forward(seq)
 	if err1 != nil || err2 != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/logfile"
-	"repro/internal/mdp"
 )
 
 // twoRegimeSeqs draws sequences from a known 2-state generator.
@@ -56,9 +55,6 @@ func TestEmptySequenceErrors(t *testing.T) {
 	if _, _, _, err := h.Forward(nil); err != ErrEmpty {
 		t.Error("Forward should reject empty sequence")
 	}
-	if _, err := h.Viterbi(nil); err != ErrEmpty {
-		t.Error("Viterbi should reject empty sequence")
-	}
 }
 
 func TestBaumWelchIncreasesLikelihood(t *testing.T) {
@@ -93,57 +89,9 @@ func TestBaumWelchLearnsRegimes(t *testing.T) {
 	}
 }
 
-func TestViterbiTracksRegime(t *testing.T) {
-	seqs := twoRegimeSeqs(30, 60, 6)
-	h := New(2, 6, 7)
-	h.BaumWelch(seqs, 40)
-	// A sequence that switches cleanly: Viterbi should switch states.
-	obs := []int{0, 1, 0, 2, 1, 0, 4, 5, 3, 4, 5, 4}
-	path, err := h.Viterbi(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(path) != len(obs) {
-		t.Fatalf("path length %d", len(path))
-	}
-	majority := func(p []int) int {
-		c := map[int]int{}
-		for _, s := range p {
-			c[s]++
-		}
-		best, bestC := 0, -1
-		for s, n := range c {
-			if n > bestC {
-				best, bestC = s, n
-			}
-		}
-		return best
-	}
-	if majority(path[:6]) == majority(path[6:]) {
-		t.Errorf("Viterbi did not switch dominant state across the regime change: %v", path)
-	}
-}
-
-func TestFilterMatchesForward(t *testing.T) {
-	h := New(3, 6, 8)
-	obs := []int{1, 2, 3, 4, 5, 0}
-	alpha, _, _, _ := h.Forward(obs)
-	filt, err := h.Filter(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for t2 := range alpha {
-		for s := range alpha[t2] {
-			if alpha[t2][s] != filt[t2][s] {
-				t.Fatal("Filter should return the scaled alphas")
-			}
-		}
-	}
-}
-
 func TestSymbolize(t *testing.T) {
 	r := logfile.Run{DRVs: []int{0, 10, 10000}}
-	seq := Symbolize(r, mdp.CardConfig{})
+	seq := Symbolize(r)
 	if len(seq) != 3 {
 		t.Fatalf("len %d", len(seq))
 	}

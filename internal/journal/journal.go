@@ -377,16 +377,6 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Rotate seals the active segment and atomically installs a fresh one.
-func (l *Log) Rotate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	return l.rotateLocked()
-}
-
 // rotateLocked creates segment seq+1 via temp file + rename: the new
 // segment becomes visible only with a complete, fsynced header.
 func (l *Log) rotateLocked() error {

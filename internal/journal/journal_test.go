@@ -105,21 +105,6 @@ func TestRotationSpansSegments(t *testing.T) {
 	assertRecords(t, l2.Records(), recs)
 }
 
-func TestExplicitRotateMidStream(t *testing.T) {
-	dir := t.TempDir()
-	recs := payloads(10)
-	l := mustOpen(t, dir, Options{})
-	appendAll(t, l, recs[:5])
-	if err := l.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, l, recs[5:])
-	l.Close()
-	l2 := mustOpen(t, dir, Options{})
-	defer l2.Close()
-	assertRecords(t, l2.Records(), recs)
-}
-
 // segmentImages returns the byte images of every segment, in order.
 func segmentImages(t *testing.T, dir string) [][]byte {
 	t.Helper()

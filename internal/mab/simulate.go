@@ -1,10 +1,6 @@
 package mab
 
-import (
-	"math/rand"
-
-	"repro/internal/sched"
-)
+import "math/rand"
 
 // Environment produces stochastic rewards per arm. Implementations range
 // from synthetic Bernoulli test beds to the real flow sampler in
@@ -127,11 +123,6 @@ type Config struct {
 	Iterations int // outer iterations (paper Fig. 7: 40)
 	Concurrent int // samples per iteration = concurrent tool runs (paper: 5)
 	Seed       int64
-	// Workers fans each batch's reward draws out over a license pool
-	// (<= 1 keeps them on the caller's goroutine). Each slot draws from
-	// its own sub-seeded generator fixed before the batch fans out, so
-	// the history is bit-identical at any worker count.
-	Workers int
 }
 
 // Simulate runs the policy against the environment: each iteration
@@ -140,10 +131,9 @@ type Config struct {
 // Updates happen only at batch boundaries, matching how concurrent EDA
 // runs report results.
 //
-// Arm selection stays serial (the policy and its generator are shared
-// state); reward draws are the campaign fan-out. Slot k of iteration t
-// always sees the same sub-seed for a given cfg.Seed, which is what
-// makes the parallel and serial paths produce identical histories.
+// Each slot draws its reward from its own generator, sub-seeded from
+// the policy's stream when the batch is selected, so slot k of
+// iteration t always sees the same sub-seed for a given cfg.Seed.
 func Simulate(alg Algorithm, env Environment, cfg Config) *History {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 40
@@ -152,10 +142,6 @@ func Simulate(alg Algorithm, env Environment, cfg Config) *History {
 		cfg.Concurrent = 5
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var pool *sched.Pool
-	if cfg.Workers > 1 {
-		pool = sched.NewPool(cfg.Workers)
-	}
 	h := &History{Algorithm: alg.Name(), ArmCounts: make([]int, env.NumArms())}
 	best := 0.0
 	regret := 0.0
@@ -167,16 +153,9 @@ func Simulate(alg Algorithm, env Environment, cfg Config) *History {
 			arms[k] = alg.Select(rng)
 			seeds[k] = rng.Int63()
 		}
-		draw := func(k int) float64 {
-			return env.Reward(arms[k], rand.New(rand.NewSource(seeds[k])))
-		}
 		rewards := make([]float64, cfg.Concurrent)
-		if pool != nil {
-			rewards = sched.Map(pool, cfg.Concurrent, draw)
-		} else {
-			for k := range rewards {
-				rewards[k] = draw(k)
-			}
+		for k := range rewards {
+			rewards[k] = env.Reward(arms[k], rand.New(rand.NewSource(seeds[k])))
 		}
 		var batchSum float64
 		for k, a := range arms {

@@ -25,48 +25,31 @@ func (a Action) String() string {
 	return "GO"
 }
 
-// CardConfig parameterizes strategy-card construction.
-type CardConfig struct {
-	ViolBins  int // bins of log2(DRVs+1) (default 18, as in Fig. 10's x-axis)
-	DeltaSpan int // delta axis covers [-DeltaSpan, +DeltaSpan] (default 10)
+// The strategy card's state grid: violation bins of log2(DRVs+1) (as
+// in Fig. 10's x-axis) by the change in bin, clamped to
+// [-DeltaSpan, +DeltaSpan].
+const (
+	ViolBins  = 18
+	DeltaSpan = 10
+)
 
-	StepReward    float64 // small negative reward per continued iteration (default -1)
-	SuccessReward float64 // large positive reward for ending with low DRVs (default +100)
-	FailureReward float64 // negative reward for running a doomed run to completion (default -40)
-	StopReward    float64 // reward for terminating early (default 0)
-	Gamma         float64 // discount (default 0.98)
-}
-
-func (c CardConfig) withDefaults() CardConfig {
-	if c.ViolBins <= 0 {
-		c.ViolBins = 18
-	}
-	if c.DeltaSpan <= 0 {
-		c.DeltaSpan = 10
-	}
-	if c.StepReward == 0 {
-		c.StepReward = -1
-	}
-	if c.SuccessReward == 0 {
-		c.SuccessReward = 100
-	}
-	if c.FailureReward == 0 {
-		c.FailureReward = -40
-	}
-	if c.Gamma == 0 {
-		c.Gamma = 0.98
-	}
-	return c
-}
+// The card MDP's rewards and discount.
+const (
+	stepReward    float64 = -1   // per continued iteration
+	successReward float64 = 100  // ending with low DRVs
+	failureReward float64 = -40  // running a doomed run to completion
+	stopReward    float64 = 0    // terminating early
+	cardGamma             = 0.98 // discount
+)
 
 // ViolBin maps a DRV count to its log-scale bin.
-func (c CardConfig) ViolBin(drvs int) int {
+func ViolBin(drvs int) int {
 	if drvs < 0 {
 		drvs = 0
 	}
 	b := int(math.Log2(float64(drvs) + 1))
-	if b >= c.ViolBins {
-		b = c.ViolBins - 1
+	if b >= ViolBins {
+		b = ViolBins - 1
 	}
 	return b
 }
@@ -74,7 +57,6 @@ func (c CardConfig) ViolBin(drvs int) int {
 // Card is the MDP-derived strategy card of Fig. 10: a GO/STOP action for
 // every (binned violations, change in binned violations) state.
 type Card struct {
-	Config CardConfig
 	// Action[vb][ds] with ds = delta + DeltaSpan.
 	Action [][]Action
 	// Seen marks states observed in training data (unseen states are
@@ -85,21 +67,14 @@ type Card struct {
 }
 
 // deltaIndex clamps a bin delta into the card's delta axis.
-func (c CardConfig) deltaIndex(delta int) int {
-	if delta < -c.DeltaSpan {
-		delta = -c.DeltaSpan
-	}
-	if delta > c.DeltaSpan {
-		delta = c.DeltaSpan
-	}
-	return delta + c.DeltaSpan
+func deltaIndex(delta int) int {
+	return min(max(delta, -DeltaSpan), DeltaSpan) + DeltaSpan
 }
 
 // Decide returns the card's action for a current and previous DRV count.
 func (card *Card) Decide(prevDRVs, curDRVs int) Action {
-	vb := card.Config.ViolBin(curDRVs)
-	ds := card.Config.deltaIndex(card.Config.ViolBin(curDRVs) - card.Config.ViolBin(prevDRVs))
-	return card.Action[vb][ds]
+	vb := ViolBin(curDRVs)
+	return card.Action[vb][deltaIndex(vb-ViolBin(prevDRVs))]
 }
 
 // String renders the card as an ASCII grid (rows = delta descending,
@@ -107,9 +82,8 @@ func (card *Card) Decide(prevDRVs, curDRVs int) Action {
 // filled-in unseen states).
 func (card *Card) String() string {
 	var b strings.Builder
-	span := card.Config.DeltaSpan
-	for ds := 2 * span; ds >= 0; ds-- {
-		for vb := 0; vb < card.Config.ViolBins; vb++ {
+	for ds := 2 * DeltaSpan; ds >= 0; ds-- {
+		for vb := 0; vb < ViolBins; vb++ {
 			ch := byte('.')
 			if card.Action[vb][ds] == STOP {
 				ch = 'S'
@@ -130,11 +104,9 @@ func (card *Card) String() string {
 // MDP over (violation bin, delta bin) states is assembled from the run
 // series, solved by policy iteration, and unseen states are filled with
 // the paper's footnote-5 rules.
-func BuildCard(runs []logfile.Run, cfg CardConfig) *Card {
-	cfg = cfg.withDefaults()
-	span := cfg.DeltaSpan
-	nd := 2*span + 1
-	numGrid := cfg.ViolBins * nd
+func BuildCard(runs []logfile.Run) *Card {
+	const nd = 2*DeltaSpan + 1
+	const numGrid = ViolBins * nd
 	// States: grid states, then 2 absorbing terminals (stop, done).
 	stopState := numGrid
 	doneState := numGrid + 1
@@ -156,8 +128,8 @@ func BuildCard(runs []logfile.Run, cfg CardConfig) *Card {
 		}
 		prevState := -1
 		for t := 1; t < len(r.DRVs); t++ {
-			vb := cfg.ViolBin(r.DRVs[t])
-			ds := cfg.deltaIndex(vb - cfg.ViolBin(r.DRVs[t-1]))
+			vb := ViolBin(r.DRVs[t])
+			ds := deltaIndex(vb - ViolBin(r.DRVs[t-1]))
 			s := stateOf(vb, ds)
 			seen[s] = true
 			if prevState >= 0 {
@@ -167,21 +139,21 @@ func BuildCard(runs []logfile.Run, cfg CardConfig) *Card {
 		}
 		if prevState >= 0 {
 			if r.Success {
-				endReward[prevState] += cfg.SuccessReward
+				endReward[prevState] += successReward
 			} else {
-				endReward[prevState] += cfg.FailureReward
+				endReward[prevState] += failureReward
 			}
 			endCount[prevState]++
 		}
 	}
 
-	m := New(numGrid+2, 2, cfg.Gamma)
+	m := New(numGrid+2, 2, cardGamma)
 	m.Terminal[stopState] = true
 	m.Terminal[doneState] = true
 	for s := 0; s < numGrid; s++ {
 		// STOP: terminal with stop reward.
 		m.Trans[s][int(STOP)] = []Transition{{To: stopState, Prob: 1}}
-		m.Reward[s][int(STOP)] = cfg.StopReward
+		m.Reward[s][int(STOP)] = stopReward
 		// GO: empirical continuation plus empirical termination.
 		var total float64
 		for _, c := range counts[s] {
@@ -191,14 +163,14 @@ func BuildCard(runs []logfile.Run, cfg CardConfig) *Card {
 		if total == 0 {
 			// Unseen or dead-end state: GO behaves like STOP.
 			m.Trans[s][int(GO)] = []Transition{{To: stopState, Prob: 1}}
-			m.Reward[s][int(GO)] = cfg.StopReward
+			m.Reward[s][int(GO)] = stopReward
 			continue
 		}
 		var ts []Transition
 		for to, c := range counts[s] {
 			ts = append(ts, Transition{To: to, Prob: c / total})
 		}
-		reward := cfg.StepReward
+		reward := stepReward
 		if endCount[s] > 0 {
 			ts = append(ts, Transition{To: doneState, Prob: endCount[s] / total})
 			reward += endReward[s] / total
@@ -208,11 +180,12 @@ func BuildCard(runs []logfile.Run, cfg CardConfig) *Card {
 	}
 	values, policy := m.PolicyIteration(0)
 
-	card := &Card{Config: cfg}
-	card.Action = make([][]Action, cfg.ViolBins)
-	card.Seen = make([][]bool, cfg.ViolBins)
-	card.Values = make([][]float64, cfg.ViolBins)
-	for vb := 0; vb < cfg.ViolBins; vb++ {
+	card := &Card{
+		Action: make([][]Action, ViolBins),
+		Seen:   make([][]bool, ViolBins),
+		Values: make([][]float64, ViolBins),
+	}
+	for vb := 0; vb < ViolBins; vb++ {
 		card.Action[vb] = make([]Action, nd)
 		card.Seen[vb] = make([]bool, nd)
 		card.Values[vb] = make([]float64, nd)
@@ -223,7 +196,7 @@ func BuildCard(runs []logfile.Run, cfg CardConfig) *Card {
 			if seen[s] {
 				card.Action[vb][ds] = Action(policy[s])
 			} else {
-				card.Action[vb][ds] = fillRule(cfg, vb, ds-span)
+				card.Action[vb][ds] = fillRule(vb, ds-DeltaSpan)
 			}
 		}
 	}
@@ -237,13 +210,13 @@ func BuildCard(runs []logfile.Run, cfg CardConfig) *Card {
 //	(ii)  small violations and large positive slope -> STOP
 //	(iii) very large violations -> STOP
 //	(iv)  everything else -> GO
-func fillRule(cfg CardConfig, violBin, delta int) Action {
+func fillRule(violBin, delta int) Action {
 	// Thresholds sit just above the success criterion (<200 DRVs is
 	// bin ~7): a plateau at thousands of DRVs is hopeless whatever the
 	// slope, and the consecutive-STOP hysteresis protects successful
 	// runs that merely pass through these bins while decaying.
-	large := violBin >= cfg.ViolBins*4/9     // "large violations" (~bin 8)
-	veryLarge := violBin >= cfg.ViolBins*5/8 // "very large violations" (~bin 11)
+	large := violBin >= ViolBins*4/9     // "large violations" (~bin 8)
+	veryLarge := violBin >= ViolBins*5/8 // "very large violations" (~bin 11)
 	switch {
 	case large && delta > 0:
 		return STOP

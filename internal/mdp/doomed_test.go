@@ -36,20 +36,19 @@ func syntheticCorpus(n int) []logfile.Run {
 }
 
 func TestBuildCardShape(t *testing.T) {
-	card := BuildCard(syntheticCorpus(200), CardConfig{})
-	cfg := card.Config
+	card := BuildCard(syntheticCorpus(200))
 	// STOP when DRVs are very large (right half of the card, paper's
 	// reading of Fig. 10) with flat slope.
-	if card.Action[cfg.ViolBins-1][cfg.deltaIndex(0)] != STOP {
+	if card.Action[ViolBins-1][deltaIndex(0)] != STOP {
 		t.Error("very large flat DRVs should STOP")
 	}
 	// GO when DRVs are small.
-	if card.Action[1][cfg.deltaIndex(0)] != GO {
+	if card.Action[1][deltaIndex(0)] != GO {
 		t.Error("small DRVs should GO")
 	}
 	// GO for moderately large DRVs with negative slope (bins 3-5
 	// observation in the paper).
-	if card.Action[4][cfg.deltaIndex(-2)] != GO {
+	if card.Action[4][deltaIndex(-2)] != GO {
 		t.Error("moderate DRVs with negative slope should GO")
 	}
 }
@@ -57,7 +56,7 @@ func TestBuildCardShape(t *testing.T) {
 func TestCardEvaluationErrorsFallWithConsecutiveStops(t *testing.T) {
 	train := syntheticCorpus(300)
 	test := syntheticCorpus(500)
-	card := BuildCard(train, CardConfig{})
+	card := BuildCard(train)
 	var prev float64 = 101
 	for _, k := range []int{1, 2, 3} {
 		res := card.Evaluate(test, k)
@@ -84,7 +83,7 @@ func TestCardEvaluationErrorsFallWithConsecutiveStops(t *testing.T) {
 }
 
 func TestOutcomeConsecutiveStopsStricter(t *testing.T) {
-	card := BuildCard(syntheticCorpus(200), CardConfig{})
+	card := BuildCard(syntheticCorpus(200))
 	doomed := syntheticRun(0, 30000, 0.85, 20, 9000)
 	at1 := card.Outcome(doomed, 1)
 	at3 := card.Outcome(doomed, 3)
@@ -97,15 +96,15 @@ func TestOutcomeConsecutiveStopsStricter(t *testing.T) {
 }
 
 func TestCardStringRenders(t *testing.T) {
-	card := BuildCard(syntheticCorpus(100), CardConfig{})
+	card := BuildCard(syntheticCorpus(100))
 	s := card.String()
 	lines := strings.Split(strings.TrimSuffix(s, "\n"), "\n")
-	if len(lines) != 2*card.Config.DeltaSpan+1 {
+	if len(lines) != 2*DeltaSpan+1 {
 		t.Fatalf("card render has %d rows", len(lines))
 	}
 	for _, l := range lines {
-		if len(l) != card.Config.ViolBins {
-			t.Fatalf("row width %d, want %d", len(l), card.Config.ViolBins)
+		if len(l) != ViolBins {
+			t.Fatalf("row width %d, want %d", len(l), ViolBins)
 		}
 	}
 	if !strings.ContainsAny(s, "Ss") || !strings.ContainsAny(s, ".,") {
@@ -114,7 +113,7 @@ func TestCardStringRenders(t *testing.T) {
 }
 
 func TestDecideUsesBins(t *testing.T) {
-	card := BuildCard(syntheticCorpus(100), CardConfig{})
+	card := BuildCard(syntheticCorpus(100))
 	// Huge DRVs, no improvement: must be STOP in any sane card.
 	if card.Decide(100000, 120000) != STOP {
 		t.Error("exploding DRVs should STOP")
@@ -131,7 +130,7 @@ func TestEvaluateOnRealCorpus(t *testing.T) {
 	}
 	train := logfile.Generate(logfile.CorpusSpec{Name: "artificial", Runs: 240, Seed: 1, Designs: 3})
 	test := logfile.Generate(logfile.CorpusSpec{Name: "embedded-cpu", Runs: 300, Seed: 2, Designs: 3})
-	card := BuildCard(train, CardConfig{})
+	card := BuildCard(train)
 	e1 := card.Evaluate(test, 1)
 	e3 := card.Evaluate(test, 3)
 	// The paper's qualitative result: requiring 3 consecutive STOPs
@@ -148,13 +147,13 @@ func BenchmarkBuildCard(b *testing.B) {
 	runs := syntheticCorpus(300)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildCard(runs, CardConfig{})
+		BuildCard(runs)
 	}
 }
 
 func BenchmarkEvaluateCard(b *testing.B) {
 	runs := syntheticCorpus(300)
-	card := BuildCard(runs, CardConfig{})
+	card := BuildCard(runs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		card.Evaluate(runs, 3)

@@ -104,44 +104,42 @@ func TestActionString(t *testing.T) {
 }
 
 func TestViolBinMonotone(t *testing.T) {
-	cfg := CardConfig{}.withDefaults()
 	prev := -1
 	for _, drv := range []int{0, 1, 3, 10, 50, 200, 1000, 10000, 1 << 20, 1 << 30} {
-		b := cfg.ViolBin(drv)
+		b := ViolBin(drv)
 		if b < prev {
 			t.Fatalf("ViolBin not monotone at %d", drv)
 		}
-		if b < 0 || b >= cfg.ViolBins {
+		if b < 0 || b >= ViolBins {
 			t.Fatalf("ViolBin(%d) = %d out of range", drv, b)
 		}
 		prev = b
 	}
-	if cfg.ViolBin(-5) != 0 {
+	if ViolBin(-5) != 0 {
 		t.Error("negative DRVs should bin to 0")
 	}
 }
 
 func TestFillRules(t *testing.T) {
-	cfg := CardConfig{}.withDefaults()
 	// (iii) very large violations -> STOP even with negative slope.
-	if fillRule(cfg, cfg.ViolBins-1, -5) != STOP {
+	if fillRule(ViolBins-1, -5) != STOP {
 		t.Error("very large violations should STOP")
 	}
 	// (i) large violations, positive slope -> STOP.
-	if fillRule(cfg, cfg.ViolBins/2, 1) != STOP {
+	if fillRule(ViolBins/2, 1) != STOP {
 		t.Error("large violations with positive slope should STOP")
 	}
 	// (ii) small violations, large positive slope -> STOP.
-	if fillRule(cfg, 1, 4) != STOP {
+	if fillRule(1, 4) != STOP {
 		t.Error("small violations with large positive slope should STOP")
 	}
 	// (iv) small violations, negative slope -> GO.
-	if fillRule(cfg, 2, -2) != GO {
+	if fillRule(2, -2) != GO {
 		t.Error("small violations with negative slope should GO")
 	}
 	// Moderately large with negative slope -> GO (the card's
 	// distinctive region in Fig. 10).
-	if fillRule(cfg, 5, -2) != GO {
+	if fillRule(5, -2) != GO {
 		t.Error("moderate violations improving should GO")
 	}
 }

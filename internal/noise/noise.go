@@ -37,11 +37,10 @@ type Study struct {
 // Config parameterizes the sweep.
 type Config struct {
 	Seeds int // runs per frequency point (default 20)
-	// Targets are the frequencies to sample; if empty, a ramp from
-	// 0.5*fmax to 1.02*fmax is generated with Steps points.
-	Targets []float64
-	Steps   int // default 8
-	Seed    int64
+	// Steps is the number of target frequencies, a ramp from 0.5*fmax
+	// to 1.02*fmax (default 8).
+	Steps int
+	Seed  int64
 	// Workers is the concurrent-run limit for the sweep (0 = one per
 	// CPU). Per-run seeds are fixed by sweep position, so the results
 	// are bit-identical at any worker count.
@@ -63,12 +62,10 @@ func Sweep(design *netlist.Netlist, cfg Config) Study {
 	cfg = cfg.withDefaults()
 	st := Study{Design: design.Name}
 	st.FMax = synth.MaxAchievableFreq(design, synth.Options{Seed: cfg.Seed}, 0.2, 5)
-	targets := cfg.Targets
-	if len(targets) == 0 {
-		for i := 0; i < cfg.Steps; i++ {
-			frac := 0.5 + (1.02-0.5)*float64(i)/float64(cfg.Steps-1)
-			targets = append(targets, st.FMax*frac)
-		}
+	targets := make([]float64, cfg.Steps)
+	for i := range targets {
+		frac := 0.5 + (1.02-0.5)*float64(i)/float64(cfg.Steps-1)
+		targets[i] = st.FMax * frac
 	}
 	// Fan the whole (target x seed) grid out over the campaign engine.
 	// Each sample's seed is a pure function of its grid position —
@@ -138,11 +135,4 @@ func (st Study) AreaJumpPct() float64 {
 		}
 	}
 	return worst
-}
-
-// GaussianAt fits a Gaussian to the samples of point i and returns the
-// fit plus a histogram for the Fig. 3 (right) visual.
-func (st Study) GaussianAt(i int, bins int) (ml.Gaussian, ml.Histogram) {
-	p := st.Points[i]
-	return ml.FitGaussian(p.AreaSamples), ml.NewHistogram(p.AreaSamples, bins)
 }

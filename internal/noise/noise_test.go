@@ -64,28 +64,3 @@ func TestAreaJumpNearFmax(t *testing.T) {
 		t.Error("no area jump measured across targets")
 	}
 }
-
-func TestExplicitTargets(t *testing.T) {
-	st := Sweep(tiny(5), Config{Seeds: 5, Targets: []float64{0.3, 0.6}, Seed: 5})
-	if len(st.Points) != 2 {
-		t.Fatalf("%d points", len(st.Points))
-	}
-	if st.Points[0].TargetFreqGHz != 0.3 || st.Points[1].TargetFreqGHz != 0.6 {
-		t.Fatal("explicit targets not used")
-	}
-}
-
-func TestGaussianAt(t *testing.T) {
-	st := Sweep(tiny(6), Config{Seeds: 16, Steps: 4, Seed: 6})
-	g, h := st.GaussianAt(len(st.Points)-1, 6)
-	if g.Mu <= 0 {
-		t.Error("gaussian fit mean must be positive")
-	}
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 16 {
-		t.Errorf("histogram holds %d samples", total)
-	}
-}

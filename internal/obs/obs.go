@@ -9,6 +9,7 @@ package obs
 
 import (
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"os"
 	"runtime"
@@ -31,14 +32,15 @@ type Config struct {
 	// campaigns; overflow increments the exporter's droppedSpans count
 	// rather than growing the heap.
 	SpanRetention int
-	// NodeID namespaces span ids (trace.Config.NodeID) so this
-	// process's spans can ship to a fleet collector without colliding.
-	NodeID uint16
+	// Node names this process in a fleet. A non-empty name namespaces
+	// span ids by a 16-bit hash of it (trace.Config.NodeID), so this
+	// process's spans can ship to a fleet collector without colliding,
+	// and labels its shipped batches. "" keeps namespace 0, the
+	// single-process default the coordinator keeps too.
+	Node string
 	// ShipURL, when non-empty, drains finished spans every 500 ms and
 	// POSTs them to this collector endpoint (a coordinator's /v1/spans).
 	ShipURL string
-	// ShipNode labels shipped batches (diagnostics only).
-	ShipNode string
 	// Aux mounts extra handlers on the metrics server by pattern — the
 	// span collector and warehouse API ride here.
 	Aux map[string]http.Handler
@@ -54,7 +56,7 @@ type Config struct {
 func SetupCfg(cfg Config) (flush func(), err error) {
 	var tr *trace.Tracer
 	if cfg.TraceFile != "" || cfg.ShipURL != "" {
-		tr = trace.NewCfg(trace.Config{Retention: cfg.SpanRetention, NodeID: cfg.NodeID})
+		tr = trace.NewCfg(trace.Config{Retention: cfg.SpanRetention, NodeID: namespace(cfg.Node)})
 		trace.Enable(tr)
 	}
 	var srv *metrics.Server
@@ -70,7 +72,7 @@ func SetupCfg(cfg Config) (flush func(), err error) {
 	}
 	var shipper *trace.Shipper
 	if cfg.ShipURL != "" && tr != nil {
-		shipper = trace.NewShipper(tr, cfg.ShipNode, cfg.ShipURL, 0)
+		shipper = trace.NewShipper(tr, cfg.Node, cfg.ShipURL, 0)
 		shipper.Start()
 	}
 	var stopGauges func()
@@ -109,6 +111,20 @@ func SetupCfg(cfg Config) (flush func(), err error) {
 		n, _ := tr.Snapshot()
 		fmt.Fprintf(os.Stderr, "trace: wrote %d spans to %s\n", len(n), cfg.TraceFile)
 	}, nil
+}
+
+// namespace derives a stable 16-bit span-id namespace from a node name:
+// 0 for "", never 0 otherwise (0 would collide with the coordinator).
+func namespace(node string) uint16 {
+	if node == "" {
+		return 0
+	}
+	h := fnv.New32a()
+	h.Write([]byte(node)) //nolint:errcheck // hash writes never fail
+	if id := uint16(h.Sum32()); id != 0 {
+		return id
+	}
+	return 1
 }
 
 // StartRuntimeGauges samples runtime health into the process-wide

@@ -103,3 +103,18 @@ func TestSpanRetentionCaps(t *testing.T) {
 		t.Fatalf("%d kept + %d dropped = %d, want %d", len(c.TraceEvents), c.DroppedSpans, got, spans)
 	}
 }
+
+// TestNodeNamespace: an unnamed process keeps span namespace 0; a named
+// one gets a stable, non-zero namespace that differs between names.
+func TestNodeNamespace(t *testing.T) {
+	if ns := namespace(""); ns != 0 {
+		t.Fatalf(`namespace("") = %d, want 0`, ns)
+	}
+	w0, w1 := namespace("w0"), namespace("w1")
+	if w0 == 0 || w1 == 0 || w0 == w1 {
+		t.Fatalf("namespaces w0=%d w1=%d: want two distinct non-zero ids", w0, w1)
+	}
+	if namespace("w0") != w0 {
+		t.Fatal("a node's namespace is not stable")
+	}
+}

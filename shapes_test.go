@@ -3,6 +3,8 @@ package repro
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/mdp"
 )
 
 func TestFig1Shape(t *testing.T) {
@@ -164,12 +166,11 @@ func TestFig9Shape(t *testing.T) {
 func TestFig10Shape(t *testing.T) {
 	r := Fig10(Small, 1)
 	card := r.Card
-	cfg := card.Config
 	// Right half of the card leans STOP for flat-or-worsening DRVs.
 	stops := 0
-	for vb := cfg.ViolBins * 3 / 4; vb < cfg.ViolBins; vb++ {
-		for d := 0; d <= cfg.DeltaSpan; d++ { // flat or positive delta
-			if card.Action[vb][cfg.DeltaSpan+d] == 1 { // STOP
+	for vb := mdp.ViolBins * 3 / 4; vb < mdp.ViolBins; vb++ {
+		for d := 0; d <= mdp.DeltaSpan; d++ { // flat or positive delta
+			if card.Action[vb][mdp.DeltaSpan+d] == 1 { // STOP
 				stops++
 			}
 		}

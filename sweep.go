@@ -37,9 +37,14 @@ type SweepConfig struct {
 	// StageTimeout arms the per-stage hung-tool watchdog (0 = off).
 	StageTimeout time.Duration
 	// Warehouse, when non-nil, receives one METRICS record per flow
-	// stage per point (node "local") through a warehouse emitter wired
-	// as the campaign observer.
-	Warehouse warehouse.Appender
+	// stage per point. Sweep wires a warehouse emitter (node "local")
+	// as the campaign observer; DistSweep serves the warehouse at
+	// /warehouse/ on a loopback metrics.Server for the duration of the
+	// sweep, and every worker node ingests its records through its own
+	// HTTP client — the same ingest path a multi-host fleet uses.
+	// Ingestion always bypasses the chaos transports: observability
+	// must survive the faults it describes.
+	Warehouse *warehouse.Warehouse
 }
 
 // SweepSpec is the one description of a QOR sweep that every front end
@@ -161,9 +166,8 @@ func Sweep(cfg SweepConfig) (SweepResult, error) {
 		Cache:        campaign.NewCache(0),
 		StageTimeout: cfg.StageTimeout,
 	}
-	var emit *warehouse.Emitter
 	if cfg.Warehouse != nil {
-		emit = warehouse.NewEmitter(campaign.ID(pts), "local", PointKeys(pts), cfg.Warehouse)
+		emit := warehouse.NewEmitter(campaign.ID(pts), "local", PointKeys(pts), cfg.Warehouse)
 		ecfg.Observer = emit
 		defer emit.Flush()
 	}
