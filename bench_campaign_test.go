@@ -27,6 +27,11 @@ import (
 // same option points (distinct studies sharing a sweep).
 const campaignStudies = 3
 
+// hitRateOf is hits / (hits + misses) of one coherent snapshot.
+func hitRateOf(st campaign.CacheStats) float64 {
+	return float64(st.Hits) / float64(st.Hits+st.Misses)
+}
+
 func campaignBenchPoints(design *netlist.Netlist, designKey string) []campaign.Point {
 	var pts []campaign.Point
 	for f := 0; f < 2; f++ {
@@ -59,7 +64,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 				area += r.AreaUm2
 			}
 		}
-		hitRate = cache.HitRate()
+		hitRate = hitRateOf(cache.Stats())
 	}
 	b.ReportMetric(area, "qor_area_sum")
 	b.ReportMetric(hitRate, "cache_hit_rate")
@@ -92,7 +97,7 @@ func BenchmarkCampaignTraced(b *testing.B) {
 				area += r.AreaUm2
 			}
 		}
-		hitRate = cache.HitRate()
+		hitRate = hitRateOf(cache.Stats())
 		trace.Disable()
 		spans = tr.Len()
 	}
@@ -130,7 +135,7 @@ func BenchmarkCampaignWarehoused(b *testing.B) {
 			}
 		}
 		emit.Flush()
-		hitRate = cache.HitRate()
+		hitRate = hitRateOf(cache.Stats())
 		records = wh.Stats().Records
 		wh.Close()
 	}

@@ -23,7 +23,9 @@
 // each of which also serves /stats, /metrics, /debug/{spans,hist} and
 // /debug/pprof. A spec is bounded before anything is built: seeds at
 // most 1024, workers at most 256, dist_nodes at most 16 and effort
-// 1..3; one outside ends the campaign failed, with the reason.
+// 1..3; one outside ends the campaign failed, with the reason. SIGTERM
+// does not wait for a running campaign: it ends failed, and the process
+// exits.
 package main
 
 import (
@@ -144,7 +146,10 @@ type campaignSummary struct {
 // runCampaignSpec is the injected CampaignRunner: it decodes the opaque
 // spec and runs the sweep — distributed when dist_nodes asks for it.
 // Point events are emitted after the run (the engine reports results as
-// a batch); the status endpoint remains the lossless view.
+// a batch); the status endpoint remains the lossless view. The sweep
+// takes no context, so it runs on its own goroutine: when ctx ends — the
+// front door closes only as the process exits — the campaign fails at
+// once, naming ctx's error, and the sweep is abandoned to the exit.
 func runCampaignSpec(ctx context.Context, raw json.RawMessage, onPoint func(index, total int)) (json.RawMessage, error) {
 	spec, err := decodeCampaignSpec(raw)
 	if err != nil {
@@ -155,14 +160,29 @@ func runCampaignSpec(ctx context.Context, raw json.RawMessage, onPoint func(inde
 		return nil, err
 	}
 	scfg.Workers = spec.Workers
-	var res repro.SweepResult
-	if spec.DistNodes > 0 {
-		res, err = repro.DistSweep(repro.DistSweepConfig{SweepConfig: scfg, Nodes: spec.DistNodes})
-	} else {
-		res, err = repro.Sweep(scfg)
+	type outcome struct {
+		res repro.SweepResult
+		err error
 	}
-	if err != nil {
-		return nil, err
+	done := make(chan outcome, 1)
+	go func() {
+		var o outcome
+		if spec.DistNodes > 0 {
+			o.res, o.err = repro.DistSweep(repro.DistSweepConfig{SweepConfig: scfg, Nodes: spec.DistNodes})
+		} else {
+			o.res, o.err = repro.Sweep(scfg)
+		}
+		done <- o
+	}()
+	var res repro.SweepResult
+	select {
+	case <-ctx.Done():
+		return nil, fmt.Errorf("campaign abandoned: %w", ctx.Err())
+	case o := <-done:
+		if o.err != nil {
+			return nil, o.err
+		}
+		res = o.res
 	}
 	met := 0
 	for i, p := range res.Points {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -46,6 +47,35 @@ func TestFrontDoorSpecBounds(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
+	}
+}
+
+// TestFrontDoorCloseAbandonsRunningCampaign: closing a front door — what
+// SIGTERM does — while the real runner is in a multi-second sweep returns
+// within a second, and the campaign ends failed, naming the context.
+func TestFrontDoorCloseAbandonsRunningCampaign(t *testing.T) {
+	fd := metrics.NewFrontDoor(metrics.RunnerFunc(runCampaignSpec), 1, 1)
+	id, err := fd.Submit("t", json.RawMessage(`{"design":"cpu","seeds":64,"workers":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, _ := fd.Status(id)
+		if st.State == metrics.StateRunning {
+			break
+		}
+		if st.State != metrics.StateQueued || time.Now().After(deadline) {
+			t.Fatalf("state %s, want running", st.State)
+		}
+	}
+	start := time.Now()
+	fd.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Close took %v with a campaign running, want <= 1s", took)
+	}
+	st, _ := fd.Status(id)
+	if st.State != metrics.StateFailed || !strings.Contains(st.Error, context.Canceled.Error()) {
+		t.Errorf("campaign state %s, error %q; want failed naming %q", st.State, st.Error, context.Canceled)
 	}
 }
 

@@ -163,7 +163,7 @@ func Fig7(scale Scale, seed int64) (Fig7Result, error) {
 	base := flowBase(seed)
 	// One memo cache across all four policy searches: any option point
 	// two searches both sample is computed once.
-	cache := NewFlowCache(0)
+	cache := NewFlowCache()
 	main, err := Search(design, base, cons, SearchConfig{
 		Freqs: arms, Iterations: iters, Licenses: fig7Licenses, Algorithm: "thompson", Seed: seed,
 		FreqWeighted: true, Cache: cache,

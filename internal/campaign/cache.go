@@ -5,16 +5,12 @@ import (
 	"errors"
 	"sync"
 
-	"repro/internal/flow"
 	"repro/internal/metrics"
 )
 
-// shardCount is a power of two so shard selection is a mask.
-const shardCount = 32
-
 // Tier is a second memo tier behind the in-process cache: the network
 // result store shared by every node of a distributed campaign (see
-// internal/dist), or the durable Journal of a local one. DoRecorded
+// internal/dist), or the durable Journal of a local one. The cache
 // consults it after an L1 miss and writes freshly computed entries
 // through to it before publishing them to coalesced waiters, so by the
 // time any caller sees a result the tier already holds it — which is
@@ -36,41 +32,35 @@ type Tier interface {
 // inputs, so recomputing one is pure waste — the Simopt observation that
 // caching CAD-flow pass results is the biggest TAT lever.
 //
-// The cache is sharded (mutex per shard) and coalesces concurrent
+// The cache is one map behind one lock, and it coalesces concurrent
 // requests for the same key into a single computation. Cached results
 // are shared: callers must treat them — including Result.Netlist — as
 // immutable. A result's netlist storage may be shared beyond its key too:
 // a run that adopts its seed's prefix returns that seed's netlist storage
 // under a header of its own (flow.Prefixes), so a finished run's netlist
-// storage is never written. Hit/miss/eviction counts live behind one
-// counter mutex so Stats and HitRate always see a coherent snapshot (no
-// torn reads between related counters); they are mirrored into the
-// process-wide metrics registry (campaign.cache.* counters, visible on the
-// METRICS server's /stats endpoint).
+// storage is never written. The hit/miss/eviction counts live behind the
+// same lock, so a Stats snapshot is coherent (no torn reads between
+// related counters); they are mirrored into the process-wide metrics
+// registry (campaign.cache.* counters, visible on the METRICS server's
+// /stats endpoint).
 type Cache struct {
-	capPerShard int
-	shards      [shardCount]cacheShard
-	tier        Tier
+	capacity int // at most this many entries; <= 0 is unbounded
+	tier     Tier
 
-	// cmu guards every counter below as one unit: a Stats snapshot taken
-	// between a miss increment and the matching insert must still satisfy
-	// the counters' mutual invariants (hits+misses = lookups completed,
-	// coalesced <= hits). Counter updates are two orders of magnitude
-	// cheaper than the flow runs they count, so one mutex is free.
-	cmu        sync.Mutex
+	// mu guards the maps, the eviction order and every counter as one
+	// unit: a Stats snapshot taken between a miss increment and the
+	// matching insert still satisfies the counters' mutual invariants
+	// (hits+misses = lookups completed, coalesced <= hits).
+	mu         sync.RWMutex
+	entries    map[string]*Entry
+	inflight   map[string]*inflightCall
+	order      []string // insertion order, for FIFO eviction; kept only when bounded
 	hits       int64
 	misses     int64
 	coalesced  int64
 	evictions  int64
 	tierHits   int64
 	tierStores int64
-}
-
-type cacheShard struct {
-	mu       sync.RWMutex
-	entries  map[string]*Entry
-	order    []string // insertion order, for FIFO eviction
-	inflight map[string]*inflightCall
 }
 
 // inflightCall is a compute the waiters on its key coalesce on; ent is
@@ -82,22 +72,11 @@ type inflightCall struct {
 }
 
 // NewCache creates a memo cache holding up to capacity results
-// (capacity <= 0 means unbounded). Eviction is FIFO per shard: flow
-// campaigns sweep forward through option space, so the oldest points are
-// the least likely to recur.
+// (capacity <= 0 means unbounded). Eviction is FIFO: flow campaigns sweep
+// forward through option space, so the oldest points are the least likely
+// to recur.
 func NewCache(capacity int) *Cache {
-	c := &Cache{}
-	if capacity > 0 {
-		c.capPerShard = (capacity + shardCount - 1) / shardCount
-		if c.capPerShard < 1 {
-			c.capPerShard = 1
-		}
-	}
-	for i := range c.shards {
-		c.shards[i].entries = map[string]*Entry{}
-		c.shards[i].inflight = map[string]*inflightCall{}
-	}
-	return c
+	return &Cache{capacity: capacity, entries: map[string]*Entry{}, inflight: map[string]*inflightCall{}}
 }
 
 // SetTier attaches a shared second tier consulted on L1 misses and
@@ -105,152 +84,60 @@ func NewCache(capacity int) *Cache {
 // field is not synchronized against concurrent lookups).
 func (c *Cache) SetTier(t Tier) { c.tier = t }
 
-// shard is the shard of a key whose shardHash is h.
-func (c *Cache) shard(h uint64) *cacheShard {
-	return &c.shards[h&(shardCount-1)]
-}
-
-// shardHash folds a key eight bytes at a time (the tail zero-padded, the
-// length mixed in) and finishes with a multiply-xorshift, so every key
-// byte reaches the low bits a shard index is taken from. It is
-// deterministic across processes, unlike hash/maphash, so a bounded
-// cache evicts — and counts evictions — the same way in every process.
-func shardHash(key string) uint64 {
-	const m = 0x9e3779b97f4a7c15
-	h := uint64(len(key)) * m
-	for len(key) >= 8 {
-		h = (h ^ le64(key)) * m
-		h ^= h >> 29
-		key = key[8:]
-	}
-	var tail uint64
-	for i := 0; i < len(key); i++ {
-		tail |= uint64(key[i]) << (8 * i)
-	}
-	h = (h ^ tail) * m
-	h ^= h >> 32
-	h *= 0xbf58476d1ce4e5b9
-	return h ^ h>>31
-}
-
-// le64 reads key's first eight bytes as a little-endian word; the
-// compiler merges the byte loads into one.
-func le64(key string) uint64 {
-	return uint64(key[0]) | uint64(key[1])<<8 | uint64(key[2])<<16 | uint64(key[3])<<24 |
-		uint64(key[4])<<32 | uint64(key[5])<<40 | uint64(key[6])<<48 | uint64(key[7])<<56
-}
-
-// count applies one coherent counter update.
-func (c *Cache) count(f func(c *Cache)) {
-	c.cmu.Lock()
-	f(c)
-	c.cmu.Unlock()
-}
-
-// countHits counts n hits, all coalesced or none. Get and do count each
-// lookup; the engine's revisit pass probes without counting and adds its
-// hits here once, when it ends.
+// countHits counts n hits, all coalesced or none. do counts each lookup;
+// the engine's revisit pass probes without counting and adds its hits
+// here once, when it ends.
 func (c *Cache) countHits(n int64, coalesced bool) {
 	if n == 0 {
 		return
 	}
-	c.count(func(c *Cache) {
-		c.hits += n
-		if coalesced {
-			c.coalesced += n
-		}
-	})
+	c.mu.Lock()
+	c.hits += n
+	if coalesced {
+		c.coalesced += n
+	}
+	c.mu.Unlock()
 	metrics.Add("campaign.cache.hit", n)
 	if coalesced {
 		metrics.Add("campaign.cache.coalesced", n)
 	}
 }
 
-// Get returns the cached result for a key, if present. Get reads the
-// in-process tier only; the shared tier is consulted by DoRecorded,
-// where a miss has a compute to coalesce against.
-func (c *Cache) Get(key string) (*flow.Result, bool) {
-	if e, ok := c.lookup(key, shardHash(key)); ok {
-		return e.Res, true
-	}
-	c.count(func(c *Cache) { c.misses++ })
-	metrics.Add("campaign.cache.miss", 1)
-	return nil, false
-}
-
-// lookup is Get's and do's L1 probe: the entry under key, whose shardHash
-// is h, if L1 holds it, counted as a hit. Absence counts nothing — whether
-// it is a miss is the caller's to find out.
-func (c *Cache) lookup(key string, h uint64) (*Entry, bool) {
-	e, ok := c.probe(key, h)
-	if ok {
-		c.countHits(1, false)
-	}
+// probe is the revisit pass's L1 probe: the entry under key, if L1 holds
+// it. It counts nothing; the pass counts its hits once per pass.
+func (c *Cache) probe(key string) (*Entry, bool) {
+	c.mu.RLock()
+	e, ok := c.entries[key]
+	c.mu.RUnlock()
 	return e, ok
 }
 
-// probe is the one L1 probe, shared by lookup and the engine's revisit
-// pass, which counts its hits once per pass: it counts nothing. h is key's
-// shardHash, which a Point carries from NewPoint.
-func (c *Cache) probe(key string, h uint64) (*Entry, bool) {
-	s := c.shard(h)
-	s.mu.RLock()
-	e, ok := s.entries[key]
-	s.mu.RUnlock()
-	return e, ok
-}
-
-// Do returns the cached result for key, computing and storing it on a
-// miss. Concurrent Do calls with the same key coalesce: one computes,
-// the rest wait and share the result (counted as hits, plus a coalesced
-// marker).
-func (c *Cache) Do(key string, compute func() *flow.Result) *flow.Result {
-	res, _, _, _ := c.DoRecorded(key, func() (*flow.Result, []flow.StepRecord, error) { //nolint:errcheck // compute never errors
-		return compute(), nil, nil
-	})
-	return res
-}
-
-// DoRecorded is Do with step-record capture, failure awareness and tier
-// awareness: compute returns the result plus the step records it
-// emitted, which are stored alongside the result and handed back on
-// every future hit (hit=true) so callers can replay them to their
-// Observer. With a Tier attached, an L1 miss first asks the tier —
-// a tier hit fills L1 and returns hit=true without computing — and a
-// fresh compute is written through to the tier before the call returns.
-// A compute error is propagated to the caller and to every coalesced
-// waiter, and nothing is cached — a failed or aborted run must never be
-// served as a memoized result. A cancelled compute is the exception: its
-// waiters were not cancelled, so they look again and one of them computes.
-func (c *Cache) DoRecorded(key string, compute func() (*flow.Result, []flow.StepRecord, error)) (res *flow.Result, steps []flow.StepRecord, hit bool, err error) {
-	e, hit, err := c.do(key, shardHash(key), func() (Entry, error) {
-		res, steps, err := compute()
-		return Entry{Res: res, Steps: steps}, err
-	})
-	return e.Res, e.Steps, hit, err
-}
-
-// do is DoRecorded in the engine's currency, an Entry, under key and its
-// shardHash h: what compute returns is written through to the tier whole,
-// and a hit of any kind hands back the entry's Res and Steps.
-func (c *Cache) do(key string, h uint64, compute func() (Entry, error)) (ent Entry, hit bool, err error) {
-	if e, ok := c.lookup(key, h); ok {
-		return *e, true, nil
-	}
-	s := c.shard(h)
+// do returns the entry under key, computing and storing it on a miss.
+// Concurrent calls with the same key coalesce: one computes, the rest
+// wait and share its entry (counted as hits, plus a coalesced marker).
+// With a Tier attached, an L1 miss first asks the tier — a tier hit fills
+// L1 and returns hit=true without computing — and a fresh compute is
+// written through to the tier whole before the call returns. A hit of any
+// kind hands back the entry's Res and Steps, the records its compute
+// emitted, for the caller to replay. A compute error is propagated to the
+// caller and to every coalesced waiter, and nothing is cached — a failed
+// or aborted run must never be served as a memoized result. A cancelled
+// compute is the exception: its waiters were not cancelled, so they look
+// again and one of them computes.
+func (c *Cache) do(key string, compute func() (Entry, error)) (ent Entry, hit bool, err error) {
 	for {
-		s.mu.Lock()
-		if e, ok := s.entries[key]; ok {
-			// Landed between the probe and the lock.
-			s.mu.Unlock()
-			c.countHits(1, false)
+		c.mu.Lock()
+		if e, ok := c.entries[key]; ok {
+			c.hits++
+			c.mu.Unlock()
+			metrics.Add("campaign.cache.hit", 1)
 			return *e, true, nil
 		}
-		call, ok := s.inflight[key]
+		call, ok := c.inflight[key]
 		if !ok {
-			break // s.mu still held: this caller computes
+			break // c.mu still held: this caller computes
 		}
-		s.mu.Unlock()
+		c.mu.Unlock()
 		<-call.done
 		switch {
 		case call.err == nil:
@@ -266,20 +153,25 @@ func (c *Cache) do(key string, h uint64, compute func() (Entry, error)) (ent Ent
 		// again — and compute, unless someone else already is.
 	}
 	call := &inflightCall{done: make(chan struct{})}
-	s.inflight[key] = call
-	s.mu.Unlock()
+	c.inflight[key] = call
+	c.mu.Unlock()
 
 	if c.tier != nil {
 		if ent, hit = c.tier.Load(key); hit {
 			// Served by the tier: this is a hit for this caller too —
 			// nothing was computed, so nothing is written back.
-			c.count(func(c *Cache) { c.hits++; c.tierHits++ })
+			c.mu.Lock()
+			c.hits++
+			c.tierHits++
+			c.mu.Unlock()
 			metrics.Add("campaign.cache.hit", 1)
 			metrics.Add("campaign.cache.tier_hit", 1)
 		}
 	}
 	if !hit {
-		c.count(func(c *Cache) { c.misses++ })
+		c.mu.Lock()
+		c.misses++
+		c.mu.Unlock()
 		metrics.Add("campaign.cache.miss", 1)
 		ent, call.err = compute()
 		ent.Key = key
@@ -290,7 +182,9 @@ func (c *Cache) do(key string, h uint64, compute func() (Entry, error)) (ent Ent
 			// key after a worker acknowledges a point, and a journaled
 			// campaign when it is killed the instant a point is visible.
 			c.tier.Store(ent)
-			c.count(func(c *Cache) { c.tierStores++ })
+			c.mu.Lock()
+			c.tierStores++
+			c.mu.Unlock()
 			metrics.Add("campaign.cache.tier_store", 1)
 		}
 	}
@@ -298,49 +192,36 @@ func (c *Cache) do(key string, h uint64, compute func() (Entry, error)) (ent Ent
 	// off the heap on the hit paths above.
 	l1 := ent
 	call.ent = &l1
-	s.mu.Lock()
-	delete(s.inflight, key)
+	c.mu.Lock()
+	delete(c.inflight, key)
 	if call.err == nil {
-		c.insert(s, key, call.ent)
+		c.insert(key, call.ent)
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	close(call.done)
 	return ent, hit, call.err
 }
 
-// insert stores an entry, evicting the shard's oldest if at capacity.
-// Caller holds s.mu.
-func (c *Cache) insert(s *cacheShard, key string, e *Entry) {
-	if _, exists := s.entries[key]; !exists {
-		if c.capPerShard > 0 && len(s.order) >= c.capPerShard {
-			oldest := s.order[0]
-			s.order = s.order[1:]
-			delete(s.entries, oldest)
-			c.count(func(c *Cache) { c.evictions++ })
+// insert stores the entry of a key L1 does not hold — only the caller
+// that computes a key inserts it — evicting the oldest entry of a full
+// bounded cache. Caller holds c.mu.
+func (c *Cache) insert(key string, e *Entry) {
+	if c.capacity > 0 {
+		if len(c.order) == c.capacity {
+			delete(c.entries, c.order[0])
+			c.order = c.order[1:]
+			c.evictions++
 			metrics.Add("campaign.cache.evicted", 1)
 		}
-		s.order = append(s.order, key)
+		c.order = append(c.order, key)
 	}
-	s.entries[key] = e
+	c.entries[key] = e
 }
 
-// Len returns the number of cached results.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.entries)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-// CacheStats is a point-in-time counter snapshot. The counters are
-// captured atomically as a set, so their invariants hold in every
-// snapshot: Coalesced <= Hits, TierHits <= Hits, and Hits+Misses is the
-// number of completed lookups. Entries is gathered per shard afterwards
-// and may lag the counters by in-flight inserts.
+// CacheStats is a point-in-time snapshot, taken under the cache's one
+// lock, so its invariants hold in every snapshot: Coalesced <= Hits,
+// TierHits <= Hits, Hits+Misses is the number of completed lookups, and
+// Entries is what L1 held at that instant.
 type CacheStats struct {
 	Hits       int64
 	Misses     int64
@@ -351,31 +232,17 @@ type CacheStats struct {
 	Entries    int
 }
 
-// Stats snapshots the cache counters coherently.
+// Stats snapshots the cache coherently.
 func (c *Cache) Stats() CacheStats {
-	c.cmu.Lock()
-	st := CacheStats{
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return CacheStats{
 		Hits:       c.hits,
 		Misses:     c.misses,
 		Coalesced:  c.coalesced,
 		Evictions:  c.evictions,
 		TierHits:   c.tierHits,
 		TierStores: c.tierStores,
+		Entries:    len(c.entries),
 	}
-	c.cmu.Unlock()
-	st.Entries = c.Len()
-	return st
-}
-
-// HitRate returns hits / (hits + misses), or 0 before any lookup. The
-// ratio is computed from one coherent snapshot, so it can never exceed
-// 1 even mid-storm.
-func (c *Cache) HitRate() float64 {
-	c.cmu.Lock()
-	h, m := c.hits, c.misses
-	c.cmu.Unlock()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }

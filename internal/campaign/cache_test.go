@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,144 +12,78 @@ import (
 	"repro/internal/flow"
 )
 
+// result is a compute that returns res and no step records.
+func result(res *flow.Result) func() (Entry, error) {
+	return func() (Entry, error) { return Entry{Res: res}, nil }
+}
+
 func TestCacheHitMissAccounting(t *testing.T) {
 	c := NewCache(0)
-	mk := func() *flow.Result { return &flow.Result{AreaUm2: 1} }
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.probe("a"); ok {
 		t.Fatal("phantom entry")
 	}
-	r1 := c.Do("a", mk)
-	r2 := c.Do("a", mk)
-	if r1 != r2 {
-		t.Fatal("second Do recomputed")
+	r1, hit1, _ := c.do("a", result(&flow.Result{AreaUm2: 1}))
+	r2, hit2, _ := c.do("a", result(&flow.Result{AreaUm2: 2}))
+	if hit1 || !hit2 || r1.Res != r2.Res {
+		t.Fatal("second do recomputed")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.probe("a"); !ok {
 		t.Fatal("entry lost")
 	}
 	st := c.Stats()
-	// Get(miss) + Do(miss) + Do(hit) + Get(hit).
-	if st.Misses != 2 || st.Hits != 2 {
-		t.Errorf("stats %+v, want 2 hits 2 misses", st)
+	// do(miss) + do(hit); a probe counts nothing.
+	if st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("stats %+v, want 1 hit 1 miss", st)
 	}
 	if st.Entries != 1 {
 		t.Errorf("entries %d", st.Entries)
 	}
-	if got := c.HitRate(); got != 0.5 {
-		t.Errorf("hit rate %v", got)
-	}
 }
 
+// TestCacheEviction: a bounded cache holds exactly its capacity and
+// evicts in insertion order, whatever the keys.
 func TestCacheEviction(t *testing.T) {
-	// Capacity below shardCount clamps to one entry per shard; keys that
-	// land on the same shard evict FIFO.
-	c := NewCache(1)
-	var aKey, bKey string
-	// Find two keys on the same shard.
-	base := c.shard(shardHash("k0"))
-	aKey = "k0"
-	for i := 1; ; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if c.shard(shardHash(k)) == base {
-			bKey = k
-			break
+	c := NewCache(2)
+	for i := 0; i < 40; i++ {
+		c.do(fmt.Sprintf("k%d", i), result(&flow.Result{})) //nolint:errcheck
+		if st := c.Stats(); st.Entries > 2 {
+			t.Fatalf("after %d inserts the cache holds %d entries, want <= 2", i+1, st.Entries)
 		}
 	}
-	c.Do(aKey, func() *flow.Result { return &flow.Result{} })
-	c.Do(bKey, func() *flow.Result { return &flow.Result{} })
-	st := c.Stats()
-	if st.Evictions != 1 {
-		t.Fatalf("evictions %d, want 1", st.Evictions)
+	if st := c.Stats(); st.Entries != 2 || st.Evictions != 38 {
+		t.Fatalf("stats %+v, want 2 entries and 38 evictions", st)
 	}
-	if _, ok := c.Get(aKey); ok {
-		t.Error("oldest entry should have been evicted")
-	}
-	if _, ok := c.Get(bKey); !ok {
-		t.Error("newest entry missing")
-	}
-}
-
-func TestCacheSharding(t *testing.T) {
-	c := NewCache(0)
-	used := map[*cacheShard]bool{}
-	for i := 0; i < 256; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		used[c.shard(shardHash(k))] = true
-		c.Do(k, func() *flow.Result { return &flow.Result{} })
-	}
-	if len(used) < shardCount/2 {
-		t.Errorf("only %d of %d shards used by 256 keys — bad spread", len(used), shardCount)
-	}
-	if c.Len() != 256 {
-		t.Errorf("len %d", c.Len())
-	}
-
-	// The real key shape: design key, NUL, canonical options. The 64
-	// keys of the memo_revisit benchmark (tiny design, 8 frequencies x 8
-	// seeds, its profiled seed 7) differ only in a few digits; 64 keys
-	// cannot be relied on to reach all 32 shards under any hash that
-	// spreads like a random one (~4 stay empty on average), so they are
-	// held to the load bound and the 20 000 random option keys to both.
-	d := tinyDesign(1)
-	var memo []string
-	for _, f := range []float64{0.30, 0.35, 0.40, 0.45, 0.50, 0.55, 0.60, 0.65} {
-		for _, p := range Points(d, KeyFor(d), flow.Options{SynthEffort: 2, TargetFreqGHz: f}, []int64{8, 9, 10, 11, 12, 13, 14, 15}) {
-			memo = append(memo, p.CacheKey())
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	random := make([]string, 20000)
-	for i := range random {
-		random[i] = NewPoint(d, KeyFor(d), flow.Options{
-			TargetFreqGHz: 0.2 + rng.Float64(), Seed: rng.Int63(),
-			SynthEffort: rng.Intn(4), Utilization: 0.5 + 0.4*rng.Float64(),
-			PlaceMoves: 20 + rng.Intn(100), RouteIters: rng.Intn(20),
-		}).CacheKey()
-	}
-	for _, set := range []struct {
-		name     string
-		keys     []string
-		reachAll bool
-	}{{"memo_revisit", memo, false}, {"random", random, true}} {
-		var load [shardCount]int
-		for _, k := range set.keys {
-			load[shardHash(k)&(shardCount-1)]++
-		}
-		limit := 2 * len(set.keys) / shardCount
-		for i, n := range load {
-			if n > limit {
-				t.Errorf("%s keys: shard %d holds %d of %d, above twice its fair share (%d)", set.name, i, n, len(set.keys), limit)
-			}
-			if n == 0 && set.reachAll {
-				t.Errorf("%s keys: shard %d is never used", set.name, i)
-			}
+	for i := 0; i < 40; i++ {
+		if _, ok := c.probe(fmt.Sprintf("k%d", i)); ok != (i >= 38) {
+			t.Errorf("k%d resident = %t, want only the newest two", i, ok)
 		}
 	}
 }
 
-// TestShardHashPinned: the shard of a key is a pure function of its
-// bytes, the same in every process, so a bounded cache evicts the same
-// entries everywhere. Every byte, the tail included, moves the hash.
-func TestShardHashPinned(t *testing.T) {
-	for _, tc := range []struct {
-		key  string
-		want uint64
-	}{
-		{"", 0x0},
-		{"a", 0x633b2c11c4f11877},
-		{"tiny#0827b9de7477fbed\x00f=0.3 seed=0", 0xa39aaf1ae569a131},
-	} {
-		if got := shardHash(tc.key); got != tc.want {
-			t.Errorf("shardHash(%q) = %#x, want %#x", tc.key, got, tc.want)
-		}
+// TestBoundedCacheHoldsItsCapacity: an engine on NewCache(2) that runs
+// eight cold points one after another keeps the two newest results and no
+// more, so a revisit of those two hits and a revisit of the oldest
+// computes.
+func TestBoundedCacheHoldsItsCapacity(t *testing.T) {
+	design := tinyDesign(1)
+	pts := Points(design, KeyFor(design), flow.Options{TargetFreqGHz: 0.4}, []int64{1, 2, 3, 4, 5, 6, 7, 8})
+	cache := NewCache(2)
+	eng := New(Config{Workers: 1, Cache: cache})
+	for _, p := range pts {
+		warm(t, eng, []Point{p})
 	}
-	key := []byte("tiny#0827b9de7477fbed\x00f=0.3 seed=0 se=0")
-	base := shardHash(string(key))
-	for i := range key {
-		key[i] ^= 1
-		if shardHash(string(key)) == base {
-			t.Errorf("flipping byte %d of %d leaves the hash unchanged", i, len(key))
-		}
-		key[i] ^= 1
+	st := cache.Stats()
+	if st.Entries != 2 || st.Evictions != int64(len(pts)-2) {
+		t.Fatalf("after %d cold points: %+v, want 2 entries and %d evictions", len(pts), st, len(pts)-2)
+	}
+	warm(t, eng, pts[len(pts)-2:])
+	if got := cache.Stats(); got.Hits-st.Hits != 2 || got.Misses != st.Misses {
+		t.Fatalf("revisiting the newest two: %+v after %+v, want 2 hits", got, st)
+	}
+	st = cache.Stats()
+	warm(t, eng, pts[:1])
+	if got := cache.Stats(); got.Misses-st.Misses != 1 || got.Entries != 2 {
+		t.Fatalf("revisiting the oldest: %+v after %+v, want 1 miss and 2 entries", got, st)
 	}
 }
 
@@ -165,12 +98,13 @@ func TestCacheCoalescesConcurrentComputes(t *testing.T) {
 	results := make([]*flow.Result, 8)
 	run := func(i int) {
 		defer wg.Done()
-		results[i] = c.Do("shared", func() *flow.Result {
+		ent, _, _ := c.do("shared", func() (Entry, error) {
 			close(entered)
 			<-gate // hold the computation so others pile up
 			computes.Add(1)
-			return &flow.Result{AreaUm2: 42}
+			return Entry{Res: &flow.Result{AreaUm2: 42}}, nil
 		})
+		results[i] = ent.Res
 	}
 	wg.Add(1)
 	go run(0)
@@ -200,37 +134,37 @@ func TestCacheCoalescesConcurrentComputes(t *testing.T) {
 }
 
 // TestDoRecordedErrorNeverCached: a failed compute must not be
-// memoized — the retry loop depends on the next attempt recomputing —
-// and coalesced waiters must see the error rather than a phantom hit.
+// memoized — the next attempt recomputes — and a success after it is,
+// with its step records.
 func TestDoRecordedErrorNeverCached(t *testing.T) {
 	c := NewCache(0)
 	boom := fmt.Errorf("tool crash")
 	var calls atomic.Int32
-	fail := func() (*flow.Result, []flow.StepRecord, error) {
+	fail := func() (Entry, error) {
 		calls.Add(1)
-		return nil, nil, boom
+		return Entry{}, boom
 	}
 
-	if _, _, hit, err := c.DoRecorded("k", fail); hit || err != boom {
+	if _, hit, err := c.do("k", fail); hit || err != boom {
 		t.Fatalf("hit=%t err=%v, want miss with error", hit, err)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Fatal("error was cached")
 	}
 	// Second attempt recomputes, and success after failure caches.
-	res, steps, hit, err := c.DoRecorded("k", func() (*flow.Result, []flow.StepRecord, error) {
+	ent, hit, err := c.do("k", func() (Entry, error) {
 		calls.Add(1)
-		return &flow.Result{AreaUm2: 2}, []flow.StepRecord{{Step: "synth"}}, nil
+		return Entry{Res: &flow.Result{AreaUm2: 2}, Steps: []flow.StepRecord{{Step: "synth"}}}, nil
 	})
-	if err != nil || hit || res.AreaUm2 != 2 || len(steps) != 1 {
-		t.Fatalf("recovery compute: res=%+v steps=%d hit=%t err=%v", res, len(steps), hit, err)
+	if err != nil || hit || ent.Res.AreaUm2 != 2 || len(ent.Steps) != 1 {
+		t.Fatalf("recovery compute: res=%+v steps=%d hit=%t err=%v", ent.Res, len(ent.Steps), hit, err)
 	}
 	if calls.Load() != 2 {
 		t.Fatalf("compute ran %d times, want 2", calls.Load())
 	}
-	got, gotSteps, hit, err := c.DoRecorded("k", fail)
-	if err != nil || !hit || got.AreaUm2 != 2 || len(gotSteps) != 1 {
-		t.Fatalf("post-recovery lookup: res=%+v hit=%t err=%v", got, hit, err)
+	got, hit, err := c.do("k", fail)
+	if err != nil || !hit || got.Res.AreaUm2 != 2 || len(got.Steps) != 1 {
+		t.Fatalf("post-recovery lookup: res=%+v hit=%t err=%v", got.Res, hit, err)
 	}
 	if calls.Load() != 2 {
 		t.Fatal("cached entry recomputed")
@@ -247,11 +181,11 @@ func TestDoRecordedCoalescedError(t *testing.T) {
 	release := make(chan struct{})
 	var computes atomic.Int32
 
-	go c.DoRecorded("k", func() (*flow.Result, []flow.StepRecord, error) {
+	go c.do("k", func() (Entry, error) { //nolint:errcheck
 		computes.Add(1)
 		close(started)
 		<-release
-		return nil, nil, boom
+		return Entry{}, boom
 	})
 	<-started
 
@@ -263,9 +197,9 @@ func TestDoRecordedCoalescedError(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, hits[i], errs[i] = c.DoRecorded("k", func() (*flow.Result, []flow.StepRecord, error) {
+			_, hits[i], errs[i] = c.do("k", func() (Entry, error) {
 				computes.Add(1)
-				return nil, nil, boom
+				return Entry{}, boom
 			})
 		}(i)
 	}
@@ -283,7 +217,7 @@ func TestDoRecordedCoalescedError(t *testing.T) {
 			t.Fatalf("waiter %d err = %v, want the compute error", i, errs[i])
 		}
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Fatal("failed compute left a cache entry")
 	}
 }
@@ -295,14 +229,12 @@ func TestDoRecordedCoalescedError(t *testing.T) {
 func TestCacheWaiterOutlivesCancelledLeader(t *testing.T) {
 	c := NewCache(0)
 	waited := make(chan struct{})
-	var res *flow.Result
+	var res Entry
 	var err error
-	_, _, _, lerr := c.DoRecorded("k", func() (*flow.Result, []flow.StepRecord, error) {
+	_, _, lerr := c.do("k", func() (Entry, error) {
 		go func() {
 			defer close(waited)
-			res, _, _, err = c.DoRecorded("k", func() (*flow.Result, []flow.StepRecord, error) {
-				return &flow.Result{AreaUm2: 2}, nil, nil
-			})
+			res, _, err = c.do("k", result(&flow.Result{AreaUm2: 2}))
 		}()
 		buf := make([]byte, 1<<20)
 		for deadline := time.Now().Add(revisitDeadline); !parkedInCacheDo(buf); runtime.Gosched() {
@@ -311,16 +243,16 @@ func TestCacheWaiterOutlivesCancelledLeader(t *testing.T) {
 				break
 			}
 		}
-		return nil, nil, context.Canceled
+		return Entry{}, context.Canceled
 	})
 	<-waited
 	if lerr != context.Canceled {
 		t.Fatalf("leader err = %v, want context.Canceled", lerr)
 	}
-	if err != nil || res == nil || res.AreaUm2 != 2 {
-		t.Fatalf("waiter got (%+v, %v), want its own result and no error", res, err)
+	if err != nil || res.Res == nil || res.Res.AreaUm2 != 2 {
+		t.Fatalf("waiter got (%+v, %v), want its own result and no error", res.Res, err)
 	}
-	if got, ok := c.Get("k"); !ok || got != res {
+	if got, ok := c.probe("k"); !ok || got.Res != res.Res {
 		t.Fatal("the waiter's compute was not cached")
 	}
 }

@@ -37,7 +37,7 @@ func (t *mapTier) Store(e Entry) {
 
 // TestCacheTierLoadAndWriteThrough: an L1 miss consults the tier (a hit
 // there fills L1 and skips the compute), and a fresh compute is written
-// through before DoRecorded returns.
+// through before do returns.
 func TestCacheTierLoadAndWriteThrough(t *testing.T) {
 	tier := newMapTier()
 	c := NewCache(0)
@@ -46,12 +46,12 @@ func TestCacheTierLoadAndWriteThrough(t *testing.T) {
 	computes := 0
 	want := &flow.Result{AreaUm2: 42}
 	steps := []flow.StepRecord{{Step: "synth"}}
-	res, _, hit, err := c.DoRecorded("k1", func() (*flow.Result, []flow.StepRecord, error) {
+	ent, hit, err := c.do("k1", func() (Entry, error) {
 		computes++
-		return want, steps, nil
+		return Entry{Res: want, Steps: steps}, nil
 	})
-	if err != nil || hit || res != want || computes != 1 {
-		t.Fatalf("cold compute: res=%v hit=%t computes=%d err=%v", res, hit, computes, err)
+	if err != nil || hit || ent.Res != want || computes != 1 {
+		t.Fatalf("cold compute: res=%v hit=%t computes=%d err=%v", ent.Res, hit, computes, err)
 	}
 	if tier.stores != 1 {
 		t.Fatalf("write-through count = %d, want 1", tier.stores)
@@ -61,12 +61,12 @@ func TestCacheTierLoadAndWriteThrough(t *testing.T) {
 	// from the tier without computing, with the steps intact.
 	c2 := NewCache(0)
 	c2.SetTier(tier)
-	res2, steps2, hit2, err := c2.DoRecorded("k1", func() (*flow.Result, []flow.StepRecord, error) {
+	ent2, hit2, err := c2.do("k1", func() (Entry, error) {
 		t.Fatal("tier hit must not compute")
-		return nil, nil, nil
+		return Entry{}, nil
 	})
-	if err != nil || !hit2 || res2.AreaUm2 != 42 || len(steps2) != 1 {
-		t.Fatalf("tier hit: res=%v hit=%t steps=%d err=%v", res2, hit2, len(steps2), err)
+	if err != nil || !hit2 || ent2.Res.AreaUm2 != 42 || len(ent2.Steps) != 1 {
+		t.Fatalf("tier hit: res=%v hit=%t steps=%d err=%v", ent2.Res, hit2, len(ent2.Steps), err)
 	}
 	st := c2.Stats()
 	if st.TierHits != 1 || st.Hits != 1 || st.Misses != 0 {
@@ -75,7 +75,7 @@ func TestCacheTierLoadAndWriteThrough(t *testing.T) {
 
 	// Now in c2's L1: the tier is not consulted again.
 	loadsBefore := tier.loads
-	if _, _, hit, _ := c2.DoRecorded("k1", nil); !hit {
+	if _, hit, _ := c2.do("k1", nil); !hit {
 		t.Fatal("L1 must serve the filled entry")
 	}
 	if tier.loads != loadsBefore {
@@ -89,21 +89,22 @@ func TestCacheTierFailedComputeNotStored(t *testing.T) {
 	tier := newMapTier()
 	c := NewCache(0)
 	c.SetTier(tier)
-	_, _, _, err := c.DoRecorded("bad", func() (*flow.Result, []flow.StepRecord, error) {
-		return nil, nil, fmt.Errorf("tool crashed")
+	_, _, err := c.do("bad", func() (Entry, error) {
+		return Entry{}, fmt.Errorf("tool crashed")
 	})
 	if err == nil {
 		t.Fatal("compute error swallowed")
 	}
-	if tier.stores != 0 || len(tier.entries) != 0 || c.Len() != 0 {
-		t.Fatalf("failed compute cached: tier=%d l1=%d", len(tier.entries), c.Len())
+	if l1 := c.Stats().Entries; tier.stores != 0 || len(tier.entries) != 0 || l1 != 0 {
+		t.Fatalf("failed compute cached: tier=%d l1=%d", len(tier.entries), l1)
 	}
 }
 
-// TestCacheStatsCoherentUnderStorm hammers Get/Put/DoRecorded/Stats/
-// HitRate from many goroutines (run under -race) and checks every
-// snapshot satisfies the counter invariants — the regression test for
-// the torn reads the old per-atomic counters allowed.
+// TestCacheStatsCoherentUnderStorm hammers do, the revisit pass's probe
+// and count, and Stats from many goroutines (run under -race) on a bounded
+// cache, and checks every snapshot satisfies the counter invariants and
+// the bound — the regression test for the torn reads the old per-atomic
+// counters allowed.
 func TestCacheStatsCoherentUnderStorm(t *testing.T) {
 	c := NewCache(64)
 	res := &flow.Result{AreaUm2: 1}
@@ -140,8 +141,8 @@ func TestCacheStatsCoherentUnderStorm(t *testing.T) {
 					t.Errorf("counters went backwards: %+v after %+v", st, prev)
 					return
 				}
-				if hr := c.HitRate(); hr < 0 || hr > 1 {
-					t.Errorf("hit rate %f out of [0,1]", hr)
+				if st.Entries > 64 {
+					t.Errorf("a cache of capacity 64 holds %d entries", st.Entries)
 					return
 				}
 				prev = st
@@ -155,16 +156,13 @@ func TestCacheStatsCoherentUnderStorm(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				key := fmt.Sprintf("k%d", i%97)
-				switch i % 3 {
-				case 0:
-					c.Get(key)
-				case 1:
-					c.Do(key, func() *flow.Result { return res })
-				default:
-					c.DoRecorded(key, func() (*flow.Result, []flow.StepRecord, error) { //nolint:errcheck
-						return res, nil, nil
-					})
+				if i%3 == 0 {
+					if _, ok := c.probe(key); ok {
+						c.countHits(1, false)
+					}
+					continue
 				}
+				c.do(key, result(res)) //nolint:errcheck
 			}
 		}(w)
 	}

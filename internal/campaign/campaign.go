@@ -35,15 +35,13 @@ import (
 )
 
 // Point is one flow run in a campaign: a design, the option point to run
-// it at, and its memo key with the key's shard hash. A Point is immutable
-// and built by NewPoint, so its key is built and hashed once, however often
-// a campaign revisits it, and cannot go stale behind an edited option
-// point.
+// it at, and its memo key. A Point is immutable and built by NewPoint, so
+// its key is built once, however often a campaign revisits it, and cannot
+// go stale behind an edited option point.
 type Point struct {
 	design *netlist.Netlist
 	opts   flow.Options
 	key    string
-	hash   uint64 // shardHash(key)
 }
 
 // NewPoint builds a point of design at opts. designKey identifies the
@@ -54,7 +52,6 @@ func NewPoint(design *netlist.Netlist, designKey string, opts flow.Options) Poin
 	p := Point{design: design, opts: opts}
 	if designKey != "" {
 		p.key = designKey + "\x00" + opts.Key()
-		p.hash = shardHash(p.key)
 	}
 	return p
 }
@@ -260,7 +257,7 @@ func (e *Engine) revisit(ctx context.Context, pts []Point, results []*flow.Resul
 	for i := range pts {
 		p := &pts[i]
 		if serve && p.key != "" {
-			if ent, ok := e.cache.probe(p.key, p.hash); ok {
+			if ent, ok := e.cache.probe(p.key); ok {
 				_, psp := pointSpan(ctx, p.opts.Seed, i)
 				e.deliverHit(psp, ent.Steps)
 				results[i] = ent.Res
@@ -348,7 +345,7 @@ func (e *Engine) runOnce(ctx context.Context, p Point, memo func() *flow.Prefixe
 		res, err := e.compute(ctx, p, e.obs, memo())
 		return Entry{Res: res}, false, err
 	}
-	return e.cache.do(p.key, p.hash, func() (Entry, error) {
+	return e.cache.do(p.key, func() (Entry, error) {
 		rec := &recordingObserver{next: e.obs}
 		res, err := e.compute(ctx, p, rec, memo())
 		return Entry{Res: res, Steps: rec.steps}, err

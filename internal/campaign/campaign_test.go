@@ -208,8 +208,8 @@ func TestRetryExhaustionFailsPointWithoutCaching(t *testing.T) {
 			t.Fatalf("reaped point %d recorded a result", i)
 		}
 	}
-	if cache.Len() != 0 {
-		t.Fatalf("cache holds %d entries for reaped-only runs", cache.Len())
+	if n := cache.Stats().Entries; n != 0 {
+		t.Fatalf("cache holds %d entries for reaped-only runs", n)
 	}
 	if err := jrn.Close(); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 )
 
 // TestPointKeyIdentity: a point's memo key is its design key, a NUL and
-// its canonical options key, built and hashed once by NewPoint; without a
+// its canonical options key, built once by NewPoint; without a
 // design key the point is uncacheable and its key empty.
 func TestPointKeyIdentity(t *testing.T) {
 	design := tinyDesign(1)
@@ -20,9 +20,6 @@ func TestPointKeyIdentity(t *testing.T) {
 	for i, p := range pts {
 		if want := key + "\x00" + p.Options().Key(); p.CacheKey() != want {
 			t.Errorf("point %d: key %q, want %q", i, p.CacheKey(), want)
-		}
-		if p.hash != shardHash(p.CacheKey()) {
-			t.Errorf("point %d: hash %#x, want shardHash of its key %#x", i, p.hash, shardHash(p.CacheKey()))
 		}
 		if p.Design() != design {
 			t.Errorf("point %d: design %p, want %p", i, p.Design(), design)

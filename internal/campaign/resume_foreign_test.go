@@ -61,7 +61,7 @@ func TestResumeSkipsForeignEntries(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want %d (foreign keys must not be seeded)", cs.Entries, len(narrow))
 	}
 	for _, p := range wide[2:] {
-		if _, ok := cache.Get(p.CacheKey()); ok {
+		if _, ok := cache.probe(p.CacheKey()); ok {
 			t.Fatalf("foreign key %q was seeded into the cache", p.CacheKey())
 		}
 	}

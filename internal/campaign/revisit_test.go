@@ -252,25 +252,15 @@ func TestRevisitDuplicateKeyComputesOnce(t *testing.T) {
 	}
 }
 
-// TestRevisitSurvivesEviction: in a cache of one entry per shard, the
-// entry the pass served is evicted by a miss of the same Run. Every slot
-// must still hold the right result, and the evicted point recomputes to
-// the same value on its next visit.
+// TestRevisitSurvivesEviction: in a cache of one entry, the entry the
+// pass served is evicted by a miss of the same Run. Every slot must still
+// hold the right result, and the evicted point recomputes to the same
+// value on its next visit.
 func TestRevisitSurvivesEviction(t *testing.T) {
 	design := tinyDesign(1)
-	key := KeyFor(design)
 	cache := NewCache(1)
-	point := func(seed int64) Point {
-		return Points(design, key, flow.Options{TargetFreqGHz: 0.4}, []int64{seed})[0]
-	}
-	// Two points whose keys share a shard, so one evicts the other.
-	a := point(1)
-	var b Point
-	for seed := int64(2); ; seed++ {
-		if b = point(seed); cache.shard(b.hash) == cache.shard(a.hash) {
-			break
-		}
-	}
+	pts := Points(design, KeyFor(design), flow.Options{TargetFreqGHz: 0.4}, []int64{1, 2})
+	a, b := pts[0], pts[1]
 	ref, err := New(Config{Workers: 1}).Run(context.Background(), []Point{a, b})
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +321,7 @@ func TestRevisitAllocs(t *testing.T) {
 		pts := sweepPoints(design, KeyFor(design), 8, seeds)
 		// Seed L1 directly: the visits, not the flows, are under test.
 		for _, p := range pts {
-			eng.Cache().Do(p.CacheKey(), func() *flow.Result { return &flow.Result{} })
+			eng.Cache().do(p.CacheKey(), result(&flow.Result{})) //nolint:errcheck
 		}
 		got := testing.AllocsPerRun(20, func() {
 			if _, err := eng.Run(ctx, pts); err != nil {

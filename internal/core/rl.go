@@ -40,21 +40,24 @@ const (
 
 var qActionFactor = [numQActions]float64{0.92, 0.97, 1.0, 1.03, 1.08}
 
+// The agent's hyperparameters.
+const (
+	qAlpha   = 0.4 // learning rate
+	qGamma   = 0.5 // discount
+	qEpsilon = 0.2 // exploration at the first episode; decays per episode
+)
+
 // QAgent is a tabular Q-learning flow tuner.
 type QAgent struct {
-	Alpha   float64 // learning rate (default 0.3)
-	Gamma   float64 // discount (default 0.9)
-	Epsilon float64 // exploration (default 0.2, decays per episode)
-
 	Q [numQStates][numQActions]float64
 }
 
-// NewQAgent creates an agent with default hyperparameters. Q values
-// start optimistic (above any reachable return) so every action gets
-// tried systematically — with zero initialization the first rewarded
-// action would lock in before alternatives were explored.
+// NewQAgent creates an agent. Q values start optimistic (above any
+// reachable return) so every action gets tried systematically — with zero
+// initialization the first rewarded action would lock in before
+// alternatives were explored.
 func NewQAgent() *QAgent {
-	a := &QAgent{Alpha: 0.4, Gamma: 0.5, Epsilon: 0.2}
+	a := &QAgent{}
 	for s := range a.Q {
 		for act := range a.Q[s] {
 			a.Q[s][act] = 4
@@ -100,7 +103,7 @@ type EpisodeStats struct {
 
 // Train runs Q-learning episodes. Each episode starts from the given
 // options and performs stepsPer flow runs, adjusting the target by the
-// chosen action after every run. Epsilon decays across episodes.
+// chosen action after every run. Exploration decays across episodes.
 func (a *QAgent) Train(design *netlist.Netlist, start flow.Options, episodes, stepsPer int, seed int64) []EpisodeStats {
 	if episodes <= 0 {
 		episodes = 8
@@ -113,7 +116,7 @@ func (a *QAgent) Train(design *netlist.Netlist, start flow.Options, episodes, st
 	if refFreq <= 0 {
 		refFreq = 0.5
 	}
-	eps := a.Epsilon
+	eps := qEpsilon
 	var out []EpisodeStats
 	for ep := 0; ep < episodes; ep++ {
 		opts := start
@@ -139,7 +142,7 @@ func (a *QAgent) Train(design *netlist.Netlist, start flow.Options, episodes, st
 					best = q
 				}
 			}
-			a.Q[state][action] += a.Alpha * (r + a.Gamma*best - a.Q[state][action])
+			a.Q[state][action] += qAlpha * (r + qGamma*best - a.Q[state][action])
 			state = next
 		}
 		out = append(out, EpisodeStats{

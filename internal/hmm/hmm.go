@@ -241,9 +241,11 @@ func normalizeInto(dst, src []float64, eps float64) {
 type Detector struct {
 	Doomed  *HMM
 	Success *HMM
-	// Threshold on the per-step log-likelihood ratio (default 0).
-	Threshold float64
 }
+
+// doomedRatio is the per-step log-likelihood ratio above which a step is
+// a doomed signal: the doomed model explains the prefix better.
+const doomedRatio = 0
 
 // TrainDetector fits the two HMMs on a labeled corpus.
 func TrainDetector(runs []logfile.Run, states int, seed int64) *Detector {
@@ -300,7 +302,7 @@ func (d *Detector) Outcome(r logfile.Run, k int) int {
 		// Per-step ratio so the signal is comparable across prefix
 		// lengths.
 		ratio := (llBad - llGood) / float64(t+1)
-		if ratio > d.Threshold {
+		if ratio > doomedRatio {
 			consec++
 			if consec >= k {
 				return t

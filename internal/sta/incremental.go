@@ -5,18 +5,18 @@ package sta
 // a full-graph propagation. This engine holds the arrival/slew/depth
 // state of one full analysis and, on a resize notification, re-propagates
 // only the affected downstream cone using a level-bucketed worklist with
-// an epsilon-stable early cutoff: propagation stops at any net whose
-// recomputed state is unchanged. Endpoint slacks, WNS/TNS and the
-// critical path are maintained through a slack-indexed lazy min-heap
-// instead of full endpoint rebuilds, and a Checkpoint/Rollback pair
-// makes speculative moves (try-downsize-then-revert, annealing rejects)
-// O(touched cone) instead of O(graph).
+// an early cutoff: propagation stops at any net whose recomputed state is
+// unchanged. Endpoint slacks, WNS/TNS and the critical path are
+// maintained through a slack-indexed lazy min-heap instead of full
+// endpoint rebuilds, and a Checkpoint/Rollback pair makes speculative
+// moves (try-downsize-then-revert, annealing rejects) O(touched cone)
+// instead of O(graph).
 //
-// With the default Epsilon of 0 the engine is exact: every query result
-// is bit-identical to a fresh Analyze of the mutated netlist, because
-// both paths share the same per-net arithmetic (sourceState, combState,
-// the endpoint builders) and the cutoff only prunes recomputations whose
-// inputs — and therefore outputs — are unchanged.
+// The engine is exact: every query result is bit-identical to a fresh
+// Analyze of the mutated netlist, because both paths share the same
+// per-net arithmetic (sourceState, combState, the endpoint builders) and
+// the cutoff only prunes recomputations whose inputs — and therefore
+// outputs — are unchanged.
 
 import (
 	"container/heap"
@@ -70,13 +70,6 @@ type Incremental struct {
 	n   *netlist.Netlist
 	g   *Graph // n's topology, compiled by the full build
 	cfg Config
-
-	// Epsilon is the stable-frontier cutoff: propagation stops at a net
-	// whose recomputed arrival/slew/wire all moved by no more than this
-	// (ps). 0 (the default) demands exact equality, which keeps every
-	// query bit-identical to Analyze; a positive value trades a bounded
-	// slack error for earlier cutoff.
-	Epsilon float64
 
 	derate float64 // global derate * corner cell factor
 	setupF float64
@@ -257,8 +250,8 @@ func (inc *Incremental) refreshSource(netID int) {
 	if !ok {
 		return
 	}
-	if inc.stable(inc.state[netID], st) {
-		return
+	if inc.state[netID] == st {
+		return // unchanged: nothing downstream moves
 	}
 	inc.writeState(netID, st)
 	inc.fanOut(netID)
@@ -314,8 +307,8 @@ func (inc *Incremental) flush() {
 			if !ok {
 				continue
 			}
-			if inc.stable(inc.state[outNet], st) {
-				continue // epsilon-stable: cone ends here
+			if inc.state[outNet] == st {
+				continue // unchanged: cone ends here
 			}
 			inc.writeState(outNet, st)
 			inc.fanOut(outNet)
@@ -323,26 +316,6 @@ func (inc *Incremental) flush() {
 		inc.buckets[l] = bucket[:0]
 	}
 	inc.minLevel = len(inc.buckets)
-}
-
-// stable reports whether a recomputed state is within the cutoff of the
-// stored one. With Epsilon 0 this is exact equality, so the cutoff never
-// changes results relative to a full propagation.
-func (inc *Incremental) stable(old, new arrivalState) bool {
-	if old.depth != new.depth || old.from != new.from {
-		return false
-	}
-	return eqEps(old.arrival, new.arrival, inc.Epsilon) &&
-		eqEps(old.slew, new.slew, inc.Epsilon) &&
-		eqEps(old.wire, new.wire, inc.Epsilon)
-}
-
-func eqEps(a, b, eps float64) bool {
-	if eps == 0 {
-		return a == b
-	}
-	d := a - b
-	return d <= eps && d >= -eps
 }
 
 func (inc *Incremental) writeState(netID int, st arrivalState) {
@@ -568,7 +541,6 @@ func (inc *Incremental) Clone(n2 *netlist.Netlist) *Incremental {
 		n:          n2,
 		g:          inc.g,
 		cfg:        inc.cfg,
-		Epsilon:    inc.Epsilon,
 		derate:     inc.derate,
 		setupF:     inc.setupF,
 		state:      append([]arrivalState(nil), inc.state...),

@@ -277,41 +277,6 @@ func TestCloneIndependent(t *testing.T) {
 	requireMatch(t, "clone-copy-mut", 0, n2, cfg, inc2)
 }
 
-// TestEpsilonCutoffPrunesWork checks that a small positive Epsilon
-// never propagates more than the exact engine and stays within a loose
-// WNS bound of the oracle.
-func TestEpsilonCutoffPrunesWork(t *testing.T) {
-	cfg := Config{Engine: Signoff, SI: true}
-	nExact := tightened(t, netlist.PulpinoProxy(41), cfg)
-	nEps := nExact.Clone()
-	exact := NewIncremental(nExact, cfg)
-	approx := NewIncremental(nEps, cfg)
-	approx.Epsilon = 0.01 // ps
-
-	rng := rand.New(rand.NewSource(41))
-	exBase, apBase := exact.Propagated(), approx.Propagated()
-	for k := 0; k < 60; k++ {
-		id := rng.Intn(len(nExact.Insts))
-		up, ok := nExact.Lib.Upsize(nExact.Insts[id].Cell)
-		if !ok {
-			continue
-		}
-		nExact.Insts[id].Cell = up
-		exact.Resize(id)
-		nEps.Insts[id].Cell = up
-		approx.Resize(id)
-	}
-	exWork := exact.Propagated() - exBase
-	apWork := approx.Propagated() - apBase
-	if apWork > exWork {
-		t.Fatalf("epsilon cutoff propagated more than exact engine: %d > %d", apWork, exWork)
-	}
-	full := Analyze(nExact, cfg)
-	if d := math.Abs(full.WNSPs - approx.WNSPs()); d > 1.0 {
-		t.Fatalf("epsilon engine drifted too far from oracle: |d|=%g ps", d)
-	}
-}
-
 // BenchmarkIncrementalResize measures a single toggle-resize + WNS
 // query at pulpino-proxy scale — the inner-loop unit of sizing.Recover.
 func BenchmarkIncrementalResize(b *testing.B) {

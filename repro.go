@@ -84,8 +84,8 @@ func Search(design *Design, base FlowOptions, cons Constraints, cfg SearchConfig
 // one across studies that revisit the same option points.
 type FlowCache = campaign.Cache
 
-// NewFlowCache creates a flow-result cache (capacity <= 0 = unbounded).
-func NewFlowCache(capacity int) *FlowCache { return campaign.NewCache(capacity) }
+// NewFlowCache creates an unbounded flow-result cache.
+func NewFlowCache() *FlowCache { return campaign.NewCache(0) }
 
 // workers is the package-wide concurrent-run limit for the experiment
 // harnesses (0 = one worker per CPU).

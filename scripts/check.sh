@@ -78,7 +78,9 @@
 #                             written under chaos replayed by a clean
 #                             rerun, and campd store/worker and
 #                             metricsd SIGTERM drain tests (exit 0,
-#                             clean journal)
+#                             clean journal; metricsd -frontdoor
+#                             within 5 s of SIGTERM with a campaign
+#                             running)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -421,9 +423,9 @@ if [ "${1:-}" = "chaos" ]; then
     fi
 
     # 4. Graceful SIGTERM: a campd store (with WAL) and worker, and
-    #    metricsd, must drain and exit 0 on SIGTERM — the orchestrator
-    #    default — and the store's journal must come back clean
-    #    afterwards.
+    #    metricsd with and without a running front-door campaign, must
+    #    drain and exit 0 on SIGTERM — the orchestrator default — and the
+    #    store's journal must come back clean afterwards.
     "$work/campd" -mode store -addr 127.0.0.1:0 -journal "$work/gwal" \
         > "$work/gstore.out" 2> "$work/gstore.err" &
     store_pid=$!
@@ -479,6 +481,45 @@ if [ "${1:-}" = "chaos" ]; then
     fi
     grep -q '^shutting down' "$work/gmd.out" || {
         echo "check.sh: metricsd skipped its drain path on SIGTERM" >&2
+        exit 1
+    }
+    # With its campaign front door, metricsd does not wait for a running
+    # campaign: SIGTERM once one reads "running" must end it with exit 0
+    # and the same summary line within 5 s.
+    "$work/metricsd" -addr 127.0.0.1:0 -frontdoor > "$work/gfd.out" 2> "$work/gfd.err" &
+    md_pid=$!
+    i=0
+    until maddr=$(sed -n 's/^METRICS server listening on \([^ ]*\).*/\1/p' "$work/gfd.out" 2>/dev/null) && [ -n "$maddr" ]; do
+        i=$((i+1))
+        [ "$i" -lt 100 ] || { echo "check.sh: metricsd -frontdoor never reported its address" >&2; exit 1; }
+        sleep 0.05
+    done
+    cid=$(curl -sf -X POST -d '{"tenant":"t","spec":{"design":"cpu","seeds":200,"workers":1}}' \
+        "http://$maddr/v1/campaigns" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+    [ -n "$cid" ] || { echo "check.sh: metricsd front door accepted no campaign" >&2; exit 1; }
+    i=0
+    until curl -sf "http://$maddr/v1/campaigns/$cid" | grep -q '"state":"running"'; do
+        i=$((i+1))
+        [ "$i" -lt 100 ] || { echo "check.sh: front-door campaign $cid never started running" >&2; exit 1; }
+        sleep 0.05
+    done
+    kill -TERM "$md_pid"
+    i=0
+    while kill -0 "$md_pid" 2>/dev/null; do
+        i=$((i+1))
+        if [ "$i" -ge 100 ]; then
+            kill -9 "$md_pid" 2>/dev/null || true
+            echo "check.sh: metricsd still running 5 s after SIGTERM with a front-door campaign running" >&2
+            exit 1
+        fi
+        sleep 0.05
+    done
+    if wait "$md_pid"; then :; else
+        echo "check.sh: metricsd -frontdoor exited non-zero ($?) on SIGTERM" >&2
+        exit 1
+    fi
+    grep -q '^shutting down' "$work/gfd.out" || {
+        echo "check.sh: metricsd -frontdoor skipped its drain path on SIGTERM" >&2
         exit 1
     }
     echo "chaos_gate=ok"
