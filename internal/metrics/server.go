@@ -31,10 +31,6 @@ import (
 //	/debug/hist   plain-text per-span-name latency quantiles
 //	/debug/pprof  the standard net/http/pprof handlers
 type Server struct {
-	// Trace overrides the tracer the /debug endpoints introspect
-	// (default: whatever tracer is armed process-wide at request time).
-	Trace *trace.Tracer
-
 	// FrontDoor, when non-nil, mounts the campaign submission service
 	// (/v1/campaigns...) on this server. Set it before Start.
 	FrontDoor *FrontDoor
@@ -53,7 +49,7 @@ type Server struct {
 	httpSrv *http.Server
 }
 
-// NewServer creates a server; set Trace, FrontDoor and Aux before Start.
+// NewServer creates a server; set FrontDoor and Aux before Start.
 func NewServer() *Server { return &Server{} }
 
 // Start begins listening on addr ("127.0.0.1:0" for an ephemeral port)
@@ -73,9 +69,9 @@ func (s *Server) Start(addr string) (string, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", handleStats)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/spans", s.handleSpans)
-	mux.HandleFunc("/debug/hist", s.handleHist)
+	mux.HandleFunc("/metrics", handleMetrics)
+	mux.HandleFunc("/debug/spans", handleSpans)
+	mux.HandleFunc("/debug/hist", handleHist)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -134,14 +130,6 @@ func (s *Server) stop() *http.Server {
 	return srv
 }
 
-// tracer resolves the tracer the /debug endpoints introspect.
-func (s *Server) tracer() *trace.Tracer {
-	if s.Trace != nil {
-		return s.Trace
-	}
-	return trace.Active()
-}
-
 // handleStats is the counter dump: every process-wide counter, one
 // "name value" line each.
 func handleStats(w http.ResponseWriter, r *http.Request) {
@@ -151,9 +139,9 @@ func handleStats(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics is the plain-text exposition endpoint: every counter,
 // then the armed tracer's latency histograms.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func handleMetrics(w http.ResponseWriter, r *http.Request) {
 	handleStats(w, r)
-	if t := s.tracer(); t != nil {
+	if t := trace.Active(); t != nil {
 		t.Histograms().Write(w)
 	}
 }
@@ -187,9 +175,9 @@ type doneSpan struct {
 // tracer's in-flight spans (oldest first — a wedged stage shows up at
 // the top with a growing age) plus up to ?n= most recent finished
 // spans (default 100).
-func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
+func handleSpans(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	t := s.tracer()
+	t := trace.Active()
 	if t == nil {
 		json.NewEncoder(w).Encode(spansResponse{Enabled: false}) //nolint:errcheck
 		return
@@ -233,9 +221,9 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 
 // handleHist renders the armed tracer's per-span-name latency
 // histograms as plain text.
-func (s *Server) handleHist(w http.ResponseWriter, r *http.Request) {
+func handleHist(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	t := s.tracer()
+	t := trace.Active()
 	if t == nil {
 		fmt.Fprintln(w, "# tracing off (run with -trace or trace.Enable)")
 		return

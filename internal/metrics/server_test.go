@@ -39,10 +39,11 @@ func startServer(t *testing.T) (*Server, string) {
 }
 
 func TestMetricsEndpointExposesCountersAndHistograms(t *testing.T) {
-	srv, base := startServer(t)
+	_, base := startServer(t)
 
 	tr := trace.New(0)
-	srv.Trace = tr
+	trace.Enable(tr)
+	defer trace.Disable()
 	_, sp := tr.StartOn(context.Background(), "unit.test.op")
 	sp.End()
 	Add("unit.test.counter", 1)
@@ -62,31 +63,30 @@ func TestMetricsEndpointExposesCountersAndHistograms(t *testing.T) {
 }
 
 func TestDebugSpansEndpoint(t *testing.T) {
-	srv, base := startServer(t)
+	_, base := startServer(t)
 
 	// No tracer at all: valid JSON, enabled=false.
-	srv.Trace = nil
-	if trace.Active() == nil {
-		code, ctype, body := get(t, base+"/debug/spans")
-		if code != http.StatusOK {
-			t.Fatalf("/debug/spans (off): status %d", code)
-		}
-		if !strings.HasPrefix(ctype, "application/json") {
-			t.Fatalf("/debug/spans content type %q", ctype)
-		}
-		var off struct {
-			Enabled bool `json:"enabled"`
-		}
-		if err := json.Unmarshal([]byte(body), &off); err != nil {
-			t.Fatalf("bad JSON: %v\n%s", err, body)
-		}
-		if off.Enabled {
-			t.Fatal("enabled=true with no tracer")
-		}
+	trace.Disable()
+	code, ctype, body := get(t, base+"/debug/spans")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/spans (off): status %d", code)
+	}
+	if !strings.HasPrefix(ctype, "application/json") {
+		t.Fatalf("/debug/spans content type %q", ctype)
+	}
+	var off struct {
+		Enabled bool `json:"enabled"`
+	}
+	if err := json.Unmarshal([]byte(body), &off); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, body)
+	}
+	if off.Enabled {
+		t.Fatal("enabled=true with no tracer")
 	}
 
 	tr := trace.New(0)
-	srv.Trace = tr
+	trace.Enable(tr)
+	defer trace.Disable()
 	pctx, parent := tr.StartOn(context.Background(), "server.test.parent") // stays live
 	for i := 0; i < 5; i++ {
 		_, sp := tr.StartOn(pctx, fmt.Sprintf("server.test.child%d", i))
@@ -94,7 +94,7 @@ func TestDebugSpansEndpoint(t *testing.T) {
 		sp.End()
 	}
 
-	code, _, body := get(t, base+"/debug/spans")
+	code, _, body = get(t, base+"/debug/spans")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/spans: status %d", code)
 	}
@@ -152,9 +152,10 @@ func TestDebugSpansEndpoint(t *testing.T) {
 // /debug/hist must stay consistent (bucket sums match counts) while
 // writers are hammering the tracer.
 func TestDebugHistUnderWriters(t *testing.T) {
-	srv, base := startServer(t)
+	_, base := startServer(t)
 	tr := trace.New(0)
-	srv.Trace = tr
+	trace.Enable(tr)
+	defer trace.Disable()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -56,7 +56,11 @@ type Config struct {
 func SetupCfg(cfg Config) (flush func(), err error) {
 	var tr *trace.Tracer
 	if cfg.TraceFile != "" || cfg.ShipURL != "" {
-		tr = trace.NewCfg(trace.Config{Retention: cfg.SpanRetention, NodeID: namespace(cfg.Node)})
+		retention := cfg.SpanRetention
+		if retention == 0 {
+			retention = trace.DefaultRetention
+		}
+		tr = trace.NewCfg(trace.Config{Retention: retention, NodeID: namespace(cfg.Node)})
 		trace.Enable(tr)
 	}
 	var srv *metrics.Server
@@ -72,7 +76,7 @@ func SetupCfg(cfg Config) (flush func(), err error) {
 	}
 	var shipper *trace.Shipper
 	if cfg.ShipURL != "" && tr != nil {
-		shipper = trace.NewShipper(tr, cfg.Node, cfg.ShipURL, 0)
+		shipper = trace.NewShipper(tr, cfg.Node, cfg.ShipURL)
 		shipper.Start()
 	}
 	var stopGauges func()

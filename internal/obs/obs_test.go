@@ -40,7 +40,7 @@ func TestZeroConfigArmsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trace.Enabled() {
+	if trace.Active() != nil {
 		flush()
 		t.Fatal("a zero Config armed the tracer")
 	}
@@ -61,13 +61,13 @@ func TestTraceFileHoldsSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !trace.Enabled() {
+	if trace.Active() == nil {
 		flush()
 		t.Fatal("TraceFile did not arm the tracer")
 	}
 	trace.Begin("obs.test.span").End()
 	flush()
-	if trace.Enabled() {
+	if trace.Active() != nil {
 		t.Fatal("flush left the tracer armed")
 	}
 	c := readTrace(t, path)
@@ -96,11 +96,37 @@ func TestSpanRetentionCaps(t *testing.T) {
 	}
 	flush()
 	c := readTrace(t, path)
-	if len(c.TraceEvents) == 0 || len(c.TraceEvents) > retention {
-		t.Fatalf("%d spans kept of %d finished; want 1..%d", len(c.TraceEvents), spans, retention)
+	if len(c.TraceEvents) != retention || c.DroppedSpans != spans-retention {
+		t.Fatalf("%d spans kept and %d dropped of %d finished; want %d and %d",
+			len(c.TraceEvents), c.DroppedSpans, spans, retention, spans-retention)
 	}
-	if got := int64(len(c.TraceEvents)) + c.DroppedSpans; got != spans {
-		t.Fatalf("%d kept + %d dropped = %d, want %d", len(c.TraceEvents), c.DroppedSpans, got, spans)
+}
+
+// TestSpanRetentionDefault: SpanRetention 0 caps at
+// trace.DefaultRetention, and a negative one keeps every span.
+func TestSpanRetentionDefault(t *testing.T) {
+	const over = 10
+	spans := make([]trace.SpanData, trace.DefaultRetention+over)
+	for i := range spans {
+		spans[i] = trace.SpanData{ID: uint64(i + 1), Name: "obs.test.span"}
+	}
+	for _, c := range []struct {
+		retention int
+		dropped   int64
+	}{{0, over}, {-1, 0}} {
+		path := filepath.Join(t.TempDir(), "trace.json")
+		flush, err := SetupCfg(Config{TraceFile: path, SpanRetention: c.retention})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.Active()
+		tr.Ingest(spans, 0)
+		_, dropped := tr.Snapshot()
+		tr.Drain() // flush need not write 64k spans
+		flush()
+		if dropped != c.dropped {
+			t.Fatalf("SpanRetention %d: %d spans dropped, want %d", c.retention, dropped, c.dropped)
+		}
 	}
 }
 

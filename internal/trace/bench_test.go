@@ -20,16 +20,34 @@ func BenchmarkSpanDisabled(b *testing.B) {
 }
 
 // BenchmarkSpanEnabled measures the armed cost of a full
-// start/annotate/end cycle into the sharded collector + histogram.
+// start/annotate/end cycle into the collector + histogram: with a small
+// cap, unbounded, and at DefaultRetention pre-filled past the cap, so
+// that every finished span evicts the oldest one.
 func BenchmarkSpanEnabled(b *testing.B) {
-	tr := New(1024)
-	Enable(tr)
-	defer Disable()
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, sp := Start(ctx, "bench.unit")
-		sp.SetInt("i", int64(i))
-		sp.End()
+	for _, c := range []struct {
+		name           string
+		limit, prefill int
+	}{
+		{"limit=1024", 1024, 0},
+		{"unbounded", 0, 0},
+		{"full", DefaultRetention, 2 * DefaultRetention},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			tr := New(c.limit)
+			ctx := context.Background()
+			for i := 0; i < c.prefill; i++ {
+				_, sp := tr.StartOn(ctx, "bench.fill")
+				sp.End()
+			}
+			Enable(tr)
+			defer Disable()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, sp := Start(ctx, "bench.unit")
+				sp.SetInt("i", int64(i))
+				sp.End()
+			}
+		})
 	}
 }

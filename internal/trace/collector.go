@@ -25,7 +25,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -107,36 +106,32 @@ func NewCollectorHandler(t *Tracer) http.Handler {
 	})
 }
 
-// Shipper periodically drains a tracer and POSTs the batches to a
-// collector URL. It is deliberately lossy-tolerant: a failed ship is
-// retried next tick with the union of old and new spans, and a final
-// Flush on Stop ships whatever remains.
-type Shipper struct {
-	tr       *Tracer
-	node     string
-	url      string
-	client   *http.Client
-	interval time.Duration
+// shipInterval is how often a Shipper drains its tracer.
+const shipInterval = 500 * time.Millisecond
 
-	mu      sync.Mutex
-	backlog []SpanData
-	stop    chan struct{}
-	done    chan struct{}
+// Shipper periodically drains a tracer and POSTs the batches to a
+// collector URL. It holds no spans of its own: a batch whose POST fails
+// goes back into the tracer's ring, so the retention cap bounds what a
+// dead collector leaves on the node, and a final ship on Stop sends
+// whatever remains.
+type Shipper struct {
+	tr     *Tracer
+	node   string
+	url    string
+	client *http.Client
+	stop   chan struct{}
+	done   chan struct{}
 }
 
 // NewShipper creates a shipper sending t's finished spans to the
-// collector at url (e.g. "http://coord:7600/v1/spans") every interval
-// (0 = 500ms). Call Start to begin and Stop to flush and halt.
-func NewShipper(t *Tracer, node, url string, interval time.Duration) *Shipper {
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
+// collector at url (e.g. "http://coord:7600/v1/spans") every 500ms.
+// Call Start to begin and Stop to flush and halt.
+func NewShipper(t *Tracer, node, url string) *Shipper {
 	return &Shipper{
 		tr: t, node: node, url: url,
-		client:   &http.Client{Timeout: 10 * time.Second},
-		interval: interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		client: &http.Client{Timeout: 10 * time.Second},
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 }
 
@@ -144,7 +139,7 @@ func NewShipper(t *Tracer, node, url string, interval time.Duration) *Shipper {
 func (sh *Shipper) Start() {
 	go func() {
 		defer close(sh.done)
-		tick := time.NewTicker(sh.interval)
+		tick := time.NewTicker(shipInterval)
 		defer tick.Stop()
 		for {
 			select {
@@ -165,29 +160,35 @@ func (sh *Shipper) Stop() {
 	sh.ship()
 }
 
-// Flush ships immediately (tests and pre-exit hooks).
-func (sh *Shipper) Flush() error { return sh.ship() }
-
+// ship drains the tracer and POSTs the batch. A failed batch is kept
+// again by the tracer, where the histograms have already seen it, to
+// be retried next tick; spans it evicts count as dropped.
 func (sh *Shipper) ship() error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.backlog = append(sh.backlog, sh.tr.Drain()...)
-	if len(sh.backlog) == 0 {
+	spans := sh.tr.Drain()
+	if len(spans) == 0 {
 		return nil
 	}
-	body, err := json.Marshal(ShipBatch{Node: sh.node, Epoch: sh.tr.Epoch(), Spans: sh.backlog})
+	err := sh.post(spans)
+	if err != nil {
+		sh.tr.keep(spans, 0)
+	}
+	return err
+}
+
+// post sends one batch to the collector; any non-200 is an error.
+func (sh *Shipper) post(spans []SpanData) error {
+	body, err := json.Marshal(ShipBatch{Node: sh.node, Epoch: sh.tr.Epoch(), Spans: spans})
 	if err != nil {
 		return err
 	}
 	resp, err := sh.client.Post(sh.url, "application/json", bytes.NewReader(body))
 	if err != nil {
-		return err // keep backlog; retried next tick
+		return err
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("trace: ship: collector returned %s", resp.Status)
 	}
-	sh.backlog = nil
 	return nil
 }

@@ -83,12 +83,12 @@ func TestCollectorEndToEnd(t *testing.T) {
 	sp.Set("node", "w3")
 	sp.End()
 
-	sh := NewShipper(node, "w3", srv.URL, time.Hour) // manual flushes only
-	if err := sh.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
+	sh := NewShipper(node, "w3", srv.URL)
+	if err := sh.ship(); err != nil {
+		t.Fatalf("ship: %v", err)
 	}
-	if node.Len() != 0 {
-		t.Fatalf("node retains %d spans after ship, want 0", node.Len())
+	if held, _ := node.Snapshot(); len(held) != 0 {
+		t.Fatalf("node retains %d spans after ship, want 0", len(held))
 	}
 	spans, _ := coll.Snapshot()
 	if len(spans) != 1 || spans[0].Name != "work" {
@@ -108,19 +108,50 @@ func TestCollectorEndToEnd(t *testing.T) {
 	}
 }
 
-// TestIngestRetention: ingested spans respect the retention cap and
-// count drops.
+// TestShipperDeadCollector: with the collector down, failed batches go
+// back into the node's ring, so the node holds at most its retention
+// cap, counts the rest as dropped, and observes each span once.
+func TestShipperDeadCollector(t *testing.T) {
+	const retention, ticks, perTick = 16, 10, 100
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+
+	node := NewCfg(Config{Retention: retention, NodeID: 3})
+	sh := NewShipper(node, "w3", dead.URL)
+	for tick := 0; tick < ticks; tick++ {
+		for i := 0; i < perTick; i++ {
+			_, sp := node.StartOn(context.Background(), "work")
+			sp.End()
+		}
+		if err := sh.ship(); err == nil {
+			t.Fatalf("tick %d: ship to a dead collector succeeded", tick)
+		}
+	}
+	held, dropped := node.Snapshot()
+	if len(held) != retention || dropped != ticks*perTick-retention {
+		t.Fatalf("node holds %d spans and dropped %d; want %d and %d",
+			len(held), dropped, retention, ticks*perTick-retention)
+	}
+	if snaps := node.Histograms().Snapshots(); len(snaps) != 1 || snaps[0].Count != ticks*perTick {
+		t.Fatalf("histograms %+v, want one name observed %d times", snaps, ticks*perTick)
+	}
+}
+
+// TestIngestRetention: ingested spans respect the retention cap, the
+// newest kept, and count drops.
 func TestIngestRetention(t *testing.T) {
-	tr := NewCfg(Config{Retention: shardCount}) // one retained span per shard
+	const limit, n = 10, 100
+	tr := NewCfg(Config{Retention: limit})
 	var spans []SpanData
-	for i := 1; i <= 10*shardCount; i++ {
-		spans = append(spans, SpanData{ID: uint64(i), Name: "x"})
+	for i := 1; i <= n; i++ {
+		spans = append(spans, SpanData{ID: uint64(i), Start: time.Duration(i), Name: "x"})
 	}
 	tr.Ingest(spans, 0)
-	if tr.Len() != shardCount {
-		t.Fatalf("retained %d spans, want %d", tr.Len(), shardCount)
+	kept, dropped := tr.Snapshot()
+	if len(kept) != limit || kept[0].ID != n-limit+1 {
+		t.Fatalf("retained %+v, want the newest %d", kept, limit)
 	}
-	if _, dropped := tr.Snapshot(); dropped != int64(9*shardCount) {
-		t.Fatalf("dropped = %d, want %d", dropped, 9*shardCount)
+	if dropped != n-limit {
+		t.Fatalf("dropped = %d, want %d", dropped, n-limit)
 	}
 }

@@ -20,17 +20,27 @@ func FuzzCollectorIngest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	var over ShipBatch // more spans than the cap below
+	for i := 1; i <= 12; i++ {
+		over.Spans = append(over.Spans, SpanData{ID: uint64(i), Name: "x", Start: time.Duration(i)})
+	}
+	twelve, err := json.Marshal(over)
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, seed := range []string{
 		string(one), "{}", "null", "", "[", "\xff",
 		`{"Spans":[{"ID":1,"Parent":1}]}`,                     // a span that is its own parent
 		`{"Spans":[{"ID":1,"Parent":2},{"ID":2,"Parent":1}]}`, // a parent cycle
 		`{"Epoch":"9999-12-31T23:59:59Z","Spans":[{"ID":7,"Start":9223372036854775807}]}`,
 		"{\"Spans\":[{\"Name\":\"\xff\",\"Attrs\":[{\"Key\":\"\",\"Val\":\"\\u0000\"}]}]}",
+		string(twelve),
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		tr := NewCfg(Config{Retention: shardCount})
+		const retention = 10
+		tr := NewCfg(Config{Retention: retention})
 		rw := httptest.NewRecorder()
 		NewCollectorHandler(tr).ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/spans", bytes.NewReader(body)))
 		switch rw.Code {
@@ -40,8 +50,8 @@ func FuzzCollectorIngest(f *testing.F) {
 		default:
 			t.Fatalf("status %d: %s", rw.Code, rw.Body.String())
 		}
-		if n := tr.Len(); n > shardCount {
-			t.Fatalf("collector retains %d spans, cap %d", n, shardCount)
+		if kept, _ := tr.Snapshot(); len(kept) > retention {
+			t.Fatalf("collector retains %d spans, cap %d", len(kept), retention)
 		}
 		var out bytes.Buffer
 		if err := tr.WriteChromeTrace(&out); err != nil {

@@ -6,12 +6,13 @@
 // timed interval with an outcome, attributes, and a parent, so a whole
 // overnight campaign reconstructs into one hierarchical timeline.
 //
-// Spans propagate through context.Context, record into a lock-sharded
-// in-memory collector, and feed per-name log-bucketed latency
-// histograms (p50/p90/p99 snapshots). A finished trace exports as
-// Chrome trace_event JSON (see chrome.go) and opens directly in
-// chrome://tracing or Perfetto; live spans are visible on the METRICS
-// server's /debug/spans endpoint while the campaign is still running.
+// Spans propagate through context.Context, record into an in-memory
+// collector (one lock, one bounded ring of finished spans), and feed
+// per-name log-bucketed latency histograms (p50/p90/p99 snapshots).
+// A finished trace exports as Chrome trace_event JSON (see chrome.go)
+// and opens directly in chrome://tracing or Perfetto; live spans are
+// visible on the METRICS server's /debug/spans endpoint while the
+// campaign is still running.
 //
 // Tracing is off by default and must cost nothing when off: Start on a
 // disabled tracer is a single atomic load + nil check, every *Span
@@ -85,15 +86,6 @@ type Span struct {
 	ended  atomic.Bool
 }
 
-// shardCount is a power of two so shard selection is a mask.
-const shardCount = 16
-
-type shard struct {
-	mu   sync.Mutex
-	done []SpanData
-	live map[uint64]*Span
-}
-
 // Tracer collects spans. Create one with New, arm it process-wide with
 // Enable, and export with WriteChromeTrace / Snapshot / Histograms.
 type Tracer struct {
@@ -102,26 +94,34 @@ type Tracer struct {
 	// deterministic timestamps.
 	now func() time.Duration
 
-	ids    atomic.Uint64
-	shards [shardCount]shard
-	hists  *HistSet
+	ids   atomic.Uint64
+	hists *HistSet
 
-	// limit caps retained finished spans per shard (oldest dropped);
-	// <= 0 means unbounded.
-	limitPerShard int
-	dropped       atomic.Int64
+	// limit caps retained finished spans (<= 0 = unbounded); it is set
+	// once, before any span.
+	limit int
+
+	// mu guards everything below.
+	mu   sync.Mutex
+	live map[uint64]*Span
+	// done holds the retained finished spans. With a limit it is a ring:
+	// once len(done) == limit, done[next] is the oldest span, the slot
+	// the next finished span overwrites.
+	done    []SpanData
+	next    int
+	dropped int64
 }
 
 // DefaultRetention is the finished-span cap the CLIs arm by default:
 // 64k spans at ~128 bytes each (SpanData plus a few attrs) bounds the
 // collector near 8 MB however long the campaign runs. Override with
-// Config.Retention / the -span-retention flag.
+// the -span-retention flag.
 const DefaultRetention = 1 << 16
 
 // Config parameterizes a tracer beyond the retention cap.
 type Config struct {
-	// Retention caps retained finished spans: 0 selects
-	// DefaultRetention, < 0 is unbounded.
+	// Retention caps retained finished spans, oldest dropped first;
+	// <= 0 is unbounded.
 	Retention int
 	// NodeID namespaces span ids: ids are allocated from
 	// NodeID<<48 + 1 upward, so spans from up to 65536 processes can be
@@ -134,33 +134,14 @@ type Config struct {
 // (limit <= 0 = unbounded). Histograms and live-span tracking are
 // always on; only the finished-span buffer is bounded.
 func New(limit int) *Tracer {
-	return NewCfg(Config{Retention: pickRetention(limit)})
-}
-
-// pickRetention maps New's legacy limit (0 = unbounded) onto Config's
-// (0 = default, <0 = unbounded).
-func pickRetention(limit int) int {
-	if limit <= 0 {
-		return -1
-	}
-	return limit
+	return NewCfg(Config{Retention: limit})
 }
 
 // NewCfg creates a tracer from a Config.
 func NewCfg(cfg Config) *Tracer {
-	t := &Tracer{epoch: time.Now(), hists: NewHistSet()}
+	t := &Tracer{epoch: time.Now(), hists: NewHistSet(), limit: cfg.Retention, live: map[uint64]*Span{}}
 	t.now = func() time.Duration { return time.Since(t.epoch) }
 	t.ids.Store(uint64(cfg.NodeID) << 48)
-	limit := cfg.Retention
-	if limit == 0 {
-		limit = DefaultRetention
-	}
-	if limit > 0 {
-		t.limitPerShard = (limit + shardCount - 1) / shardCount
-	}
-	for i := range t.shards {
-		t.shards[i].live = map[uint64]*Span{}
-	}
 	return t
 }
 
@@ -191,9 +172,6 @@ func Disable() { active.Store(nil) }
 
 // Active returns the armed tracer, or nil when tracing is off.
 func Active() *Tracer { return active.Load() }
-
-// Enabled reports whether tracing is armed.
-func Enabled() bool { return active.Load() != nil }
 
 // ctxKey carries the current span through a context.
 type ctxKey struct{}
@@ -297,10 +275,9 @@ func (t *Tracer) start(name string, parent, root uint64) *Span {
 			s.root = s.id
 		}
 	}
-	sh := &t.shards[s.id&(shardCount-1)]
-	sh.mu.Lock()
-	sh.live[s.id] = s
-	sh.mu.Unlock()
+	t.mu.Lock()
+	t.live[s.id] = s
+	t.mu.Unlock()
 	return s
 }
 
@@ -327,22 +304,6 @@ func (s *Span) SetInt(key string, val int64) {
 		return
 	}
 	s.attrs = append(s.attrs, Attr{key, strconv.FormatInt(val, 10)})
-}
-
-// SetFloat attaches a float attribute. No-op on nil.
-func (s *Span) SetFloat(key string, val float64) {
-	if s == nil {
-		return
-	}
-	s.attrs = append(s.attrs, Attr{key, strconv.FormatFloat(val, 'g', -1, 64)})
-}
-
-// SetOutcome records the span outcome without ending it. No-op on nil.
-func (s *Span) SetOutcome(o Outcome) {
-	if s == nil {
-		return
-	}
-	s.out = o
 }
 
 // End finishes the span with its recorded outcome (OK if none was set).
@@ -391,35 +352,57 @@ func (t *Tracer) finish(s *Span, dur time.Duration) {
 		ID: s.id, Parent: s.parent, Name: s.name,
 		Start: s.start, Dur: dur, Outcome: s.out, Attrs: s.attrs,
 	}
-	sh := &t.shards[s.id&(shardCount-1)]
-	sh.mu.Lock()
-	delete(sh.live, s.id)
-	sh.done = append(sh.done, sd)
-	if t.limitPerShard > 0 && len(sh.done) > t.limitPerShard {
-		over := len(sh.done) - t.limitPerShard
-		sh.done = append(sh.done[:0], sh.done[over:]...)
-		t.dropped.Add(int64(over))
-	}
-	sh.mu.Unlock()
+	t.mu.Lock()
+	delete(t.live, s.id)
+	t.keepLocked(sd)
+	t.mu.Unlock()
 	t.hists.Observe(s.name, dur)
+}
+
+// keepLocked retains sd; in a full ring it overwrites the oldest span
+// and counts that one as dropped. t.mu must be held.
+func (t *Tracer) keepLocked(sd SpanData) {
+	if t.limit <= 0 || len(t.done) < t.limit {
+		t.done = append(t.done, sd)
+		return
+	}
+	t.done[t.next] = sd
+	t.next++
+	if t.next == t.limit {
+		t.next = 0
+	}
+	t.dropped++
 }
 
 // Snapshot returns every retained finished span, sorted by start time
 // (ties by id), plus the count of spans dropped to the retention limit.
 func (t *Tracer) Snapshot() (spans []SpanData, dropped int64) {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		spans = append(spans, sh.done...)
-		sh.mu.Unlock()
+	return t.collect(false)
+}
+
+// collect copies the retained spans under the lock, emptying the ring
+// when drain is set, and sorts the copy outside it. The copy is sized
+// outside the lock too: allocating a full ring under it stalls every
+// span that finishes meanwhile for milliseconds.
+func (t *Tracer) collect(drain bool) ([]SpanData, int64) {
+	t.mu.Lock()
+	n := len(t.done)
+	t.mu.Unlock()
+	spans := make([]SpanData, 0, n)
+	t.mu.Lock()
+	spans = append(spans, t.done...)
+	dropped := t.dropped
+	if drain {
+		t.done, t.next = t.done[:0], 0
 	}
+	t.mu.Unlock()
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].Start != spans[j].Start {
 			return spans[i].Start < spans[j].Start
 		}
 		return spans[i].ID < spans[j].ID
 	})
-	return spans, t.dropped.Load()
+	return spans, dropped
 }
 
 // LiveSpan is a point-in-time view of an unfinished span.
@@ -438,17 +421,14 @@ type LiveSpan struct {
 func (t *Tracer) Live() []LiveSpan {
 	now := t.now()
 	var out []LiveSpan
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, s := range sh.live {
-			out = append(out, LiveSpan{
-				ID: s.id, Parent: s.parent, Name: s.name,
-				Start: s.start, Age: now - s.start,
-			})
-		}
-		sh.mu.Unlock()
+	t.mu.Lock()
+	for _, s := range t.live {
+		out = append(out, LiveSpan{
+			ID: s.id, Parent: s.parent, Name: s.name,
+			Start: s.start, Age: now - s.start,
+		})
 	}
+	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start
@@ -463,20 +443,7 @@ func (t *Tracer) Live() []LiveSpan {
 // its tracer periodically and POSTs the batch to the coordinator's
 // collector, so retention memory does not accumulate on the node.
 func (t *Tracer) Drain() []SpanData {
-	var spans []SpanData
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		spans = append(spans, sh.done...)
-		sh.done = nil
-		sh.mu.Unlock()
-	}
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
-		}
-		return spans[i].ID < spans[j].ID
-	})
+	spans, _ := t.collect(true)
 	return spans
 }
 
@@ -486,32 +453,22 @@ func (t *Tracer) Drain() []SpanData {
 // Config.NodeID. Durations feed this tracer's histograms, giving the
 // collector fleet-wide percentiles.
 func (t *Tracer) Ingest(spans []SpanData, skew time.Duration) {
+	t.keep(spans, skew)
+	for _, sd := range spans {
+		t.hists.Observe(sd.Name, sd.Dur)
+	}
+}
+
+// keep retains spans, each Start shifted by skew, without observing
+// them in the histograms.
+func (t *Tracer) keep(spans []SpanData, skew time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for _, sd := range spans {
 		sd.Start += skew
-		sh := &t.shards[sd.ID&(shardCount-1)]
-		sh.mu.Lock()
-		sh.done = append(sh.done, sd)
-		if t.limitPerShard > 0 && len(sh.done) > t.limitPerShard {
-			over := len(sh.done) - t.limitPerShard
-			sh.done = append(sh.done[:0], sh.done[over:]...)
-			t.dropped.Add(int64(over))
-		}
-		sh.mu.Unlock()
-		t.hists.Observe(sd.Name, sd.Dur)
+		t.keepLocked(sd)
 	}
 }
 
 // Histograms returns the tracer's per-span-name latency histograms.
 func (t *Tracer) Histograms() *HistSet { return t.hists }
-
-// Len reports the number of retained finished spans.
-func (t *Tracer) Len() int {
-	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		n += len(sh.done)
-		sh.mu.Unlock()
-	}
-	return n
-}

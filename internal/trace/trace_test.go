@@ -36,8 +36,6 @@ func TestDisabledTracerIsNilSafe(t *testing.T) {
 	// Every method must be a no-op on nil.
 	sp.Set("k", "v")
 	sp.SetInt("i", 1)
-	sp.SetFloat("f", 1.5)
-	sp.SetOutcome(Failed)
 	sp.EndWith(Hung)
 	sp.EndErr(context.Canceled)
 	sp.End()
@@ -183,24 +181,32 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 }
 
+// TestRetentionLimitDrops: a capped tracer keeps exactly its newest
+// limit spans and counts the rest as dropped, whatever the cap.
 func TestRetentionLimitDrops(t *testing.T) {
-	tr := New(shardCount) // one retained span per shard
+	const limit, n = 10, 100
+	tr := New(limit)
 	Enable(tr)
 	defer Disable()
-	for i := 0; i < 10*shardCount; i++ {
+	for i := 0; i < n; i++ {
 		_, sp := Start(context.Background(), "x")
 		sp.End()
 	}
 	spans, dropped := tr.Snapshot()
-	if len(spans) != shardCount {
-		t.Fatalf("retained %d, want %d", len(spans), shardCount)
+	if len(spans) != limit {
+		t.Fatalf("retained %d, want %d", len(spans), limit)
 	}
-	if dropped != int64(9*shardCount) {
-		t.Fatalf("dropped %d, want %d", dropped, 9*shardCount)
+	for i, sd := range spans {
+		if want := uint64(n - limit + 1 + i); sd.ID != want {
+			t.Fatalf("retained span %d has id %d, want %d (the newest %d)", i, sd.ID, want, limit)
+		}
+	}
+	if dropped != n-limit {
+		t.Fatalf("dropped %d, want %d", dropped, n-limit)
 	}
 	// Histograms are not subject to retention.
 	snaps := tr.Histograms().Snapshots()
-	if len(snaps) != 1 || snaps[0].Count != int64(10*shardCount) {
+	if len(snaps) != 1 || snaps[0].Count != n {
 		t.Fatalf("hist snaps %+v", snaps)
 	}
 }

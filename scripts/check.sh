@@ -56,7 +56,7 @@
 #                             BenchmarkDistGate (4 nodes >= 1.8x 1 node
 #                             at an identical qor_hash)
 #   scripts/check.sh obs      distributed observability tier: doubled
-#                             -race over the trace/dist/warehouse
+#                             -race over the trace/obs/metrics/dist/warehouse
 #                             packages, then a 3-node DistSweep that
 #                             must emit ONE stitched Chrome trace
 #                             (tracecheck-valid, spans from every node
@@ -530,10 +530,12 @@ if [ "${1:-}" = "obs" ]; then
     # spans in one stitched trace.
     #
     # 1. Doubled race tests over the tracing substrate (collector,
-    #    shipper, histogram merge), the dist layer that propagates trace
-    #    context, and the warehouse (WAL, dedupe, HTTP ingest, tail).
-    go test -race -count=2 ./internal/trace/... ./internal/dist/... \
-        ./internal/warehouse/...
+    #    shipper, histogram merge), the flags that arm it (obs), the
+    #    /debug endpoints that read it (metrics), the dist layer that
+    #    propagates trace context, and the warehouse (WAL, dedupe, HTTP
+    #    ingest, tail).
+    go test -race -count=2 ./internal/trace/... ./internal/obs/... \
+        ./internal/metrics/... ./internal/dist/... ./internal/warehouse/...
 
     work=$(mktemp -d)
     trap 'rm -rf "$work"' EXIT
