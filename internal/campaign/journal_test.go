@@ -235,13 +235,14 @@ func TestCancelledCampaignResumes(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "journal")
 	jrn := openJournal(t, dir)
 	ctx, cancel := context.WithCancel(bg)
-	var fired bool
+	// Both workers' observers run at once, so the first signoff is
+	// recognised under a sync.Once, not a plain flag.
+	var fired sync.Once
 	cfg := journalCfg(2, jrn)
 	cfg.Observer = flow.ObserverFunc(func(rec flow.StepRecord) {
 		// Pull the plug the first time any run reaches signoff.
-		if rec.Step == "sta" && !fired {
-			fired = true
-			cancel()
+		if rec.Step == "sta" {
+			fired.Do(cancel)
 		}
 	})
 	if _, _, err := resume(ctx, cfg, jrn, pts); err == nil {

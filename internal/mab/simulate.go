@@ -1,6 +1,10 @@
 package mab
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/num"
+)
 
 // Environment produces stochastic rewards per arm. Implementations range
 // from synthetic Bernoulli test beds to the real flow sampler in
@@ -133,7 +137,9 @@ type Config struct {
 //
 // Each slot draws its reward from its own generator, sub-seeded from
 // the policy's stream when the batch is selected, so slot k of
-// iteration t always sees the same sub-seed for a given cfg.Seed.
+// iteration t always sees the same sub-seed for a given cfg.Seed. The
+// generator is math/rand's stream from a num.Rand, which seeds lazily: a
+// reward takes a few draws, and math/rand's seeding alone costs more.
 func Simulate(alg Algorithm, env Environment, cfg Config) *History {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 40
@@ -155,7 +161,7 @@ func Simulate(alg Algorithm, env Environment, cfg Config) *History {
 		}
 		rewards := make([]float64, cfg.Concurrent)
 		for k := range rewards {
-			rewards[k] = env.Reward(arms[k], rand.New(rand.NewSource(seeds[k])))
+			rewards[k] = env.Reward(arms[k], rand.New(num.NewRand(seeds[k])))
 		}
 		var batchSum float64
 		for k, a := range arms {

@@ -174,7 +174,10 @@ type doneSpan struct {
 // handleSpans is the live campaign introspection endpoint: the armed
 // tracer's in-flight spans (oldest first — a wedged stage shows up at
 // the top with a growing age) plus up to ?n= most recent finished
-// spans (default 100).
+// spans (default 100), sorted by start. Most recent means most recently
+// finished: the ring's newest n slots, read in O(n) however many spans
+// it retains. dropped counts the spans the ring dropped plus the
+// retained ones not served.
 func handleSpans(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	t := trace.Active()
@@ -195,12 +198,8 @@ func handleSpans(w http.ResponseWriter, r *http.Request) {
 			AgeUs: float64(ls.Age.Nanoseconds()) / 1e3,
 		})
 	}
-	done, dropped := t.Snapshot()
-	resp.Dropped = dropped
-	if len(done) > limit {
-		resp.Dropped += int64(len(done) - limit)
-		done = done[len(done)-limit:] // keep the most recent
-	}
+	done, retained, dropped := t.Recent(limit)
+	resp.Dropped = dropped + int64(retained-len(done))
 	for _, sd := range done {
 		ds := doneSpan{
 			ID: sd.ID, Parent: sd.Parent, Name: sd.Name,

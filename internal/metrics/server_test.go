@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -147,6 +149,65 @@ func TestDebugSpansEndpoint(t *testing.T) {
 		t.Fatalf("n=2: done=%d dropped=%d, want 2/3", len(resp.Done), resp.Dropped)
 	}
 	parent.End()
+}
+
+// TestDebugSpansServesLastFinished: ?n= serves the n spans that finished
+// last, sorted by start, in a ring that is still filling and in one that
+// has wrapped; spans start in one order and finish in another, so the n
+// started last are not the answer.
+func TestDebugSpansServesLastFinished(t *testing.T) {
+	_, base := startServer(t)
+	const ring, n = 8, 3
+	tr := trace.New(ring)
+	var now time.Duration
+	tr.SetClock(func() time.Duration { return now })
+	trace.Enable(tr)
+	defer trace.Disable()
+	spans := make([]*trace.Span, 20)
+	for i := range spans {
+		now = time.Duration(i) * time.Microsecond
+		_, spans[i] = tr.StartOn(context.Background(), fmt.Sprintf("s%02d", i))
+	}
+	// Finish in blocks of four, each block in reverse start order.
+	var finished []string
+	for i := range spans {
+		j := i - i%4 + 3 - i%4
+		now = time.Duration(100+i) * time.Microsecond
+		spans[j].End()
+		finished = append(finished, fmt.Sprintf("s%02d", j))
+		// 6 spans: a ring still filling; 17: a wrapped one whose newest
+		// three straddle its end; 20: a wrapped one whose newest three
+		// do not.
+		if i+1 != 6 && i+1 != 17 && i+1 != 20 {
+			continue
+		}
+		var resp struct {
+			Done []struct {
+				Name    string  `json:"name"`
+				StartUs float64 `json:"start_us"`
+			} `json:"done"`
+			Dropped int64 `json:"dropped"`
+		}
+		_, _, body := get(t, fmt.Sprintf("%s/debug/spans?n=%d", base, n))
+		if err := json.Unmarshal([]byte(body), &resp); err != nil {
+			t.Fatalf("bad JSON: %v\n%s", err, body)
+		}
+		want := slices.Clone(finished[len(finished)-n:])
+		slices.Sort(want) // names sort as their starts do
+		var got []string
+		for k, d := range resp.Done {
+			got = append(got, d.Name)
+			if k > 0 && d.StartUs < resp.Done[k-1].StartUs {
+				t.Fatalf("after %d spans: served out of start order: %+v", i+1, resp.Done)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("after %d spans finished %v: served %v, want the last %d finished %v", i+1, finished, got, n, want)
+		}
+		if wantDropped := int64(i + 1 - n); resp.Dropped != wantDropped {
+			t.Fatalf("after %d spans: dropped %d, want %d", i+1, resp.Dropped, wantDropped)
+		}
+	}
 }
 
 // /debug/hist must stay consistent (bucket sums match counts) while

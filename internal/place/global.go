@@ -23,14 +23,18 @@ import (
 // The spread then cuts the slot lattice in two across its longer side,
 // again and again, and hands each half as many instances as its share of
 // the slots, the lowest along that side first (quickselect, ties by
-// index): every instance lands in a slot of its own, and the last spread is
-// the anneal's legal start.
+// index): every instance lands in a slot of its own. Only the last spread,
+// the anneal's legal start, cuts down to single slots. The four before it
+// only anchor the next solve, so they stop at a leaf of at most leafSlots
+// slots and fill its rows in coordinate order, as RePlAce and iPL
+// legalise once, after the global phase (DESIGN.md "Round two of the
+// global step" (c)).
 //
 // globalRounds are the rounds' α and CG steps per axis. HPWL after the
 // whole placement, soc-proxy after synthesis at 0.5 GHz, mean of seeds
 // 1-3, with the flow's budget, relative to the anneal from the scatter: 3
 // rounds 0.97x, 4 rounds 0.95x, 5 0.90x, 7 0.84x, each round two solves
-// and a spread, ~6 ms on soc-proxy. The first solve starts from the
+// and a spread. The first solve starts from the
 // scatter and takes most of the steps; later ones start close to their
 // answer. α from 0.005 up: anchors that start weak, so the first
 // solves are mostly wirelength, and end strong, so the last spread moves
@@ -56,10 +60,18 @@ type globalState struct {
 	// pins is the pin count of nets: what one pass over them visits.
 	pins int
 	keys []uint64 // the spread's instances, as bisect describes
+	// leaf is the most slots a region of this spread may have and be
+	// filled rather than bisected: leafSlots for the intermediate spreads
+	// of a lattice larger than that, 0 otherwise.
+	leaf int
 	// cellW and rowH are a slot's width and a row's height in um, which
 	// bisect weighs a region's sides by.
 	cellW, rowH float64
 }
+
+// leafSlots is the largest region an intermediate spread fills rather than
+// bisects (see bisect).
+const leafSlots = 768
 
 // byDegree is the longest net length nets orders on; longer ones follow
 // all of them, in index order.
@@ -70,21 +82,38 @@ const byDegree = 16
 // pass over the nets is charged to RuntimeProxy at half a unit per pin, so
 // that the proxy stays a stand-in for time: a unit of the anneal (one net
 // of an evaluated move, visited twice) costs ~0.020 us on soc-proxy, and
-// the global step's 64 passes over its 40 k pins take ~31 ms, ~0.012 us a
-// pin.
+// the global step's 64 passes over its 40 k pins ~0.012 us a pin. The
+// spreads are not charged. Since the intermediate spreads fill leaves, a
+// placement is ~8 % (soc-proxy) and ~15 % (pulpino-proxy) faster than with
+// five full-depth spreads (medians of 40 interleaved runs), and the scatter
+// plus the global step take ~22 ms of a ~36 ms soc-proxy placement and
+// ~1.8 of ~2.8 ms on pulpino-proxy (fastest of 41 runs); raw netlists,
+// seeds 1-3, the flow's budget, a 2-vCPU Xeon.
 func (p *placer) globalPlace() {
 	if p.n.NumCells() > 0 {
 		var gs globalState
 		gs.init(p)
-		g := p.g
-		pitchX, pitchY := float32(gs.cellW), float32(gs.rowH)
-		for _, round := range globalRounds {
-			gs.solveAxis(gs.x, 0, g.colX, pitchX, round.alpha, round.steps)
-			gs.solveAxis(gs.y, 16, g.rowY, pitchY, round.alpha, round.steps)
-			gs.spread()
+		for i := range globalRounds {
+			gs.round(i)
 		}
 	}
 	p.rescanAll()
+}
+
+// round runs round i of the global step: a solve per axis, then a spread
+// that fills leaves of up to leafSlots, or, in the last round, bisects down
+// to single slots. A lattice of no more than leafSlots is bisected down to
+// single slots in every round: filling it whole saves microseconds and
+// costs a Tiny design 4-8 % HPWL.
+func (gs *globalState) round(i int) {
+	g, round := gs.p.g, globalRounds[i]
+	gs.solveAxis(gs.x, 0, g.colX, float32(gs.cellW), round.alpha, round.steps)
+	gs.solveAxis(gs.y, 16, g.rowY, float32(gs.rowH), round.alpha, round.steps)
+	leaf := 0
+	if i < len(globalRounds)-1 && len(g.instAt) > leafSlots {
+		leaf = leafSlots
+	}
+	gs.spread(leaf)
 }
 
 // init carves the slab and starts every instance where the grid has it.
@@ -214,9 +243,11 @@ func (gs *globalState) multiply(v, out []float32) (dot float64) {
 }
 
 // spread puts every instance in a slot of its own by recursive bisection
-// of the lattice and writes the assignment to the grid.
-func (gs *globalState) spread() {
+// of the lattice, down to leaves of up to leaf slots, and writes the
+// assignment to the grid.
+func (gs *globalState) spread(leaf int) {
 	g := gs.p.g
+	gs.leaf = leaf
 	for s := range g.instAt {
 		g.instAt[s] = -1
 	}
@@ -228,14 +259,19 @@ func (gs *globalState) spread() {
 // share of the instances, rounded, lowest on that axis first. A key is an
 // instance in its low 32 bits under its coordinate on axis loaded ('x',
 // 'y', or 0 before the first split), as an ordered uint32, in its high 32:
-// ordering keys orders by coordinate, ties by instance.
+// ordering keys orders by coordinate, ties by instance. A region of more
+// than one slot and at most gs.leaf, which only intermediate spreads
+// reach, is a leaf: fill places it without further splits.
 func (gs *globalState) bisect(in rect, keys []uint64, loaded byte) {
 	g := gs.p.g
 	for len(keys) > 0 {
 		cols, rows := in.c1-in.c0+1, in.r1-in.r0+1
 		if cols*rows == 1 {
-			slot, inst := in.r0*g.cols+in.c0, int(uint32(keys[0]))
-			g.slotOf[inst], g.instAt[slot], g.pos[inst] = slot, inst, g.word(slot)
+			gs.put(keys[0], in.r0*g.cols+in.c0)
+			return
+		}
+		if cols*rows <= gs.leaf {
+			gs.fill(in, keys, loaded)
 			return
 		}
 		lo, hi, axis := in, in, byte('y')
@@ -245,14 +281,7 @@ func (gs *globalState) bisect(in rect, keys []uint64, loaded byte) {
 			lo.r1, hi.r0 = in.r0+rows/2-1, in.r0+rows/2
 		}
 		if axis != loaded {
-			coord := gs.x
-			if axis == 'y' {
-				coord = gs.y
-			}
-			for i, key := range keys {
-				inst := uint32(key)
-				keys[i] = uint64(ordered(coord[inst]))<<32 | uint64(inst)
-			}
+			gs.load(keys, axis)
 			loaded = axis
 		}
 		total, capLo := cols*rows, (lo.c1-lo.c0+1)*(lo.r1-lo.r0+1)
@@ -261,6 +290,46 @@ func (gs *globalState) bisect(in rect, keys []uint64, loaded byte) {
 		gs.bisect(lo, keys[:k], loaded)
 		in, keys = hi, keys[k:]
 	}
+}
+
+// fill places the keys of a leaf, no more than its slots, row by row: sorted
+// by y, each row takes its share of them, rounded as bisect rounds a split,
+// and sorted by x they sit across the row at even spacing, the left one
+// first. Both sorts are in place.
+func (gs *globalState) fill(in rect, keys []uint64, loaded byte) {
+	if loaded != 'y' {
+		gs.load(keys, 'y')
+	}
+	slices.Sort(keys)
+	cols, rows := in.c1-in.c0+1, in.r1-in.r0+1
+	for r, done := 0, 0; r < rows; r++ {
+		end := (len(keys)*(r+1) + rows/2) / rows
+		row := keys[done:end]
+		gs.load(row, 'x')
+		slices.Sort(row)
+		for j, key := range row {
+			gs.put(key, (in.r0+r)*gs.p.g.cols+in.c0+(2*j+1)*cols/(2*len(row)))
+		}
+		done = end
+	}
+}
+
+// load writes the instances' coordinates on axis into the keys' high words.
+func (gs *globalState) load(keys []uint64, axis byte) {
+	coord := gs.x
+	if axis == 'y' {
+		coord = gs.y
+	}
+	for i, key := range keys {
+		inst := uint32(key)
+		keys[i] = uint64(ordered(coord[inst]))<<32 | uint64(inst)
+	}
+}
+
+// put seats the instance of key in slot.
+func (gs *globalState) put(key uint64, slot int) {
+	g, inst := gs.p.g, int(uint32(key))
+	g.slotOf[inst], g.instAt[slot], g.pos[inst] = slot, inst, g.word(slot)
 }
 
 // ordered maps a float32 to a uint32 of the same order (-0 below +0).

@@ -118,6 +118,129 @@ func TestGlobalStepDeterministic(t *testing.T) {
 	}
 }
 
+// spreadsOf runs the global step round by round on a fresh placer for
+// spec, checks the placement legal and the kernel state consistent after
+// every spread, intermediate and last, and returns the slot of every
+// instance after each.
+func spreadsOf(t *testing.T, spec netlist.Spec) [][]int {
+	t.Helper()
+	p, _ := newPlacer(context.Background(), netlist.Generate(lib(), spec), Options{Seed: 3})
+	var gs globalState
+	gs.init(p) // from the last spread's placement: the rounds start near their answer
+	var spreads [][]int
+	for i := range globalRounds {
+		gs.round(i)
+		p.rescanAll()
+		checkLegal(t, p)
+		spreads = append(spreads, slices.Clone(p.g.slotOf))
+	}
+	return spreads
+}
+
+// TestSpreadsLegal: every spread of the global step, the intermediate ones
+// that fill leaves and the last that bisects to single slots, leaves each
+// instance in a slot of its own and a consistent kernel state, and two runs
+// spread bit for bit alike. A lattice of one leaf is bisected to single
+// slots in every round; on a larger one the intermediate spreads do fill
+// leaves: refilling one by bisection moves instances.
+func TestSpreadsLegal(t *testing.T) {
+	for _, spec := range []netlist.Spec{netlist.Tiny(2), netlist.PulpinoProxy(1), mid3k} {
+		a, b := spreadsOf(t, spec), spreadsOf(t, spec)
+		for i := range a {
+			if !slices.Equal(a[i], b[i]) {
+				t.Fatalf("%s: spread %d differs between two runs", spec.Name, i)
+			}
+		}
+	}
+	tiny, _ := newPlacer(context.Background(), netlist.Generate(lib(), netlist.Tiny(2)), Options{Seed: 3})
+	var small globalState
+	small.init(tiny)
+	if small.round(0); len(tiny.g.instAt) > leafSlots || small.leaf != 0 {
+		t.Fatalf("Tiny: %d slots, the first spread's leaf %d: want a lattice of one leaf bisected to single slots", len(tiny.g.instAt), small.leaf)
+	}
+	p, _ := newPlacer(context.Background(), netlist.Generate(lib(), mid3k), Options{Seed: 3})
+	if slots := len(p.g.instAt); slots <= 2*leafSlots {
+		t.Fatalf("mid3k has %d slots, too few to split into leaves", slots)
+	}
+	var gs globalState
+	gs.init(p)
+	gs.spread(leafSlots)
+	filled := slices.Clone(p.g.slotOf)
+	gs.spread(0)
+	if slices.Equal(filled, p.g.slotOf) {
+		t.Fatal("mid3k: an intermediate spread placed as the last one does")
+	}
+}
+
+// TestFillLeaf fills leaves of the Tiny design's lattice directly: a leaf
+// with fewer instances than slots, a full one, a one-row and a one-column
+// leaf. Every instance lands in a slot of its own inside the leaf; the
+// rows take the instances in y order, each an even share of them, and a
+// row holds its instances left to right in x order.
+func TestFillLeaf(t *testing.T) {
+	p, _ := newPlacer(context.Background(), netlist.Generate(lib(), netlist.Tiny(2)), Options{Seed: 3})
+	cols, rows := p.g.cols, len(p.g.rowY)
+	if cols < 6 || rows < 5 || p.n.NumCells() < 30 {
+		t.Fatalf("a %d x %d lattice for %d cells is too small for the leaves below", cols, rows, p.n.NumCells())
+	}
+	var gs globalState
+	gs.init(p)
+	for _, tc := range []struct {
+		name  string
+		in    rect
+		insts int
+	}{
+		{"fewer instances than slots", rect{1, 1, 5, 4}, 13},
+		{"full", rect{0, 0, 5, 4}, 30},
+		{"one row", rect{0, 2, cols - 1, 2}, cols - 2},
+		{"one column", rect{3, 0, 3, rows - 1}, rows - 1},
+		{"one instance", rect{0, 0, 5, 4}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for s := range p.g.instAt {
+				p.g.instAt[s] = -1
+			}
+			keys := make([]uint64, tc.insts)
+			for i := range keys {
+				keys[i] = uint64(i)
+			}
+			gs.fill(tc.in, keys, 0)
+			byRow := map[int][]int{}
+			for inst := range tc.insts {
+				slot := p.g.slotOf[inst]
+				c, r := slot%cols, slot/cols
+				if c < tc.in.c0 || c > tc.in.c1 || r < tc.in.r0 || r > tc.in.r1 {
+					t.Fatalf("inst %d in slot (%d, %d), outside the leaf %+v", inst, c, r, tc.in)
+				}
+				if p.g.instAt[slot] != inst || p.g.pos[inst] != posWord(p.g, slot) {
+					t.Fatalf("inst %d: slot %d holds %d, pos %#x", inst, slot, p.g.instAt[slot], p.g.pos[inst])
+				}
+				byRow[r] = append(byRow[r], inst)
+			}
+			n, leafRows := tc.insts, tc.in.r1-tc.in.r0+1
+			for r := tc.in.r0; r <= tc.in.r1; r++ {
+				if got := len(byRow[r]); got < n/leafRows || got > (n+leafRows-1)/leafRows {
+					t.Fatalf("row %d holds %d of %d instances over %d rows", r, got, n, leafRows)
+				}
+				// Left to right, a row's instances are in x order, and
+				// every one of them is at or above every one of the row
+				// below in y.
+				slices.SortFunc(byRow[r], func(a, b int) int { return p.g.slotOf[a] - p.g.slotOf[b] })
+				for j, inst := range byRow[r] {
+					if j > 0 && gs.x[inst] < gs.x[byRow[r][j-1]] {
+						t.Fatalf("row %d: inst %d at x %v right of inst %d at x %v", r, inst, gs.x[inst], byRow[r][j-1], gs.x[byRow[r][j-1]])
+					}
+					for _, below := range byRow[r-1] {
+						if gs.y[inst] < gs.y[below] {
+							t.Fatalf("inst %d at y %v in row %d, inst %d at y %v in the row below", inst, gs.y[inst], r, below, gs.y[below])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestGlobalPlaceAllocs pins the global step's memory: its slab, at most 32
 // bytes an instance and 8 a net, in a constant number of allocations — no
 // edge list, nothing grown per solve. An edge list appended on every solve

@@ -225,7 +225,7 @@ const abortCheckMoves = 512
 
 // PlaceCtx is Place with cooperative cancellation: the anneal polls ctx
 // between move blocks and bails out once it is cancelled (the global step
-// before it runs to the end: ~35 ms on soc-proxy). The second
+// before it runs to the end: ~22 ms on soc-proxy). The second
 // return is false for an aborted anneal — its Result and the netlist's
 // coordinates are then partial and must be discarded. Cancellation
 // lets a campaign teardown or the stage watchdog reclaim the anneal

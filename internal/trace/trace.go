@@ -380,6 +380,32 @@ func (t *Tracer) Snapshot() (spans []SpanData, dropped int64) {
 	return t.collect(false)
 }
 
+// Recent returns the n retained spans that finished last (or were ingested
+// last), sorted like Snapshot, plus how many spans are retained in all and
+// the count dropped to the retention limit. It copies the ring's newest n
+// slots under the lock and no more, so a scrape that serves a few spans
+// does not pay for a full ring.
+func (t *Tracer) Recent(n int) (spans []SpanData, retained int, dropped int64) {
+	spans = make([]SpanData, 0, max(n, 0))
+	t.mu.Lock()
+	retained, dropped = len(t.done), t.dropped
+	n = min(max(n, 0), retained)
+	// The newest span sits just before t.next in a full ring, and at the
+	// end of one still filling (where t.next is 0).
+	end := t.next
+	if end == 0 {
+		end = retained
+	}
+	if n <= end {
+		spans = append(spans, t.done[end-n:end]...)
+	} else {
+		spans = append(append(spans, t.done[retained-(n-end):]...), t.done[:end]...)
+	}
+	t.mu.Unlock()
+	sortByStart(spans)
+	return spans, retained, dropped
+}
+
 // collect copies the retained spans under the lock, emptying the ring
 // when drain is set, and sorts the copy outside it. The copy is sized
 // outside the lock too: allocating a full ring under it stalls every
@@ -396,13 +422,18 @@ func (t *Tracer) collect(drain bool) ([]SpanData, int64) {
 		t.done, t.next = t.done[:0], 0
 	}
 	t.mu.Unlock()
+	sortByStart(spans)
+	return spans, dropped
+}
+
+// sortByStart orders spans by start time, ties by id.
+func sortByStart(spans []SpanData) {
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].Start != spans[j].Start {
 			return spans[i].Start < spans[j].Start
 		}
 		return spans[i].ID < spans[j].ID
 	})
-	return spans, dropped
 }
 
 // LiveSpan is a point-in-time view of an unfinished span.

@@ -15,10 +15,11 @@
 #                             WAL replay against json.Unmarshal), of the
 #                             placer's net extremes (FuzzNetExtremes)
 #                             and of the one-walk net electricals
-#                             (FuzzElectricals);
-#                             the last line printed is this default
-#                             tier's wall time (and the whole run's,
-#                             when a mode below follows it)
+#                             (FuzzElectricals), then
+#                             scripts/probeparity.sh; the last two lines
+#                             printed are the probe's residue and this
+#                             default tier's wall time (and the whole
+#                             run's, when a mode below follows it)
 #   scripts/check.sh bench    also run every Benchmark...Gate: each runs
 #                             its benchmark pair at the pair's own
 #                             -benchtime and min-of-N, logs both sides,
@@ -143,6 +144,11 @@ for target in internal/campaign:FuzzDecodeEntry internal/journal:FuzzJournalDeco
     internal/warehouse:FuzzDecodeRecord cmd/metricsd:FuzzCampaignSpec; do
     go test -run='^$' -fuzz="^${target#*:}\$" -fuzztime=10s -fuzzminimizetime=100x "./${target%%:*}"
 done
+# Where the benchmark's host-probe loop lands in this checkout's benchmark
+# binary: wall_ref_s compares two commits only at the same residue
+# (ROADMAP aim 1), so every gate run puts it on record, printed beside the
+# closing line.
+parity=$(scripts/probeparity.sh)
 # Every mode below runs after the default tier; its time is kept for the
 # closing line.
 tier_s=$SECONDS
@@ -627,4 +633,5 @@ if [ "${1:-}" = "obs" ]; then
     echo "obs_gate=ok"
 fi
 
+echo "$parity"
 echo "check: default tier ${tier_s}s, total ${SECONDS}s"

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -35,7 +36,7 @@ func golden(scale func(key string) float64) []string {
 }
 
 // fenceOf runs the fence over two files holding the given rows.
-func fenceOf(t *testing.T, mode []string, before, after []string) (failed []string, out string) {
+func fenceOf(t *testing.T, mode []string, before, after []string, reasons ...string) (failed []string, out string) {
 	t.Helper()
 	dir := t.TempDir()
 	paths := []string{filepath.Join(dir, "before.txt"), filepath.Join(dir, "after.txt")}
@@ -45,7 +46,7 @@ func fenceOf(t *testing.T, mode []string, before, after []string) (failed []stri
 		}
 	}
 	var sb strings.Builder
-	failed, err := run(append(mode, paths...), &sb)
+	failed, err := run(append(append(mode, paths...), reasons...), &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +82,13 @@ func replace(old, new string) func(string) string {
 // rule one pair of files that breaks it — and nothing else — fails naming it.
 func TestRerecordRules(t *testing.T) {
 	one := func(string) float64 { return 1 }
-	// The change as measured: every placed row shorter.
-	improved := func(string) float64 { return 0.80 }
+	// Every placed row shorter but one, which is inside rule 3's bound.
+	improved := func(key string) float64 {
+		if key == "place/mid3k/s1/w0/p1" {
+			return 1.029
+		}
+		return 0.80
+	}
 	before, after := golden(one), golden(improved)
 	if failed, out := fenceOf(t, nil, before, after); len(failed) != 0 {
 		t.Fatalf("a re-record inside every bound failed:\n%s", out)
@@ -111,8 +117,8 @@ func TestRerecordRules(t *testing.T) {
 		{"rule1/another column removed", before, edit(t, after, "place/mid3k/s1/w0/p1", replace(" batch=0", "")), "rule 1: place/mid3k/s1/w0/p1 has columns"},
 		{"rule2/synth moved", before, edit(t, after, "synth/mid3k/s2/e1", replace("upsized=3", "upsized=4")), "rule 2: synth/mid3k/s2/e1 moved"},
 		{"rule2/scatter moved", before, edit(t, after, "place/mid3k/s2/w0/p2", replace("init="+hex(5000), "init="+hex(5001))), "rule 2: place/mid3k/s2/w0/p2: init="},
-		{"rule3/w0 row worse", before, scaled("place/pulpino-proxy/s2/w0/p2", 1.001), "rule 3: place/pulpino-proxy/s2/w0/p2"},
-		{"rule3/serial flow worse", before, scaled("flow/pulpino-proxy/s2/serial", 1.001), "rule 3: flow/pulpino-proxy/s2/serial"},
+		{"rule3/w0 row worse", before, scaled("place/pulpino-proxy/s2/w0/p2", 1.031), "rule 3: place/pulpino-proxy/s2/w0/p2"},
+		{"rule3/serial flow worse", before, scaled("flow/pulpino-proxy/s2/serial", 1.031), "rule 3: flow/pulpino-proxy/s2/serial"},
 		{"rule4/area moved", before, edit(t, after, "flow/mid3k/s3/serial", replace("area="+hex(77), "area="+hex(78))), "rule 4: flow/mid3k/s3/serial: area="},
 		{"rule4/serial WNS worse", before, edit(t, after, "flow/mid3k/s3/serial", replace("wns="+hex(-400), "wns="+hex(-401))), "rule 4: mean WNS of the serial rows fell"},
 	} {
@@ -159,5 +165,65 @@ func TestColumnsMode(t *testing.T) {
 	}
 	if _, err := run([]string{"only-one.txt"}, io.Discard); err == nil {
 		t.Error("one argument accepted")
+	}
+}
+
+// figsFile builds a file shaped like testdata/figs_small.txt: one block per
+// artefact, each followed by a blank line, with the blocks of moved
+// replaced.
+func figsFile(moved map[string][]string) []string {
+	var lines []string
+	for _, name := range artefactNames() {
+		block, ok := moved[name]
+		if !ok {
+			block = []string{"Report " + name, "row 1  0.50", "row 2  0.75"}
+		}
+		lines = append(append(lines, block...), "")
+	}
+	return lines[:len(lines)-1] // fenceOf ends the file with a newline
+}
+
+// TestFigsMode: an unchanged file passes, a moved block named with a reason
+// passes and prints its diff, and a moved block nobody named fails, as do
+// a named block that did not move, a name without a reason or artefact,
+// and a file with a block too many.
+func TestFigsMode(t *testing.T) {
+	before := figsFile(nil)
+	moved := figsFile(map[string][]string{"fig6b": {"Report fig6b", "row 1  0.55", "row 2  0.75"}})
+	figs := func(before, after []string, reasons ...string) ([]string, string) {
+		return fenceOf(t, []string{"-figs"}, before, after, reasons...)
+	}
+	count := len(artefactNames())
+	if failed, out := figs(before, before); len(failed) != 0 || !strings.Contains(out, fmt.Sprintf("0 of %d artefacts moved", count)) {
+		t.Fatalf("an unchanged file: failed %q\n%s", failed, out)
+	}
+	failed, out := figs(before, moved, "fig6b=the anneal starts elsewhere")
+	if len(failed) != 0 {
+		t.Fatalf("a named moved block failed %q\n%s", failed, out)
+	}
+	if want := fmt.Sprintf("### fig6b: the anneal starts elsewhere\n- row 1  0.50\n+ row 1  0.55\n\n1 of %d artefacts moved\n", count); out != want {
+		t.Fatalf("printed\n%s\nwant\n%s", out, want)
+	}
+	for _, tc := range []struct {
+		name    string
+		after   []string
+		reasons []string
+		want    string
+	}{
+		{"unnamed moved block", moved, nil, "fig6b moved, and the command line does not name it"},
+		{"another block named", moved, []string{"fig6b=placement", "fig7=sampling"}, "fig7 is named but did not move"},
+		{"no reason", moved, []string{"fig6b= "}, "fig6b is named without a reason"},
+		{"no such artefact", moved, []string{"fig6b=placement", "fig12=x"}, "fig12 is named but is no artefact"},
+		{"a blank line inside a report", figsFile(map[string][]string{"fig1": {"Report fig1", "", "row"}}), []string{"fig1=split"}, fmt.Sprintf("after: %d blocks for %d artefacts", count+1, count)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			failed, out := figs(before, tc.after, tc.reasons...)
+			if !slices.Contains(failed, tc.want) {
+				t.Fatalf("failed %q, want %q\n%s", failed, tc.want, out)
+			}
+		})
+	}
+	if _, err := run([]string{"-figs", "a.txt", "b.txt", "fig6b"}, io.Discard); err == nil {
+		t.Error("a name without =reason accepted")
 	}
 }
