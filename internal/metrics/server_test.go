@@ -208,6 +208,27 @@ func TestDebugSpansServesLastFinished(t *testing.T) {
 			t.Fatalf("after %d spans: dropped %d, want %d", i+1, resp.Dropped, wantDropped)
 		}
 	}
+	// An n far beyond the ring serves what the ring holds, and allocates
+	// no more than that.
+	var resp struct {
+		Done []struct {
+			Name string `json:"name"`
+		} `json:"done"`
+		Dropped int64 `json:"dropped"`
+	}
+	_, _, body := get(t, base+"/debug/spans?n=1000000000000")
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, body)
+	}
+	var got []string
+	for _, d := range resp.Done {
+		got = append(got, d.Name)
+	}
+	want := slices.Clone(finished[len(finished)-ring:])
+	slices.Sort(want)
+	if !slices.Equal(got, want) || resp.Dropped != int64(len(spans)-ring) {
+		t.Fatalf("n=1e12: served %v, dropped %d; want %v, dropped %d", got, resp.Dropped, want, len(spans)-ring)
+	}
 }
 
 // /debug/hist must stay consistent (bucket sums match counts) while

@@ -60,10 +60,6 @@ type globalState struct {
 	// pins is the pin count of nets: what one pass over them visits.
 	pins int
 	keys []uint64 // the spread's instances, as bisect describes
-	// leaf is the most slots a region of this spread may have and be
-	// filled rather than bisected: leafSlots for the intermediate spreads
-	// of a lattice larger than that, 0 otherwise.
-	leaf int
 	// cellW and rowH are a slot's width and a row's height in um, which
 	// bisect weighs a region's sides by.
 	cellW, rowH float64
@@ -247,11 +243,10 @@ func (gs *globalState) multiply(v, out []float32) (dot float64) {
 // assignment to the grid.
 func (gs *globalState) spread(leaf int) {
 	g := gs.p.g
-	gs.leaf = leaf
 	for s := range g.instAt {
 		g.instAt[s] = -1
 	}
-	gs.bisect(rect{0, 0, g.cols - 1, len(g.rowY) - 1}, gs.keys, 0)
+	gs.bisect(rect{0, 0, g.cols - 1, len(g.rowY) - 1}, gs.keys, 0, leaf)
 }
 
 // bisect assigns the instances of keys, no more than the slots of in, to
@@ -260,9 +255,9 @@ func (gs *globalState) spread(leaf int) {
 // instance in its low 32 bits under its coordinate on axis loaded ('x',
 // 'y', or 0 before the first split), as an ordered uint32, in its high 32:
 // ordering keys orders by coordinate, ties by instance. A region of more
-// than one slot and at most gs.leaf, which only intermediate spreads
-// reach, is a leaf: fill places it without further splits.
-func (gs *globalState) bisect(in rect, keys []uint64, loaded byte) {
+// than one slot and at most leaf, which only intermediate spreads pass
+// above 0, is a leaf: fill places it without further splits.
+func (gs *globalState) bisect(in rect, keys []uint64, loaded byte, leaf int) {
 	g := gs.p.g
 	for len(keys) > 0 {
 		cols, rows := in.c1-in.c0+1, in.r1-in.r0+1
@@ -270,8 +265,8 @@ func (gs *globalState) bisect(in rect, keys []uint64, loaded byte) {
 			gs.put(keys[0], in.r0*g.cols+in.c0)
 			return
 		}
-		if cols*rows <= gs.leaf {
-			gs.fill(in, keys, loaded)
+		if cols*rows <= leaf {
+			gs.fill(in, keys)
 			return
 		}
 		lo, hi, axis := in, in, byte('y')
@@ -287,7 +282,7 @@ func (gs *globalState) bisect(in rect, keys []uint64, loaded byte) {
 		total, capLo := cols*rows, (lo.c1-lo.c0+1)*(lo.r1-lo.r0+1)
 		k := min(max((len(keys)*capLo+total/2)/total, len(keys)-(total-capLo)), capLo)
 		selectLowest(keys, k)
-		gs.bisect(lo, keys[:k], loaded)
+		gs.bisect(lo, keys[:k], loaded, leaf)
 		in, keys = hi, keys[k:]
 	}
 }
@@ -296,10 +291,8 @@ func (gs *globalState) bisect(in rect, keys []uint64, loaded byte) {
 // by y, each row takes its share of them, rounded as bisect rounds a split,
 // and sorted by x they sit across the row at even spacing, the left one
 // first. Both sorts are in place.
-func (gs *globalState) fill(in rect, keys []uint64, loaded byte) {
-	if loaded != 'y' {
-		gs.load(keys, 'y')
-	}
+func (gs *globalState) fill(in rect, keys []uint64) {
+	gs.load(keys, 'y')
 	slices.Sort(keys)
 	cols, rows := in.c1-in.c0+1, in.r1-in.r0+1
 	for r, done := 0, 0; r < rows; r++ {

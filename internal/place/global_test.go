@@ -155,8 +155,10 @@ func TestSpreadsLegal(t *testing.T) {
 	tiny, _ := newPlacer(context.Background(), netlist.Generate(lib(), netlist.Tiny(2)), Options{Seed: 3})
 	var small globalState
 	small.init(tiny)
-	if small.round(0); len(tiny.g.instAt) > leafSlots || small.leaf != 0 {
-		t.Fatalf("Tiny: %d slots, the first spread's leaf %d: want a lattice of one leaf bisected to single slots", len(tiny.g.instAt), small.leaf)
+	small.round(0)
+	first := slices.Clone(tiny.g.slotOf)
+	if small.spread(0); len(tiny.g.instAt) > leafSlots || !slices.Equal(first, tiny.g.slotOf) {
+		t.Fatalf("Tiny: %d slots: want a lattice of one leaf bisected to single slots in the first round", len(tiny.g.instAt))
 	}
 	p, _ := newPlacer(context.Background(), netlist.Generate(lib(), mid3k), Options{Seed: 3})
 	if slots := len(p.g.instAt); slots <= 2*leafSlots {
@@ -204,7 +206,7 @@ func TestFillLeaf(t *testing.T) {
 			for i := range keys {
 				keys[i] = uint64(i)
 			}
-			gs.fill(tc.in, keys, 0)
+			gs.fill(tc.in, keys)
 			byRow := map[int][]int{}
 			for inst := range tc.insts {
 				slot := p.g.slotOf[inst]

@@ -384,23 +384,27 @@ func (t *Tracer) Snapshot() (spans []SpanData, dropped int64) {
 // last), sorted like Snapshot, plus how many spans are retained in all and
 // the count dropped to the retention limit. It copies the ring's newest n
 // slots under the lock and no more, so a scrape that serves a few spans
-// does not pay for a full ring.
+// does not pay for a full ring. The copy is sized outside the lock, as in
+// collect, and never beyond what the ring holds, whatever n asks for: n
+// may come straight from a query string.
 func (t *Tracer) Recent(n int) (spans []SpanData, retained int, dropped int64) {
-	spans = make([]SpanData, 0, max(n, 0))
+	n = max(n, 0)
+	t.mu.Lock()
+	size := min(n, len(t.done))
+	t.mu.Unlock()
+	spans = make([]SpanData, 0, size)
 	t.mu.Lock()
 	retained, dropped = len(t.done), t.dropped
-	n = min(max(n, 0), retained)
+	n = min(n, retained)
 	// The newest span sits just before t.next in a full ring, and at the
-	// end of one still filling (where t.next is 0).
+	// end of one still filling (where t.next is 0). The newest n run back
+	// from there, past slot 0 to the ring's end if they must.
 	end := t.next
 	if end == 0 {
 		end = retained
 	}
-	if n <= end {
-		spans = append(spans, t.done[end-n:end]...)
-	} else {
-		spans = append(append(spans, t.done[retained-(n-end):]...), t.done[:end]...)
-	}
+	newer := t.done[max(end-n, 0):end]
+	spans = append(append(spans, t.done[retained-(n-len(newer)):]...), newer...)
 	t.mu.Unlock()
 	sortByStart(spans)
 	return spans, retained, dropped

@@ -211,6 +211,22 @@ func TestRetentionLimitDrops(t *testing.T) {
 	}
 }
 
+// TestRecentSizedByRing: Recent asked for far more spans than the tracer
+// holds, capped or not, allocates and serves only what it holds.
+func TestRecentSizedByRing(t *testing.T) {
+	for _, limit := range []int{0, 10} {
+		tr := New(limit)
+		for range 25 {
+			_, sp := tr.StartOn(context.Background(), "x")
+			sp.End()
+		}
+		spans, retained, _ := tr.Recent(1 << 40)
+		if len(spans) != retained || cap(spans) != retained {
+			t.Fatalf("limit %d: served %d (cap %d) of %d retained", limit, len(spans), cap(spans), retained)
+		}
+	}
+}
+
 func TestLiveSpans(t *testing.T) {
 	tr := New(0)
 	Enable(tr)
