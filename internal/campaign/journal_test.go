@@ -482,8 +482,10 @@ func TestResumeParentWrittenJournal(t *testing.T) {
 // the run's speculation outcome and each Options its speculation config.
 // Every record still decodes — gob skips the fields this tree lacks — and
 // since every key ends in "spec=true stol=1", which no point of this tree
-// spells, the whole journal counts as skipped while the same sweep
-// computes afresh to the results the speculative run journaled.
+// spells, the whole journal counts as skipped and the sweep computes
+// afresh: its results are those of the same sweep run with no journal.
+// The journaled results themselves are not compared: they are the QoR of
+// a build that no longer exists, and any kernel change moves them.
 func TestOpenParentWrittenSpeculativeJournal(t *testing.T) {
 	dir := copyJournal(t, filepath.Join("testdata", "journal_parent_spec"))
 	log, err := journal.Open(dir, journal.Options{})
@@ -513,6 +515,11 @@ func TestOpenParentWrittenSpeculativeJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := New(Config{Workers: 2}).Run(context.Background(), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, "all-skipped resume", got, want)
 	if len(journaled) != len(pts) || st != (ResumeStats{SkippedUnknown: len(pts)}) {
 		t.Fatalf("%d records decoded, stats %+v: want %d records, all skipped", len(journaled), st, len(pts))
 	}
@@ -525,8 +532,8 @@ func TestOpenParentWrittenSpeculativeJournal(t *testing.T) {
 		if !ok {
 			t.Fatalf("point %d: no speculative record for %q", i, key)
 		}
-		if !reflect.DeepEqual(e.Res, got[i].Summary()) || len(e.Steps) != 6 {
-			t.Fatalf("point %d: journaled %+v, computed %+v", i, e.Res, got[i].Summary())
+		if len(e.Steps) != 6 {
+			t.Fatalf("point %d: journaled %d step records, want the flow's 6", i, len(e.Steps))
 		}
 	}
 }

@@ -25,9 +25,9 @@ import (
 //	/stats        counter dump
 //	/metrics      plain-text exposition of every counter and histogram
 //	              (one "name value" / histogram line each)
-//	/debug/spans  JSON snapshot of the armed tracer: in-flight spans
-//	              (what the campaign is doing right now) and recent
-//	              finished spans
+//	/debug/spans  JSON snapshot of the armed tracer: the spans that
+//	              finished last (a wedged stage shows as the watchdog's
+//	              hung span, its goroutine on /debug/pprof/goroutine)
 //	/debug/hist   plain-text per-span-name latency quantiles
 //	/debug/pprof  the standard net/http/pprof handlers
 type Server struct {
@@ -149,16 +149,8 @@ func handleMetrics(w http.ResponseWriter, r *http.Request) {
 // spansResponse is the /debug/spans JSON shape.
 type spansResponse struct {
 	Enabled bool       `json:"enabled"`
-	Live    []liveSpan `json:"live,omitempty"`
 	Done    []doneSpan `json:"done,omitempty"`
 	Dropped int64      `json:"dropped,omitempty"`
-}
-
-type liveSpan struct {
-	ID     uint64  `json:"id"`
-	Parent uint64  `json:"parent,omitempty"`
-	Name   string  `json:"name"`
-	AgeUs  float64 `json:"age_us"`
 }
 
 type doneSpan struct {
@@ -171,13 +163,12 @@ type doneSpan struct {
 	Attrs   map[string]string `json:"attrs,omitempty"`
 }
 
-// handleSpans is the live campaign introspection endpoint: the armed
-// tracer's in-flight spans (oldest first — a wedged stage shows up at
-// the top with a growing age) plus up to ?n= most recent finished
-// spans (default 100), sorted by start. Most recent means most recently
-// finished: the ring's newest n slots, read in O(n) however many spans
-// it retains. dropped counts the spans the ring dropped plus the
-// retained ones not served.
+// handleSpans is the live campaign introspection endpoint: up to ?n=
+// of the armed tracer's most recent finished spans (default 100),
+// sorted by start. Most recent means most recently finished: the ring's
+// newest n slots, read in O(n) however many spans it retains. dropped
+// counts the spans the ring dropped plus the retained ones not served.
+// Spans still running are not listed; the tracer does not hold them.
 func handleSpans(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	t := trace.Active()
@@ -192,12 +183,6 @@ func handleSpans(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp := spansResponse{Enabled: true}
-	for _, ls := range t.Live() {
-		resp.Live = append(resp.Live, liveSpan{
-			ID: ls.ID, Parent: ls.Parent, Name: ls.Name,
-			AgeUs: float64(ls.Age.Nanoseconds()) / 1e3,
-		})
-	}
 	done, retained, dropped := t.Recent(limit)
 	resp.Dropped = dropped + int64(retained-len(done))
 	for _, sd := range done {

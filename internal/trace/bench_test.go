@@ -21,8 +21,10 @@ func BenchmarkSpanDisabled(b *testing.B) {
 
 // BenchmarkSpanEnabled measures the armed cost of a full
 // start/annotate/end cycle into the collector + histogram: with a small
-// cap, unbounded, and at DefaultRetention pre-filled past the cap, so
-// that every finished span evicts the oldest one.
+// cap, unbounded, at DefaultRetention pre-filled past the cap, so that
+// every finished span evicts the oldest one, and from GOMAXPROCS
+// goroutines at once into the small cap, where they contend for the
+// tracer's lock.
 func BenchmarkSpanEnabled(b *testing.B) {
 	for _, c := range []struct {
 		name           string
@@ -50,4 +52,17 @@ func BenchmarkSpanEnabled(b *testing.B) {
 			}
 		})
 	}
+	b.Run("parallel", func(b *testing.B) {
+		Enable(New(1024))
+		defer Disable()
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			ctx := context.Background()
+			for i := int64(0); pb.Next(); i++ {
+				_, sp := Start(ctx, "bench.unit")
+				sp.SetInt("i", i)
+				sp.End()
+			}
+		})
+	})
 }

@@ -48,8 +48,9 @@ func category(name string) string {
 // WriteChromeTrace exports every retained finished span as Chrome
 // trace_event JSON. Events are sorted by start time then id, so the
 // output is stable for a deterministic span set (fixed clock, fixed id
-// order). Live (unfinished) spans are not exported — export after the
-// campaign completes, or accept holes.
+// order). A span that has not ended is not exported, since the tracer
+// holds no span before End: export after the campaign completes, or
+// accept holes.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	spans, dropped := t.Snapshot()
 

@@ -6,13 +6,15 @@
 // timed interval with an outcome, attributes, and a parent, so a whole
 // overnight campaign reconstructs into one hierarchical timeline.
 //
-// Spans propagate through context.Context, record into an in-memory
-// collector (one lock, one bounded ring of finished spans), and feed
-// per-name log-bucketed latency histograms (p50/p90/p99 snapshots).
-// A finished trace exports as Chrome trace_event JSON (see chrome.go)
-// and opens directly in chrome://tracing or Perfetto; live spans are
-// visible on the METRICS server's /debug/spans endpoint while the
-// campaign is still running.
+// Spans propagate through context.Context and, once they end, record
+// into an in-memory collector (one lock, one bounded ring of finished
+// spans) and feed per-name log-bucketed latency histograms
+// (p50/p90/p99 snapshots). The tracer holds no span before it ends: a
+// span that is never ended is garbage once its starter drops it. A
+// finished trace exports as Chrome trace_event JSON (see chrome.go)
+// and opens directly in chrome://tracing or Perfetto; the spans that
+// finished last are visible on the METRICS server's /debug/spans
+// endpoint while the campaign is still running.
 //
 // Tracing is off by default and must cost nothing when off: Start on a
 // disabled tracer is a single atomic load + nil check, every *Span
@@ -71,9 +73,8 @@ type SpanData struct {
 
 // Span is an in-flight span. The zero of *Span is nil, and every method
 // is a no-op on a nil receiver — the disabled-tracer fast path.
-// A span is owned by the goroutine that started it; only the immutable
-// identity fields (ID, Parent, Name, start) are read concurrently by
-// the live-span snapshot.
+// A span is owned by the goroutine that started it, and the tracer
+// never sees it until End copies it into the ring.
 type Span struct {
 	tr     *Tracer
 	id     uint64
@@ -102,8 +103,7 @@ type Tracer struct {
 	limit int
 
 	// mu guards everything below.
-	mu   sync.Mutex
-	live map[uint64]*Span
+	mu sync.Mutex
 	// done holds the retained finished spans. With a limit it is a ring:
 	// once len(done) == limit, done[next] is the oldest span, the slot
 	// the next finished span overwrites.
@@ -131,15 +131,15 @@ type Config struct {
 }
 
 // New creates a tracer retaining up to limit finished spans
-// (limit <= 0 = unbounded). Histograms and live-span tracking are
-// always on; only the finished-span buffer is bounded.
+// (limit <= 0 = unbounded). Histograms are always on; only the
+// finished-span buffer is bounded.
 func New(limit int) *Tracer {
 	return NewCfg(Config{Retention: limit})
 }
 
 // NewCfg creates a tracer from a Config.
 func NewCfg(cfg Config) *Tracer {
-	t := &Tracer{epoch: time.Now(), hists: NewHistSet(), limit: cfg.Retention, live: map[uint64]*Span{}}
+	t := &Tracer{epoch: time.Now(), hists: NewHistSet(), limit: cfg.Retention}
 	t.now = func() time.Duration { return time.Since(t.epoch) }
 	t.ids.Store(uint64(cfg.NodeID) << 48)
 	return t
@@ -159,13 +159,7 @@ func (t *Tracer) SetClock(now func() time.Duration) { t.now = now }
 var active atomic.Pointer[Tracer]
 
 // Enable arms t as the process-wide tracer (nil disables).
-func Enable(t *Tracer) {
-	if t == nil {
-		active.Store(nil)
-		return
-	}
-	active.Store(t)
-}
+func Enable(t *Tracer) { active.Store(t) }
 
 // Disable turns process-wide tracing off.
 func Disable() { active.Store(nil) }
@@ -268,16 +262,9 @@ func (t *Tracer) start(name string, parent, root uint64) *Span {
 		name:   name,
 		start:  t.now(),
 	}
-	if s.root == 0 {
-		if parent != 0 {
-			s.root = parent
-		} else {
-			s.root = s.id
-		}
+	if s.root == 0 { // no parent: the span roots its own trace
+		s.root = s.id
 	}
-	t.mu.Lock()
-	t.live[s.id] = s
-	t.mu.Unlock()
 	return s
 }
 
@@ -353,7 +340,6 @@ func (t *Tracer) finish(s *Span, dur time.Duration) {
 		Start: s.start, Dur: dur, Outcome: s.out, Attrs: s.attrs,
 	}
 	t.mu.Lock()
-	delete(t.live, s.id)
 	t.keepLocked(sd)
 	t.mu.Unlock()
 	t.hists.Observe(s.name, dur)
@@ -438,39 +424,6 @@ func sortByStart(spans []SpanData) {
 		}
 		return spans[i].ID < spans[j].ID
 	})
-}
-
-// LiveSpan is a point-in-time view of an unfinished span.
-type LiveSpan struct {
-	ID     uint64
-	Parent uint64
-	Name   string
-	Start  time.Duration
-	Age    time.Duration
-}
-
-// Live snapshots the currently in-flight spans, oldest first — the
-// "what is my campaign doing right now" view behind /debug/spans.
-// Only identity fields are read; attributes stay owned by the span's
-// goroutine.
-func (t *Tracer) Live() []LiveSpan {
-	now := t.now()
-	var out []LiveSpan
-	t.mu.Lock()
-	for _, s := range t.live {
-		out = append(out, LiveSpan{
-			ID: s.id, Parent: s.parent, Name: s.name,
-			Start: s.start, Age: now - s.start,
-		})
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }
 
 // Drain removes and returns every retained finished span, sorted like

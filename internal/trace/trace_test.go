@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -227,27 +228,29 @@ func TestRecentSizedByRing(t *testing.T) {
 	}
 }
 
-func TestLiveSpans(t *testing.T) {
+// TestAbandonedSpanIsCollected: the tracer holds no span before it ends,
+// so a span its starter drops without End — an inner span of a stage
+// goroutine the watchdog reaped and abandoned — is garbage, not a span
+// the tracer keeps for the life of the process.
+func TestAbandonedSpanIsCollected(t *testing.T) {
 	tr := New(0)
-	Enable(tr)
+	Enable(tr) // the armed tracer stays reachable through Active
 	defer Disable()
-	ctx, root := Start(context.Background(), "campaign.run")
-	_, child := Start(ctx, "flow.run")
-
-	live := tr.Live()
-	if len(live) != 2 {
-		t.Fatalf("live %d, want 2", len(live))
-	}
-	if live[0].Name != "campaign.run" || live[1].Name != "flow.run" {
-		t.Fatalf("live order %q, %q", live[0].Name, live[1].Name)
-	}
-	if live[1].Parent != root.ID() {
-		t.Fatal("live child parent wrong")
-	}
-	child.End()
-	root.End()
-	if got := tr.Live(); len(got) != 0 {
-		t.Fatalf("live after end: %d", len(got))
+	collected := make(chan struct{})
+	func() {
+		_, sp := Start(context.Background(), "abandoned")
+		runtime.SetFinalizer(sp, func(*Span) { close(collected) })
+	}()
+	deadline := time.After(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("a span that was never ended outlived its starter: the tracer still holds it")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }
 
