@@ -18,6 +18,7 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/memplace"
 	"repro/internal/ml"
+	"repro/internal/num"
 	"repro/internal/partition"
 	"repro/internal/pkglayout"
 	"repro/internal/schedule"
@@ -79,7 +80,7 @@ func LastMile(scale Scale, seed int64) LastMileResult {
 		res.TimingRobotWNSGain = (fix.WNSAfter - fix.WNSBefore) / float64(fix.TimerRuns)
 	}
 	naive := design.Clone()
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(num.NewRand(seed))
 	before := sta.Analyze(naive, sta.Config{Engine: sta.Signoff})
 	timerRuns := 1
 	for pass := 0; pass < fix.TimerRuns-1; pass++ {
@@ -101,7 +102,7 @@ func LastMile(scale Scale, seed int64) LastMileResult {
 	}
 	mem, _, _ := campaign.Map(ctx, eng, trials, func(i int) memTrial { //nolint:errcheck // background ctx never cancels
 		s := int64(i)
-		rng := rand.New(rand.NewSource(seed + s))
+		rng := rand.New(num.NewRand(seed + s))
 		b := memplace.Block{W: 100, H: 100}
 		macros := make([]memplace.Macro, 5)
 		for i := range macros {
@@ -130,7 +131,7 @@ func LastMile(scale Scale, seed int64) LastMileResult {
 	}
 	pkg, _, _ := campaign.Map(ctx, eng, trials, func(i int) pkgTrial { //nolint:errcheck // background ctx never cancels
 		s := int64(i)
-		rng := rand.New(rand.NewSource(seed + s))
+		rng := rand.New(num.NewRand(seed + s))
 		sigs := make([]pkglayout.Signal, 14)
 		for i := range sigs {
 			sigs[i] = pkglayout.Signal{Name: fmt.Sprintf("s%d", i), Angle: rng.Float64() * 6.28, R: 10}
@@ -230,7 +231,7 @@ func ChickenEgg(scale Scale, seed int64) ChickenEggResult {
 	if scale == Paper {
 		cases = 150
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(num.NewRand(seed))
 	var x [][]float64
 	var y []float64
 	for i := 0; i < cases; i++ {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/flow"
 	"repro/internal/metrics"
 )
 
@@ -103,13 +104,28 @@ func (c *Cache) countHits(n int64, coalesced bool) {
 	}
 }
 
-// probe is the revisit pass's L1 probe: the entry under key, if L1 holds
-// it. It counts nothing; the pass counts its hits once per pass.
-func (c *Cache) probe(key string) (*Entry, bool) {
+// probe is the revisit pass's L1 probe, under one read lock: it serves
+// the result of every keyed point L1 holds into results[i] and, when hits
+// is non-nil, its entry into hits[i], for the pass to replay once the lock
+// is dropped. The other points' indices are todo, in point order. It
+// counts nothing; the pass counts its n hits once (countHits).
+func (c *Cache) probe(pts []Point, results []*flow.Result, hits []*Entry) (n int64, todo []int) {
 	c.mu.RLock()
-	e, ok := c.entries[key]
+	for i := range pts {
+		if key := pts[i].key; key != "" {
+			if e, ok := c.entries[key]; ok {
+				results[i] = e.Res
+				if hits != nil {
+					hits[i] = e
+				}
+				n++
+				continue
+			}
+		}
+		todo = append(todo, i)
+	}
 	c.mu.RUnlock()
-	return e, ok
+	return n, todo
 }
 
 // do returns the entry under key, computing and storing it on a miss.

@@ -12,6 +12,14 @@ import (
 	"repro/internal/flow"
 )
 
+// probeKey reports the entry L1 holds under key, counting nothing.
+func (c *Cache) probeKey(key string) (*Entry, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	e, ok := c.entries[key]
+	return e, ok
+}
+
 // result is a compute that returns res and no step records.
 func result(res *flow.Result) func() (Entry, error) {
 	return func() (Entry, error) { return Entry{Res: res}, nil }
@@ -19,7 +27,7 @@ func result(res *flow.Result) func() (Entry, error) {
 
 func TestCacheHitMissAccounting(t *testing.T) {
 	c := NewCache(0)
-	if _, ok := c.probe("a"); ok {
+	if _, ok := c.probeKey("a"); ok {
 		t.Fatal("phantom entry")
 	}
 	r1, hit1, _ := c.do("a", result(&flow.Result{AreaUm2: 1}))
@@ -27,7 +35,7 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	if hit1 || !hit2 || r1.Res != r2.Res {
 		t.Fatal("second do recomputed")
 	}
-	if _, ok := c.probe("a"); !ok {
+	if _, ok := c.probeKey("a"); !ok {
 		t.Fatal("entry lost")
 	}
 	st := c.Stats()
@@ -54,7 +62,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("stats %+v, want 2 entries and 38 evictions", st)
 	}
 	for i := 0; i < 40; i++ {
-		if _, ok := c.probe(fmt.Sprintf("k%d", i)); ok != (i >= 38) {
+		if _, ok := c.probeKey(fmt.Sprintf("k%d", i)); ok != (i >= 38) {
 			t.Errorf("k%d resident = %t, want only the newest two", i, ok)
 		}
 	}
@@ -252,7 +260,7 @@ func TestCacheWaiterOutlivesCancelledLeader(t *testing.T) {
 	if err != nil || res.Res == nil || res.Res.AreaUm2 != 2 {
 		t.Fatalf("waiter got (%+v, %v), want its own result and no error", res.Res, err)
 	}
-	if got, ok := c.probe("k"); !ok || got.Res != res.Res {
+	if got, ok := c.probeKey("k"); !ok || got.Res != res.Res {
 		t.Fatal("the waiter's compute was not cached")
 	}
 }

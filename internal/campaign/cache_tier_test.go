@@ -157,9 +157,8 @@ func TestCacheStatsCoherentUnderStorm(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				key := fmt.Sprintf("k%d", i%97)
 				if i%3 == 0 {
-					if _, ok := c.probe(key); ok {
-						c.countHits(1, false)
-					}
+					n, _ := c.probe([]Point{{key: key}}, make([]*flow.Result, 1), nil)
+					c.countHits(n, false)
 					continue
 				}
 				c.do(key, result(res)) //nolint:errcheck

@@ -23,6 +23,7 @@ import (
 	"hash/fnv"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -136,6 +137,8 @@ type Engine struct {
 	// sweep's points differ there only in their clock period. Run hands it
 	// to the points sharers picks.
 	prefixes *flow.Prefixes
+	// hitBufs holds the revisit pass's per-point entry buffers.
+	hitBufs sync.Pool
 }
 
 // New creates an engine.
@@ -244,32 +247,47 @@ func (e *Engine) Run(ctx context.Context, pts []Point) ([]*flow.Result, error) {
 	return results, nil
 }
 
-// revisit is run's first pass, on the caller's goroutine and in point
-// order: it probes L1 under each point's memo key, built with the point,
-// and serves what L1 already holds into results. Only the rest — todo —
-// go to the license pool: a revisit is a lookup, not a tool run, so it
-// starts no goroutine, waits for no license and is no sched.* task. Its
-// hits are counted once, when the pass ends. A cancelled context serves
-// nothing; the pool abandons every point.
+// revisit is run's first pass, on the caller's goroutine: it probes L1
+// under every point's memo key, built with the point, in one read lock
+// (Cache.probe) and serves what L1 already holds into results, then
+// replays the hits in point order. Only the rest — todo — go to the
+// license pool: a revisit is a lookup, not a tool run, so it starts no
+// goroutine, waits for no license and is no sched.* task. Its hits are
+// counted once, when the pass ends. A cancelled context serves nothing;
+// the pool abandons every point.
 func (e *Engine) revisit(ctx context.Context, pts []Point, results []*flow.Result) (todo []int) {
-	serve := e.cache != nil && ctx.Err() == nil
-	var hits int64
-	for i := range pts {
-		p := &pts[i]
-		if serve && p.key != "" {
-			if ent, ok := e.cache.probe(p.key); ok {
-				_, psp := pointSpan(ctx, p.opts.Seed, i)
-				e.deliverHit(psp, ent.Steps)
-				results[i] = ent.Res
-				hits++
-				continue
-			}
+	if e.cache == nil || ctx.Err() != nil {
+		todo = make([]int, len(pts))
+		for i := range todo {
+			todo[i] = i
 		}
-		todo = append(todo, i)
+		return todo
 	}
-	if serve {
-		e.cache.countHits(hits, false)
+	// A hit has records to replay and a span to end only under an
+	// Observer or a tracer; the entries it needs then are kept in a
+	// reused buffer, so no pass allocates for them.
+	var buf *[]*Entry
+	var hits []*Entry
+	if e.obs != nil || trace.Active() != nil {
+		buf, _ = e.hitBufs.Get().(*[]*Entry)
+		if buf == nil {
+			buf = new([]*Entry)
+		}
+		hits = slices.Grow((*buf)[:0], len(pts))[:len(pts)]
 	}
+	n, todo := e.cache.probe(pts, results, hits)
+	for i, ent := range hits {
+		if ent != nil {
+			_, psp := pointSpan(ctx, pts[i].opts.Seed, i)
+			e.deliverHit(psp, ent.Steps)
+		}
+	}
+	if buf != nil {
+		clear(hits)
+		*buf = hits
+		e.hitBufs.Put(buf)
+	}
+	e.cache.countHits(n, false)
 	return todo
 }
 

@@ -309,29 +309,37 @@ func revisitFixture(tb testing.TB) (*Engine, []Point) {
 
 // TestRevisitAllocs pins the hit path's allocations to a per-Run
 // constant: the results slice and the pass's bookkeeping, the same at 64
-// points as at 640. A memo key rebuilt per visit (two strings), a
-// goroutine per point or a Sprintf in the key grows with the point count
-// and fails here rather than in a benchmark nobody reran.
+// points as at 640, and the same with an Observer the hits replay to. A
+// memo key rebuilt per visit (two strings), a goroutine per point, a
+// Sprintf in the key or a per-Run slice of the hits' entries grows with
+// the point count and fails here rather than in a benchmark nobody reran.
 func TestRevisitAllocs(t *testing.T) {
 	const perRun = 8
 	design := tinyDesign(1)
 	ctx := context.Background()
-	for _, seeds := range []int{8, 80} {
-		eng := New(Config{Workers: 2, Cache: NewCache(0)})
-		pts := sweepPoints(design, KeyFor(design), 8, seeds)
-		// Seed L1 directly: the visits, not the flows, are under test.
-		for _, p := range pts {
-			eng.Cache().do(p.CacheKey(), result(&flow.Result{})) //nolint:errcheck
-		}
-		got := testing.AllocsPerRun(20, func() {
-			if _, err := eng.Run(ctx, pts); err != nil {
-				t.Fatal(err)
+	replayed := 0
+	for _, obs := range []flow.Observer{nil, flow.ObserverFunc(func(flow.StepRecord) { replayed++ })} {
+		for _, seeds := range []int{8, 80} {
+			eng := New(Config{Workers: 2, Cache: NewCache(0), Observer: obs})
+			pts := sweepPoints(design, KeyFor(design), 8, seeds)
+			// Seed L1 directly: the visits, not the flows, are under test.
+			steps := []flow.StepRecord{{Step: "synth"}}
+			for _, p := range pts {
+				eng.Cache().do(p.CacheKey(), func() (Entry, error) { return Entry{Res: &flow.Result{}, Steps: steps}, nil }) //nolint:errcheck
 			}
-		})
-		t.Logf("%d points: %.0f allocations a Run", len(pts), got)
-		if got > perRun {
-			t.Errorf("an all-hit %d-point Run allocates %.0f times, want <= %d whatever the point count", len(pts), got, perRun)
+			got := testing.AllocsPerRun(20, func() {
+				if _, err := eng.Run(ctx, pts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%d points, observer %t: %.0f allocations a Run", len(pts), obs != nil, got)
+			if got > perRun {
+				t.Errorf("an all-hit %d-point Run (observer %t) allocates %.0f times, want <= %d whatever the point count", len(pts), obs != nil, got, perRun)
+			}
 		}
+	}
+	if replayed == 0 {
+		t.Fatal("no hit replayed its records to the Observer")
 	}
 }
 
@@ -352,4 +360,30 @@ func BenchmarkEngineRevisit(b *testing.B) {
 	visits := float64(b.N * len(pts))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/visits, "ns/visit")
 	b.ReportMetric(float64(ms.Mallocs-mallocs)/visits, "allocs/visit")
+}
+
+// BenchmarkEngineFirstStudy is the other half of the memo_revisit
+// benchmark workload beside BenchmarkEngineRevisit: a fresh engine (2
+// workers, an empty cache) computing that workload's 64 Tiny points, 8
+// frequencies by 8 seeds at synthesis effort 2. Besides the kernels, a
+// point pays here for what a study costs per computed point: seeding its
+// stages' generators, its pool task and its cache insert.
+func BenchmarkEngineFirstStudy(b *testing.B) {
+	design := tinyDesign(1)
+	key := KeyFor(design)
+	var pts []Point
+	for f := range 8 {
+		base := flow.Options{SynthEffort: 2, TargetFreqGHz: 0.30 + 0.05*float64(f)}
+		pts = append(pts, Points(design, key, base, []int64{1, 2, 3, 4, 5, 6, 7, 8})...)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := New(Config{Workers: 2, Cache: NewCache(0)})
+		if _, err := eng.Run(ctx, pts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
 }

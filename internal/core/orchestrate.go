@@ -9,6 +9,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/mab"
 	"repro/internal/netlist"
+	"repro/internal/num"
 )
 
 // SearchConfig parameterizes the Stage-2 orchestrated search: N robot
@@ -91,7 +92,7 @@ func Search(design *netlist.Netlist, base flow.Options, cons flow.Constraints, c
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(num.NewRand(cfg.Seed))
 	eng := campaign.New(campaign.Config{Workers: cfg.Licenses, Cache: cfg.Cache})
 	designKey := ""
 	if cfg.Cache != nil {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/netlist"
+	"repro/internal/num"
 )
 
 // The paper's fourth stage of ML insertion "must cover considerable
@@ -111,7 +112,7 @@ func (a *QAgent) Train(design *netlist.Netlist, start flow.Options, episodes, st
 	if stepsPer <= 0 {
 		stepsPer = 6
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(num.NewRand(seed))
 	refFreq := start.TargetFreqGHz
 	if refFreq <= 0 {
 		refFreq = 0.5

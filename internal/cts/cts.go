@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cellib"
 	"repro/internal/netlist"
+	"repro/internal/num"
 )
 
 // Options are the CTS knobs.
@@ -60,7 +61,7 @@ type sink struct {
 // reported for the flow to account.
 func Synthesize(n *netlist.Netlist, opts Options) Result {
 	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(num.NewRand(opts.Seed))
 	buf := n.Lib.Variants(cellib.ClockBuffer)[2] // X4 clock buffer
 
 	res := Result{SkewPs: make([]float64, n.NumCells())}

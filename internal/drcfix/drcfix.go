@@ -15,6 +15,8 @@ package drcfix
 
 import (
 	"math/rand"
+
+	"repro/internal/num"
 )
 
 // Violation is one design-rule violation.
@@ -66,7 +68,7 @@ func NewField(n, gridDim int, seed int64) *Field {
 	if gridDim <= 0 {
 		gridDim = 12
 	}
-	f := &Field{GridDim: gridDim, Violations: map[int]*Violation{}, rng: rand.New(rand.NewSource(seed))}
+	f := &Field{GridDim: gridDim, Violations: map[int]*Violation{}, rng: rand.New(num.NewRand(seed))}
 	// A few hotspot centers; violations scatter around them.
 	centers := 1 + n/25
 	cx := make([]int, centers)

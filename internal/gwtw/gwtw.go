@@ -9,6 +9,8 @@ package gwtw
 import (
 	"math/rand"
 	"sort"
+
+	"repro/internal/num"
 )
 
 // Optimizer is one restartable local-search thread. Implementations are
@@ -65,7 +67,7 @@ type Result struct {
 // (typically identical problems with different random starts).
 func Run(newThread func(i int) Optimizer, cfg Config) *Result {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(num.NewRand(cfg.Seed))
 	pop := make([]Optimizer, cfg.Population)
 	for i := range pop {
 		pop[i] = newThread(i)

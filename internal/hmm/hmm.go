@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/logfile"
 	"repro/internal/mdp"
+	"repro/internal/num"
 )
 
 // HMM is a discrete-emission hidden Markov model.
@@ -27,7 +28,7 @@ type HMM struct {
 // New creates an HMM with slightly perturbed uniform parameters (random
 // symmetry breaking is required for Baum-Welch to learn anything).
 func New(states, symbols int, seed int64) *HMM {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(num.NewRand(seed))
 	h := &HMM{NumStates: states, NumSymbols: symbols}
 	h.Pi = randDist(rng, states)
 	h.A = make([][]float64, states)

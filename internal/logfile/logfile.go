@@ -19,6 +19,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/cellib"
 	"repro/internal/netlist"
+	"repro/internal/num"
 	"repro/internal/place"
 	"repro/internal/route"
 )
@@ -117,7 +118,7 @@ func (c CorpusSpec) withDefaults() CorpusSpec {
 // scheduling.
 func Generate(spec CorpusSpec) []Run {
 	spec = spec.withDefaults()
-	rng := rand.New(rand.NewSource(spec.Seed))
+	rng := rand.New(num.NewRand(spec.Seed))
 	lib := cellib.Default14nm()
 	eng := campaign.New(campaign.Config{Workers: spec.Workers})
 	ctx := context.Background()

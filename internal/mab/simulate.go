@@ -147,7 +147,7 @@ func Simulate(alg Algorithm, env Environment, cfg Config) *History {
 	if cfg.Concurrent <= 0 {
 		cfg.Concurrent = 5
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(num.NewRand(cfg.Seed))
 	h := &History{Algorithm: alg.Name(), ArmCounts: make([]int, env.NumArms())}
 	best := 0.0
 	regret := 0.0

@@ -14,6 +14,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"repro/internal/num"
 )
 
 // Macro is one memory instance to place.
@@ -138,7 +140,7 @@ func Robot(b Block, macros []Macro) Result {
 // Random places macros at random edge slots (retrying on overlap) — the
 // no-expertise baseline.
 func Random(b Block, macros []Macro, seed int64) Result {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(num.NewRand(seed))
 	res := Result{Macros: append([]Macro(nil), macros...), Legal: true}
 	var placed []int
 	for mi := range res.Macros {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/num"
 )
 
 // Ridge is a linear model fit with L2 regularization (lambda = 0 gives
@@ -159,7 +161,7 @@ func R2(pred, truth []float64) float64 {
 // Split partitions samples into train and test sets with the given test
 // fraction, shuffled deterministically by seed.
 func Split(x [][]float64, y []float64, testFrac float64, seed int64) (xtr [][]float64, ytr []float64, xte [][]float64, yte []float64) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(num.NewRand(seed))
 	idx := rng.Perm(len(x))
 	nTest := int(float64(len(x)) * testFrac)
 	for i, id := range idx {

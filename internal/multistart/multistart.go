@@ -10,6 +10,7 @@ import (
 	"math/rand"
 
 	"repro/internal/ml"
+	"repro/internal/num"
 )
 
 // Problem is a combinatorial optimization instance with a solution-space
@@ -73,7 +74,7 @@ type Result struct {
 // current elite set.
 func Adaptive(p Problem, cfg Config) *Result {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(num.NewRand(cfg.Seed))
 	probes := int(float64(cfg.Starts) * cfg.ProbeFrac)
 	if probes < 2 {
 		probes = 2

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 
 	"repro/internal/cellib"
+	"repro/internal/num"
 )
 
 // PinRef identifies an input pin of an instance.
@@ -463,7 +464,7 @@ func Tiny(seed int64) Spec {
 // locality-biased choice, and the last level feeds flip-flop D inputs.
 // All cells start at minimum drive; synthesis/sizing strengthen them.
 func Generate(lib *cellib.Library, spec Spec) *Netlist {
-	rng := rand.New(rand.NewSource(spec.Seed))
+	rng := rand.New(num.NewRand(spec.Seed))
 	n := &Netlist{
 		Name:          spec.Name,
 		Lib:           lib,

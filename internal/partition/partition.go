@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/ml"
 	"repro/internal/netlist"
+	"repro/internal/num"
 )
 
 // Bipartition is the result of one min-cut split.
@@ -90,7 +91,7 @@ func Bisect(n *netlist.Netlist, scope []int, seed int64) Bipartition {
 			scope[i] = i
 		}
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(num.NewRand(seed))
 	g := buildGraph(n, scope)
 	numCells := len(g.cells)
 	res := Bipartition{Side: make([]int, n.NumCells())}

@@ -259,7 +259,7 @@ func newPlacer(ctx context.Context, n *netlist.Netlist, opts Options) (*placer, 
 
 	w, h := netlist.DieSize(n, opts.Utilization)
 	p := &placer{n: n, opts: opts, w: w, h: h, ctx: ctx}
-	p.g = buildGrid(n, w, h, rand.New(rand.NewSource(opts.Seed)))
+	p.g = buildGrid(n, w, h, rand.New(num.NewRand(opts.Seed)))
 	p.res = Result{Width: w, Height: h}
 
 	applyCoords(n, p.g)

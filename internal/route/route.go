@@ -208,7 +208,7 @@ func (r *router) routeNet(netID int, rng *rand.Rand, wl *float64) {
 func GlobalRoute(n *netlist.Netlist, opts GlobalOptions) *GlobalResult {
 	opts = opts.withDefaults()
 	r := newRouter(n, opts)
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(num.NewRand(opts.Seed))
 	var wl float64
 	for i := range n.Nets {
 		r.routeNet(i, rng, &wl)
@@ -318,7 +318,7 @@ func DetailRoute(g *GlobalResult, opts DetailOptions) *DetailResult {
 // iterations.
 func DetailRouteCtx(ctx context.Context, g *GlobalResult, opts DetailOptions) *DetailResult {
 	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(num.NewRand(opts.Seed))
 	res := &DetailResult{IterationsBudget: opts.Iterations}
 
 	margin := g.CongestionMargin()

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/trace"
@@ -38,50 +39,89 @@ func NewPool(n int) *Pool {
 func (p *Pool) Licenses() int { return p.licenses }
 
 // RunCtx executes the tasks under the license limit, blocking until all
-// complete or ctx is cancelled. All tasks are spawned immediately and
-// acquire a license from inside their goroutine, so task launch is never
-// serialized behind a full pool. On cancellation, tasks still waiting
-// for a license are abandoned (their functions never run), in-flight
-// tasks finish, and ctx.Err() is returned — the early-abort path a
-// doomed-run STOP uses to kill the rest of a campaign.
+// complete or ctx is cancelled. min(licenses, len(tasks)) workers, the
+// caller's goroutine one of them, each claim the next task index in turn,
+// so tasks start in index order and a task costs no goroutine of its own.
+// Every task counts as queued, and its sched.wait span opens, when RunCtx
+// is entered, so admission is never serialized behind a full pool. On
+// cancellation, tasks not yet started are abandoned at once (their
+// functions never run), in-flight tasks finish, and ctx.Err() is returned
+// — the early-abort path a doomed-run STOP uses to kill the rest of a
+// campaign.
 func (p *Pool) RunCtx(ctx context.Context, tasks []func()) error {
-	sem := make(chan struct{}, p.licenses)
-	var wg sync.WaitGroup
-	for _, task := range tasks {
-		wg.Add(1)
-		go func(f func()) {
-			defer wg.Done()
-			p.enqueue()
-			// Queue-wait vs run time are separate spans, so the license-
-			// contention signal (sched.wait p90 vs sched.run p90) falls
-			// straight out of the histograms.
-			_, wsp := trace.Start(ctx, "sched.wait")
-			select {
-			case sem <- struct{}{}:
-				p.dequeue()
-				// The select picks pseudo-randomly when both cases are
-				// ready, so a task can win a license from an already-dead
-				// context; re-check so a doomed-run STOP kills queued work
-				// the moment it fires instead of letting stragglers run.
-				if ctx.Err() != nil {
-					wsp.EndWith(trace.Aborted)
-					<-sem
-					return
-				}
-				wsp.End()
-			case <-ctx.Done():
-				p.dequeue()
-				wsp.EndWith(trace.Aborted)
-				return
+	n := len(tasks)
+	if n == 0 {
+		return ctx.Err()
+	}
+	p.enqueue(n)
+	// Queue-wait vs run time are separate spans, so the license-
+	// contention signal (sched.wait p90 vs sched.run p90) falls
+	// straight out of the histograms.
+	var waits []*trace.Span
+	if trace.Active() != nil {
+		waits = make([]*trace.Span, n)
+		for i := range waits {
+			_, waits[i] = trace.Start(ctx, "sched.wait")
+		}
+	}
+	wait := func(i int) *trace.Span {
+		if waits == nil {
+			return nil
+		}
+		return waits[i]
+	}
+	var next atomic.Int64
+	claim := func() (int, bool) {
+		i := int(next.Add(1) - 1)
+		return i, i < n
+	}
+	abandon := func(i int) {
+		p.dequeue()
+		wait(i).EndWith(trace.Aborted)
+	}
+	if ctx.Done() != nil {
+		// Cancellation claims every task no worker has, so the queue
+		// empties the moment a doomed-run STOP fires, not when a license
+		// frees.
+		abandoned := make(chan struct{})
+		stop := context.AfterFunc(ctx, func() {
+			defer close(abandoned)
+			for i, ok := claim(); ok; i, ok = claim() {
+				abandon(i)
 			}
-			p.enter()
+		})
+		defer func() {
+			if !stop() {
+				<-abandoned
+			}
+		}()
+	}
+	work := func() {
+		for i, ok := claim(); ok; i, ok = claim() {
+			// A task claimed as the context died is abandoned too, so a
+			// pre-cancelled run starts nothing.
+			if ctx.Err() != nil {
+				abandon(i)
+				continue
+			}
+			p.start()
+			wait(i).End()
 			_, rsp := trace.Start(ctx, "sched.run")
-			f()
+			tasks[i]()
 			rsp.End()
 			p.leave()
-			<-sem
-		}(task)
+		}
 	}
+	var wg sync.WaitGroup
+	helpers := min(p.licenses, n) - 1
+	wg.Add(helpers)
+	for range helpers {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	return ctx.Err()
 }
@@ -106,23 +146,27 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, f func(i int) T) (out []
 	return out, ran, err
 }
 
-func (p *Pool) enqueue() {
+// enqueue counts n tasks as queued for a license.
+func (p *Pool) enqueue(n int) {
 	p.mu.Lock()
-	p.waiting++
+	p.waiting += n
 	if p.waiting > p.maxWait {
 		p.maxWait = p.waiting
 	}
 	p.mu.Unlock()
 }
 
+// dequeue takes an abandoned task off the queue.
 func (p *Pool) dequeue() {
 	p.mu.Lock()
 	p.waiting--
 	p.mu.Unlock()
 }
 
-func (p *Pool) enter() {
+// start moves a queued task onto a license.
+func (p *Pool) start() {
 	p.mu.Lock()
+	p.waiting--
 	p.active++
 	p.total++
 	if p.active > p.peak {

@@ -2,9 +2,16 @@ package sched
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 func TestPoolRunsAllTasks(t *testing.T) {
@@ -74,75 +81,225 @@ func TestEmptyRun(t *testing.T) {
 	}
 }
 
+// waitFor polls cond until it holds, failing after five seconds — the
+// timeout only turns a deadlock into a message.
+func waitFor(t *testing.T, cond func() bool, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timeout waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// queued reads the pool's count of tasks waiting for a license.
+func (p *Pool) queued() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.waiting
+}
+
+// blockers returns n tasks that each mark themselves running and then
+// block until their own release channel closes.
+func blockers(n int) (tasks []func(), running []atomic.Bool, release []chan struct{}) {
+	tasks, running, release = make([]func(), n), make([]atomic.Bool, n), make([]chan struct{}, n)
+	for i := range tasks {
+		release[i] = make(chan struct{})
+		tasks[i] = func() {
+			running[i].Store(true)
+			<-release[i]
+			running[i].Store(false)
+		}
+	}
+	return tasks, running, release
+}
+
+// runningSet lists the indices of the tasks that are running.
+func runningSet(running []atomic.Bool) []int {
+	var set []int
+	for i := range running {
+		if running[i].Load() {
+			set = append(set, i)
+		}
+	}
+	return set
+}
+
 // TestAdmissionNotSerialized is the regression test for the old
-// submitter-blocks-on-semaphore bug: with a full pool, later tasks must
-// already be spawned (counted as waiting) while early tasks run, so a
-// slow head task cannot delay the *launch* of the tail.
+// submitter-blocks-on-semaphore bug: with a full pool, every later task
+// must already count as queued while the head task runs, and its
+// sched.wait span must already be open, so a slow head task cannot delay
+// the admission of the tail.
 func TestAdmissionNotSerialized(t *testing.T) {
+	tr := trace.New(0)
+	var clock atomic.Int64 // each reading is later than every earlier one
+	tr.SetClock(func() time.Duration { return time.Duration(clock.Add(1)) })
+	trace.Enable(tr)
+	defer trace.Disable()
+
 	p := NewPool(1)
-	release := make(chan struct{})
-	block := func() { <-release }
-	tasks := []func(){block, block, block}
+	tasks, running, release := blockers(3)
 	done := make(chan struct{})
 	go func() {
 		p.RunCtx(context.Background(), tasks)
 		close(done)
 	}()
-	// Whichever task holds the only license blocks on release, so the
-	// other two must both be queued — which only happens if Run spawns
-	// every task up front instead of admitting them one at a time.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, _, maxWait := p.Stats(); maxWait >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("tail tasks were not spawned while head task held the license")
-		}
-		time.Sleep(time.Millisecond)
+	waitFor(t, func() bool { return running[0].Load() }, "the head task to start")
+	if q := p.queued(); q != 2 {
+		t.Fatalf("%d tasks queued behind the head task, want 2", q)
 	}
-	close(release)
+	if _, _, maxWait := p.Stats(); maxWait != 3 {
+		t.Fatalf("maxWaiting %d, want 3: every task is queued on entry", maxWait)
+	}
+	for _, c := range release {
+		close(c)
+	}
 	<-done
 	if _, total, _ := p.Stats(); total != 3 {
 		t.Fatalf("total %d", total)
 	}
-}
-
-func TestRunCtxCancelAbandonsQueuedTasks(t *testing.T) {
-	p := NewPool(1)
-	ctx, cancel := context.WithCancel(context.Background())
-	block := make(chan struct{})
-	var ran int64
-	tasks := make([]func(), 8)
-	for i := range tasks {
-		tasks[i] = func() { atomic.AddInt64(&ran, 1); <-block }
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- p.RunCtx(ctx, tasks) }()
-
-	waitFor := func(cond func() bool, what string) {
-		deadline := time.Now().Add(5 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timeout waiting for %s", what)
+	var waits, firstRun []time.Duration
+	spans, _ := tr.Snapshot()
+	for _, sp := range spans {
+		switch sp.Name {
+		case "sched.wait":
+			waits = append(waits, sp.Start)
+		case "sched.run":
+			if len(firstRun) == 0 || sp.Start < firstRun[0] {
+				firstRun = []time.Duration{sp.Start}
 			}
-			time.Sleep(time.Millisecond)
 		}
 	}
-	queued := func() int { p.mu.Lock(); defer p.mu.Unlock(); return p.waiting }
-	// All tasks block, so one holds the only license and the other 7
-	// must already be spawned and queued — the spawn-first admission
-	// the old submitter-side semaphore serialized away.
-	waitFor(func() bool { return queued() == 7 }, "tail tasks to queue")
+	if len(waits) != 3 || len(firstRun) != 1 {
+		t.Fatalf("%d sched.wait spans and %d sched.run, want 3 and some", len(waits), len(firstRun))
+	}
+	for _, w := range waits {
+		if w > firstRun[0] {
+			t.Fatalf("a sched.wait span opened at %v, after the first task ran at %v", w, firstRun[0])
+		}
+	}
+}
+
+// TestRunCtxStartsTasksInIndexOrder: the tasks that run are always the
+// lowest-indexed ones not yet finished, licenses of them at a time —
+// each freed license goes to the next task in index order.
+func TestRunCtxStartsTasksInIndexOrder(t *testing.T) {
+	const licenses, n = 2, 7
+	p := NewPool(licenses)
+	tasks, running, release := blockers(n)
+	done := make(chan struct{})
+	go func() {
+		p.RunCtx(context.Background(), tasks)
+		close(done)
+	}()
+	for head := 0; head < n; head++ {
+		want := []int{head}
+		for i := head + 1; i < min(head+licenses, n); i++ {
+			want = append(want, i)
+		}
+		waitFor(t, func() bool { return len(runningSet(running)) == len(want) }, fmt.Sprintf("tasks %v to run", want))
+		if got := runningSet(running); !slices.Equal(got, want) {
+			t.Fatalf("running %v, want %v", got, want)
+		}
+		close(release[head])
+		waitFor(t, func() bool { return !running[head].Load() }, fmt.Sprintf("task %d to finish", head))
+	}
+	<-done
+	if peak, total, _ := p.Stats(); peak != licenses || total != n {
+		t.Fatalf("peak %d, total %d; want %d, %d", peak, total, licenses, n)
+	}
+}
+
+// TestRunCtxRunsOnLicensedGoroutines: however many tasks there are, they
+// run on at most licenses goroutines, and never more than licenses at
+// once.
+func TestRunCtxRunsOnLicensedGoroutines(t *testing.T) {
+	const licenses = 3
+	p := NewPool(licenses)
+	var (
+		mu      sync.Mutex
+		gids    = map[string]bool{}
+		active  atomic.Int64
+		tooMany atomic.Bool
+	)
+	tasks := make([]func(), 64)
+	for i := range tasks {
+		tasks[i] = func() {
+			if active.Add(1) > licenses {
+				tooMany.Store(true)
+			}
+			buf := make([]byte, 64)
+			id := strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1] // "goroutine N [...]"
+			mu.Lock()
+			gids[id] = true
+			mu.Unlock()
+			runtime.Gosched()
+			active.Add(-1)
+		}
+	}
+	if err := p.RunCtx(context.Background(), tasks); err != nil {
+		t.Fatal(err)
+	}
+	if len(gids) > licenses {
+		t.Fatalf("64 tasks ran on %d goroutines, want <= %d licenses", len(gids), licenses)
+	}
+	if tooMany.Load() {
+		t.Fatalf("more than %d tasks ran at once", licenses)
+	}
+}
+
+// TestRunCtxCancelAbandonsQueuedTasks: cancelling while every license is
+// held abandons exactly the tasks that had not started, at once — their
+// sched.wait spans end aborted and the queue empties before any license
+// frees — and the in-flight ones finish.
+func TestRunCtxCancelAbandonsQueuedTasks(t *testing.T) {
+	tr := trace.New(0)
+	trace.Enable(tr)
+	defer trace.Disable()
+
+	const licenses, n = 2, 8
+	p := NewPool(licenses)
+	ctx, cancel := context.WithCancel(context.Background())
+	block := make(chan struct{})
+	var started [n]atomic.Bool
+	errc := make(chan error, 1)
+	var ran []bool
+	go func() {
+		var err error
+		_, ran, err = MapCtx(ctx, p, n, func(i int) int {
+			started[i].Store(true)
+			<-block
+			return i
+		})
+		errc <- err
+	}()
+	waitFor(t, func() bool { return started[0].Load() && started[1].Load() }, "the head tasks to start")
+	if q := p.queued(); q != n-licenses {
+		t.Fatalf("%d tasks queued, want %d", q, n-licenses)
+	}
 	cancel() // the doomed-run STOP
-	// The license is still held, so every queued task can only abandon.
-	waitFor(func() bool { return queued() == 0 }, "queued tasks to abandon")
+	// The licenses are still held, so every queued task can only abandon.
+	waitFor(t, func() bool { return p.queued() == 0 }, "queued tasks to abandon")
 	close(block)
 	if err := <-errc; err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if got := atomic.LoadInt64(&ran); got != 1 {
-		t.Fatalf("ran %d tasks, want exactly the in-flight one", got)
+	for i := range ran {
+		if ran[i] != (i < licenses) || started[i].Load() != (i < licenses) {
+			t.Fatalf("task %d: ran=%t started=%t; want exactly the %d in-flight tasks", i, ran[i], started[i].Load(), licenses)
+		}
+	}
+	aborted := 0
+	spans, _ := tr.Snapshot()
+	for _, sp := range spans {
+		if sp.Name == "sched.wait" && sp.Outcome == trace.Aborted {
+			aborted++
+		}
+	}
+	if aborted != n-licenses {
+		t.Fatalf("%d sched.wait spans ended aborted, want %d", aborted, n-licenses)
 	}
 }
 

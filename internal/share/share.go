@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/cellib"
 	"repro/internal/netlist"
+	"repro/internal/num"
 )
 
 // Mode selects the anonymization strength.
@@ -37,7 +38,7 @@ const (
 // (cell/net counts, fanout distribution, logic depth, area within a few
 // percent) are preserved so shared data remains useful for ML.
 func Anonymize(n *netlist.Netlist, mode Mode, seed int64) *netlist.Netlist {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(num.NewRand(seed))
 	out := n.Clone()
 	out.Name = fmt.Sprintf("anon-%08x", rng.Uint32())
 

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/gwtw"
 	"repro/internal/netlist"
+	"repro/internal/num"
 	"repro/internal/sta"
 )
 
@@ -74,7 +75,7 @@ func Fix(n *netlist.Netlist, cfg Config) Result {
 	if cfg.ForceFullSTA {
 		return fixFull(n, cfg)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(num.NewRand(cfg.Seed))
 	res := Result{AreaBefore: n.Area()}
 	inc := sta.NewIncremental(n, *cfg.Engine)
 	res.TimerRuns++
@@ -124,7 +125,7 @@ func Fix(n *netlist.Netlist, cfg Config) Result {
 
 // fixFull is Fix with a full re-analysis per pass (ForceFullSTA).
 func fixFull(n *netlist.Netlist, cfg Config) Result {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(num.NewRand(cfg.Seed))
 	res := Result{AreaBefore: n.Area()}
 	rep := sta.Analyze(n, *cfg.Engine)
 	res.TimerRuns++
@@ -185,7 +186,7 @@ func Recover(n *netlist.Netlist, cfg Config) Result {
 	if cfg.ForceFullSTA {
 		return recoverFull(n, cfg)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(num.NewRand(cfg.Seed))
 	res := Result{AreaBefore: n.Area()}
 	inc := sta.NewIncremental(n, *cfg.Engine)
 	res.TimerRuns++
@@ -233,7 +234,7 @@ func Recover(n *netlist.Netlist, cfg Config) Result {
 // recoverFull is Recover with a full re-analysis per candidate
 // (ForceFullSTA) — the pre-incremental baseline.
 func recoverFull(n *netlist.Netlist, cfg Config) Result {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(num.NewRand(cfg.Seed))
 	res := Result{AreaBefore: n.Area()}
 	rep := sta.Analyze(n, *cfg.Engine)
 	res.TimerRuns++
@@ -301,7 +302,7 @@ func NewAnnealer(n *netlist.Netlist, engine sta.Config, seed int64) *Annealer {
 	}
 	// Scramble the starting sizes so different threads explore
 	// different basins.
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(num.NewRand(seed))
 	for i := range a.N.Insts {
 		steps := rng.Intn(3)
 		for k := 0; k < steps; k++ {

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/cellib"
 	"repro/internal/netlist"
+	"repro/internal/num"
 	"repro/internal/sta"
 )
 
@@ -82,7 +83,7 @@ func Run(design *netlist.Netlist, opts Options) Result {
 // must not analyse with it again. Both are nil when a cell was resized.
 func RunTimed(design *netlist.Netlist, opts Options) (Result, *sta.Graph, *sta.Analyzer) {
 	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(num.NewRand(opts.Seed))
 	n := design.Clone()
 	n.ClockPeriodPs = 1000 / opts.TargetFreqGHz
 

@@ -5,7 +5,8 @@
 #                             (quickstart, enterprise), race-enabled tests
 #                             (with a doubled concurrency tier on the
 #                             scheduler, campaign engine, the keyed
-#                             journal and the flow's stage loop),
+#                             journal and the flow's stage loop, and
+#                             the scheduler again at -cpu 1,4),
 #                             then vet + tests of the nested
 #                             benchmark module, then 10 s of fuzzing per
 #                             byte-facing decoder (campaign entry,
@@ -127,6 +128,10 @@ go test -race -count=2 ./internal/sched/... ./internal/campaign/... \
     ./internal/flow/... ./internal/dist/... \
     ./internal/sta/... ./internal/synth/...
 go test -race ./...
+# The license pool's workers claim tasks in index order from an atomic
+# counter; run its tests on one P, where workers only interleave at
+# blocking points, and on four, more than this host's two cores.
+go test -race -cpu 1,4 ./internal/sched/...
 # The repo benchmark is a nested module (benchmark/go.mod), which the
 # ./... patterns above cannot see.
 (cd benchmark && go vet ./... && go test ./...)
